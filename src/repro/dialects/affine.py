@@ -11,7 +11,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from ..ir.affine_expr import AffineExpr
 from ..ir.affine_map import AffineMap
-from ..ir.attributes import AffineMapAttr, IntegerAttr
+from ..ir.attributes import AffineMapAttr, IntegerAttr, UnitAttr
 from ..ir.core import Block, IRError, Operation, register_op
 from ..ir.types import IndexType, MemRefType
 from ..ir.values import BlockArgument, Value
@@ -38,6 +38,15 @@ class AffineForOp(Operation):
     """
 
     OP_NAME = "affine.for"
+
+    #: Attributes the loop header spells out; anything else prints as a
+    #: trailing attribute dictionary after the body.
+    STRUCTURAL_ATTRS = (
+        "lower_bound",
+        "upper_bound",
+        "step",
+        "lb_operand_count",
+    )
 
     @staticmethod
     def create(
@@ -94,6 +103,17 @@ class AffineForOp(Operation):
     def ub_operands(self) -> List[Value]:
         count = self.attributes["lb_operand_count"].value
         return self.operands[count:]
+
+    @property
+    def no_vectorize(self) -> bool:
+        """Set by the tiling stages on the loops they create: the band
+        was proven non-collapsible before tiling, so codegen emits the
+        loop as written instead of re-attempting (and re-recording the
+        bail of) the whole-nest vectorizer."""
+        return "no_vectorize" in self.attributes
+
+    def mark_no_vectorize(self) -> None:
+        self.attributes["no_vectorize"] = UnitAttr()
 
     def constant_lower_bound(self) -> Optional[int]:
         map_ = self.lower_bound_map

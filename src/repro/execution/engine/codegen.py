@@ -303,10 +303,10 @@ def _emit_affine_for(ctx: _FuncContext, op: AffineForOp) -> None:
     is_root = ctx.nest_depth == 0
     if is_root:
         ctx.nest_collapsed_any = False
-    # The mid-level optimizer tags the loops it tiles: a tiled band was
-    # proven non-collapsible pre-tiling, so skip the vectorize attempt
-    # rather than re-recording the same bail 2d times.
-    if mode != "none" and not getattr(op, "_opt_no_vectorize", False):
+    # The tiling stages mark the loops they create ``no_vectorize``: a
+    # tiled band was proven non-collapsible pre-tiling, so skip the
+    # vectorize attempt rather than re-recording the same bail 2d times.
+    if mode != "none" and not op.no_vectorize:
         band = collect_band(op)
         if mode == "innermost" and len(band) > 1:
             band = None  # emulate the innermost-only vectorizer

@@ -20,9 +20,9 @@ vectorizer, mirroring Parakeet's ``Fusion`` / ``CopyElimination`` /
    whole-band collapse (``transforms.distribution``).
 6. **tile** — cache-blocking tiling for nests the vectorizer would
    still reject, with a trip-count heuristic choosing tile sizes.
-   Tiled loops are tagged ``_opt_no_vectorize`` so codegen skips the
-   (provably futile) collapse attempt instead of inflating
-   ``bail_reasons``.
+   Tiled loops carry the printed ``no_vectorize`` unit attribute so
+   codegen skips the (provably futile) collapse attempt instead of
+   inflating ``bail_reasons``.
 
 ``opt_mode`` selects the pipeline: ``"none"`` (no-op), ``"fuse"``
 (stage 1 only), ``"full"`` (all stages).
@@ -277,7 +277,7 @@ def _tile_scalar_nests(func: Operation, tile_size: int, stats: OptStats) -> None
         except TilingError:
             continue
         for loop in new_loops:
-            loop._opt_no_vectorize = True
+            loop.mark_no_vectorize()
         stats.nests_tiled += 1
 
 
@@ -351,9 +351,7 @@ def run_optimizer(
     ``pass_cache`` (a :class:`~repro.ir.pass_cache.PassResultCache`)
     memoizes every stage per function: a warm run splices cached
     post-stage IR and replays the recorded counter deltas instead of
-    re-running the transforms.  The ``tile`` stage is the exception —
-    it annotates loops with the non-printed ``_opt_no_vectorize`` tag,
-    which a text splice cannot reproduce — so it always executes.
+    re-running the transforms.
     """
     if mode not in OPT_MODES:
         raise ValueError(
@@ -394,7 +392,7 @@ def run_optimizer(
     def _tile(func, scratch) -> None:
         _tile_scalar_nests(func, tile_size, scratch)
 
-    # (stage name, body, cache config; None config = never cached).
+    # (stage name, body, pass-cache config string).
     stages = [("fuse", _fuse, "flow=True")]
     if mode == "full":
         stages += [
@@ -402,16 +400,15 @@ def run_optimizer(
             ("dead-loops", _dead_loops, ""),
             ("canonicalize", _canonicalize, ""),
             ("distribute", _distribute, ""),
-            ("tile", _tile, None),
+            ("tile", _tile, f"size={tile_size}"),
         ]
 
     fps: List[Optional[str]] = [None] * len(funcs)
     for name, fn, config in stages:
         before = stats._counter_values()
-        cache = pass_cache if config is not None else None
         for index, func in enumerate(funcs):
             funcs[index], fps[index] = run_function_stage(
-                cache, func, f"opt.{name}", config or "", fn, stats,
+                pass_cache, func, f"opt.{name}", config, fn, stats,
                 fp=fps[index],
             )
         delta = {

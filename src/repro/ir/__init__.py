@@ -24,6 +24,7 @@ from .attributes import (  # noqa: F401
     StringAttr,
     SymbolRefAttr,
     TypeAttr,
+    UnitAttr,
     attr_from_python,
     int_array_attr,
 )

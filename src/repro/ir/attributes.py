@@ -57,6 +57,14 @@ class BoolAttr(Attribute):
         return "true" if self.value else "false"
 
 
+class UnitAttr(Attribute):
+    """A flag whose presence is the whole value; attribute dictionaries
+    print and parse it as the bare key (``{no_vectorize}``)."""
+
+    def __str__(self) -> str:
+        return "unit"
+
+
 class StringAttr(Attribute):
     def __init__(self, value: str):
         self.value = value

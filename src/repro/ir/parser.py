@@ -29,6 +29,7 @@ from .attributes import (
     StringAttr,
     SymbolRefAttr,
     TypeAttr,
+    UnitAttr,
 )
 from .builtin import FuncOp, ModuleOp, ReturnOp
 from .core import Block, IRError, Operation, Region, create_operation
@@ -224,8 +225,10 @@ class Parser:
             return attrs
         while not self.accept("}"):
             key = self.expect_kind("IDENT").text
-            self.expect("=")
-            attrs[key] = self.parse_attribute()
+            if self.accept("="):
+                attrs[key] = self.parse_attribute()
+            else:
+                attrs[key] = UnitAttr()
             self.accept(",")
         return attrs
 
@@ -600,6 +603,14 @@ def _parse_affine_for(p: Parser, region) -> Operation:
     p.parse_region_body(op.regions[0], body)
     if body.terminator is None:
         body.append(term)
+    tok = p.peek()
+    for key, attr in p.parse_attr_dict().items():
+        if key in AffineForOp.STRUCTURAL_ATTRS:
+            raise ParseError(
+                f"affine.for attribute {key!r} is set by the loop header",
+                tok.line,
+            )
+        op.attributes[key] = attr
     return op
 
 

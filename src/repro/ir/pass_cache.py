@@ -47,7 +47,7 @@ from .rewrite import get_default_driver
 
 #: Folded into every key: bump whenever any pass's semantics change in
 #: a way its ``cache_config()`` does not capture.
-PASS_CACHE_VERSION = "pass-cache-v1"
+PASS_CACHE_VERSION = "pass-cache-v2"
 
 #: Default in-memory memo bound (entries, not bytes).
 DEFAULT_MEMO_ENTRIES = 4096
@@ -98,9 +98,13 @@ class PassCacheStats:
             return {name: getattr(self, name) for name in self._COUNTERS}
 
 
+def _text_digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def fingerprint_function(func: Operation) -> str:
     """SHA-256 hex digest of the function's printed form."""
-    return hashlib.sha256(print_module(func).encode("utf-8")).hexdigest()
+    return _text_digest(print_module(func))
 
 
 def enclosing_module(op: Operation) -> Optional[ModuleOp]:
@@ -117,11 +121,21 @@ def splice_function(module: ModuleOp, old_func: FuncOp, text: str) -> FuncOp:
     """Replace ``old_func`` with the function parsed from ``text``,
     preserving its position in the module body (printed-module output
     must be byte-identical to a from-scratch run)."""
+    return _replace_function(module, old_func, _parse_detached(text))
+
+
+def _parse_detached(text: str) -> FuncOp:
     from .parser import parse_func
 
-    new_func = parse_func(text)
-    if new_func.parent_block is not None:
-        new_func.parent_block.remove(new_func)
+    func = parse_func(text)
+    if func.parent_block is not None:
+        func.parent_block.remove(func)
+    return func
+
+
+def _replace_function(
+    module: ModuleOp, old_func: FuncOp, new_func: FuncOp
+) -> FuncOp:
     block = module.body
     index = block.operations.index(old_func)
     block.remove(old_func)
@@ -254,6 +268,17 @@ class PassResultCache:
         }
 
 
+def _entry_function(entry: dict) -> FuncOp:
+    """A private copy of a ``rewrite`` entry's function.  The text is
+    parsed on the entry's first hit and the parsed op kept beside it in
+    the memo (never on disk), so a schedule search that lands on one
+    result from many candidates pays a clone per hit, not a parse."""
+    template = entry.get("parsed")
+    if template is None:
+        template = entry["parsed"] = _parse_detached(entry["text"])
+    return template.clone()
+
+
 def cached_stage(
     cache: Optional[PassResultCache],
     func: FuncOp,
@@ -291,21 +316,19 @@ def cached_stage(
         if entry["kind"] == "rewrite":
             module = enclosing_module(func)
             if module is not None:
-                func = splice_function(module, func, entry["text"])
+                func = _replace_function(
+                    module, func, _entry_function(entry)
+                )
                 cache.stats.bump(spliced=1)
         return func, dict(entry.get("meta") or {}), entry["fp"]
     meta = dict(runner(func) or {})
     cache.stats.bump(executions=1)
-    new_fp = fingerprint_function(func)
+    text = print_module(func)
+    new_fp = _text_digest(text)
     if new_fp != fp:
         cache.put(
             key,
-            {
-                "kind": "rewrite",
-                "text": print_module(func),
-                "fp": new_fp,
-                "meta": meta,
-            },
+            {"kind": "rewrite", "text": text, "fp": new_fp, "meta": meta},
         )
         module = enclosing_module(func)
         if module is not None:

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional
 
 from .affine_expr import AffineExpr
 from .affine_map import AffineMap, _pretty_expr
-from .attributes import Attribute
+from .attributes import Attribute, UnitAttr
 from .core import Block, Operation
 from .values import Value
 
@@ -68,10 +68,14 @@ def _attr_text(attr: Attribute) -> str:
 
 
 def _attr_dict_text(op: Operation, skip: tuple = ()) -> str:
-    items = {k: v for k, v in sorted(op.attributes.items()) if k not in skip}
-    if not items:
+    attrs = op.attributes
+    keys = [k for k in attrs if k not in skip]
+    if not keys:
         return ""
-    body = ", ".join(f"{k} = {_attr_text(v)}" for k, v in items.items())
+    body = ", ".join(
+        k if isinstance(attrs[k], UnitAttr) else f"{k} = {_attr_text(attrs[k])}"
+        for k in sorted(keys)
+    )
     return " {" + body + "}"
 
 
@@ -250,7 +254,7 @@ def _print_affine_for(printer: Printer, op) -> None:
     step = f" step {op.step}" if op.step != 1 else ""
     printer.emit(f"affine.for {iv} = {lb} to {ub}{step} {{")
     printer.print_single_block_region(op.body)
-    printer.emit("}")
+    printer.emit("}" + _attr_dict_text(op, skip=op.STRUCTURAL_ATTRS))
 
 
 def _print_affine_load(printer: Printer, op) -> None:

@@ -3,10 +3,16 @@
 The tuner turns the transform dialect into a search space: every
 candidate is a parameter point (:func:`enumerate_space`) reified as a
 schedule module (:func:`~.interpreter.schedule_from_params`), applied
-by the engine on a clone of the payload, and timed on deterministic
-real inputs.  Candidates shard across the persistent worker pool
+to a clone of the payload, and timed on deterministic real inputs.
+Candidates shard across the persistent worker pool
 (:func:`repro.runtime.pool.parallel_map`), so the search parallelizes
 exactly like the fuzz campaigns and the corpus driver.
+
+The search is content-addressed on what codegen consumes: a candidate
+is identified by the kernel-cache key of its *post-schedule* payload,
+so parameter points whose steps were all no-ops on this payload are one
+kernel — compiled, warmed and timed once — and tie exactly, with the
+default point winning ties.
 
 The winning schedule persists in the disk cache's ``schedules/``
 namespace (beside ``modules/`` and ``kernels/``), keyed by the payload
@@ -31,7 +37,7 @@ from ..execution.engine.optimizer import DEFAULT_TILE_SIZE
 
 #: Folded into every schedule-cache key: bump when the schedule space
 #: or the record layout changes so stale tunings never replay.
-SCHEDULE_CACHE_VERSION = "schedules-v1"
+SCHEDULE_CACHE_VERSION = "schedules-v2"
 
 #: Tile edges the tuner tries (0 = untiled).
 TILE_SIZES = (0, 8, 16, 32, 64)
@@ -122,6 +128,9 @@ _WORKER_STATE: Optional[dict] = None
 
 
 def _init_worker(config: dict) -> None:
+    """Build one search's worker state.  Everything a candidate can
+    reuse from an earlier one lives here and nowhere else, so it dies
+    with the search and a repeated search starts cold."""
     global _WORKER_STATE
     from ..ir import PassResultCache
     from ..ir.parser import parse_module
@@ -130,75 +139,77 @@ def _init_worker(config: dict) -> None:
     state["module"] = parse_module(config["module_text"])
     if config.get("pass_cache", True):
         # One pass-result cache per worker, shared across every
-        # candidate this worker evaluates: the schedule prefix
-        # (match / fuse / copy_elim / ...) common to all candidates
-        # runs once, and with a disk root the whole pool shares it.
+        # candidate this worker evaluates: a schedule step already
+        # applied to the same function text runs once, and with a disk
+        # root the whole pool shares it.
         cache = PassResultCache()
         if config.get("pass_cache_dir"):
             cache.attach_disk(config["pass_cache_dir"])
         state["pass_cache_obj"] = cache
     else:
         state["pass_cache_obj"] = None
+    # Both keyed by the post-schedule payload (see module docstring).
+    state["kernel_cache"] = KernelCache()
+    state["measured"] = {}
     _WORKER_STATE = state
 
 
-def _measure_schedule(
-    module, func_name, schedule, repeats, seed, pass_cache=None
-):
-    """Compile ``module`` under ``schedule`` and time steady-state
-    execution (best of ``repeats``); returns (wall, checksum, result)."""
-    from ..execution.engine.engine import ExecutionEngine
+def _time_kernel(engine, func_name, repeats, seed):
+    """Steady-state execution time of a compiled engine (best of
+    ``repeats``) on deterministic inputs; returns (wall, checksum)."""
     from ..fuzzing.oracle import make_args, module_arg_shapes
 
-    engine = ExecutionEngine(
-        module, cache=KernelCache(), schedule=schedule,
-        pass_cache=pass_cache,
-    )
-    # One untimed run first: it absorbs the lazy compile plus any
-    # first-touch process costs (allocator, numpy dispatch) that would
-    # otherwise bias the comparison toward whichever schedule is
-    # measured *second* in a given process.
-    warmup = make_args(module_arg_shapes(module, func_name), seed)
-    engine.run(func_name, *warmup)
+    shapes = module_arg_shapes(engine.module, func_name)
+    # One untimed run first: it absorbs first-touch process costs
+    # (allocator, numpy dispatch) that would otherwise bias the
+    # comparison toward whichever kernel is measured *second* in a
+    # given process.
+    engine.run(func_name, *make_args(shapes, seed))
     wall = float("inf")
     digest = 0.0
     for _ in range(max(1, repeats)):
-        args = make_args(module_arg_shapes(module, func_name), seed)
+        args = make_args(shapes, seed)
         start = time.perf_counter()
         engine.run(func_name, *args)
         wall = min(wall, time.perf_counter() - start)
         digest = float(sum(float(buf.sum()) for buf in args))
-    return wall, digest, engine
+    return wall, digest
 
 
 def _evaluate_candidate(unit) -> Dict:
-    """One tuning evaluation: build the schedule for a parameter point,
-    compile + run the payload under it, report the wall-clock."""
+    """One tuning evaluation: apply the parameter point's schedule to a
+    clone of the payload, then compile and time the result — unless an
+    earlier candidate already left the same payload behind."""
     index, params = unit
     state = _WORKER_STATE
-    from .interpreter import schedule_from_params
+    from ..execution.engine.engine import ExecutionEngine
+    from .interpreter import apply_schedule, schedule_from_params
 
-    schedule = schedule_from_params(params)
-    pass_cache = state.get("pass_cache_obj")
+    pass_cache = state["pass_cache_obj"]
     before = (
         pass_cache.stats.snapshot() if pass_cache is not None else None
     )
-    start = time.perf_counter()
-    wall, digest, engine = _measure_schedule(
-        state["module"],
-        state["func_name"],
-        schedule,
-        state["repeats"],
-        state["seed"],
-        pass_cache=pass_cache,
+    target = state["module"].clone()
+    applied = apply_schedule(
+        schedule_from_params(params), target, pass_cache=pass_cache
     )
+    engine = ExecutionEngine(
+        target,
+        cache=state["kernel_cache"],
+        vectorize=applied.vectorize or "nest",
+    )
+    kernel_key = engine.compiled.key
+    measured = state["measured"].get(kernel_key)
+    if measured is None:
+        measured = state["measured"][kernel_key] = _time_kernel(
+            engine, state["func_name"], state["repeats"], state["seed"]
+        )
     row = {
         "index": index,
         "params": params,
-        "wall_time_s": wall,
-        "checksum": digest,
-        "compile_s": time.perf_counter() - start - wall,
-        "schedule_stats": engine.schedule_stats,
+        "kernel_key": kernel_key,
+        "wall_time_s": measured[0],
+        "checksum": measured[1],
     }
     if before is not None:
         after = pass_cache.stats.snapshot()
@@ -208,6 +219,22 @@ def _evaluate_candidate(unit) -> Dict:
             if after[key] != before[key]
         }
     return row
+
+
+def _merge_by_kernel(results: List[Dict]) -> int:
+    """Give every row its kernel's one measurement and return the
+    number of distinct kernels.
+
+    Across ``jobs`` shards a kernel may have been timed once per
+    worker, so the lowest-index row of each ``kernel_key`` is the
+    representative; ties between parameter points are then exact.
+    """
+    representative: Dict[str, Dict] = {}
+    for row in results:  # parallel_map returns rows in index order
+        first = representative.setdefault(row["kernel_key"], row)
+        row["wall_time_s"] = first["wall_time_s"]
+        row["checksum"] = first["checksum"]
+    return len(representative)
 
 
 # ----------------------------------------------------------------------
@@ -233,13 +260,20 @@ def autotune_kernel(
     (``evaluations == 0``, ``cached == True``) and the persisted
     schedule replays at default-compile latency.
 
+    ``evaluations`` counts parameter points; ``distinct_kernels`` counts
+    the different post-schedule payloads they produced, each compiled
+    and timed once (1 = the pipeline left the schedule space nothing to
+    transform).
+
     ``pass_cache`` (default on) gives every search worker a
     function-granular pass-result cache (persisted under ``cache_dir``
-    when set), so the schedule prefix shared by all candidates is
+    when set), so a schedule step shared by several candidates is
     applied once per worker instead of once per candidate.
     """
+    global _WORKER_STATE
     from ..evaluation import get_kernel
     from ..evaluation.pipelines import build_module
+    from ..execution.engine.engine import ExecutionEngine
     from ..ir.parser import parse_module
     from ..ir.printer import print_module
     from ..runtime.pool import parallel_map
@@ -259,9 +293,15 @@ def autotune_kernel(
         # timings taken under identical conditions; re-measuring the
         # default here would compare runs from different process
         # states, which on a loaded box swamps the signal.
-        tuned_schedule = parse_module(record["schedule"])
-        replay_wall, tuned_digest, _ = _measure_schedule(
-            module, spec.func_name, tuned_schedule, repeats, seed
+        replay_wall, tuned_digest = _time_kernel(
+            ExecutionEngine(
+                module,
+                cache=KernelCache(),
+                schedule=parse_module(record["schedule"]),
+            ),
+            spec.func_name,
+            repeats,
+            seed,
         )
         tuned_wall = float(record.get("wall_time_s", replay_wall))
         default_wall = float(record.get("default_wall_s", tuned_wall))
@@ -269,6 +309,7 @@ def autotune_kernel(
             "kernel": kernel,
             "cached": True,
             "evaluations": 0,
+            "distinct_kernels": 0,
             "best_params": record["params"],
             "schedule": record["schedule"],
             "default_wall_s": default_wall,
@@ -288,16 +329,21 @@ def autotune_kernel(
         "pass_cache_dir": cache_dir if pass_cache else None,
     }
     search_start = time.perf_counter()
-    results = parallel_map(
-        _evaluate_candidate,
-        list(enumerate(points)),
-        jobs=jobs,
-        initializer=_init_worker,
-        initargs=(config,),
-    )
+    try:
+        results = parallel_map(
+            _evaluate_candidate,
+            list(enumerate(points)),
+            jobs=jobs,
+            initializer=_init_worker,
+            initargs=(config,),
+        )
+    finally:
+        # An in-process search (jobs=1) built its state in this
+        # process; drop it so nothing outlives the search.
+        _WORKER_STATE = None
     search_s = time.perf_counter() - search_start
-    by_index = {row["index"]: row for row in results}
-    default_row = by_index[0]
+    distinct_kernels = _merge_by_kernel(results)
+    default_row = results[0]
     # Correctness screen: a candidate whose output digest disagrees
     # with the default pipeline's is discarded, never declared a win.
     tolerance = 1e-4 * max(1.0, abs(default_row["checksum"]))
@@ -322,6 +368,7 @@ def autotune_kernel(
                 "wall_time_s": best_row["wall_time_s"],
                 "default_wall_s": default_row["wall_time_s"],
                 "evaluations": len(results),
+                "distinct_kernels": distinct_kernels,
             },
         )
     tuned_wall = best_row["wall_time_s"]
@@ -334,6 +381,7 @@ def autotune_kernel(
         "kernel": kernel,
         "cached": False,
         "evaluations": len(results),
+        "distinct_kernels": distinct_kernels,
         "best_params": best_row["params"],
         "schedule": best_schedule_text,
         "default_wall_s": default_wall,
@@ -344,6 +392,17 @@ def autotune_kernel(
         "search_s": search_s,
         "pass_cache": cache_totals,
     }
+
+
+def vacuous_search_note(row: Dict) -> Optional[str]:
+    """The line ``mlt-tune`` prints for a search that had nothing to
+    choose between (``None`` for any other row)."""
+    if row["cached"] or row["distinct_kernels"] != 1:
+        return None
+    return (
+        f"{row['evaluations']} candidates, 1 distinct kernel: this "
+        f"pipeline leaves the schedule space nothing to transform"
+    )
 
 
 #: Kernels ``mlt-tune`` tunes when none are named.
@@ -383,6 +442,7 @@ def autotune(
             "jobs": jobs,
             "repeats": repeats,
             "evaluations": sum(row["evaluations"] for row in rows),
+            "distinct_kernels": sum(row["distinct_kernels"] for row in rows),
             "cached": sum(1 for row in rows if row["cached"]),
             "best_speedup": max(row["speedup"] for row in rows),
             "search_s": sum(row.get("search_s", 0.0) for row in rows),

@@ -133,7 +133,7 @@ def _tile_explicit(func: Operation, sizes: List[int], stats: OptStats) -> None:
         except TilingError:
             continue
         for loop in new_loops:
-            loop._opt_no_vectorize = True
+            loop.mark_no_vectorize()
         stats.nests_tiled += 1
 
 
@@ -147,10 +147,7 @@ def apply_schedule(
     schedule search re-applying dozens of candidates to one payload
     pays for the shared prefix (match / fuse / copy_elim / ...) exactly
     once — only the schedule-dependent suffix executes per candidate.
-    ``tile`` steps always execute (they tag loops with the non-printed
-    ``_opt_no_vectorize`` annotation, which a text splice cannot
-    reproduce); ``raise`` steps are module-level and likewise bypass
-    the cache.
+    ``raise`` steps are module-level and bypass the cache.
     """
     sequence = _schedule_sequence(schedule)
     result = ScheduleResult(stats=OptStats(mode="schedule"))
@@ -159,19 +156,11 @@ def apply_schedule(
     funcs: List[Operation] = []
     fps: List[Optional[str]] = []
     matched = False
-    #: Caching stops at the first non-cacheable step: past it every
-    #: input fingerprint must be recomputed per candidate (the shared
-    #: prefix is gone), which costs more than running the suffix.
-    prefix_sound = True
 
-    def run_step(stage_name, config, fn, cacheable=True) -> None:
-        nonlocal prefix_sound
-        if not cacheable:
-            prefix_sound = False
-        cache = pass_cache if prefix_sound else None
+    def run_step(stage_name, config, fn) -> None:
         for index, func in enumerate(funcs):
             funcs[index], fps[index] = run_function_stage(
-                cache, func, stage_name, config, fn, stats,
+                pass_cache, func, stage_name, config, fn, stats,
                 fp=fps[index],
             )
 
@@ -236,7 +225,11 @@ def apply_schedule(
                 else:
                     _tile_explicit(func, _step.sizes, scratch)
 
-            run_step("transform.tile", "", _tile, cacheable=False)
+            if step.size is not None:
+                config = f"size={step.size}"
+            else:
+                config = "sizes=" + ",".join(map(str, step.sizes))
+            run_step("transform.tile", config, _tile)
         elif isinstance(step, UnrollJamOp):
 
             def _unroll_jam(func, scratch, _factor=step.factor):
@@ -256,10 +249,8 @@ def apply_schedule(
                 payload, raise_mode=step.mode
             )
             result.raise_stats = dict(raising.callsites)
-            # Module-level rewrite: every memoized fingerprint is
-            # stale, and the shared cacheable prefix ends here.
+            # Module-level rewrite: every memoized fingerprint is stale.
             fps[:] = [None] * len(funcs)
-            prefix_sound = False
         else:
             raise ScheduleError(f"unknown schedule step {step.name}")
         delta = {

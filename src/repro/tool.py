@@ -807,14 +807,14 @@ def tune_main(argv: List[str] = None) -> int:
         "--no-pass-cache",
         action="store_true",
         help="disable the per-worker function-granular pass cache "
-        "(candidates re-apply the shared schedule prefix from scratch)",
+        "(candidates re-apply shared schedule steps from scratch)",
     )
     parser.add_argument(
         "--pipeline",
         default="mlt-linalg",
         help="payload pipeline the schedules are tuned against "
         "(default: mlt-linalg; 'baseline' keeps the payload at the "
-        "affine level, where every schedule step is pass-cacheable)",
+        "affine level, where the schedule steps have loops to transform)",
     )
     parser.add_argument(
         "--out",
@@ -824,7 +824,7 @@ def tune_main(argv: List[str] = None) -> int:
     )
     args = parser.parse_args(list(sys.argv[1:] if argv is None else argv))
 
-    from .scheduling.autotune import autotune
+    from .scheduling.autotune import autotune, vacuous_search_note
 
     kernels = [k for k in args.kernels.split(",") if k]
     payload = autotune(
@@ -846,16 +846,25 @@ def tune_main(argv: List[str] = None) -> int:
         handle.write("\n")
 
     for row in payload["rows"]:
-        source = "cache" if row["cached"] else f"{row['evaluations']} evals"
+        source = (
+            "cache"
+            if row["cached"]
+            else f"{row['evaluations']} evals, "
+            f"distinct kernels: {row['distinct_kernels']}"
+        )
         sys.stderr.write(
             f"mlt-tune: {row['kernel']}: default "
             f"{row['default_wall_s'] * 1e6:.1f}us -> tuned "
             f"{row['tuned_wall_s'] * 1e6:.1f}us "
             f"({row['speedup']:.2f}x, {source})\n"
         )
+        note = vacuous_search_note(row)
+        if note:
+            sys.stderr.write(f"mlt-tune: {row['kernel']}: note: {note}\n")
     summary = payload["summary"]
     sys.stderr.write(
-        f"mlt-tune: {summary['evaluations']} evaluations, "
+        f"mlt-tune: {summary['evaluations']} evaluations "
+        f"(distinct kernels: {summary['distinct_kernels']}), "
         f"{summary['cached']} kernels replayed from cache, best speedup "
         f"{summary['best_speedup']:.2f}x; wrote {args.out}\n"
     )

@@ -344,3 +344,123 @@ class TestCachedStage:
             assert out is not func2
         assert not ran
         assert print_module(module2) == reference
+
+
+# A reduction-like nest the vectorizer rejects and the tiler takes (the
+# stored value does not vary along k).
+TILABLE = """
+void acc(float A[64][64], float C[64][64]) {
+  for (int i = 0; i < 64; i++)
+    for (int j = 0; j < 64; j++)
+      for (int k = 0; k < 4; k++)
+        C[i][j] = C[i][j] + A[i][j];
+}
+"""
+
+
+def _tile_schedule(tile_attr):
+    return parse_module(
+        "module {\n  transform.sequence {\n"
+        "    %0 = transform.match\n"
+        "    %1 = transform.copy_elim %0\n"
+        f"    %2 = transform.tile %1 {{{tile_attr}}}\n"
+        "    %3 = transform.unroll_jam %2 {factor = 2}\n"
+        "  }\n}\n"
+    )
+
+
+class TestTileStageCached:
+    """``tile`` marks its loops with the *printed* ``no_vectorize``
+    attribute, so its result round-trips through the text splice and
+    the stage is cached like every other one."""
+
+    def _apply(self, schedule, cache):
+        from repro.scheduling.interpreter import apply_schedule
+
+        module = compile_c(TILABLE, distribute=False)
+        result = apply_schedule(schedule, module, pass_cache=cache)
+        return print_module(module), result.stats.snapshot()
+
+    @pytest.mark.parametrize("tile_attr", ["size = 8", "sizes = [8, 16, 2]"])
+    def test_second_application_runs_no_stage_body(self, tile_attr):
+        schedule = _tile_schedule(tile_attr)
+        scratch_text, scratch_stats = self._apply(schedule, None)
+        assert scratch_stats["nests_tiled"] == 1
+        assert "{no_vectorize}" in scratch_text
+
+        cache = PassResultCache()
+        cold_text, cold_stats = self._apply(schedule, cache)
+        executed = cache.stats.snapshot()["executions"]
+        assert executed == 3  # copy_elim, tile, unroll_jam
+        warm_text, warm_stats = self._apply(schedule, cache)
+        snap = cache.stats.snapshot()
+        assert snap["executions"] == executed
+        assert snap["spliced"] >= 1
+        assert scratch_text == cold_text == warm_text
+        assert scratch_stats == cold_stats == warm_stats
+
+    def test_run_optimizer_tile_stage_replays(self):
+        from repro.execution.engine.optimizer import run_optimizer
+
+        cache = PassResultCache()
+        texts = []
+        for _ in range(2):
+            module = compile_c(TILABLE, distribute=False)
+            stats = run_optimizer(module, "full", pass_cache=cache)
+            assert stats.nests_tiled == 1
+            texts.append(print_module(module))
+        assert texts[0] == texts[1] and "{no_vectorize}" in texts[0]
+        # six stages, each executed exactly once across both runs
+        assert cache.stats.snapshot()["executions"] == 6
+
+    def test_rewrite_entry_is_parsed_once_and_spliced_as_a_copy(
+        self, monkeypatch
+    ):
+        import repro.ir.parser as parser_module
+
+        parses = []
+        real = parser_module.parse_func
+
+        def counting(text):
+            parses.append(text)
+            return real(text)
+
+        monkeypatch.setattr(parser_module, "parse_func", counting)
+        schedule = _tile_schedule("size = 8")
+        cache = PassResultCache()
+        cold_text, _ = self._apply(schedule, cache)
+        assert not parses  # a miss runs the stage, nothing to parse
+        self._apply(schedule, cache)
+        after_first_replay = len(parses)
+        assert after_first_replay == cache.stats.snapshot()["spliced"] > 0
+
+        # A later hit clones the parsed function; what the caller then
+        # does to its copy never reaches the next one.
+        from repro.scheduling.interpreter import apply_schedule
+
+        module = compile_c(TILABLE, distribute=False)
+        apply_schedule(schedule, module, pass_cache=cache)
+        for op in list(module.walk()):
+            if op.name == "affine.for":
+                op.attributes.pop("no_vectorize", None)
+        assert print_module(module) != cold_text
+        assert self._apply(schedule, cache)[0] == cold_text
+        assert len(parses) == after_first_replay
+
+    def test_tile_configs_never_share_an_entry(self):
+        cache = PassResultCache()
+        configs = [
+            "size = 8",
+            "size = 16",
+            "sizes = [8, 8, 2]",
+            "sizes = [8, 16, 2]",
+        ]
+        texts = [
+            self._apply(_tile_schedule(attr), cache)[0] for attr in configs
+        ]
+        assert len(set(texts)) == len(configs)
+        # Each config executed its own tile (and downstream unroll_jam)
+        # body; only the shared copy_elim prefix was a hit.
+        assert cache.stats.snapshot()["executions"] == 1 + 2 * len(configs)
+        for attr, text in zip(configs, texts):
+            assert self._apply(_tile_schedule(attr), None)[0] == text

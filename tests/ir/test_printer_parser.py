@@ -84,6 +84,40 @@ class TestAffineForms:
         )
         assert "step 4" in text
 
+    def test_for_unit_attribute_trails_the_body(self):
+        text = roundtrip(
+            """
+            func @f() {
+              affine.for %i = 0 to 64 step 8 {
+                affine.for %j = %i to affine_map<(d0) -> (d0 + 8)>(%i) {
+                } {no_vectorize}
+              } {no_vectorize}
+              affine.for %k = 0 to 4 {
+              }
+              return
+            }
+            """
+        )
+        assert text.count("} {no_vectorize}") == 2
+        loops = [
+            op
+            for op in parse_module(text).walk()
+            if op.name == "affine.for"
+        ]
+        assert [loop.no_vectorize for loop in loops] == [True, True, False]
+        assert loops[0].clone().no_vectorize
+
+    def test_unit_attribute_in_generic_form(self):
+        text = roundtrip(
+            """
+            func @f() {
+              %0 = "std.alloc"() {pinned, rank = 1} : () -> (memref<4xf32>)
+              return
+            }
+            """
+        )
+        assert "{pinned, rank = 1}" in text
+
     def test_symbolic_upper_bound(self):
         text = roundtrip(
             """
@@ -232,6 +266,12 @@ class TestParseErrors:
     def test_bad_token(self):
         with pytest.raises(ParseError):
             parse_module("func @f() { $$$ }")
+
+    def test_for_trailing_dict_cannot_restate_the_header(self):
+        with pytest.raises(ParseError, match="loop header"):
+            parse_module(
+                "func @f() { affine.for %i = 0 to 4 { } {step = 2} return }"
+            )
 
     def test_parse_func_requires_single(self):
         from repro.ir import IRError

@@ -5,6 +5,8 @@ import os
 
 import pytest
 
+import repro.scheduling.autotune as autotune_module
+from repro.runtime.pool import fresh_pools
 from repro.scheduling.autotune import (
     DEFAULT_TUNE_KERNELS,
     ScheduleCache,
@@ -64,3 +66,122 @@ def test_autotune_summary_shape(tmp_path):
     assert summary["evaluations"] == 2
     assert summary["best_speedup"] >= 1.0
     assert set(DEFAULT_TUNE_KERNELS) >= {"gemm", "atax"}
+
+
+# ----------------------------------------------------------------------
+# Content-addressed search: one compile + one measurement per distinct
+# post-schedule kernel, exact ties, default point wins them.
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def merged(monkeypatch):
+    """The per-candidate rows of every search run in the test, as
+    ``_merge_by_kernel`` left them (one list per search)."""
+    searches = []
+    real = autotune_module._merge_by_kernel
+
+    def recording(results):
+        distinct = real(results)
+        searches.append(results)
+        return distinct
+
+    monkeypatch.setattr(autotune_module, "_merge_by_kernel", recording)
+    return searches
+
+
+def _partition(candidates):
+    """Candidate indices grouped by kernel, as a canonical set."""
+    groups = {}
+    for candidate in candidates:
+        groups.setdefault(candidate["kernel_key"], []).append(
+            candidate["index"]
+        )
+    return sorted(groups.values())
+
+
+def test_degenerate_space_is_one_kernel_and_default_wins():
+    # mlt-linalg lowers gemm to a form no schedule step transforms:
+    # all 24 parameter points leave the same payload behind.
+    row = autotune_kernel("gemm", budget=24, repeats=1)
+    assert row["evaluations"] == 24
+    assert row["distinct_kernels"] == 1
+    assert row["best_params"] == default_params()
+    assert row["speedup"] == 1.0
+    assert autotune_module.vacuous_search_note(row).startswith(
+        "24 candidates, 1 distinct kernel"
+    )
+
+
+def test_duplicate_candidates_share_one_measurement(merged):
+    row = autotune_kernel("2mm", budget=24, repeats=1, pipeline="baseline")
+    assert 1 < row["distinct_kernels"] < row["evaluations"]
+    assert autotune_module.vacuous_search_note(row) is None
+    measurements = {}
+    for candidate in merged[0]:
+        measurements.setdefault(candidate["kernel_key"], set()).add(
+            (candidate["wall_time_s"], candidate["checksum"])
+        )
+    assert len(measurements) == row["distinct_kernels"]
+    assert all(len(pairs) == 1 for pairs in measurements.values())
+
+
+def test_jobs_do_not_change_partition_or_winner(merged):
+    with fresh_pools():
+        serial = autotune_kernel(
+            "2mm", budget=24, repeats=1, pipeline="baseline", jobs=1
+        )
+        sharded = autotune_kernel(
+            "2mm", budget=24, repeats=1, pipeline="baseline", jobs=2
+        )
+    assert _partition(merged[0]) == _partition(merged[1])
+    assert serial["distinct_kernels"] == sharded["distinct_kernels"]
+    assert serial["best_params"] == sharded["best_params"]
+    # across shards the lowest-index row of a kernel is its measurement
+    for candidates in merged:
+        by_key = {}
+        for candidate in candidates:
+            first = by_key.setdefault(candidate["kernel_key"], candidate)
+            assert candidate["wall_time_s"] == first["wall_time_s"]
+
+
+def test_checksum_mismatch_still_rejected(monkeypatch, merged):
+    real = autotune_module._time_kernel
+    calls = []
+
+    def corrupting(engine, func_name, repeats, seed):
+        wall, digest = real(engine, func_name, repeats, seed)
+        calls.append(engine.compiled.key)
+        if len(calls) > 1:  # every kernel but the default row's
+            return 0.0, digest + 1e6  # "fastest", but wrong
+        return wall, digest
+
+    monkeypatch.setattr(autotune_module, "_time_kernel", corrupting)
+    row = autotune_kernel("2mm", budget=24, repeats=1, pipeline="baseline")
+    assert len(calls) == row["distinct_kernels"] > 1
+    default_key = merged[0][0]["kernel_key"]
+    wrong = sum(1 for c in merged[0] if c["kernel_key"] != default_key)
+    assert row["rejected_candidates"] == wrong > 0
+    assert row["best_params"] == default_params()
+
+
+def test_no_memo_survives_a_search(monkeypatch):
+    import repro.execution.engine.engine as engine_module
+
+    compiles = []
+    real = engine_module.compile_module
+
+    def counting(module, key="", **kwargs):
+        compiles.append(key)
+        return real(module, key, **kwargs)
+
+    monkeypatch.setattr(engine_module, "compile_module", counting)
+    first = autotune_kernel("gemm", budget=6, repeats=1, cache_dir=None)
+    after_first = list(compiles)
+    second = autotune_kernel("gemm", budget=6, repeats=1, cache_dir=None)
+    # one compile per distinct kernel, per search: the second search is
+    # as cold as the first
+    assert len(after_first) == first["distinct_kernels"]
+    assert compiles[len(after_first):] == after_first
+    assert second["distinct_kernels"] == first["distinct_kernels"]
+    assert autotune_module._WORKER_STATE is None

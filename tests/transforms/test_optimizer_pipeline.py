@@ -15,6 +15,7 @@ from repro.dialects import std
 from repro.dialects.affine import outermost_loops, perfect_nest
 from repro.execution import ExecutionEngine, Interpreter
 from repro.execution.engine.cache import KernelCache
+from repro.execution.engine.codegen import compile_module
 from repro.execution.engine.optimizer import OPT_MODES, run_optimizer
 from repro.fuzzing import generate_affine_module, generate_kernel
 from repro.fuzzing.oracle import make_args, module_arg_shapes
@@ -28,10 +29,13 @@ from repro.ir import (
     ReturnOp,
     f32,
     memref,
+    print_module,
     verify,
 )
 from repro.ir.affine_map import AffineMap
+from repro.ir.parser import parse_module
 from repro.met import compile_c
+from repro.scheduling.interpreter import apply_schedule
 from repro.transforms.fusion import can_fuse, greedy_fuse
 
 from ..conftest import assert_close
@@ -140,9 +144,43 @@ class TestStages:
         assert stats.nests_tiled == 1
         func = module.functions[0]
         root = outermost_loops(func)[0]
-        assert getattr(root, "_opt_no_vectorize", False)
+        assert all(loop.no_vectorize for loop in perfect_nest(root))
+        assert "no_vectorize" in root.attributes
         # Tiled band is deeper than the original triple nest.
         assert len(perfect_nest(root)) > 3
+
+    @pytest.mark.parametrize(
+        "optimize",
+        [
+            lambda module: run_optimizer(module, "full"),
+            lambda module: apply_schedule(
+                parse_module(
+                    "module {\n  transform.sequence {\n"
+                    "    %0 = transform.match\n"
+                    "    %1 = transform.tile %0 {sizes = [8, 8, 2]}\n"
+                    "  }\n}\n"
+                ),
+                module,
+            ),
+        ],
+        ids=["opt-full", "explicit-sizes"],
+    )
+    def test_tile_marker_survives_clone_and_reparse(self, optimize):
+        # The marker used to be a Python-side tag that clone() and
+        # print->parse both dropped, so a module that went through the
+        # modules/ text cache re-attempted vectorization on tiled bands
+        # (6 spurious bails here) and could emit a different kernel.
+        module = compile_c(TILABLE_SCALAR, distribute=False)
+        optimize(module)
+        text = print_module(module)
+        assert text.count("{no_vectorize}") == 6
+        variants = [module, module.clone(), parse_module(text)]
+        assert [print_module(variant) for variant in variants] == [text] * 3
+        compiled = [compile_module(variant) for variant in variants]
+        assert compiled[0].vectorize_stats["bail_reasons"] == {}
+        for other in compiled[1:]:
+            assert other.source == compiled[0].source
+            assert other.vectorize_stats == compiled[0].vectorize_stats
 
     def test_tiled_execution_is_bit_exact(self):
         module = compile_c(TILABLE_SCALAR, distribute=False)
