@@ -58,6 +58,10 @@ class CacheStats:
     #: the disk tier) written into and read out of this tier.
     bytes_written: int = 0
     bytes_read: int = 0
+    #: Disk tier only: puts that could not be published (disk full,
+    #: read-only mount...) and were dropped; the caller went on
+    #: uncached.
+    write_errors: int = 0
     _lock: threading.Lock = field(
         init=False, repr=False, compare=False, default_factory=threading.Lock
     )
@@ -77,6 +81,7 @@ class CacheStats:
                 "evictions": self.evictions,
                 "bytes_written": self.bytes_written,
                 "bytes_read": self.bytes_read,
+                "write_errors": self.write_errors,
             }
 
 

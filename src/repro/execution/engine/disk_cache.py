@@ -16,10 +16,24 @@ Concurrency model (many processes, one directory, no daemon):
   corrupt file (truncated by a crashed writer on a non-POSIX
   filesystem, pruned concurrently, …) is treated as a miss, never an
   error.
-* **Bounded size with LRU pruning** — each read best-effort touches
-  the artifact's mtime, and writers prune oldest-mtime artifacts once
-  the directory exceeds ``max_bytes``.  Pruning races (two writers
-  deleting the same file) are benign.
+* **Bounded size with LRU pruning, O(1) amortised per write** — each
+  read best-effort touches the artifact's mtime, and a writer that
+  finds the directory over ``max_bytes`` evicts oldest-mtime artifacts
+  down to ``LOW_WATER_FRACTION * max_bytes``.  Finding out takes a
+  directory scan, so a writer does not look after every put: it keeps
+  the total its last scan found and the bytes it has published since,
+  and scans again only once those could have used up
+  ``1 / SCAN_HEADROOM_SHARE`` of the headroom that scan left.  With P
+  writers that cannot see each other's puts the directory therefore
+  stays under ``max_bytes + P * (max_bytes / SCAN_HEADROOM_SHARE + one
+  artifact)``.  Pruning races (two writers deleting the same file) are
+  benign.
+* **Failed writes are misses-to-be, not errors** — a put that cannot
+  publish (disk full, read-only or vanished mount) removes its temp
+  file, bumps ``stats.write_errors`` and returns; the caller keeps the
+  value it just built and the next process simply recompiles.  Temp
+  files orphaned by a killed writer count toward the size bound and
+  are reaped by the next scan once ``STALE_TEMP_SECONDS`` old.
 
 Two payload flavors share the machinery: *kernel* artifacts hold the
 generated Python source of a compiled module (re-hydrated with
@@ -34,6 +48,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import threading
 import time
 from typing import TYPE_CHECKING, Optional
 
@@ -48,6 +63,24 @@ ARTIFACT_SUFFIX = ".artifact.json"
 #: few KiB of generated source each) while keeping runaway fuzz
 #: campaigns from filling the disk.
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
+
+TEMP_PREFIX = ".tmp-"
+
+#: A store rescans its directory once its own puts since the last scan
+#: exceed this share (1/8) of the headroom that scan found.  Larger
+#: means more scans; smaller lets concurrent writers, who cannot see
+#: each other's puts, overshoot ``max_bytes`` further before one looks.
+SCAN_HEADROOM_SHARE = 8
+
+#: A prune evicts down to this fraction of ``max_bytes``, not to
+#: ``max_bytes`` itself, so that a full store regains real headroom and
+#: does not scan on every put from then on.
+LOW_WATER_FRACTION = 0.75
+
+#: Temp files older than this belong to a writer that died between
+#: ``mkstemp`` and ``os.replace`` (a live one holds its file for
+#: milliseconds); a scan unlinks them.
+STALE_TEMP_SECONDS = 3600.0
 
 
 class DiskKernelCache:
@@ -65,6 +98,12 @@ class DiskKernelCache:
         self.path = os.path.abspath(path)
         self.max_bytes = max_bytes
         self.stats = CacheStats()
+        # Amortised pruning: the directory total the last prune scan
+        # left behind (None: this handle has not looked yet) and the
+        # bytes this handle has published since that scan began.
+        self._scan_lock = threading.Lock()
+        self._last_total: Optional[int] = None
+        self._written_since_scan = 0
         os.makedirs(self.path, exist_ok=True)
 
     # -- paths ----------------------------------------------------------
@@ -95,16 +134,36 @@ class DiskKernelCache:
     def _write_payload(self, key: str, payload: dict) -> None:
         raw = json.dumps(payload, sort_keys=True).encode("utf-8")
         try:
-            fd, tmp = tempfile.mkstemp(
-                prefix=".tmp-" + key[:12] + "-", dir=self.path
+            self._publish(key, raw)
+        except OSError:
+            # ENOSPC / EROFS / EACCES: the value exists in memory and
+            # the caller goes on without a persisted copy, exactly as
+            # a reader treats an unreadable artifact as a miss.
+            self.stats.bump(write_errors=1)
+            return
+        self.stats.bump(bytes_written=len(raw))
+        with self._scan_lock:
+            self._written_since_scan += len(raw)
+            scan_due = (
+                self._last_total is None
+                or self._written_since_scan * SCAN_HEADROOM_SHARE
+                > self.max_bytes - self._last_total
             )
+        if scan_due:
+            self._prune()
+
+    def _publish(self, key: str, raw: bytes) -> None:
+        """Write ``raw`` to a private temp file and rename it into
+        place; on failure the temp file is removed and the ``OSError``
+        propagates."""
+        prefix = TEMP_PREFIX + key[:12] + "-"
+        try:
+            fd, tmp = tempfile.mkstemp(prefix=prefix, dir=self.path)
         except FileNotFoundError:
             # The directory was wiped out from under a long-lived
             # handle (cache reset on a running server): recreate it.
             os.makedirs(self.path, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                prefix=".tmp-" + key[:12] + "-", dir=self.path
-            )
+            fd, tmp = tempfile.mkstemp(prefix=prefix, dir=self.path)
         try:
             with os.fdopen(fd, "wb") as handle:
                 handle.write(raw)
@@ -115,8 +174,6 @@ class DiskKernelCache:
             except OSError:
                 pass
             raise
-        self.stats.bump(bytes_written=len(raw))
-        self._prune()
 
     # -- kernel artifacts ----------------------------------------------
 
@@ -172,45 +229,65 @@ class DiskKernelCache:
 
     # -- maintenance ----------------------------------------------------
 
-    def _entries(self):
-        """(mtime, size, path) for every artifact; racing deletions are
-        skipped."""
+    def _scan(self):
+        """One pass over the directory: ``(entries, total)``.
+
+        ``entries`` is ``(mtime, size, path)`` per artifact; ``total``
+        also counts the temp files of writers still in flight.  Temp
+        files older than ``STALE_TEMP_SECONDS`` are unlinked instead.
+        Files that vanish mid-scan (racing prunes, renames) are
+        skipped.
+        """
         entries = []
+        total = 0
+        stale_before = time.time() - STALE_TEMP_SECONDS
         try:
-            names = os.listdir(self.path)
+            with os.scandir(self.path) as listing:
+                for entry in listing:
+                    is_artifact = entry.name.endswith(ARTIFACT_SUFFIX)
+                    if not is_artifact and not entry.name.startswith(
+                        TEMP_PREFIX
+                    ):
+                        continue
+                    try:
+                        info = entry.stat()
+                        if not is_artifact and info.st_mtime < stale_before:
+                            os.unlink(entry.path)
+                            continue
+                    except OSError:
+                        continue
+                    if is_artifact:
+                        entries.append(
+                            (info.st_mtime, info.st_size, entry.path)
+                        )
+                    total += info.st_size
         except OSError:
-            return entries
-        for name in names:
-            if not name.endswith(ARTIFACT_SUFFIX):
-                continue
-            full = os.path.join(self.path, name)
-            try:
-                info = os.stat(full)
-            except OSError:
-                continue
-            entries.append((info.st_mtime, info.st_size, full))
-        return entries
+            pass
+        return entries, total
 
     def total_bytes(self) -> int:
-        return sum(size for _, size, _ in self._entries())
+        return self._scan()[1]
 
     def _prune(self) -> None:
-        entries = self._entries()
-        total = sum(size for _, size, _ in entries)
-        if total <= self.max_bytes:
-            return
-        for mtime, size, full in sorted(entries):
-            try:
-                os.unlink(full)
-            except OSError:
-                continue
-            self.stats.bump(evictions=1)
-            total -= size
-            if total <= self.max_bytes:
-                break
+        with self._scan_lock:
+            self._written_since_scan = 0
+        entries, total = self._scan()
+        if total > self.max_bytes:
+            low_water = self.max_bytes * LOW_WATER_FRACTION
+            for mtime, size, full in sorted(entries):
+                try:
+                    os.unlink(full)
+                except OSError:
+                    continue
+                self.stats.bump(evictions=1)
+                total -= size
+                if total <= low_water:
+                    break
+        with self._scan_lock:
+            self._last_total = total
 
     def __len__(self) -> int:
-        return len(self._entries())
+        return len(self._scan()[0])
 
 
 def default_disk_cache() -> Optional[DiskKernelCache]:

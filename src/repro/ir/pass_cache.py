@@ -98,13 +98,17 @@ class PassCacheStats:
             return {name: getattr(self, name) for name in self._COUNTERS}
 
 
-def _text_digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def fingerprint_and_text(func: Operation) -> Tuple[str, str]:
+    """``(SHA-256 hex digest of the printed form, the printed form)`` —
+    for callers that store the text under its fingerprint and must not
+    print twice."""
+    text = print_module(func)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest(), text
 
 
 def fingerprint_function(func: Operation) -> str:
     """SHA-256 hex digest of the function's printed form."""
-    return _text_digest(print_module(func))
+    return fingerprint_and_text(func)[0]
 
 
 def enclosing_module(op: Operation) -> Optional[ModuleOp]:
@@ -242,10 +246,10 @@ class PassResultCache:
         with self._lock:
             return key in self._memo
 
-    def put(self, key: str, entry: dict, to_disk: bool = True) -> None:
+    def put(self, key: str, entry: dict) -> None:
         self._remember(key, entry)
         self.stats.bump(stores=1)
-        if to_disk and self.disk is not None:
+        if self.disk is not None:
             self.disk.store_text(key, json.dumps(entry, sort_keys=True))
 
     def clear(self) -> None:
@@ -323,8 +327,7 @@ def cached_stage(
         return func, dict(entry.get("meta") or {}), entry["fp"]
     meta = dict(runner(func) or {})
     cache.stats.bump(executions=1)
-    text = print_module(func)
-    new_fp = _text_digest(text)
+    new_fp, text = fingerprint_and_text(func)
     if new_fp != fp:
         cache.put(
             key,

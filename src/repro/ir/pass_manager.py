@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .builtin import ModuleOp
 from .context import Context
@@ -299,24 +299,25 @@ class PassManager:
         return hashes
 
     def _run_cached(self, module: ModuleOp) -> PassTiming:
-        from .pass_cache import fingerprint_function, splice_function
+        from .pass_cache import fingerprint_and_text, splice_function
 
         cache = self.pass_cache
         if self.verify_each:
             verify(module, self.context)
             self.verify_stats["full_verifies"] += 1
 
-        #: Current fingerprint per function (keyed by symbol name —
-        #: splices replace the op object but keep the symbol), dropped
-        #: whenever a pass may have changed the function.
-        fps: Dict[str, str] = {}
+        #: Current (fingerprint, printed text) per function (keyed by
+        #: symbol name — splices replace the op object but keep the
+        #: symbol), dropped whenever a pass may have changed the
+        #: function.  The text rides along so that cache entries store
+        #: exactly the bytes that were hashed, without a second print.
+        states: Dict[str, Tuple[str, str]] = {}
 
-        def fp_of(func) -> str:
+        def state_of(func) -> Tuple[str, str]:
             name = func.sym_name
-            got = fps.get(name)
+            got = states.get(name)
             if got is None:
-                got = fingerprint_function(func)
-                fps[name] = got
+                got = states[name] = fingerprint_and_text(func)
             return got
 
         prefix_hashes = self._prefix_hashes()
@@ -331,7 +332,7 @@ class PassManager:
         entry_fps: Dict[str, str] = {}
         if cache.disk is not None and last_prefix >= 0:
             for func in list(module.functions):
-                entry_fps[func.sym_name] = fp_of(func)
+                entry_fps[func.sym_name] = state_of(func)[0]
             for func in list(module.functions):
                 name = func.sym_name
                 for index in range(last_prefix, -1, -1):
@@ -345,7 +346,7 @@ class PassManager:
                         continue
                     if entry["kind"] == "rewrite":
                         splice_function(module, func, entry["text"])
-                        fps[name] = entry["fp"]
+                        states[name] = (entry["fp"], entry["text"])
                         self.module_version += 1
                         cache.stats.bump(spliced=1)
                     resume[name] = index + 1
@@ -357,7 +358,7 @@ class PassManager:
             stats_before = cache.stats.snapshot()
             if isinstance(pass_, FunctionPass) and pass_.cacheable:
                 changed_any, changed_names = self._run_function_pass_cached(
-                    pass_, module, index, fps, resume, fp_of
+                    pass_, module, index, states, resume, state_of
                 )
                 if self.verify_each:
                     touched = list(getattr(pass_, "_touched", []))
@@ -387,14 +388,14 @@ class PassManager:
                             for name, fp in entry_fps.items()
                             if name in changed_names
                         },
-                        fp_of,
+                        state_of,
                     )
             else:
                 pass_.run(module, self.context)
                 # A module pass can rewrite anything: every memoized
                 # fingerprint is stale, and prefix bookkeeping stops
                 # here by construction (prefix hash is None).
-                fps.clear()
+                states.clear()
                 if self.verify_each:
                     self._verify_after(pass_, module)
                 else:
@@ -418,14 +419,12 @@ class PassManager:
                 and prefix_hashes[index] is not None
             ):
                 self._store_prefix(
-                    module, prefix_hashes[index], entry_fps, fp_of
+                    module, prefix_hashes[index], entry_fps, state_of
                 )
         return self.timing
 
-    def _store_prefix(self, module, prefix_hash, entry_fps, fp_of) -> None:
+    def _store_prefix(self, module, prefix_hash, entry_fps, state_of) -> None:
         """Persist every function's post-prefix state to the disk tier."""
-        from .printer import print_module
-
         cache = self.pass_cache
         for func in list(module.functions):
             name = func.sym_name
@@ -435,24 +434,18 @@ class PassManager:
             key = cache.prefix_key(entry_fp, prefix_hash)
             if cache.contains(key):
                 continue
-            current = fp_of(func)
+            current, text = state_of(func)
             if current == entry_fp:
                 cache.put(key, {"kind": "clean", "fp": current})
             else:
                 cache.put(
-                    key,
-                    {
-                        "kind": "rewrite",
-                        "text": print_module(func),
-                        "fp": current,
-                    },
+                    key, {"kind": "rewrite", "text": text, "fp": current}
                 )
 
     def _run_function_pass_cached(
-        self, pass_, module, index, fps, resume, fp_of
-    ) -> bool:
+        self, pass_, module, index, states, resume, state_of
+    ) -> Tuple[bool, Set[str]]:
         from .pass_cache import splice_function
-        from .printer import print_module
 
         cache = self.pass_cache
         pass_.rewrite_results = []
@@ -465,13 +458,13 @@ class PassManager:
             name = func.sym_name
             if resume.get(name, 0) > index:
                 continue  # a disk prefix already covers this pass
-            fp = fp_of(func)
+            fp = state_of(func)[0]
             key = cache.key(fp, pass_.name, config)
             entry = cache.get(key)
             if entry is not None:
                 if entry["kind"] == "rewrite":
                     splice_function(module, func, entry["text"])
-                    fps[name] = entry["fp"]
+                    states[name] = (entry["fp"], entry["text"])
                     changed_any = True
                     changed_names.add(name)
                     cache.stats.bump(spliced=1)
@@ -492,23 +485,17 @@ class PassManager:
             if getattr(module, "version", 0) != version_before:
                 changed = True
             if changed:
-                fps.pop(name, None)
-                new_fp = fp_of(func)
+                states.pop(name, None)
+                new_fp, new_text = state_of(func)
                 changed = new_fp != fp
             if changed:
                 pass_._touched.append(func)
                 changed_any = True
                 changed_names.add(name)
                 cache.put(
-                    key,
-                    {
-                        "kind": "rewrite",
-                        "text": print_module(func),
-                        "fp": new_fp,
-                    },
+                    key, {"kind": "rewrite", "text": new_text, "fp": new_fp}
                 )
             else:
-                fps[name] = fp
                 cache.put(key, {"kind": "clean", "fp": fp})
         return changed_any, changed_names
 

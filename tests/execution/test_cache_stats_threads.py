@@ -151,3 +151,52 @@ class TestDiskCacheThreaded:
         total = self.THREADS * self.OPS
         assert snap["hits"] == total
         assert snap["misses"] == total
+
+    def test_one_bounded_store_shared_by_writer_threads(self, tmp_path):
+        """A tenant's store is one handle written by several executor
+        threads: the written-since-scan tally is shared, and a lost
+        update would let the directory outgrow its bound unnoticed."""
+        import sys
+
+        from repro.execution.engine.disk_cache import SCAN_HEADROOM_SHARE
+
+        probe = DiskKernelCache(str(tmp_path / "probe"))
+        probe.store_text("0" * 64, "x" * 100)
+        size = probe.total_bytes()
+        max_bytes = 50 * size
+        disk = DiskKernelCache(str(tmp_path / "cache"), max_bytes)
+        # Between two scans the handle publishes at most an eighth of
+        # its headroom, plus the puts already past the tally check.
+        bound = (
+            max_bytes
+            + max_bytes // SCAN_HEADROOM_SHARE
+            + self.THREADS * (size + 8)
+        )
+        over = []
+
+        def spin(tid):
+            for i in range(self.OPS):
+                disk.store_text(f"{tid:032x}{i:032x}", "x" * 100)
+                total = disk.total_bytes()
+                if total > bound:
+                    over.append(total)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [
+                threading.Thread(target=spin, args=(tid,))
+                for tid in range(self.THREADS)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert not over
+        snap = disk.stats.snapshot()
+        assert snap["evictions"] > 0
+        assert snap["write_errors"] == 0
+        assert snap["bytes_written"] >= self.THREADS * self.OPS * (size - 8)

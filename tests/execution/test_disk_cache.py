@@ -7,9 +7,11 @@ parallel driver — many processes racing ``get_or_compile`` on the same
 key without corruption.
 """
 
+import errno
 import json
 import multiprocessing
 import os
+import time
 
 import pytest
 
@@ -17,6 +19,9 @@ from repro.execution import ExecutionEngine, KernelCache
 from repro.execution.engine import compile_module, fingerprint_module
 from repro.execution.engine.disk_cache import (
     ARTIFACT_SUFFIX,
+    LOW_WATER_FRACTION,
+    SCAN_HEADROOM_SHARE,
+    STALE_TEMP_SECONDS,
     DiskKernelCache,
     default_disk_cache,
 )
@@ -141,11 +146,12 @@ class TestPruning:
     def test_prunes_oldest_to_stay_under_max_bytes(self, tmp_path):
         disk = DiskKernelCache(str(tmp_path))
         disk.store_text("a" * 64, "x" * 100)
-        # Bound the cache to one artifact; a second, same-size write
-        # must push the older artifact out.  The slack absorbs the
-        # few-byte size jitter from the float repr of the ``created``
-        # timestamp inside the artifact JSON.
-        disk.max_bytes = disk.total_bytes() + 32
+        # Bound the cache to one and a half artifacts: a second,
+        # same-size write overflows it, and the low-water mark
+        # (0.75 * 1.5 = 1.125 artifacts) still has room for the newer
+        # one.  The margins absorb the few-byte size jitter from the
+        # float repr of the ``created`` timestamp in the artifact JSON.
+        disk.max_bytes = disk.total_bytes() * 3 // 2
         os.utime(disk.artifact_path("a" * 64), (1, 1))
         disk.store_text("b" * 64, "y" * 100)
         assert disk.load_text("a" * 64) is None
@@ -156,9 +162,10 @@ class TestPruning:
         disk = DiskKernelCache(str(tmp_path))
         disk.store_text("a" * 64, "x" * 100)
         disk.store_text("b" * 64, "y" * 100)
-        # Room for exactly two artifacts (with slack for the ``created``
-        # timestamp's float-repr size jitter).
-        disk.max_bytes = disk.total_bytes() + 32
+        # Room for 2.8 artifacts: the third write overflows, and the
+        # low-water mark (0.75 * 2.8 = 2.1 artifacts) is reached by
+        # evicting exactly one.
+        disk.max_bytes = disk.total_bytes() * 7 // 5
         os.utime(disk.artifact_path("a" * 64), (1, 1))
         os.utime(disk.artifact_path("b" * 64), (2, 2))
         # Touch "a": its mtime refresh must protect it from pruning —
@@ -175,6 +182,160 @@ class TestPruning:
         disk.store_text("a" * 64, "hello")
         assert disk.total_bytes() > 0
         assert len(disk) == 1
+
+
+def _key(index: int) -> str:
+    return f"{index:064x}"
+
+
+def _count_scans(monkeypatch, path) -> list:
+    """Record every ``os.scandir``/``os.listdir`` of ``path`` (the
+    store has no scan counter of its own, on purpose)."""
+    path = str(path)
+    scans = []
+    for name in ("scandir", "listdir"):
+
+        def counted(target=".", _real=getattr(os, name)):
+            if os.fspath(target) == path:
+                scans.append(target)
+            return _real(target)
+
+        monkeypatch.setattr(os, name, counted)
+    return scans
+
+
+class TestAmortisedPruning:
+    @pytest.fixture
+    def size(self, tmp_path_factory):
+        """Bytes of one ``store_text(key, "x" * 100)`` artifact (give
+        or take the ``created`` float repr)."""
+        probe = DiskKernelCache(str(tmp_path_factory.mktemp("probe")))
+        probe.store_text(_key(0), "x" * 100)
+        return probe.total_bytes()
+
+    def test_under_budget_scans_do_not_grow_with_puts(
+        self, tmp_path, monkeypatch
+    ):
+        counts = []
+        for puts in (20, 200):
+            root = tmp_path / str(puts)
+            disk = DiskKernelCache(str(root))
+            scans = _count_scans(monkeypatch, root)
+            for index in range(puts):
+                disk.store_text(_key(index), "x" * 100)
+            counts.append(len(scans))
+            assert len(disk) == puts
+        assert counts[0] == counts[1] == 1
+
+    def test_two_writers_stay_within_documented_overshoot(
+        self, tmp_path, size
+    ):
+        max_bytes = 40 * size
+        writers = [
+            DiskKernelCache(str(tmp_path), max_bytes) for _ in range(2)
+        ]
+        bound = max_bytes + len(writers) * (
+            max_bytes // SCAN_HEADROOM_SHARE + size + 8
+        )
+        for index in range(300):
+            writers[index % 2].store_text(_key(index), "x" * 100)
+            # Deterministic recency: artifact i has mtime i + 1.
+            os.utime(
+                writers[0].artifact_path(_key(index)), (index + 1, index + 1)
+            )
+            assert writers[0].total_bytes() <= bound
+        assert all(w.stats.evictions > 0 for w in writers)
+        survivors = {
+            index
+            for index in range(300)
+            if os.path.exists(writers[0].artifact_path(_key(index)))
+        }
+        # mtime order: whatever is left is the newest run of writes.
+        assert survivors == set(range(300 - len(survivors), 300))
+        assert len(survivors) * size >= LOW_WATER_FRACTION * max_bytes - size
+
+    def test_full_store_does_not_scan_per_put(
+        self, tmp_path, monkeypatch, size
+    ):
+        disk = DiskKernelCache(str(tmp_path), 1000 * size)
+        index = 0
+        while not disk.stats.evictions:  # fill to the first prune
+            disk.store_text(_key(index), "x" * 100)
+            index += 1
+        assert index >= 990
+        scans = _count_scans(monkeypatch, tmp_path)
+        puts = 300  # more than the headroom a prune leaves (250)
+        for _ in range(puts):
+            disk.store_text(_key(index), "x" * 100)
+            index += 1
+        assert len(scans) * 4 <= puts
+        assert disk.total_bytes() <= disk.max_bytes
+
+    def test_lowered_max_bytes_binds_on_the_next_put(
+        self, tmp_path, monkeypatch, size
+    ):
+        disk = DiskKernelCache(str(tmp_path))
+        for index in range(10):
+            disk.store_text(_key(index), "x" * 100)
+            os.utime(disk.artifact_path(_key(index)), (index + 1, index + 1))
+        scans = _count_scans(monkeypatch, tmp_path)
+        disk.store_text(_key(10), "x" * 100)
+        assert not scans  # 256 MiB of headroom: nothing to look for
+        disk.max_bytes = 4 * size
+        disk.store_text(_key(11), "x" * 100)
+        assert len(scans) == 1
+        assert disk.total_bytes() <= disk.max_bytes
+        assert disk.load_text(_key(11)) == "x" * 100
+        assert disk.load_text(_key(0)) is None
+
+
+class TestOrphanTempFiles:
+    def test_scan_reaps_stale_and_counts_fresh(self, tmp_path):
+        stale = tmp_path / ".tmp-deadbeefdead-stale"
+        fresh = tmp_path / ".tmp-livewriter00-fresh"
+        stale.write_bytes(b"s" * 50)
+        fresh.write_bytes(b"f" * 70)
+        long_ago = time.time() - 2 * STALE_TEMP_SECONDS
+        os.utime(stale, (long_ago, long_ago))
+
+        disk = DiskKernelCache(str(tmp_path))
+        disk.store_text(_key(1), "x" * 100)  # first put of a handle scans
+        assert not stale.exists()
+        assert fresh.exists()
+        artifact = os.path.getsize(disk.artifact_path(_key(1)))
+        assert disk.total_bytes() == artifact + 70
+        assert len(disk) == 1
+
+
+class TestFailedPublish:
+    @pytest.fixture
+    def full_disk(self, monkeypatch):
+        def no_space(src, dst):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        # The suite runs as root, so permissions cannot make a write
+        # fail; the rename is the last step of a publish.
+        monkeypatch.setattr(os, "replace", no_space)
+
+    def test_put_is_dropped_counted_and_leaves_no_temp_file(
+        self, tmp_path, full_disk
+    ):
+        disk = DiskKernelCache(str(tmp_path))
+        disk.store_text(_key(1), "x" * 100)
+        assert os.listdir(tmp_path) == []
+        snap = disk.stats.snapshot()
+        assert snap["write_errors"] == 1
+        assert snap["bytes_written"] == 0
+        assert disk.load_text(_key(1)) is None
+
+    def test_caller_proceeds_uncached(self, tmp_path, full_disk):
+        cache = KernelCache()
+        cache.attach_disk(str(tmp_path))
+        engine = ExecutionEngine(compile_c(SAXPY), pipeline="p", cache=cache)
+        assert engine.source
+        assert cache.stats.codegen_count == 1
+        assert len(cache) == 1  # the memory tier still has it
+        assert cache.disk.stats.write_errors == 1
 
 
 class TestTieredCache:
@@ -216,6 +377,7 @@ class TestTieredCache:
             "evictions",
             "bytes_written",
             "bytes_read",
+            "write_errors",
         }
 
     def test_snapshot_without_disk_tier(self):

@@ -8,6 +8,10 @@ the PatternRewriter version-bump guard that keeps ``fingerprint_module``
 their changes.
 """
 
+import hashlib
+import json
+import os
+
 import pytest
 
 from repro.ir import (
@@ -193,6 +197,118 @@ class TestPassManagerCached:
         tiling(2, cache).run(m32)
         assert print_module(m16) != print_module(m32)
         assert cache.stats.snapshot()["hits"] == 0
+
+
+THREE_FUNCS = TWO_FUNCS + """
+void gemm(float A[8][6], float B[6][7], float C[8][7]) {
+  for (int i = 0; i < 8; i++)
+    for (int j = 0; j < 7; j++)
+      for (int k = 0; k < 6; k++)
+        C[i][j] += A[i][k] * B[k][j];
+}
+void chain(float A[8][8], float B[8][8], float C[8][8]) {
+  for (int i = 0; i < 8; i++)
+    for (int j = 0; j < 8; j++)
+      B[i][j] = A[i][j] * 2.0;
+  for (int i = 0; i < 8; i++)
+    for (int j = 0; j < 8; j++)
+      C[i][j] = B[i][j] + A[i][j];
+}
+"""
+
+#: The ``mlt-opt`` batch pipeline of ``benchmarks/e2e``'s ``batch_fill``:
+#: seven cacheable function passes, so every index is a prefix depth.
+BATCH_PASSES = (
+    "raise-affine-to-linalg",
+    "affine-loop-fusion",
+    "affine-copy-elimination",
+    "canonicalize",
+    "affine-loop-distribution",
+    "affine-loop-tile",
+    "canonicalize",
+)
+
+
+def _batch_pipeline(cache=None):
+    from repro.tool import build_pipeline
+
+    pm = build_pipeline(list(BATCH_PASSES))
+    pm.pass_cache = cache
+    return pm
+
+
+def _expected_pass_artifacts(source, cache):
+    """key -> entry a cold cached run must publish, worked out from an
+    *uncached* run of the same pipeline snapshotted after every pass."""
+
+    def digest(text):
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    def result(text, fp, base_fp):
+        if fp == base_fp:
+            return {"kind": "clean", "fp": fp}
+        return {"kind": "rewrite", "text": text, "fp": fp}
+
+    module = compile_c(source)
+    pm = _batch_pipeline()
+    before = {f.sym_name: print_module(f) for f in module.functions}
+    entry_fp = {name: digest(text) for name, text in before.items()}
+    expected = {}
+    chain = hashlib.sha256()
+    for index, pass_ in enumerate(pm.passes):
+        pass_.run(module, pm.context)
+        config = pass_.cache_config()
+        chain.update(f"{pass_.name}\x00{config}\x01".encode("utf-8"))
+        prefix = chain.hexdigest()
+        after = {f.sym_name: print_module(f) for f in module.functions}
+        for name, text in after.items():
+            fp, new_fp = digest(before[name]), digest(text)
+            expected[cache.key(fp, pass_.name, config)] = result(
+                text, new_fp, fp
+            )
+            # A prefix artifact per depth at which the function
+            # changed, and one for everybody at the full pipeline.
+            if new_fp != fp or index == len(pm.passes) - 1:
+                expected[cache.prefix_key(entry_fp[name], prefix)] = result(
+                    text, new_fp, entry_fp[name]
+                )
+        before = after
+    return expected
+
+
+class TestColdRunPrintsOnce:
+    def test_one_print_per_function_state(self, tmp_path, monkeypatch):
+        import repro.ir.pass_cache as pass_cache_mod
+        import repro.ir.printer as printer_mod
+
+        printed = []
+
+        def recording(op, _real=printer_mod.print_module):
+            printed.append(_real(op))
+            return printed[-1]
+
+        monkeypatch.setattr(printer_mod, "print_module", recording)
+        monkeypatch.setattr(pass_cache_mod, "print_module", recording)
+        cache = PassResultCache()
+        cache.attach_disk(str(tmp_path))
+        _batch_pipeline(cache).run(compile_c(THREE_FUNCS))
+        assert len(printed) > 4  # four entry states + every rewrite
+        assert len(printed) == len(set(printed))
+
+    def test_artifacts_are_the_uncached_snapshots(self, tmp_path):
+        from repro.execution.engine.disk_cache import ARTIFACT_SUFFIX
+
+        cache = PassResultCache()
+        disk = cache.attach_disk(str(tmp_path))
+        _batch_pipeline(cache).run(compile_c(THREE_FUNCS))
+        expected = _expected_pass_artifacts(THREE_FUNCS, cache)
+        assert any(e["kind"] == "rewrite" for e in expected.values())
+        on_disk = {
+            name[: -len(ARTIFACT_SUFFIX)] for name in os.listdir(disk.path)
+        }
+        assert on_disk == set(expected)
+        for key, entry in expected.items():
+            assert disk.load_text(key) == json.dumps(entry, sort_keys=True)
 
 
 class _LyingDoublerPass(FunctionPass):
