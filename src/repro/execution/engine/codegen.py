@@ -47,8 +47,10 @@ VECTORIZE_MODES = ("nest", "innermost", "none")
 #: Codegen schema version, folded into every kernel cache key.  Bump on
 #: any change to generated-source semantics (vectorizer strategy,
 #: emitter output, runtime helper contracts) so persistent disk caches
-#: written by an older code generator are never re-served.
-CODEGEN_VERSION = 4
+#: written by an older code generator are never re-served.  Engine keys
+#: hash the *pre*-optimizer module text, so a wrong-code fix in an
+#: optimizer stage bumps it too (4 -> 5: fusion's ``conflict-carried``).
+CODEGEN_VERSION = 5
 
 
 def _np_dtype_literal(elem_type) -> str:

@@ -54,7 +54,7 @@ class ExecutionEngine:
         schedule: Optional[ModuleOp] = None,
         pass_cache=None,
     ):
-        from .optimizer import DEFAULT_TILE_SIZE, OPT_MODES, run_optimizer
+        from .optimizer import DEFAULT_TILE_SIZE, run_optimizer
 
         if tile_size is None:
             tile_size = DEFAULT_TILE_SIZE
@@ -71,10 +71,6 @@ class ExecutionEngine:
             raise EngineError(
                 f"engine: unknown vectorize mode {vectorize!r}; "
                 f"known: {VECTORIZE_MODES}"
-            )
-        if opt_mode not in OPT_MODES:
-            raise EngineError(
-                f"engine: unknown opt mode {opt_mode!r}; known: {OPT_MODES}"
             )
         self.module = module
         self.pipeline = pipeline
@@ -107,10 +103,9 @@ class ExecutionEngine:
             # this never changes the produced IR).
             target = module
             opt_stats = None
-            schedule_stats = None
             if schedule is not None:
                 target = module.clone()
-                schedule_stats = apply_schedule(
+                opt_stats = apply_schedule(
                     schedule, target, pass_cache=pass_cache
                 ).snapshot()
             elif opt_mode != "none":
@@ -123,7 +118,6 @@ class ExecutionEngine:
                 ).snapshot()
             compiled = compile_module(target, key, vectorize=vectorize)
             compiled.opt_stats = opt_stats
-            compiled.schedule_stats = schedule_stats
             return compiled
 
         self.compiled: CompiledModule = self.cache.get_or_compile(
@@ -144,17 +138,11 @@ class ExecutionEngine:
 
     @property
     def opt_stats(self) -> Optional[dict]:
-        """Mid-level optimizer decisions for this kernel, or ``None``
-        when the engine compiled with ``opt_mode="none"`` (or the
-        kernel was re-hydrated from a pre-optimizer disk artifact)."""
+        """What the ``opt_mode`` pipeline or the explicit ``schedule``
+        did to this kernel, or ``None`` when the engine compiled with
+        neither (or the kernel was re-hydrated from a pre-optimizer
+        disk artifact)."""
         return getattr(self.compiled, "opt_stats", None)
-
-    @property
-    def schedule_stats(self) -> Optional[dict]:
-        """What the applied transform-dialect schedule did, or ``None``
-        when the engine compiled without a schedule (or hit a cached
-        kernel artifact that predates schedules)."""
-        return getattr(self.compiled, "schedule_stats", None)
 
     def stats(self) -> dict:
         return self.cache.stats.snapshot()

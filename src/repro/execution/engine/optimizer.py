@@ -25,7 +25,11 @@ vectorizer, mirroring Parakeet's ``Fusion`` / ``CopyElimination`` /
    inflating ``bail_reasons``.
 
 ``opt_mode`` selects the pipeline: ``"none"`` (no-op), ``"fuse"``
-(stage 1 only), ``"full"`` (all stages).
+(stage 1 only), ``"full"`` (all stages).  A pipeline is a canned
+transform-dialect schedule (``scheduling.interpreter.canned_schedule``)
+and :func:`run_optimizer` applies it through the one schedule
+interpreter; this module holds what the stages share — the soundness
+gate, the counters, and the dead-loop and tiling stage bodies.
 
 Soundness gate: a function is only optimized when every op it contains
 comes from a whitelist whose memory effects the legality analyses can
@@ -38,7 +42,7 @@ blas, scf, llvm, calls — is left untouched and counted in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ...analysis.accesses import access_function, collect_accesses
 from ...dialects.affine import (
@@ -49,10 +53,6 @@ from ...dialects.affine import (
     perfect_nest,
 )
 from ...ir import Operation
-from ...transforms.canonicalize import canonicalize
-from ...transforms.copy_elimination import copy_eliminate
-from ...transforms.distribution import distribute_loops
-from ...transforms.fusion import greedy_fuse
 from ...transforms.tiling import TilingError, tile_perfect_nest
 from .vectorize import band_collapses
 
@@ -240,7 +240,18 @@ def _tiling_is_legal(root: AffineForOp, band: List[AffineForOp]) -> bool:
     return True
 
 
-def _tile_sizes(band: List[AffineForOp], tile_size: int) -> Optional[List[int]]:
+def heuristic_tile_sizes(
+    band: List[AffineForOp], tile_size: int
+) -> Optional[List[int]]:
+    """Trip-count heuristic: ``tile_size`` for every loop with at least
+    twice that many iterations, 1 (untiled) otherwise; ``None`` when
+    nothing would be tiled."""
+    if len(band) < 2:
+        return None
+    # The vectorizer gets first refusal: if any suffix of the band
+    # collapses (including the partial-collapse retry), leave it.
+    if any(band_collapses(band[i:]) for i in range(len(band))):
+        return None
     sizes = []
     for loop in band:
         trip = loop.constant_trip_count()
@@ -252,28 +263,27 @@ def _tile_sizes(band: List[AffineForOp], tile_size: int) -> Optional[List[int]]:
     return sizes
 
 
-def _tile_scalar_nests(func: Operation, tile_size: int, stats: OptStats) -> None:
+def tile_nests(
+    func: Operation,
+    sizes_for: Callable[[List[AffineForOp]], Optional[List[int]]],
+    stats: OptStats,
+) -> None:
+    """Tile every outermost constant-bound unit-step band for which
+    ``sizes_for(band)`` returns sizes and blocking is legal.  Tiled
+    loops carry ``no_vectorize`` (see the module docstring)."""
     for root in list(outermost_loops(func)):
         if root.parent_block is None:
             continue
         band = perfect_nest(root)
-        if len(band) < 2:
-            continue
         if any(
             not loop.has_constant_bounds() or loop.step != 1 for loop in band
         ):
             continue
-        # The vectorizer gets first refusal: if any suffix of the band
-        # collapses (including the partial-collapse retry), leave it.
-        if any(band_collapses(band[i:]) for i in range(len(band))):
-            continue
-        if not _tiling_is_legal(root, band):
-            continue
-        sizes = _tile_sizes(band, tile_size)
-        if sizes is None:
+        sizes = sizes_for(band)
+        if sizes is None or not _tiling_is_legal(root, band):
             continue
         try:
-            new_loops = tile_perfect_nest(root, sizes)
+            new_loops = tile_perfect_nest(root, list(sizes))
         except TilingError:
             continue
         for loop in new_loops:
@@ -282,7 +292,7 @@ def _tile_scalar_nests(func: Operation, tile_size: int, stats: OptStats) -> None
 
 
 # ----------------------------------------------------------------------
-# Pipeline driver
+# One stage on one function (what the schedule interpreter loops over)
 # ----------------------------------------------------------------------
 
 
@@ -324,9 +334,9 @@ def run_function_stage(
     """Run (or replay from cache) one optimizer stage on one function.
 
     Returns ``(func, fp)`` — the possibly-respliced function op plus
-    its post-stage fingerprint (``None`` when unknown); callers must
-    thread both back into their per-function lists so consecutive
-    cache hits fingerprint each function once, not once per stage.
+    its post-stage fingerprint (``None`` when unknown); the caller
+    threads both back into its per-function lists so consecutive cache
+    hits fingerprint each function once, not once per stage.
     """
     from ...ir.pass_cache import cached_stage
 
@@ -343,7 +353,7 @@ def run_optimizer(
     tile_size: int = DEFAULT_TILE_SIZE,
     pass_cache=None,
 ) -> OptStats:
-    """Run the optimizer pipeline in-place on ``module``.
+    """Apply ``canned_schedule(mode, tile_size)`` in-place to ``module``.
 
     Returns the populated :class:`OptStats`.  ``mode="none"`` returns
     immediately without touching the IR.
@@ -353,68 +363,11 @@ def run_optimizer(
     post-stage IR and replays the recorded counter deltas instead of
     re-running the transforms.
     """
-    if mode not in OPT_MODES:
-        raise ValueError(
-            f"unknown opt mode {mode!r}; expected one of {OPT_MODES}"
-        )
-    stats = OptStats(mode=mode)
+    from ...scheduling.interpreter import apply_schedule, canned_schedule
+
+    schedule = canned_schedule(mode, tile_size)  # rejects an unknown mode
     if mode == "none":
-        return stats
-
-    funcs: List[Operation] = []
-    for func in module.functions:
-        stats.functions_seen += 1
-        if _function_is_optimizable(func):
-            funcs.append(func)
-        else:
-            stats.functions_skipped += 1
-
-    def _fuse(func, scratch) -> None:
-        scratch.loops_fused += greedy_fuse(
-            func, require_flow=True, bails=scratch.fusion_bails
-        )
-
-    def _copy_elim(func, scratch) -> None:
-        result = copy_eliminate(func)
-        scratch.stores_forwarded += result.stores_forwarded
-        scratch.dead_stores_removed += result.dead_stores_removed
-        scratch.dead_allocs_removed += result.dead_allocs_removed
-
-    def _dead_loops(func, scratch) -> None:
-        _eliminate_redundant_loops(func, scratch)
-
-    def _canonicalize(func, scratch) -> None:
-        scratch.simplifications += canonicalize(func)
-
-    def _distribute(func, scratch) -> None:
-        scratch.loops_distributed += distribute_loops(func)
-
-    def _tile(func, scratch) -> None:
-        _tile_scalar_nests(func, tile_size, scratch)
-
-    # (stage name, body, pass-cache config string).
-    stages = [("fuse", _fuse, "flow=True")]
-    if mode == "full":
-        stages += [
-            ("copy-elim", _copy_elim, ""),
-            ("dead-loops", _dead_loops, ""),
-            ("canonicalize", _canonicalize, ""),
-            ("distribute", _distribute, ""),
-            ("tile", _tile, f"size={tile_size}"),
-        ]
-
-    fps: List[Optional[str]] = [None] * len(funcs)
-    for name, fn, config in stages:
-        before = stats._counter_values()
-        for index, func in enumerate(funcs):
-            funcs[index], fps[index] = run_function_stage(
-                pass_cache, func, f"opt.{name}", config, fn, stats,
-                fp=fps[index],
-            )
-        delta = {
-            key: value - before[key]
-            for key, value in stats._counter_values().items()
-            if value != before[key]
-        }
-        stats.stages.append({"stage": name, **delta})
+        return OptStats(mode=mode)
+    stats = apply_schedule(schedule, module, pass_cache).stats
+    stats.mode = mode
     return stats

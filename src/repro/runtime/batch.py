@@ -9,8 +9,9 @@ results merge back in input order so batch reports are deterministic.
 Two persistent caches amortize repeated batches:
 
 * the **module cache** keys the *printed post-pipeline IR* by
-  SHA-256 of (input text, pipeline, driver) — a warm unit skips the
-  frontend and every pass;
+  SHA-256 of (input text, pipeline, driver, ``PASS_CACHE_VERSION``) —
+  a warm unit skips the frontend and every pass, and a pass-semantics
+  bump orphans ``modules/`` together with ``passes/``;
 * the **kernel cache** (the same tiered cache the execution engine
   uses) keys compiled kernels by the printed module — a warm unit
   skips engine codegen.
@@ -27,6 +28,7 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+from ..ir.pass_cache import PASS_CACHE_VERSION
 from .pool import parallel_map
 
 #: Per-worker state installed by the initializer.
@@ -48,11 +50,9 @@ class BatchResult:
 
 def module_cache_key(text: str, pass_names: Sequence[str], driver: str) -> str:
     digest = hashlib.sha256()
-    digest.update(text.encode("utf-8"))
-    digest.update(b"\x00")
-    digest.update(",".join(pass_names).encode("utf-8"))
-    digest.update(b"\x00")
-    digest.update(driver.encode("utf-8"))
+    for part in (text, ",".join(pass_names), driver, PASS_CACHE_VERSION):
+        digest.update(part.encode("utf-8"))
+        digest.update(b"\x00")
     return digest.hexdigest()
 
 

@@ -1,11 +1,10 @@
 """Interpreter applying a transform-dialect schedule to payload IR.
 
 :func:`apply_schedule` walks a ``transform.sequence`` and executes each
-step through the existing transform/pass infrastructure — the same
-``greedy_fuse`` / ``copy_eliminate`` / tiling helpers the hardcoded
-``opt_mode`` pipelines call.  Applying :func:`canned_schedule`\\ (mode)
-therefore produces byte-identical IR to ``run_optimizer(module, mode)``:
-the canned schedules *are* the old pipelines, reified as data.
+step through the existing transform/pass infrastructure.  It is the
+only optimizer driver: each engine ``opt_mode`` pipeline is a
+:func:`canned_schedule`, and ``run_optimizer(module, mode)`` is
+``apply_schedule(canned_schedule(mode), module)``.
 
 Every step re-checks its own legality on the payload it actually sees
 (fusion legality, tiling legality, unroll-jam divisibility), so any
@@ -18,9 +17,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional
 
-from ..dialects.affine import AffineForOp, outermost_loops, perfect_nest
 from ..dialects.transform import (
     CanonicalizeOp,
     CopyElimOp,
@@ -28,30 +27,27 @@ from ..dialects.transform import (
     DistributeOp,
     FuseOp,
     MatchOp,
-    RaiseOp,
     SequenceOp,
     TileOp,
-    TransformStepOp,
     UnrollJamOp,
     VectorizeOp,
-    YieldOp,
     find_sequences,
 )
 from ..execution.engine.optimizer import (
     DEFAULT_TILE_SIZE,
+    OPT_MODES,
     OptStats,
     _eliminate_redundant_loops,
     _function_is_optimizable,
-    _tile_scalar_nests,
-    _tiling_is_legal,
+    heuristic_tile_sizes,
     run_function_stage,
+    tile_nests,
 )
 from ..ir import ModuleOp, Operation
 from ..transforms.canonicalize import canonicalize
 from ..transforms.copy_elimination import copy_eliminate
 from ..transforms.distribution import distribute_loops
 from ..transforms.fusion import greedy_fuse
-from ..transforms.tiling import TilingError, tile_perfect_nest
 from ..transforms.unroll import unroll_jam_loops
 
 
@@ -63,9 +59,8 @@ class ScheduleError(ValueError):
 class ScheduleResult:
     """What applying a schedule did (and requested).
 
-    ``stats`` uses the optimizer's counter vocabulary so per-step
-    deltas land in ``stats.stages`` exactly like ``run_optimizer``'s
-    per-stage snapshots.  ``vectorize`` is the codegen mode a
+    ``stats.stages`` holds one per-step counter delta, keyed by the
+    step's transform mnemonic.  ``vectorize`` is the codegen mode a
     ``transform.vectorize`` step requested (``None`` when the schedule
     leaves the engine default in charge); ``raise_stats`` is the
     raising snapshot when a ``transform.raise`` step ran.
@@ -109,32 +104,84 @@ def schedule_vectorize(schedule) -> Optional[str]:
     return mode
 
 
-def _tile_explicit(func: Operation, sizes: List[int], stats: OptStats) -> None:
-    """Tile every depth-matching legal band with explicit sizes.
+# ----------------------------------------------------------------------
+# The step table: every payload-rewriting stage body exists once, here
+# ----------------------------------------------------------------------
 
-    Unlike the heuristic path this skips the vectorizer first-refusal
-    and the trip-count heuristic — explicit sizes mean the schedule
-    author (or the autotuner) overrides the defaults — but the
-    dependence-legality gate stays."""
-    for root in list(outermost_loops(func)):
-        if root.parent_block is None:
-            continue
-        band = perfect_nest(root)
-        if len(band) != len(sizes):
-            continue
-        if any(
-            not loop.has_constant_bounds() or loop.step != 1 for loop in band
-        ):
-            continue
-        if not _tiling_is_legal(root, band):
-            continue
-        try:
-            new_loops = tile_perfect_nest(root, list(sizes))
-        except TilingError:
-            continue
-        for loop in new_loops:
-            loop.mark_no_vectorize()
-        stats.nests_tiled += 1
+
+def _fuse(step, func: Operation, scratch: OptStats) -> None:
+    scratch.loops_fused += greedy_fuse(
+        func, require_flow=step.flow, bails=scratch.fusion_bails
+    )
+
+
+def _copy_elim(step, func: Operation, scratch: OptStats) -> None:
+    result = copy_eliminate(func)
+    scratch.stores_forwarded += result.stores_forwarded
+    scratch.dead_stores_removed += result.dead_stores_removed
+    scratch.dead_allocs_removed += result.dead_allocs_removed
+
+
+def _dead_loops(step, func: Operation, scratch: OptStats) -> None:
+    _eliminate_redundant_loops(func, scratch)
+
+
+def _canonicalize(step, func: Operation, scratch: OptStats) -> None:
+    scratch.simplifications += canonicalize(func)
+
+
+def _distribute(step, func: Operation, scratch: OptStats) -> None:
+    scratch.loops_distributed += distribute_loops(func)
+
+
+def _tile(step, func: Operation, scratch: OptStats) -> None:
+    size, sizes = step.size, step.sizes
+    if size is not None:
+        tile_nests(
+            func, partial(heuristic_tile_sizes, tile_size=size), scratch
+        )
+    else:
+        # Explicit sizes override the trip-count heuristic and the
+        # vectorizer first-refusal for every depth-matching band; the
+        # dependence-legality gate stays.
+        tile_nests(
+            func,
+            lambda band: sizes if len(band) == len(sizes) else None,
+            scratch,
+        )
+
+
+def _tile_config(step) -> str:
+    if step.size is not None:
+        return f"size={step.size}"
+    return "sizes=" + ",".join(map(str, step.sizes))
+
+
+def _unroll_jam(step, func: Operation, scratch: OptStats) -> None:
+    scratch.loops_unroll_jammed += unroll_jam_loops(func, step.factor)
+
+
+def _no_config(step) -> str:
+    return ""
+
+
+#: Transform mnemonic (the keys of ``dialects.transform.STEP_OPS``) ->
+#: (stage body ``fn(step, func, scratch)``, pass-cache config
+#: ``fn(step) -> str``).  The mnemonic is also the stage name in
+#: ``OptStats.stages`` and in pass-cache keys.  ``match``, ``vectorize``
+#: and ``raise`` rewrite no function and have no row.
+STEP_TABLE = {
+    "transform.fuse": (_fuse, lambda step: f"flow={step.flow}"),
+    "transform.copy_elim": (_copy_elim, _no_config),
+    "transform.dead_loops": (_dead_loops, _no_config),
+    "transform.canonicalize": (_canonicalize, _no_config),
+    "transform.distribute": (_distribute, _no_config),
+    "transform.tile": (_tile, _tile_config),
+    "transform.unroll_jam": (
+        _unroll_jam,
+        lambda step: f"factor={step.factor}",
+    ),
+}
 
 
 def apply_schedule(
@@ -157,15 +204,8 @@ def apply_schedule(
     fps: List[Optional[str]] = []
     matched = False
 
-    def run_step(stage_name, config, fn) -> None:
-        for index, func in enumerate(funcs):
-            funcs[index], fps[index] = run_function_stage(
-                pass_cache, func, stage_name, config, fn, stats,
-                fp=fps[index],
-            )
-
     for step in sequence.steps():
-        if isinstance(step, MatchOp):
+        if step.name == "transform.match":
             matched = True
             funcs = []
             for func in payload.functions:
@@ -176,81 +216,31 @@ def apply_schedule(
                     funcs.append(func)
                 else:
                     stats.functions_skipped += 1
-            fps[:] = [None] * len(funcs)
+            fps = [None] * len(funcs)
             continue
-        if not isinstance(step, TransformStepOp):
-            raise ScheduleError(f"unknown schedule step {step.name}")
         if not matched:
             raise ScheduleError(
                 f"{step.name} before any transform.match — nothing to "
                 f"transform"
             )
         before = stats._counter_values()
-        if isinstance(step, FuseOp):
-
-            def _fuse(func, scratch, _flow=step.flow):
-                scratch.loops_fused += greedy_fuse(
-                    func, require_flow=_flow, bails=scratch.fusion_bails
+        if step.name in STEP_TABLE:
+            body, config_of = STEP_TABLE[step.name]
+            stage, config = partial(body, step), config_of(step)
+            for index, func in enumerate(funcs):
+                funcs[index], fps[index] = run_function_stage(
+                    pass_cache, func, step.name, config, stage, stats,
+                    fp=fps[index],
                 )
-
-            run_step("transform.fuse", f"flow={step.flow}", _fuse)
-        elif isinstance(step, CopyElimOp):
-
-            def _copy_elim(func, scratch):
-                elim = copy_eliminate(func)
-                scratch.stores_forwarded += elim.stores_forwarded
-                scratch.dead_stores_removed += elim.dead_stores_removed
-                scratch.dead_allocs_removed += elim.dead_allocs_removed
-
-            run_step("transform.copy_elim", "", _copy_elim)
-        elif isinstance(step, DeadLoopsOp):
-            run_step("transform.dead_loops", "", _eliminate_redundant_loops)
-        elif isinstance(step, CanonicalizeOp):
-
-            def _canonicalize(func, scratch):
-                scratch.simplifications += canonicalize(func)
-
-            run_step("transform.canonicalize", "", _canonicalize)
-        elif isinstance(step, DistributeOp):
-
-            def _distribute(func, scratch):
-                scratch.loops_distributed += distribute_loops(func)
-
-            run_step("transform.distribute", "", _distribute)
-        elif isinstance(step, TileOp):
-
-            def _tile(func, scratch, _step=step):
-                if _step.size is not None:
-                    _tile_scalar_nests(func, _step.size, scratch)
-                else:
-                    _tile_explicit(func, _step.sizes, scratch)
-
-            if step.size is not None:
-                config = f"size={step.size}"
-            else:
-                config = "sizes=" + ",".join(map(str, step.sizes))
-            run_step("transform.tile", config, _tile)
-        elif isinstance(step, UnrollJamOp):
-
-            def _unroll_jam(func, scratch, _factor=step.factor):
-                scratch.loops_unroll_jammed += unroll_jam_loops(
-                    func, _factor
-                )
-
-            run_step(
-                "transform.unroll_jam", f"factor={step.factor}", _unroll_jam
-            )
-        elif isinstance(step, VectorizeOp):
+        elif step.name == "transform.vectorize":
             result.vectorize = step.mode
-        elif isinstance(step, RaiseOp):
+        elif step.name == "transform.raise":
             from ..tactics.raising import raise_affine_to_linalg
 
-            raising = raise_affine_to_linalg(
-                payload, raise_mode=step.mode
-            )
+            raising = raise_affine_to_linalg(payload, raise_mode=step.mode)
             result.raise_stats = dict(raising.callsites)
             # Module-level rewrite: every memoized fingerprint is stale.
-            fps[:] = [None] * len(funcs)
+            fps = [None] * len(funcs)
         else:
             raise ScheduleError(f"unknown schedule step {step.name}")
         delta = {
@@ -279,20 +269,17 @@ def _new_schedule_module() -> ModuleOp:
 def canned_schedule(
     mode: str, tile_size: int = DEFAULT_TILE_SIZE
 ) -> ModuleOp:
-    """The ``opt_mode`` pipelines as schedule modules.
-
-    Applying ``canned_schedule(mode)`` to a payload produces IR
-    byte-identical to ``run_optimizer(payload, mode)`` (asserted by
-    ``tests/scheduling``): same transforms, same order, same legality
-    gates.
-    """
+    """The engine's ``opt_mode`` pipelines (``OPT_MODES``) as schedule
+    modules — what ``run_optimizer(payload, mode)`` applies."""
+    if mode not in OPT_MODES:
+        raise ScheduleError(
+            f"unknown opt mode {mode!r}; expected one of {OPT_MODES}"
+        )
     module = _new_schedule_module()
     sequence = find_sequences(module)[0]
     handle = sequence.append_step(MatchOp.create()).results[0]
     if mode == "none":
         return module
-    if mode not in ("fuse", "full"):
-        raise ScheduleError(f"no canned schedule for mode {mode!r}")
     handle = sequence.append_step(
         FuseOp.create(handle, flow=True)
     ).results[0]

@@ -359,6 +359,33 @@ def _kernel_tag(spec: dict) -> str:
     return f"serve:{pipeline}#cg={CODEGEN_VERSION}#opt={opt}"
 
 
+def _unit_schedule(opt_mode: str, module, schedule_cache):
+    """``(schedule module, kernel-key tag)`` for one unit.  ``"tuned"``
+    replays the persisted winner for the payload when the tenant has
+    one and falls back to the canned full pipeline (tag ``"default"``);
+    every other mode is its canned schedule, untagged."""
+    from ..scheduling import canned_schedule
+
+    if opt_mode != "tuned":
+        return canned_schedule(opt_mode), ""
+    from ..execution.engine.cache import fingerprint_module
+
+    record = (
+        schedule_cache.load(fingerprint_module(module))
+        if schedule_cache is not None
+        else None
+    )
+    if record is None or not isinstance(record.get("schedule"), str):
+        return canned_schedule("full"), "default"
+    from ..ir.parser import parse_module
+
+    text = record["schedule"]
+    return (
+        parse_module(text),
+        hashlib.sha256(text.encode("utf-8")).hexdigest()[:16],
+    )
+
+
 def serve_unit(spec: dict) -> dict:
     """Compile (and optionally execute) one normalized unit spec.
 
@@ -387,65 +414,33 @@ def serve_unit(spec: dict) -> dict:
             return _result(spec, key, "hot", checksums, start)
 
     caches = _tenant_caches(tenant)
-    module_cache = caches.module_cache
     opt_mode = spec.get("opt_mode", "full")
+    # Tuned units key the transformation off the *pristine* payload
+    # fingerprint, so they always rebuild the frontend module; the
+    # expensive tier (codegen) still hits the per-tenant kernel cache —
+    # keyed by the scheduled text — and warm traffic rides the hot map,
+    # so only the first request per process pays.
+    module_cache = None if opt_mode == "tuned" else caches.module_cache
     schedule_tag = ""
     module = None
-    if opt_mode == "tuned":
-        # Tuned units key the transformation off the *pristine* payload
-        # fingerprint, so they always rebuild the frontend module; the
-        # expensive tier (codegen) still hits the per-tenant kernel
-        # cache — keyed by the scheduled text — and warm traffic rides
-        # the hot map, so only the first request per process pays.
-        from ..execution.engine.cache import fingerprint_module
+    text = (
+        module_cache.load_text(mkey) if module_cache is not None else None
+    )
+    if text is None:
         from ..ir import print_module
+        from ..scheduling import apply_schedule
 
         module = _build_module(spec, pass_cache=caches.pass_cache)
-        record = (
-            caches.schedule_cache.load(fingerprint_module(module))
-            if caches.schedule_cache is not None
-            else None
+        schedule, schedule_tag = _unit_schedule(
+            opt_mode, module, caches.schedule_cache
         )
-        if record is not None and isinstance(record.get("schedule"), str):
-            from ..ir.parser import parse_module
-            from ..scheduling import apply_schedule
-
-            apply_schedule(
-                parse_module(record["schedule"]),
-                module,
-                pass_cache=caches.pass_cache,
-            )
-            schedule_tag = hashlib.sha256(
-                record["schedule"].encode("utf-8")
-            ).hexdigest()[:16]
-        else:
-            from ..execution.engine.optimizer import run_optimizer
-
-            run_optimizer(module, "full", pass_cache=caches.pass_cache)
-            schedule_tag = "default"
+        # Optimize before printing so persisted module text — and every
+        # kernel (cold or warm) derived from it — reflects the
+        # mid-level optimizer's output.
+        apply_schedule(schedule, module, pass_cache=caches.pass_cache)
         text = print_module(module)
-    else:
-        text = (
-            module_cache.load_text(mkey)
-            if module_cache is not None
-            else None
-        )
-        if text is None:
-            from ..ir import print_module
-
-            module = _build_module(spec, pass_cache=caches.pass_cache)
-            # Optimize before printing so persisted module text — and
-            # every kernel (cold or warm) derived from it — reflects
-            # the mid-level optimizer's output.
-            if opt_mode != "none":
-                from ..execution.engine.optimizer import run_optimizer
-
-                run_optimizer(
-                    module, opt_mode, pass_cache=caches.pass_cache
-                )
-            text = print_module(module)
-            if module_cache is not None:
-                module_cache.store_text(mkey, text)
+        if module_cache is not None:
+            module_cache.store_text(mkey, text)
 
     from ..execution.engine.cache import KernelCache
 

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..analysis.accesses import collect_accesses
-from ..dialects.affine import AffineForOp
+from ..analysis.accesses import access_function, collect_accesses
+from ..dialects.affine import AffineForOp, AffineLoadOp, AffineStoreOp
 from ..ir import FunctionPass, Operation
 
 #: Intervening sibling ops ``second`` may be hoisted across (subject to
@@ -110,8 +110,8 @@ def can_fuse(
 ) -> bool:
     """Conservative legality: identical iteration spaces, matching band
     depths, and only distance-0 conflicts (after the IVs are identified
-    with each other).  ``bails`` (reason -> count) records why a pair
-    was rejected."""
+    with each other) on elements the fused loop's IV selects.  ``bails``
+    (reason -> count) records why a pair was rejected."""
     mismatch = _iteration_space_mismatch(first, second)
     if mismatch is not None:
         return _bail(bails, mismatch)
@@ -133,6 +133,8 @@ def can_fuse(
                 continue
             if not _conflict_is_aligned(a, b, first, second):
                 return _bail(bails, "conflict-misaligned")
+            if _conflict_is_carried(a, b, first):
+                return _bail(bails, "conflict-carried")
     return True
 
 
@@ -169,6 +171,49 @@ def _conflict_is_aligned(a, b, first: AffineForOp, second: AffineForOp) -> bool:
         if sa.coeffs != renamed or sa.constant != sb.constant:
             return False
     return True
+
+
+def _conflict_is_carried(a, b, first: AffineForOp) -> bool:
+    """An aligned conflict whose subscripts omit ``first``'s IV touches
+    one element in *every* iteration of the fused loop, so fusion would
+    interleave accesses the original program ran back to back (the
+    consumer reads a half-built value).  The exception is two in-place
+    accumulations of that element, which commute up to float
+    reassociation."""
+    iv = first.induction_var
+    if any(sub.coeff(iv) for sub in a.subscripts):
+        return False
+    return not (_accumulates_in_place(a) and _accumulates_in_place(b))
+
+
+def _accumulates_in_place(access) -> bool:
+    """``access`` is the load or the store of a single-use, one-block
+    ``M[f] = M[f] + v`` chain.  (``v`` reading ``M[f]`` again would be
+    a further access of the element that is not such a chain, so the
+    pairwise conflict scan rejects it.)"""
+    op = access.op
+    if access.is_write:
+        add = op.value.defining_op
+    else:
+        add = op.result.users[0] if op.result.has_one_use() else None
+    if add is None or add.name != "std.addf" or not add.result.has_one_use():
+        return False
+    store = add.result.users[0]
+    if not isinstance(store, AffineStoreOp) or store.value is not add.result:
+        return False
+    stored = access_function(store)
+    loads = []
+    for value in add.operands:
+        load = value.defining_op
+        if (
+            isinstance(load, AffineLoadOp)
+            and load.result.has_one_use()
+            and load.parent_block is add.parent_block is store.parent_block
+        ):
+            loaded = access_function(load)
+            if stored and loaded and stored.same_element(loaded):
+                loads.append(load)
+    return len(loads) == 1 and op in (store, loads[0])
 
 
 def _defined_values(op: Operation) -> List:

@@ -125,12 +125,17 @@ class TestBatch:
             "saxpy.mlir",
         ]
 
-    def test_module_cache_key_separates_pipelines(self):
+    def test_module_cache_key_separates_pipelines(self, monkeypatch):
         base = module_cache_key("text", ["-a"], "worklist")
         assert base != module_cache_key("text", ["-b"], "worklist")
         assert base != module_cache_key("text", ["-a"], "snapshot")
         assert base != module_cache_key("other", ["-a"], "worklist")
         assert base == module_cache_key("text", ["-a"], "worklist")
+        # A pass-semantics bump orphans modules/ along with passes/.
+        monkeypatch.setattr(
+            "repro.runtime.batch.PASS_CACHE_VERSION", "pass-cache-next"
+        )
+        assert base != module_cache_key("text", ["-a"], "worklist")
 
     def test_batch_result_is_picklable(self):
         import pickle

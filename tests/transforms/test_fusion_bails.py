@@ -73,3 +73,49 @@ def test_optimizer_snapshot_carries_taxonomy():
     assert "fusion_bails" in snap
     assert isinstance(snap["fusion_bails"], dict)
     assert OptStats().snapshot()["fusion_bails"] == {}
+
+
+def test_conflict_carried_blocks_the_gemver_shape():
+    # x[j] does not depend on the fused i: nest 2 at i = 0 would read
+    # an x[j] that nest 1 has only summed its first row into.
+    _, loops = _loops(
+        "void f(float A[6][6], float x[6], float y[6], float w[6]) {\n"
+        "  for (int i = 0; i < 6; i++)\n"
+        "    for (int j = 0; j < 6; j++) x[j] += A[i][j] * y[i];\n"
+        "  for (int i = 0; i < 6; i++)\n"
+        "    for (int j = 0; j < 6; j++) w[i] += A[i][j] * x[j];\n"
+        "}\n"
+    )
+    bails = {}
+    assert not can_fuse(loops[0], loops[1], bails=bails)
+    assert bails == {"conflict-carried": 1}
+
+
+def test_conflict_carried_exempts_the_gesummv_shape():
+    # Once the i loops fuse, y[i] omits the inner (fused) j on both
+    # sides — but both sides are `y[i] += ...`, which commute.
+    module, _ = _loops(
+        "void f(float A[6][6], float B[6][6], float x[6], float y[6]) {\n"
+        "  for (int i = 0; i < 6; i++)\n"
+        "    for (int j = 0; j < 6; j++) y[i] += A[i][j] * x[j];\n"
+        "  for (int i = 0; i < 6; i++)\n"
+        "    for (int j = 0; j < 6; j++) y[i] += B[i][j] * x[j];\n"
+        "}\n"
+    )
+    bails = {}
+    fused = greedy_fuse(module.functions[0], require_flow=True, bails=bails)
+    assert fused == 2  # the i loops, then the j loops inside
+    assert "conflict-carried" not in bails
+
+
+def test_conflict_carried_needs_both_sides_to_accumulate():
+    # The second nest overwrites s[0] instead of adding to it.
+    _, loops = _loops(
+        "void f(float a[6], float b[6], float s[1]) {\n"
+        "  for (int i = 0; i < 6; i++) s[0] += a[i];\n"
+        "  for (int i = 0; i < 6; i++) s[0] = s[0] * b[i];\n"
+        "}\n"
+    )
+    bails = {}
+    assert not can_fuse(loops[0], loops[1], bails=bails)
+    assert bails == {"conflict-carried": 1}

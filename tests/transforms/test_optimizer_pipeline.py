@@ -35,7 +35,7 @@ from repro.ir import (
 from repro.ir.affine_map import AffineMap
 from repro.ir.parser import parse_module
 from repro.met import compile_c
-from repro.scheduling.interpreter import apply_schedule
+from repro.scheduling.interpreter import apply_schedule, canned_schedule
 from repro.transforms.fusion import can_fuse, greedy_fuse
 
 from ..conftest import assert_close
@@ -199,16 +199,18 @@ class TestStages:
 
     def test_stage_snapshots_in_order(self):
         _, stats = _optimized_clone(DEAD_TEMPORARY)
+        # Pins the canned schedules' step order: stages are named by
+        # the transform mnemonic of the step that ran them.
         assert [s["stage"] for s in stats.stages] == [
-            "fuse",
-            "copy-elim",
-            "dead-loops",
-            "canonicalize",
-            "distribute",
-            "tile",
+            "transform.fuse",
+            "transform.copy_elim",
+            "transform.dead_loops",
+            "transform.canonicalize",
+            "transform.distribute",
+            "transform.tile",
         ]
         _, fuse_stats = _optimized_clone(DEAD_TEMPORARY, mode="fuse")
-        assert [s["stage"] for s in fuse_stats.stages] == ["fuse"]
+        assert [s["stage"] for s in fuse_stats.stages] == ["transform.fuse"]
 
     def test_unknown_mode_rejected(self):
         module = compile_c(REDUNDANT_LOOP, distribute=False)
@@ -272,6 +274,27 @@ class TestEnginePlumbing:
             module, pipeline="plumb", opt_mode="none"
         )
         assert none_engine.opt_stats is None
+
+    def test_schedule_engine_opt_stats_survive_a_disk_hit(self, tmp_path):
+        # One opt_stats for either entry point: a schedule= engine
+        # reports through it, and the disk tier persists it.
+        module = compile_c(DEAD_TEMPORARY, distribute=False)
+        snapshots = []
+        for _ in range(2):
+            cache = KernelCache()
+            cache.attach_disk(str(tmp_path))
+            engine = ExecutionEngine(
+                module,
+                pipeline="plumb-sched",
+                cache=cache,
+                schedule=canned_schedule("full"),
+            )
+            snapshots.append(engine.opt_stats)
+        assert cache.stats.codegen_count == 0  # second engine: disk hit
+        assert snapshots[0] == snapshots[1]
+        assert snapshots[0]["mode"] == "schedule"
+        assert snapshots[0]["stores_forwarded"] >= 1
+        assert not hasattr(engine, "schedule_stats")
 
     def test_caller_module_never_mutated(self):
         from repro.ir import print_module
