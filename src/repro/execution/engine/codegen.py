@@ -49,8 +49,10 @@ VECTORIZE_MODES = ("nest", "innermost", "none")
 #: emitter output, runtime helper contracts) so persistent disk caches
 #: written by an older code generator are never re-served.  Engine keys
 #: hash the *pre*-optimizer module text, so a wrong-code fix in an
-#: optimizer stage bumps it too (4 -> 5: fusion's ``conflict-carried``).
-CODEGEN_VERSION = 5
+#: optimizer stage bumps it too (4 -> 5: fusion's ``conflict-carried``),
+#: and so does a change in what a stage emits (5 -> 6: fusion's
+#: ``would-lose-collapse``, window loads, lazy canonical views).
+CODEGEN_VERSION = 6
 
 
 def _np_dtype_literal(elem_type) -> str:
@@ -307,8 +309,12 @@ def _emit_affine_for(ctx: _FuncContext, op: AffineForOp) -> None:
         ctx.nest_collapsed_any = False
     # The tiling stages mark the loops they create ``no_vectorize``: a
     # tiled band was proven non-collapsible pre-tiling, so skip the
-    # vectorize attempt rather than re-recording the same bail 2d times.
-    if mode != "none" and not op.no_vectorize:
+    # vectorize attempt rather than re-recording the same bail 2d times
+    # — one ``tiled`` per nest says why it runs scalar.
+    if op.no_vectorize:
+        if is_root and mode != "none":
+            stats.record_bail("tiled")
+    elif mode != "none":
         band = collect_band(op)
         if mode == "innermost" and len(band) > 1:
             band = None  # emulate the innermost-only vectorizer

@@ -6,7 +6,9 @@ vectorizer, mirroring Parakeet's ``Fusion`` / ``CopyElimination`` /
 
 1. **fuse** — producer/consumer sibling nests with identical iteration
    spaces fuse into one body (``greedy_fuse(require_flow=True)``), so
-   array temporaries become forwardable same-block stores.
+   array temporaries become forwardable same-block stores.  A pair of
+   nests that both already collapse, one of them as a reduction, is
+   left alone (``would-lose-collapse``): fused, neither would.
 2. **copy-elim** — store-to-load forwarding, dead-store elimination,
    and write-only temporary removal (``transforms.copy_elimination``).
 3. **dead-loops** — a loop whose induction variable is unused and

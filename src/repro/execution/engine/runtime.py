@@ -97,6 +97,36 @@ def contract(spec, *operands):
     return np.einsum(spec, *operands, optimize=True)
 
 
+def window(view, axis, dims):
+    """Open one sliced axis of ``view`` into one axis per ``(stride,
+    n)`` of ``dims``: element ``(i0, i1, ...)`` of the new axes is
+    element ``sum(stride_k * i_k)`` of the old one.  This is how a load
+    subscript over several loop ivs (``x[i + j]``, convolution's
+    ``I[y + p]``) becomes an N-d read-only view with no copy.
+
+    ``view.shape[axis]`` must be exactly the span the ivs cover: NumPy
+    slices clamp silently, and restriding a clamped slice would read
+    past the buffer.
+    """
+    span = 1 + sum(stride * (n - 1) for stride, n in dims)
+    if view.shape[axis] != span:
+        raise EngineError(
+            f"engine: window over {span} elements of an axis that holds "
+            f"{view.shape[axis]}: subscript out of bounds"
+        )
+    step = view.strides[axis]
+    return np.lib.stride_tricks.as_strided(
+        view,
+        shape=view.shape[:axis]
+        + tuple(n for _, n in dims)
+        + view.shape[axis + 1 :],
+        strides=view.strides[:axis]
+        + tuple(stride * step for stride, _ in dims)
+        + view.strides[axis + 1 :],
+        writeable=False,
+    )
+
+
 #: Library symbols the lowered ``llvm.call`` form may invoke, mirroring
 #: ``Interpreter.LIBRARY_CALLS``.
 LIBRARY_CALLS = {

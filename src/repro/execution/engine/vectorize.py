@@ -7,9 +7,11 @@ a straight line of affine loads/stores and element-wise float
 arithmetic, the whole band collapses into *one* N-dimensional NumPy
 expression — every induction variable becomes an array axis, every
 access where an induction variable appears linearly in exactly one
-subscript becomes a strided slice, and the single store either assigns
-a slice (element-wise case) or folds a ``.sum``/contraction into its
-accumulator (reduction case).
+subscript becomes a strided slice, a *load* subscript over several
+induction variables (``x[i + j]``, convolution's ``I[y + p][x + q]``)
+becomes a :func:`~.runtime.window` view with one axis per variable, and
+the single store either assigns a slice (element-wise case) or folds a
+``.sum``/contraction into its accumulator (reduction case).
 
 On top of the band analysis, **contraction recognition** turns the
 canonical accumulate-a-product-of-loads shape (``C[i,j] += A[i,k] *
@@ -30,8 +32,9 @@ still vectorize) — whenever it cannot prove safety:
   accumulator update when some band induction variable is absent from
   its subscripts;
 * an induction variable appearing non-linearly, with a non-positive
-  stride, in more than one subscript of an access, or two induction
-  variables sharing one subscript;
+  stride, or in more than one subscript of an access, or two induction
+  variables sharing one subscript of the *store* (overlapping writes
+  are order-dependent);
 * a load from the stored buffer whose subscripts are not structurally
   identical to the store's (a loop-carried dependence);
 * a reduction whose contribution does not vary along every reduced
@@ -40,10 +43,12 @@ still vectorize) — whenever it cannot prove safety:
 
 Every bail-out is recorded with a reason key on the function's
 :class:`VectorizeStats`; a bail-out is never an error, just slower
-code.  Buffers are assumed non-aliasing unless they are the same SSA
-value — the same assumption the rest of the evaluation stack makes,
-and one the fuzzing ``engine-diff``/``vectorize-diff`` stages
-continuously cross-check.
+code.  (Codegen adds one reason of its own, ``tiled``, for a root nest
+the tile stage marked ``no_vectorize`` and which is therefore never
+offered to this module.)  Buffers are assumed non-aliasing unless they
+are the same SSA value — the same assumption the rest of the evaluation
+stack makes, and one the fuzzing ``engine-diff``/``vectorize-diff``
+stages continuously cross-check.
 """
 
 from __future__ import annotations
@@ -175,17 +180,20 @@ def try_vectorize_band(
     return True
 
 
-def band_collapses(band: List[AffineForOp]) -> bool:
+def band_collapses(band: List[AffineForOp]) -> Optional[str]:
     """Pure legality query: would :func:`try_vectorize_band` accept this
-    band?  Runs the analysis phase only (which never touches the
-    emission context), records nothing, and emits nothing.  Used by the
-    mid-level optimizer's tiling heuristic to leave vectorizable nests
-    alone."""
+    band, and as what?  ``None`` (it bails), ``"elementwise"`` or
+    ``"reduction"`` (the store folds a ``.sum``/contraction).  Runs the
+    analysis phase only (which never touches the emission context),
+    records nothing, and emits nothing.  The mid-level optimizer gives
+    the vectorizer first refusal through it: tiling leaves collapsible
+    nests alone, and fusion does not glue a collapsed reduction into a
+    body that no longer collapses."""
     try:
-        _Vectorizer(None, list(band), allow_contraction=True)
+        vec = _Vectorizer(None, list(band), allow_contraction=True)
     except _Bail:
-        return False
-    return True
+        return None
+    return "reduction" if vec.reduced else "elementwise"
 
 
 def _access_signature(op) -> tuple:
@@ -205,7 +213,12 @@ class _Access:
     coefficient)``; iv indices absent from ``axes`` do not appear in
     the access.  After slicing, the array's dimensions correspond to
     the sliced subscript positions in order — :attr:`sub_order` lists
-    the band iv index carried by each of those dimensions.
+    the band iv index carried by each of those dimensions.  A *load*
+    subscript may carry several ivs (``x[i + j]``): it is sliced over
+    its whole span and then opened into one dimension per iv, in band
+    order, by :func:`~.runtime.window` — which is ``sub_order``'s order
+    too.  A store subscript may not: overlapping writes are
+    order-dependent.
     """
 
     def __init__(self, op, ivs):
@@ -224,20 +237,20 @@ class _Access:
             ]
             if not hit:
                 continue
-            if len(hit) > 1:
+            if len(hit) > 1 and isinstance(op, AffineStoreOp):
                 raise _Bail("two-ivs-in-one-subscript")
-            b = hit[0]
             linear = expr.as_linear()
             if linear is None:
                 raise _Bail("non-linear-subscript")
-            coeff = sum(
-                linear.dim_coeffs.get(pos, 0) for pos in iv_positions[b]
-            )
-            if coeff <= 0:
-                raise _Bail("non-positive-stride")
-            if b in self.axes:
-                raise _Bail("iv-in-two-subscripts")
-            self.axes[b] = (result_pos, coeff)
+            for b in hit:
+                coeff = sum(
+                    linear.dim_coeffs.get(pos, 0) for pos in iv_positions[b]
+                )
+                if coeff <= 0:
+                    raise _Bail("non-positive-stride")
+                if b in self.axes:
+                    raise _Bail("iv-in-two-subscripts")
+                self.axes[b] = (result_pos, coeff)
         #: band iv indices in subscript (sliced-array dimension) order
         self.sub_order: List[int] = [
             b for _, b in sorted((pos, b) for b, (pos, _) in self.axes.items())
@@ -264,7 +277,8 @@ class _Vectorizer:
         self.vary: Dict[int, frozenset] = {}
         #: id(value) -> generated canonical expression (emission phase)
         self.values: Dict[int, str] = {}
-        #: id(value) -> raw (subscript-order) slice temp, for contraction
+        #: id(value) -> raw (subscript-order) view temp of a vector load:
+        #: what a contraction consumes, and what ``_value`` canonicalizes
         self.raw_views: Dict[int, str] = {}
         self.store: Optional[AffineStoreOp] = None
         self.fused_ops: set = set()
@@ -484,14 +498,25 @@ class _Vectorizer:
 
     def _value(self, value) -> str:
         src = self.values.get(id(value))
+        if src is None and id(value) in self.raw_views:
+            # First use of a vector load outside a contraction (which
+            # consumes the raw view): only now emit its canonical view.
+            src = self.values[id(value)] = self._canonicalize(
+                self.raw_views[id(value)],
+                self.accesses[id(value.defining_op)],
+            )
         if src is not None:
             return src
         # Defined outside the band (function arg, outer scalar, ...).
         return self.ctx.name(value)
 
-    def _subscript(self, access: _Access) -> str:
-        """Render an access's subscript tuple, slicing every band-iv
-        dimension."""
+    def _view(self, access: _Access) -> str:
+        """Render an access as ``mem[...]`` with every band-iv dimension
+        sliced.  A subscript over several ivs (loads only — see
+        :class:`_Access`) is sliced over its whole span, and the result
+        wrapped in the :func:`~.runtime.window` call that opens that
+        dimension into one per iv; a store is always a plain slice
+        target."""
         ctx = self.ctx
         op = access.op
         iv_index = {id(iv): b for b, iv in enumerate(self.ivs)}
@@ -504,22 +529,39 @@ class _Vectorizer:
             else ctx.name(value)
             for value in op.indices
         ]
-        sliced_at = {pos: b for b, (pos, _) in access.axes.items()}
+        sliced_at: Dict[int, List[int]] = {}
+        for b in access.sub_order:
+            sliced_at.setdefault(access.axes[b][0], []).append(b)
         parts = []
+        windows = []
+        axis = 0
         for pos, expr in enumerate(op.map.results):
             src = affine_expr_src(expr, names)
-            b = sliced_at.get(pos)
-            if b is not None:
-                stride = access.axes[b][1] * self.band[b].step
-                start = ctx.fresh("_s")
-                ctx.emit(f"{start} = {src}")
+            bs = sliced_at.get(pos)
+            if bs is None:
+                parts.append(src)
+                continue
+            dims = [
+                (access.axes[b][1] * self.band[b].step, self.n_names[b])
+                for b in bs
+            ]
+            start = ctx.fresh("_s")
+            ctx.emit(f"{start} = {src}")
+            if len(dims) == 1:
+                ((stride, n),) = dims
                 parts.append(
-                    f"slice({start}, {start} + {stride} * "
-                    f"{self.n_names[b]}, {stride})"
+                    f"slice({start}, {start} + {stride} * {n}, {stride})"
                 )
             else:
-                parts.append(src)
-        return ", ".join(parts)
+                span = " + ".join(f"{s} * ({n} - 1)" for s, n in dims)
+                parts.append(f"slice({start}, {start} + {span} + 1)")
+                dims_src = ", ".join(f"({s}, {n})" for s, n in dims)
+                windows.append(f"{axis}, ({dims_src},)")
+            axis += len(dims)
+        view = f"{ctx.name(op.memref)}[{', '.join(parts)}]"
+        for window in windows:
+            view = f"_rt.window({view}, {window})"
+        return view
 
     def _canonicalize(self, raw: str, access: _Access) -> str:
         """Align a sliced array's axes to band order and broadcast-expand
@@ -544,15 +586,13 @@ class _Vectorizer:
     def _emit_load(self, load: AffineLoadOp) -> None:
         ctx = self.ctx
         access = self.accesses[id(load)]
-        mem = ctx.name(load.memref)
+        temp = ctx.fresh()
+        view = self._view(access)
         if access.is_vector:
-            raw = ctx.fresh()
-            ctx.emit(f"{raw} = {mem}[{self._subscript(access)}]")
-            self.raw_views[id(load.results[0])] = raw
-            self.values[id(load.results[0])] = self._canonicalize(raw, access)
+            ctx.emit(f"{temp} = {view}")
+            self.raw_views[id(load.results[0])] = temp
         else:
-            temp = ctx.fresh()
-            ctx.emit(f"{temp} = {mem}[{self._subscript(access)}].item()")
+            ctx.emit(f"{temp} = {view}.item()")
             self.values[id(load.results[0])] = temp
 
     def _labels(self, access: _Access) -> str:
@@ -561,7 +601,6 @@ class _Vectorizer:
     def _emit_store(self, store: AffineStoreOp) -> None:
         ctx = self.ctx
         access = self.accesses[id(store)]
-        mem = ctx.name(store.memref)
         if not self.reduced:
             value_src = self._value(store.value)
             if self._vary_of(store.value):
@@ -570,7 +609,7 @@ class _Vectorizer:
                 perm = tuple(access.sub_order)
                 if perm != tuple(range(self.rank)):
                     value_src = f"{value_src}.transpose({perm})"
-            ctx.emit(f"{mem}[{self._subscript(access)}] = {value_src}")
+            ctx.emit(f"{self._view(access)} = {value_src}")
             return
         update, _acc, contrib = self.reduction
         sign = "+" if update.name == "std.addf" else "-"
@@ -591,10 +630,8 @@ class _Vectorizer:
             perm = tuple(kept.index(b) for b in access.sub_order)
             if perm != tuple(range(len(perm))):
                 contrib_src = f"{contrib_src}.transpose({perm})"
-        subscript = self._subscript(access)
-        ctx.emit(
-            f"{mem}[{subscript}] = {mem}[{subscript}] {sign} {contrib_src}"
-        )
+        target = self._view(access)
+        ctx.emit(f"{target} = {target} {sign} {contrib_src}")
 
     def _emit_contraction(self, store_access: _Access) -> str:
         leaves, scalars, _internal = self.contraction

@@ -47,7 +47,7 @@ from .rewrite import get_default_driver
 
 #: Folded into every key: bump whenever any pass's semantics change in
 #: a way its ``cache_config()`` does not capture.
-PASS_CACHE_VERSION = "pass-cache-v3"
+PASS_CACHE_VERSION = "pass-cache-v4"
 
 #: Default in-memory memo bound (entries, not bytes).
 DEFAULT_MEMO_ENTRIES = 4096

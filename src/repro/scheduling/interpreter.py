@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, List, Optional
 
+from ..dialects.affine import perfect_nest
 from ..dialects.transform import (
     CanonicalizeOp,
     CopyElimOp,
@@ -43,6 +44,7 @@ from ..execution.engine.optimizer import (
     run_function_stage,
     tile_nests,
 )
+from ..execution.engine.vectorize import band_collapses
 from ..ir import ModuleOp, Operation
 from ..transforms.canonicalize import canonicalize
 from ..transforms.copy_elimination import copy_eliminate
@@ -109,9 +111,29 @@ def schedule_vectorize(schedule) -> Optional[str]:
 # ----------------------------------------------------------------------
 
 
+def _would_lose_collapse(first, second) -> Optional[str]:
+    """The vectorizer's first refusal on a fusion candidate: when both
+    bands already collapse whole and one of them folds a reduction, it
+    is one ``contract``/``.sum`` call today, and the fused body — two
+    stores, or an accumulator chain once ``copy_elim`` forwards the
+    shared element — is a form neither the vectorizer nor ``distribute``
+    gets back.  Elementwise pairs keep fusing: their fused body still
+    collapses after ``copy_elim``."""
+    first_kind = band_collapses(perfect_nest(first))
+    if first_kind is None:
+        return None
+    second_kind = band_collapses(perfect_nest(second))
+    if second_kind is None or first_kind == second_kind == "elementwise":
+        return None
+    return "would-lose-collapse"
+
+
 def _fuse(step, func: Operation, scratch: OptStats) -> None:
     scratch.loops_fused += greedy_fuse(
-        func, require_flow=step.flow, bails=scratch.fusion_bails
+        func,
+        require_flow=step.flow,
+        bails=scratch.fusion_bails,
+        veto=_would_lose_collapse,
     )
 
 

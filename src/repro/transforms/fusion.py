@@ -16,7 +16,7 @@ write, no SSA def feeding ``second``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..analysis.accesses import access_function, collect_accesses
 from ..dialects.affine import AffineForOp, AffineLoadOp, AffineStoreOp
@@ -288,6 +288,9 @@ def greedy_fuse(
     root: Operation,
     require_flow: bool = False,
     bails: Optional[Dict[str, int]] = None,
+    veto: Optional[
+        Callable[[AffineForOp, AffineForOp], Optional[str]]
+    ] = None,
 ) -> int:
     """Fuse fusable sibling loops under ``root`` across whole sibling
     lists (maxfuse).  With ``require_flow=True`` only producer/consumer
@@ -296,7 +299,9 @@ def greedy_fuse(
 
     ``bails`` accumulates a reason -> count taxonomy over every
     rejected candidate pair (pairs re-examined across fixpoint rounds
-    count once per attempt).
+    count once per attempt).  ``veto(first, second)`` lets the caller
+    refuse a pair on profitability grounds: a returned reason is
+    recorded as that pair's bail and the pair is left unfused.
     """
     fused = 0
     changed = True
@@ -312,6 +317,10 @@ def greedy_fuse(
                     continue
                 if require_flow and not has_flow(op, candidate):
                     _bail(bails, "no-flow")
+                    continue
+                reason = veto(op, candidate) if veto is not None else None
+                if reason is not None:
+                    _bail(bails, reason)
                     continue
                 if fuse_sibling_loops(op, candidate, bails=bails):
                     fused += 1

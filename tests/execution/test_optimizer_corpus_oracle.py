@@ -1,11 +1,14 @@
 """Whole-corpus optimizer oracle: every kernel x pipeline compiled with
-``opt_mode="full"`` agrees with the interpreter running the *untouched*
-MET module.
+``opt_mode="fuse"`` and ``"full"`` agrees with the interpreter running
+the *untouched* MET module, and on ``baseline`` every nest of every
+kernel collapses whole under every ``opt_mode``.
 
 The fuzz oracle covers generated modules; this covers the kernels the
 benchmarks time.  Its absence is how a fusion miscompile of
 gemver/baseline (the consumer nest fused under a producer that had not
-finished ``x``) went unnoticed for six PRs.
+finished ``x``) went unnoticed for six PRs, and how the optimizer ran
+gesummv and gemver 1000x slower than no optimizer for as long (fusion
+glued two collapsed contractions into one body that did not collapse).
 """
 
 import pytest
@@ -15,6 +18,7 @@ from repro.evaluation import kernels as K
 from repro.evaluation.pipelines import MODULE_BUILDERS, build_module
 from repro.execution import ExecutionEngine, Interpreter
 from repro.execution.engine.cache import KernelCache
+from repro.execution.engine.optimizer import OPT_MODES
 from repro.fuzzing.oracle import make_args, module_arg_shapes
 from repro.met import compile_c
 from repro.tactics.contraction import (
@@ -50,16 +54,38 @@ def reference(request):
     return source, func, inputs, expected
 
 
-@pytest.mark.parametrize("pipeline", sorted(MODULE_BUILDERS))
-def test_full_optimizer_matches_interpreter(reference, pipeline):
-    source, func, inputs, expected = reference
-    engine = ExecutionEngine(
+def _engine(source, pipeline, opt_mode):
+    return ExecutionEngine(
         build_module(source, pipeline),
         pipeline=pipeline,
-        opt_mode="full",
+        opt_mode=opt_mode,
         cache=KernelCache(),
     )
+
+
+def _assert_matches_interpreter(reference, pipeline, opt_mode):
+    source, func, inputs, expected = reference
     actual = [a.copy() for a in inputs]
-    engine.run(func, *actual)
+    _engine(source, pipeline, opt_mode).run(func, *actual)
     for got, want in zip(actual, expected):
         assert_close(got, want, rtol=1e-4)
+
+
+@pytest.mark.parametrize("pipeline", sorted(MODULE_BUILDERS))
+def test_full_optimizer_matches_interpreter(reference, pipeline):
+    _assert_matches_interpreter(reference, pipeline, "full")
+
+
+@pytest.mark.parametrize("pipeline", sorted(MODULE_BUILDERS))
+def test_fuse_optimizer_matches_interpreter(reference, pipeline):
+    _assert_matches_interpreter(reference, pipeline, "fuse")
+
+
+@pytest.mark.parametrize("opt_mode", OPT_MODES)
+def test_every_baseline_nest_collapses(reference, opt_mode):
+    # The structural floor under the exec_baseline timings: no
+    # optimizer mode may leave a paper kernel with a scalar loop.
+    stats = _engine(reference[0], "baseline", opt_mode).vectorize_stats
+    assert stats["nests_collapsed"] >= 1
+    assert stats["nests_bailed"] == stats["nests_partial"] == 0
+    assert stats["bail_reasons"] == {}

@@ -6,8 +6,12 @@ fuse decision explainable: "fusion didn't happen" always comes with a
 reason count.
 """
 
+import pytest
+
 from repro.dialects.affine import outermost_loops
 from repro.execution.engine.optimizer import OptStats, run_optimizer
+from repro.ir import print_module
+from repro.ir.pass_cache import PassResultCache
 from repro.met import compile_c
 from repro.transforms.fusion import can_fuse, greedy_fuse
 
@@ -119,3 +123,69 @@ def test_conflict_carried_needs_both_sides_to_accumulate():
     bails = {}
     assert not can_fuse(loops[0], loops[1], bails=bails)
     assert bails == {"conflict-carried": 1}
+
+
+# The two corpus shapes whose nests each collapse into one vectorizer
+# call on their own, and into none once glued together.
+GESUMMV_SHAPE = (
+    "void f(float A[6][6], float B[6][6], float x[6], float y[6]) {\n"
+    "  for (int i = 0; i < 6; i++)\n"
+    "    for (int j = 0; j < 6; j++) y[i] += A[i][j] * x[j];\n"
+    "  for (int i = 0; i < 6; i++)\n"
+    "    for (int j = 0; j < 6; j++) y[i] += B[i][j] * x[j];\n"
+    "}\n"
+)
+GEMVER_SHAPE = (
+    "void f(float A[6][6], float u[6], float v[6], float x[6],"
+    " float y[6]) {\n"
+    "  for (int i = 0; i < 6; i++)\n"
+    "    for (int j = 0; j < 6; j++) A[i][j] = A[i][j] + u[i] * v[j];\n"
+    "  for (int i = 0; i < 6; i++)\n"
+    "    for (int j = 0; j < 6; j++) x[j] += A[i][j] * y[i];\n"
+    "}\n"
+)
+
+
+@pytest.mark.parametrize("source", [GESUMMV_SHAPE, GEMVER_SHAPE])
+def test_fuse_step_keeps_a_collapsed_reduction_whole(source):
+    module, _ = _loops(source)
+    before = print_module(module)
+    stats = run_optimizer(module, "fuse")
+    assert stats.loops_fused == 0
+    assert stats.fusion_bails == {"would-lose-collapse": 1}
+    assert print_module(module) == before
+    # The refusal is the fuse *step*'s policy: the transform itself
+    # (Pluto baseline, affine-loop-fusion pass) fuses both as before.
+    bails = {}
+    assert greedy_fuse(module.functions[0], require_flow=True, bails=bails) == 2
+    assert "would-lose-collapse" not in bails
+
+
+def test_greedy_fuse_veto_is_asked_before_anything_moves():
+    module, loops = _loops(GESUMMV_SHAPE)
+    before = print_module(module)
+    asked, bails = [], {}
+
+    def veto(first, second):
+        asked.append((first, second))
+        return "not-today"
+
+    assert greedy_fuse(module.functions[0], bails=bails, veto=veto) == 0
+    # The root pair, then each root's lone inner loop has no sibling.
+    assert asked == [(loops[0], loops[1])]
+    assert bails == {"not-today": 1}
+    assert print_module(module) == before
+
+
+def test_fuse_step_replays_from_the_pass_cache():
+    # The veto reads nothing but the function it is handed, so the
+    # step stays keyed by function text alone.
+    cache = PassResultCache()
+    runs = []
+    for _ in range(2):
+        module, _ = _loops(GESUMMV_SHAPE)
+        stats = run_optimizer(module, "fuse", pass_cache=cache)
+        runs.append((print_module(module), stats.snapshot()))
+    assert cache.stats.executions == 1 and cache.stats.hits == 1
+    assert runs[0] == runs[1]
+    assert runs[0][1]["fusion_bails"] == {"would-lose-collapse": 1}

@@ -177,10 +177,33 @@ class TestStages:
         variants = [module, module.clone(), parse_module(text)]
         assert [print_module(variant) for variant in variants] == [text] * 3
         compiled = [compile_module(variant) for variant in variants]
-        assert compiled[0].vectorize_stats["bail_reasons"] == {}
+        # ... and the one bailed nest says why, once.
+        assert compiled[0].vectorize_stats["nests_bailed"] == 1
+        assert compiled[0].vectorize_stats["bail_reasons"] == {"tiled": 1}
         for other in compiled[1:]:
             assert other.source == compiled[0].source
             assert other.vectorize_stats == compiled[0].vectorize_stats
+
+    @pytest.mark.parametrize("opt_mode", OPT_MODES)
+    def test_every_scalar_nest_has_a_reason(self, opt_mode):
+        # "Why is this nest not vectorized" always has an answer: a
+        # bailed or partial nest with no recorded reason is a bug (a
+        # tiled root used to skip the attempt and still count).
+        modules = [compile_c(TILABLE_SCALAR, distribute=False)] + [
+            generate_affine_module(seed).module for seed in range(40)
+        ]
+        scalar_nests = 0
+        for module in modules:
+            stats = ExecutionEngine(
+                module,
+                pipeline="reasons",
+                cache=KernelCache(),
+                opt_mode=opt_mode,
+            ).vectorize_stats
+            if stats["nests_bailed"] + stats["nests_partial"]:
+                scalar_nests += 1
+                assert stats["bail_reasons"], stats
+        assert scalar_nests > 1
 
     def test_tiled_execution_is_bit_exact(self):
         module = compile_c(TILABLE_SCALAR, distribute=False)
