@@ -12,7 +12,9 @@ claim mechanically.  Four parts:
 * :mod:`.oracle` — runs the interpreter on the module snapshot after
   every stage of each Figure-9 pipeline and demands numerically
   identical output buffers, plus verifier and print->parse round-trip
-  checks per snapshot.
+  checks per snapshot, then cross-checks every selected configuration
+  of the oracle matrix (:data:`ENGINE_ROWS`, :data:`CHECKS`) against
+  the interpreter.
 * :mod:`.bisect` — on a mismatch, replays the pipeline pass-by-pass to
   name the first semantics- or verifier-breaking pass.
 * :mod:`.reduce` — delta-debugs a failing C kernel (drop loops, shrink
@@ -32,15 +34,20 @@ from .generators import (  # noqa: F401
     unparse_unit,
 )
 from .oracle import (  # noqa: F401
+    CHECKS,
     DEFAULT_PIPELINES,
+    ENGINE_ROWS,
+    FAILURE_KINDS,
+    PIPELINE_CHECKS,
+    EngineRow,
     OracleReport,
     Pipeline,
     PipelineStage,
     StageResult,
     build_pipelines,
-    check_incremental_equivalence,
+    check_engine_rows,
     check_module,
-    check_opt_module,
+    check_snapshot,
     run_oracle,
     run_oracle_on_module,
 )

@@ -13,18 +13,15 @@ checking order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..ir import Context, ModuleOp
 from ..met import compile_c
 from .oracle import (
+    CHECKS,
     Pipeline,
-    StageResult,
-    check_engine_module,
     check_module,
-    check_opt_module,
-    check_schedule_module,
-    check_vectorize_module,
+    check_snapshot,
     make_args,
     module_arg_shapes,
 )
@@ -40,9 +37,7 @@ class BisectionResult:
     stage: Optional[str] = None
     #: 0-based position of the culprit in the flattened pass list.
     index: Optional[int] = None
-    #: Failure kind (crash | verify | roundtrip | execute | diff |
-    #: engine | engine-diff | vectorize | vectorize-diff | opt |
-    #: opt-diff | schedule | schedule-diff).
+    #: Failure kind: one of :data:`~.oracle.FAILURE_KINDS`.
     kind: str = ""
     detail: str = ""
 
@@ -67,10 +62,7 @@ def bisect_pipeline(
     seed: int = 0,
     rtol: float = 2e-3,
     max_steps: int = 20_000_000,
-    check_engine: bool = True,
-    check_vectorize: bool = True,
-    check_opt: bool = True,
-    check_schedule: bool = True,
+    checks: Sequence[str] = CHECKS,
 ) -> BisectionResult:
     """Replay ``pipeline`` pass-by-pass over a C source (str) or a
     pristine module (ModuleOp) and locate the first breaking pass."""
@@ -88,8 +80,7 @@ def bisect_pipeline(
                 detail=str(exc),
             )
 
-    shapes = module_arg_shapes(module, func_name)
-    base_args = make_args(shapes, seed)
+    base_args = make_args(module_arg_shapes(module, func_name), seed)
 
     # Establish the reference from the untransformed module; if the
     # pristine snapshot itself fails, the frontend (not a pass) is the
@@ -119,113 +110,24 @@ def bisect_pipeline(
                 kind="crash",
                 detail=str(exc),
             )
-        result, outputs = check_module(
+        results, _ = check_snapshot(
             module,
             func_name,
             base_args,
             reference,
             stage_name,
-            rtol=rtol,
-            max_steps=max_steps,
+            pipeline.name,
+            checks,
+            seed,
+            rtol,
+            max_steps,
         )
-        if not result.ok:
+        if not results[-1].ok:
             return BisectionResult(
                 culprit_pass=pass_name,
                 stage=stage_name,
                 index=position,
-                kind=result.kind,
-                detail=result.detail,
+                kind=results[-1].kind,
+                detail=results[-1].detail,
             )
-        if check_engine:
-            engine_result = check_engine_module(
-                module,
-                func_name,
-                base_args,
-                outputs,
-                stage_name,
-                pipeline_name=pipeline.name,
-                rtol=rtol,
-            )
-            if not engine_result.ok:
-                return BisectionResult(
-                    culprit_pass=pass_name,
-                    stage=stage_name,
-                    index=position,
-                    kind=engine_result.kind,
-                    detail=engine_result.detail,
-                )
-        if check_vectorize:
-            vec_result = check_vectorize_module(
-                module,
-                func_name,
-                base_args,
-                outputs,
-                stage_name,
-                pipeline_name=pipeline.name,
-                rtol=rtol,
-            )
-            if not vec_result.ok:
-                return BisectionResult(
-                    culprit_pass=pass_name,
-                    stage=stage_name,
-                    index=position,
-                    kind=vec_result.kind,
-                    detail=vec_result.detail,
-                )
-        if check_opt:
-            opt_result = check_opt_module(
-                module,
-                func_name,
-                base_args,
-                outputs,
-                stage_name,
-                pipeline_name=pipeline.name,
-                rtol=rtol,
-            )
-            if not opt_result.ok:
-                return BisectionResult(
-                    culprit_pass=pass_name,
-                    stage=stage_name,
-                    index=position,
-                    kind=opt_result.kind,
-                    detail=opt_result.detail,
-                )
-        if check_schedule:
-            schedule_result = check_schedule_module(
-                module,
-                func_name,
-                base_args,
-                outputs,
-                stage_name,
-                pipeline_name=pipeline.name,
-                rtol=rtol,
-                seed=seed,
-                max_steps=max_steps,
-            )
-            if not schedule_result.ok:
-                return BisectionResult(
-                    culprit_pass=pass_name,
-                    stage=stage_name,
-                    index=position,
-                    kind=schedule_result.kind,
-                    detail=schedule_result.detail,
-                )
     return BisectionResult(culprit_pass=None)
-
-
-def replay_check(
-    source: str,
-    pipeline: Pipeline,
-    func_name: str,
-    seed: int = 0,
-    rtol: float = 2e-3,
-    max_steps: int = 20_000_000,
-) -> Optional[StageResult]:
-    """Convenience for the reducer: run the staged oracle on a source
-    and return its first failure (None when the kernel passes)."""
-    from .oracle import run_oracle
-
-    report = run_oracle(
-        source, pipeline, func_name, seed=seed, rtol=rtol, max_steps=max_steps
-    )
-    return report.first_failure

@@ -35,12 +35,12 @@ from .generators import (
     generate_kernel,
 )
 from .oracle import (
+    CHECKS,
     DEFAULT_PIPELINES,
+    PIPELINE_CHECKS,
     OracleReport,
     Pipeline,
     build_pipelines,
-    check_driver_equivalence,
-    check_incremental_equivalence,
     run_oracle,
     run_oracle_on_module,
 )
@@ -63,11 +63,12 @@ class FuzzFailure:
     def reduced(self) -> bool:
         """A failure counts as reduced when it carries a minimal
         reproducer (C kernels) or needs none (module inputs and
-        driver-diff failures replay from the seed alone)."""
+        pipeline byte-diff failures replay from the seed alone)."""
         return (
             self.kind == "affine-module"
-            or self.pipeline.startswith("driver-diff")
-            or self.pipeline.startswith("incremental-diff")
+            or self.pipeline.startswith(
+                tuple(f"{check}-diff" for check in PIPELINE_CHECKS)
+            )
             or self.reduced_source is not None
         )
 
@@ -91,9 +92,10 @@ class CampaignStats:
     elapsed: float = 0.0
     failures: List[FuzzFailure] = field(default_factory=list)
     hit_time_limit: bool = False
-    #: Vectorizer bail-reason taxonomies aggregated over every opt-diff
-    #: engine compile of the campaign, keyed by reason — one for the
-    #: optimizer disabled, one for the full pipeline.  The whole point
+    #: Vectorizer bail-reason taxonomies aggregated over every compile
+    #: of the ``opt=none`` and ``opt=full`` oracle rows, keyed by reason
+    #: — one for the optimizer disabled, one for the full pipeline
+    #: (``opt=fuse`` is checked but not tallied).  The whole point
     #: of the mid-level optimizer is that ``bail_full`` sums strictly
     #: lower than ``bail_none`` on a mixed corpus.
     bail_none: Dict[str, int] = field(default_factory=dict)
@@ -108,9 +110,12 @@ class CampaignStats:
         return [f for f in self.failures if not f.reduced]
 
     def merge_bails(self, sink: Dict[str, Dict[str, int]]) -> None:
-        """Fold one seed's per-opt-mode bail taxonomy into the totals."""
-        for target, mode in ((self.bail_none, "none"), (self.bail_full, "full")):
-            for reason, count in sink.get(mode, {}).items():
+        """Fold one seed's per-row bail taxonomy into the totals."""
+        for target, row in (
+            (self.bail_none, "opt=none"),
+            (self.bail_full, "opt=full"),
+        ):
+            for reason, count in sink.get(row, {}).items():
                 target[reason] = target.get(reason, 0) + count
 
     def summary(self) -> str:
@@ -150,25 +155,20 @@ class FuzzCampaign:
         check_modules: bool = True,
         write_artifacts: bool = True,
         extra_pipelines: Optional[Dict[str, Pipeline]] = None,
-        check_engine: bool = True,
-        check_drivers: bool = True,
-        check_vectorize: bool = True,
-        check_synth: bool = True,
-        check_opt: bool = True,
-        check_schedule: bool = True,
-        check_incremental: bool = True,
+        checks: Optional[Sequence[str]] = None,
     ):
         self.out_dir = out_dir
         self.rtol = rtol
         self.max_steps = max_steps
         self.check_modules = check_modules
-        self.check_engine = check_engine
-        self.check_drivers = check_drivers
-        self.check_vectorize = check_vectorize
-        self.check_synth = check_synth
-        self.check_opt = check_opt
-        self.check_schedule = check_schedule
-        self.check_incremental = check_incremental
+        selected = CHECKS if checks is None else tuple(checks)
+        unknown = [c for c in selected if c not in CHECKS]
+        if unknown:
+            raise ValueError(
+                f"unknown check(s) {unknown}; known: {list(CHECKS)}"
+            )
+        #: The selected oracle checks, in :data:`~.oracle.CHECKS` order.
+        self.checks = tuple(c for c in CHECKS if c in selected)
         self.write_artifacts = write_artifacts
         registry = build_pipelines(fuzz_tile_size)
         if extra_pipelines:
@@ -218,196 +218,150 @@ class FuzzCampaign:
             failures.append(expectation)
         if self.write_artifacts and kernel.family in NEAR_MISS_FAMILIES:
             self._export_near_miss(kernel)
-        if self.check_synth:
+        if "synth" in self.checks:
             synth_expectation = self._check_synth_expectation(seed, kernel)
             stats.checks += 1
             if synth_expectation is not None:
                 failures.append(synth_expectation)
-        for name, pipeline in self.pipelines.items():
-            report = run_oracle(
+        failures.extend(
+            self._check_input(
+                seed,
+                "c-kernel",
+                kernel.family,
                 kernel.source,
-                pipeline,
                 kernel.func_name,
-                seed=seed,
-                rtol=self.rtol,
-                max_steps=self.max_steps,
-                check_engine=self.check_engine,
-                check_vectorize=self.check_vectorize,
-                check_opt=self.check_opt,
-                check_schedule=self.check_schedule,
-                bail_sink=bail_sink,
+                kernel.source,
+                stats,
+                bail_sink,
             )
-            stats.checks += 1
-            stats.stages_checked += len(report.stages)
-            if not report.ok:
-                failures.append(
-                    self._handle_c_failure(seed, kernel, pipeline, report)
-                )
-        if self.check_drivers or self.check_incremental:
-            try:
-                from ..met import compile_c
-
-                module = compile_c(kernel.source, distribute=False)
-            except Exception:
-                module = None  # frontend crash is reported by run_oracle
-            if module is not None:
-                if self.check_drivers:
-                    failures.extend(
-                        self._run_driver_checks(
-                            seed,
-                            "c-kernel",
-                            kernel.family,
-                            kernel.source,
-                            kernel.func_name,
-                            module,
-                            stats,
-                        )
-                    )
-                if self.check_incremental:
-                    failures.extend(
-                        self._run_incremental_checks(
-                            seed,
-                            "c-kernel",
-                            kernel.family,
-                            kernel.source,
-                            kernel.func_name,
-                            module,
-                            stats,
-                        )
-                    )
+        )
         if self.check_modules:
+            from ..ir import print_module
+
             generated = generate_affine_module(seed)
-            for name, pipeline in self.pipelines.items():
-                report = run_oracle_on_module(
-                    generated.module,
-                    pipeline,
+            failures.extend(
+                self._check_input(
+                    seed,
+                    "affine-module",
+                    "affine-module",
+                    print_module(generated.module),
                     generated.func_name,
-                    seed=seed,
-                    rtol=self.rtol,
-                    max_steps=self.max_steps,
-                    check_engine=self.check_engine,
-                    check_vectorize=self.check_vectorize,
-                    check_opt=self.check_opt,
-                    check_schedule=self.check_schedule,
-                    bail_sink=bail_sink,
+                    generated.module,
+                    stats,
+                    bail_sink,
                 )
-                stats.checks += 1
-                stats.stages_checked += len(report.stages)
-                if not report.ok:
-                    failures.append(
-                        self._handle_module_failure(
-                            seed, generated, pipeline, report
-                        )
-                    )
-            if self.check_drivers:
-                from ..ir import print_module
-
-                failures.extend(
-                    self._run_driver_checks(
-                        seed,
-                        "affine-module",
-                        "affine-module",
-                        print_module(generated.module),
-                        generated.func_name,
-                        generated.module,
-                        stats,
-                    )
-                )
-            if self.check_incremental:
-                from ..ir import print_module
-
-                failures.extend(
-                    self._run_incremental_checks(
-                        seed,
-                        "affine-module",
-                        "affine-module",
-                        print_module(generated.module),
-                        generated.func_name,
-                        generated.module,
-                        stats,
-                    )
-                )
+            )
         stats.merge_bails(bail_sink)
         return failures
 
-    def _run_driver_checks(
+    def _check_input(
         self,
         seed: int,
         kind: str,
         family: str,
         source: str,
         func_name: str,
-        module,
+        subject,
         stats: CampaignStats,
+        bail_sink: Dict[str, Dict[str, int]],
     ) -> List[FuzzFailure]:
-        """Worklist-vs-snapshot IR diff for every configured pipeline.
+        """Every per-pipeline check on one generated input.
 
-        A mismatch is a rewrite-driver bug, not a pipeline bug, so it
-        gets neither bisection nor reduction — the seed plus the diff
-        in the report is the reproducer.
+        ``subject`` is what the oracle and the bisector consume: the C
+        source for a ``c-kernel``, the builder's module for an
+        ``affine-module`` (``source`` is then its printed form, kept
+        for the artifact).  The staged oracle runs first; a failure is
+        bisected and, for C kernels, reduced.  Then the selected
+        :data:`~.oracle.PIPELINE_CHECKS` diff printed IR over each whole
+        pipeline: a mismatch there is a rewrite-driver or pass-cache
+        bug, not a pipeline bug, so it gets neither bisection nor
+        reduction — the seed plus the diff in the report is the
+        reproducer.
         """
+        from ..met import compile_c
+
         failures: List[FuzzFailure] = []
-        for name, pipeline in self.pipelines.items():
-            result = check_driver_equivalence(module, pipeline)
-            stats.checks += 1
-            stats.stages_checked += 1
-            if result.ok:
-                continue
-            report = OracleReport(f"driver-diff:{name}", func_name)
-            report.stages.append(result)
-            failure = FuzzFailure(
-                seed=seed,
-                pipeline=f"driver-diff-{name}",
-                kind=kind,
-                family=family,
-                report=report,
-                bisection=None,
-                source=source,
+        is_c = kind == "c-kernel"
+        oracle = run_oracle if is_c else run_oracle_on_module
+        common = dict(
+            seed=seed,
+            rtol=self.rtol,
+            max_steps=self.max_steps,
+            checks=self.checks,
+        )
+        for pipeline in self.pipelines.values():
+            report = oracle(
+                subject, pipeline, func_name, bail_sink=bail_sink, **common
             )
-            if self.write_artifacts:
-                failure.artifact_dir = self._dump(failure)
-            failures.append(failure)
+            stats.checks += 1
+            stats.stages_checked += len(report.stages)
+            if report.ok:
+                continue
+            bisection = bisect_pipeline(
+                subject, pipeline, func_name, **common
+            )
+            reduced = None
+            if is_c:
+
+                def still_fails(candidate: str) -> bool:
+                    failure = run_oracle(
+                        candidate, pipeline, func_name, **common
+                    ).first_failure
+                    return (
+                        failure is not None
+                        and failure.kind == report.first_failure.kind
+                    )
+
+                reduced = reduce_source(source, still_fails)
+            failures.append(
+                self._record(
+                    FuzzFailure(
+                        seed=seed,
+                        pipeline=pipeline.name,
+                        kind=kind,
+                        family=family,
+                        report=report,
+                        bisection=bisection,
+                        source=source,
+                        reduced_source=reduced,
+                    )
+                )
+            )
+        selected = [c for c in PIPELINE_CHECKS if c in self.checks]
+        module = subject
+        if selected and is_c:
+            try:
+                module = compile_c(source, distribute=False)
+            except Exception:
+                return failures  # frontend crash is reported by run_oracle
+        for check in selected:
+            for name, pipeline in self.pipelines.items():
+                result = PIPELINE_CHECKS[check](module, pipeline)
+                stats.checks += 1
+                stats.stages_checked += 1
+                if result.ok:
+                    continue
+                report = OracleReport(f"{check}-diff:{name}", func_name)
+                report.stages.append(result)
+                failures.append(
+                    self._record(
+                        FuzzFailure(
+                            seed=seed,
+                            pipeline=f"{check}-diff-{name}",
+                            kind=kind,
+                            family=family,
+                            report=report,
+                            bisection=None,
+                            source=source,
+                        )
+                    )
+                )
         return failures
 
-    def _run_incremental_checks(
-        self,
-        seed: int,
-        kind: str,
-        family: str,
-        source: str,
-        func_name: str,
-        module,
-        stats: CampaignStats,
-    ) -> List[FuzzFailure]:
-        """Incremental-vs-scratch IR diff for every configured pipeline.
-
-        A mismatch is a pass-cache bug (bad key, lying change report,
-        unsound splice), not a pipeline bug, so there is no bisection
-        or reduction step: the check itself already names the first
-        diverging pass, and the seed replays it.
-        """
-        failures: List[FuzzFailure] = []
-        for name, pipeline in self.pipelines.items():
-            result = check_incremental_equivalence(module, pipeline)
-            stats.checks += 1
-            stats.stages_checked += 1
-            if result.ok:
-                continue
-            report = OracleReport(f"incremental-diff:{name}", func_name)
-            report.stages.append(result)
-            failure = FuzzFailure(
-                seed=seed,
-                pipeline=f"incremental-diff-{name}",
-                kind=kind,
-                family=family,
-                report=report,
-                bisection=None,
-                source=source,
-            )
-            if self.write_artifacts:
-                failure.artifact_dir = self._dump(failure)
-            failures.append(failure)
-        return failures
+    def _record(self, failure: FuzzFailure) -> FuzzFailure:
+        if self.write_artifacts:
+            failure.artifact_dir = self._dump(failure)
+        return failure
 
     # ------------------------------------------------------------------
 
@@ -463,9 +417,7 @@ class FuzzCampaign:
             source=kernel.source,
             reduced_source=reduced,
         )
-        if self.write_artifacts:
-            failure.artifact_dir = self._dump(failure)
-        return failure
+        return self._record(failure)
 
     @staticmethod
     def _synth_raises_all(source: str) -> bool:
@@ -526,9 +478,7 @@ class FuzzCampaign:
             source=kernel.source,
             reduced_source=reduced,
         )
-        if self.write_artifacts:
-            failure.artifact_dir = self._dump(failure)
-        return failure
+        return self._record(failure)
 
     def _export_near_miss(self, kernel: GeneratedKernel) -> str:
         """Persist a near-miss variant as a replayable corpus entry.
@@ -561,88 +511,6 @@ class FuzzCampaign:
             json.dump(payload, handle, indent=2)
             handle.write("\n")
         return directory
-
-    def _handle_c_failure(
-        self,
-        seed: int,
-        kernel: GeneratedKernel,
-        pipeline: Pipeline,
-        report: OracleReport,
-    ) -> FuzzFailure:
-        bisection = bisect_pipeline(
-            kernel.source,
-            pipeline,
-            kernel.func_name,
-            seed=seed,
-            rtol=self.rtol,
-            max_steps=self.max_steps,
-            check_engine=self.check_engine,
-            check_vectorize=self.check_vectorize,
-            check_opt=self.check_opt,
-            check_schedule=self.check_schedule,
-        )
-
-        def still_fails(candidate: str) -> bool:
-            candidate_report = run_oracle(
-                candidate,
-                pipeline,
-                kernel.func_name,
-                seed=seed,
-                rtol=self.rtol,
-                max_steps=self.max_steps,
-                check_engine=self.check_engine,
-                check_vectorize=self.check_vectorize,
-                check_opt=self.check_opt,
-                check_schedule=self.check_schedule,
-            )
-            failure = candidate_report.first_failure
-            original = report.first_failure
-            return failure is not None and failure.kind == original.kind
-
-        reduced = reduce_source(kernel.source, still_fails)
-        failure = FuzzFailure(
-            seed=seed,
-            pipeline=pipeline.name,
-            kind="c-kernel",
-            family=kernel.family,
-            report=report,
-            bisection=bisection,
-            source=kernel.source,
-            reduced_source=reduced,
-        )
-        if self.write_artifacts:
-            failure.artifact_dir = self._dump(failure)
-        return failure
-
-    def _handle_module_failure(
-        self, seed: int, generated, pipeline: Pipeline, report: OracleReport
-    ) -> FuzzFailure:
-        from ..ir import print_module
-
-        bisection = bisect_pipeline(
-            generated.module,
-            pipeline,
-            generated.func_name,
-            seed=seed,
-            rtol=self.rtol,
-            max_steps=self.max_steps,
-            check_engine=self.check_engine,
-            check_vectorize=self.check_vectorize,
-            check_opt=self.check_opt,
-            check_schedule=self.check_schedule,
-        )
-        failure = FuzzFailure(
-            seed=seed,
-            pipeline=pipeline.name,
-            kind="affine-module",
-            family="affine-module",
-            report=report,
-            bisection=bisection,
-            source=print_module(generated.module),
-        )
-        if self.write_artifacts:
-            failure.artifact_dir = self._dump(failure)
-        return failure
 
     # ------------------------------------------------------------------
 

@@ -1,41 +1,28 @@
 """The differential pipeline-stage oracle.
 
 For a given kernel the oracle runs each Figure-9 pipeline *stage by
-stage*, and after every stage checks the module snapshot three ways:
+stage*.  After every stage :func:`check_snapshot` checks the module
+snapshot: the IR must verify, print -> parse -> print must reach a
+fixpoint, and the interpreter's output buffers must match the stage-0
+(MET output) reference up to a small float tolerance for reassociated
+contractions (:func:`check_module`).  Every *selected* check then
+compares another configuration against the interpreter's outputs for
+that same snapshot:
 
-1. **verifier** — the IR must still verify;
-2. **round-trip** — printing, reparsing, and reprinting must reach a
-   fixpoint (printer/parser stay in sync at every abstraction level);
-3. **execution** — the interpreter must produce numerically identical
-   output buffers to the stage-0 (MET output) reference, up to a small
-   float tolerance for reassociated contractions;
-4. **engine-diff** — the compiled :class:`ExecutionEngine` must agree
-   with the interpreter on the same snapshot (reported as a separate
-   ``engine-diff:<stage>`` result; disable with ``check_engine=False``
-   or ``mlt-fuzz --no-engine-diff``);
-5. **vectorize-diff** — the engine compiled with whole-nest
-   vectorization (``vectorize="nest"``) and with vectorization fully
-   disabled (``vectorize="none"``, plain scalar loops) must agree with
-   each other and with the interpreter on the same snapshot (reported
-   as ``vectorize-diff:<stage>``; disable with
-   ``check_vectorize=False`` or ``mlt-fuzz --no-vectorize-diff``);
-6. **opt-diff** — the engine compiled with the mid-level loop
-   optimizer fully enabled (``opt_mode="full"``) and disabled
-   (``opt_mode="none"``) must agree with each other and with the
-   interpreter on the same snapshot (reported as
-   ``opt-diff:<stage>``; disable with ``check_opt=False`` or
-   ``mlt-fuzz --no-opt-diff``);
-7. **driver-diff** — the worklist and snapshot greedy pattern drivers
-   must produce byte-identical printed IR for the whole pipeline
-   (:func:`check_driver_equivalence`; disable with
-   ``check_drivers=False`` or ``mlt-fuzz --no-driver-diff``);
-8. **incremental-diff** — compiling through the function-granular
-   pass-result cache (cold, then fully warm) must produce printed IR
-   byte-identical to a from-scratch run after *every* pass of the
-   pipeline (:func:`check_incremental_equivalence`; disable with
-   ``check_incremental=False`` or ``mlt-fuzz --no-incremental-diff``).
-   This is the oracle that makes the pass cache's verify-skipping
-   sound: correctness is continuously re-earned, not assumed.
+* the rows of :data:`ENGINE_ROWS` — one compiled
+  :class:`ExecutionEngine` configuration each, diffed against the
+  interpreter and against every other row (``engine``, ``vectorize``
+  and ``opt``; results are named ``<kind>-diff:<stage>``);
+* ``schedule`` — random transform-dialect schedules executed on the
+  interpreter (:func:`check_schedule_module`).
+
+Two more checks diff printed IR over a whole pipeline instead of
+buffers over a snapshot (:data:`PIPELINE_CHECKS`): ``driver``
+(worklist vs snapshot pattern driver) and ``incremental`` (pass-result
+cache cold and warm vs from scratch, after every pass — the oracle
+that makes the pass cache's verify-skipping sound).  :data:`CHECKS`
+names everything selectable (``FuzzCampaign(checks=...)``,
+``mlt-fuzz --checks``); docs/testing.md has the table.
 
 A stage that raises, fails verification, breaks the round-trip, or
 diverges numerically produces a :class:`StageResult` failure; the
@@ -44,8 +31,18 @@ campaign then hands the kernel to the bisector and reducer.
 
 from __future__ import annotations
 
+import difflib
+import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -208,9 +205,7 @@ DEFAULT_PIPELINES: Tuple[str, ...] = (
 class StageResult:
     stage: str
     ok: bool
-    # ok | crash | verify | roundtrip | execute | diff | engine |
-    # engine-diff | vectorize | vectorize-diff | opt | opt-diff |
-    # driver-diff
+    #: ``"ok"`` or one of :data:`FAILURE_KINDS`.
     kind: str = "ok"
     detail: str = ""
     ir_text: str = ""
@@ -277,6 +272,9 @@ def _diff_detail(
 ) -> str:
     parts = []
     for pos, (ref, act) in enumerate(zip(reference, actual)):
+        # Most row pairs agree bit for bit; ``allclose`` is ~10x dearer.
+        if np.array_equal(ref, act):
+            continue
         if not np.allclose(ref, act, rtol=rtol, atol=1e-5):
             err = float(np.max(np.abs(ref - act)))
             bad = int(np.sum(~np.isclose(ref, act, rtol=rtol, atol=1e-5)))
@@ -348,172 +346,156 @@ def check_module(
     return StageResult(stage_name, True, "ok", "", text), outputs
 
 
-def check_engine_module(
+class EngineRow(NamedTuple):
+    """One compiled-engine configuration the oracle cross-checks."""
+
+    #: Label used in failure details and as the ``bail_sink`` key.
+    name: str
+    #: The check that selects the row, and its failure-kind prefix: a
+    #: crash is reported as ``<kind>``, a divergence as ``<kind>-diff``.
+    kind: str
+    #: Keyword arguments for :class:`ExecutionEngine`.
+    kwargs: Dict[str, object]
+
+
+#: The oracle matrix.  A new engine knob gets differential coverage by
+#: adding a row.  ``vectorize=nest`` and ``opt=none`` repeat the default
+#: configuration so that selecting ``vectorize`` or ``opt`` alone still
+#: has its baseline; a configuration an earlier selected row already
+#: ran is not run again.
+ENGINE_ROWS: Tuple[EngineRow, ...] = tuple(
+    EngineRow(name, kind, {"vectorize": vectorize, "opt_mode": opt_mode})
+    for name, kind, vectorize, opt_mode in (
+        ("default", "engine", "nest", "none"),
+        ("vectorize=none", "vectorize", "none", "none"),
+        ("vectorize=nest", "vectorize", "nest", "none"),
+        ("vectorize=innermost", "vectorize", "innermost", "none"),
+        ("opt=none", "opt", "nest", "none"),
+        ("opt=full", "opt", "nest", "full"),
+        ("opt=fuse", "opt", "nest", "fuse"),
+    )
+)
+
+#: Every selectable check: the engine-row kinds and ``schedule`` run on
+#: each snapshot (:func:`check_snapshot`), :data:`PIPELINE_CHECKS` once
+#: per pipeline, and ``synth`` (the campaign's synthesis-raising
+#: expectation) once per kernel.
+CHECKS: Tuple[str, ...] = (
+    "engine",
+    "vectorize",
+    "opt",
+    "schedule",
+    "driver",
+    "incremental",
+    "synth",
+)
+
+#: Every value a failing :attr:`StageResult.kind` (and hence
+#: ``BisectionResult.kind`` and ``report.json``'s ``failing_stage.kind``)
+#: can take: :func:`check_module`'s five, ``<kind>`` / ``<kind>-diff``
+#: per engine-row kind, the schedule check's pair, one ``-diff`` per
+#: pipeline check, and the campaign's raise/synth ``expectation``.
+FAILURE_KINDS: Tuple[str, ...] = (
+    "crash",
+    "verify",
+    "roundtrip",
+    "execute",
+    "diff",
+    "engine",
+    "engine-diff",
+    "vectorize",
+    "vectorize-diff",
+    "opt",
+    "opt-diff",
+    "schedule",
+    "schedule-diff",
+    "driver-diff",
+    "incremental-diff",
+    "expectation",
+)
+
+
+def check_engine_rows(
     module: ModuleOp,
     func_name: str,
     base_args: Sequence[np.ndarray],
     interpreter_outputs: Sequence[np.ndarray],
     stage_name: str,
-    pipeline_name: str = "",
-    rtol: float = 2e-3,
-    ir_text: str = "",
-) -> StageResult:
-    """Cross-check the compiled engine against the interpreter.
-
-    Runs the snapshot through :class:`ExecutionEngine` on a fresh copy
-    of ``base_args`` and diffs its output buffers against the
-    *interpreter's* outputs for the same snapshot — the backends must
-    agree at every pipeline stage, not just at the end.
-    """
-    from ..execution import ExecutionEngine
-
-    result_name = f"engine-diff:{stage_name}"
-    try:
-        args = [a.copy() for a in base_args]
-        engine = ExecutionEngine(
-            module, pipeline=f"{pipeline_name}:{stage_name}"
-        )
-        engine.run(func_name, *args)
-    except Exception as exc:
-        return StageResult(result_name, False, "engine", str(exc), ir_text)
-    detail = _diff_detail(interpreter_outputs, args, rtol)
-    if detail:
-        return StageResult(
-            result_name, False, "engine-diff", detail, ir_text
-        )
-    return StageResult(result_name, True, "ok", "", ir_text)
-
-
-def check_vectorize_module(
-    module: ModuleOp,
-    func_name: str,
-    base_args: Sequence[np.ndarray],
-    interpreter_outputs: Sequence[np.ndarray],
-    stage_name: str,
-    pipeline_name: str = "",
-    rtol: float = 2e-3,
-    ir_text: str = "",
-) -> StageResult:
-    """Cross-check the engine's vectorizer against its own scalar mode.
-
-    Compiles the snapshot twice — once with whole-nest vectorization
-    (``vectorize="nest"``, the production default) and once with
-    vectorization fully disabled (``vectorize="none"``, plain scalar
-    Python loops) — and requires both to match the interpreter and each
-    other within ``rtol``.  Bit-for-bit equality is deliberately not
-    required: collapsing a reduction loop to ``sum``/``einsum``
-    reassociates f32 adds, which is the same tolerance the execution
-    oracle already grants raised pipelines.
-    """
-    from ..execution import ExecutionEngine
-
-    result_name = f"vectorize-diff:{stage_name}"
-    outputs: Dict[str, List[np.ndarray]] = {}
-    for mode in ("none", "nest"):
-        try:
-            args = [a.copy() for a in base_args]
-            engine = ExecutionEngine(
-                module,
-                pipeline=f"{pipeline_name}:{stage_name}",
-                vectorize=mode,
-            )
-            engine.run(func_name, *args)
-        except Exception as exc:
-            return StageResult(
-                result_name,
-                False,
-                "vectorize",
-                f"mode={mode}: {exc}",
-                ir_text,
-            )
-        outputs[mode] = args
-    for mode in ("none", "nest"):
-        detail = _diff_detail(interpreter_outputs, outputs[mode], rtol)
-        if detail:
-            return StageResult(
-                result_name,
-                False,
-                "vectorize-diff",
-                f"mode={mode} vs interpreter: {detail}",
-                ir_text,
-            )
-    detail = _diff_detail(outputs["none"], outputs["nest"], rtol)
-    if detail:
-        return StageResult(
-            result_name,
-            False,
-            "vectorize-diff",
-            f"none vs nest: {detail}",
-            ir_text,
-        )
-    return StageResult(result_name, True, "ok", "", ir_text)
-
-
-def check_opt_module(
-    module: ModuleOp,
-    func_name: str,
-    base_args: Sequence[np.ndarray],
-    interpreter_outputs: Sequence[np.ndarray],
-    stage_name: str,
+    rows: Sequence[EngineRow],
     pipeline_name: str = "",
     rtol: float = 2e-3,
     ir_text: str = "",
     bail_sink: Optional[Dict[str, Dict[str, int]]] = None,
-) -> StageResult:
-    """Cross-check the mid-level optimizer against the plain engine.
+) -> List[StageResult]:
+    """Cross-check compiled-engine configurations against the
+    interpreter and against each other.
 
-    Compiles the snapshot twice — once with the optimizer disabled
-    (``opt_mode="none"``) and once with the full pipeline
-    (``opt_mode="full"``: fusion, copy-elim/DCE, distribution,
-    cache-blocking tiling) — and requires both to match the interpreter
-    and each other within ``rtol``.  When ``bail_sink`` is given, each
-    engine's ``vectorize_stats["bail_reasons"]`` taxonomy is accumulated
-    under its opt mode, so a campaign can report how many vectorizer
+    Each distinct configuration among ``rows`` is compiled and run once
+    on a fresh copy of ``base_args``; its output buffers must match the
+    *interpreter's* outputs for the same snapshot and those of every
+    configuration run before it, within ``rtol``.  Bit-for-bit equality
+    is deliberately not required: collapsing a reduction loop to
+    ``sum``/``einsum`` reassociates f32 adds, which is the same
+    tolerance the execution oracle already grants raised pipelines.
+
+    Returns one ``<kind>-diff:<stage>`` result per configuration run,
+    ending at the first failure.  When ``bail_sink`` is given, each
+    row's ``vectorize_stats["bail_reasons"]`` taxonomy is accumulated
+    under the row's name, so a campaign can report how many vectorizer
     bails the optimizer eliminated across the whole corpus.
     """
     from ..execution import ExecutionEngine
 
-    result_name = f"opt-diff:{stage_name}"
-    outputs: Dict[str, List[np.ndarray]] = {}
-    for mode in ("none", "full"):
-        try:
-            args = [a.copy() for a in base_args]
-            engine = ExecutionEngine(
-                module,
-                pipeline=f"{pipeline_name}:{stage_name}",
-                opt_mode=mode,
-            )
-            engine.run(func_name, *args)
-        except Exception as exc:
-            return StageResult(
-                result_name, False, "opt", f"opt={mode}: {exc}", ir_text
-            )
-        outputs[mode] = args
+    results: List[StageResult] = []
+    #: configuration -> (name of the row that ran it, engine, outputs)
+    ran: Dict[tuple, tuple] = {}
+    for row in rows:
+        config = tuple(sorted(row.kwargs.items()))
+        if config not in ran:
+            result_name = f"{row.kind}-diff:{stage_name}"
+            try:
+                args = [a.copy() for a in base_args]
+                engine = ExecutionEngine(
+                    module,
+                    pipeline=f"{pipeline_name}:{stage_name}",
+                    **row.kwargs,
+                )
+                engine.run(func_name, *args)
+            except Exception as exc:
+                results.append(
+                    StageResult(
+                        result_name,
+                        False,
+                        row.kind,
+                        f"{row.name}: {exc}",
+                        ir_text,
+                    )
+                )
+                return results
+            against = [("interpreter", interpreter_outputs)] + [
+                (name, outputs) for name, _, outputs in ran.values()
+            ]
+            for other, expected in against:
+                detail = _diff_detail(expected, args, rtol)
+                if detail:
+                    results.append(
+                        StageResult(
+                            result_name,
+                            False,
+                            f"{row.kind}-diff",
+                            f"{row.name} vs {other}: {detail}",
+                            ir_text,
+                        )
+                    )
+                    return results
+            results.append(StageResult(result_name, True, "ok", "", ir_text))
+            ran[config] = (row.name, engine, args)
         if bail_sink is not None:
-            stats = engine.vectorize_stats or {}
-            sink = bail_sink.setdefault(mode, {})
+            stats = ran[config][1].vectorize_stats or {}
+            sink = bail_sink.setdefault(row.name, {})
             for reason, count in (stats.get("bail_reasons") or {}).items():
                 sink[reason] = sink.get(reason, 0) + count
-    for mode in ("none", "full"):
-        detail = _diff_detail(interpreter_outputs, outputs[mode], rtol)
-        if detail:
-            return StageResult(
-                result_name,
-                False,
-                "opt-diff",
-                f"opt={mode} vs interpreter: {detail}",
-                ir_text,
-            )
-    detail = _diff_detail(outputs["none"], outputs["full"], rtol)
-    if detail:
-        return StageResult(
-            result_name,
-            False,
-            "opt-diff",
-            f"none vs full: {detail}",
-            ir_text,
-        )
-    return StageResult(result_name, True, "ok", "", ir_text)
+    return results
 
 
 def check_schedule_module(
@@ -577,6 +559,25 @@ def check_schedule_module(
     return StageResult(result_name, True, "ok", "", ir_text)
 
 
+def _crash_text(what: str, exc: Exception) -> str:
+    """Stand-in for the printed IR of a run that raised, so two runs
+    agree only if they crash at the same point with the same error."""
+    return f"<{what} raised {type(exc).__name__}: {exc}>"
+
+
+def _text_diff(reference: str, actual: str, fromfile: str, tofile: str) -> str:
+    """The head of a unified diff between two printed modules."""
+    diff = difflib.unified_diff(
+        reference.splitlines(),
+        actual.splitlines(),
+        fromfile=fromfile,
+        tofile=tofile,
+        lineterm="",
+        n=2,
+    )
+    return " | ".join(itertools.islice(diff, 12))
+
+
 def check_driver_equivalence(
     module: ModuleOp, pipeline: Pipeline
 ) -> StageResult:
@@ -589,8 +590,6 @@ def check_driver_equivalence(
     (both drivers must crash with the same error text), so the check
     also catches a driver that diverges by raising.
     """
-    import difflib
-
     from ..ir import DRIVERS, pattern_driver
 
     result_name = f"driver-diff:{pipeline.name}"
@@ -603,26 +602,17 @@ def check_driver_equivalence(
                     factory().run(clone, Context())
             texts[driver] = print_module(clone)
         except Exception as exc:
-            texts[driver] = f"<{driver} crashed: {type(exc).__name__}: {exc}>"
+            texts[driver] = _crash_text(driver, exc)
     reference_driver, *other_drivers = DRIVERS
     reference_text = texts[reference_driver]
     for driver in other_drivers:
-        if texts[driver] == reference_text:
-            continue
-        diff = list(
-            difflib.unified_diff(
-                reference_text.splitlines(),
-                texts[driver].splitlines(),
-                fromfile=reference_driver,
-                tofile=driver,
-                lineterm="",
-                n=2,
+        if texts[driver] != reference_text:
+            detail = "drivers disagree: " + _text_diff(
+                reference_text, texts[driver], reference_driver, driver
             )
-        )
-        detail = "drivers disagree: " + " | ".join(diff[:12])
-        return StageResult(
-            result_name, False, "driver-diff", detail, reference_text
-        )
+            return StageResult(
+                result_name, False, "driver-diff", detail, reference_text
+            )
     return StageResult(result_name, True, "ok", "", reference_text)
 
 
@@ -645,8 +635,6 @@ def check_incremental_equivalence(
     first pass whose cached replay diverged — the bisection is built
     into the check.
     """
-    import difflib
-
     from ..ir import PassManager, PassResultCache
 
     result_name = f"incremental-diff:{pipeline.name}"
@@ -664,9 +652,7 @@ def check_incremental_equivalence(
                 pm.run(target)
                 snaps.append(print_module(target))
             except Exception as exc:
-                snaps.append(
-                    f"<{pass_name} raised {type(exc).__name__}: {exc}>"
-                )
+                snaps.append(_crash_text(pass_name, exc))
                 break
         return snaps
 
@@ -674,31 +660,93 @@ def check_incremental_equivalence(
     final_text = reference[-1] if reference else ""
     cache = PassResultCache()
     for label in ("cold", "warm"):
-        actual = snapshots(cache)
-        for index in range(max(len(reference), len(actual))):
-            ref = reference[index] if index < len(reference) else "<missing>"
-            act = actual[index] if index < len(actual) else "<missing>"
+        pairs = itertools.zip_longest(
+            reference, snapshots(cache), fillvalue="<missing>"
+        )
+        for index, (ref, act) in enumerate(pairs):
             if ref == act:
                 continue
             _, pass_name, _ = passes[min(index, len(passes) - 1)]
-            diff = list(
-                difflib.unified_diff(
-                    ref.splitlines(),
-                    act.splitlines(),
-                    fromfile="scratch",
-                    tofile=f"incremental-{label}",
-                    lineterm="",
-                    n=2,
-                )
-            )
             detail = (
                 f"{label} cache run diverges at pass {index + 1}/"
-                f"{len(passes)} '{pass_name}': " + " | ".join(diff[:12])
+                f"{len(passes)} '{pass_name}': "
+                + _text_diff(ref, act, "scratch", f"incremental-{label}")
             )
             return StageResult(
                 result_name, False, "incremental-diff", detail, final_text
             )
     return StageResult(result_name, True, "ok", "", final_text)
+
+
+#: The whole-pipeline byte-diff checks, by check name; a failure's kind
+#: (and its result-name prefix) is ``<name>-diff``.
+PIPELINE_CHECKS: Dict[str, Callable[[ModuleOp, Pipeline], StageResult]] = {
+    "driver": check_driver_equivalence,
+    "incremental": check_incremental_equivalence,
+}
+
+
+def check_snapshot(
+    module: ModuleOp,
+    func_name: str,
+    base_args: Sequence[np.ndarray],
+    reference: Optional[Sequence[np.ndarray]],
+    stage_name: str,
+    pipeline_name: str,
+    checks: Sequence[str],
+    seed: int,
+    rtol: float,
+    max_steps: int,
+    bail_sink: Optional[Dict[str, Dict[str, int]]] = None,
+) -> Tuple[List[StageResult], Optional[List[np.ndarray]]]:
+    """Every selected check on one snapshot.
+
+    :func:`check_module` first (it yields the interpreter outputs the
+    rest compare against), then the :data:`ENGINE_ROWS` whose kind is in
+    ``checks``, then ``schedule``.  Returns the results up to and
+    including the first failure, and the snapshot's interpreter outputs
+    when :func:`check_module` passed.
+    """
+    result, outputs = check_module(
+        module,
+        func_name,
+        base_args,
+        reference,
+        stage_name,
+        rtol=rtol,
+        max_steps=max_steps,
+    )
+    results = [result]
+    if not result.ok:
+        return results, None
+    results += check_engine_rows(
+        module,
+        func_name,
+        base_args,
+        outputs,
+        stage_name,
+        [row for row in ENGINE_ROWS if row.kind in checks],
+        pipeline_name=pipeline_name,
+        rtol=rtol,
+        ir_text=result.ir_text,
+        bail_sink=bail_sink,
+    )
+    if results[-1].ok and "schedule" in checks:
+        results.append(
+            check_schedule_module(
+                module,
+                func_name,
+                base_args,
+                outputs,
+                stage_name,
+                pipeline_name=pipeline_name,
+                rtol=rtol,
+                ir_text=result.ir_text,
+                seed=seed,
+                max_steps=max_steps,
+            )
+        )
+    return results, outputs
 
 
 # ----------------------------------------------------------------------
@@ -713,28 +761,22 @@ def run_oracle(
     seed: int = 0,
     rtol: float = 2e-3,
     max_steps: int = 20_000_000,
-    check_engine: bool = True,
-    check_vectorize: bool = True,
-    check_opt: bool = True,
-    check_schedule: bool = True,
+    checks: Sequence[str] = CHECKS,
     bail_sink: Optional[Dict[str, Dict[str, int]]] = None,
 ) -> OracleReport:
     """Differentially test one C kernel against one pipeline."""
-    report = OracleReport(pipeline.name, func_name)
     try:
         # Distribution is a checked stage of its own, not a frontend
         # side effect, so enter undistributed.
         module = compile_c(source, distribute=False)
     except Exception as exc:
+        report = OracleReport(pipeline.name, func_name)
         report.stages.append(
             StageResult("met", False, "crash", f"frontend: {exc}")
         )
         return report
     return _drive_stages(
-        report, module, pipeline, func_name, seed, rtol, max_steps,
-        check_engine=check_engine, check_vectorize=check_vectorize,
-        check_opt=check_opt, check_schedule=check_schedule,
-        bail_sink=bail_sink,
+        module, pipeline, func_name, seed, rtol, max_steps, checks, bail_sink
     )
 
 
@@ -745,38 +787,34 @@ def run_oracle_on_module(
     seed: int = 0,
     rtol: float = 2e-3,
     max_steps: int = 20_000_000,
-    check_engine: bool = True,
-    check_vectorize: bool = True,
-    check_opt: bool = True,
-    check_schedule: bool = True,
+    checks: Sequence[str] = CHECKS,
     bail_sink: Optional[Dict[str, Dict[str, int]]] = None,
 ) -> OracleReport:
     """Differentially test a builder-constructed module (skips MET)."""
-    report = OracleReport(pipeline.name, func_name)
     return _drive_stages(
-        report, module.clone(), pipeline, func_name, seed, rtol, max_steps,
-        check_engine=check_engine, check_vectorize=check_vectorize,
-        check_opt=check_opt, check_schedule=check_schedule,
-        bail_sink=bail_sink,
+        module.clone(),
+        pipeline,
+        func_name,
+        seed,
+        rtol,
+        max_steps,
+        checks,
+        bail_sink,
     )
 
 
 def _drive_stages(
-    report: OracleReport,
     module: ModuleOp,
     pipeline: Pipeline,
     func_name: str,
     seed: int,
     rtol: float,
     max_steps: int,
-    check_engine: bool = True,
-    check_vectorize: bool = True,
-    check_opt: bool = True,
-    check_schedule: bool = True,
-    bail_sink: Optional[Dict[str, Dict[str, int]]] = None,
+    checks: Sequence[str],
+    bail_sink: Optional[Dict[str, Dict[str, int]]],
 ) -> OracleReport:
-    shapes = module_arg_shapes(module, func_name)
-    base_args = make_args(shapes, seed)
+    report = OracleReport(pipeline.name, func_name)
+    base_args = make_args(module_arg_shapes(module, func_name), seed)
     reference: Optional[List[np.ndarray]] = None
     for stage in pipeline.stages:
         try:
@@ -787,77 +825,22 @@ def _drive_stages(
                 StageResult(stage.name, False, "crash", str(exc))
             )
             return report
-        result, outputs = check_module(
+        results, outputs = check_snapshot(
             module,
             func_name,
             base_args,
             reference,
             stage.name,
-            rtol=rtol,
-            max_steps=max_steps,
+            pipeline.name,
+            checks,
+            seed,
+            rtol,
+            max_steps,
+            bail_sink,
         )
-        report.stages.append(result)
-        if not result.ok:
+        report.stages.extend(results)
+        if not results[-1].ok:
             return report
-        if check_engine:
-            engine_result = check_engine_module(
-                module,
-                func_name,
-                base_args,
-                outputs,
-                stage.name,
-                pipeline_name=pipeline.name,
-                rtol=rtol,
-                ir_text=result.ir_text,
-            )
-            report.stages.append(engine_result)
-            if not engine_result.ok:
-                return report
-        if check_vectorize:
-            vec_result = check_vectorize_module(
-                module,
-                func_name,
-                base_args,
-                outputs,
-                stage.name,
-                pipeline_name=pipeline.name,
-                rtol=rtol,
-                ir_text=result.ir_text,
-            )
-            report.stages.append(vec_result)
-            if not vec_result.ok:
-                return report
-        if check_opt:
-            opt_result = check_opt_module(
-                module,
-                func_name,
-                base_args,
-                outputs,
-                stage.name,
-                pipeline_name=pipeline.name,
-                rtol=rtol,
-                ir_text=result.ir_text,
-                bail_sink=bail_sink,
-            )
-            report.stages.append(opt_result)
-            if not opt_result.ok:
-                return report
-        if check_schedule:
-            schedule_result = check_schedule_module(
-                module,
-                func_name,
-                base_args,
-                outputs,
-                stage.name,
-                pipeline_name=pipeline.name,
-                rtol=rtol,
-                ir_text=result.ir_text,
-                seed=seed,
-                max_steps=max_steps,
-            )
-            report.stages.append(schedule_result)
-            if not schedule_result.ok:
-                return report
         if reference is None:
             reference = outputs
     return report

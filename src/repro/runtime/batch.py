@@ -132,16 +132,19 @@ def _process_file(input_path: str, state: dict) -> BatchResult:
 
     cache_snapshot = None
     if state["compile_kernels"]:
-        from ..execution.engine.codegen import compile_module
+        from ..execution.engine.codegen import CODEGEN_VERSION, compile_module
 
         cache = KernelCache()
         if state["kernel_cache_dir"]:
             cache.attach_disk(state["kernel_cache_dir"])
         # Key straight off the printed text: a fully warm unit needs
-        # neither a reparse nor a reprint of the module.
+        # neither a reparse nor a reprint of the module.  The code
+        # generator's version is part of the tag (as in the engine and
+        # the serving tier) so a ``kernels/`` directory filled by an
+        # older generator is never re-served.
         key = KernelCache.key_for_text(
             hashlib.sha256(text.encode("utf-8")).hexdigest(),
-            "mlt-opt:" + ",".join(pass_names),
+            "mlt-opt:" + ",".join(pass_names) + f"#cg={CODEGEN_VERSION}",
         )
 
         def build_kernel(k: str):

@@ -102,7 +102,7 @@ def run_campaign_parallel(
             stats.checks += checks
             stats.stages_checked += stages_checked
             stats.failures.extend(failures)
-            stats.merge_bails({"none": bail_none, "full": bail_full})
+            stats.merge_bails({"opt=none": bail_none, "opt=full": bail_full})
     stats.elapsed = time.perf_counter() - started
     return stats
 
@@ -116,13 +116,19 @@ def write_campaign_metadata(
 ) -> Optional[str]:
     """Record campaign-level metadata in ``fuzz-failures/campaign.json``.
 
-    Written only when the artifact directory exists (i.e. at least one
-    failure was dumped), so green runs still leave no trace; the
-    per-seed artifact directories themselves stay byte-identical across
-    ``--jobs`` values — invocation-specific facts (worker count, wall
-    clock) live here and only here.
+    Written only when at least one failure was dumped, so green runs
+    leave no trace (the near-miss corpus export creates ``out_dir`` on
+    every run, so its existence says nothing); the per-seed artifact
+    directories themselves stay byte-identical across ``--jobs`` values
+    — invocation-specific facts (worker count, wall clock) live here
+    and only here.
     """
-    if not os.path.isdir(out_dir):
+    dumped = [
+        os.path.basename(f.artifact_dir)
+        for f in stats.failures
+        if f.artifact_dir
+    ]
+    if not dumped:
         return None
     payload = {
         "jobs": jobs,
@@ -133,11 +139,7 @@ def write_campaign_metadata(
         "stages_checked": stats.stages_checked,
         "elapsed_s": stats.elapsed,
         "hit_time_limit": stats.hit_time_limit,
-        "failures": [
-            os.path.basename(f.artifact_dir)
-            for f in stats.failures
-            if f.artifact_dir
-        ],
+        "failures": dumped,
     }
     path = os.path.join(out_dir, "campaign.json")
     with open(path, "w") as handle:

@@ -571,7 +571,7 @@ def fuzz_main(argv: List[str] = None) -> int:
     mode for CI, and single-seed replay (``--seed N``) for reproducing
     an artifact from ``fuzz-failures/``.
     """
-    from .fuzzing import FuzzCampaign
+    from .fuzzing import CHECKS, FuzzCampaign
 
     parser = argparse.ArgumentParser(
         prog="mlt-fuzz",
@@ -636,42 +636,10 @@ def fuzz_main(argv: List[str] = None) -> int:
         help="report failures without writing fuzz-failures/",
     )
     parser.add_argument(
-        "--no-engine-diff",
-        action="store_true",
-        help="skip the compiled-engine cross-check at every stage",
-    )
-    parser.add_argument(
-        "--no-driver-diff",
-        action="store_true",
-        help="skip the worklist-vs-snapshot pattern-driver IR diff",
-    )
-    parser.add_argument(
-        "--no-vectorize-diff",
-        action="store_true",
-        help="skip the whole-nest-vectorized vs scalar engine cross-check",
-    )
-    parser.add_argument(
-        "--no-synth-diff",
-        action="store_true",
-        help="skip the synthesis-raising expectation oracle",
-    )
-    parser.add_argument(
-        "--no-opt-diff",
-        action="store_true",
-        help="skip the mid-level-optimizer (opt-mode none vs full) "
-        "engine cross-check",
-    )
-    parser.add_argument(
-        "--no-schedule-diff",
-        action="store_true",
-        help="skip the random-schedule (transform-dialect interpreter) "
-        "payload cross-check",
-    )
-    parser.add_argument(
-        "--no-incremental-diff",
-        action="store_true",
-        help="skip the incremental-vs-scratch (pass-result cache) "
-        "per-pass IR diff",
+        "--checks",
+        help="comma-separated oracle checks to run (default: all of "
+        + ",".join(CHECKS)
+        + "; see docs/testing.md)",
     )
     args = parser.parse_args(list(sys.argv[1:] if argv is None else argv))
 
@@ -682,13 +650,7 @@ def fuzz_main(argv: List[str] = None) -> int:
         rtol=args.rtol,
         check_modules=not args.no_modules,
         write_artifacts=not args.no_artifacts,
-        check_engine=not args.no_engine_diff,
-        check_drivers=not args.no_driver_diff,
-        check_vectorize=not args.no_vectorize_diff,
-        check_synth=not args.no_synth_diff,
-        check_opt=not args.no_opt_diff,
-        check_schedule=not args.no_schedule_diff,
-        check_incremental=not args.no_incremental_diff,
+        checks=args.checks.split(",") if args.checks else None,
     )
     try:
         campaign = FuzzCampaign(**campaign_config)

@@ -19,14 +19,17 @@ from repro.evaluation.pipelines import MODULE_BUILDERS, build_module
 from repro.execution import ExecutionEngine, Interpreter
 from repro.execution.engine.cache import KernelCache
 from repro.execution.engine.optimizer import OPT_MODES
-from repro.fuzzing.oracle import make_args, module_arg_shapes
+from repro.fuzzing.oracle import (
+    EngineRow,
+    check_engine_rows,
+    make_args,
+    module_arg_shapes,
+)
 from repro.met import compile_c
 from repro.tactics.contraction import (
     PAPER_CONTRACTIONS,
     parse_contraction_spec,
 )
-
-from ..conftest import assert_close
 
 KERNELS = sorted(PAPER_BENCHMARKS) + ["doitgen"]
 
@@ -64,11 +67,24 @@ def _engine(source, pipeline, opt_mode):
 
 
 def _assert_matches_interpreter(reference, pipeline, opt_mode):
+    """One row of the fuzz oracle's matrix, on a paper kernel."""
     source, func, inputs, expected = reference
-    actual = [a.copy() for a in inputs]
-    _engine(source, pipeline, opt_mode).run(func, *actual)
-    for got, want in zip(actual, expected):
-        assert_close(got, want, rtol=1e-4)
+    row = EngineRow(
+        f"{pipeline}/opt={opt_mode}",
+        "opt",
+        {"opt_mode": opt_mode, "cache": KernelCache()},
+    )
+    (result,) = check_engine_rows(
+        build_module(source, pipeline),
+        func,
+        inputs,
+        expected,
+        "corpus",
+        [row],
+        pipeline_name=pipeline,
+        rtol=1e-4,
+    )
+    assert result.ok, f"[{result.kind}] {result.detail}"
 
 
 @pytest.mark.parametrize("pipeline", sorted(MODULE_BUILDERS))

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from repro.fuzzing import FuzzCampaign
+from repro.fuzzing import CHECKS, FuzzCampaign
 from repro.tool import fuzz_main
 
 from .test_bisect_reduce import buggy_linalg_pipeline
@@ -40,6 +40,20 @@ class TestCampaignCleanCodebase:
     def test_unknown_pipeline_rejected(self):
         with pytest.raises(ValueError, match="unknown pipeline"):
             FuzzCampaign(pipelines=["definitely-not-a-pipeline"])
+
+    def test_unknown_check_rejected_listing_the_known_ones(self):
+        with pytest.raises(ValueError, match="unknown check") as excinfo:
+            FuzzCampaign(checks=["engine", "bogus"])
+        assert "bogus" in str(excinfo.value)
+        for name in CHECKS:
+            assert name in str(excinfo.value)
+
+    def test_checks_default_to_all_in_table_order(self):
+        assert FuzzCampaign().checks == CHECKS
+        assert FuzzCampaign(checks=["opt", "engine"]).checks == (
+            "engine",
+            "opt",
+        )
 
 
 class TestCampaignWithPlantedBug:
@@ -113,6 +127,38 @@ class TestFuzzMainCLI:
             ]
         )
         assert code == 0
+
+    def test_unknown_check_is_an_argparse_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            fuzz_main(["--checks", "bogus", "--out", str(tmp_path / "ff")])
+        assert excinfo.value.code == 2
+        assert "unknown check" in capsys.readouterr().err
+
+    def test_checks_incremental_compiles_no_engine(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import repro.execution as execution
+
+        built = []
+
+        class Counting(execution.ExecutionEngine):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(execution, "ExecutionEngine", Counting)
+        out = str(tmp_path / "ff")
+        code = fuzz_main(
+            ["--seeds", "2", "--checks", "incremental", "--out", out]
+        )
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert built == []
+        # 2 seeds x (raise expectation + 8 staged oracles + 8
+        # incremental-diffs); no synth, no driver-diff
+        assert "2 seeds, 34 kernel/pipeline checks" in captured.err
+        fuzz_main(["--seeds", "1", "--checks", "engine", "--out", out])
+        assert built
 
     @pytest.mark.fuzz
     def test_smoke_budget(self, tmp_path, capsys):

@@ -126,6 +126,32 @@ class TestOracleFailureModes:
         assert "FAIL at stage 'met'" in report.summary()
 
 
+class TestFailureKinds:
+    def test_documented_kinds_are_what_the_tables_can_emit(self):
+        from repro.fuzzing import (
+            CHECKS,
+            ENGINE_ROWS,
+            FAILURE_KINDS,
+            PIPELINE_CHECKS,
+        )
+
+        emitted = {"crash", "verify", "roundtrip", "execute", "diff"}
+        for row in ENGINE_ROWS:
+            emitted |= {row.kind, f"{row.kind}-diff"}
+        emitted |= {"schedule", "schedule-diff"}
+        emitted |= {f"{check}-diff" for check in PIPELINE_CHECKS}
+        emitted.add("expectation")  # the campaign's raise/synth checks
+        assert len(FAILURE_KINDS) == len(set(FAILURE_KINDS))
+        assert set(FAILURE_KINDS) == emitted
+        # every selectable check is an engine-row kind, a pipeline
+        # check, or one of the two that have no table
+        assert set(CHECKS) == (
+            {row.kind for row in ENGINE_ROWS}
+            | set(PIPELINE_CHECKS)
+            | {"schedule", "synth"}
+        )
+
+
 class TestDriverEquivalence:
     def test_gemm_drivers_agree_on_every_pipeline(self, pipelines):
         from repro.fuzzing.oracle import check_driver_equivalence

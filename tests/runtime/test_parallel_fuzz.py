@@ -20,13 +20,13 @@ from repro.runtime.pool import fresh_pools
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 
-#: Cheapest meaningful campaign: expectation check only, no oracle
-#: pipelines beyond baseline, no engine/driver/module checks.
+#: Cheapest meaningful campaign: one pipeline, no builder modules, and
+#: a non-default check selection (no engine, no driver) that every
+#: worker has to rebuild from the config dict.
 FAST_CHECKS = {
     "pipelines": ["mlt-linalg"],
     "check_modules": False,
-    "check_engine": False,
-    "check_drivers": False,
+    "checks": ["vectorize", "opt", "schedule", "incremental", "synth"],
 }
 
 
@@ -56,7 +56,9 @@ class TestSerialParallelEquivalence:
             pytest.skip("requires fork start method")
         parallel = run_campaign_parallel(config, num_seeds=4, jobs=2)
         assert serial.seeds_run == parallel.seeds_run == 4
-        assert serial.checks == parallel.checks
+        # raise + synth expectation, one staged oracle, one
+        # incremental-diff per seed: the workers honoured ``checks``.
+        assert serial.checks == parallel.checks == 4 * 4
         assert serial.stages_checked == parallel.stages_checked
         assert [f.seed for f in serial.failures] == [
             f.seed for f in parallel.failures
@@ -113,6 +115,19 @@ class TestCampaignMetadata:
             stats=stats,
         )
         assert path is None
+        # The near-miss corpus export creates out_dir on every default
+        # run; a directory is not a failure, so still no metadata.
+        out_dir = tmp_path / "fuzz-failures"
+        stats = run_campaign_parallel(
+            _campaign_config(out_dir), num_seeds=8, jobs=1
+        )
+        assert stats.ok
+        assert os.path.isdir(out_dir / "near-miss")
+        path = write_campaign_metadata(
+            str(out_dir), jobs=1, num_seeds=8, start_seed=0, stats=stats
+        )
+        assert path is None
+        assert os.listdir(out_dir) == ["near-miss"]
 
     def test_metadata_records_invocation_facts(self, tmp_path, monkeypatch):
         import json

@@ -65,15 +65,16 @@ def test_schedule_diff_is_deterministic():
 
 def test_campaign_accepts_schedule_toggle():
     campaign = FuzzCampaign(
-        check_modules=False,
-        check_engine=False,
-        check_drivers=False,
-        check_vectorize=False,
-        check_synth=False,
-        check_opt=False,
-        check_schedule=False,
-        write_artifacts=False,
+        check_modules=False, checks=["incremental"], write_artifacts=False
     )
-    assert campaign.check_schedule is False
-    failures = campaign.run_seed(2)
-    assert failures == []
+    assert "schedule" not in campaign.checks
+    stats = campaign.run(1, start_seed=2)
+    assert stats.failures == []
+    with_schedule = FuzzCampaign(
+        check_modules=False,
+        checks=["schedule", "incremental"],
+        write_artifacts=False,
+    ).run(1, start_seed=2)
+    assert with_schedule.failures == []
+    # one schedule-diff result per stage snapshot of the four pipelines
+    assert with_schedule.stages_checked > stats.stages_checked
