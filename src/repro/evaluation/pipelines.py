@@ -24,7 +24,7 @@ from ..dialects import linalg as linalg_d
 from ..dialects.affine import outermost_loops, perfect_nest
 from ..execution.cost_model import CostModel, CostReport
 from ..execution.machines import Machine
-from ..ir import Context, ModuleOp
+from ..ir import Context, ModuleOp, PatternRewriter
 from ..met import compile_c
 from ..polyhedral.pluto import PlutoOptions, pluto_best, pluto_optimize
 from ..tactics.raising import raise_affine_to_linalg
@@ -79,6 +79,7 @@ def _default_linalg_lowering(module: ModuleOp, tile: int = 32) -> None:
     """The default Linalg codegen path: named contraction-like ops
     become tiled loop nests; data-movement ops stay (priced as views /
     memory passes by the model)."""
+    rewriter = PatternRewriter()
     for func in module.functions:
         for op in list(func.walk()):
             if isinstance(
@@ -87,7 +88,7 @@ def _default_linalg_lowering(module: ModuleOp, tile: int = 32) -> None:
             ):
                 block = op.parent_block
                 before = list(block.operations)
-                lower_linalg_op_to_affine(op)
+                lower_linalg_op_to_affine(op, rewriter)
                 new_roots = [
                     o for o in block.operations if o not in before
                 ]

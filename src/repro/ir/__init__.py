@@ -62,6 +62,7 @@ from .rewrite import (  # noqa: F401
     PatternRewriter,
     RewritePattern,
     RewriteResult,
+    apply_conversion,
     apply_patterns_greedily,
     apply_patterns_snapshot,
     apply_patterns_worklist,

@@ -60,7 +60,7 @@ class Operation:
     ):
         self._name = name or self.OP_NAME
         #: Successor blocks for branch-like terminators (CFG dialects).
-        self.successors: List[Block] = list(successors)
+        self.successors: List[Block] = list(successors) if successors else []
         self._operands: List[OpOperand] = []
         for i, value in enumerate(operands):
             if not isinstance(value, Value):
@@ -68,11 +68,19 @@ class Operation:
                     f"operand {i} of {self._name} is not a Value: {value!r}"
                 )
             self._operands.append(OpOperand(self, i, value))
-        self.results: List[OpResult] = [
-            OpResult(self, i, ty) for i, ty in enumerate(result_types)
-        ]
-        self.attributes: Dict[str, Attribute] = dict(attributes or {})
-        self.regions: List[Region] = [Region(self) for _ in range(num_regions)]
+        # Most ops have no successors, attributes or regions and at most
+        # one result: the empty cases skip the copying constructors.
+        self.results: List[OpResult] = (
+            [OpResult(self, i, ty) for i, ty in enumerate(result_types)]
+            if result_types
+            else []
+        )
+        self.attributes: Dict[str, Attribute] = (
+            dict(attributes) if attributes else {}
+        )
+        self.regions: List[Region] = (
+            [Region(self) for _ in range(num_regions)] if num_regions else []
+        )
         self.parent_block: Optional[Block] = None
 
     # ------------------------------------------------------------------
@@ -199,12 +207,31 @@ class Operation:
     # ------------------------------------------------------------------
 
     def walk(self) -> Iterator["Operation"]:
-        """Pre-order traversal: this op, then all nested ops."""
+        """Pre-order traversal: this op, then all nested ops.
+
+        Each block's op list is snapshotted when the walk reaches it, so
+        the caller may erase or insert ops while iterating.  An explicit
+        stack instead of one nested generator per op keeps the cost per
+        visited op independent of the nesting depth.
+        """
         yield self
+        if not self.regions:
+            return
+        stack = [self._child_ops()]
+        while stack:
+            for op in stack[-1]:
+                yield op
+                if op.regions:
+                    stack.append(op._child_ops())
+                    break
+            else:
+                stack.pop()
+
+    def _child_ops(self) -> Iterator["Operation"]:
+        """The ops directly inside this op's regions, in order."""
         for region in self.regions:
             for block in region.blocks:
-                for op in list(block.operations):
-                    yield from op.walk()
+                yield from list(block.operations)
 
     def walk_inner(self) -> Iterator["Operation"]:
         """All nested ops, excluding this op itself."""
@@ -289,6 +316,25 @@ class Block:
     def remove(self, op: Operation) -> None:
         self.operations.remove(op)
         op.parent_block = None
+
+    def move_ops_from(
+        self,
+        source: "Block",
+        start: int,
+        stop: Optional[int] = None,
+        index: Optional[int] = None,
+    ) -> None:
+        """Move ``source.operations[start:stop]`` into this block at
+        ``index`` (default: the end), order kept — one slice per side
+        instead of a ``remove``/``insert`` pair per op."""
+        moved = source.operations[start:stop]
+        del source.operations[start:stop]
+        for op in moved:
+            op.parent_block = self
+        if index is None:
+            self.operations.extend(moved)
+        else:
+            self.operations[index:index] = moved
 
     @property
     def parent_op(self) -> Optional[Operation]:

@@ -37,7 +37,8 @@ class Pass:
     name = "unnamed-pass"
 
     #: Pattern-driver statistics from the most recent :meth:`run`.
-    #: Passes built on ``apply_patterns_greedily`` append their
+    #: Passes built on a pattern driver (``apply_patterns_greedily``,
+    #: ``apply_conversion``) append their
     #: ``RewriteResult`` objects here so PassTiming can report a nested
     #: pass→pattern tree.
     rewrite_results: Sequence = ()

@@ -1,11 +1,22 @@
 """Pattern rewriting infrastructure.
 
 Raisings and lowerings are expressed as :class:`RewritePattern`
-subclasses and applied by a greedy driver until a fixpoint — the same
-machinery MLIR uses for progressive lowering, here reused in the
-opposite, raising direction.
+subclasses.  How a pattern set is applied is a property of the pass:
 
-Two drivers implement the same fixpoint contract:
+* **Fixpoint** (:func:`apply_patterns_greedily`) — raising,
+  canonicalization and generic raising: a rewrite may enable another,
+  so patterns are re-tried until nothing fires.  This is MLIR's greedy
+  machinery, here reused in the opposite, raising direction.
+* **Conversion** (:func:`apply_conversion`) — the lowering passes: every
+  root is expanded exactly once and what it expands to is final, so one
+  walk suffices and the cost stays proportional to the op count.  The
+  contract is enforced (a rewrite that creates an op the same set could
+  convert raises :class:`IRError`) and differentially checked: under
+  the ``snapshot`` process default the conversion runs on the reference
+  fixpoint driver instead, and the fuzzer's ``driver`` check
+  byte-compares the two.
+
+Two drivers implement the fixpoint contract:
 
 * :func:`apply_patterns_worklist` (the default) — a worklist-driven
   driver modelled on MLIR's ``GreedyPatternRewriteDriver``.  Patterns
@@ -25,7 +36,9 @@ Two drivers implement the same fixpoint contract:
 Patterns MUST perform all structural mutation through the
 :class:`PatternRewriter` they are handed (``insert``/``erase_op``/
 ``erase_nest``/``replace_op``); the worklist driver replays those
-notifications to maintain its worklist and its erased-op set.
+notifications to maintain its worklist and its erased-op set, and the
+conversion reads them to skip erased subtrees and to check that
+created ops are final.
 """
 
 from __future__ import annotations
@@ -50,8 +63,14 @@ class PatternRewriter(Builder):
     erased (dead-code candidates).
     """
 
-    def __init__(self):
+    def __init__(self, root: Optional[Operation] = None):
         super().__init__()
+        #: ``bump_version`` of the module owning ``root``, resolved once
+        #: by the driver that created this rewriter; None for a rewriter
+        #: used on its own, which climbs to the module on every mutation.
+        self._bump = (
+            None if root is None else (_module_bump(root) or _no_bump)
+        )
         self.erased: List[Operation] = []
         self.created: List[Operation] = []
         #: Ops whose operands were redirected by :meth:`replace_op`.
@@ -69,8 +88,7 @@ class PatternRewriter(Builder):
         self._invalidate_fingerprints(op)
         return op
 
-    @staticmethod
-    def _invalidate_fingerprints(op: Operation) -> None:
+    def _invalidate_fingerprints(self, op: Operation) -> None:
         """Bump the enclosing module's mutation counter.
 
         Every structural mutation through a rewriter invalidates the
@@ -79,10 +97,7 @@ class PatternRewriter(Builder):
         never re-serve a stale digest, even without an explicit
         ``bump_version()`` by the caller.
         """
-        top: Optional[Operation] = op
-        while top is not None and top.parent_op is not None:
-            top = top.parent_op
-        bump = getattr(top, "bump_version", None)
+        bump = self._bump or _module_bump(op)
         if bump is not None:
             bump()
 
@@ -155,6 +170,21 @@ class PatternRewriter(Builder):
         self.insert(new_op)
         self.replace_op(op, new_op.results)
         return new_op
+
+
+def _module_bump(op: Operation):
+    """``bump_version`` of the op at the top of ``op``'s parent chain
+    (None when that op is not a module)."""
+    top = op
+    parent = top.parent_op
+    while parent is not None:
+        top = parent
+        parent = top.parent_op
+    return getattr(top, "bump_version", None)
+
+
+def _no_bump() -> None:
+    """Stands in for ``bump_version`` when a driver's root has no module."""
 
 
 class RewritePattern:
@@ -347,7 +377,7 @@ def apply_patterns_snapshot(
     """
     frozen = _freeze(patterns)
     result = RewriteResult()
-    rewriter = PatternRewriter()
+    rewriter = PatternRewriter(root)
     for _ in range(max_iterations):
         result.iterations += 1
         changed = False
@@ -404,7 +434,7 @@ def apply_patterns_worklist(
     """
     frozen = _freeze(patterns)
     result = RewriteResult()
-    rewriter = PatternRewriter()
+    rewriter = PatternRewriter(root)
     erased_ids: set = set()
     #: Keeps erased subtrees alive so their ids stay unique for the run.
     keepalive: List[Operation] = []
@@ -527,3 +557,69 @@ def apply_patterns_greedily(
     if chosen == "snapshot":
         return apply_patterns_snapshot(root, patterns, max_iterations)
     raise ValueError(f"unknown pattern driver {chosen!r}; known: {DRIVERS}")
+
+
+# ----------------------------------------------------------------------
+# Conversion (the lowering passes)
+# ----------------------------------------------------------------------
+
+
+def apply_conversion(root: Operation, patterns: PatternsArg) -> RewriteResult:
+    """Convert every op under ``root`` that ``patterns`` has a root for,
+    in one pre-order walk.
+
+    Each seeded op gets the first pattern of its bucket that matches; an
+    op erased by an earlier rewrite (or nested in one, or detached) is
+    skipped; nothing is ever re-enqueued.  That is only sound if what a
+    rewrite leaves behind is final, so both halves of that contract are
+    checked: a rewrite must erase its root, and may not create an op
+    the same pattern set could convert — either raises :class:`IRError`
+    instead of silently leaving an un-lowered op.
+
+    Under the ``snapshot`` process default this delegates to the
+    reference fixpoint driver, which is how the fuzzer's ``driver``
+    check diffs the one-walk result against a fixpoint on every seed.
+    """
+    if _default_driver == "snapshot":
+        return apply_patterns_snapshot(root, patterns)
+    frozen = _freeze(patterns)
+    result = RewriteResult()
+    result.iterations = 1
+    rewriter = PatternRewriter(root)
+    erased_ids: set = set()
+    #: Keeps erased subtrees alive so their ids stay unique for the run.
+    keepalive: List[Operation] = []
+    buckets_get = frozen._buckets.get
+    generic = frozen._generic
+    record_attempt = result.record_attempt
+    perf_counter = time.perf_counter
+    for op in [op for op in root.walk() if buckets_get(op.name, generic)]:
+        if id(op) in erased_ids or (op.parent_block is None and op is not root):
+            continue
+        for pattern in buckets_get(op.name, generic):
+            started = perf_counter()
+            matched = pattern.match_and_rewrite(op, rewriter)
+            record_attempt(pattern, perf_counter() - started)
+            if not matched:
+                continue
+            result.record(pattern)
+            keepalive.extend(rewriter.erased)
+            for erased in rewriter.erased:
+                erased_ids.update(map(id, erased.walk()))
+            if id(op) not in erased_ids:
+                raise IRError(
+                    f"conversion pattern {pattern.pattern_name} left its "
+                    f"root {op.name} in place"
+                )
+            for created in rewriter.created:
+                if id(created) not in erased_ids and buckets_get(
+                    created.name, generic
+                ):
+                    raise IRError(
+                        f"conversion pattern {pattern.pattern_name} created "
+                        f"{created.name}, which the same pattern set "
+                        f"converts: created ops must be final"
+                    )
+            rewriter.reset()
+            break
+    return result

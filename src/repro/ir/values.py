@@ -38,6 +38,8 @@ class OpOperand:
 class Value:
     """Base class for SSA values (op results and block arguments)."""
 
+    __slots__ = ("type", "_uses")
+
     def __init__(self, type: Type):
         self.type = type
         self._uses: List[OpOperand] = []
@@ -50,11 +52,8 @@ class Value:
     def users(self) -> List["Operation"]:
         """Operations that use this value (with duplicates removed,
         preserving order)."""
-        seen = []
-        for use in self._uses:
-            if use.owner not in seen:
-                seen.append(use.owner)
-        return seen
+        # A dict keeps first-insertion order: an ordered dedupe by identity.
+        return list({id(use.owner): use.owner for use in self._uses}.values())
 
     def has_one_use(self) -> bool:
         return len(self._uses) == 1
@@ -65,8 +64,11 @@ class Value:
     def replace_all_uses_with(self, new_value: "Value") -> None:
         if new_value is self:
             return
-        for use in list(self._uses):
-            use.set(new_value)
+        uses = self._uses
+        self._uses = []
+        for use in uses:
+            use.value = new_value
+        new_value._uses.extend(uses)
 
     @property
     def defining_op(self) -> Optional["Operation"]:
@@ -80,6 +82,8 @@ class Value:
 
 class OpResult(Value):
     """A value produced by an operation."""
+
+    __slots__ = ("owner", "index")
 
     def __init__(self, owner: "Operation", index: int, type: Type):
         super().__init__(type)
@@ -97,6 +101,8 @@ class OpResult(Value):
 class BlockArgument(Value):
     """A value bound on entry to a block (e.g. a loop induction
     variable or function parameter)."""
+
+    __slots__ = ("owner", "index")
 
     def __init__(self, owner: "Block", index: int, type: Type):
         super().__init__(type)

@@ -12,30 +12,32 @@ paper complements with raising.  Every step is a pass:
     ops to vendor library calls
   * :class:`LowerBlasToLLVMPass`  — library ops to ``llvm.call``
 
-Each per-op lowering is exposed as a ``RewritePattern`` with a declared
-``root_op_name``, so the greedy driver's ``FrozenPatternSet`` only ever
-tries a lowering on ops it can actually apply to.  (The CFG-peeling
-half of SCF→LLVM operates on blocks, not single ops, and stays a
-structural loop.)
+Each per-op lowering is a ``RewritePattern`` with a declared
+``root_op_name``, and every pass applies its ``FrozenPatternSet`` as a
+*conversion* (:func:`~repro.ir.rewrite.apply_conversion`): one walk,
+each root expanded once, the expansion final — lowering is not a
+fixpoint, so its cost stays proportional to the op count.  The
+lowerings build everything through the rewriter they are handed, which
+is what lets the conversion check that no created op is itself a root
+of the same set.  (The CFG-peeling half of SCF→LLVM operates on blocks,
+not single ops, and stays a structural loop — one forward scan over the
+function's blocks.)
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from ..analysis.accesses import enclosing_loops
 from ..dialects import blas as blas_d
 from ..dialects import linalg as linalg_d
 from ..dialects import llvm as llvm_d
 from ..dialects import scf as scf_d
 from ..dialects import std
 from ..dialects.affine import (
-    AffineApplyOp,
     AffineForOp,
     AffineLoadOp,
     AffineMatmulOp,
     AffineStoreOp,
-    AffineYieldOp,
     build_loop_nest,
 )
 from ..ir import (
@@ -46,72 +48,64 @@ from ..ir import (
     FrozenPatternSet,
     FunctionPass,
     IRError,
-    InsertionPoint,
     ModuleOp,
     Operation,
     PassManager,
     PatternRewriter,
     RewritePattern,
     Value,
-    apply_patterns_greedily,
+    apply_conversion,
     index,
 )
 from ..ir import affine_expr as ae
 from .canonicalize import CanonicalizePass
+
+class _ConversionPass(FunctionPass):
+    """A lowering pass: one conversion walk of ``patterns`` per function."""
+
+    patterns: FrozenPatternSet
+
+    def run_on_function(self, func, context):
+        result = apply_conversion(func, self.patterns)
+        self.rewrite_results.append(result)
+        return result.changed
+
 
 # ----------------------------------------------------------------------
 # Linalg -> Affine
 # ----------------------------------------------------------------------
 
 
-def _builder_before(op: Operation, rewriter: Optional[PatternRewriter]) -> Builder:
-    """An insertion helper before ``op`` — the rewriter itself when the
-    lowering runs under the pattern driver (so creations are notified),
-    a plain Builder otherwise."""
-    if rewriter is not None:
-        rewriter.set_insertion_point_before(op)
-        return rewriter
-    return Builder(InsertionPoint.before(op))
+def _loop_nest_before(
+    op: Operation, bounds, rewriter: PatternRewriter
+) -> List[Value]:
+    """Create a constant-bound loop nest before ``op``; return the IVs
+    (outermost first).
 
-
-def _erase(op: Operation, rewriter: Optional[PatternRewriter]) -> None:
-    if rewriter is not None:
-        rewriter.erase_op(op)
-    else:
-        op.erase()
-
-
-def _loop_nest_before(op: Operation, bounds, rewriter=None) -> List[Value]:
-    """Create a constant-bound loop nest before ``op``; return the IVs.
-
-    The caller fills the innermost body via ``ivs[0].owner`` etc.
+    The rewriter is left positioned inside the innermost body, before
+    its terminator, for the caller to emit the payload.
     """
-    builder = _builder_before(op, rewriter)
-    loops, ivs = build_loop_nest(builder, [(0, ub) for ub in bounds])
-    return loops, ivs
+    rewriter.set_insertion_point_before(op)
+    loops, ivs = build_loop_nest(rewriter, [(0, ub) for ub in bounds])
+    rewriter.set_insertion_point_before(loops[-1].body.terminator)
+    return ivs
 
 
-def _innermost_builder(loops) -> Builder:
-    inner = loops[-1].body
-    return Builder(InsertionPoint(inner, len(inner.operations) - 1))
-
-
-def _lower_matmul_like(op, a, b, c, rewriter=None) -> None:
+def _lower_matmul_like(op, a, b, c, rewriter: PatternRewriter) -> None:
     """Emit the canonical triple loop ``C[i,j] += A[i,k] * B[k,j]``."""
     m, k = a.type.shape
     n = b.type.shape[1]
-    loops, (i, j, kk) = _loop_nest_before(op, [m, n, k], rewriter)
-    body = _innermost_builder(loops)
-    c_val = body.insert(AffineLoadOp.create(c, [i, j])).result
-    a_val = body.insert(AffineLoadOp.create(a, [i, kk])).result
-    b_val = body.insert(AffineLoadOp.create(b, [kk, j])).result
-    mul = body.insert(std.MulFOp.create(a_val, b_val)).result
-    add = body.insert(std.AddFOp.create(mul, c_val)).result
-    body.insert(AffineStoreOp.create(add, c, [i, j]))
-    _erase(op, rewriter)
+    i, j, kk = _loop_nest_before(op, [m, n, k], rewriter)
+    c_val = rewriter.insert(AffineLoadOp.create(c, [i, j])).result
+    a_val = rewriter.insert(AffineLoadOp.create(a, [i, kk])).result
+    b_val = rewriter.insert(AffineLoadOp.create(b, [kk, j])).result
+    mul = rewriter.insert(std.MulFOp.create(a_val, b_val)).result
+    add = rewriter.insert(std.AddFOp.create(mul, c_val)).result
+    rewriter.insert(AffineStoreOp.create(add, c, [i, j]))
+    rewriter.erase_op(op)
 
 
-def lower_linalg_op_to_affine(op: Operation, rewriter=None) -> bool:
+def lower_linalg_op_to_affine(op: Operation, rewriter: PatternRewriter) -> bool:
     """Lower one linalg op in place; returns False if unrecognized."""
     if isinstance(op, linalg_d.MatmulOp):
         _lower_matmul_like(op, op.a, op.b, op.c, rewriter)
@@ -125,37 +119,34 @@ def lower_linalg_op_to_affine(op: Operation, rewriter=None) -> bool:
         if op.trans:
             # y[j] += A[i, j] * x[i]: keep the matrix's contiguous
             # dimension innermost (row-major streaming), reduction outer.
-            loops, (i, j) = _loop_nest_before(op, [rows, cols], rewriter)
-            body = _innermost_builder(loops)
-            y_val = body.insert(AffineLoadOp.create(y, [j])).result
-            a_val = body.insert(AffineLoadOp.create(a, [i, j])).result
-            x_val = body.insert(AffineLoadOp.create(x, [i])).result
-            mul = body.insert(std.MulFOp.create(a_val, x_val)).result
-            add = body.insert(std.AddFOp.create(mul, y_val)).result
-            body.insert(AffineStoreOp.create(add, y, [j]))
+            i, j = _loop_nest_before(op, [rows, cols], rewriter)
+            y_val = rewriter.insert(AffineLoadOp.create(y, [j])).result
+            a_val = rewriter.insert(AffineLoadOp.create(a, [i, j])).result
+            x_val = rewriter.insert(AffineLoadOp.create(x, [i])).result
+            mul = rewriter.insert(std.MulFOp.create(a_val, x_val)).result
+            add = rewriter.insert(std.AddFOp.create(mul, y_val)).result
+            rewriter.insert(AffineStoreOp.create(add, y, [j]))
         else:
-            loops, (i, j) = _loop_nest_before(op, [rows, cols], rewriter)
-            body = _innermost_builder(loops)
-            y_val = body.insert(AffineLoadOp.create(y, [i])).result
-            a_val = body.insert(AffineLoadOp.create(a, [i, j])).result
-            x_val = body.insert(AffineLoadOp.create(x, [j])).result
-            mul = body.insert(std.MulFOp.create(a_val, x_val)).result
-            add = body.insert(std.AddFOp.create(mul, y_val)).result
-            body.insert(AffineStoreOp.create(add, y, [i]))
-        _erase(op, rewriter)
+            i, j = _loop_nest_before(op, [rows, cols], rewriter)
+            y_val = rewriter.insert(AffineLoadOp.create(y, [i])).result
+            a_val = rewriter.insert(AffineLoadOp.create(a, [i, j])).result
+            x_val = rewriter.insert(AffineLoadOp.create(x, [j])).result
+            mul = rewriter.insert(std.MulFOp.create(a_val, x_val)).result
+            add = rewriter.insert(std.AddFOp.create(mul, y_val)).result
+            rewriter.insert(AffineStoreOp.create(add, y, [i]))
+        rewriter.erase_op(op)
         return True
     if isinstance(op, linalg_d.TransposeOp):
         perm = op.permutation
         out_shape = op.output.type.shape
-        loops, ivs = _loop_nest_before(op, list(out_shape), rewriter)
-        body = _innermost_builder(loops)
+        ivs = _loop_nest_before(op, list(out_shape), rewriter)
         # out[i0..in] = in[i_perm[0]], permuted by the permutation.
         in_ivs = [None] * len(perm)
         for out_dim, in_dim in enumerate(perm):
             in_ivs[in_dim] = ivs[out_dim]
-        val = body.insert(AffineLoadOp.create(op.input, in_ivs)).result
-        body.insert(AffineStoreOp.create(val, op.output, ivs))
-        _erase(op, rewriter)
+        val = rewriter.insert(AffineLoadOp.create(op.input, in_ivs)).result
+        rewriter.insert(AffineStoreOp.create(val, op.output, ivs))
+        rewriter.erase_op(op)
         return True
     if isinstance(op, linalg_d.ReshapeOp):
         _lower_reshape(op, rewriter)
@@ -165,18 +156,16 @@ def lower_linalg_op_to_affine(op: Operation, rewriter=None) -> bool:
         return True
     if isinstance(op, linalg_d.FillOp):
         shape = op.output.type.shape
-        loops, ivs = _loop_nest_before(op, list(shape), rewriter)
-        body = _innermost_builder(loops)
-        body.insert(AffineStoreOp.create(op.fill_value, op.output, ivs))
-        _erase(op, rewriter)
+        ivs = _loop_nest_before(op, list(shape), rewriter)
+        rewriter.insert(AffineStoreOp.create(op.fill_value, op.output, ivs))
+        rewriter.erase_op(op)
         return True
     if isinstance(op, linalg_d.CopyOp):
         shape = op.output.type.shape
-        loops, ivs = _loop_nest_before(op, list(shape), rewriter)
-        body = _innermost_builder(loops)
-        val = body.insert(AffineLoadOp.create(op.input, ivs)).result
-        body.insert(AffineStoreOp.create(val, op.output, ivs))
-        _erase(op, rewriter)
+        ivs = _loop_nest_before(op, list(shape), rewriter)
+        val = rewriter.insert(AffineLoadOp.create(op.input, ivs)).result
+        rewriter.insert(AffineStoreOp.create(val, op.output, ivs))
+        rewriter.erase_op(op)
         return True
     if isinstance(op, linalg_d.GenericOp):
         _lower_generic(op, rewriter)
@@ -184,15 +173,14 @@ def lower_linalg_op_to_affine(op: Operation, rewriter=None) -> bool:
     return False
 
 
-def _lower_reshape(op: linalg_d.ReshapeOp, rewriter=None) -> None:
+def _lower_reshape(op: linalg_d.ReshapeOp, rewriter: PatternRewriter) -> None:
     groups = op.reassociation
     if op.is_collapse():
         high, low = op.input, op.output
     else:
         high, low = op.output, op.input
     high_shape = high.type.shape
-    loops, ivs = _loop_nest_before(op, list(high_shape), rewriter)
-    body = _innermost_builder(loops)
+    ivs = _loop_nest_before(op, list(high_shape), rewriter)
     # Each low-rank subscript is the row-major linearization of its group.
     low_exprs: List[ae.AffineExpr] = []
     for group in groups:
@@ -202,70 +190,65 @@ def _lower_reshape(op: linalg_d.ReshapeOp, rewriter=None) -> None:
         low_exprs.append(expr)
     low_map = AffineMap(len(high_shape), 0, low_exprs)
     if op.is_collapse():
-        val = body.insert(AffineLoadOp.create(high, ivs)).result
-        body.insert(AffineStoreOp.create(val, low, ivs, low_map))
+        val = rewriter.insert(AffineLoadOp.create(high, ivs)).result
+        rewriter.insert(AffineStoreOp.create(val, low, ivs, low_map))
     else:
-        val = body.insert(AffineLoadOp.create(low, ivs, low_map)).result
-        body.insert(AffineStoreOp.create(val, high, ivs))
-    _erase(op, rewriter)
+        val = rewriter.insert(AffineLoadOp.create(low, ivs, low_map)).result
+        rewriter.insert(AffineStoreOp.create(val, high, ivs))
+    rewriter.erase_op(op)
 
 
-def _lower_conv2d(op: linalg_d.Conv2DNchwOp, rewriter=None) -> None:
+def _lower_conv2d(
+    op: linalg_d.Conv2DNchwOp, rewriter: PatternRewriter
+) -> None:
     n, f, oh, ow = op.output.type.shape
     _, c, kh, kw = op.kernel.type.shape
-    loops, ivs = _loop_nest_before(op, [n, f, oh, ow, c, kh, kw], rewriter)
+    ivs = _loop_nest_before(op, [n, f, oh, ow, c, kh, kw], rewriter)
     i_n, i_f, i_oh, i_ow, i_c, i_kh, i_kw = ivs
-    body = _innermost_builder(loops)
-    out_val = body.insert(
+    out_val = rewriter.insert(
         AffineLoadOp.create(op.output, [i_n, i_f, i_oh, i_ow])
     ).result
-    in_map = AffineMap(
-        4,
-        0,
-        [ae.dim(0), ae.dim(1), ae.dim(2), ae.dim(3)],
-    )
     # input[n, c, oh + kh, ow + kw]
     h_expr = ae.dim(2) + ae.dim(4)
     w_expr = ae.dim(3) + ae.dim(5)
     in_map = AffineMap(6, 0, [ae.dim(0), ae.dim(1), h_expr, w_expr])
-    in_val = body.insert(
+    in_val = rewriter.insert(
         AffineLoadOp.create(
             op.input, [i_n, i_c, i_oh, i_ow, i_kh, i_kw], in_map
         )
     ).result
-    k_val = body.insert(
+    k_val = rewriter.insert(
         AffineLoadOp.create(op.kernel, [i_f, i_c, i_kh, i_kw])
     ).result
-    mul = body.insert(std.MulFOp.create(in_val, k_val)).result
-    add = body.insert(std.AddFOp.create(mul, out_val)).result
-    body.insert(AffineStoreOp.create(add, op.output, [i_n, i_f, i_oh, i_ow]))
-    _erase(op, rewriter)
+    mul = rewriter.insert(std.MulFOp.create(in_val, k_val)).result
+    add = rewriter.insert(std.AddFOp.create(mul, out_val)).result
+    rewriter.insert(
+        AffineStoreOp.create(add, op.output, [i_n, i_f, i_oh, i_ow])
+    )
+    rewriter.erase_op(op)
 
 
-def _lower_generic(op: linalg_d.GenericOp, rewriter=None) -> None:
+def _lower_generic(op: linalg_d.GenericOp, rewriter: PatternRewriter) -> None:
     extents = op.iteration_domain()
-    loops, ivs = _loop_nest_before(op, extents, rewriter)
-    body = _innermost_builder(loops)
+    ivs = _loop_nest_before(op, extents, rewriter)
     value_map: Dict = {}
     for operand, map_, block_arg in zip(
         op.operands, op.indexing_maps, op.body.arguments
     ):
-        load = body.insert(AffineLoadOp.create(operand, ivs, map_))
+        load = rewriter.insert(AffineLoadOp.create(operand, ivs, map_))
         value_map[block_arg] = load.result
-    yielded: List[Value] = []
     for inner in op.body.ops_without_terminator():
-        cloned = inner.clone(value_map)
-        body.insert(cloned)
+        rewriter.insert(inner.clone(value_map))
     term = op.body.terminator
     for out_idx, yielded_value in enumerate(term.operands):
         out = op.outputs[out_idx]
         out_map = op.indexing_maps[op.num_inputs + out_idx]
-        body.insert(
+        rewriter.insert(
             AffineStoreOp.create(
                 value_map.get(yielded_value, yielded_value), out, ivs, out_map
             )
         )
-    _erase(op, rewriter)
+    rewriter.erase_op(op)
 
 
 #: Op names ``lower_linalg_to_affine`` rewrites (``affine.matmul`` is
@@ -296,30 +279,18 @@ class LinalgToAffinePattern(RewritePattern):
         return lower_linalg_op_to_affine(op, rewriter)
 
 
-_LINALG_TO_AFFINE_CACHE: Optional[FrozenPatternSet] = None
-
-
-def _linalg_to_affine_set() -> FrozenPatternSet:
-    global _LINALG_TO_AFFINE_CACHE
-    if _LINALG_TO_AFFINE_CACHE is None:
-        _LINALG_TO_AFFINE_CACHE = FrozenPatternSet(
-            [LinalgToAffinePattern(name) for name in _LINALG_TO_AFFINE_ROOTS]
-        )
-    return _LINALG_TO_AFFINE_CACHE
+_LINALG_TO_AFFINE = FrozenPatternSet(
+    [LinalgToAffinePattern(name) for name in _LINALG_TO_AFFINE_ROOTS]
+)
 
 
 def lower_linalg_to_affine(root: Operation) -> int:
-    result = apply_patterns_greedily(root, _linalg_to_affine_set())
-    return result.num_rewrites
+    return apply_conversion(root, _LINALG_TO_AFFINE).num_rewrites
 
 
-class LinalgToAffinePass(FunctionPass):
+class LinalgToAffinePass(_ConversionPass):
     name = "convert-linalg-to-affine-loops"
-
-    def run_on_function(self, func, context):
-        result = apply_patterns_greedily(func, _linalg_to_affine_set())
-        self.rewrite_results.append(result)
-        return result.changed
+    patterns = _LINALG_TO_AFFINE
 
 
 class ExpandAffineMatmulPattern(RewritePattern):
@@ -330,7 +301,7 @@ class ExpandAffineMatmulPattern(RewritePattern):
         return True
 
 
-class ExpandAffineMatmulPass(FunctionPass):
+class ExpandAffineMatmulPass(_ConversionPass):
     """Lower ``affine.matmul`` back to loops (naive schedule).
 
     The real system lowers it to OpenBLAS/BLIS-style tiled code; for
@@ -339,13 +310,7 @@ class ExpandAffineMatmulPass(FunctionPass):
     """
 
     name = "affine-expand-matmul"
-
-    _frozen = FrozenPatternSet([ExpandAffineMatmulPattern()])
-
-    def run_on_function(self, func, context):
-        result = apply_patterns_greedily(func, self._frozen)
-        self.rewrite_results.append(result)
-        return result.changed
+    patterns = FrozenPatternSet([ExpandAffineMatmulPattern()])
 
 
 # ----------------------------------------------------------------------
@@ -404,14 +369,14 @@ class LinalgToBlasPattern(RewritePattern):
         return True
 
 
-class LinalgToBlasPass(FunctionPass):
+class LinalgToBlasPass(_ConversionPass):
     """Replace linalg ops with vendor library calls (§V-B MLT-Blas)."""
 
     name = "convert-linalg-to-blas"
 
     def __init__(self, library: str = "mkl-dnn"):
         self.library = library
-        self._frozen = FrozenPatternSet(
+        self.patterns = FrozenPatternSet(
             [
                 LinalgToBlasPattern(name, library)
                 for name in _LINALG_TO_BLAS_ROOTS
@@ -421,18 +386,18 @@ class LinalgToBlasPass(FunctionPass):
     def cache_config(self) -> str:
         return f"library={self.library}"
 
-    def run_on_function(self, func, context):
-        result = apply_patterns_greedily(func, self._frozen)
-        self.rewrite_results.append(result)
-        return result.changed
-
-    def _convert(self, op: Operation) -> Optional[Operation]:
-        return _convert_linalg_to_blas(op, self.library)
-
 
 # ----------------------------------------------------------------------
 # Affine -> SCF
 # ----------------------------------------------------------------------
+
+
+_BINARY_EXPR_OPS = {
+    ae.AffineExprKind.ADD: std.AddIOp,
+    ae.AffineExprKind.MUL: std.MulIOp,
+    ae.AffineExprKind.MOD: std.RemIOp,
+    ae.AffineExprKind.FLOORDIV: std.DivIOp,
+}
 
 
 def expand_affine_expr(
@@ -449,14 +414,9 @@ def expand_affine_expr(
     assert isinstance(expr, ae.AffineBinaryExpr)
     lhs = expand_affine_expr(builder, expr.lhs, operands)
     rhs = expand_affine_expr(builder, expr.rhs, operands)
-    kind_to_op = {
-        ae.AffineExprKind.ADD: std.AddIOp,
-        ae.AffineExprKind.MUL: std.MulIOp,
-        ae.AffineExprKind.MOD: std.RemIOp,
-        ae.AffineExprKind.FLOORDIV: std.DivIOp,
-    }
-    if expr.kind in kind_to_op:
-        return builder.insert(kind_to_op[expr.kind].create(lhs, rhs)).result
+    op_class = _BINARY_EXPR_OPS.get(expr.kind)
+    if op_class is not None:
+        return builder.insert(op_class.create(lhs, rhs)).result
     # ceildiv(a, b) = (a + b - 1) floordiv b
     one = builder.insert(std.ConstantOp.create(1, index)).result
     num = builder.insert(std.AddIOp.create(lhs, rhs)).result
@@ -485,47 +445,38 @@ def _lower_affine_bound(
     return result
 
 
-def _lower_one_affine_for(op: AffineForOp, rewriter=None) -> None:
-    builder = _builder_before(op, rewriter)
+def _lower_one_affine_for(op: AffineForOp, rewriter: PatternRewriter) -> None:
+    rewriter.set_insertion_point_before(op)
     lb = _lower_affine_bound(
-        builder, op.lower_bound_map, op.lb_operands, minimize=False
+        rewriter, op.lower_bound_map, op.lb_operands, minimize=False
     )
     ub = _lower_affine_bound(
-        builder, op.upper_bound_map, op.ub_operands, minimize=True
+        rewriter, op.upper_bound_map, op.ub_operands, minimize=True
     )
-    step = builder.insert(std.ConstantOp.create(op.step, index)).result
-    scf_for = builder.insert(scf_d.ForOp.create(lb, ub, step))
-    # Move body ops (except the affine terminator) into the scf body.
+    step = rewriter.insert(std.ConstantOp.create(op.step, index)).result
+    scf_for = rewriter.insert(scf_d.ForOp.create(lb, ub, step))
+    # Move body ops (except the affine terminator) into the scf body,
+    # before its terminator.
     target = scf_for.body
-    insert_at = len(target.operations) - 1
-    value_map = {op.induction_var: scf_for.induction_var}
-    for body_op in op.ops_in_body():
-        op.body.remove(body_op)
-        target.insert(insert_at, body_op)
-        insert_at += 1
-    if rewriter is not None:
-        # IV users were not redirected via replace_op; re-enqueue them.
-        rewriter.replaced_users.extend(op.induction_var.users)
+    target.move_ops_from(
+        op.body, 0, len(op.ops_in_body()), index=len(target.operations) - 1
+    )
     op.induction_var.replace_all_uses_with(scf_for.induction_var)
-    _erase(op, rewriter)
+    rewriter.erase_op(op)
 
 
-def _lower_one_affine_access(op, rewriter=None) -> None:
-    builder = _builder_before(op, rewriter)
+def _lower_one_affine_access(op, rewriter: PatternRewriter) -> None:
+    rewriter.set_insertion_point_before(op)
     indices = [
-        expand_affine_expr(builder, expr, op.indices)
+        expand_affine_expr(rewriter, expr, op.indices)
         for expr in op.map.results
     ]
     if isinstance(op, AffineLoadOp):
-        new_op = builder.insert(std.LoadOp.create(op.memref, indices))
-        if rewriter is not None:
-            rewriter.replace_op(op, [new_op.result])
-        else:
-            op.replace_all_uses_with([new_op.result])
-            op.erase()
+        new_op = rewriter.insert(std.LoadOp.create(op.memref, indices))
+        rewriter.replace_op(op, [new_op.result])
     else:
-        builder.insert(std.StoreOp.create(op.value, op.memref, indices))
-        _erase(op, rewriter)
+        rewriter.insert(std.StoreOp.create(op.value, op.memref, indices))
+        rewriter.erase_op(op)
 
 
 class AffineForLoweringPattern(RewritePattern):
@@ -553,46 +504,30 @@ class AffineApplyLoweringPattern(RewritePattern):
     root_op_name = "affine.apply"
 
     def match_and_rewrite(self, op: Operation, rewriter: PatternRewriter) -> bool:
-        builder = _builder_before(op, rewriter)
-        value = expand_affine_expr(builder, op.map.results[0], op.operands)
-        if rewriter is not None:
-            rewriter.replace_op(op, [value])
-        else:
-            op.replace_all_uses_with([value])
-            op.erase()
+        rewriter.set_insertion_point_before(op)
+        value = expand_affine_expr(rewriter, op.map.results[0], op.operands)
+        rewriter.replace_op(op, [value])
         return True
 
 
-_AFFINE_TO_SCF_CACHE: Optional[FrozenPatternSet] = None
-
-
-def _affine_to_scf_set() -> FrozenPatternSet:
-    global _AFFINE_TO_SCF_CACHE
-    if _AFFINE_TO_SCF_CACHE is None:
-        _AFFINE_TO_SCF_CACHE = FrozenPatternSet(
-            [
-                AffineForLoweringPattern(),
-                AffineAccessLoweringPattern("affine.load"),
-                AffineAccessLoweringPattern("affine.store"),
-                AffineApplyLoweringPattern(),
-            ]
-        )
-    return _AFFINE_TO_SCF_CACHE
+_AFFINE_TO_SCF = FrozenPatternSet(
+    [
+        AffineForLoweringPattern(),
+        AffineAccessLoweringPattern("affine.load"),
+        AffineAccessLoweringPattern("affine.store"),
+        AffineApplyLoweringPattern(),
+    ]
+)
 
 
 def lower_affine_to_scf(func) -> int:
     """Rewrite all affine ops in a function into scf/std form."""
-    result = apply_patterns_greedily(func, _affine_to_scf_set())
-    return result.num_rewrites
+    return apply_conversion(func, _AFFINE_TO_SCF).num_rewrites
 
 
-class AffineToSCFPass(FunctionPass):
+class AffineToSCFPass(_ConversionPass):
     name = "lower-affine"
-
-    def run_on_function(self, func, context):
-        result = apply_patterns_greedily(func, _affine_to_scf_set())
-        self.rewrite_results.append(result)
-        return result.changed
+    patterns = _AFFINE_TO_SCF
 
 
 # ----------------------------------------------------------------------
@@ -624,66 +559,57 @@ class MemAccessFlatteningPattern(RewritePattern):
         return f"flatten<{self.root_op_name}>"
 
     def match_and_rewrite(self, op: Operation, rewriter: PatternRewriter) -> bool:
-        builder = _builder_before(op, rewriter)
-        flat = _linearize_indices(builder, op.memref, op.indices)
+        rewriter.set_insertion_point_before(op)
+        flat = _linearize_indices(rewriter, op.memref, op.indices)
         if isinstance(op, std.LoadOp):
-            new_op = builder.insert(llvm_d.LoadOp.create(op.memref, flat))
-            if rewriter is not None:
-                rewriter.replace_op(op, [new_op.result])
-            else:
-                op.replace_all_uses_with([new_op.result])
-                op.erase()
+            new_op = rewriter.insert(llvm_d.LoadOp.create(op.memref, flat))
+            rewriter.replace_op(op, [new_op.result])
         else:
-            builder.insert(llvm_d.StoreOp.create(op.value, op.memref, flat))
-            _erase(op, rewriter)
+            rewriter.insert(llvm_d.StoreOp.create(op.value, op.memref, flat))
+            rewriter.erase_op(op)
         return True
 
 
-_FLATTEN_CACHE: Optional[FrozenPatternSet] = None
-
-
-def _flatten_set() -> FrozenPatternSet:
-    global _FLATTEN_CACHE
-    if _FLATTEN_CACHE is None:
-        _FLATTEN_CACHE = FrozenPatternSet(
-            [
-                MemAccessFlatteningPattern("std.load"),
-                MemAccessFlatteningPattern("std.store"),
-            ]
-        )
-    return _FLATTEN_CACHE
+_FLATTEN = FrozenPatternSet(
+    [
+        MemAccessFlatteningPattern("std.load"),
+        MemAccessFlatteningPattern("std.store"),
+    ]
+)
 
 
 def _peel_all_loops(func) -> int:
-    """Peel scf.for ops into explicit CFG blocks, outermost-first."""
+    """Peel scf.for ops into explicit CFG blocks, outermost-first.
+
+    One forward scan: peeling the first loop of a block leaves that
+    block loop-free and appends its three new blocks (the loop body and
+    the block's tail among them) to the region, so the scan reaches
+    them later and never needs to look back.
+    """
     count = 0
     region = func.regions[0]
-    changed = True
-    while changed:
-        changed = False
-        for block in list(region.blocks):
-            loop = next(
-                (o for o in block.operations if isinstance(o, scf_d.ForOp)),
-                None,
-            )
-            if loop is None:
-                continue
-            _peel_loop_into_cfg(region, block, loop)
-            count += 1
-            changed = True
-            break
+    blocks = region.blocks
+    scanned = 0
+    while scanned < len(blocks):
+        block = blocks[scanned]
+        scanned += 1
+        for position, op in enumerate(block.operations):
+            if isinstance(op, scf_d.ForOp):
+                _peel_loop_into_cfg(region, block, position)
+                count += 1
+                break
     return count
 
 
 def lower_scf_to_llvm(func) -> int:
     """Convert structured loops to explicit CFG and flatten memory ops."""
-    result = apply_patterns_greedily(func, _flatten_set())
-    return result.num_rewrites + _peel_all_loops(func)
+    flattened = apply_conversion(func, _FLATTEN).num_rewrites
+    return flattened + _peel_all_loops(func)
 
 
-def _peel_loop_into_cfg(region, block: Block, loop) -> None:
-    position = block.operations.index(loop)
-    tail_ops = block.operations[position + 1:]
+def _peel_loop_into_cfg(region, block: Block, position: int) -> None:
+    """Peel the scf.for at ``block.operations[position]``."""
+    loop = block.operations[position]
 
     header = region.add_block(Block([index]))
     body_block = region.add_block(Block())
@@ -691,12 +617,9 @@ def _peel_loop_into_cfg(region, block: Block, loop) -> None:
 
     # Entry edge.
     lb, ub, step = loop.lower_bound, loop.upper_bound, loop.step
-    body_ops = loop.ops_in_body()
     iv = loop.induction_var
 
-    for op in tail_ops:
-        block.remove(op)
-        exit_block.append(op)
+    exit_block.move_ops_from(block, position + 1)
     block.append(llvm_d.BrOp.create(header, [lb]))
 
     # Header: compare and branch.
@@ -707,9 +630,7 @@ def _peel_loop_into_cfg(region, block: Block, loop) -> None:
 
     # Body: moved loop body, then increment and back edge.
     iv.replace_all_uses_with(header_iv)
-    for op in body_ops:
-        loop.body.remove(op)
-        body_block.append(op)
+    body_block.move_ops_from(loop.body, 0, len(loop.ops_in_body()))
     next_iv = std.AddIOp.create(header_iv, step)
     body_block.append(next_iv)
     body_block.append(llvm_d.BrOp.create(header, [next_iv.result]))
@@ -717,14 +638,13 @@ def _peel_loop_into_cfg(region, block: Block, loop) -> None:
     loop.erase()
 
 
-class SCFToLLVMPass(FunctionPass):
+class SCFToLLVMPass(_ConversionPass):
     name = "convert-scf-to-llvm"
+    patterns = _FLATTEN
 
     def run_on_function(self, func, context):
-        result = apply_patterns_greedily(func, _flatten_set())
-        self.rewrite_results.append(result)
-        peeled = _peel_all_loops(func)
-        return result.changed or peeled > 0
+        flattened = super().run_on_function(func, context)
+        return _peel_all_loops(func) > 0 or flattened
 
 
 class LowerBlasToLLVMPattern(RewritePattern):
@@ -743,7 +663,7 @@ class LowerBlasToLLVMPattern(RewritePattern):
         return True
 
 
-class LowerBlasToLLVMPass(FunctionPass):
+class LowerBlasToLLVMPass(_ConversionPass):
     """Replace blas dialect ops by llvm.call into the library ABI."""
 
     name = "convert-blas-to-llvm"
@@ -756,17 +676,12 @@ class LowerBlasToLLVMPass(FunctionPass):
         "blas.conv2d": "mkldnn_convolution_forward",
     }
 
-    _frozen = FrozenPatternSet(
+    patterns = FrozenPatternSet(
         [
             LowerBlasToLLVMPattern(name, symbol)
             for name, symbol in sorted(_SYMBOLS.items())
         ]
     )
-
-    def run_on_function(self, func, context):
-        result = apply_patterns_greedily(func, self._frozen)
-        self.rewrite_results.append(result)
-        return result.changed
 
 
 # ----------------------------------------------------------------------

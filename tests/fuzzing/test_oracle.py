@@ -189,3 +189,43 @@ class TestDriverEquivalence:
         assert not result.ok
         assert result.kind == "driver-diff"
         assert "drivers disagree" in result.detail
+
+    def test_divergent_conversion_is_detected(self, pipelines, monkeypatch):
+        """The ``driver`` check covers the lowering passes' one-walk
+        conversion too: under the snapshot default they run on the
+        reference fixpoint driver.  Plant a one-walk path that skips
+        the last op it should convert and require a driver-diff."""
+        from repro.fuzzing.oracle import check_driver_equivalence
+        from repro.ir import RewritePattern, rewrite
+        from repro.transforms import lowering
+
+        class SkipOne(RewritePattern):
+            def __init__(self, inner, skipped):
+                self.inner, self.skipped = inner, skipped
+                self.root_op_name = inner.root_op_name
+
+            def match_and_rewrite(self, op, rewriter):
+                return op is not self.skipped and self.inner.match_and_rewrite(
+                    op, rewriter
+                )
+
+        real = rewrite.apply_conversion
+
+        def lossy_one_walk(root, patterns):
+            if rewrite.get_default_driver() == "snapshot":
+                return real(root, patterns)
+            seeded = [
+                op for op in root.walk() if patterns.patterns_for(op.name)
+            ]
+            if not seeded:
+                return real(root, patterns)
+            return real(
+                root, [SkipOne(p, seeded[-1]) for p in patterns.patterns]
+            )
+
+        monkeypatch.setattr(lowering, "apply_conversion", lossy_one_walk)
+        module = compile_c(GEMM, distribute=False)
+        for name in DEFAULT_PIPELINES:
+            result = check_driver_equivalence(module, pipelines[name])
+            assert not result.ok, name
+            assert result.kind == "driver-diff"

@@ -14,12 +14,17 @@ import os
 
 import pytest
 
+from repro.dialects import std as std_d
 from repro.ir import (
     Context,
     FunctionPass,
     PassManager,
     PassResultCache,
     PatternRewriter,
+    RewritePattern,
+    apply_conversion,
+    apply_patterns_snapshot,
+    apply_patterns_worklist,
     cached_stage,
     fingerprint_function,
     print_module,
@@ -328,10 +333,75 @@ class _LyingDoublerPass(FunctionPass):
         return False  # lie
 
 
+class _AddToMul(RewritePattern):
+    root_op_name = "std.addf"
+
+    def match_and_rewrite(self, op, rewriter):
+        rewriter.replace_op_with_new(op, std_d.MulFOp.create(*op.operands))
+        return True
+
+
+class _LyingDriverPass(FunctionPass):
+    """The same lie told through a driver: the rewriter the driver
+    binds resolves the module once per run instead of per mutation."""
+
+    name = "lying-driver"
+
+    def __init__(self, driver):
+        self.driver = driver
+
+    def run_on_function(self, func, context):
+        self.driver(func, [_AddToMul()])
+        return False  # lie
+
+
 class TestStaleFingerprintRegressions:
     """PatternRewriter mutations must invalidate fingerprints even when
     the pass never calls ``bump_version()`` itself (satellite: stale
     ``fingerprint_module`` digests must never be re-served)."""
+
+    @pytest.mark.parametrize(
+        "make_pass",
+        [
+            _LyingDoublerPass,  # bare rewriter: climbs per mutation
+            lambda: _LyingDriverPass(apply_conversion),
+            lambda: _LyingDriverPass(apply_patterns_worklist),
+            lambda: _LyingDriverPass(apply_patterns_snapshot),
+        ],
+        ids=["bare", "conversion", "worklist", "snapshot"],
+    )
+    def test_every_rewriter_path_invalidates_fingerprint(self, make_pass):
+        from repro.execution.engine.cache import fingerprint_module
+
+        module = build_gemm_module()
+        module.bump_version()
+        first = fingerprint_module(module)  # primes the version memo
+        before = module.version
+        make_pass().run(module, Context())
+        assert module.version > before
+        assert fingerprint_module(module) != first
+
+    def test_driver_bound_rewriter_does_not_climb(self, monkeypatch):
+        """The once-per-run path really is once per run: a driver-bound
+        rewriter bumps the module without reading ``parent_op``."""
+        from repro.ir import Operation
+
+        module = build_gemm_module()
+        module.bump_version()
+        rewriter = PatternRewriter(module.functions[0])
+        add = next(op for op in module.walk() if op.name == "std.addf")
+        rewriter.set_insertion_point_before(add)
+        reads = []
+        real = Operation.parent_op
+        monkeypatch.setattr(
+            Operation,
+            "parent_op",
+            property(lambda op: reads.append(op) or real.fget(op)),
+        )
+        before = module.version
+        rewriter.insert(std_d.MulFOp.create(*add.operands))
+        assert module.version > before
+        assert reads == []
 
     def test_rewriter_mutation_bumps_module_version(self):
         module = build_gemm_module()

@@ -1,5 +1,5 @@
-"""Worklist driver semantics, indexed pattern sets, incremental
-verification, and nested pattern timing."""
+"""Worklist driver semantics, the one-walk conversion, indexed pattern
+sets, incremental verification, and nested pattern timing."""
 
 import pytest
 
@@ -17,6 +17,7 @@ from repro.ir import (
     PatternRewriter,
     ReturnOp,
     RewritePattern,
+    apply_conversion,
     apply_patterns_greedily,
     apply_patterns_snapshot,
     apply_patterns_worklist,
@@ -40,6 +41,21 @@ def _module_with_funcs(*names):
         c2 = block.append(std.ConstantOp.create(2.0, f32)).result
         block.append(std.AddFOp.create(c1, c2))
         block.append(ReturnOp.create())
+    return module
+
+
+def _module_with_loop():
+    """``f`` holding one affine.for whose body is ``c = 1.0; c + c``."""
+    module = ModuleOp.create()
+    func = FuncOp.create("f", [])
+    module.append_function(func)
+    block = func.entry_block
+    loop = affine_d.AffineForOp.create(0, 4)
+    block.append(loop)
+    c = std.ConstantOp.create(1.0, f32)
+    loop.body.insert(0, c)
+    loop.body.insert(1, std.AddFOp.create(c.result, c.result))
+    block.append(ReturnOp.create())
     return module
 
 
@@ -73,6 +89,32 @@ class _EraseDead(RewritePattern):
             return False
         rewriter.erase_op(op)
         return True
+
+
+class _EraseLoop(RewritePattern):
+    """Erase every affine.for through the named rewriter method."""
+
+    root_op_name = "affine.for"
+
+    def __init__(self, method):
+        self.method = method
+
+    def match_and_rewrite(self, op, rewriter):
+        getattr(rewriter, self.method)(op)
+        return True
+
+
+class _RecordAdd(RewritePattern):
+    """Decline every std.addf, recording that it was visited."""
+
+    root_op_name = "std.addf"
+
+    def __init__(self, seen):
+        self.seen = seen
+
+    def match_and_rewrite(self, op, rewriter):
+        self.seen.append(op)
+        return False
 
 
 class TestWorklistReenqueue:
@@ -125,38 +167,88 @@ class TestWorklistReenqueue:
         # The loop is visited (pre-order) before its body ops; erasing
         # the nest must keep the driver from visiting the enqueued
         # body ops afterwards.
-        module = ModuleOp.create()
-        func = FuncOp.create("f", [])
-        module.append_function(func)
-        block = func.entry_block
-        loop = affine_d.AffineForOp.create(0, 4)
-        block.append(loop)
-        c = std.ConstantOp.create(1.0, f32)
-        loop.body.insert(0, c)
-        loop.body.insert(1, std.AddFOp.create(c.result, c.result))
-        block.append(ReturnOp.create())
-
+        module = _module_with_loop()
         seen = []
-
-        class EraseLoop(RewritePattern):
-            root_op_name = "affine.for"
-
-            def match_and_rewrite(self, op, rewriter):
-                rewriter.erase_nest(op)
-                return True
-
-        class RecordAdd(RewritePattern):
-            root_op_name = "std.addf"
-
-            def match_and_rewrite(self, op, rewriter):
-                seen.append(op)
-                return False
-
         result = apply_patterns_worklist(
-            module, [EraseLoop(), RecordAdd()]
+            module, [_EraseLoop("erase_nest"), _RecordAdd(seen)]
         )
         assert result.num_rewrites == 1
         assert seen == []  # the body op was stale, never visited
+
+
+class TestConversion:
+    def test_one_walk_converts_every_root_once(self):
+        module = _module_with_funcs("f", "g")
+        result = apply_conversion(
+            module, [_EraseDead("std.addf"), _EraseDead("std.constant")]
+        )
+        # Pre-order: both constants are still used when visited, each
+        # addf is dead.  A fixpoint would come back for the constants;
+        # a conversion visits every seeded op exactly once.
+        assert result.iterations == 1
+        assert result.num_rewrites == 2
+        assert result.trials == 6
+        assert result.pattern_hits == {"_EraseDead": 2}
+        names = [op.name for op in module.walk()]
+        assert names.count("std.constant") == 4
+        assert "std.addf" not in names
+
+    def test_iterations_is_one_even_with_nothing_to_do(self):
+        result = apply_conversion(_module_with_funcs("f"), [_EraseDead("x.y")])
+        assert result.iterations == 1
+        assert result.trials == 0 and not result.changed
+
+    def test_created_op_with_a_root_of_the_set_raises(self):
+        # _CountUp replaces a constant by another constant: under a
+        # fixpoint that is re-enqueued, under a conversion it would be
+        # silently left un-lowered — so it is an error naming the op.
+        with pytest.raises(IRError, match=r"_CountUp created std\.constant"):
+            apply_conversion(_module_with_funcs("f"), [_CountUp(4.0)])
+        # The worklist driver's behaviour on the same pattern is the
+        # fixpoint it always was.
+        module = _module_with_funcs("f")
+        result = apply_patterns_worklist(module, [_CountUp(4.0)])
+        assert result.num_rewrites == 5 and result.iterations > 1
+
+    def test_root_left_in_place_raises(self):
+        class Relabel(RewritePattern):
+            root_op_name = "std.addf"
+
+            def match_and_rewrite(self, op, rewriter):
+                op.set_attr("seen", 1)
+                return True
+
+        with pytest.raises(IRError, match=r"Relabel left its root std\.addf"):
+            apply_conversion(_module_with_funcs("f"), [Relabel()])
+
+    @pytest.mark.parametrize("erase", ["erase_nest", "erase_op"])
+    def test_ops_nested_in_an_erased_op_are_skipped(self, erase):
+        module = _module_with_loop()
+        seen = []
+        result = apply_conversion(module, [_EraseLoop(erase), _RecordAdd(seen)])
+        assert result.num_rewrites == 1
+        assert seen == []  # seeded, but nested in the erased loop
+        assert result.trials == 1
+
+    def test_moved_ops_are_still_visited(self):
+        # affine.for -> scf.for moves the body into a created op; the
+        # seeded body ops are attached (elsewhere) and must be visited.
+        from repro.transforms.lowering import AffineForLoweringPattern
+
+        module = _module_with_loop()
+        seen = []
+        apply_conversion(
+            module, [AffineForLoweringPattern(), _RecordAdd(seen)]
+        )
+        assert [op.parent_op.name for op in seen] == ["scf.for"]
+
+    def test_snapshot_default_runs_the_reference_fixpoint(self):
+        # No knob selects fixpoint vs conversion; the *reference* for
+        # the differential check is the snapshot process default.
+        module = _module_with_funcs("f")
+        with pattern_driver("snapshot"):
+            result = apply_conversion(module, [_CountUp(4.0)])
+        assert result.num_rewrites == 5 and result.iterations > 1
 
 
 class TestPatternIndexing:

@@ -234,3 +234,168 @@ class TestFullLoweringPipeline:
         module = compile_c(GEMM_SRC)
         timing = lower_to_llvm(module)
         assert timing.total > 0
+
+
+def _corpus_modules(raised):
+    from repro.evaluation import PAPER_BENCHMARKS, get_kernel
+
+    modules = {}
+    for name in sorted(PAPER_BENCHMARKS):
+        module = compile_c(get_kernel(name).small())
+        if raised:
+            raise_affine_to_linalg(module)
+        modules[name] = module
+    return modules
+
+
+class TestLoweringIsAConversion:
+    """Lowering runs as one conversion walk per pass, not a fixpoint:
+    same IR as the reference fixpoint driver, same trial counts as when
+    it ran under the worklist driver, and — with no stopwatch — a
+    ceiling on the bookkeeping a fixpoint driver or a per-insert parent
+    climb would bring back."""
+
+    @pytest.mark.parametrize("raised", [True, False], ids=["raised", "unraised"])
+    def test_default_and_snapshot_print_identical_ir(self, raised):
+        # The tier-1 twin of the fuzzer's ``driver`` check: under the
+        # snapshot default every conversion runs on the reference
+        # fixpoint driver instead of the one-walk path.
+        from repro.ir import pattern_driver, print_module
+
+        one_walk = _corpus_modules(raised)
+        reference = _corpus_modules(raised)
+        assert len(one_walk) == 16
+        for name, module in one_walk.items():
+            lower_to_llvm(module)
+            with pattern_driver("snapshot"):
+                lower_to_llvm(reference[name])
+            assert print_module(module) == print_module(reference[name]), name
+
+    def test_one_iteration_and_the_trial_counts_of_the_fixpoint_era(self):
+        from repro.transforms.lowering import lowering_pipeline
+
+        totals = {}
+        for module in _corpus_modules(raised=True).values():
+            pm = lowering_pipeline()
+            pm.run(module)
+            for pass_ in pm.passes:
+                entry = totals.setdefault(pass_.name, [0, 0])
+                for result in pass_.rewrite_results:
+                    assert result.iterations == 1, pass_.name
+                    entry[0] += result.trials
+                    entry[1] += result.num_rewrites
+        # (trials, rewrites) per corpus pass, as measured under the
+        # worklist driver before lowering became a conversion.
+        assert totals == {
+            "convert-linalg-to-affine-loops": [74, 74],
+            "affine-expand-matmul": [0, 0],
+            "canonicalize": [450, 0],
+            "lower-affine": [409, 409],
+            "convert-scf-to-llvm": [190, 190],
+            "convert-blas-to-llvm": [0, 0],
+        }
+        # transforms.lower_trials / transforms.lower_rewrites of the
+        # e2e benchmark's traced compile_cold run.
+        assert [sum(column) for column in zip(*totals.values())] == [1123, 673]
+
+    def test_bookkeeping_ceiling(self, monkeypatch):
+        # Under the fixpoint driver one lowering of the corpus made
+        # 3 668 version bumps, each after a climb to the module, and
+        # 50 094 ``parent_op`` reads in all.  Pinned at what one-walk
+        # lowering with a driver-bound rewriter achieves (3 900 bumps —
+        # payload ops are now notified too — and 1 986 reads), plus 20%.
+        from repro.ir import ModuleOp, Operation
+
+        counts = {"bumps": 0, "parent_op": 0}
+        modules = _corpus_modules(raised=True)
+        real_bump = ModuleOp.bump_version
+        real_parent = Operation.parent_op.fget
+
+        def bump(module):
+            counts["bumps"] += 1
+            return real_bump(module)
+
+        def parent_op(op):
+            counts["parent_op"] += 1
+            return real_parent(op)
+
+        monkeypatch.setattr(ModuleOp, "bump_version", bump)
+        monkeypatch.setattr(Operation, "parent_op", property(parent_op))
+        for module in modules.values():
+            lower_to_llvm(module)
+        assert counts["bumps"] <= 4700, counts
+        assert counts["parent_op"] <= 2400, counts
+
+
+#: Block labels and terminators, in region order, of conv2d + copy + fill
+#: after ``_peel_all_loops`` — as printed when the peel restarted its
+#: scan from block 0 after every loop.
+PEELED_CFG = [
+    "entry llvm.br ^bb0(%0)",
+    "^bb0(%3: index): llvm.cond_br %4, ^bb1, ^bb2",
+    "^bb1: llvm.br ^bb3(%5)",
+    "^bb2: llvm.br ^bb4(%8)",
+    "^bb3(%11: index): llvm.cond_br %12, ^bb5, ^bb6",
+    "^bb5: llvm.br ^bb7(%13)",
+    "^bb6: llvm.br ^bb0(%16)",
+    "^bb4(%17: index): llvm.cond_br %18, ^bb8, ^bb9",
+    "^bb8: llvm.br ^bb4(%20)",
+    "^bb9: llvm.br ^bb10(%22)",
+    "^bb7(%25: index): llvm.cond_br %26, ^bb11, ^bb12",
+    "^bb11: llvm.br ^bb13(%27)",
+    "^bb12: llvm.br ^bb3(%30)",
+    "^bb10(%31: index): llvm.cond_br %32, ^bb14, ^bb15",
+    "^bb14: llvm.br ^bb10(%33)",
+    "^bb15: return",
+    "^bb13(%34: index): llvm.cond_br %35, ^bb16, ^bb17",
+    "^bb16: llvm.br ^bb18(%36)",
+    "^bb17: llvm.br ^bb7(%39)",
+    "^bb18(%40: index): llvm.cond_br %41, ^bb19, ^bb20",
+    "^bb19: llvm.br ^bb21(%42)",
+    "^bb20: llvm.br ^bb13(%45)",
+    "^bb21(%46: index): llvm.cond_br %47, ^bb22, ^bb23",
+    "^bb22: llvm.br ^bb24(%48)",
+    "^bb23: llvm.br ^bb18(%51)",
+    "^bb24(%52: index): llvm.cond_br %53, ^bb25, ^bb26",
+    "^bb25: llvm.br ^bb24(%61)",
+    "^bb26: llvm.br ^bb21(%62)",
+]
+PEELED_TEXT_SHA256 = (
+    "5bce1f62a4038a39e2144e2ec26e2e7f9fd6a573d421c44b6c829934e8c83b71"
+)
+
+
+class TestPeelOrder:
+    def test_seven_deep_nest_then_two_sibling_nests(self):
+        """The single forward scan visits loops, and appends blocks, in
+        the order the restart-from-block-0 scan did."""
+        import hashlib
+
+        from repro.ir import print_module
+        from repro.transforms.lowering import _peel_all_loops
+
+        def build(b, args):
+            image, kernel, out, src, dst = args
+            b.insert(linalg_d.Conv2DNchwOp.create(image, kernel, out))
+            b.insert(linalg_d.CopyOp.create(src, dst))
+            zero = b.insert(std.ConstantOp.create(0.0, f32)).result
+            b.insert(linalg_d.FillOp.create(zero, src))
+
+        module = _linalg_module(
+            build, [(1, 1, 2, 2), (1, 1, 1, 1), (1, 1, 2, 2), (3,), (3,)]
+        )
+        func = module.functions[0]
+        lower_linalg_to_affine(module)
+        lower_affine_to_scf(func)
+        assert _peel_all_loops(func) == 9  # 7 + 1 + 1
+        verify(module, Context())
+        text = print_module(module)
+
+        rows, label = [], "entry"
+        for line in map(str.strip, text.splitlines()):
+            if line.startswith("^bb"):
+                label = line
+            elif line.startswith(("llvm.br", "llvm.cond_br", "return")):
+                rows.append(f"{label} {line}")
+        assert rows == PEELED_CFG
+        assert hashlib.sha256(text.encode()).hexdigest() == PEELED_TEXT_SHA256
