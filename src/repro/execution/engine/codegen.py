@@ -22,7 +22,7 @@ An op without an emitter fails codegen with a one-line
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from ...ir import FuncOp, ModuleOp, Operation, is_float
 from ...ir.affine_expr import AffineExpr, AffineExprKind
 from ...ir.types import F64Type, IndexType, IntegerType, MemRefType
 from . import runtime
+from .buffers import ELIDED, VIEW, plan_buffers
 from .runtime import EngineError
 
 #: Hard bound on block transitions when executing a lowered CFG region;
@@ -51,8 +52,9 @@ VECTORIZE_MODES = ("nest", "innermost", "none")
 #: hash the *pre*-optimizer module text, so a wrong-code fix in an
 #: optimizer stage bumps it too (4 -> 5: fusion's ``conflict-carried``),
 #: and so does a change in what a stage emits (5 -> 6: fusion's
-#: ``would-lose-collapse``, window loads, lazy canonical views).
-CODEGEN_VERSION = 6
+#: ``would-lose-collapse``, window loads, lazy canonical views), and so
+#: does the buffer plan (6 -> 7: view/fresh allocs, see :mod:`.buffers`).
+CODEGEN_VERSION = 7
 
 
 def _np_dtype_literal(elem_type) -> str:
@@ -104,6 +106,9 @@ class _FuncContext:
         #: last), used to split loop-invariant subscript arithmetic
         #: into hoistable statements
         self.loop_ivs: List = []
+        #: buffer-plan action per op id (see :mod:`.buffers`); an op
+        #: without one emits today's zero-filled alloc / copying helper
+        self.buffer_actions: Dict[int, str] = {}
 
     # -- value naming ----------------------------------------------------
 
@@ -214,6 +219,8 @@ def _emit_index_cast(ctx: _FuncContext, op) -> None:
 
 
 def _emit_alloc(ctx: _FuncContext, op) -> None:
+    if id(op) in ctx.buffer_actions:
+        return  # its first writer defines the buffer
     ty = op.results[0].type
     if any(d < 0 for d in ty.shape):
         raise EngineError("engine: cannot allocate dynamic memref")
@@ -437,13 +444,35 @@ def _emit_matvec(ctx: _FuncContext, op) -> None:
     ctx.emit(f"_rt.sgemv({a}, {x}, {y}, trans={trans})")
 
 
+def _output_layout(op) -> Tuple[str, str]:
+    """Source of the ``shape`` and ``dtype`` a producer needs to define
+    ``op``'s output itself (see :mod:`.buffers`) instead of writing
+    into a zero-filled alloc."""
+    ty = op.operands[-1].type
+    return repr(tuple(ty.shape)), repr(_np_dtype_literal(ty.element_type))
+
+
 def _emit_transpose(ctx: _FuncContext, op) -> None:
-    src, dst = ctx.name(op.input), ctx.name(op.output)
-    ctx.emit(f"_rt.transpose({src}, {dst}, {tuple(op.permutation)!r})")
+    src, perm = ctx.name(op.input), tuple(op.permutation)
+    if id(op) in ctx.buffer_actions:
+        _, dtype = _output_layout(op)
+        dst = ctx.define(op.output)
+        ctx.emit(f"{dst} = _rt.transposed({src}, {perm!r}, {dtype})")
+    else:
+        ctx.emit(f"_rt.transpose({src}, {ctx.name(op.output)}, {perm!r})")
 
 
 def _emit_reshape(ctx: _FuncContext, op) -> None:
-    ctx.emit(f"_rt.reshape({ctx.name(op.input)}, {ctx.name(op.output)})")
+    action = ctx.buffer_actions.get(id(op))
+    if action == ELIDED:
+        return  # the output already holds it: the input is its view
+    src = ctx.name(op.input)
+    if action is None:
+        ctx.emit(f"_rt.reshape({src}, {ctx.name(op.output)})")
+        return
+    helper = "reshape_view" if action == VIEW else "reshaped"
+    shape, dtype = _output_layout(op)
+    ctx.emit(f"{ctx.define(op.output)} = _rt.{helper}({src}, {shape}, {dtype})")
 
 
 def _emit_conv2d(ctx: _FuncContext, op) -> None:
@@ -452,11 +481,21 @@ def _emit_conv2d(ctx: _FuncContext, op) -> None:
 
 
 def _emit_fill(ctx: _FuncContext, op) -> None:
-    ctx.emit(f"{ctx.name(op.output)}[...] = {ctx.name(op.fill_value)}")
+    value = ctx.name(op.fill_value)
+    if id(op) in ctx.buffer_actions:
+        shape, dtype = _output_layout(op)
+        ctx.emit(f"{ctx.define(op.output)} = _np.full({shape}, {value}, {dtype})")
+    else:
+        ctx.emit(f"{ctx.name(op.output)}[...] = {value}")
 
 
 def _emit_copy(ctx: _FuncContext, op) -> None:
-    ctx.emit(f"{ctx.name(op.output)}[...] = {ctx.name(op.input)}")
+    src = ctx.name(op.input)
+    if id(op) in ctx.buffer_actions:
+        shape, dtype = _output_layout(op)
+        ctx.emit(f"{ctx.define(op.output)} = _rt.reshaped({src}, {shape}, {dtype})")
+    else:
+        ctx.emit(f"{ctx.name(op.output)}[...] = {src}")
 
 
 _CONTRACTION_LABELS = "abcdefghijklmnopqrstuvwxyz"
@@ -709,6 +748,7 @@ class CodeGenerator:
         params = [ctx.define(arg) for arg in func.arguments]
         header = f"def _fn_{func.sym_name}({', '.join(params)}):"
         region = func.regions[0]
+        ctx.buffer_actions = plan_buffers(func, self.vec_stats)
         if len(region.blocks) == 1:
             ctx.emit_block(region.entry_block.operations)
             if self.licm:

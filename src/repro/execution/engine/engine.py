@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from typing import Any, List, Optional
 
-import numpy as np
-
 from ...ir import ModuleOp, MemRefType
+from ..interpreter import memref_argument_fault
 from .cache import KERNEL_CACHE, KernelCache
 from .codegen import (
     CODEGEN_VERSION,
@@ -123,6 +122,21 @@ class ExecutionEngine:
         self.compiled: CompiledModule = self.cache.get_or_compile(
             module, cache_tag, _build
         )
+        #: name -> (argument count, ((position, memref type), ...)) of
+        #: the functions as compiled.  Resolved here, not per call:
+        #: ``run`` sits inside every timed region, where each attribute
+        #: chase through the IR is a cache miss.
+        self._signatures = {
+            func.sym_name: (
+                len(func.arguments),
+                tuple(
+                    (pos, arg.type)
+                    for pos, arg in enumerate(func.arguments)
+                    if isinstance(arg.type, MemRefType)
+                ),
+            )
+            for func in module.functions
+        }
 
     @property
     def source(self) -> str:
@@ -148,21 +162,21 @@ class ExecutionEngine:
         return self.cache.stats.snapshot()
 
     def run(self, func_name: str, *args) -> List[Any]:
-        func = self.module.lookup(func_name)
-        if func is None:
+        signature = self._signatures.get(func_name)
+        if signature is None:
             raise EngineError(f"engine: no function @{func_name}")
-        if len(args) != len(func.arguments):
+        count, memrefs = signature
+        if len(args) != count:
             raise EngineError(
-                f"engine: @{func_name} expects {len(func.arguments)} args, "
-                f"got {len(args)}"
+                f"engine: @{func_name} expects {count} args, got {len(args)}"
             )
-        for formal, actual in zip(func.arguments, args):
-            if isinstance(formal.type, MemRefType) and not isinstance(
-                actual, np.ndarray
-            ):
+        for pos, ty in memrefs:
+            # Also what lets the buffer plan hand out a reshape of an
+            # argument as a view (see :mod:`.buffers`).
+            fault = memref_argument_fault(ty, args[pos])
+            if fault is not None:
                 raise EngineError(
-                    f"engine: @{func_name}: expected ndarray for "
-                    f"{formal.type}, got {type(actual).__name__}"
+                    f"engine: @{func_name}: argument {pos}: {fault}"
                 )
         return self.compiled.functions[func_name](*args)
 

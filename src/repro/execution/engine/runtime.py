@@ -26,6 +26,11 @@ def f32(value: float) -> float:
 
 
 def sgemm(a, b, c, alpha: float = 1.0, beta: float = 1.0) -> None:
+    if alpha == 1.0 and beta == 1.0 and a.dtype == b.dtype == c.dtype:
+        # One pass over C, bit-identical to the general form below:
+        # scaling by 1 is exact and the ``astype`` is a same-dtype copy.
+        c += a @ b
+        return
     c *= np.asarray(beta, dtype=c.dtype)
     c += np.asarray(alpha, dtype=c.dtype) * (a @ b).astype(c.dtype)
 
@@ -33,7 +38,7 @@ def sgemm(a, b, c, alpha: float = 1.0, beta: float = 1.0) -> None:
 def sgemv(a, x, y, trans: bool = False) -> None:
     if trans:
         a = a.T
-    y += (a @ x).astype(y.dtype)
+    y += (a @ x).astype(y.dtype, copy=False)
 
 
 def transpose(src, dst, permutation) -> None:
@@ -42,6 +47,36 @@ def transpose(src, dst, permutation) -> None:
 
 def reshape(src, dst) -> None:
     dst[...] = np.ascontiguousarray(src).reshape(dst.shape)
+
+
+# The buffer plan (see :mod:`.buffers`) swaps a zero-filled alloc plus
+# one of the copying helpers above for a producer that returns the
+# buffer itself: always a new C-contiguous array of the memref's dtype,
+# so the values are the ones the copy into zeros would have left.
+
+
+def transposed(src, permutation, dtype):
+    return np.transpose(src, permutation).astype(dtype, order="C")
+
+
+def reshaped(src, shape, dtype):
+    return np.array(src, dtype=dtype, order="C").reshape(shape)
+
+
+def reshape_view(src, shape, dtype):
+    """``src``'s own memory under another shape — no copy, which is
+    what the plan's rule (c) relies on when it drops the copy-back.
+    Only a C-contiguous array of the memref's dtype has such a view;
+    ``ExecutionEngine.run`` guarantees the first for arguments, and a
+    caller that bypasses it or passes another dtype gets this error
+    instead of a result that silently went to a temporary."""
+    if src.dtype != dtype or not src.flags.c_contiguous:
+        raise EngineError(
+            f"engine: a reshape view needs a C-contiguous {dtype} buffer, "
+            f"got {src.dtype} with strides {src.strides}: the argument "
+            "does not match its memref type"
+        )
+    return src.reshape(shape)
 
 
 def conv2d(src, kernel, out) -> None:

@@ -123,9 +123,22 @@ class VectorizeStats:
     contractions: int = 0
     licm_hoisted: int = 0
     bail_reasons: Dict[str, int] = field(default_factory=dict)
+    #: ``std.alloc`` ops per buffer-plan class (see :mod:`.buffers`)
+    buffer_classes: Dict[str, int] = field(
+        default_factory=lambda: {"view": 0, "fresh": 0, "zeros": 0}
+    )
+    #: why an alloc stayed ``zeros``, or a reshape's output a copy
+    buffer_reasons: Dict[str, int] = field(default_factory=dict)
 
     def record_bail(self, reason: str) -> None:
         self.bail_reasons[reason] = self.bail_reasons.get(reason, 0) + 1
+
+    def record_buffer(self, cls: str, reason: Optional[str] = None) -> None:
+        self.buffer_classes[cls] += 1
+        if reason is not None:
+            self.buffer_reasons[reason] = (
+                self.buffer_reasons.get(reason, 0) + 1
+            )
 
     def snapshot(self) -> dict:
         return {
@@ -135,6 +148,10 @@ class VectorizeStats:
             "contractions": self.contractions,
             "licm_hoisted": self.licm_hoisted,
             "bail_reasons": dict(sorted(self.bail_reasons.items())),
+            "buffer_plan": {
+                **self.buffer_classes,
+                "reasons": dict(sorted(self.buffer_reasons.items())),
+            },
         }
 
 

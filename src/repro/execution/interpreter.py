@@ -52,6 +52,33 @@ def _np_dtype(elem_type) -> np.dtype:
     return np.dtype(np.float32)
 
 
+def memref_argument_fault(
+    memref_type: MemRefType, actual: Any
+) -> Optional[str]:
+    """Why ``actual`` cannot be passed for a ``memref_type`` argument,
+    or ``None``.  ``memref<AxBxf32>`` *means* A*B row-major contiguous
+    elements: lowered code addresses it as ``mem.reshape(-1)[i]``,
+    which reads and writes a copy of anything laid out differently —
+    a silently wrong result, so both backends refuse it up front."""
+    if not isinstance(actual, np.ndarray):
+        return f"expected ndarray for {memref_type}, got {type(actual).__name__}"
+    declared = memref_type.shape
+    if actual.shape != declared and (
+        len(declared) != actual.ndim
+        or any(
+            want >= 0 and want != got
+            for want, got in zip(declared, actual.shape)
+        )
+    ):
+        return f"expected shape {declared} for {memref_type}, got {actual.shape}"
+    if not actual.flags.c_contiguous:
+        return (
+            f"expected a C-contiguous array for {memref_type}, got strides "
+            f"{actual.strides} (pass np.ascontiguousarray(...))"
+        )
+    return None
+
+
 class _Env:
     """SSA value bindings for one function activation."""
 
@@ -106,12 +133,12 @@ class Interpreter:
                 f"got {len(args)}"
             )
         env = _Env()
-        for formal, actual in zip(func.arguments, args):
+        for pos, (formal, actual) in enumerate(zip(func.arguments, args)):
             if isinstance(formal.type, MemRefType):
-                if not isinstance(actual, np.ndarray):
+                fault = memref_argument_fault(formal.type, actual)
+                if fault is not None:
                     raise InterpreterError(
-                        f"@{func.sym_name}: expected ndarray for "
-                        f"{formal.type}, got {type(actual).__name__}"
+                        f"@{func.sym_name}: argument {pos}: {fault}"
                     )
             env.set(formal, actual)
         region = func.regions[0]

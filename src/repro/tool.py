@@ -246,7 +246,9 @@ def main(argv: List[str] = None) -> int:
         action="store_true",
         help="with --execute --engine compiled: print the vectorizer's "
         "codegen decisions (collapsed/partial/bailed nests, recognized "
-        "contractions, LICM hoists, bail reasons) to stderr",
+        "contractions, LICM hoists, bail reasons) and the buffer plan "
+        "(std.alloc ops made views / producer results / left zero-filled, "
+        "and why) to stderr",
     )
     parser.add_argument(
         "--opt-mode",

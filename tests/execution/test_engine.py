@@ -13,6 +13,7 @@ from repro.execution import (
     EngineError,
     ExecutionEngine,
     Interpreter,
+    InterpreterError,
     KernelCache,
     run_function_compiled,
 )
@@ -166,6 +167,68 @@ class TestErrors:
         engine = ExecutionEngine(compile_c(GEMM), cache=KernelCache())
         with pytest.raises(EngineError, match="expected ndarray"):
             engine.run("gemm", [[1.0]], [[1.0]], [[1.0]])
+
+
+ADD_ONE = """
+void add_one(float A[6][4], float B[6][4]) {
+  for (int i = 0; i < 6; i++)
+    for (int j = 0; j < 4; j++)
+      B[i][j] = A[i][j] + 1.0f;
+}
+"""
+
+
+def _add_one(level):
+    module = compile_c(ADD_ONE)
+    if level == "llvm":
+        from repro.transforms import lower_to_llvm
+
+        lower_to_llvm(module)
+    return module
+
+
+@pytest.mark.parametrize("level", ["affine", "llvm"])
+@pytest.mark.parametrize(
+    "backend, error",
+    [
+        (lambda m: ExecutionEngine(m, cache=KernelCache()), EngineError),
+        (Interpreter, InterpreterError),
+    ],
+    ids=["engine", "interpreter"],
+)
+class TestMemrefArgumentLayout:
+    """``memref<6x4xf32>`` means 24 row-major contiguous floats.  A
+    lowered ``llvm.store`` goes through ``mem.reshape(-1)``, which for
+    any other layout is a copy: B used to come back all zeros."""
+
+    def test_contiguous_arguments_run(self, level, backend, error):
+        a = np.arange(24, dtype=np.float32).reshape(6, 4)
+        b = np.zeros((6, 4), np.float32)
+        backend(_add_one(level)).run("add_one", a, b)
+        np.testing.assert_array_equal(b, a + 1.0)
+
+    def test_transposed_output_is_rejected_by_name(self, level, backend, error):
+        a = np.zeros((6, 4), np.float32)
+        b = np.zeros((4, 6), np.float32).T
+        with pytest.raises(error, match=r"@add_one: argument 1: .*C-contiguous"):
+            backend(_add_one(level)).run("add_one", a, b)
+
+    def test_strided_input_is_rejected(self, level, backend, error):
+        a = np.zeros((6, 8), np.float32)[:, ::2]
+        b = np.zeros((6, 4), np.float32)
+        with pytest.raises(error, match=r"argument 0: .*C-contiguous"):
+            backend(_add_one(level)).run("add_one", a, b)
+
+    def test_wrong_shape_is_rejected(self, level, backend, error):
+        a = np.zeros((6, 4), np.float32)
+        with pytest.raises(error, match=r"argument 1: expected shape \(6, 4\)"):
+            backend(_add_one(level)).run(
+                "add_one", a, np.zeros((4, 6), np.float32)
+            )
+        with pytest.raises(error, match=r"argument 0: expected shape"):
+            backend(_add_one(level)).run(
+                "add_one", np.zeros(24, np.float32), a
+            )
 
 
 class TestGeneratedSource:

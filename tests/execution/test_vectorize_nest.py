@@ -774,6 +774,7 @@ class TestEnginePlumbing:
             "contractions",
             "licm_hoisted",
             "bail_reasons",
+            "buffer_plan",
         }
 
 

@@ -166,6 +166,41 @@ class TestMain:
             outputs[engine] = [l.split(" [")[0] for l in lines]
         assert outputs["interpret"] == outputs["compiled"]
 
+    def test_engine_stats_prints_the_buffer_plan(self, capsys, tmp_path):
+        path = tmp_path / "flatten.mlir"
+        path.write_text(
+            """
+module {
+  func @f(%a: memref<2x3xf32>, %b: memref<6xf32>) {
+    %v = "std.alloc"() : () -> (memref<6xf32>)
+    linalg.reshape(%a, %v) {reassociation = [[0, 1]]} : (memref<2x3xf32>, memref<6xf32>)
+    %z = "std.alloc"() : () -> (memref<6xf32>)
+    linalg.copy(%z, %b) : (memref<6xf32>, memref<6xf32>)
+    linalg.copy(%v, %b) : (memref<6xf32>, memref<6xf32>)
+    return
+  }
+}
+"""
+        )
+        code, _, err = self._run(
+            [
+                str(path),
+                "--execute",
+                "f",
+                "--engine",
+                "compiled",
+                "--engine-stats",
+                "-o",
+                "/dev/null",
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert (
+            '"buffer_plan": {"fresh": 0, "reasons": {"used-before-write": 1}, '
+            '"view": 1, "zeros": 1}'
+        ) in err
+
     def test_execute_unknown_function_fails(self, c_file, capsys):
         code, _, err = self._run(
             [c_file, "--execute", "nope", "-o", "/dev/null"], capsys
