@@ -85,6 +85,19 @@ class CacheStats:
             }
 
 
+def kernel_key(text_fingerprint: str, tag: str = "") -> str:
+    """Key of the kernel compiled from the module text with that
+    fingerprint under configuration ``tag``.  Every producer of
+    ``kernels/`` artifacts keys through here, and this is the one place
+    ``CODEGEN_VERSION`` is folded in — a code-generator upgrade can
+    never re-serve a kernel written by an older one."""
+    from .codegen import CODEGEN_VERSION
+
+    return KernelCache.key_for_text(
+        text_fingerprint, f"{tag}#cg={CODEGEN_VERSION}"
+    )
+
+
 def fingerprint_module(module: ModuleOp) -> str:
     """SHA-256 hex digest of the module's printed form, memoized on the
     module's ``version`` counter when one is present."""
@@ -131,7 +144,8 @@ class KernelCache:
 
     @staticmethod
     def key_for_text(fingerprint: str, pipeline: str = "") -> str:
-        """Key from an already-computed module fingerprint."""
+        """Raw ``(fingerprint, tag)`` digest — for kernels use
+        :func:`kernel_key`, which also folds the codegen version."""
         digest = hashlib.sha256()
         digest.update(fingerprint.encode("utf-8"))
         digest.update(b"\x00")
@@ -140,9 +154,7 @@ class KernelCache:
 
     @staticmethod
     def key_for(module: ModuleOp, pipeline: str = "") -> str:
-        return KernelCache.key_for_text(
-            fingerprint_module(module), pipeline
-        )
+        return kernel_key(fingerprint_module(module), pipeline)
 
     def get(self, key: str) -> Optional[object]:
         """LRU read: a hit moves the entry to most-recently-used."""

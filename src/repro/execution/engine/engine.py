@@ -15,7 +15,6 @@ from ...ir import ModuleOp, MemRefType
 from ..interpreter import memref_argument_fault
 from .cache import KERNEL_CACHE, KernelCache
 from .codegen import (
-    CODEGEN_VERSION,
     VECTORIZE_MODES,
     CompiledModule,
     compile_module,
@@ -30,11 +29,11 @@ class ExecutionEngine:
     plain Python call into the compiled kernel.  ``pipeline`` is folded
     into the cache key so the same kernel lowered by two different
     pipelines never collides; the ``vectorize`` mode (see
-    :data:`~.codegen.VECTORIZE_MODES`) and
-    :data:`~.codegen.CODEGEN_VERSION` are folded in too, so the
+    :data:`~.codegen.VECTORIZE_MODES`) is folded in too, so the
     ``vectorize-diff`` oracle and the mode-comparison benchmarks never
-    share kernels across modes and a code-generator upgrade never
-    re-serves kernels from a stale persistent cache.
+    share kernels across modes (:func:`~.cache.kernel_key` adds the
+    code generator's version, so an upgrade never re-serves kernels
+    from a stale persistent cache).
 
     ``opt_mode`` (see :data:`~.optimizer.OPT_MODES`) selects the
     mid-level loop-optimizer pipeline run before codegen.  The caller's
@@ -78,15 +77,11 @@ class ExecutionEngine:
         self.tile_size = tile_size
         self.schedule = schedule
         self.cache = cache if cache is not None else KERNEL_CACHE
-        # The codegen version, vectorize mode, and opt mode are folded
-        # in unconditionally so persistent disk caches written by an
-        # older code generator (or another mode) never serve stale
-        # kernels.  Non-default tile sizes and explicit schedules fold
-        # in conditionally so pre-existing tags stay valid.
-        cache_tag = (
-            f"{pipeline}#cg={CODEGEN_VERSION}#vectorize={vectorize}"
-            f"#opt={opt_mode}"
-        )
+        # The vectorize and opt modes are folded in unconditionally so
+        # a persistent disk cache never serves another mode's kernel;
+        # non-default tile sizes and explicit schedules fold in
+        # conditionally.
+        cache_tag = f"{pipeline}#vectorize={vectorize}#opt={opt_mode}"
         if tile_size != DEFAULT_TILE_SIZE:
             cache_tag += f"#tile={tile_size}"
         if schedule is not None:

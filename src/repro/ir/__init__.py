@@ -46,7 +46,6 @@ from .pass_cache import (  # noqa: F401
     PassResultCache,
     cached_stage,
     fingerprint_function,
-    splice_function,
 )
 from .pass_manager import (  # noqa: F401
     FunctionPass,

@@ -119,7 +119,15 @@ class Parser:
         return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
 
     def next(self) -> Token:
-        tok = self.peek()
+        """Consume one token.  The EOF token can be consumed once (so
+        ``expect`` reports what it wanted); a second attempt raises, so
+        no token loop can spin on truncated input."""
+        try:
+            tok = self.tokens[self.pos]
+        except IndexError:
+            raise ParseError(
+                "unexpected end of input", self.tokens[-1].line
+            ) from None
         self.pos += 1
         return tok
 

@@ -8,28 +8,31 @@ function granularity* so unchanged functions skip ``run_on_function``
 entirely — in-process through an LRU memo, and across processes
 through a ``passes/`` namespace in the shared disk cache.
 
-Key anatomy (all SHA-256 hex):
+Key anatomy (SHA-256 hex): one entry per ``(function fingerprint, pass
+name, pass config, pattern driver, PASS_CACHE_VERSION)``.  The value
+records whether the transform left the function byte-identical
+(``clean``) or rewrote it (``rewrite`` + the printed result IR), the
+result's fingerprint ``fp``, and an optional ``meta`` dict of counter
+deltas so observability survives a hit.
 
-* **Per-pass entry** — ``(function fingerprint, pass name, pass
-  config, pattern driver, PASS_CACHE_VERSION)``.  The value records
-  whether the pass left the function byte-identical (``clean``) or
-  rewrote it (``rewrite`` + the printed result IR and its
-  fingerprint), plus an optional ``meta`` dict of counter deltas so
-  observability survives a hit.
-* **Prefix entry** — ``(function fingerprint at module entry,
-  pipeline-prefix hash, driver, PASS_CACHE_VERSION)`` where the prefix
-  hash chains every ``(pass name, pass config)`` pair of the pipeline
-  prefix.  A cold process looks up the *longest* matching prefix,
-  splices the cached post-prefix function into the module, and runs
-  only the residual passes — multi-function units compile only their
-  genuinely new functions.
+There is one memo path, :class:`FunctionCursor`, and it is the only
+code that looks an entry up (:meth:`~FunctionCursor.replay`), records
+one (:meth:`~FunctionCursor.execute`) or turns one back into IR
+(:meth:`~FunctionCursor.settle`).  ``PassManager`` (passes) and
+:func:`cached_stage` (schedule steps: the optimizer, the engine,
+``mlt-tune``) are its two callers.  Consecutive hits only advance the
+cursor's fingerprint along the entries' ``fp`` chain; the last
+``rewrite`` entry of the chain is parsed and spliced once, when
+something has to look at the function.  A chain of per-pass hits *is*
+the pipeline prefix, so a cold process re-compiling an unchanged
+function pays one parse, not one per rewriting pass.
 
 Invalidation is purely content-addressed: any IR change produces a new
 function fingerprint, any pass-config or driver change a new key, and
 ``PASS_CACHE_VERSION`` is bumped whenever pass semantics change.
-Correctness is enforced (not assumed) by the ``incremental-diff`` fuzz
-oracle stage, which byte-diffs incremental-vs-scratch printed IR at
-every pipeline snapshot.
+Correctness is enforced (not assumed) by the ``incremental`` fuzz
+check, which byte-diffs incremental-vs-scratch printed IR at every
+pipeline snapshot.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import hashlib
 import json
 import threading
 from collections import OrderedDict
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .builtin import FuncOp, ModuleOp
 from .core import Operation
@@ -63,12 +66,10 @@ class PassCacheStats:
     * ``disk_hits`` — memo misses satisfied by the disk tier.
     * ``executions`` — ``run_on_function`` (or stage-runner) calls that
       actually ran; a fully warm recompile has zero.
-    * ``spliced`` — cached *rewrite* results parsed back into the
-      module in place of running the pass.
+    * ``spliced`` — cached *rewrite* results put back into the module
+      in place of running the transform (one per chain of hits).
     * ``skipped_verifies`` — per-function re-verifies skipped because
       the result came from the cache.
-    * ``prefix_restores`` — functions fast-forwarded past a whole
-      pipeline prefix from the disk tier.
     * ``stores`` — new entries written (memory, and disk when attached).
     """
 
@@ -79,7 +80,6 @@ class PassCacheStats:
         "executions",
         "spliced",
         "skipped_verifies",
-        "prefix_restores",
         "stores",
     )
 
@@ -95,7 +95,10 @@ class PassCacheStats:
 
     def snapshot(self) -> Dict[str, int]:
         with self._lock:
-            return {name: getattr(self, name) for name in self._COUNTERS}
+            snap = {name: getattr(self, name) for name in self._COUNTERS}
+        # The tier is gone; the frozen benchmarks/e2e still indexes it.
+        snap["prefix_restores"] = 0
+        return snap
 
 
 def fingerprint_and_text(func: Operation) -> Tuple[str, str]:
@@ -121,31 +124,51 @@ def enclosing_module(op: Operation) -> Optional[ModuleOp]:
     return None
 
 
-def splice_function(module: ModuleOp, old_func: FuncOp, text: str) -> FuncOp:
-    """Replace ``old_func`` with the function parsed from ``text``,
-    preserving its position in the module body (printed-module output
-    must be byte-identical to a from-scratch run)."""
-    return _replace_function(module, old_func, _parse_detached(text))
+def _entry_function(entry: dict) -> Optional[FuncOp]:
+    """A private copy of a ``rewrite`` entry's function — None when its
+    text no longer parses.  The text is parsed on the entry's first use
+    and the parsed op kept beside it in the memo (never on disk), so a
+    schedule search that lands on one result from many candidates pays
+    a clone per hit, not a parse."""
+    template = entry.get("parsed")
+    if template is None:
+        from . import parser  # deferred: most processes never parse
+
+        try:
+            template = parser.parse_func(entry["text"])
+        except parser.ParseError:
+            return None
+        if template.parent_block is not None:
+            template.parent_block.remove(template)
+        entry["parsed"] = template
+    return template.clone()
 
 
-def _parse_detached(text: str) -> FuncOp:
-    from .parser import parse_func
-
-    func = parse_func(text)
-    if func.parent_block is not None:
-        func.parent_block.remove(func)
-    return func
-
-
-def _replace_function(
-    module: ModuleOp, old_func: FuncOp, new_func: FuncOp
-) -> FuncOp:
-    block = module.body
-    index = block.operations.index(old_func)
-    block.remove(old_func)
-    block.insert(index, new_func)
-    module.bump_version()
+def _replace_function(old_func: FuncOp, new_func: FuncOp) -> FuncOp:
+    """Put ``new_func`` where ``old_func`` sits in its module body
+    (printed-module output must be byte-identical to a from-scratch
+    run); a detached function is simply superseded."""
+    module = enclosing_module(old_func)
+    if module is not None:
+        block = module.body
+        index = block.operations.index(old_func)
+        block.remove(old_func)
+        block.insert(index, new_func)
+        module.bump_version()
     return new_func
+
+
+def _valid_entry(entry) -> bool:
+    """Shape check for what the disk tier hands back: anything else is
+    a miss, never a ``KeyError`` three frames later."""
+    if not isinstance(entry, dict) or not isinstance(entry.get("fp"), str):
+        return False
+    if not isinstance(entry.get("meta", {}), dict):
+        return False
+    kind = entry.get("kind")
+    return kind == "clean" or (
+        kind == "rewrite" and isinstance(entry.get("text"), str)
+    )
 
 
 class PassResultCache:
@@ -200,17 +223,11 @@ class PassResultCache:
             func_fp, pass_name, config,
         )
 
-    def prefix_key(self, entry_fp: str, prefix_hash: str) -> str:
-        """Pipeline-prefix entry key (see module docstring)."""
-        return self._digest(
-            "prefix", PASS_CACHE_VERSION, get_default_driver(),
-            entry_fp, prefix_hash,
-        )
-
     # -- lookup / store -------------------------------------------------
 
     def get(self, key: str) -> Optional[dict]:
-        """Memo-then-disk lookup; a disk hit repopulates the memo."""
+        """Memo-then-disk lookup; a well-formed disk entry repopulates
+        the memo, a damaged one is a miss."""
         with self._lock:
             entry = self._memo.get(key)
             if entry is not None:
@@ -225,10 +242,7 @@ class PassResultCache:
                     entry = json.loads(text)
                 except ValueError:
                     entry = None
-                if isinstance(entry, dict) and entry.get("kind") in (
-                    "clean",
-                    "rewrite",
-                ):
+                if _valid_entry(entry):
                     self._remember(key, entry)
                     self.stats.bump(hits=1, disk_hits=1)
                     return entry
@@ -241,10 +255,6 @@ class PassResultCache:
             self._memo.move_to_end(key)
             while len(self._memo) > self.max_entries:
                 self._memo.popitem(last=False)
-
-    def contains(self, key: str) -> bool:
-        with self._lock:
-            return key in self._memo
 
     def put(self, key: str, entry: dict) -> None:
         self._remember(key, entry)
@@ -272,15 +282,96 @@ class PassResultCache:
         }
 
 
-def _entry_function(entry: dict) -> FuncOp:
-    """A private copy of a ``rewrite`` entry's function.  The text is
-    parsed on the entry's first hit and the parsed op kept beside it in
-    the memo (never on disk), so a schedule search that lands on one
-    result from many candidates pays a clone per hit, not a parse."""
-    template = entry.get("parsed")
-    if template is None:
-        template = entry["parsed"] = _parse_detached(entry["text"])
-    return template.clone()
+class FunctionCursor:
+    """One function's place in a run of memoized transforms.
+
+    ``fp`` is the fingerprint the function has *logically* reached;
+    ``func`` is the op the module holds.  The two agree except while
+    consecutive :meth:`replay` hits are outstanding: those only advance
+    ``fp``, and :meth:`settle` applies them to ``func`` in one splice.
+
+    A transform is ``run(func) -> (change report, meta)``: it mutates
+    the function in place; a falsy report claims "untouched" (``None``
+    = unknown); ``meta`` is a JSON-safe dict stored with the entry, or
+    ``None`` for no such field.
+    """
+
+    __slots__ = ("cache", "func", "fp", "_chain", "_pending")
+
+    def __init__(
+        self, cache: PassResultCache, func: FuncOp, fp: Optional[str] = None
+    ):
+        self.cache = cache
+        self.func = func
+        self.fp = fingerprint_function(func) if fp is None else fp
+        #: The hits since ``func`` was last real, as ``(fp before,
+        #: name, config, run)``, and the last ``rewrite`` entry among
+        #: them — what ``func`` is to become.
+        self._chain: List[Tuple[str, str, str, Callable]] = []
+        self._pending: Optional[dict] = None
+
+    def replay(self, name: str, config: str, run: Callable) -> Optional[dict]:
+        """Look ``(fp, name, config)`` up.  A hit advances the cursor
+        past the transform and returns the entry; a miss returns None.
+        ``run`` is kept only to recover from a damaged entry."""
+        entry = self.cache.get(self.cache.key(self.fp, name, config))
+        if entry is not None:
+            self._chain.append((self.fp, name, config, run))
+            if entry["kind"] == "rewrite":
+                self._pending = entry
+            self.fp = entry["fp"]
+        return entry
+
+    def settle(self) -> bool:
+        """Make ``func`` the function ``fp`` names.  Returns True when
+        that took re-running transforms: the pending entry's text did
+        not parse, so the chain's transforms run on the function still
+        held (they are function-local, so this is the uncached result)
+        and their entries are overwritten."""
+        entry, chain = self._pending, self._chain
+        self._pending, self._chain = None, []
+        if entry is None:
+            return False
+        result = _entry_function(entry)
+        if result is None:
+            self.fp = chain[0][0]
+            for _, name, config, run in chain:
+                self.cache.stats.bump(misses=1)
+                self.execute(name, config, run)
+            return True
+        self.func = _replace_function(self.func, result)
+        self.cache.stats.bump(spliced=1)
+        return False
+
+    def execute(
+        self, name: str, config: str, run: Callable
+    ) -> Tuple[bool, Optional[dict]]:
+        """Run the transform on the (settled) function and record the
+        result.  Returns ``(really changed, meta)``."""
+        cache, func, fp = self.cache, self.func, self.fp
+        module = enclosing_module(func)
+        version = getattr(module, "version", None)
+        reported, meta = run(func)
+        cache.stats.bump(executions=1)
+        # A falsy report is believed only while the module version
+        # stands still: PatternRewriter mutations bump it, so a pass
+        # under-reporting its changes still invalidates correctly.
+        if (
+            reported is None
+            or reported
+            or getattr(module, "version", None) != version
+        ):
+            self.fp, text = fingerprint_and_text(func)
+        if self.fp != fp:
+            entry = {"kind": "rewrite", "text": text, "fp": self.fp}
+            if module is not None:
+                module.bump_version()
+        else:
+            entry = {"kind": "clean", "fp": fp}
+        if meta is not None:
+            entry["meta"] = meta
+        cache.put(cache.key(fp, name, config), entry)
+        return self.fp != fp, meta
 
 
 def cached_stage(
@@ -295,8 +386,8 @@ def cached_stage(
 
     ``runner(func)`` mutates ``func`` in place and returns a JSON-safe
     ``meta`` dict of counter deltas (or None).  On a hit the runner is
-    skipped: a ``rewrite`` entry splices the cached result text into
-    the enclosing module, and the stored ``meta`` is replayed so
+    skipped: a ``rewrite`` entry splices the cached result into the
+    enclosing module, and the stored ``meta`` is replayed so
     stats-based observability (``OptStats`` stages, schedule reports)
     stays identical to an uncached run.
 
@@ -310,32 +401,17 @@ def cached_stage(
     splice, and ``fp`` is the post-stage fingerprint (``None`` when the
     stage bypassed the cache, i.e. the result is unknown).
     """
+
+    def run(target: FuncOp):
+        return None, dict(runner(target) or {})
+
     if cache is None:
-        return func, dict(runner(func) or {}), None
-    if fp is None:
-        fp = fingerprint_function(func)
-    key = cache.key(fp, stage_name, config)
-    entry = cache.get(key)
+        return func, run(func)[1], None
+    cursor = FunctionCursor(cache, func, fp)
+    entry = cursor.replay(stage_name, config, run)
     if entry is not None:
-        if entry["kind"] == "rewrite":
-            module = enclosing_module(func)
-            if module is not None:
-                func = _replace_function(
-                    module, func, _entry_function(entry)
-                )
-                cache.stats.bump(spliced=1)
-        return func, dict(entry.get("meta") or {}), entry["fp"]
-    meta = dict(runner(func) or {})
-    cache.stats.bump(executions=1)
-    new_fp, text = fingerprint_and_text(func)
-    if new_fp != fp:
-        cache.put(
-            key,
-            {"kind": "rewrite", "text": text, "fp": new_fp, "meta": meta},
-        )
-        module = enclosing_module(func)
-        if module is not None:
-            module.bump_version()
+        meta = dict(entry.get("meta") or {})
+        cursor.settle()
     else:
-        cache.put(key, {"kind": "clean", "fp": fp, "meta": meta})
-    return func, meta, new_fp
+        meta = cursor.execute(stage_name, config, run)[1]
+    return cursor.func, meta, cursor.fp

@@ -21,12 +21,12 @@ Two compile-time optimizations live here:
 
 from __future__ import annotations
 
-import hashlib
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from .builtin import ModuleOp
 from .context import Context
+from .pass_cache import FunctionCursor
 from .verifier import verify
 
 
@@ -214,9 +214,8 @@ class PassManager:
         #: Optional :class:`~repro.ir.pass_cache.PassResultCache`.
         #: When set, cacheable :class:`FunctionPass` results are
         #: memoized per (function fingerprint, pass name, pass config)
-        #: and unchanged functions skip ``run_on_function`` entirely;
-        #: with a disk tier attached, whole pipeline prefixes are
-        #: restored across processes.
+        #: and unchanged functions skip ``run_on_function`` entirely
+        #: (across processes too, with a disk tier attached).
         self.pass_cache = pass_cache
         self.timing = PassTiming()
         #: Bumped whenever a pass reports (or may have made) changes.
@@ -234,271 +233,119 @@ class PassManager:
         self.passes.extend(passes)
         return self
 
-    def _verify_after(self, pass_, module: ModuleOp) -> None:
-        touched = pass_.touched_functions(module)
-        if touched is None:
-            verify(module, self.context)
-            self.verify_stats["full_verifies"] += 1
-            self.module_version += 1
-            module.bump_version()
-            return
-        for func in touched:
-            verify(func, self.context)
-        self.verify_stats["function_verifies"] += len(touched)
-        self.verify_stats["skipped_functions"] += max(
-            0, len(module.functions) - len(touched)
-        )
-        if touched:
+    def _after_pass(
+        self, pass_, module: ModuleOp, changed: Optional[bool] = None
+    ) -> None:
+        """Re-verify what ``pass_`` touched (under ``verify_each``) and
+        stamp the module if it changed.  ``changed`` is the cached
+        path's exact answer; None derives it from what was touched
+        (without ``verify_each``: assume changed)."""
+        dirty = True
+        if self.verify_each:
+            touched = pass_.touched_functions(module)
+            if touched is None:
+                verify(module, self.context)
+                self.verify_stats["full_verifies"] += 1
+            else:
+                for func in touched:
+                    verify(func, self.context)
+                self.verify_stats["function_verifies"] += len(touched)
+                self.verify_stats["skipped_functions"] += max(
+                    0, len(module.functions) - len(touched)
+                )
+                dirty = bool(touched)
+        if changed is None:
+            changed = dirty
+        if changed:
             self.module_version += 1
             module.bump_version()
 
     def run(self, module: ModuleOp) -> PassTiming:
-        if self.pass_cache is not None:
-            return self._run_cached(module)
-        if self.verify_each:
-            verify(module, self.context)
-            self.verify_stats["full_verifies"] += 1
-        for pass_ in self.passes:
-            start = time.perf_counter()
-            pass_.run(module, self.context)
-            self.timing.record(pass_.name, time.perf_counter() - start)
-            self.timing.record_patterns(
-                pass_.name, getattr(pass_, "rewrite_results", ())
-            )
-            if self.verify_each:
-                self._verify_after(pass_, module)
-            else:
-                self.module_version += 1
-                module.bump_version()
-        return self.timing
-
-    # ------------------------------------------------------------------
-    # Incremental (pass-cache) execution path
-    # ------------------------------------------------------------------
-
-    def _prefix_hashes(self) -> List[Optional[str]]:
-        """Chained hash of (pass name, pass config) per pipeline prefix.
-
-        ``None`` past the first non-cacheable pass: a module pass can
-        rewrite anything, so function-granular prefix artifacts are
-        only sound for the leading all-cacheable prefix.
-        """
-        digest = hashlib.sha256()
-        hashes: List[Optional[str]] = []
-        sound = True
-        for pass_ in self.passes:
-            if sound and isinstance(pass_, FunctionPass) and pass_.cacheable:
-                digest.update(
-                    f"{pass_.name}\x00{pass_.cache_config()}\x01".encode(
-                        "utf-8"
-                    )
-                )
-                hashes.append(digest.hexdigest())
-            else:
-                sound = False
-                hashes.append(None)
-        return hashes
-
-    def _run_cached(self, module: ModuleOp) -> PassTiming:
-        from .pass_cache import fingerprint_and_text, splice_function
-
         cache = self.pass_cache
         if self.verify_each:
             verify(module, self.context)
             self.verify_stats["full_verifies"] += 1
-
-        #: Current (fingerprint, printed text) per function (keyed by
-        #: symbol name — splices replace the op object but keep the
-        #: symbol), dropped whenever a pass may have changed the
-        #: function.  The text rides along so that cache entries store
-        #: exactly the bytes that were hashed, without a second print.
-        states: Dict[str, Tuple[str, str]] = {}
-
-        def state_of(func) -> Tuple[str, str]:
-            name = func.sym_name
-            got = states.get(name)
-            if got is None:
-                got = states[name] = fingerprint_and_text(func)
-            return got
-
-        prefix_hashes = self._prefix_hashes()
-        last_prefix = -1
-        for index, prefix in enumerate(prefix_hashes):
-            if prefix is not None:
-                last_prefix = index
-
-        #: Per function symbol: index of the first pass still to run
-        #: (everything before it was restored from a disk prefix).
-        resume: Dict[str, int] = {}
-        entry_fps: Dict[str, str] = {}
-        if cache.disk is not None and last_prefix >= 0:
-            for func in list(module.functions):
-                entry_fps[func.sym_name] = state_of(func)[0]
-            for func in list(module.functions):
-                name = func.sym_name
-                for index in range(last_prefix, -1, -1):
-                    prefix = prefix_hashes[index]
-                    if prefix is None:
-                        continue
-                    entry = cache.get(
-                        cache.prefix_key(entry_fps[name], prefix)
-                    )
-                    if entry is None:
-                        continue
-                    if entry["kind"] == "rewrite":
-                        splice_function(module, func, entry["text"])
-                        states[name] = (entry["fp"], entry["text"])
-                        self.module_version += 1
-                        cache.stats.bump(spliced=1)
-                    resume[name] = index + 1
-                    cache.stats.bump(prefix_restores=1)
-                    break
-
-        for index, pass_ in enumerate(self.passes):
-            start = time.perf_counter()
-            stats_before = cache.stats.snapshot()
-            if isinstance(pass_, FunctionPass) and pass_.cacheable:
-                changed_any, changed_names = self._run_function_pass_cached(
-                    pass_, module, index, states, resume, state_of
-                )
-                if self.verify_each:
-                    touched = list(getattr(pass_, "_touched", []))
-                    for func in touched:
-                        verify(func, self.context)
-                    self.verify_stats["function_verifies"] += len(touched)
-                    self.verify_stats["skipped_functions"] += max(
-                        0, len(module.functions) - len(touched)
-                    )
-                if changed_any:
-                    self.module_version += 1
-                    module.bump_version()
-                # Functions that changed at this prefix depth get an
-                # intermediate prefix artifact, so pipelines sharing
-                # this prefix restore from here even when their
-                # suffixes differ.
+        #: Per function symbol (splices replace the op, not the symbol):
+        #: where the current run of memoized passes has got to.
+        cursors: Dict[str, FunctionCursor] = {}
+        try:
+            for pass_ in self.passes:
+                start = time.perf_counter()
+                changed = None
                 if (
-                    cache.disk is not None
-                    and prefix_hashes[index] is not None
-                    and changed_names
+                    cache is not None
+                    and isinstance(pass_, FunctionPass)
+                    and pass_.cacheable
                 ):
-                    self._store_prefix(
-                        module,
-                        prefix_hashes[index],
-                        {
-                            name: fp
-                            for name, fp in entry_fps.items()
-                            if name in changed_names
-                        },
-                        state_of,
+                    before = cache.stats.snapshot()
+                    changed = self._run_cached(pass_, module, cursors)
+                    after = cache.stats.snapshot()
+                    self.timing.record_pass_cache(
+                        pass_.name,
+                        {key: after[key] - before[key] for key in after},
                     )
-            else:
-                pass_.run(module, self.context)
-                # A module pass can rewrite anything: every memoized
-                # fingerprint is stale, and prefix bookkeeping stops
-                # here by construction (prefix hash is None).
-                states.clear()
-                if self.verify_each:
-                    self._verify_after(pass_, module)
                 else:
-                    self.module_version += 1
-                    module.bump_version()
-            self.timing.record(pass_.name, time.perf_counter() - start)
-            self.timing.record_patterns(
-                pass_.name, getattr(pass_, "rewrite_results", ())
-            )
-            stats_after = cache.stats.snapshot()
-            self.timing.record_pass_cache(
-                pass_.name,
-                {
-                    key: stats_after[key] - stats_before[key]
-                    for key in stats_after
-                },
-            )
-            if (
-                cache.disk is not None
-                and index == last_prefix
-                and prefix_hashes[index] is not None
-            ):
-                self._store_prefix(
-                    module, prefix_hashes[index], entry_fps, state_of
+                    # A module pass can read and rewrite anything: it
+                    # gets the real functions, and no fingerprint
+                    # survives it.
+                    self._settle(cursors.values())
+                    cursors.clear()
+                    pass_.run(module, self.context)
+                self.timing.record(pass_.name, time.perf_counter() - start)
+                self.timing.record_patterns(
+                    pass_.name, getattr(pass_, "rewrite_results", ())
                 )
+                self._after_pass(pass_, module, changed)
+        finally:
+            # Also when a pass raised: the module then still holds
+            # every result that was reached.
+            self._settle(cursors.values())
         return self.timing
 
-    def _store_prefix(self, module, prefix_hash, entry_fps, state_of) -> None:
-        """Persist every function's post-prefix state to the disk tier."""
-        cache = self.pass_cache
-        for func in list(module.functions):
-            name = func.sym_name
-            entry_fp = entry_fps.get(name)
-            if entry_fp is None:
-                continue
-            key = cache.prefix_key(entry_fp, prefix_hash)
-            if cache.contains(key):
-                continue
-            current, text = state_of(func)
-            if current == entry_fp:
-                cache.put(key, {"kind": "clean", "fp": current})
-            else:
-                cache.put(
-                    key, {"kind": "rewrite", "text": text, "fp": current}
-                )
+    # ------------------------------------------------------------------
+    # Incremental (pass-cache) execution of one function pass
+    # ------------------------------------------------------------------
 
-    def _run_function_pass_cached(
-        self, pass_, module, index, states, resume, state_of
-    ) -> Tuple[bool, Set[str]]:
-        from .pass_cache import splice_function
+    def _settle(self, cursors) -> None:
+        """Apply the cursors' outstanding chains of hits to the module
+        (re-verifying a function that had to be re-run to get there)."""
+        for cursor in cursors:
+            if cursor.settle() and self.verify_each:
+                verify(cursor.func, self.context)
 
+    def _run_cached(self, pass_, module: ModuleOp, cursors) -> bool:
+        """``pass_`` over every function through the pass cache: a hit
+        only advances that function's cursor, a miss settles it and
+        runs the pass.  Returns whether any function changed."""
         cache = self.pass_cache
         pass_.rewrite_results = []
         pass_._touched = []
         config = pass_.cache_config()
         prepared = False
-        changed_any = False
-        changed_names = set()
-        for func in list(module.functions):
-            name = func.sym_name
-            if resume.get(name, 0) > index:
-                continue  # a disk prefix already covers this pass
-            fp = state_of(func)[0]
-            key = cache.key(fp, pass_.name, config)
-            entry = cache.get(key)
-            if entry is not None:
-                if entry["kind"] == "rewrite":
-                    splice_function(module, func, entry["text"])
-                    states[name] = (entry["fp"], entry["text"])
-                    changed_any = True
-                    changed_names.add(name)
-                    cache.stats.bump(spliced=1)
-                if self.verify_each:
-                    cache.stats.bump(skipped_verifies=1)
-                continue
+
+        def run(func):
+            nonlocal prepared
             if not prepared:
                 pass_.prepare(module, self.context)
                 prepared = True
-            version_before = getattr(module, "version", 0)
-            changed = pass_.run_on_function(func, self.context)
-            cache.stats.bump(executions=1)
-            if changed is None:
-                changed = True
-            # Belt and braces: PatternRewriter mutations bump the
-            # module version, so a pass under-reporting its changes
-            # still invalidates correctly.
-            if getattr(module, "version", 0) != version_before:
-                changed = True
-            if changed:
-                states.pop(name, None)
-                new_fp, new_text = state_of(func)
-                changed = new_fp != fp
-            if changed:
-                pass_._touched.append(func)
+            return pass_.run_on_function(func, self.context), None
+
+        changed_any = False
+        for func in module.functions:
+            cursor = cursors.get(func.sym_name)
+            if cursor is None:
+                cursor = cursors[func.sym_name] = FunctionCursor(cache, func)
+            entry = cursor.replay(pass_.name, config, run)
+            if entry is not None:
+                changed_any |= entry["kind"] == "rewrite"
+                if self.verify_each:
+                    cache.stats.bump(skipped_verifies=1)
+                continue
+            self._settle([cursor])
+            if cursor.execute(pass_.name, config, run)[0]:
+                pass_._touched.append(cursor.func)
                 changed_any = True
-                changed_names.add(name)
-                cache.put(
-                    key, {"kind": "rewrite", "text": new_text, "fp": new_fp}
-                )
-            else:
-                cache.put(key, {"kind": "clean", "fp": fp})
-        return changed_any, changed_names
+        return changed_any
 
     def pipeline_string(self) -> str:
         return ",".join(p.name for p in self.passes)

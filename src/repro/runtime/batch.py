@@ -104,7 +104,7 @@ def _run_unit(input_path: str) -> BatchResult:
 
 
 def _process_file(input_path: str, state: dict) -> BatchResult:
-    from ..execution.engine.cache import KernelCache
+    from ..execution.engine.cache import KernelCache, kernel_key
     from ..ir import print_module, verify
     from ..ir.parser import parse_module
     from ..tool import build_pipeline, load_input
@@ -132,19 +132,16 @@ def _process_file(input_path: str, state: dict) -> BatchResult:
 
     cache_snapshot = None
     if state["compile_kernels"]:
-        from ..execution.engine.codegen import CODEGEN_VERSION, compile_module
+        from ..execution.engine.codegen import compile_module
 
         cache = KernelCache()
         if state["kernel_cache_dir"]:
             cache.attach_disk(state["kernel_cache_dir"])
         # Key straight off the printed text: a fully warm unit needs
-        # neither a reparse nor a reprint of the module.  The code
-        # generator's version is part of the tag (as in the engine and
-        # the serving tier) so a ``kernels/`` directory filled by an
-        # older generator is never re-served.
-        key = KernelCache.key_for_text(
+        # neither a reparse nor a reprint of the module.
+        key = kernel_key(
             hashlib.sha256(text.encode("utf-8")).hexdigest(),
-            "mlt-opt:" + ",".join(pass_names) + f"#cg={CODEGEN_VERSION}",
+            "mlt-opt:" + ",".join(pass_names),
         )
 
         def build_kernel(k: str):

@@ -60,7 +60,7 @@ def _run_unit(unit: Tuple[str, str]) -> Dict:
     state = _WORKER_STATE
     from ..evaluation import get_kernel
     from ..evaluation.pipelines import build_module
-    from ..execution.engine.cache import KernelCache
+    from ..execution.engine.cache import KernelCache, kernel_key
     from ..execution.engine.codegen import compile_module
     from ..ir import print_module
 
@@ -90,7 +90,7 @@ def _run_unit(unit: Tuple[str, str]) -> Dict:
     cache = KernelCache()
     if state["kernel_cache_dir"]:
         cache.attach_disk(state["kernel_cache_dir"])
-    key = KernelCache.key_for_text(
+    key = kernel_key(
         hashlib.sha256(text.encode("utf-8")).hexdigest(), pipeline
     )
 

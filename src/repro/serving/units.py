@@ -349,14 +349,12 @@ def _build_module(spec: dict, pass_cache=None):
 
 
 def _kernel_tag(spec: dict) -> str:
-    from ..execution.engine.codegen import CODEGEN_VERSION
-
     if spec["mode"] == "corpus":
         pipeline = f"{spec['pipeline']}|tile={spec['tile']}"
     else:
         pipeline = ",".join(spec["passes"])
     opt = spec.get("opt_mode", "full")
-    return f"serve:{pipeline}#cg={CODEGEN_VERSION}#opt={opt}"
+    return f"serve:{pipeline}#opt={opt}"
 
 
 def _unit_schedule(opt_mode: str, module, schedule_cache):
@@ -442,14 +440,12 @@ def serve_unit(spec: dict) -> dict:
         if module_cache is not None:
             module_cache.store_text(mkey, text)
 
-    from ..execution.engine.cache import KernelCache
+    from ..execution.engine.cache import kernel_key
 
     tag = _kernel_tag(spec)
     if schedule_tag:
         tag += f"#sched={schedule_tag}"
-    key = KernelCache.key_for_text(
-        hashlib.sha256(text.encode("utf-8")).hexdigest(), tag
-    )
+    key = kernel_key(hashlib.sha256(text.encode("utf-8")).hexdigest(), tag)
     built = {}
 
     def build_kernel(k: str):

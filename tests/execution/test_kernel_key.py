@@ -1,0 +1,119 @@
+"""``kernel_key`` — the one place ``CODEGEN_VERSION`` enters a key.
+
+Every producer of ``kernels/`` artifacts (the engine, the serving tier,
+``mlt-opt`` batch mode, the corpus scale driver) must miss, by key, a
+directory filled by an older code generator; the version-independent
+tiers above it (``modules/``) may keep hitting.
+"""
+
+import os
+import re
+
+import pytest
+
+import repro
+from repro.execution.engine.cache import KernelCache, kernel_key
+
+GEMM = """
+void gemm(float A[4][4], float B[4][4], float C[4][4]) {
+  for (int i = 0; i < 4; i++)
+    for (int j = 0; j < 4; j++)
+      for (int k = 0; k < 4; k++)
+        C[i][j] += A[i][k] * B[k][j];
+}
+"""
+
+
+def _engine(root):
+    from repro.execution import ExecutionEngine
+    from repro.met import compile_c
+
+    cache = KernelCache()
+    cache.attach_disk(os.path.join(root, "kernels"))
+    ExecutionEngine(
+        compile_c(GEMM), pipeline="vt", cache=cache, opt_mode="full"
+    )
+    return cache.stats.codegen_count
+
+
+def _serve(root):
+    from repro.serving.units import (
+        configure_serving,
+        normalize_request,
+        reset_serving_state,
+        serve_unit,
+    )
+
+    reset_serving_state()  # a restarted server: only the disk tiers survive
+    configure_serving(root)
+    try:
+        request = {"op": "execute", "kernel": "gemm", "pipeline": "mlt-blas"}
+        response = serve_unit(normalize_request(request))
+        return int(response["cached"] == "codegen")
+    finally:
+        reset_serving_state()
+
+
+def _batch(root):
+    from repro.runtime.batch import run_batch
+
+    source = os.path.join(root, "gemm.c")
+    with open(source, "w") as handle:
+        handle.write(GEMM)
+    results = run_batch(
+        [source],
+        ["raise-affine-to-linalg"],
+        os.path.join(root, "out"),
+        cache_dir=os.path.join(root, "cache"),
+        compile_kernels=True,
+    )
+    return sum(r.cache_snapshot["memory"]["codegen_count"] for r in results)
+
+
+def _bench(root):
+    from repro.runtime.bench import run_corpus
+
+    return run_corpus(["gemm"], ["baseline"], cache_dir=root)["codegen_count"]
+
+
+@pytest.mark.parametrize(
+    "produce", [_engine, _serve, _batch, _bench], ids=lambda f: f.__name__[1:]
+)
+def test_stale_codegen_kernels_are_never_reserved(
+    produce, tmp_path, monkeypatch
+):
+    root = str(tmp_path)
+    assert produce(root) == 1  # fill
+    assert produce(root) == 0  # a new process re-serves the artifact...
+    monkeypatch.setattr(
+        "repro.execution.engine.codegen.CODEGEN_VERSION", 999_999
+    )
+    assert produce(root) == 1  # ...until the code generator changes
+
+
+def test_kernel_key_folds_the_version_and_the_tag(monkeypatch):
+    base = kernel_key("fp", "tag")
+    assert base == kernel_key("fp", "tag")
+    assert base != kernel_key("fp", "other") != kernel_key("fp2", "tag")
+    monkeypatch.setattr(
+        "repro.execution.engine.codegen.CODEGEN_VERSION", 999_999
+    )
+    assert base != kernel_key("fp", "tag")
+
+
+def test_only_cache_py_spells_the_codegen_tag():
+    """No other module may build a ``#cg=`` key component by hand (the
+    hazard was closed by hand three times before it got a function)."""
+    src = os.path.dirname(repro.__file__)
+    offenders = []
+    for folder, _, files in os.walk(src):
+        for name in files:
+            path = os.path.join(folder, name)
+            if not name.endswith(".py") or path.endswith(
+                os.path.join("engine", "cache.py")
+            ):
+                continue
+            with open(path) as handle:
+                if re.search(r"#cg=", handle.read()):
+                    offenders.append(os.path.relpath(path, src))
+    assert offenders == []

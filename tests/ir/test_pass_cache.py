@@ -1,11 +1,12 @@
 """The function-granular pass-result cache ("compilation firewall").
 
-Covers the three tiers — per-pass memo, disk ``passes/`` namespace,
-pipeline-prefix restore — plus the invariants that make verify-skipping
-sound: byte-identical spliced IR, content-addressed invalidation, and
-the PatternRewriter version-bump guard that keeps ``fingerprint_module``
-(and therefore every cache key) honest even for passes that lie about
-their changes.
+Covers the two tiers — per-pass memo and disk ``passes/`` namespace —
+behind the one memo path (``FunctionCursor``: replay, execute, settle),
+plus the invariants that make verify-skipping sound: byte-identical
+spliced IR, content-addressed invalidation, damaged artifacts that are
+misses, and the PatternRewriter version-bump guard that keeps
+``fingerprint_module`` (and therefore every cache key) honest even for
+passes that lie about their changes.
 """
 
 import hashlib
@@ -28,8 +29,8 @@ from repro.ir import (
     cached_stage,
     fingerprint_function,
     print_module,
-    splice_function,
 )
+from repro.ir.pass_cache import FunctionCursor
 from repro.ir.parser import parse_module
 from repro.met import compile_c
 from repro.transforms import (
@@ -54,20 +55,56 @@ void accum(float B[8][8], float C[8][8]) {
 """
 
 
+@pytest.fixture
+def parses(monkeypatch):
+    """Every text handed to ``parse_func`` — what a splice costs."""
+    import repro.ir.parser as parser_module
+
+    seen = []
+    real = parser_module.parse_func
+    monkeypatch.setattr(
+        parser_module,
+        "parse_func",
+        lambda text: seen.append(text) or real(text),
+    )
+    return seen
+
+
 def _pipeline(cache=None):
     pm = PassManager(Context(), verify_each=True, pass_cache=cache)
     pm.add(LoopFusionPass(), CanonicalizePass(), LoopDistributionPass())
     return pm
 
 
+def _never_runs(func):
+    raise AssertionError("a hit must not run the transform")
+
+
 class TestSpliceFunction:
+    """``FunctionCursor.settle`` — the one place a ``rewrite`` entry
+    becomes IR again."""
+
+    def _hit(self, cache, func, text, steps=("s",)):
+        """A cursor on ``func`` advanced through ``steps``, each a
+        recorded rewrite to ``text`` (so only the last one matters)."""
+        cursor = FunctionCursor(cache, func)
+        for step in steps:
+            key = cache.key(cursor.fp, step, "")
+            if cache.get(key) is None:
+                cache.put(
+                    key, {"kind": "rewrite", "text": text, "fp": step + "-fp"}
+                )
+            assert cursor.replay(step, "", _never_runs)["text"] == text
+        return cursor
+
     def test_preserves_position_and_bytes(self):
         module = compile_c(TWO_FUNCS)
         reference = print_module(module)
         scale = module.functions[0]
-        text = print_module(scale)
-        new_func = splice_function(module, scale, text)
-        assert module.functions[0] is new_func
+        cursor = self._hit(PassResultCache(), scale, print_module(scale))
+        assert module.functions[0] is scale  # a hit alone moves nothing
+        assert cursor.settle() is False
+        assert module.functions[0] is cursor.func is not scale
         assert [f.sym_name for f in module.functions] == ["scale", "accum"]
         assert print_module(module) == reference
 
@@ -75,10 +112,24 @@ class TestSpliceFunction:
         module = compile_c(TWO_FUNCS)
         module.bump_version()
         before = module.version
-        splice_function(
-            module, module.functions[0], print_module(module.functions[0])
-        )
+        scale = module.functions[0]
+        self._hit(PassResultCache(), scale, print_module(scale)).settle()
         assert module.version > before
+
+    def test_a_chain_of_hits_is_one_parse_and_one_splice(self, parses):
+        cache = PassResultCache()
+        module = compile_c(TWO_FUNCS)
+        accum_text = print_module(module.functions[1])
+        for _ in range(2):  # second round: the entry's parsed copy is reused
+            fresh = compile_c(TWO_FUNCS)
+            cursor = self._hit(
+                cache, fresh.functions[1], accum_text, steps=("a", "b", "c")
+            )
+            assert cursor.fp == "c-fp" and not parses[1:]
+            cursor.settle()
+            assert print_module(fresh) == print_module(module)
+        assert len(parses) == 1
+        assert cache.stats.snapshot()["spliced"] == 2
 
 
 class TestPassResultCacheStore:
@@ -130,6 +181,98 @@ class TestPassResultCacheStore:
         assert cache.get(key) is None
 
 
+def _truncate_text(entry):
+    if entry["kind"] == "rewrite":
+        entry["text"] = entry["text"][: len(entry["text"]) // 2]
+    return entry
+
+
+def _drop_fp(entry):
+    del entry["fp"]
+    return entry
+
+
+def _fp_of_wrong_type(entry):
+    entry["fp"] = 7
+    return entry
+
+
+def _payload_a_list(entry):
+    return [entry["kind"], entry.get("text"), entry["fp"]]
+
+
+def _damage_every_artifact(disk, damage):
+    from repro.execution.engine.disk_cache import ARTIFACT_SUFFIX
+
+    keys = [
+        name[: -len(ARTIFACT_SUFFIX)]
+        for name in os.listdir(disk.path)
+        if name.endswith(ARTIFACT_SUFFIX)
+    ]
+    kinds = set()
+    for key in keys:
+        entry = json.loads(disk.load_text(key))
+        kinds.add(entry["kind"])
+        disk.store_text(key, json.dumps(damage(entry)))
+    assert kinds == {"clean", "rewrite"}  # the fill exercised both
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [_truncate_text, _drop_fp, _fp_of_wrong_type, _payload_a_list],
+    ids=lambda f: f.__name__[1:],
+)
+class TestDamagedArtifactIsAMiss:
+    """A ``passes/`` artifact that decodes but is not a usable entry —
+    wrong shape, or a ``rewrite`` whose text no longer parses — makes
+    the transform run again and is overwritten; it never fails the
+    compile, and the output is the uncached one."""
+
+    def _check(self, tmp_path, damage, compile_with):
+        reference, _ = compile_with(None)
+
+        def attached():
+            cache = PassResultCache()
+            return cache, cache.attach_disk(str(tmp_path))
+
+        cache, disk = attached()
+        assert compile_with(cache)[0] == reference
+        _damage_every_artifact(disk, damage)
+
+        cache, _ = attached()
+        text, report = compile_with(cache)
+        assert text == reference
+        assert report == compile_with(None)[1]
+        snap = cache.stats.snapshot()
+        assert snap["executions"] > 0
+        assert snap["misses"] >= snap["executions"]
+
+        cache, _ = attached()  # the re-execution repaired the artifacts
+        assert compile_with(cache)[0] == reference
+        snap = cache.stats.snapshot()
+        assert snap["executions"] == 0 and snap["misses"] == 0
+
+    def test_through_pass_manager(self, tmp_path, damage):
+        def compile_with(cache):
+            module = compile_c(THREE_FUNCS)
+            _batch_pipeline(cache).run(module)
+            return print_module(module), None
+
+        self._check(tmp_path, damage, compile_with)
+
+    def test_through_cached_stage(self, tmp_path, damage):
+        from repro.scheduling.interpreter import apply_schedule
+
+        schedule = _tile_schedule("size = 8")
+
+        def compile_with(cache):
+            module = compile_c(TILABLE, distribute=False)
+            result = apply_schedule(schedule, module, pass_cache=cache)
+            return print_module(module), result.stats.snapshot()
+
+        self._check(tmp_path, damage, compile_with)
+
+
 class TestPassManagerCached:
     def test_cold_warm_and_scratch_agree(self):
         module = compile_c(TWO_FUNCS)
@@ -171,7 +314,7 @@ class TestPassManagerCached:
         assert after["executions"] - before["executions"] == 3
         assert after["hits"] - before["hits"] == 3
 
-    def test_disk_prefix_restore_skips_all_passes(self, tmp_path):
+    def test_warm_chain_from_disk_skips_all_passes(self, tmp_path):
         cache = PassResultCache()
         cache.attach_disk(str(tmp_path))
         scratch = compile_c(TWO_FUNCS)
@@ -184,8 +327,9 @@ class TestPassManagerCached:
         _pipeline(cold).run(module)
         assert print_module(module) == reference
         snap = cold.stats.snapshot()
-        assert snap["prefix_restores"] == 2  # both functions fast-forward
-        assert snap["executions"] == 0
+        assert snap["executions"] == 0 and snap["misses"] == 0
+        assert snap["hits"] == snap["disk_hits"] == 6
+        assert snap["spliced"] <= 2  # at most one per function
 
     def test_config_change_invalidates(self):
         from repro.transforms import TileLoopNestPass
@@ -222,7 +366,7 @@ void chain(float A[8][8], float B[8][8], float C[8][8]) {
 """
 
 #: The ``mlt-opt`` batch pipeline of ``benchmarks/e2e``'s ``batch_fill``:
-#: seven cacheable function passes, so every index is a prefix depth.
+#: seven cacheable function passes.
 BATCH_PASSES = (
     "raise-affine-to-linalg",
     "affine-loop-fusion",
@@ -257,26 +401,16 @@ def _expected_pass_artifacts(source, cache):
     module = compile_c(source)
     pm = _batch_pipeline()
     before = {f.sym_name: print_module(f) for f in module.functions}
-    entry_fp = {name: digest(text) for name, text in before.items()}
     expected = {}
-    chain = hashlib.sha256()
-    for index, pass_ in enumerate(pm.passes):
+    for pass_ in pm.passes:
         pass_.run(module, pm.context)
         config = pass_.cache_config()
-        chain.update(f"{pass_.name}\x00{config}\x01".encode("utf-8"))
-        prefix = chain.hexdigest()
         after = {f.sym_name: print_module(f) for f in module.functions}
         for name, text in after.items():
             fp, new_fp = digest(before[name]), digest(text)
             expected[cache.key(fp, pass_.name, config)] = result(
                 text, new_fp, fp
             )
-            # A prefix artifact per depth at which the function
-            # changed, and one for everybody at the full pipeline.
-            if new_fp != fp or index == len(pm.passes) - 1:
-                expected[cache.prefix_key(entry_fp[name], prefix)] = result(
-                    text, new_fp, entry_fp[name]
-                )
         before = after
     return expected
 
@@ -314,6 +448,116 @@ class TestColdRunPrintsOnce:
         assert on_disk == set(expected)
         for key, entry in expected.items():
             assert disk.load_text(key) == json.dumps(entry, sort_keys=True)
+
+
+def _corpus_pipeline(cache):
+    """Two optimization rounds, per-pass verification on — ten cacheable
+    passes per function (what ``bench_incremental`` used to time)."""
+    from repro.transforms import (
+        CopyEliminationPass,
+        DelinearizationPass,
+        TileLoopNestPass,
+    )
+
+    pm = PassManager(Context(), verify_each=True, pass_cache=cache)
+    pm.add(
+        LoopFusionPass(),
+        CopyEliminationPass(),
+        CanonicalizePass(),
+        LoopDistributionPass(),
+        DelinearizationPass(),
+        TileLoopNestPass(32),
+        CanonicalizePass(),
+        CopyEliminationPass(),
+        LoopFusionPass(),
+        CanonicalizePass(),
+    )
+    return pm
+
+
+class TestWarmCorpus:
+    """The structural half of the retired ``bench_incremental``: what a
+    warm recompile may not do, with no clock involved."""
+
+    def test_new_process_replays_every_pass_with_one_parse_per_function(
+        self, tmp_path, parses
+    ):
+        from repro.evaluation import get_kernel
+        from repro.evaluation.kernels import PAPER_BENCHMARKS
+
+        sources = [get_kernel(name).small() for name in PAPER_BENCHMARKS]
+
+        def one_process():
+            cache = PassResultCache()
+            cache.attach_disk(str(tmp_path))
+            modules = [compile_c(source) for source in sources]
+            for module in modules:
+                _corpus_pipeline(cache).run(module)
+            return [print_module(m) for m in modules], modules, cache
+
+        cold, _, _ = one_process()
+        assert not parses
+        warm, modules, cache = one_process()
+        assert warm == cold
+        snap = cache.stats.snapshot()
+        functions = sum(len(m.functions) for m in modules)
+        passes = len(_corpus_pipeline(None).passes)
+        assert snap["executions"] == 0 and snap["misses"] == 0
+        assert snap["hits"] == functions * passes
+        assert snap["skipped_verifies"] == functions * passes
+        # A chain of hits is settled once: however many passes rewrote
+        # a function, it is parsed (and spliced) at most one time.
+        assert 0 < len(parses) == snap["spliced"] <= functions
+
+    def test_batch_fill_counts(self, tmp_path):
+        """The exact traffic of one ``benchmarks/e2e`` ``batch_fill``
+        sample (16 kernels, seed-0 order, every tier empty)."""
+        import random
+
+        from repro.evaluation import get_kernel
+        from repro.evaluation.kernels import PAPER_BENCHMARKS
+        from repro.runtime import batch
+
+        names = sorted(PAPER_BENCHMARKS)
+        random.Random(0).shuffle(names)
+        paths = []
+        for index, name in enumerate(names):
+            paths.append(str(tmp_path / f"k{index:02d}.c"))
+            with open(paths[-1], "w") as handle:
+                handle.write(get_kernel(name).small())
+        cache_dir = tmp_path / "cache"
+        results = batch.run_batch(
+            paths,
+            list(BATCH_PASSES),
+            str(tmp_path / "out"),
+            jobs=1,
+            cache_dir=str(cache_dir),
+            compile_kernels=True,
+        )
+        assert all(r.ok for r in results)
+        snap = batch._WORKER_STATE["pass_cache_obj"].stats.snapshot()
+        assert {
+            key: snap[key]
+            for key in ("hits", "misses", "executions", "stores")
+        } == {"hits": 15, "misses": 97, "executions": 97, "stores": 97}
+        assert {
+            tier: len(os.listdir(cache_dir / tier))
+            for tier in os.listdir(cache_dir)
+        } == {"passes": 97, "modules": 16, "kernels": 16}
+
+    def test_schedule_search_replays_the_shared_prefix(self):
+        from repro.scheduling.autotune import autotune
+
+        payload = autotune(
+            kernels=("2mm",),
+            budget=16,
+            jobs=1,
+            repeats=1,
+            pipeline="baseline",
+            pass_cache=True,
+        )
+        (row,) = payload["rows"]
+        assert row["pass_cache"]["hits"] > row["pass_cache"]["executions"] > 0
 
 
 class _LyingDoublerPass(FunctionPass):
@@ -600,18 +844,8 @@ class TestTileStageCached:
         assert cache.stats.snapshot()["executions"] == 6
 
     def test_rewrite_entry_is_parsed_once_and_spliced_as_a_copy(
-        self, monkeypatch
+        self, parses
     ):
-        import repro.ir.parser as parser_module
-
-        parses = []
-        real = parser_module.parse_func
-
-        def counting(text):
-            parses.append(text)
-            return real(text)
-
-        monkeypatch.setattr(parser_module, "parse_func", counting)
         schedule = _tile_schedule("size = 8")
         cache = PassResultCache()
         cold_text, _ = self._apply(schedule, cache)

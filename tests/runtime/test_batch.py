@@ -110,37 +110,6 @@ class TestBatch:
             inputs
         )
 
-    def test_stale_codegen_kernels_are_never_reserved(
-        self, inputs, tmp_path, monkeypatch
-    ):
-        """A ``kernels/`` tier filled by an older code generator misses
-        (fresh key) while the version-independent ``modules/`` tier
-        still hits."""
-        cache_dir = str(tmp_path / "cache")
-
-        def run(out):
-            return run_batch(
-                inputs,
-                PASSES,
-                str(tmp_path / out),
-                cache_dir=cache_dir,
-                compile_kernels=True,
-            )
-
-        run("o1")
-        monkeypatch.setattr(
-            "repro.execution.engine.codegen.CODEGEN_VERSION", 999_999
-        )
-        upgraded = run("o2")
-        assert [r.detail for r in upgraded] == ["module-cache"] * 2
-        assert [r.cache_snapshot["disk"]["hits"] for r in upgraded] == [0, 0]
-        assert sum(
-            r.cache_snapshot["memory"]["codegen_count"] for r in upgraded
-        ) == len(inputs)
-        assert _read_outputs(tmp_path / "o1") == _read_outputs(
-            tmp_path / "o2"
-        )
-
     def test_bad_file_does_not_sink_batch(self, inputs, tmp_path):
         broken = tmp_path / "broken.c"
         broken.write_text("void broken( {\n")

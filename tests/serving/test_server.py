@@ -567,6 +567,34 @@ class TestProtocolAndValidation:
         assert response["ok"], response
         assert len(response["checksums"]) == 2
 
+    def test_truncated_ir_request_is_a_compile_error_not_a_wedge(
+        self, tmp_path
+    ):
+        """22 bytes that used to spin the parser forever: the request
+        gets its error code and the connection keeps being served."""
+
+        async def scenario():
+            server = await start_server(tmp_path)
+            client = await connect(server)
+            truncated = await asyncio.wait_for(
+                client.execute(
+                    source="func @f(%arg0: memref<4",
+                    source_kind="ir",
+                    passes=[],
+                    func="f",
+                ),
+                timeout=30,
+            )
+            after = await client.execute(kernel="gemm", pipeline="mlt-blas")
+            await client.close()
+            await server.shutdown()
+            return truncated, after
+
+        truncated, after = run(scenario())
+        assert not truncated["ok"] and truncated["code"] == "compile-error"
+        assert "ParseError" in truncated["error"]
+        assert after["ok"], after
+
     def test_prewarm_then_hot_execute(self, tmp_path):
         async def scenario():
             server = await start_server(tmp_path)

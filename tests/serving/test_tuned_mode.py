@@ -69,27 +69,3 @@ def test_tuned_replays_persisted_schedule(serve_root):
     warm = serve_unit(normalize_request(_tuned_request()))
     assert warm["cached"] == "hot"
     assert warm["checksums"] == tuned["checksums"]
-
-
-def test_stale_codegen_kernels_are_never_reserved(serve_root, monkeypatch):
-    """The serve tag folds ``CODEGEN_VERSION`` (as the batch and engine
-    tags do): a tenant's ``kernels/`` tier filled by an older code
-    generator misses, by key, under a newer one."""
-    request = {"op": "execute", "kernel": "abc-ad-bdc", "pipeline": "mlt-blas"}
-
-    def restarted():
-        reset_serving_state()
-        configure_serving(serve_root)
-        return serve_unit(normalize_request(request))
-
-    cold = restarted()
-    assert cold["cached"] == "codegen"
-    warm = restarted()
-    assert warm["cached"] == "cache" and warm["key"] == cold["key"]
-    monkeypatch.setattr(
-        "repro.execution.engine.codegen.CODEGEN_VERSION", 999_999
-    )
-    upgraded = restarted()
-    assert upgraded["cached"] == "codegen"
-    assert upgraded["key"] != cold["key"]
-    assert upgraded["checksums"] == cold["checksums"]

@@ -341,37 +341,6 @@ class TestEnginePlumbing:
         )
         assert cache.stats.codegen_count == len(OPT_MODES)
 
-    def test_stale_codegen_artifacts_never_reserved(
-        self, tmp_path, monkeypatch
-    ):
-        module = compile_c(FUSABLE_SIBLINGS, distribute=False)
-
-        def fresh_cache():
-            cache = KernelCache()
-            cache.attach_disk(str(tmp_path))
-            return cache
-
-        cache = fresh_cache()
-        ExecutionEngine(module, pipeline="vt", cache=cache, opt_mode="full")
-        assert cache.stats.codegen_count == 1
-
-        # A new process pointed at the same disk tier re-serves the
-        # artifact without codegen...
-        warm = fresh_cache()
-        ExecutionEngine(module, pipeline="vt", cache=warm, opt_mode="full")
-        assert warm.stats.codegen_count == 0
-
-        # ...until the code generator version changes, after which the
-        # old artifact is unreachable (fresh key) and codegen reruns.
-        monkeypatch.setattr(
-            "repro.execution.engine.engine.CODEGEN_VERSION", 999_999
-        )
-        upgraded = fresh_cache()
-        ExecutionEngine(
-            module, pipeline="vt", cache=upgraded, opt_mode="full"
-        )
-        assert upgraded.stats.codegen_count == 1
-
 
 class TestEquivalenceProperties:
     @given(seed=st.integers(min_value=0, max_value=500), mode=st.sampled_from(["fuse", "full"]))
