@@ -26,7 +26,7 @@ from .codegen import (  # noqa: F401
     generate_module_source,
     load_compiled_source,
 )
-from .disk_cache import DiskKernelCache, default_disk_cache  # noqa: F401
+from .disk_cache import DiskKernelCache  # noqa: F401
 from .engine import ExecutionEngine, run_function_compiled  # noqa: F401
 from .optimizer import OPT_MODES, OptStats, run_optimizer  # noqa: F401
 from .vectorize import VectorizeStats  # noqa: F401

@@ -1,10 +1,11 @@
 """Content-addressed kernel cache (in-memory tier + optional disk tier).
 
 A compiled kernel is keyed by the SHA-256 of the module's printed form
-plus the pipeline name, so any IR mutation — a different kernel, a
-different transform schedule, even a changed constant — produces a new
-key, while re-running the same benchmark or replaying the same fuzz
-seed hits the cache and skips codegen entirely.  The in-memory store
+plus the compile configuration (:class:`repro.store.CompileConfig`), so
+any IR mutation — a different kernel, a different transform schedule,
+even a changed constant — produces a new key, while re-running the same
+benchmark or replaying the same fuzz seed hits the cache and skips
+codegen entirely.  The in-memory store
 is bounded with **LRU eviction** (a ``get`` refreshes recency, so hot
 kernels survive long fuzz campaigns while one-shot kernels age out).
 
@@ -27,13 +28,13 @@ mutates IR directly after a PassManager run must call
 
 from __future__ import annotations
 
-import hashlib
+import os
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from ...ir import ModuleOp, print_module
+from ...store import ArtifactStore, LruMemo, text_fingerprint
 
 
 @dataclass
@@ -85,19 +86,6 @@ class CacheStats:
             }
 
 
-def kernel_key(text_fingerprint: str, tag: str = "") -> str:
-    """Key of the kernel compiled from the module text with that
-    fingerprint under configuration ``tag``.  Every producer of
-    ``kernels/`` artifacts keys through here, and this is the one place
-    ``CODEGEN_VERSION`` is folded in — a code-generator upgrade can
-    never re-serve a kernel written by an older one."""
-    from .codegen import CODEGEN_VERSION
-
-    return KernelCache.key_for_text(
-        text_fingerprint, f"{tag}#cg={CODEGEN_VERSION}"
-    )
-
-
 def fingerprint_module(module: ModuleOp) -> str:
     """SHA-256 hex digest of the module's printed form, memoized on the
     module's ``version`` counter when one is present."""
@@ -106,94 +94,42 @@ def fingerprint_module(module: ModuleOp) -> str:
         memo = getattr(module, "_fingerprint_memo", None)
         if memo is not None and memo[0] == version:
             return memo[1]
-    digest = hashlib.sha256(
-        print_module(module).encode("utf-8")
-    ).hexdigest()
+    digest = text_fingerprint(print_module(module))
     if version is not None:
         module._fingerprint_memo = (version, digest)
     return digest
 
 
 class KernelCache:
-    """Maps (module print hash, pipeline name) -> compiled kernel.
+    """Maps kernel key -> compiled kernel (keys come from
+    :meth:`repro.store.CompileConfig.kernel_key`).
 
-    ``disk`` attaches a persistent second tier shared across processes;
+    ``disk`` is the persistent second tier shared across processes;
     see :mod:`.disk_cache`.
     """
 
     def __init__(self, max_entries: int = 256, disk=None):
-        if max_entries <= 0:
-            raise ValueError("kernel cache needs at least one slot")
-        self.max_entries = max_entries
-        self._store: "OrderedDict[str, object]" = OrderedDict()
-        # The store is mutated from engine calls, serving executor
-        # threads and the pool bridge concurrently; every structural
-        # operation holds this lock (stats have their own).
-        self._store_lock = threading.RLock()
+        # Mutated from engine calls, serving executor threads and the
+        # pool bridge concurrently (stats have their own lock).
+        self._store = LruMemo(max_entries)
         self.stats = CacheStats()
         self.disk = disk
 
-    def attach_disk(self, path: str, max_bytes: Optional[int] = None):
-        """Attach (or replace) the persistent tier at ``path``."""
-        from .disk_cache import DEFAULT_MAX_BYTES, DiskKernelCache
-
-        self.disk = DiskKernelCache(
-            path, DEFAULT_MAX_BYTES if max_bytes is None else max_bytes
-        )
-        return self.disk
-
-    @staticmethod
-    def key_for_text(fingerprint: str, pipeline: str = "") -> str:
-        """Raw ``(fingerprint, tag)`` digest — for kernels use
-        :func:`kernel_key`, which also folds the codegen version."""
-        digest = hashlib.sha256()
-        digest.update(fingerprint.encode("utf-8"))
-        digest.update(b"\x00")
-        digest.update(pipeline.encode("utf-8"))
-        return digest.hexdigest()
-
-    @staticmethod
-    def key_for(module: ModuleOp, pipeline: str = "") -> str:
-        return kernel_key(fingerprint_module(module), pipeline)
-
     def get(self, key: str) -> Optional[object]:
         """LRU read: a hit moves the entry to most-recently-used."""
-        with self._store_lock:
-            entry = self._store.get(key)
-            if entry is not None:
-                self._store.move_to_end(key)
-            return entry
+        return self._store.get(key)
 
     def put(self, key: str, compiled: object) -> None:
-        evicted = 0
-        with self._store_lock:
-            self._store[key] = compiled
-            self._store.move_to_end(key)
-            while len(self._store) > self.max_entries:
-                self._store.popitem(last=False)
-                evicted += 1
+        evicted = self._store.put(key, compiled)
         if evicted:
             self.stats.bump(evictions=evicted)
-
-    def get_or_compile(
-        self,
-        module: ModuleOp,
-        pipeline: str,
-        builder: Callable[[str], object],
-    ) -> object:
-        return self.get_or_compile_key(
-            self.key_for(module, pipeline), builder
-        )
 
     def get_or_compile_key(
         self, key: str, builder: Callable[[str], object]
     ) -> object:
-        """Like :meth:`get_or_compile` for an already-computed key.
-
-        Lets callers that hold the printed module text (batch driver,
-        scale bench) hash it directly — a warm hit then needs neither
-        a reparse nor a reprint of the module.
-        """
+        """The kernel under ``key``: memory tier, else disk tier (a
+        re-``exec`` of stored source), else ``builder(key)`` — whose
+        result populates both tiers."""
         cached = self.get(key)
         if cached is not None:
             self.stats.bump(
@@ -230,23 +166,22 @@ class KernelCache:
         }
 
     def clear(self) -> None:
-        with self._store_lock:
-            self._store.clear()
-            self.stats = CacheStats()
+        self._store.clear()
+        self.stats = CacheStats()
 
     def __len__(self) -> int:
-        with self._store_lock:
-            return len(self._store)
+        return len(self._store)
 
 
 def _default_cache() -> KernelCache:
-    from .disk_cache import default_disk_cache
-
-    return KernelCache(disk=default_disk_cache())
+    try:
+        return ArtifactStore(os.environ.get("MLT_CACHE_DIR") or None).kernels
+    except OSError:  # an unusable directory means no disk tier
+        return ArtifactStore(None).kernels
 
 
 #: Process-wide default cache shared by all engines (override per
-#: engine with ``ExecutionEngine(..., cache=KernelCache())``).  Gains
-#: a persistent disk tier when ``MLT_CACHE_DIR`` is set — the parallel
-#: drivers rely on this to share artifacts across worker processes.
+#: engine with ``ExecutionEngine(..., cache=KernelCache())``).  With
+#: ``MLT_CACHE_DIR`` set it is the ``kernels/`` namespace of the store
+#: rooted there — the directory ``mlt-opt --cache-dir`` fills.
 KERNEL_CACHE = _default_cache()

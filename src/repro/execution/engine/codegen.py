@@ -45,16 +45,8 @@ MAX_CFG_STEPS = 10_000_000
 #: oracle's reference).
 VECTORIZE_MODES = ("nest", "innermost", "none")
 
-#: Codegen schema version, folded into every kernel cache key.  Bump on
-#: any change to generated-source semantics (vectorizer strategy,
-#: emitter output, runtime helper contracts) so persistent disk caches
-#: written by an older code generator are never re-served.  Engine keys
-#: hash the *pre*-optimizer module text, so a wrong-code fix in an
-#: optimizer stage bumps it too (4 -> 5: fusion's ``conflict-carried``),
-#: and so does a change in what a stage emits (5 -> 6: fusion's
-#: ``would-lose-collapse``, window loads, lazy canonical views), and so
-#: does the buffer plan (6 -> 7: view/fresh allocs, see :mod:`.buffers`).
-CODEGEN_VERSION = 7
+# A change to generated-source semantics anywhere in this package must
+# bump ``repro.store.CODEGEN_VERSION`` (it orphans older ``kernels/``).
 
 
 def _np_dtype_literal(elem_type) -> str:

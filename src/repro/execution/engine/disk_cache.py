@@ -289,17 +289,3 @@ class DiskKernelCache:
     def __len__(self) -> int:
         return len(self._scan()[0])
 
-
-def default_disk_cache() -> Optional[DiskKernelCache]:
-    """The process-default persistent tier, from ``MLT_CACHE_DIR``.
-
-    Unset (or empty) means no disk tier — unit tests and one-shot runs
-    stay hermetic unless they opt in.
-    """
-    path = os.environ.get("MLT_CACHE_DIR", "")
-    if not path:
-        return None
-    try:
-        return DiskKernelCache(path)
-    except OSError:
-        return None

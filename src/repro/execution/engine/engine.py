@@ -9,11 +9,13 @@ kernel in a content-addressed :class:`~.cache.KernelCache`.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+import dataclasses
+from typing import Any, List, Optional, Union
 
 from ...ir import ModuleOp, MemRefType
+from ...store import CompileConfig
 from ..interpreter import memref_argument_fault
-from .cache import KERNEL_CACHE, KernelCache
+from .cache import KERNEL_CACHE, KernelCache, fingerprint_module
 from .codegen import (
     VECTORIZE_MODES,
     CompiledModule,
@@ -26,25 +28,27 @@ class ExecutionEngine:
     """Compiled execution of a lowered module.
 
     Construction triggers codegen (or a cache hit); ``run`` is then a
-    plain Python call into the compiled kernel.  ``pipeline`` is folded
-    into the cache key so the same kernel lowered by two different
-    pipelines never collides; the ``vectorize`` mode (see
-    :data:`~.codegen.VECTORIZE_MODES`) is folded in too, so the
-    ``vectorize-diff`` oracle and the mode-comparison benchmarks never
-    share kernels across modes (:func:`~.cache.kernel_key` adds the
-    code generator's version, so an upgrade never re-serves kernels
-    from a stale persistent cache).
+    plain Python call into the compiled kernel.  The kernel is keyed by
+    the module's fingerprint and a :class:`~repro.store.CompileConfig`
+    holding every knob below, so the same kernel lowered by two
+    pipelines, the ``vectorize-diff`` oracle's modes and two schedules
+    never share a kernel (the key also folds the code generator's
+    version: an upgrade never re-serves a stale persistent cache).
+
+    ``pipeline`` says how the module was produced: a bare label, or the
+    producing driver's whole ``CompileConfig`` — ``mlt-opt`` passes its
+    own, so ``--compile`` batches and ``--execute`` runs share kernels.
 
     ``opt_mode`` (see :data:`~.optimizer.OPT_MODES`) selects the
     mid-level loop-optimizer pipeline run before codegen.  The caller's
     module is never mutated: optimization happens on a clone, inside
-    the cache-miss builder, and the mode is folded into the cache tag.
+    the cache-miss builder.
     """
 
     def __init__(
         self,
         module: ModuleOp,
-        pipeline: str = "",
+        pipeline: Union[str, CompileConfig] = "",
         cache: Optional[KernelCache] = None,
         vectorize: str = "nest",
         opt_mode: str = "none",
@@ -77,17 +81,15 @@ class ExecutionEngine:
         self.tile_size = tile_size
         self.schedule = schedule
         self.cache = cache if cache is not None else KERNEL_CACHE
-        # The vectorize and opt modes are folded in unconditionally so
-        # a persistent disk cache never serves another mode's kernel;
-        # non-default tile sizes and explicit schedules fold in
-        # conditionally.
-        cache_tag = f"{pipeline}#vectorize={vectorize}#opt={opt_mode}"
-        if tile_size != DEFAULT_TILE_SIZE:
-            cache_tag += f"#tile={tile_size}"
-        if schedule is not None:
-            from .cache import fingerprint_module
-
-            cache_tag += f"#sched={fingerprint_module(schedule)[:16]}"
+        config = dataclasses.replace(
+            pipeline
+            if isinstance(pipeline, CompileConfig)
+            else CompileConfig(label=pipeline),
+            vectorize=vectorize,
+            opt_mode=opt_mode,
+            tile=tile_size,
+            schedule="" if schedule is None else fingerprint_module(schedule),
+        )
 
         def _build(key: str) -> CompiledModule:
             # ``pass_cache`` is the function-granular compilation
@@ -114,8 +116,8 @@ class ExecutionEngine:
             compiled.opt_stats = opt_stats
             return compiled
 
-        self.compiled: CompiledModule = self.cache.get_or_compile(
-            module, cache_tag, _build
+        self.compiled: CompiledModule = self.cache.get_or_compile_key(
+            config.kernel_key(fingerprint_module(module)), _build
         )
         #: name -> (argument count, ((position, memref type), ...)) of
         #: the functions as compiled.  Resolved here, not per call:

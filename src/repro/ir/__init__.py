@@ -41,7 +41,6 @@ from .core import (  # noqa: F401
     register_op,
 )
 from .pass_cache import (  # noqa: F401
-    PASS_CACHE_VERSION,
     PassCacheStats,
     PassResultCache,
     cached_stage,

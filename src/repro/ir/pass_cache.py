@@ -29,7 +29,8 @@ function pays one parse, not one per rewriting pass.
 
 Invalidation is purely content-addressed: any IR change produces a new
 function fingerprint, any pass-config or driver change a new key, and
-``PASS_CACHE_VERSION`` is bumped whenever pass semantics change.
+``repro.store.PASS_CACHE_VERSION`` is bumped whenever pass semantics
+change.
 Correctness is enforced (not assumed) by the ``incremental`` fuzz
 check, which byte-diffs incremental-vs-scratch printed IR at every
 pipeline snapshot.
@@ -37,20 +38,20 @@ pipeline snapshot.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import threading
-from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..store import (
+    LruMemo,
+    load_record,
+    pass_key,
+    store_record,
+    text_fingerprint,
+)
 from .builtin import FuncOp, ModuleOp
 from .core import Operation
 from .printer import print_module
 from .rewrite import get_default_driver
-
-#: Folded into every key: bump whenever any pass's semantics change in
-#: a way its ``cache_config()`` does not capture.
-PASS_CACHE_VERSION = "pass-cache-v4"
 
 #: Default in-memory memo bound (entries, not bytes).
 DEFAULT_MEMO_ENTRIES = 4096
@@ -106,7 +107,7 @@ def fingerprint_and_text(func: Operation) -> Tuple[str, str]:
     for callers that store the text under its fingerprint and must not
     print twice."""
     text = print_module(func)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest(), text
+    return text_fingerprint(text), text
 
 
 def fingerprint_function(func: Operation) -> str:
@@ -174,102 +175,51 @@ def _valid_entry(entry) -> bool:
 class PassResultCache:
     """Two-tier (memory LRU + optional disk) pass-result store.
 
-    The disk tier reuses :class:`~repro.execution.engine.disk_cache.
-    DiskKernelCache` text payloads under a ``passes/`` namespace beside
-    ``kernels/`` / ``modules/`` / ``schedules/`` — same atomic-write,
-    corrupt-tolerant, size-pruned artifact store, shared without
-    coordination by the persistent worker pool.
+    ``disk`` is the ``passes/`` namespace of an
+    :class:`~repro.store.ArtifactStore` — the same atomic-write,
+    corrupt-tolerant, size-pruned artifact files as ``kernels/`` /
+    ``modules/`` / ``schedules/``, shared without coordination by the
+    persistent worker pool.
     """
 
     def __init__(self, disk=None, max_entries: int = DEFAULT_MEMO_ENTRIES):
-        if max_entries <= 0:
-            raise ValueError("pass cache needs at least one memo slot")
-        self.max_entries = max_entries
-        self._memo: "OrderedDict[str, dict]" = OrderedDict()
-        self._lock = threading.RLock()
+        self._memo = LruMemo(max_entries)
         self.stats = PassCacheStats()
         self.disk = disk
-
-    def attach_disk(self, root: str, max_bytes: Optional[int] = None):
-        """Attach the persistent tier at ``<root>/passes``."""
-        import os
-
-        from ..execution.engine.disk_cache import (
-            DEFAULT_MAX_BYTES,
-            DiskKernelCache,
-        )
-
-        self.disk = DiskKernelCache(
-            os.path.join(root, "passes"),
-            DEFAULT_MAX_BYTES if max_bytes is None else max_bytes,
-        )
-        return self.disk
-
-    # -- keys -----------------------------------------------------------
-
-    @staticmethod
-    def _digest(*parts: str) -> str:
-        digest = hashlib.sha256()
-        for part in parts:
-            digest.update(part.encode("utf-8"))
-            digest.update(b"\x00")
-        return digest.hexdigest()
 
     def key(self, func_fp: str, pass_name: str, config: str = "") -> str:
         """Per-pass entry key; the pattern driver is folded in so the
         worklist/snapshot oracle pair never share entries."""
-        return self._digest(
-            "pass", PASS_CACHE_VERSION, get_default_driver(),
-            func_fp, pass_name, config,
-        )
+        return pass_key(get_default_driver(), func_fp, pass_name, config)
 
     # -- lookup / store -------------------------------------------------
 
     def get(self, key: str) -> Optional[dict]:
         """Memo-then-disk lookup; a well-formed disk entry repopulates
         the memo, a damaged one is a miss."""
-        with self._lock:
-            entry = self._memo.get(key)
-            if entry is not None:
-                self._memo.move_to_end(key)
+        entry = self._memo.get(key)
         if entry is not None:
             self.stats.bump(hits=1)
             return entry
-        if self.disk is not None:
-            text = self.disk.load_text(key)
-            if text is not None:
-                try:
-                    entry = json.loads(text)
-                except ValueError:
-                    entry = None
-                if _valid_entry(entry):
-                    self._remember(key, entry)
-                    self.stats.bump(hits=1, disk_hits=1)
-                    return entry
+        entry = load_record(self.disk, key)
+        if _valid_entry(entry):
+            self._memo.put(key, entry)
+            self.stats.bump(hits=1, disk_hits=1)
+            return entry
         self.stats.bump(misses=1)
         return None
 
-    def _remember(self, key: str, entry: dict) -> None:
-        with self._lock:
-            self._memo[key] = entry
-            self._memo.move_to_end(key)
-            while len(self._memo) > self.max_entries:
-                self._memo.popitem(last=False)
-
     def put(self, key: str, entry: dict) -> None:
-        self._remember(key, entry)
+        self._memo.put(key, entry)
         self.stats.bump(stores=1)
-        if self.disk is not None:
-            self.disk.store_text(key, json.dumps(entry, sort_keys=True))
+        store_record(self.disk, key, entry)
 
     def clear(self) -> None:
-        with self._lock:
-            self._memo.clear()
+        self._memo.clear()
         self.stats = PassCacheStats()
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._memo)
+        return len(self._memo)
 
     def snapshot(self) -> dict:
         """Combined statistics for both tiers."""

@@ -6,29 +6,21 @@ module into the shared kernel cache.  Units run across the worker
 pool; outputs land in ``--out-dir`` named after the input stem, and
 results merge back in input order so batch reports are deterministic.
 
-Two persistent caches amortize repeated batches:
-
-* the **module cache** keys the *printed post-pipeline IR* by
-  SHA-256 of (input text, pipeline, driver, ``PASS_CACHE_VERSION``) —
-  a warm unit skips the frontend and every pass, and a pass-semantics
-  bump orphans ``modules/`` together with ``passes/``;
-* the **kernel cache** (the same tiered cache the execution engine
-  uses) keys compiled kernels by the printed module — a warm unit
-  skips engine codegen.
-
-Both default to subdirectories of ``--cache-dir`` and are shared by
-every worker process via lock-free content-addressed artifact files.
+Every unit climbs the one compile ladder
+(:func:`repro.store.compile_unit`) over the ``--cache-dir`` store that
+all worker processes share: a warm unit takes its printed IR from
+``modules/`` (no frontend, no passes) and its kernel from ``kernels/``
+(no codegen); an edited input that misses ``modules/`` still skips the
+passes of its unchanged functions through ``passes/``.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from ..ir.pass_cache import PASS_CACHE_VERSION
 from .pool import parallel_map
 
 #: Per-worker state installed by the initializer.
@@ -48,42 +40,33 @@ class BatchResult:
     cache_snapshot: Optional[dict] = None
 
 
-def module_cache_key(text: str, pass_names: Sequence[str], driver: str) -> str:
-    digest = hashlib.sha256()
-    for part in (text, ",".join(pass_names), driver, PASS_CACHE_VERSION):
-        digest.update(part.encode("utf-8"))
-        digest.update(b"\x00")
-    return digest.hexdigest()
+def unit_config(pass_names: Sequence[str], driver: str, source_kind: str):
+    """The ``CompileConfig`` of one ``mlt-opt`` compile.  Batch units
+    and single-file ``--execute --engine compiled`` both key through
+    it, which is what lets ``--compile`` warm a later ``--execute``."""
+    from ..store import CompileConfig
+
+    return CompileConfig(
+        frontend=source_kind,
+        pipeline=tuple(pass_names),
+        label="mlt-opt",
+        driver=driver,
+    )
 
 
 def _init_worker(config: dict) -> None:
     global _WORKER_STATE
-    from ..execution.engine.disk_cache import DiskKernelCache
-    from ..ir import PassResultCache, set_default_driver
+    from ..ir import set_default_driver
+    from ..store import ArtifactStore
 
-    state = dict(config)
     set_default_driver(config["driver"])
-    cache_dir = config.get("cache_dir")
-    if cache_dir:
-        state["module_cache"] = DiskKernelCache(
-            os.path.join(cache_dir, "modules")
-        )
-        state["kernel_cache_dir"] = os.path.join(cache_dir, "kernels")
-    else:
-        state["module_cache"] = None
-        state["kernel_cache_dir"] = None
-    if config.get("pass_cache", True):
-        # Function-granular tier below the whole-module cache: when an
-        # edited input misses the module cache, unchanged functions
-        # still skip their passes.  All workers share one ``passes/``
-        # namespace beside ``modules/`` and ``kernels/``.
-        cache = PassResultCache()
-        if cache_dir:
-            cache.attach_disk(cache_dir)
-        state["pass_cache_obj"] = cache
-    else:
-        state["pass_cache_obj"] = None
-    _WORKER_STATE = state
+    _WORKER_STATE = dict(
+        config,
+        store=ArtifactStore(config["cache_dir"]),
+        config=unit_config(
+            config["pass_names"], config["driver"], config["source_kind"]
+        ),
+    )
 
 
 def _run_unit(input_path: str) -> BatchResult:
@@ -104,65 +87,52 @@ def _run_unit(input_path: str) -> BatchResult:
 
 
 def _process_file(input_path: str, state: dict) -> BatchResult:
-    from ..execution.engine.cache import KernelCache, kernel_key
-    from ..ir import print_module, verify
-    from ..ir.parser import parse_module
+    from ..ir import verify
+    from ..store import compile_unit
     from ..tool import build_pipeline, load_input
 
-    pass_names = state["pass_names"]
+    store = state["store"]
     out_dir = state["out_dir"]
     with open(input_path) as handle:
         raw_text = handle.read()
 
-    module_cache = state["module_cache"]
-    mkey = module_cache_key(raw_text, pass_names, state["driver"])
-    text = module_cache.load_text(mkey) if module_cache is not None else None
-    from_cache = text is not None
-    module = None
-    if text is None:
+    def build():
         module = load_input(input_path, state["source_kind"])
-        pm = build_pipeline(pass_names)
-        pm.pass_cache = state.get("pass_cache_obj")
+        pm = build_pipeline(state["pass_names"])
+        # Function-granular tier below modules/: an edited input still
+        # skips the passes of its unchanged functions.
+        pm.pass_cache = store.passes if state["pass_cache"] else None
         pm.run(module)
         if state["verify"]:
             verify(module, pm.context)
-        text = print_module(module)
-        if module_cache is not None:
-            module_cache.store_text(mkey, text)
+        return module
 
+    compiling = state["compile_kernels"]
+    before = store.kernels.snapshot() if compiling else None
+    unit = compile_unit(
+        store, raw_text, state["config"], build, kernel=compiling
+    )
     cache_snapshot = None
-    if state["compile_kernels"]:
-        from ..execution.engine.codegen import compile_module
-
-        cache = KernelCache()
-        if state["kernel_cache_dir"]:
-            cache.attach_disk(state["kernel_cache_dir"])
-        # Key straight off the printed text: a fully warm unit needs
-        # neither a reparse nor a reprint of the module.
-        key = kernel_key(
-            hashlib.sha256(text.encode("utf-8")).hexdigest(),
-            "mlt-opt:" + ",".join(pass_names),
-        )
-
-        def build_kernel(k: str):
-            built = parse_module(text) if module is None else module
-            return compile_module(built, k)
-
-        cache.get_or_compile_key(key, build_kernel)
-        cache_snapshot = cache.snapshot()
+    if compiling:
+        # The store outlives the unit; report this unit's share of it.
+        cache_snapshot = {
+            tier: counters
+            and {k: v - before[tier][k] for k, v in counters.items()}
+            for tier, counters in store.kernels.snapshot().items()
+        }
 
     output_path = None
     if out_dir:
         stem = os.path.splitext(os.path.basename(input_path))[0]
         output_path = os.path.join(out_dir, stem + ".mlir")
         with open(output_path, "w") as handle:
-            handle.write(text)
+            handle.write(unit.text)
     return BatchResult(
         input_path=input_path,
         output_path=output_path,
         ok=True,
         seconds=0.0,
-        detail="module-cache" if from_cache else "compiled",
+        detail="module-cache" if unit.module_hit else "compiled",
         cache_snapshot=cache_snapshot,
     )
 

@@ -27,7 +27,6 @@ import shutil
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .batch import module_cache_key
 from .pool import effective_cpus, get_pool, parallel_map, pool_stats
 
 _WORKER_STATE: Optional[dict] = None
@@ -38,95 +37,54 @@ DEFAULT_PIPELINES = ("baseline", "mlt-blas")
 
 def _init_worker(config: dict) -> None:
     global _WORKER_STATE
-    from ..execution.engine.disk_cache import DiskKernelCache
+    from ..store import ArtifactStore
 
-    state = dict(config)
-    cache_dir = config.get("cache_dir")
-    if cache_dir:
-        state["module_cache"] = DiskKernelCache(
-            os.path.join(cache_dir, "modules")
-        )
-        state["kernel_cache_dir"] = os.path.join(cache_dir, "kernels")
-    else:
-        state["module_cache"] = None
-        state["kernel_cache_dir"] = None
-    _WORKER_STATE = state
+    _WORKER_STATE = dict(config, store=ArtifactStore(config["cache_dir"]))
 
 
 def _run_unit(unit: Tuple[str, str]) -> Dict:
-    import hashlib
-
     kernel_name, pipeline = unit
     state = _WORKER_STATE
     from ..evaluation import get_kernel
     from ..evaluation.pipelines import build_module
-    from ..execution.engine.cache import KernelCache, kernel_key
-    from ..execution.engine.codegen import compile_module
-    from ..ir import print_module
+    from ..store import CompileConfig, compile_unit, text_fingerprint
 
     start = time.perf_counter()
     spec = get_kernel(kernel_name)
     source = spec.large() if state["heavy"] else spec.small()
     tile = state["tile"]
-
-    # Tier A: the module cache maps (C source, pipeline, tile) to the
-    # printed post-pipeline IR.  A hit skips the frontend and every
-    # pass; the unit then never materializes IR objects at all unless
-    # it also executes.
-    module_cache = state["module_cache"]
-    mkey = module_cache_key(source, [pipeline], f"tile={tile}")
-    text = module_cache.load_text(mkey) if module_cache is not None else None
-    module_cache_hit = text is not None
-    module = None
-    if text is None:
-        module = build_module(source, pipeline, tile=tile)
-        text = print_module(module)
-        if module_cache is not None:
-            module_cache.store_text(mkey, text)
-
-    # Tier B: the kernel cache maps the printed IR to the compiled
-    # kernel.  The key is hashed straight from the text we already
-    # hold — no reprint, and on a warm hit no reparse either.
-    cache = KernelCache()
-    if state["kernel_cache_dir"]:
-        cache.attach_disk(state["kernel_cache_dir"])
-    key = kernel_key(
-        hashlib.sha256(text.encode("utf-8")).hexdigest(), pipeline
+    # A warm unit takes its text from modules/ and its kernel from
+    # kernels/: it materializes IR objects only if it also executes.
+    built = compile_unit(
+        state["store"],
+        source,
+        CompileConfig(
+            frontend="c", pipeline=(pipeline,), label="bench", tile=tile
+        ),
+        lambda: build_module(source, pipeline, tile=tile),
+        want_module=state["execute"],
     )
-
-    def build_kernel(k: str):
-        from ..ir.parser import parse_module
-
-        built = parse_module(text) if module is None else module
-        return compile_module(built, k)
-
-    compiled = cache.get_or_compile_key(key, build_kernel)
+    compiled = built.compiled
     # Compilation determinism digest: cold, warm, serial and parallel
     # runs must produce byte-identical kernel source for each unit.
-    checksum = hashlib.sha256(
-        compiled.source.encode("utf-8")
-    ).hexdigest()
+    checksum = text_fingerprint(compiled.source)
 
     if state["execute"]:
         from ..fuzzing.oracle import make_args, module_arg_shapes
-        from ..ir.parser import parse_module
 
-        if module is None:
-            module = parse_module(text)
         args = make_args(
-            module_arg_shapes(module, spec.func_name), state["seed"]
+            module_arg_shapes(built.module, spec.func_name), state["seed"]
         )
         compiled.functions[spec.func_name](*args)
         digest = sum(float(buf.sum()) for buf in args)
         checksum = f"{checksum}:{digest:.6f}"
 
-    snapshot = cache.snapshot()
     return {
         "kernel": kernel_name,
         "pipeline": pipeline,
         "wall_time_s": time.perf_counter() - start,
-        "codegen_count": snapshot["memory"]["codegen_count"],
-        "module_cache_hit": module_cache_hit,
+        "codegen_count": int(not built.kernel_hit),
+        "module_cache_hit": built.module_hit,
         "checksum": checksum,
     }
 

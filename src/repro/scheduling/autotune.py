@@ -26,18 +26,12 @@ measured inputs.
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from typing import Dict, List, Optional, Sequence
 
 from ..execution.engine.cache import KernelCache, fingerprint_module
-from ..execution.engine.disk_cache import DiskKernelCache
 from ..execution.engine.optimizer import DEFAULT_TILE_SIZE
-
-#: Folded into every schedule-cache key: bump when the schedule space
-#: or the record layout changes so stale tunings never replay.
-SCHEDULE_CACHE_VERSION = "schedules-v2"
+from ..store import SCHEDULE_CACHE_VERSION, ArtifactStore
 
 #: Tile edges the tuner tries (0 = untiled).
 TILE_SIZES = (0, 8, 16, 32, 64)
@@ -86,41 +80,6 @@ def enumerate_space() -> List[Dict]:
 
 
 # ----------------------------------------------------------------------
-# Persisted best-schedule cache
-# ----------------------------------------------------------------------
-
-
-class ScheduleCache:
-    """Best-schedule records in the ``schedules/`` disk namespace.
-
-    A record is JSON text keyed by the payload module's fingerprint:
-    the winning schedule's IR text plus the measurements that chose it.
-    """
-
-    def __init__(self, root: str):
-        self.disk = DiskKernelCache(os.path.join(root, "schedules"))
-
-    @staticmethod
-    def key_for(fingerprint: str) -> str:
-        return KernelCache.key_for_text(fingerprint, SCHEDULE_CACHE_VERSION)
-
-    def load(self, fingerprint: str) -> Optional[Dict]:
-        text = self.disk.load_text(self.key_for(fingerprint))
-        if text is None:
-            return None
-        try:
-            record = json.loads(text)
-        except ValueError:
-            return None
-        return record if isinstance(record, dict) else None
-
-    def store(self, fingerprint: str, record: Dict) -> None:
-        self.disk.store_text(
-            self.key_for(fingerprint), json.dumps(record, sort_keys=True)
-        )
-
-
-# ----------------------------------------------------------------------
 # Candidate evaluation (worker side)
 # ----------------------------------------------------------------------
 
@@ -129,27 +88,19 @@ _WORKER_STATE: Optional[dict] = None
 
 def _init_worker(config: dict) -> None:
     """Build one search's worker state.  Everything a candidate can
-    reuse from an earlier one lives here and nowhere else, so it dies
-    with the search and a repeated search starts cold."""
+    reuse from an earlier one lives here and nowhere else: without a
+    ``cache_dir`` it dies with the search and a repeated search starts
+    cold."""
     global _WORKER_STATE
-    from ..ir import PassResultCache
     from ..ir.parser import parse_module
 
     state = dict(config)
     state["module"] = parse_module(config["module_text"])
-    if config.get("pass_cache", True):
-        # One pass-result cache per worker, shared across every
-        # candidate this worker evaluates: a schedule step already
-        # applied to the same function text runs once, and with a disk
-        # root the whole pool shares it.
-        cache = PassResultCache()
-        if config.get("pass_cache_dir"):
-            cache.attach_disk(config["pass_cache_dir"])
-        state["pass_cache_obj"] = cache
-    else:
-        state["pass_cache_obj"] = None
-    # Both keyed by the post-schedule payload (see module docstring).
-    state["kernel_cache"] = KernelCache()
+    # One store per worker, shared across every candidate this worker
+    # evaluates: a schedule step already applied to the same function
+    # text runs once (with a disk root the whole pool shares it), and
+    # candidates that leave the same payload behind share one kernel.
+    state["store"] = ArtifactStore(config["cache_dir"])
     state["measured"] = {}
     _WORKER_STATE = state
 
@@ -185,7 +136,7 @@ def _evaluate_candidate(unit) -> Dict:
     from ..execution.engine.engine import ExecutionEngine
     from .interpreter import apply_schedule, schedule_from_params
 
-    pass_cache = state["pass_cache_obj"]
+    pass_cache = state["store"].passes if state["pass_cache"] else None
     before = (
         pass_cache.stats.snapshot() if pass_cache is not None else None
     )
@@ -195,7 +146,7 @@ def _evaluate_candidate(unit) -> Dict:
     )
     engine = ExecutionEngine(
         target,
-        cache=state["kernel_cache"],
+        cache=state["store"].kernels,
         vectorize=applied.vectorize or "nest",
     )
     kernel_key = engine.compiled.key
@@ -274,7 +225,6 @@ def autotune_kernel(
     from ..evaluation import get_kernel
     from ..evaluation.pipelines import build_module
     from ..execution.engine.engine import ExecutionEngine
-    from ..ir.parser import parse_module
     from ..ir.printer import print_module
     from ..runtime.pool import parallel_map
     from .interpreter import schedule_from_params
@@ -283,10 +233,11 @@ def autotune_kernel(
     source = spec.large() if heavy else spec.small()
     module = build_module(source, pipeline)
     fingerprint = fingerprint_module(module)
-    cache = ScheduleCache(cache_dir) if cache_dir else None
+    store = ArtifactStore(cache_dir)
 
-    record = cache.load(fingerprint) if cache is not None else None
-    if record is not None:
+    found = store.load_schedule(fingerprint)
+    if found is not None:
+        record, schedule = found
         # Warm replay: no search, just compile + run under the
         # persisted winner to prove it still applies.  The reported
         # speedup is the *search-time* measurement pair — the only two
@@ -297,7 +248,7 @@ def autotune_kernel(
             ExecutionEngine(
                 module,
                 cache=KernelCache(),
-                schedule=parse_module(record["schedule"]),
+                schedule=schedule,
             ),
             spec.func_name,
             repeats,
@@ -326,7 +277,7 @@ def autotune_kernel(
         "repeats": repeats,
         "seed": seed,
         "pass_cache": pass_cache,
-        "pass_cache_dir": cache_dir if pass_cache else None,
+        "cache_dir": cache_dir,
     }
     search_start = time.perf_counter()
     try:
@@ -356,21 +307,20 @@ def autotune_kernel(
     best_schedule_text = print_module(
         schedule_from_params(best_row["params"])
     )
-    if cache is not None:
-        cache.store(
-            fingerprint,
-            {
-                "version": SCHEDULE_CACHE_VERSION,
-                "kernel": kernel,
-                "fingerprint": fingerprint,
-                "params": best_row["params"],
-                "schedule": best_schedule_text,
-                "wall_time_s": best_row["wall_time_s"],
-                "default_wall_s": default_row["wall_time_s"],
-                "evaluations": len(results),
-                "distinct_kernels": distinct_kernels,
-            },
-        )
+    store.store_schedule(
+        fingerprint,
+        {
+            "version": SCHEDULE_CACHE_VERSION,
+            "kernel": kernel,
+            "fingerprint": fingerprint,
+            "params": best_row["params"],
+            "schedule": best_schedule_text,
+            "wall_time_s": best_row["wall_time_s"],
+            "default_wall_s": default_row["wall_time_s"],
+            "evaluations": len(results),
+            "distinct_kernels": distinct_kernels,
+        },
+    )
     tuned_wall = best_row["wall_time_s"]
     default_wall = default_row["wall_time_s"]
     cache_totals: Dict[str, int] = {}

@@ -16,10 +16,11 @@ across batch generations:
 * ``configure_serving(root)`` pins the cache root (the pool's
   per-generation initializer re-applies it; re-application is cheap
   and keeps the registries).
-* Per-tenant caches live under ``<root>/tenants/<tenant>/`` — a
-  *namespace*: two tenants never share artifacts even for identical
-  kernels, and two servers pointed at one root but different tenants
-  can never cross-serve each other's kernels.
+* Each tenant has its own :class:`~repro.store.ArtifactStore` rooted
+  at ``<root>/tenants/<tenant>/`` — a *namespace*: two tenants never
+  share artifacts even for identical kernels, and two servers pointed
+  at one root but different tenants can never cross-serve each other's
+  kernels.
 * The **hot-kernel map** pins ``(compiled function, argument shapes)``
   for served kernels, so a warm ``execute`` touches no IR at all —
   no parse, no fingerprint, just input synthesis and the kernel call.
@@ -27,13 +28,20 @@ across batch generations:
 
 from __future__ import annotations
 
-import hashlib
+import dataclasses
 import os
 import re
 import threading
 import time
-from collections import OrderedDict
 from typing import Dict, Optional, Tuple
+
+from ..store import (
+    ArtifactStore,
+    CompileConfig,
+    LruMemo,
+    compile_unit,
+    text_fingerprint,
+)
 
 _TENANT_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.-]{0,63}$")
 
@@ -44,43 +52,13 @@ HOT_MAX_ENTRIES = 1024
 
 _LOCK = threading.Lock()
 _SERVE_ROOT: Optional[str] = None
-_TENANTS: Dict[Tuple[Optional[str], str], "TenantCaches"] = {}
-_HOT: "OrderedDict[Tuple[Optional[str], str, str], tuple]" = OrderedDict()
+_TENANTS: Dict[Tuple[Optional[str], str], ArtifactStore] = {}
+#: (root, tenant, mkey) -> (kernel key, functions, shapes, func name).
+_HOT = LruMemo(HOT_MAX_ENTRIES)
 
 
 class BadRequest(ValueError):
     """Request validation failure (maps to the ``bad-request`` code)."""
-
-
-class TenantCaches:
-    """One tenant's cache namespace: kernel + module + schedule tiers."""
-
-    def __init__(self, root: Optional[str], tenant: str):
-        from ..execution.engine.cache import KernelCache
-        from ..ir import PassResultCache
-
-        self.tenant = tenant
-        self.kernel_cache = KernelCache()
-        self.module_cache = None
-        self.schedule_cache = None
-        # Function-granular pass results: a cold compile of a unit that
-        # shares functions with an already-served one only runs passes
-        # on the genuinely new functions.  Tenant-namespaced like every
-        # other tier (cached results splice printed IR back in).
-        self.pass_cache = PassResultCache()
-        if root:
-            base = tenant_dir(root, tenant)
-            self.kernel_cache.attach_disk(os.path.join(base, "kernels"))
-            self.pass_cache.attach_disk(base)
-            from ..execution.engine.disk_cache import DiskKernelCache
-            from ..scheduling.autotune import ScheduleCache
-
-            self.module_cache = DiskKernelCache(
-                os.path.join(base, "modules")
-            )
-            # Best-schedule records for opt_mode="tuned": populate with
-            # ``mlt-tune --cache-dir <root>/tenants/<tenant>``.
-            self.schedule_cache = ScheduleCache(base)
 
 
 def tenant_dir(root: str, tenant: str) -> str:
@@ -109,26 +87,22 @@ def reset_serving_state() -> None:
     with _LOCK:
         _SERVE_ROOT = None
         _TENANTS.clear()
-        _HOT.clear()
+    _HOT.clear()
 
 
-def _tenant_caches(tenant: str) -> TenantCaches:
+def _tenant_store(tenant: str) -> ArtifactStore:
     with _LOCK:
         root = _SERVE_ROOT
-        key = (root, tenant)
-        caches = _TENANTS.get(key)
-        if caches is None:
-            caches = TenantCaches(root, tenant)
-            _TENANTS[key] = caches
-        return caches
+        store = _TENANTS.get((root, tenant))
+        if store is None:
+            store = _TENANTS[(root, tenant)] = ArtifactStore(
+                tenant_dir(root, tenant) if root else None
+            )
+        return store
 
 
 def _hot_get(tenant: str, mkey: str):
-    with _LOCK:
-        entry = _HOT.get((_SERVE_ROOT, tenant, mkey))
-        if entry is not None:
-            _HOT.move_to_end((_SERVE_ROOT, tenant, mkey))
-        return entry
+    return _HOT.get((_SERVE_ROOT, tenant, mkey))
 
 
 def is_hot(spec: dict) -> bool:
@@ -144,29 +118,20 @@ def is_hot(spec: dict) -> bool:
     return spec.get("func") == entry[3]
 
 
-def _hot_put(tenant: str, mkey: str, entry: tuple) -> None:
-    with _LOCK:
-        _HOT[(_SERVE_ROOT, tenant, mkey)] = entry
-        _HOT.move_to_end((_SERVE_ROOT, tenant, mkey))
-        while len(_HOT) > HOT_MAX_ENTRIES:
-            _HOT.popitem(last=False)
-
-
 def serving_cache_snapshots() -> Dict[str, dict]:
     """Per-tenant cache statistics for this process (inline mode)."""
     with _LOCK:
         tenants = dict(_TENANTS)
-        hot_total = len(_HOT)
     report = {}
-    for (_, tenant), caches in tenants.items():
+    for (_, tenant), store in tenants.items():
         report[tenant] = {
-            "kernel_cache": caches.kernel_cache.snapshot(),
-            "module_cache": caches.module_cache.stats.snapshot()
-            if caches.module_cache is not None
+            "kernel_cache": store.kernels.snapshot(),
+            "module_cache": store.modules.stats.snapshot()
+            if store.modules is not None
             else None,
-            "pass_cache": caches.pass_cache.snapshot(),
+            "pass_cache": store.passes.snapshot(),
         }
-    report["_hot_kernels"] = hot_total
+    report["_hot_kernels"] = len(_HOT)
     return report
 
 
@@ -289,29 +254,24 @@ def normalize_request(
                 )
             spec[debug_field] = request[debug_field]
 
-    spec["mkey"] = spec_module_key(spec)
+    # Content identity of the unit — the coalescing and hot-map key
+    # (for ``opt_mode="tuned"``: before the schedule is resolved).
+    spec["mkey"] = spec_config(spec).module_key(spec["source"])
     return spec
 
 
-def spec_module_key(spec: dict) -> str:
-    """Content identity of one unit — the coalescing and hot-map key.
-
-    Mirrors the batch/bench keying so a served corpus kernel and a
-    ``benchmarks.harness`` run of the same kernel agree on identity.
-    """
-    from ..runtime.batch import module_cache_key
-
-    opt = spec.get("opt_mode", "full")
+def spec_config(spec: dict) -> CompileConfig:
+    """The compile configuration one unit spec asks for."""
     if spec["mode"] == "corpus":
-        return module_cache_key(
-            spec["source"],
-            [spec["pipeline"]],
-            f"tile={spec['tile']}|opt={opt}",
-        )
-    return module_cache_key(
-        spec["source"],
-        spec["passes"],
-        f"serve:{spec['source_kind']}|opt={opt}",
+        frontend, pipeline = "c", (spec["pipeline"],)
+    else:
+        frontend, pipeline = spec["source_kind"], tuple(spec["passes"])
+    return CompileConfig(
+        frontend=frontend,
+        pipeline=pipeline,
+        label="serve",
+        tile=spec["tile"],
+        opt_mode=spec.get("opt_mode", "full"),
     )
 
 
@@ -348,42 +308,6 @@ def _build_module(spec: dict, pass_cache=None):
     return module
 
 
-def _kernel_tag(spec: dict) -> str:
-    if spec["mode"] == "corpus":
-        pipeline = f"{spec['pipeline']}|tile={spec['tile']}"
-    else:
-        pipeline = ",".join(spec["passes"])
-    opt = spec.get("opt_mode", "full")
-    return f"serve:{pipeline}#opt={opt}"
-
-
-def _unit_schedule(opt_mode: str, module, schedule_cache):
-    """``(schedule module, kernel-key tag)`` for one unit.  ``"tuned"``
-    replays the persisted winner for the payload when the tenant has
-    one and falls back to the canned full pipeline (tag ``"default"``);
-    every other mode is its canned schedule, untagged."""
-    from ..scheduling import canned_schedule
-
-    if opt_mode != "tuned":
-        return canned_schedule(opt_mode), ""
-    from ..execution.engine.cache import fingerprint_module
-
-    record = (
-        schedule_cache.load(fingerprint_module(module))
-        if schedule_cache is not None
-        else None
-    )
-    if record is None or not isinstance(record.get("schedule"), str):
-        return canned_schedule("full"), "default"
-    from ..ir.parser import parse_module
-
-    text = record["schedule"]
-    return (
-        parse_module(text),
-        hashlib.sha256(text.encode("utf-8")).hexdigest()[:16],
-    )
-
-
 def serve_unit(spec: dict) -> dict:
     """Compile (and optionally execute) one normalized unit spec.
 
@@ -411,75 +335,67 @@ def serve_unit(spec: dict) -> dict:
             checksums = _run(functions[hot_func], shapes, spec["seed"])
             return _result(spec, key, "hot", checksums, start)
 
-    caches = _tenant_caches(tenant)
-    opt_mode = spec.get("opt_mode", "full")
-    # Tuned units key the transformation off the *pristine* payload
-    # fingerprint, so they always rebuild the frontend module; the
-    # expensive tier (codegen) still hits the per-tenant kernel cache —
-    # keyed by the scheduled text — and warm traffic rides the hot map,
-    # so only the first request per process pays.
-    module_cache = None if opt_mode == "tuned" else caches.module_cache
-    schedule_tag = ""
-    module = None
-    text = (
-        module_cache.load_text(mkey) if module_cache is not None else None
-    )
-    if text is None:
-        from ..ir import print_module
-        from ..scheduling import apply_schedule
+    from ..scheduling import apply_schedule, canned_schedule
 
-        module = _build_module(spec, pass_cache=caches.pass_cache)
-        schedule, schedule_tag = _unit_schedule(
-            opt_mode, module, caches.schedule_cache
-        )
+    store = _tenant_store(tenant)
+    config = spec_config(spec)
+    pristine = schedule = None
+    if config.opt_mode == "tuned":
+        # The persisted winner is keyed off the *pristine* payload, so
+        # a tuned unit always runs the frontend; which schedule it
+        # found is part of the configuration every later rung keys on
+        # ("default" = no usable record: the canned full pipeline).
+        # Warm traffic rides the hot map, so only the first request per
+        # process pays.
+        from ..execution.engine.cache import fingerprint_module
+
+        pristine = _build_module(spec, store.passes)
+        found = store.load_schedule(fingerprint_module(pristine))
+        if found is None:
+            schedule, tag = canned_schedule("full"), "default"
+        else:
+            schedule = found[1]
+            tag = text_fingerprint(found[0]["schedule"])[:16]
+        config = dataclasses.replace(config, schedule=tag)
+        spec = dict(spec, schedule_tag=tag)
+
+    def build():
         # Optimize before printing so persisted module text — and every
         # kernel (cold or warm) derived from it — reflects the
         # mid-level optimizer's output.
-        apply_schedule(schedule, module, pass_cache=caches.pass_cache)
-        text = print_module(module)
-        if module_cache is not None:
-            module_cache.store_text(mkey, text)
-
-    from ..execution.engine.cache import kernel_key
-
-    tag = _kernel_tag(spec)
-    if schedule_tag:
-        tag += f"#sched={schedule_tag}"
-    key = kernel_key(hashlib.sha256(text.encode("utf-8")).hexdigest(), tag)
-    built = {}
-
-    def build_kernel(k: str):
-        from ..execution.engine.codegen import compile_module
-        from ..ir.parser import parse_module
-
-        built["codegen"] = True
-        return compile_module(
-            parse_module(text) if module is None else module, k
+        module = pristine
+        if module is None:
+            module = _build_module(spec, store.passes)
+        apply_schedule(
+            canned_schedule(config.opt_mode) if schedule is None else schedule,
+            module,
+            pass_cache=store.passes,
         )
+        return module
 
-    compiled = caches.kernel_cache.get_or_compile_key(key, build_kernel)
-    cached = "codegen" if built else "cache"
-    if schedule_tag:
-        spec = dict(spec, schedule_tag=schedule_tag)
+    wants_shapes = spec["execute"] or spec["warm_hot"]
+    unit = compile_unit(
+        store, spec["source"], config, build, want_module=wants_shapes
+    )
+    key = unit.compiled.key
+    cached = "cache" if unit.kernel_hit else "codegen"
 
     checksums = None
-    if spec["execute"] or spec["warm_hot"]:
+    if wants_shapes:
         from ..fuzzing.oracle import module_arg_shapes
 
-        if module is None:
-            from ..ir.parser import parse_module
-
-            module = parse_module(text)
+        module = unit.module
         run_func = func or module.functions[0].sym_name
         if module.lookup(run_func) is None:
             raise BadRequest(f"module has no function @{run_func}")
         shapes = module_arg_shapes(module, run_func)
-        _hot_put(
-            tenant, mkey, (key, compiled.functions, shapes, run_func)
+        _HOT.put(
+            (_SERVE_ROOT, tenant, mkey),
+            (key, unit.compiled.functions, shapes, run_func),
         )
         if spec["execute"]:
             checksums = _run(
-                compiled.functions[run_func], shapes, spec["seed"]
+                unit.compiled.functions[run_func], shapes, spec["seed"]
             )
     return _result(spec, key, cached, checksums, start)
 

@@ -159,8 +159,9 @@ def main(argv: List[str] = None) -> int:
     )
     parser.add_argument(
         "--cache-dir",
-        help="persistent compilation cache directory shared across "
-        "processes and sessions (kernel + module artifacts)",
+        help="persistent compilation cache root shared across processes "
+        "and sessions: kernels/ modules/ passes/ schedules/ namespaces, "
+        "the same layout and keys in single-file and batch mode",
     )
     parser.add_argument(
         "--cache-stats",
@@ -171,8 +172,10 @@ def main(argv: List[str] = None) -> int:
     parser.add_argument(
         "--compile",
         action="store_true",
-        help="batch mode: also codegen each module through the shared "
-        "kernel cache (warms --cache-dir for later --execute runs)",
+        help="batch mode: also codegen each module into the kernels/ "
+        "namespace of --cache-dir (implied by --cache-dir), so a later "
+        "--execute FUNC --engine compiled run of the same input, passes "
+        "and --opt-mode performs no codegen",
     )
     parser.add_argument(
         "--pass-cache",
@@ -304,10 +307,19 @@ def main(argv: List[str] = None) -> int:
     if len(args.input) > 1:
         return _batch_main(args, pass_names)
 
-    if args.cache_dir:
-        from .execution import KERNEL_CACHE
+    from .execution import KERNEL_CACHE
+    from .runtime.batch import unit_config
+    from .store import ArtifactStore
 
-        KERNEL_CACHE.attach_disk(args.cache_dir)
+    store = ArtifactStore(args.cache_dir) if args.cache_dir else None
+    kernel_cache = store.kernels if store else KERNEL_CACHE
+    pass_cache = None
+    if args.pass_cache is not None:
+        if not (args.pass_cache or store):
+            parser.error("--pass-cache without DIR needs --cache-dir")
+        pass_cache = (
+            ArtifactStore(args.pass_cache) if args.pass_cache else store
+        ).passes
 
     try:
         module = load_input(args.input[0], args.source)
@@ -317,7 +329,6 @@ def main(argv: List[str] = None) -> int:
     from .ir import set_default_driver
 
     set_default_driver(args.driver)
-    pass_cache = _make_pass_cache(args, parser)
     pm = build_pipeline(
         pass_names, raise_mode=args.raise_mode, tile_sizes=tile_sizes
     )
@@ -355,6 +366,8 @@ def main(argv: List[str] = None) -> int:
                 args.execute,
                 args.engine,
                 args.exec_seed,
+                unit_config(pass_names, args.driver, args.source),
+                kernel_cache,
                 engine_stats=args.engine_stats,
                 opt_mode=args.opt_mode,
                 opt_stats=args.opt_stats,
@@ -370,24 +383,10 @@ def main(argv: List[str] = None) -> int:
             "--engine compiled\n"
         )
     if args.cache_stats:
-        _print_cache_stats()
+        _print_cache_stats(kernel_cache)
     if args.pass_cache_stats:
         _print_pass_cache_stats(pass_cache)
     return 0
-
-
-def _make_pass_cache(args, parser):
-    """Build the pass-result cache requested by --pass-cache, if any."""
-    if args.pass_cache is None:
-        return None
-    from .ir import PassResultCache
-
-    cache = PassResultCache()
-    root = args.pass_cache or args.cache_dir
-    if args.pass_cache == "" and not args.cache_dir:
-        parser.error("--pass-cache without DIR needs --cache-dir")
-    cache.attach_disk(root)
-    return cache
 
 
 def _print_pass_cache_stats(pass_cache) -> None:
@@ -433,14 +432,12 @@ def _print_raise_stats(pm: PassManager) -> None:
     )
 
 
-def _print_cache_stats() -> None:
+def _print_cache_stats(kernel_cache) -> None:
     import json
-
-    from .execution import KERNEL_CACHE
 
     sys.stderr.write(
         "mlt-opt: kernel cache: "
-        + json.dumps(KERNEL_CACHE.snapshot(), sort_keys=True)
+        + json.dumps(kernel_cache.snapshot(), sort_keys=True)
         + "\n"
     )
 
@@ -499,6 +496,8 @@ def _execute_module(
     func_name: str,
     engine: str,
     seed: int,
+    config,
+    kernel_cache,
     engine_stats: bool = False,
     opt_mode: str = "none",
     opt_stats: bool = False,
@@ -517,7 +516,8 @@ def _execute_module(
 
         compiled = ExecutionEngine(
             module,
-            pipeline="mlt-opt",
+            pipeline=config,
+            cache=kernel_cache,
             opt_mode=opt_mode,
             tile_size=tile_size,
             pass_cache=pass_cache,

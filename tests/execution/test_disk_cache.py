@@ -23,9 +23,9 @@ from repro.execution.engine.disk_cache import (
     SCAN_HEADROOM_SHARE,
     STALE_TEMP_SECONDS,
     DiskKernelCache,
-    default_disk_cache,
 )
 from repro.met import compile_c
+from repro.store import ArtifactStore, CompileConfig
 
 GEMM = """
 void gemm(float A[8][6], float B[6][7], float C[8][7]) {
@@ -53,7 +53,7 @@ void saxpy(float x[16], float y[16]) {
 
 def _compiled_gemm():
     module = compile_c(GEMM)
-    key = KernelCache.key_for(module, "p")
+    key = CompileConfig(label="p").kernel_key(fingerprint_module(module))
     return key, compile_module(module, key)
 
 
@@ -329,8 +329,7 @@ class TestFailedPublish:
         assert disk.load_text(_key(1)) is None
 
     def test_caller_proceeds_uncached(self, tmp_path, full_disk):
-        cache = KernelCache()
-        cache.attach_disk(str(tmp_path))
+        cache = KernelCache(disk=DiskKernelCache(str(tmp_path)))
         engine = ExecutionEngine(compile_c(SAXPY), pipeline="p", cache=cache)
         assert engine.source
         assert cache.stats.codegen_count == 1
@@ -340,22 +339,19 @@ class TestFailedPublish:
 
 class TestTieredCache:
     def test_memory_miss_falls_through_to_disk(self, tmp_path):
-        first = KernelCache()
-        first.attach_disk(str(tmp_path))
+        first = KernelCache(disk=DiskKernelCache(str(tmp_path)))
         module = compile_c(GEMM)
         ExecutionEngine(module, pipeline="p", cache=first)
         assert first.stats.codegen_count == 1
 
         # Fresh memory tier, same directory: warm start, zero codegen.
-        second = KernelCache()
-        second.attach_disk(str(tmp_path))
+        second = KernelCache(disk=DiskKernelCache(str(tmp_path)))
         ExecutionEngine(compile_c(GEMM), pipeline="p", cache=second)
         assert second.stats.codegen_count == 0
         assert second.disk.stats.hits == 1
 
     def test_full_miss_populates_both_tiers(self, tmp_path):
-        cache = KernelCache()
-        cache.attach_disk(str(tmp_path))
+        cache = KernelCache(disk=DiskKernelCache(str(tmp_path)))
         module = compile_c(STENCIL)
         ExecutionEngine(module, pipeline="p", cache=cache)
         assert len(cache) == 1
@@ -364,8 +360,7 @@ class TestTieredCache:
         assert cache.disk.stats.bytes_written > 0
 
     def test_snapshot_reports_both_tiers(self, tmp_path):
-        cache = KernelCache()
-        cache.attach_disk(str(tmp_path))
+        cache = KernelCache(disk=DiskKernelCache(str(tmp_path)))
         ExecutionEngine(compile_c(GEMM), cache=cache)
         snap = cache.snapshot()
         assert snap["memory"]["codegen_count"] == 1
@@ -384,12 +379,19 @@ class TestTieredCache:
         assert KernelCache().snapshot()["disk"] is None
 
     def test_default_disk_cache_from_env(self, tmp_path, monkeypatch):
+        """``MLT_CACHE_DIR`` is a cache *root*: the process-default
+        kernel cache is its ``kernels/`` namespace, the directory
+        ``mlt-opt --cache-dir`` fills."""
+        from repro.execution.engine.cache import _default_cache
+
         monkeypatch.setenv("MLT_CACHE_DIR", str(tmp_path / "env-cache"))
-        disk = default_disk_cache()
-        assert disk is not None
-        assert disk.path == str(tmp_path / "env-cache")
+        disk = _default_cache().disk
+        assert disk.path == str(tmp_path / "env-cache" / "kernels")
+        assert disk.path == ArtifactStore(
+            str(tmp_path / "env-cache")
+        ).kernels.disk.path
         monkeypatch.setenv("MLT_CACHE_DIR", "")
-        assert default_disk_cache() is None
+        assert _default_cache().disk is None
 
 
 class TestMemoryLRU:
@@ -485,10 +487,9 @@ def _race_worker(args):
     from repro.execution.engine import compile_module
     from repro.met import compile_c
 
-    cache = KernelCache()
-    cache.attach_disk(cache_dir)
+    cache = KernelCache(disk=DiskKernelCache(cache_dir))
     module = compile_c(GEMM)
-    key = KernelCache.key_for(module, "race")
+    key = CompileConfig(label="race").kernel_key(fingerprint_module(module))
     compiled = cache.get_or_compile_key(
         key, lambda k: compile_module(module, k)
     )
@@ -529,8 +530,7 @@ def test_concurrent_get_or_compile_single_artifact(tmp_path):
 
     # The published artifact is valid: a fresh process-like cold load
     # re-hydrates without codegen.
-    cold = KernelCache()
-    cold.attach_disk(str(tmp_path))
+    cold = KernelCache(disk=DiskKernelCache(str(tmp_path)))
     loaded = cold.get_or_compile_key(
         key, lambda k: pytest.fail("warm load must not invoke codegen")
     )

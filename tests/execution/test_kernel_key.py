@@ -1,18 +1,18 @@
-"""``kernel_key`` — the one place ``CODEGEN_VERSION`` enters a key.
+"""``CompileConfig.kernel_key`` — the one place ``CODEGEN_VERSION``
+enters a key.
 
 Every producer of ``kernels/`` artifacts (the engine, the serving tier,
 ``mlt-opt`` batch mode, the corpus scale driver) must miss, by key, a
 directory filled by an older code generator; the version-independent
-tiers above it (``modules/``) may keep hitting.
+tiers above it (``modules/``) may keep hitting.  The structural guard
+that only ``repro/store.py`` builds keys lives in ``tests/test_store.py``.
 """
 
 import os
-import re
 
 import pytest
 
-import repro
-from repro.execution.engine.cache import KernelCache, kernel_key
+from repro.store import ArtifactStore, CompileConfig
 
 GEMM = """
 void gemm(float A[4][4], float B[4][4], float C[4][4]) {
@@ -28,8 +28,7 @@ def _engine(root):
     from repro.execution import ExecutionEngine
     from repro.met import compile_c
 
-    cache = KernelCache()
-    cache.attach_disk(os.path.join(root, "kernels"))
+    cache = ArtifactStore(root).kernels
     ExecutionEngine(
         compile_c(GEMM), pipeline="vt", cache=cache, opt_mode="full"
     )
@@ -86,34 +85,17 @@ def test_stale_codegen_kernels_are_never_reserved(
     assert produce(root) == 1  # fill
     assert produce(root) == 0  # a new process re-serves the artifact...
     monkeypatch.setattr(
-        "repro.execution.engine.codegen.CODEGEN_VERSION", 999_999
+        "repro.store.CODEGEN_VERSION", 999_999
     )
     assert produce(root) == 1  # ...until the code generator changes
 
 
 def test_kernel_key_folds_the_version_and_the_tag(monkeypatch):
-    base = kernel_key("fp", "tag")
-    assert base == kernel_key("fp", "tag")
-    assert base != kernel_key("fp", "other") != kernel_key("fp2", "tag")
+    base = CompileConfig(label="tag").kernel_key("fp")
+    assert base == CompileConfig(label="tag").kernel_key("fp")
+    assert base != CompileConfig(label="other").kernel_key("fp")
+    assert base != CompileConfig(label="tag").kernel_key("fp2")
     monkeypatch.setattr(
-        "repro.execution.engine.codegen.CODEGEN_VERSION", 999_999
+        "repro.store.CODEGEN_VERSION", 999_999
     )
-    assert base != kernel_key("fp", "tag")
-
-
-def test_only_cache_py_spells_the_codegen_tag():
-    """No other module may build a ``#cg=`` key component by hand (the
-    hazard was closed by hand three times before it got a function)."""
-    src = os.path.dirname(repro.__file__)
-    offenders = []
-    for folder, _, files in os.walk(src):
-        for name in files:
-            path = os.path.join(folder, name)
-            if not name.endswith(".py") or path.endswith(
-                os.path.join("engine", "cache.py")
-            ):
-                continue
-            with open(path) as handle:
-                if re.search(r"#cg=", handle.read()):
-                    offenders.append(os.path.relpath(path, src))
-    assert offenders == []
+    assert base != CompileConfig(label="tag").kernel_key("fp")

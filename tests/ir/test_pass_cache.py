@@ -33,6 +33,7 @@ from repro.ir import (
 from repro.ir.pass_cache import FunctionCursor
 from repro.ir.parser import parse_module
 from repro.met import compile_c
+from repro.store import ArtifactStore
 from repro.transforms import (
     CanonicalizePass,
     LoopDistributionPass,
@@ -163,19 +164,17 @@ class TestPassResultCacheStore:
         assert base != cache.key("fp2", "tile", "tile=16")
 
     def test_disk_tier_survives_new_process_memo(self, tmp_path):
-        cache = PassResultCache()
-        cache.attach_disk(str(tmp_path))
+        cache = ArtifactStore(str(tmp_path)).passes
         key = cache.key("fp", "p")
         cache.put(key, {"kind": "clean", "fp": "fp"})
         # Fresh memo, same disk root == a cold process.
-        cold = PassResultCache()
-        cold.attach_disk(str(tmp_path))
+        cold = ArtifactStore(str(tmp_path)).passes
         assert cold.get(key) == {"kind": "clean", "fp": "fp"}
         assert cold.stats.snapshot()["disk_hits"] == 1
 
     def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
-        cache = PassResultCache()
-        disk = cache.attach_disk(str(tmp_path))
+        cache = ArtifactStore(str(tmp_path)).passes
+        disk = cache.disk
         key = cache.key("fp", "p")
         disk.store_text(key, "{not json")
         assert cache.get(key) is None
@@ -232,8 +231,8 @@ class TestDamagedArtifactIsAMiss:
         reference, _ = compile_with(None)
 
         def attached():
-            cache = PassResultCache()
-            return cache, cache.attach_disk(str(tmp_path))
+            cache = ArtifactStore(str(tmp_path)).passes
+            return cache, cache.disk
 
         cache, disk = attached()
         assert compile_with(cache)[0] == reference
@@ -315,14 +314,13 @@ class TestPassManagerCached:
         assert after["hits"] - before["hits"] == 3
 
     def test_warm_chain_from_disk_skips_all_passes(self, tmp_path):
-        cache = PassResultCache()
-        cache.attach_disk(str(tmp_path))
+        cache = ArtifactStore(str(tmp_path)).passes
         scratch = compile_c(TWO_FUNCS)
         _pipeline(cache).run(scratch)
         reference = print_module(scratch)
 
-        cold = PassResultCache()  # fresh memo == new process
-        cold.attach_disk(str(tmp_path))
+        # fresh memo == new process
+        cold = ArtifactStore(str(tmp_path)).passes
         module = compile_c(TWO_FUNCS)
         _pipeline(cold).run(module)
         assert print_module(module) == reference
@@ -428,8 +426,7 @@ class TestColdRunPrintsOnce:
 
         monkeypatch.setattr(printer_mod, "print_module", recording)
         monkeypatch.setattr(pass_cache_mod, "print_module", recording)
-        cache = PassResultCache()
-        cache.attach_disk(str(tmp_path))
+        cache = ArtifactStore(str(tmp_path)).passes
         _batch_pipeline(cache).run(compile_c(THREE_FUNCS))
         assert len(printed) > 4  # four entry states + every rewrite
         assert len(printed) == len(set(printed))
@@ -437,8 +434,8 @@ class TestColdRunPrintsOnce:
     def test_artifacts_are_the_uncached_snapshots(self, tmp_path):
         from repro.execution.engine.disk_cache import ARTIFACT_SUFFIX
 
-        cache = PassResultCache()
-        disk = cache.attach_disk(str(tmp_path))
+        cache = ArtifactStore(str(tmp_path)).passes
+        disk = cache.disk
         _batch_pipeline(cache).run(compile_c(THREE_FUNCS))
         expected = _expected_pass_artifacts(THREE_FUNCS, cache)
         assert any(e["kind"] == "rewrite" for e in expected.values())
@@ -488,8 +485,7 @@ class TestWarmCorpus:
         sources = [get_kernel(name).small() for name in PAPER_BENCHMARKS]
 
         def one_process():
-            cache = PassResultCache()
-            cache.attach_disk(str(tmp_path))
+            cache = ArtifactStore(str(tmp_path)).passes
             modules = [compile_c(source) for source in sources]
             for module in modules:
                 _corpus_pipeline(cache).run(module)
@@ -535,7 +531,7 @@ class TestWarmCorpus:
             compile_kernels=True,
         )
         assert all(r.ok for r in results)
-        snap = batch._WORKER_STATE["pass_cache_obj"].stats.snapshot()
+        snap = batch._WORKER_STATE["store"].passes.stats.snapshot()
         assert {
             key: snap[key]
             for key in ("hits", "misses", "executions", "stores")
@@ -543,7 +539,7 @@ class TestWarmCorpus:
         assert {
             tier: len(os.listdir(cache_dir / tier))
             for tier in os.listdir(cache_dir)
-        } == {"passes": 97, "modules": 16, "kernels": 16}
+        } == {"passes": 97, "modules": 16, "kernels": 16, "schedules": 0}
 
     def test_schedule_search_replays_the_shared_prefix(self):
         from repro.scheduling.autotune import autotune

@@ -5,7 +5,8 @@ import os
 
 import pytest
 
-from repro.runtime.batch import BatchResult, module_cache_key, run_batch
+from repro.runtime.batch import BatchResult, run_batch
+from repro.store import CompileConfig
 from repro.runtime.bench import run_corpus, run_scale_study
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -126,16 +127,21 @@ class TestBatch:
         ]
 
     def test_module_cache_key_separates_pipelines(self, monkeypatch):
-        base = module_cache_key("text", ["-a"], "worklist")
-        assert base != module_cache_key("text", ["-b"], "worklist")
-        assert base != module_cache_key("text", ["-a"], "snapshot")
-        assert base != module_cache_key("other", ["-a"], "worklist")
-        assert base == module_cache_key("text", ["-a"], "worklist")
+        def key(text, passes, driver):
+            return CompileConfig(
+                pipeline=tuple(passes), driver=driver
+            ).module_key(text)
+
+        base = key("text", ["-a"], "worklist")
+        assert base != key("text", ["-b"], "worklist")
+        assert base != key("text", ["-a"], "snapshot")
+        assert base != key("other", ["-a"], "worklist")
+        assert base == key("text", ["-a"], "worklist")
         # A pass-semantics bump orphans modules/ along with passes/.
         monkeypatch.setattr(
-            "repro.runtime.batch.PASS_CACHE_VERSION", "pass-cache-next"
+            "repro.store.PASS_CACHE_VERSION", "pass-cache-next"
         )
-        assert base != module_cache_key("text", ["-a"], "worklist")
+        assert base != key("text", ["-a"], "worklist")
 
     def test_batch_result_is_picklable(self):
         import pickle

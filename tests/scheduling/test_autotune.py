@@ -9,12 +9,12 @@ import repro.scheduling.autotune as autotune_module
 from repro.runtime.pool import fresh_pools
 from repro.scheduling.autotune import (
     DEFAULT_TUNE_KERNELS,
-    ScheduleCache,
     autotune,
     autotune_kernel,
     default_params,
     enumerate_space,
 )
+from repro.store import ArtifactStore, schedule_key
 
 
 def test_space_enumerates_default_point_first():
@@ -48,9 +48,9 @@ def test_tune_cold_then_warm_replay(tmp_path):
 
 
 def test_schedule_cache_rejects_garbage(tmp_path):
-    cache = ScheduleCache(str(tmp_path))
-    cache.disk.store_text(cache.key_for("fp"), "not json")
-    assert cache.load("fp") is None
+    store = ArtifactStore(str(tmp_path))
+    store.schedules.store_text(schedule_key("fp"), "not json")
+    assert store.load_schedule("fp") is None
 
 
 def test_autotune_summary_shape(tmp_path):

@@ -69,3 +69,29 @@ def test_tuned_replays_persisted_schedule(serve_root):
     warm = serve_unit(normalize_request(_tuned_request()))
     assert warm["cached"] == "hot"
     assert warm["checksums"] == tuned["checksums"]
+
+
+def test_tuned_treats_a_damaged_record_as_absent(serve_root):
+    """A ``schedules/`` record whose schedule text no longer parses is a
+    miss, not a ``compile-error`` until someone wipes the directory."""
+    import json
+    import os
+
+    base = tenant_dir(serve_root, "default")
+    autotune_kernel("atax", budget=2, jobs=1, repeats=1, cache_dir=base)
+    directory = os.path.join(base, "schedules")
+    (name,) = os.listdir(directory)
+    path = os.path.join(directory, name)
+    with open(path) as handle:
+        outer = json.load(handle)
+    record = json.loads(outer["text"])
+    record["schedule"] = record["schedule"][: len(record["schedule"]) // 2]
+    outer["text"] = json.dumps(record)
+    with open(path, "w") as handle:
+        json.dump(outer, handle)
+
+    reset_serving_state()
+    configure_serving(serve_root)
+    result = serve_unit(normalize_request(_tuned_request()))
+    assert result["schedule"] == "default"
+    assert result["checksums"]

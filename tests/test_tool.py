@@ -201,6 +201,49 @@ module {
             '"view": 1, "zeros": 1}'
         ) in err
 
+    def test_compile_warms_a_later_execute(self, c_file, capsys, tmp_path):
+        """``--compile`` (batch mode) and ``--execute --engine compiled``
+        (single-file mode) open the same ``kernels/`` namespace and key
+        through the same ``CompileConfig``: the second command performs
+        no codegen and leaves nothing at the top level of the root."""
+        import json
+        import os
+
+        other = tmp_path / "other.c"
+        other.write_text(GEMM.replace("gemm", "gemm2"))
+        root = tmp_path / "cache"
+        common = ["-raise-affine-to-linalg", "--cache-dir", str(root)]
+        code, _, _ = self._run(
+            [c_file, str(other), "--compile", *common], capsys
+        )
+        assert code == 0
+        code, _, err = self._run(
+            [
+                c_file,
+                "--execute",
+                "gemm",
+                "--engine",
+                "compiled",
+                "--cache-stats",
+                "-o",
+                "/dev/null",
+                *common,
+            ],
+            capsys,
+        )
+        assert code == 0
+        (line,) = [l for l in err.splitlines() if "kernel cache: " in l]
+        stats = json.loads(line.split("kernel cache: ")[1])
+        assert stats["memory"]["codegen_count"] == 0
+        assert stats["disk"]["hits"] == 1
+        assert stats["disk"]["bytes_written"] == 0
+        assert sorted(os.listdir(root)) == [
+            "kernels",
+            "modules",
+            "passes",
+            "schedules",
+        ]
+
     def test_execute_unknown_function_fails(self, c_file, capsys):
         code, _, err = self._run(
             [c_file, "--execute", "nope", "-o", "/dev/null"], capsys

@@ -16,6 +16,7 @@ from repro.dialects.affine import outermost_loops, perfect_nest
 from repro.execution import ExecutionEngine, Interpreter
 from repro.execution.engine.cache import KernelCache
 from repro.execution.engine.codegen import compile_module
+from repro.execution.engine.disk_cache import DiskKernelCache
 from repro.execution.engine.optimizer import OPT_MODES, run_optimizer
 from repro.fuzzing import generate_affine_module, generate_kernel
 from repro.fuzzing.oracle import make_args, module_arg_shapes
@@ -304,8 +305,7 @@ class TestEnginePlumbing:
         module = compile_c(DEAD_TEMPORARY, distribute=False)
         snapshots = []
         for _ in range(2):
-            cache = KernelCache()
-            cache.attach_disk(str(tmp_path))
+            cache = KernelCache(disk=DiskKernelCache(str(tmp_path)))
             engine = ExecutionEngine(
                 module,
                 pipeline="plumb-sched",
