@@ -5,9 +5,12 @@ TDL matchers' pattern space (transposed A operand, ``-=`` accumulation,
 transposed output, rank-0 dot output).  For each, this benchmark
 asserts the tiering story end to end:
 
-1. ``raise_mode="tdl"`` leaves the loop nest standing (TDL miss);
-2. ``raise_mode="tdl+synth"`` raises every band (synth hit), with the
-   candidate I/O-validated by the equivalence oracle;
+1. ``-raise-affine-to-linalg`` leaves the loop nest standing (TDL
+   miss);
+2. ``-raise-affine-to-linalg -raise-affine-synth`` raises every band
+   (synth hit), with the candidate I/O-validated by the equivalence
+   oracle — ``synth_ms`` is what that second pass cost (its interpreter
+   trials dominate), ``wall_time_s`` one run of the raised kernel;
 3. the raised op compiles to the engine's ``runtime.contract``
    tensordot fast path (asserted on the generated source);
 4. the compiled result numerically matches the un-raised interpreter
@@ -30,9 +33,9 @@ import time
 import numpy as np
 
 from repro.dialects.affine import AffineForOp
-from repro.ir import Context
 from repro.met import compile_c
-from repro.tactics.raising import RaiseAffineToLinalgPass
+from repro.tactics.stats import merge_pass_stats
+from repro.tool import build_pipeline
 
 from .harness import checksum, format_table, report, report_json
 
@@ -89,11 +92,16 @@ def _loops_left(module) -> int:
     return sum(1 for op in module.walk() if isinstance(op, AffineForOp))
 
 
-def _raise(source: str, mode: str):
+#: Raising tiers are passes: the TDL tier, then the synthesis fallback.
+TIERS = ["raise-affine-to-linalg", "raise-affine-synth"]
+
+
+def _raise(source: str, pass_names):
+    """(raised module, the passes' merged stats, seconds per pass)."""
     module = compile_c(source)
-    pass_ = RaiseAffineToLinalgPass(raise_mode=mode)
-    pass_.run(module, Context())
-    return module, pass_.raise_stats
+    pm = build_pipeline(pass_names)
+    timing = pm.run(module)
+    return module, merge_pass_stats(pm.passes), timing.seconds
 
 
 def _module_args(module, func_name, seed):
@@ -109,10 +117,10 @@ def measure_kernel(name: str, func_name: str, source: str) -> dict:
     from repro.execution.engine import ExecutionEngine
     from repro.execution.interpreter import Interpreter
 
-    tdl_module, _ = _raise(source, "tdl")
+    tdl_module, _, _ = _raise(source, TIERS[:1])
     tdl_raised = _loops_left(tdl_module) == 0
 
-    synth_module, stats = _raise(source, "tdl+synth")
+    synth_module, stats, seconds = _raise(source, TIERS)
     synth_raised = _loops_left(synth_module) == 0
     snap = stats.snapshot()["synth"]
 
@@ -125,6 +133,7 @@ def measure_kernel(name: str, func_name: str, source: str) -> dict:
         "candidates_enumerated": snap["candidates_enumerated"],
         "candidates_rejected": snap["candidates_rejected"],
         "oracle_trials": snap["trials_run"],
+        "synth_ms": seconds[TIERS[1]] * 1e3,
         "fast_path": False,
         "io_validated": False,
         "wall_time_s": None,
@@ -221,6 +230,7 @@ def run(corpus_dir=None) -> int:
             "io-valid",
             "candidates",
             "trials",
+            "synth ms",
         ],
         [
             [
@@ -231,6 +241,7 @@ def run(corpus_dir=None) -> int:
                 "yes" if r["io_validated"] else "no",
                 r["candidates_enumerated"],
                 r["oracle_trials"],
+                f"{r['synth_ms']:.1f}",
             ]
             for r in rows
         ],

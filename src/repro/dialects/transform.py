@@ -41,10 +41,6 @@ from ..ir.types import Type
 #: execution engine from a dialect definition).
 VECTORIZE_MODES = ("none", "innermost", "nest")
 
-#: Raising tiers ``transform.raise`` may request (mirrors
-#: ``mlt-opt --raise-mode``).
-RAISE_MODES = ("tdl", "synth", "tdl+synth")
-
 
 class TransformHandleType(Type):
     """Type of a value naming a set of payload functions."""
@@ -337,7 +333,9 @@ class VectorizeOp(TransformStepOp):
 
 @register_op
 class RaiseOp(TransformStepOp):
-    """Run the progressive-raising pass over the payload module."""
+    """Run raising passes over the payload module: ``mode`` is a
+    "+"-joined list of tier names (``tdl+synth``) that the schedule
+    interpreter resolves to passes, in order."""
 
     OP_NAME = "transform.raise"
 
@@ -353,11 +351,8 @@ class RaiseOp(TransformStepOp):
 
     def verify_(self) -> None:
         super().verify_()
-        attr = self.attributes.get("mode")
-        if attr is None or attr.value not in RAISE_MODES:
-            raise IRError(
-                f"transform.raise mode must be one of {RAISE_MODES}"
-            )
+        if not isinstance(self.attributes.get("mode"), StringAttr):
+            raise IRError("transform.raise needs a string mode")
 
 
 #: Ops allowed inside a sequence, keyed by mnemonic — the parser, the

@@ -425,10 +425,10 @@ class FuzzCampaign:
         band the frontend emits for ``source``."""
         from ..dialects.affine import AffineForOp
         from ..met import compile_c
-        from ..tactics.raising import raise_affine_to_linalg
+        from ..raising import raise_with_synthesis
 
         module = compile_c(source)
-        raise_affine_to_linalg(module, raise_mode="synth")
+        raise_with_synthesis(module)
         return not any(
             isinstance(op, AffineForOp) for op in module.walk()
         )
@@ -437,7 +437,7 @@ class FuzzCampaign:
         self, seed: int, kernel: GeneratedKernel
     ) -> Optional[FuzzFailure]:
         """Synth-diff oracle stage: families inside the enumerator's
-        candidate space must be fully raised by ``raise_mode="synth"``;
+        candidate space must be fully raised by ``-raise-affine-synth``;
         families outside it (offset accesses, stencils) must leave a
         loop behind.  Either direction of mismatch is a synthesizer
         regression — a lost candidate class or an unsound validation."""

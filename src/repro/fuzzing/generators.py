@@ -115,7 +115,7 @@ class GeneratedKernel:
     #: this to False — raising them to linalg.matmul would be a bug in
     #: the matchers.
     expect_raise: bool = True
-    #: Whether the synthesis tier (``raise_mode="synth"``) is expected
+    #: Whether the synthesis tier (``-raise-affine-synth``) is expected
     #: to raise *every* loop band in the kernel — the near-miss corpus'
     #: recorded expectation.  Families with accesses outside the
     #: synthesizer's candidate space (offset subscripts, stencils) set
@@ -354,7 +354,7 @@ NEAR_MISS_FAMILIES = (
     "dot",
 )
 
-#: family -> whether ``raise_mode="synth"`` is expected to raise every
+#: family -> whether ``-raise-affine-synth`` is expected to raise every
 #: loop band the frontend emits for it.  Offset accesses and stencils
 #: are outside the enumerator's pure-permutation candidate space.
 SYNTH_EXPECTED = {

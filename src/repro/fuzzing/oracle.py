@@ -81,6 +81,7 @@ def build_pipelines(fuzz_tile_size: int = 3) -> Dict[str, Pipeline]:
     fires on the small extents the generators emit (the production
     default of 32 would be a silent no-op).
     """
+    from ..raising import SynthRaisingPass
     from ..tactics.raising import RaiseAffineToAffinePass, RaiseAffineToLinalgPass
     from ..transforms import (
         AffineToSCFPass,
@@ -149,12 +150,8 @@ def build_pipelines(fuzz_tile_size: int = 3) -> Dict[str, Pipeline]:
                 PipelineStage(
                     "raise-synth",
                     [
-                        (
-                            "raise-affine-to-linalg",
-                            lambda: RaiseAffineToLinalgPass(
-                                raise_mode="tdl+synth"
-                            ),
-                        )
+                        ("raise-affine-to-linalg", RaiseAffineToLinalgPass),
+                        ("raise-affine-synth", SynthRaisingPass),
                     ],
                 ),
                 PipelineStage(

@@ -11,19 +11,21 @@ See ``docs/raising.md`` for the candidate space and the validation
 protocol.
 """
 
+from ..tactics.stats import (  # noqa: F401
+    RaiseStats,
+    SYNTH_BAIL_REASONS,
+    TDL_BAIL_REASONS,
+)
 from .enumerator import (  # noqa: F401
     Candidate,
-    EnumeratorConfig,
     classify_mac,
     enumerate_candidates,
 )
 from .equivalence import (  # noqa: F401
     EquivalenceChecker,
-    EquivalenceConfig,
     OracleError,
     build_candidate_module,
     build_nest_module,
-    check_candidate,
 )
 from .nest import NestSummary, summarize_nest  # noqa: F401
 from .rewriter import (  # noqa: F401
@@ -31,13 +33,7 @@ from .rewriter import (  # noqa: F401
     candidate_maps,
     materialize_candidate,
 )
-from .stats import (  # noqa: F401
-    RaiseStats,
-    SYNTH_BAIL_REASONS,
-    TDL_BAIL_REASONS,
-)
 from .synthesize import (  # noqa: F401
-    SynthConfig,
     SynthRaisingPass,
     raise_with_synthesis,
     synthesize_function,

@@ -34,14 +34,9 @@ from .pruner import (
 )
 
 
-@dataclass
-class EnumeratorConfig:
-    #: Hard cap on survivors; exceeding it bails "too-many-candidates"
-    #: rather than spending unbounded oracle time.
-    max_candidates: int = 128
-    named_ops: bool = True
-    contractions: bool = True
-    maps: bool = True
+#: Hard cap on survivors; exceeding it bails "too-many-candidates"
+#: rather than spending unbounded oracle time.
+MAX_CANDIDATES = 128
 
 
 @dataclass
@@ -320,32 +315,24 @@ def _map_candidates(summary: NestSummary) -> Tuple[List[Candidate], int]:
 
 
 def enumerate_candidates(
-    summary: NestSummary, config: Optional[EnumeratorConfig] = None
+    summary: NestSummary, max_candidates: int = MAX_CANDIDATES
 ) -> Tuple[Union[List[Candidate], str], int]:
     """Propose candidates for ``summary`` in preference order.
 
     Returns ``(candidates_or_bail_reason, pruned_count)``; the bail
     reason is ``"no-candidate"`` or ``"too-many-candidates"``.
     """
-    config = config or EnumeratorConfig()
     sign = classify_mac(summary)
-    candidates: List[Candidate] = []
-    pruned = 0
     if sign is not None:
-        if config.named_ops:
-            candidates.extend(_named_candidates(summary, sign))
-        if config.contractions:
-            more, p = _contraction_candidates(summary, sign)
-            candidates.extend(more)
-            pruned += p
-    elif config.maps:
+        candidates = _named_candidates(summary, sign)
+        more, pruned = _contraction_candidates(summary, sign)
+        candidates.extend(more)
+    else:
         # Non-mac payloads: elementwise maps / general reductions with
         # the original scalar body replayed.
-        more, p = _map_candidates(summary)
-        candidates.extend(more)
-        pruned += p
+        candidates, pruned = _map_candidates(summary)
     if not candidates:
         return "no-candidate", pruned
-    if len(candidates) > config.max_candidates:
+    if len(candidates) > max_candidates:
         return "too-many-candidates", pruned
     return candidates, pruned

@@ -23,7 +23,6 @@ afterwards, so a candidate that clobbers a live-in is rejected too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -36,31 +35,27 @@ from ..ir import (
     ReturnOp,
 )
 from ..ir.verifier import verify
+from ..tactics.stats import RaiseStats
 from .enumerator import Candidate
 from .nest import NestSummary
 from .rewriter import materialize_candidate
-from .stats import RaiseStats
 
 FUNC_NAME = "synth_check"
 
-
-@dataclass
-class EquivalenceConfig:
-    integer_trials: int = 3
-    #: Uniform-random extra trials (approximate comparison).
-    random_trials: int = 1
-    seed: int = 0
-    rtol: float = 2e-3
-    atol: float = 1e-5
-    #: Cross-check accepted candidates on the compiled engine.
-    check_engine: bool = True
-    #: Interpreter step budget per trial — a nest too big to validate
-    #: is a bail ("oracle-error"), not a hang.
-    max_steps: int = 5_000_000
-    #: Integer inputs are drawn from [0, integer_range); small enough
-    #: that f32 accumulation stays exact for every nest size the
-    #: generators produce.
-    integer_range: int = 5
+#: Trial inputs per nest: exact integer-valued ones first, then
+#: uniform-random ones (approximate comparison), from a fixed seed.
+INTEGER_TRIALS = 3
+RANDOM_TRIALS = 1
+SEED = 0
+RTOL = 2e-3
+ATOL = 1e-5
+#: Integer inputs are drawn from [0, INTEGER_RANGE); small enough that
+#: f32 accumulation stays exact for every nest size the generators
+#: produce.
+INTEGER_RANGE = 5
+#: Interpreter step budget per trial — a nest too big to validate is a
+#: bail ("oracle-error"), not a hang.
+MAX_STEPS = 5_000_000
 
 
 def _build_module(summary: NestSummary, fill) -> ModuleOp:
@@ -110,21 +105,17 @@ class EquivalenceChecker:
     def __init__(
         self,
         summary: NestSummary,
-        config: Optional[EquivalenceConfig] = None,
         stats: Optional[RaiseStats] = None,
+        max_steps: int = MAX_STEPS,
     ):
         self.summary = summary
-        self.config = config or EquivalenceConfig()
         self.stats = stats
-        rng = np.random.default_rng(self.config.seed)
-        self.trial_inputs: List[List[np.ndarray]] = []
-        self.trial_exact: List[bool] = []
-        for _ in range(self.config.integer_trials):
-            self.trial_inputs.append(self._draw(rng, integer=True))
-            self.trial_exact.append(True)
-        for _ in range(self.config.random_trials):
-            self.trial_inputs.append(self._draw(rng, integer=False))
-            self.trial_exact.append(False)
+        self.max_steps = max_steps
+        rng = np.random.default_rng(SEED)
+        self.trial_exact = [True] * INTEGER_TRIALS + [False] * RANDOM_TRIALS
+        self.trial_inputs: List[List[np.ndarray]] = [
+            self._draw(rng, integer=exact) for exact in self.trial_exact
+        ]
 
         nest_module = build_nest_module(summary)
         self.expected: List[List[np.ndarray]] = []
@@ -141,9 +132,9 @@ class EquivalenceChecker:
         for value in self.summary.arrays:
             shape = self.summary.array_shape(value)
             if integer:
-                data = rng.integers(
-                    0, self.config.integer_range, size=shape
-                ).astype(np.float32)
+                data = rng.integers(0, INTEGER_RANGE, size=shape).astype(
+                    np.float32
+                )
             else:
                 data = rng.random(shape, dtype=np.float32) - 0.5
             arrays.append(data)
@@ -155,9 +146,7 @@ class EquivalenceChecker:
         from ..execution.interpreter import Interpreter
 
         arrays = [a.copy() for a in inputs]
-        Interpreter(module, max_steps=self.config.max_steps).run(
-            FUNC_NAME, *arrays
-        )
+        Interpreter(module, max_steps=self.max_steps).run(FUNC_NAME, *arrays)
         if self.stats is not None:
             self.stats.trials_run += 1
         return arrays
@@ -183,17 +172,15 @@ class EquivalenceChecker:
             if exact:
                 if not np.array_equal(g, w):
                     return False
-            elif not np.allclose(
-                g, w, rtol=self.config.rtol, atol=self.config.atol
-            ):
+            elif not np.allclose(g, w, rtol=RTOL, atol=ATOL):
                 return False
         return True
 
     # ------------------------------------------------------------------
 
     def check(self, candidate: Candidate) -> bool:
-        """True iff the candidate matches the nest on every trial (and
-        on the engine, when enabled)."""
+        """True iff the candidate matches the nest on every trial and
+        on the compiled engine."""
         try:
             module = build_candidate_module(self.summary, candidate)
             verify(module)
@@ -204,14 +191,13 @@ class EquivalenceChecker:
                 if not self._agree(got, want, exact):
                     self._note(False)
                     return False
-            if self.config.check_engine:
-                for index in (0, len(self.trial_inputs) - 1):
-                    got = self._run_engine(module, self.trial_inputs[index])
-                    if not self._agree(
-                        got, self.expected[index], self.trial_exact[index]
-                    ):
-                        self._note(False)
-                        return False
+            for index in (0, len(self.trial_inputs) - 1):
+                got = self._run_engine(module, self.trial_inputs[index])
+                if not self._agree(
+                    got, self.expected[index], self.trial_exact[index]
+                ):
+                    self._note(False)
+                    return False
         except Exception:
             # A candidate the IR verifier, interpreter, or engine cannot
             # digest is simply not equivalent.
@@ -227,13 +213,3 @@ class EquivalenceChecker:
             self.stats.candidates_validated += 1
         else:
             self.stats.candidates_rejected += 1
-
-
-def check_candidate(
-    summary: NestSummary,
-    candidate: Candidate,
-    config: Optional[EquivalenceConfig] = None,
-    stats: Optional[RaiseStats] = None,
-) -> bool:
-    """One-shot convenience wrapper around :class:`EquivalenceChecker`."""
-    return EquivalenceChecker(summary, config, stats).check(candidate)

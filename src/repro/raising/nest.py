@@ -4,7 +4,7 @@ Before any candidate is proposed, the nest under consideration is
 distilled into a :class:`NestSummary`: the perfect band, its extents,
 the arrays it touches (live-in/live-out), and its scalar payload.  A
 nest the synthesizer cannot reason about is rejected *here*, with a
-stable bail reason from :data:`~.stats.SYNTH_BAIL_REASONS` — the
+stable bail reason from :data:`~..tactics.stats.SYNTH_BAIL_REASONS` — the
 enumerator and oracle only ever see well-formed summaries.
 """
 
@@ -110,7 +110,7 @@ class NestSummary:
 
 def summarize_nest(root: AffineForOp) -> Union[NestSummary, str]:
     """Summarize the band rooted at ``root``; a ``str`` is a bail
-    reason (:data:`~.stats.SYNTH_BAIL_REASONS` key)."""
+    reason (:data:`~..tactics.stats.SYNTH_BAIL_REASONS` key)."""
     band = perfect_nest(root)
     payload = band[-1].ops_in_body()
     # perfect_nest stops at the first block with more than one op; a

@@ -6,51 +6,41 @@ full enumerate -> prune -> validate -> rewrite loop; the first candidate
 (in the enumerator's preference order: named op, then contraction
 generic, then clone-body generic) that survives I/O-equivalence
 validation replaces the nest.  Every outcome — raise or bail — is
-recorded in a :class:`~.stats.RaiseStats`.
+recorded in a :class:`~..tactics.stats.RaiseStats`.
 
 ``SynthRaisingPass`` (``-raise-affine-synth``) applies this to a whole
-module; ``RaiseAffineToLinalgPass(raise_mode=...)`` in
-``repro.tactics.raising`` composes it after the TDL tier.
+module; the pass list composes it after the TDL tier
+(``-raise-affine-to-linalg -raise-affine-synth``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional, Union
 
 from ..dialects.affine import AffineForOp, perfect_nest
 from ..ir import Context, FunctionPass, ModuleOp, PatternRewriter
-from .enumerator import Candidate, EnumeratorConfig, enumerate_candidates
-from .equivalence import (
-    EquivalenceChecker,
-    EquivalenceConfig,
-    OracleError,
-)
-from .nest import NestSummary, summarize_nest
+from ..tactics.stats import RaiseStats
+from .enumerator import MAX_CANDIDATES, Candidate, enumerate_candidates
+from .equivalence import MAX_STEPS, EquivalenceChecker, OracleError
+from .nest import summarize_nest
 from .rewriter import apply_candidate
-from .stats import RaiseStats
-
-
-@dataclass
-class SynthConfig:
-    enumerator: EnumeratorConfig = field(default_factory=EnumeratorConfig)
-    equivalence: EquivalenceConfig = field(default_factory=EquivalenceConfig)
 
 
 def synthesize_nest(
     root: AffineForOp,
     stats: RaiseStats,
-    config: SynthConfig,
     rewriter: Optional[PatternRewriter] = None,
+    max_candidates: int = MAX_CANDIDATES,
+    max_steps: int = MAX_STEPS,
 ) -> Union[Candidate, str]:
     """Try to raise the band rooted at ``root``; returns the applied
-    candidate or a :data:`~.stats.SYNTH_BAIL_REASONS` key."""
+    candidate or a :data:`~..tactics.stats.SYNTH_BAIL_REASONS` key."""
     summary = summarize_nest(root)
     if isinstance(summary, str):
         stats.record_synth_bail(summary)
         return summary
 
-    result, pruned = enumerate_candidates(summary, config.enumerator)
+    result, pruned = enumerate_candidates(summary, max_candidates)
     stats.candidates_pruned += pruned
     if isinstance(result, str):
         stats.record_synth_bail(result)
@@ -58,7 +48,7 @@ def synthesize_nest(
     stats.candidates_enumerated += len(result)
 
     try:
-        checker = EquivalenceChecker(summary, config.equivalence, stats)
+        checker = EquivalenceChecker(summary, stats, max_steps)
     except OracleError:
         stats.record_synth_bail("oracle-error")
         return "oracle-error"
@@ -72,11 +62,7 @@ def synthesize_nest(
     return "validation-failed"
 
 
-def synthesize_function(
-    func,
-    stats: Optional[RaiseStats] = None,
-    config: Optional[SynthConfig] = None,
-) -> int:
+def synthesize_function(func, stats: RaiseStats, **limits) -> int:
     """Raise every eligible band in ``func``; returns the raise count.
 
     Bands are visited outermost-first; an imperfect outer band bails
@@ -84,8 +70,6 @@ def synthesize_function(
     subsystem still recovers e.g. the compute nest of an
     init-then-compute pair under one outer loop.
     """
-    stats = stats if stats is not None else RaiseStats()
-    config = config or SynthConfig()
     rewriter = PatternRewriter()
     worklist: List[AffineForOp] = [
         op
@@ -96,7 +80,7 @@ def synthesize_function(
     raised = 0
     while worklist:
         root = worklist.pop(0)
-        outcome = synthesize_nest(root, stats, config, rewriter)
+        outcome = synthesize_nest(root, stats, rewriter, **limits)
         if isinstance(outcome, Candidate):
             raised += 1
         elif outcome == "imperfect-nest":
@@ -117,28 +101,24 @@ class SynthRaisingPass(FunctionPass):
 
     def __init__(
         self,
-        config: Optional[SynthConfig] = None,
-        stats: Optional[RaiseStats] = None,
+        max_candidates: int = MAX_CANDIDATES,
+        max_steps: int = MAX_STEPS,
     ):
-        self.config = config or SynthConfig()
-        self.stats = stats if stats is not None else RaiseStats()
+        self.limits = {
+            "max_candidates": max_candidates,
+            "max_steps": max_steps,
+        }
+        self.stats = RaiseStats()
 
     def cache_config(self) -> str:
-        return repr(self.config)
-
-    @property
-    def raise_stats(self) -> RaiseStats:
-        """Uniform accessor for ``mlt-opt --raise-stats``."""
-        return self.stats
+        return repr(self.limits)
 
     def run_on_function(self, func, context: Context):
-        return synthesize_function(func, self.stats, self.config) > 0
+        return synthesize_function(func, self.stats, **self.limits) > 0
 
 
-def raise_with_synthesis(
-    module: ModuleOp, config: Optional[SynthConfig] = None
-) -> RaiseStats:
+def raise_with_synthesis(module: ModuleOp, **limits) -> RaiseStats:
     """Convenience wrapper mirroring ``raise_affine_to_linalg``."""
-    pass_ = SynthRaisingPass(config)
+    pass_ = SynthRaisingPass(**limits)
     pass_.run(module, Context())
     return pass_.stats

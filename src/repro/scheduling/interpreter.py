@@ -57,6 +57,13 @@ class ScheduleError(ValueError):
     """A schedule module is malformed (not a legality failure)."""
 
 
+#: ``transform.raise`` tier name -> the ``mlt-opt`` pass that is the tier.
+RAISE_TIERS = {
+    "tdl": "raise-affine-to-linalg",
+    "synth": "raise-affine-synth",
+}
+
+
 @dataclass
 class ScheduleResult:
     """What applying a schedule did (and requested).
@@ -257,10 +264,7 @@ def apply_schedule(
         elif step.name == "transform.vectorize":
             result.vectorize = step.mode
         elif step.name == "transform.raise":
-            from ..tactics.raising import raise_affine_to_linalg
-
-            raising = raise_affine_to_linalg(payload, raise_mode=step.mode)
-            result.raise_stats = dict(raising.callsites)
+            result.raise_stats = _raise_payload(payload, step.mode)
             # Module-level rewrite: every memoized fingerprint is stale.
             fps = [None] * len(funcs)
         else:
@@ -275,6 +279,25 @@ def apply_schedule(
     if isinstance(payload, ModuleOp):
         payload.bump_version()
     return result
+
+
+def _raise_payload(payload: ModuleOp, mode: str) -> Dict[str, int]:
+    """Run the passes ``mode``'s tiers name; returns the raised
+    callsites per tactic."""
+    from ..tactics.stats import merge_pass_stats
+    from ..tool import build_pipeline
+
+    pass_names = []
+    for tier in mode.split("+"):
+        if tier not in RAISE_TIERS:
+            raise ScheduleError(
+                f"transform.raise: unknown tier {tier!r}; known: "
+                f"{', '.join(RAISE_TIERS)}"
+            )
+        pass_names.append(RAISE_TIERS[tier])
+    pm = build_pipeline(pass_names)
+    pm.run(payload)
+    return merge_pass_stats(pm.passes).callsites
 
 
 # ----------------------------------------------------------------------

@@ -37,7 +37,3 @@ from .chain import (  # noqa: F401
     optimal_parenthesization,
     reorder_matrix_chains,
 )
-from .generic_raising import (  # noqa: F401
-    GenericContractionPattern,
-    raise_to_generic,
-)

@@ -90,7 +90,7 @@ class CompiledTactic:
     ) -> Tuple[Optional[MatchResult], str]:
         """Like :meth:`match`, but also reports *why* the matcher
         bailed: the second element is ``"matched"`` or a key from
-        ``repro.raising.stats.TDL_BAIL_REASONS``."""
+        ``repro.tactics.stats.TDL_BAIL_REASONS``."""
         if not isinstance(op, AffineForOp):
             return None, "pattern-mismatch"
         # The relative root must not itself be an inner loop of a larger

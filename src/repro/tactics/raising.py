@@ -3,12 +3,14 @@
 ``-raise-affine-to-affine`` lifts GEMM-shaped loop nests to the
 high-level ``affine.matmul`` op *within* the Affine dialect (§V-A);
 ``-raise-affine-to-linalg`` lifts to the Linalg dialect (§V-B),
-optionally followed by the BLAS substitution pass.
+optionally followed by the BLAS substitution pass.  Raising tiers
+compose as passes: the enumerative fallback is ``-raise-affine-synth``
+(``repro.raising``), run after this one in the pass list.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..analysis.accesses import access_function
 from ..dialects import linalg as linalg_d
@@ -24,15 +26,11 @@ from ..ir import (
     RewritePattern,
     apply_patterns_greedily,
 )
-from ..raising.stats import RaiseStats
 from .compiled import CompiledTactic, compile_tactic
 from .contraction import PAPER_CONTRACTIONS, contraction_tactic_tdl
+from .stats import RaiseStats
 from .tdl.frontend import tdl_to_tds
 from .tdl.parser import parse_tdl
-
-#: Raising tiers: the structural TDL matchers, the enumerative
-#: synthesizer (``repro.raising``), or TDL with synthesis as fallback.
-RAISE_MODES = ("tdl", "synth", "tdl+synth")
 
 # ----------------------------------------------------------------------
 # The stock tactics library (all defined in TDL — we eat our own food)
@@ -90,23 +88,6 @@ def gemm_tactic() -> CompiledTactic:
 # ----------------------------------------------------------------------
 
 
-class RaisingStats:
-    """Counts raised callsites per tactic (Figure 8's metric)."""
-
-    def __init__(self):
-        self.callsites: Dict[str, int] = {}
-
-    def record(self, tactic_name: str) -> None:
-        self.callsites[tactic_name] = self.callsites.get(tactic_name, 0) + 1
-
-    @property
-    def total(self) -> int:
-        return sum(self.callsites.values())
-
-    def __repr__(self) -> str:
-        return f"RaisingStats({self.callsites})"
-
-
 class TacticRewritePattern(RewritePattern):
     """Hooks a compiled tactic into the MLIR-style pattern rewriter."""
 
@@ -117,14 +98,12 @@ class TacticRewritePattern(RewritePattern):
         tactic: CompiledTactic,
         target: str = "linalg",
         library: str = "mkl-dnn",
-        stats: Optional[RaisingStats] = None,
-        raise_stats: Optional[RaiseStats] = None,
+        stats: Optional[RaiseStats] = None,
     ):
         self.tactic = tactic
         self.target = target
         self.library = library
         self.stats = stats
-        self.raise_stats = raise_stats
         # Deeper patterns first: a contraction band must be claimed by
         # its contraction tactic, not a shallower pattern.
         self.benefit = tactic.num_loops
@@ -135,8 +114,8 @@ class TacticRewritePattern(RewritePattern):
 
     def match_and_rewrite(self, op: Operation, rewriter: PatternRewriter) -> bool:
         result, reason = self.tactic.match_explain(op)
-        if self.raise_stats is not None:
-            self.raise_stats.record_tdl(self.tactic.name, reason)
+        if self.stats is not None:
+            self.stats.record_tdl(self.tactic.name, reason)
         if result is None:
             return False
         from .builders import apply_builders
@@ -148,8 +127,6 @@ class TacticRewritePattern(RewritePattern):
             self.library,
             rewriter=rewriter,
         )
-        if self.stats is not None:
-            self.stats.record(self.tactic.name)
         return True
 
 
@@ -165,17 +142,12 @@ class FillRaisingPattern(RewritePattern):
     root_op_name = "affine.for"
     benefit = 0  # after all tactics
 
-    def __init__(
-        self,
-        stats: Optional[RaisingStats] = None,
-        raise_stats: Optional[RaiseStats] = None,
-    ):
+    def __init__(self, stats: Optional[RaiseStats] = None):
         self.stats = stats
-        self.raise_stats = raise_stats
 
     def _bail(self, reason: str = "pattern-mismatch") -> bool:
-        if self.raise_stats is not None:
-            self.raise_stats.record_tdl("FILL", reason)
+        if self.stats is not None:
+            self.stats.record_tdl("FILL", reason)
         return False
 
     def match_and_rewrite(self, op: Operation, rewriter: PatternRewriter) -> bool:
@@ -231,9 +203,7 @@ class FillRaisingPattern(RewritePattern):
         rewriter.insert(linalg_d.FillOp.create(new_const.result, memref))
         rewriter.erase_nest(band[0])
         if self.stats is not None:
-            self.stats.record("FILL")
-        if self.raise_stats is not None:
-            self.raise_stats.record_tdl("FILL", "matched")
+            self.stats.record_tdl("FILL", "matched")
         return True
 
 
@@ -248,7 +218,7 @@ class RaiseAffineToAffinePass(FunctionPass):
     name = "raise-affine-to-affine"
 
     def __init__(self):
-        self.stats = RaisingStats()
+        self.stats = RaiseStats()
         self._frozen = None
 
     def prepare(self, module: ModuleOp, context: Context) -> None:
@@ -273,7 +243,8 @@ class RaiseAffineToAffinePass(FunctionPass):
 
 
 class RaiseAffineToLinalgPass(FunctionPass):
-    """-raise-affine-to-linalg: loop nests -> Linalg named ops."""
+    """-raise-affine-to-linalg: loop nests -> Linalg named ops (the TDL
+    tier; ``-raise-affine-synth`` after it is the fallback tier)."""
 
     name = "raise-affine-to-linalg"
 
@@ -281,25 +252,13 @@ class RaiseAffineToLinalgPass(FunctionPass):
         self,
         tactics: Optional[Sequence[CompiledTactic]] = None,
         raise_fills: bool = True,
-        raise_generics: bool = False,
-        raise_mode: str = "tdl",
-        synth_config=None,
     ):
-        if raise_mode not in RAISE_MODES:
-            raise ValueError(
-                f"unknown raise mode {raise_mode!r}; known: {RAISE_MODES}"
-            )
         self.tactics = list(tactics) if tactics is not None else None
         self.raise_fills = raise_fills
-        self.raise_generics = raise_generics
-        self.raise_mode = raise_mode
-        self.synth_config = synth_config
-        self.stats = RaisingStats()
-        #: Per-pattern / per-bail-reason observability for both tiers
+        #: Callsites plus per-pattern / per-bail-reason observability
         #: (``mlt-opt --raise-stats``).
-        self.raise_stats = RaiseStats()
+        self.stats = RaiseStats()
         self._frozen = None
-        self._frozen_built = False
 
     def cache_config(self) -> str:
         tactic_names = (
@@ -307,61 +266,29 @@ class RaiseAffineToLinalgPass(FunctionPass):
             if self.tactics is None
             else ",".join(getattr(t, "name", repr(t)) for t in self.tactics)
         )
-        return (
-            f"mode={self.raise_mode};fills={self.raise_fills};"
-            f"generics={self.raise_generics};tactics={tactic_names};"
-            f"synth={self.synth_config!r}"
-        )
+        return f"fills={self.raise_fills};tactics={tactic_names}"
 
     def prepare(self, module: ModuleOp, context: Context) -> None:
         # The pattern set depends only on constructor configuration, so
         # freeze (and bucket-index) it once per pass object instead of
         # once per run.
-        if self._frozen_built:
+        if self._frozen is not None:
             return
         tactics = (
             self.tactics if self.tactics is not None else default_linalg_tactics()
         )
-        patterns: List[RewritePattern] = []
-        if "tdl" in self.raise_mode:
-            patterns = [
-                TacticRewritePattern(
-                    t,
-                    target="linalg",
-                    stats=self.stats,
-                    raise_stats=self.raise_stats,
-                )
-                for t in tactics
-            ]
-            if self.raise_fills:
-                patterns.append(
-                    FillRaisingPattern(self.stats, self.raise_stats)
-                )
-            if self.raise_generics:
-                from .generic_raising import GenericContractionPattern
-
-                patterns.append(GenericContractionPattern(self.stats))
-        self._frozen = FrozenPatternSet(patterns) if patterns else None
-        self._frozen_built = True
+        patterns: List[RewritePattern] = [
+            TacticRewritePattern(t, target="linalg", stats=self.stats)
+            for t in tactics
+        ]
+        if self.raise_fills:
+            patterns.append(FillRaisingPattern(self.stats))
+        self._frozen = FrozenPatternSet(patterns)
 
     def run_on_function(self, func, context: Context):
-        changed = False
-        if self._frozen is not None:
-            result = apply_patterns_greedily(func, self._frozen)
-            self.rewrite_results.append(result)
-            changed = result.changed
-        if "synth" in self.raise_mode:
-            # Fallback tier: whatever the structural matchers left
-            # behind gets one enumerative-synthesis attempt per band.
-            from ..raising.synthesize import synthesize_function
-
-            changed = (
-                synthesize_function(
-                    func, self.raise_stats, self.synth_config
-                )
-                > 0
-            ) or changed
-        return changed
+        result = apply_patterns_greedily(func, self._frozen)
+        self.rewrite_results.append(result)
+        return result.changed
 
 
 # ----------------------------------------------------------------------
@@ -369,7 +296,7 @@ class RaiseAffineToLinalgPass(FunctionPass):
 # ----------------------------------------------------------------------
 
 
-def raise_affine_to_affine(module: ModuleOp) -> RaisingStats:
+def raise_affine_to_affine(module: ModuleOp) -> RaiseStats:
     pass_ = RaiseAffineToAffinePass()
     pass_.run(module, Context())
     return pass_.stats
@@ -379,11 +306,7 @@ def raise_affine_to_linalg(
     module: ModuleOp,
     tactics: Optional[Sequence[CompiledTactic]] = None,
     raise_fills: bool = True,
-    raise_generics: bool = False,
-    raise_mode: str = "tdl",
-) -> RaisingStats:
-    pass_ = RaiseAffineToLinalgPass(
-        tactics, raise_fills, raise_generics, raise_mode=raise_mode
-    )
+) -> RaiseStats:
+    pass_ = RaiseAffineToLinalgPass(tactics, raise_fills)
     pass_.run(module, Context())
     return pass_.stats

@@ -19,7 +19,7 @@ key on them); add new ones, never rename.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Iterable, Optional
 
 #: Why a compiled TDL tactic's matcher bailed on an ``affine.for`` root.
 TDL_BAIL_REASONS = (
@@ -54,7 +54,8 @@ class RaiseStats:
     ``{name: {"attempted": n, "matched": n, "bailed": n,
     "bail_reasons": {reason: n}}}``.  ``attempted`` counts matcher
     *invocations* (the greedy driver may try one root several times),
-    so it is an upper bound on distinct nests.
+    so it is an upper bound on distinct nests.  ``callsites`` and
+    ``total`` (Figure 8's metric) are views over ``matched``.
 
     The synthesis tier counts nests and candidates:
     ``nests_attempted``/``nests_raised``/``nests_bailed``,
@@ -103,6 +104,19 @@ class RaiseStats:
             entry["bailed"] += 1
             reasons = entry["bail_reasons"]
             reasons[reason] = reasons.get(reason, 0) + 1
+
+    @property
+    def callsites(self) -> Dict[str, int]:
+        """Raised callsites per tactic — the tactics that matched."""
+        return {
+            name: entry["matched"]
+            for name, entry in self.patterns.items()
+            if entry["matched"]
+        }
+
+    @property
+    def total(self) -> int:
+        return sum(entry["matched"] for entry in self.patterns.values())
 
     # -- synthesis tier ------------------------------------------------
 
@@ -180,3 +194,20 @@ class RaiseStats:
             f"synth_raised={self.synth_nests_raised}/"
             f"{self.synth_nests_attempted})"
         )
+
+
+def merge_pass_stats(passes: Iterable) -> Optional[RaiseStats]:
+    """The ``stats`` of every raising pass among ``passes``, merged —
+    the tiers of one pipeline read as one report.  ``None`` when no
+    pass is a raising pass."""
+    found = [
+        pass_.stats
+        for pass_ in passes
+        if isinstance(getattr(pass_, "stats", None), RaiseStats)
+    ]
+    if not found:
+        return None
+    merged = RaiseStats()
+    for stats in found:
+        merged.merge(stats)
+    return merged

@@ -23,17 +23,17 @@ from .met import CSyntaxError
 from .met.c_lexer import CLexError
 
 
-def _generic_raising_pass():
-    from .tactics.generic_raising import GenericRaisingPass
+def _synth_raising_pass():
+    # The synthesis tier pulls in its interpreter-backed oracle and
+    # NumPy; only a pipeline that asks for it pays that import.
+    from .raising import SynthRaisingPass
 
-    return GenericRaisingPass()
+    return SynthRaisingPass()
 
 
 def _pass_registry(
-    raise_mode: str = "tdl", tile_sizes: List[int] = None
+    tile_sizes: List[int] = None,
 ) -> Dict[str, Callable[[], Pass]]:
-    from .ir import LambdaPass
-    from .raising import SynthRaisingPass
     from .tactics.chain import MatrixChainReorderPass
     from .tactics.raising import (
         RaiseAffineToAffinePass,
@@ -62,11 +62,8 @@ def _pass_registry(
         "affine-delinearize": DelinearizationPass,
         "raise-scf-to-affine": SCFToAffinePass,
         "raise-affine-to-affine": RaiseAffineToAffinePass,
-        "raise-affine-to-linalg": lambda: RaiseAffineToLinalgPass(
-            raise_mode=raise_mode
-        ),
-        "raise-affine-synth": SynthRaisingPass,
-        "raise-affine-to-generic": _generic_raising_pass,
+        "raise-affine-to-linalg": RaiseAffineToLinalgPass,
+        "raise-affine-synth": _synth_raising_pass,
         "linalg-matrix-chain-reorder": MatrixChainReorderPass,
         "convert-linalg-to-blas": LinalgToBlasPass,
         "convert-linalg-to-affine-loops": LinalgToAffinePass,
@@ -106,11 +103,9 @@ def load_input(path_or_dash: str, source_kind: str = "auto") -> ModuleOp:
 
 
 def build_pipeline(
-    pass_names: List[str],
-    raise_mode: str = "tdl",
-    tile_sizes: List[int] = None,
+    pass_names: List[str], tile_sizes: List[int] = None
 ) -> PassManager:
-    registry = _pass_registry(raise_mode, tile_sizes=tile_sizes)
+    registry = _pass_registry(tile_sizes)
     pm = PassManager(Context(), verify_each=False)
     for name in pass_names:
         if name not in registry:
@@ -274,19 +269,12 @@ def main(argv: List[str] = None) -> int:
         "(first value; default: 32)",
     )
     parser.add_argument(
-        "--raise-mode",
-        choices=["tdl", "synth", "tdl+synth"],
-        default="tdl",
-        help="raising tier for -raise-affine-to-linalg: structural TDL "
-        "matchers, enumerative synthesis, or TDL with synthesis as "
-        "fallback (default: tdl)",
-    )
-    parser.add_argument(
         "--raise-stats",
         action="store_true",
-        help="print the RaiseStats taxonomy (per-TDL-pattern "
-        "attempted/matched/bailed + synthesis nest/candidate counters) "
-        "to stderr after the pipeline",
+        help="print the RaiseStats of every raising pass in the "
+        "pipeline, merged (per-TDL-pattern attempted/matched/bailed "
+        "from -raise-affine-to-linalg, nest/candidate counters from "
+        "-raise-affine-synth), to stderr after the pipeline",
     )
     parser.add_argument(
         "-o", "--output", default="-", help="output file (default stdout)"
@@ -329,9 +317,7 @@ def main(argv: List[str] = None) -> int:
     from .ir import set_default_driver
 
     set_default_driver(args.driver)
-    pm = build_pipeline(
-        pass_names, raise_mode=args.raise_mode, tile_sizes=tile_sizes
-    )
+    pm = build_pipeline(pass_names, tile_sizes)
     pm.pass_cache = pass_cache
     timing = pm.run(module)
     if not args.no_verify:
@@ -410,16 +396,10 @@ def _print_raise_stats(pm: PassManager) -> None:
     print the snapshot to stderr."""
     import json
 
-    from .raising.stats import RaiseStats
+    from .tactics.stats import merge_pass_stats
 
-    merged = RaiseStats()
-    found = False
-    for pass_ in pm.passes:
-        stats = getattr(pass_, "raise_stats", None)
-        if isinstance(stats, RaiseStats):
-            merged.merge(stats)
-            found = True
-    if not found:
+    merged = merge_pass_stats(pm.passes)
+    if merged is None:
         sys.stderr.write(
             "mlt-opt: --raise-stats: no raising pass in the pipeline "
             "(use -raise-affine-to-linalg or -raise-affine-synth)\n"
@@ -444,9 +424,10 @@ def _print_cache_stats(kernel_cache) -> None:
 
 def _batch_main(args, pass_names: List[str]) -> int:
     """Batch mode: many inputs, one shared pool and persistent cache."""
-    if args.execute or args.estimate:
+    if args.execute or args.estimate or args.tile_sizes:
         sys.stderr.write(
-            "mlt-opt: --execute/--estimate are single-input options\n"
+            "mlt-opt: --execute/--estimate/--tile-sizes are single-input "
+            "options\n"
         )
         return 2
     from .runtime.batch import run_batch

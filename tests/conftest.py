@@ -98,3 +98,14 @@ def random_arrays(rng_seed: int, *shapes):
 
 def assert_close(a: np.ndarray, b: np.ndarray, rtol: float = 1e-4) -> None:
     np.testing.assert_allclose(a, b, rtol=rtol, atol=1e-5)
+
+
+def raise_two_tiers(module: ModuleOp):
+    """The TDL tier, then the synthesis fallback on what it left — as
+    the pass list spells it.  Returns the two passes' merged stats."""
+    from repro.tactics.stats import merge_pass_stats
+    from repro.tool import build_pipeline
+
+    pm = build_pipeline(["raise-affine-to-linalg", "raise-affine-synth"])
+    pm.run(module)
+    return merge_pass_stats(pm.passes)

@@ -6,16 +6,13 @@ import pytest
 from repro.dialects.affine import AffineForOp
 from repro.met import compile_c
 from repro.raising import (
-    EnumeratorConfig,
     RaiseStats,
     SYNTH_BAIL_REASONS,
-    SynthConfig,
     classify_mac,
     enumerate_candidates,
     summarize_nest,
     synthesize_nest,
 )
-from repro.raising.equivalence import EquivalenceConfig
 from repro.raising.pruner import (
     covers_all_dims,
     enumerate_assignments,
@@ -101,9 +98,7 @@ class TestEnumeration:
 
     def test_candidate_cap_bails(self):
         summary = summary_of(GEMM)
-        result, _ = enumerate_candidates(
-            summary, EnumeratorConfig(max_candidates=1)
-        )
+        result, _ = enumerate_candidates(summary, max_candidates=1)
         assert result == "too-many-candidates"
 
     def test_map_candidates_for_elementwise(self):
@@ -158,7 +153,7 @@ class TestBailTaxonomy:
             " for (int i = 0; i < 4; i++) B[i] = A[i+1]; }"
         )
         stats = RaiseStats()
-        outcome = synthesize_nest(outer_loop(source), stats, SynthConfig())
+        outcome = synthesize_nest(outer_loop(source), stats)
         assert outcome == "no-candidate"
         assert stats.bail_reasons == {"no-candidate": 1}
 
@@ -173,20 +168,18 @@ class TestBailTaxonomy:
             " C[i][j] += A[i+1][k] * B[k][j]; }"
         )
         stats = RaiseStats()
-        outcome = synthesize_nest(outer_loop(source), stats, SynthConfig())
+        outcome = synthesize_nest(outer_loop(source), stats)
         assert outcome == "validation-failed"
         assert stats.candidates_rejected > 0
         assert stats.candidates_validated == 0
 
     def test_oracle_error_on_trial_budget(self):
-        config = SynthConfig(equivalence=EquivalenceConfig(max_steps=3))
-        outcome = synthesize_nest(outer_loop(GEMM), RaiseStats(), config)
+        outcome = synthesize_nest(outer_loop(GEMM), RaiseStats(), max_steps=3)
         assert outcome == "oracle-error"
 
     def test_too_many_candidates(self):
-        config = SynthConfig(enumerator=EnumeratorConfig(max_candidates=1))
         stats = RaiseStats()
-        outcome = synthesize_nest(outer_loop(GEMM), stats, config)
+        outcome = synthesize_nest(outer_loop(GEMM), stats, max_candidates=1)
         assert outcome == "too-many-candidates"
 
     def test_every_probed_reason_is_in_the_taxonomy(self):

@@ -12,9 +12,9 @@ from repro.met import compile_c
 from repro.raising import (
     EquivalenceChecker,
     enumerate_candidates,
+    raise_with_synthesis,
     summarize_nest,
 )
-from repro.tactics.raising import raise_affine_to_linalg
 
 GEMM = """
 void kernel(float A[3][4], float B[4][5], float C[3][5]) {
@@ -110,7 +110,7 @@ class TestFreshInputProperty:
         kernel = generate_kernel(seed, family)
         reference = compile_c(kernel.source)
         raised = compile_c(kernel.source)
-        raise_affine_to_linalg(raised, raise_mode="synth")
+        raise_with_synthesis(raised)
         assert not any(
             isinstance(op, AffineForOp) for op in raised.walk()
         ), f"{family} seed {seed} left a loop behind"
@@ -149,7 +149,7 @@ class TestPermutedContractions:
             f"}}\n"
         )
         raised = compile_c(source)
-        raise_affine_to_linalg(raised, raise_mode="synth")
+        raise_with_synthesis(raised)
         assert not any(isinstance(op, AffineForOp) for op in raised.walk())
         assert any(op.name.startswith("linalg.") for op in raised.walk())
 

@@ -1,20 +1,29 @@
-"""The synthesis tier end to end: pass composition, CLI flags, and the
-engine contraction fast path for raised ops."""
+"""The synthesis tier end to end: raising tiers compose as passes (in
+the pass list, on the CLI, in a ``transform.raise`` step), and raised
+ops reach the engine's contraction fast path."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from benchmarks.bench_raise import NEAR_MISS_KERNELS
 from repro.dialects.affine import AffineForOp
+from repro.evaluation import get_kernel
+from repro.ir import print_module
+from repro.ir.parser import parse_module
 from repro.met import compile_c
-from repro.raising import SynthRaisingPass, raise_with_synthesis
+from repro.raising import RaiseStats, SynthRaisingPass, raise_with_synthesis
+from repro.scheduling.interpreter import ScheduleError, apply_schedule
 from repro.tactics.raising import (
-    RAISE_MODES,
+    RaiseAffineToAffinePass,
     RaiseAffineToLinalgPass,
     raise_affine_to_linalg,
 )
 from repro.tool import main
+
+from ..conftest import raise_two_tiers
 
 TRANSPOSED = """
 void kernel(float A[4][3], float B[4][5], float C[3][5]) {
@@ -38,21 +47,30 @@ def _linalg_ops(module):
     return [op.name for op in module.walk() if op.name.startswith("linalg.")]
 
 
+#: One function the TDL tier raises, one only the fallback tier does.
+GEMM_AND_TRANSPOSED = GEMM.replace("kernel", "gemm") + TRANSPOSED
+
+TIERS = ["-raise-affine-to-linalg", "-raise-affine-synth"]
+
+
+def _raise_schedule(mode):
+    return parse_module(
+        "module {\n  transform.sequence {\n    %0 = transform.match\n"
+        f'    %1 = transform.raise %0 {{mode = "{mode}"}}\n  }}\n}}\n'
+    )
+
+
 class TestRaiseModes:
     def test_tdl_alone_misses_transposed(self):
         module = compile_c(TRANSPOSED)
-        raise_affine_to_linalg(module, raise_mode="tdl")
+        raise_affine_to_linalg(module)
         assert _loops(module)
 
     def test_synth_recovers_transposed(self):
         module = compile_c(TRANSPOSED)
-        pass_ = RaiseAffineToLinalgPass(raise_mode="tdl+synth")
-        from repro.ir import Context
-
-        pass_.run(module, Context())
+        snap = raise_two_tiers(module).snapshot()
         assert not _loops(module)
         assert "linalg.generic" in _linalg_ops(module)
-        snap = pass_.raise_stats.snapshot()
         assert snap["synth"]["nests_raised"] >= 1
         assert snap["tdl"], "TDL tier should have recorded attempts"
 
@@ -60,7 +78,7 @@ class TestRaiseModes:
         # With both tiers on, the structural matcher claims gemm first;
         # synthesis only sees what TDL left behind.
         module = compile_c(GEMM)
-        raise_affine_to_linalg(module, raise_mode="tdl+synth")
+        raise_two_tiers(module)
         assert "linalg.matmul" in _linalg_ops(module)
 
     def test_standalone_synth_pass(self):
@@ -70,13 +88,69 @@ class TestRaiseModes:
         assert stats.synth_nests_raised >= 1
         assert stats.trials_run > 0
 
+    @pytest.mark.parametrize("name", sorted(NEAR_MISS_KERNELS))
+    def test_two_passes_equal_the_old_combined_mode(self, name):
+        # Golden of the combined mode: one generic, its mac body, no
+        # loop, nothing claimed by a TDL tactic.
+        module = compile_c(NEAR_MISS_KERNELS[name][1])
+        stats = raise_two_tiers(module)
+        combine = "std.subf" if name == "subtract-matmul" else "std.addf"
+        (func,) = module.functions
+        ops = Counter(op.name for op in func.walk())
+        del ops["func.func"], ops["func.return"]
+        assert ops == {
+            "linalg.generic": 1,
+            "std.mulf": 1,
+            combine: 1,
+            "linalg.yield": 1,
+        }
+        assert stats.total == 0 and stats.synth_nests_raised == 1
+
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            RaiseAffineToLinalgPass(raise_mode="magic")
-        assert set(RAISE_MODES) == {"tdl", "synth", "tdl+synth"}
+        # The only place a tier set is still *named* is the schedule
+        # text format; an unknown tier is a schedule error.
+        with pytest.raises(ScheduleError, match="unknown tier 'magic'"):
+            apply_schedule(_raise_schedule("tdl+magic"), compile_c(GEMM))
+
+    def test_transform_raise_step_runs_the_tiers_it_names(self):
+        payload = compile_c(GEMM_AND_TRANSPOSED)
+        result = apply_schedule(_raise_schedule("tdl"), payload)
+        assert result.raise_stats == {"GEMM": 1} and len(_loops(payload)) == 3
+        # The synth tier alone, on what is left; then both at once.
+        result = apply_schedule(_raise_schedule("synth"), payload)
+        assert result.raise_stats == {} and not _loops(payload)
+        both = compile_c(GEMM_AND_TRANSPOSED)
+        apply_schedule(_raise_schedule("tdl+synth"), both)
+        assert print_module(both) == print_module(payload)
 
     def test_pass_exposes_raise_stats(self):
-        assert hasattr(SynthRaisingPass(), "raise_stats")
+        # One stats class, one accessor, on every raising pass.
+        for pass_ in (
+            RaiseAffineToAffinePass(),
+            RaiseAffineToLinalgPass(),
+            SynthRaisingPass(),
+        ):
+            assert isinstance(pass_.stats, RaiseStats)
+
+    @pytest.mark.parametrize(
+        "kernel, callsites",
+        [
+            ("gemm", {"GEMM": 1}),
+            ("2mm", {"GEMM": 2}),
+            ("atax", {"MATVEC": 1, "MATVEC_T": 1}),
+        ],
+    )
+    def test_callsites_and_total_reproduce_figure_8(self, kernel, callsites):
+        spec = get_kernel(kernel)
+        stats = raise_affine_to_linalg(
+            compile_c(spec.small()), raise_fills=False
+        )
+        assert stats.callsites == callsites
+        assert stats.total == spec.oracle_callsites == sum(callsites.values())
+        # Derived from the per-tactic ``matched`` counters, not stored.
+        assert stats.total == sum(
+            entry["matched"] for entry in stats.snapshot()["tdl"].values()
+        )
 
 
 class TestCLI:
@@ -92,18 +166,14 @@ class TestCLI:
         return code, captured.out, captured.err
 
     def test_raise_mode_flag(self, c_file, capsys):
-        code, out, _ = self._run(
-            [
-                c_file,
-                "-raise-affine-to-linalg",
-                "--raise-mode",
-                "tdl+synth",
-            ],
-            capsys,
-        )
+        # The pass list is the only selector of tiers; the flag is gone.
+        code, out, _ = self._run([c_file, *TIERS], capsys)
         assert code == 0
         assert "linalg.generic" in out
         assert "affine.for" not in out
+        with pytest.raises(SystemExit) as exit_info:
+            main([c_file, TIERS[0], "--raise-mode", "tdl+synth"])
+        assert exit_info.value.code == 2
 
     def test_default_mode_leaves_near_miss_alone(self, c_file, capsys):
         _, out, _ = self._run([c_file, "-raise-affine-to-linalg"], capsys)
@@ -111,14 +181,7 @@ class TestCLI:
 
     def test_raise_stats_flag_prints_both_tiers(self, c_file, capsys):
         _, _, err = self._run(
-            [
-                c_file,
-                "-raise-affine-to-linalg",
-                "--raise-mode",
-                "tdl+synth",
-                "--raise-stats",
-            ],
-            capsys,
+            [c_file, *TIERS, "--raise-stats"], capsys
         )
         line = next(l for l in err.splitlines() if "raise stats" in l)
         payload = json.loads(line.split("raise stats: ", 1)[1])
@@ -138,7 +201,7 @@ class TestEngineFastPath:
         from repro.execution.engine import ExecutionEngine
 
         module = compile_c(TRANSPOSED)
-        raise_affine_to_linalg(module, raise_mode="tdl+synth")
+        raise_two_tiers(module)
         engine = ExecutionEngine(module)
         assert "_rt.contract(" in engine.source
 

@@ -12,6 +12,8 @@ import dataclasses
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -74,6 +76,19 @@ def test_keys_separate_namespaces_sources_and_versions(monkeypatch):
     assert before[0] != after[0] and before[1] != after[1]
 
 
+_SRC = os.path.dirname(repro.__file__)
+
+
+def _src_files():
+    """(path relative to ``src/repro``, text) of every source file."""
+    for folder, _, files in os.walk(_SRC):
+        for name in sorted(files):
+            if name.endswith(".py"):
+                path = os.path.join(folder, name)
+                with open(path) as handle:
+                    yield os.path.relpath(path, _SRC), handle.read()
+
+
 def test_only_the_store_module_knows_layout_and_key_format():
     """Outside ``repro/store.py`` nothing under ``src/`` joins a
     namespace name onto a path, reads or writes a text artifact, or
@@ -91,23 +106,29 @@ def test_only_the_store_module_knows_layout_and_key_format():
             r"#(?:cg|opt|sched|vectorize|tile)="
         ),
     }
-    src = os.path.dirname(repro.__file__)
-    offenders = []
-    for folder, _, files in os.walk(src):
-        for name in files:
-            path = os.path.join(folder, name)
-            if not name.endswith(".py") or path == os.path.join(
-                src, "store.py"
-            ):
-                continue
-            with open(path) as handle:
-                text = handle.read()
-            offenders += [
-                f"{os.path.relpath(path, src)}: {what}"
-                for what, pattern in forbidden.items()
-                if pattern.search(text)
-            ]
+    offenders = [
+        f"{rel}: {what}"
+        for rel, text in _src_files()
+        if rel != "store.py"
+        for what, pattern in forbidden.items()
+        if pattern.search(text)
+    ]
     assert offenders == []
+
+
+def test_raising_tiers_are_selected_by_the_pass_list_only():
+    """No second fallback raiser, tier-set knob or raise-stats class
+    grows back under ``src/``, and the TDL tier does not import the
+    synthesis tier (``repro.raising`` imports ``repro.tactics``, never
+    the reverse)."""
+    forbidden = re.compile(
+        "raise_mode|RAISE_MODES|raise_generics|RaisingStats|"
+        "raise-affine-to-generic"
+    )
+    assert [rel for rel, text in _src_files() if forbidden.search(text)] == []
+    probe = "import sys, repro.tactics; sys.exit('repro.raising' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(_SRC))
+    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
 
 
 def test_lru_memo_evicts_least_recently_used():

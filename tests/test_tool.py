@@ -250,3 +250,75 @@ module {
         )
         assert code == 1
         assert "nope" in err
+
+
+TRANSPOSED_A = """
+void kernel(float A[4][3], float B[4][5], float C[3][5]) {
+  for (int i = 0; i < 3; i++)
+    for (int j = 0; j < 5; j++)
+      for (int k = 0; k < 4; k++)
+        C[i][j] += A[k][i] * B[k][j];
+}
+"""
+
+DOT = """
+void kernel(float x[16], float y[16], float s[1]) {
+  for (int i = 0; i < 16; i++)
+    s[0] += x[i] * y[i];
+}
+"""
+
+
+class TestBatchMode:
+    """Whatever the pass list and the options say holds in batch mode
+    too — or the option is refused, never silently dropped."""
+
+    def _run(self, argv, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_batch_runs_the_fallback_raising_tier(self, tmp_path, capsys):
+        tiers = ["-raise-affine-to-linalg", "-raise-affine-synth"]
+        paths = []
+        for stem, source in (("a", TRANSPOSED_A), ("b", DOT)):
+            path = tmp_path / f"{stem}.c"
+            path.write_text(source)
+            paths.append(str(path))
+        out_dir = tmp_path / "out"
+        code, _, _ = self._run(
+            [*paths, *tiers, "--out-dir", str(out_dir)], capsys
+        )
+        assert code == 0
+        for stem, path in zip("ab", paths):
+            text = (out_dir / f"{stem}.mlir").read_text()
+            assert "affine.for" not in text
+            assert text.count("linalg.generic") == 1
+            code, single, _ = self._run([path, *tiers], capsys)
+            assert code == 0 and single == text
+        # The pass list is the only selector of tiers: no out-of-band
+        # flag that one mode could honour and another drop.
+        with pytest.raises(SystemExit) as exit_info:
+            main([*paths, tiers[0], "--raise-mode", "tdl+synth"])
+        assert exit_info.value.code == 2
+        assert "--raise-mode" in capsys.readouterr().err
+
+    def test_batch_refuses_tile_sizes(self, c_file, tmp_path, capsys):
+        other = tmp_path / "other.c"
+        other.write_text(GEMM.replace("gemm", "gemm2"))
+        out_dir = tmp_path / "out"
+        code, _, err = self._run(
+            [
+                c_file,
+                str(other),
+                "-affine-loop-tile",
+                "--tile-sizes",
+                "8",
+                "--out-dir",
+                str(out_dir),
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert "--tile-sizes" in err and "single-input" in err
+        assert not out_dir.exists()
