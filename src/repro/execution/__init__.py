@@ -5,7 +5,6 @@ analytical machine/cost model (for the paper's performance studies).
 
 from .interpreter import InterpreterError, Interpreter, run_function  # noqa: F401
 from .engine import (  # noqa: F401
-    CacheStats,
     DiskKernelCache,
     EngineError,
     ExecutionEngine,

@@ -12,7 +12,6 @@ Entry point is :class:`ExecutionEngine`, which exposes the same
 """
 
 from .cache import (  # noqa: F401
-    CacheStats,
     KernelCache,
     KERNEL_CACHE,
     fingerprint_module,

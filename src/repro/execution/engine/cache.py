@@ -29,61 +29,27 @@ mutates IR directly after a PassManager run must call
 from __future__ import annotations
 
 import os
-import threading
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from ...ir import ModuleOp, print_module
 from ...store import ArtifactStore, LruMemo, text_fingerprint
+from ...telemetry import Counters
 
-
-@dataclass
-class CacheStats:
-    """Counter block shared by both cache tiers.
-
-    Engines, the serving front-end and its executor threads all bump
-    the same instance concurrently, so every mutation goes through
-    :meth:`bump` under a lock — a bare ``stats.hits += 1`` from two
-    threads can lose increments, and the serve benchmarks assert
-    *exact* counts.
-    """
-
-    hits: int = 0
-    misses: int = 0
-    #: Number of full codegen+compile invocations (== full misses unless
-    #: a builder raised); benchmarks assert this stays flat on re-runs
-    #: and drops to zero on warm disk-cache runs.
-    codegen_count: int = 0
-    evictions: int = 0
-    #: Payload traffic: bytes of kernel source (or artifact files, for
-    #: the disk tier) written into and read out of this tier.
-    bytes_written: int = 0
-    bytes_read: int = 0
-    #: Disk tier only: puts that could not be published (disk full,
-    #: read-only mount...) and were dropped; the caller went on
-    #: uncached.
-    write_errors: int = 0
-    _lock: threading.Lock = field(
-        init=False, repr=False, compare=False, default_factory=threading.Lock
-    )
-
-    def bump(self, **deltas: int) -> None:
-        """Atomically add ``deltas`` to the named counters."""
-        with self._lock:
-            for name, delta in deltas.items():
-                setattr(self, name, getattr(self, name) + delta)
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "codegen_count": self.codegen_count,
-                "evictions": self.evictions,
-                "bytes_written": self.bytes_written,
-                "bytes_read": self.bytes_read,
-                "write_errors": self.write_errors,
-            }
+#: The counters of both kernel-cache tiers.  ``codegen_count`` is the
+#: number of full codegen+compile invocations (benchmarks assert it
+#: stays flat on re-runs and drops to zero on warm disk-cache runs);
+#: ``bytes_written``/``bytes_read`` are payload traffic (kernel source,
+#: or artifact files for the disk tier); ``write_errors`` (disk tier
+#: only) counts puts that could not be published and were dropped.
+CACHE_COUNTERS = (
+    "hits",
+    "misses",
+    "codegen_count",
+    "evictions",
+    "bytes_written",
+    "bytes_read",
+    "write_errors",
+)
 
 
 def fingerprint_module(module: ModuleOp) -> str:
@@ -112,7 +78,7 @@ class KernelCache:
         # Mutated from engine calls, serving executor threads and the
         # pool bridge concurrently (stats have their own lock).
         self._store = LruMemo(max_entries)
-        self.stats = CacheStats()
+        self.stats = Counters(*CACHE_COUNTERS)
         self.disk = disk
 
     def get(self, key: str) -> Optional[object]:
@@ -167,7 +133,7 @@ class KernelCache:
 
     def clear(self) -> None:
         self._store.clear()
-        self.stats = CacheStats()
+        self.stats = Counters(*CACHE_COUNTERS)
 
     def __len__(self) -> int:
         return len(self._store)

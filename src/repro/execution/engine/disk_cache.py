@@ -52,7 +52,8 @@ import threading
 import time
 from typing import TYPE_CHECKING, Optional
 
-from .cache import CacheStats
+from ...telemetry import Counters
+from .cache import CACHE_COUNTERS
 
 if TYPE_CHECKING:  # pragma: no cover
     from .codegen import CompiledModule
@@ -97,7 +98,7 @@ class DiskKernelCache:
             raise ValueError("disk cache needs a directory path")
         self.path = os.path.abspath(path)
         self.max_bytes = max_bytes
-        self.stats = CacheStats()
+        self.stats = Counters(*CACHE_COUNTERS)
         # Amortised pruning: the directory total the last prune scan
         # left behind (None: this handle has not looked yet) and the
         # bytes this handle has published since that scan began.

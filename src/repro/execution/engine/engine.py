@@ -37,7 +37,8 @@ class ExecutionEngine:
 
     ``pipeline`` says how the module was produced: a bare label, or the
     producing driver's whole ``CompileConfig`` — ``mlt-opt`` passes its
-    own, so ``--compile`` batches and ``--execute`` runs share kernels.
+    own, so batches over ``--cache-dir`` and ``--execute`` runs share
+    kernels.
 
     ``opt_mode`` (see :data:`~.optimizer.OPT_MODES`) selects the
     mid-level loop-optimizer pipeline run before codegen.  The caller's
@@ -154,9 +155,6 @@ class ExecutionEngine:
         neither (or the kernel was re-hydrated from a pre-optimizer
         disk artifact)."""
         return getattr(self.compiled, "opt_stats", None)
-
-    def stats(self) -> dict:
-        return self.cache.stats.snapshot()
 
     def run(self, func_name: str, *args) -> List[Any]:
         signature = self._signatures.get(func_name)

@@ -55,6 +55,7 @@ from ...dialects.affine import (
     perfect_nest,
 )
 from ...ir import Operation
+from ...telemetry import add, delta
 from ...transforms.tiling import TilingError, tile_perfect_nest
 from .vectorize import band_collapses
 
@@ -305,11 +306,7 @@ def _stage_runner(fn):
     def runner(func):
         scratch = OptStats()
         fn(func, scratch)
-        meta = {
-            key: value
-            for key, value in scratch._counter_values().items()
-            if value
-        }
+        meta = delta(scratch._counter_values(), {})
         if scratch.fusion_bails:
             meta["fusion_bails"] = dict(scratch.fusion_bails)
         return meta
@@ -322,10 +319,7 @@ def apply_stage_meta(stats: OptStats, meta: Dict) -> None:
     replay path that keeps cached runs observably identical."""
     for key, value in meta.items():
         if key == "fusion_bails":
-            for reason, count in value.items():
-                stats.fusion_bails[reason] = (
-                    stats.fusion_bails.get(reason, 0) + count
-                )
+            add(stats.fusion_bails, value)
         else:
             setattr(stats, key, getattr(stats, key) + value)
 

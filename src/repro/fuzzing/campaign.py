@@ -27,6 +27,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from ..telemetry import add
 from .bisect import BisectionResult, bisect_pipeline
 from .generators import (
     NEAR_MISS_FAMILIES,
@@ -111,12 +112,8 @@ class CampaignStats:
 
     def merge_bails(self, sink: Dict[str, Dict[str, int]]) -> None:
         """Fold one seed's per-row bail taxonomy into the totals."""
-        for target, row in (
-            (self.bail_none, "opt=none"),
-            (self.bail_full, "opt=full"),
-        ):
-            for reason, count in sink.get(row, {}).items():
-                target[reason] = target.get(reason, 0) + count
+        add(self.bail_none, sink.get("opt=none"))
+        add(self.bail_full, sink.get("opt=full"))
 
     def summary(self) -> str:
         status = "ok" if self.ok else f"{len(self.failures)} FAILURES"

@@ -49,6 +49,7 @@ import numpy as np
 from ..ir import Context, ModuleOp, Pass, VerificationError, print_module, verify
 from ..ir.parser import parse_module
 from ..met import compile_c
+from ..telemetry import add
 
 #: (pass-name, zero-arg factory) — fresh pass instances per replay.
 PassSpec = Tuple[str, Callable[[], Pass]]
@@ -489,9 +490,7 @@ def check_engine_rows(
             ran[config] = (row.name, engine, args)
         if bail_sink is not None:
             stats = ran[config][1].vectorize_stats or {}
-            sink = bail_sink.setdefault(row.name, {})
-            for reason, count in (stats.get("bail_reasons") or {}).items():
-                sink[reason] = sink.get(reason, 0) + count
+            add(bail_sink.setdefault(row.name, {}), stats.get("bail_reasons"))
     return results
 
 

@@ -41,7 +41,6 @@ from .core import (  # noqa: F401
     register_op,
 )
 from .pass_cache import (  # noqa: F401
-    PassCacheStats,
     PassResultCache,
     cached_stage,
     fingerprint_function,

@@ -38,8 +38,7 @@ pipeline snapshot.
 
 from __future__ import annotations
 
-import threading
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..store import (
     LruMemo,
@@ -48,6 +47,7 @@ from ..store import (
     store_record,
     text_fingerprint,
 )
+from ..telemetry import Counters
 from .builtin import FuncOp, ModuleOp
 from .core import Operation
 from .printer import print_module
@@ -56,50 +56,29 @@ from .rewrite import get_default_driver
 #: Default in-memory memo bound (entries, not bytes).
 DEFAULT_MEMO_ENTRIES = 4096
 
-
-class PassCacheStats:
-    """Counters for one :class:`PassResultCache`.
-
-    Serving executor threads and the engine may share one instance per
-    tenant, so mutation goes through :meth:`bump` under a lock.
-
-    * ``hits`` / ``misses`` — per-pass memo lookups.
-    * ``disk_hits`` — memo misses satisfied by the disk tier.
-    * ``executions`` — ``run_on_function`` (or stage-runner) calls that
-      actually ran; a fully warm recompile has zero.
-    * ``spliced`` — cached *rewrite* results put back into the module
-      in place of running the transform (one per chain of hits).
-    * ``skipped_verifies`` — per-function re-verifies skipped because
-      the result came from the cache.
-    * ``stores`` — new entries written (memory, and disk when attached).
-    """
-
-    _COUNTERS = (
-        "hits",
-        "misses",
-        "disk_hits",
-        "executions",
-        "spliced",
-        "skipped_verifies",
-        "stores",
-    )
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        for name in self._COUNTERS:
-            setattr(self, name, 0)
-
-    def bump(self, **deltas: int) -> None:
-        with self._lock:
-            for name, delta in deltas.items():
-                setattr(self, name, getattr(self, name) + delta)
-
-    def snapshot(self) -> Dict[str, int]:
-        with self._lock:
-            snap = {name: getattr(self, name) for name in self._COUNTERS}
-        # The tier is gone; the frozen benchmarks/e2e still indexes it.
-        snap["prefix_restores"] = 0
-        return snap
+#: The counters of one :class:`PassResultCache`:
+#:
+#: * ``hits`` / ``misses`` — per-pass memo lookups.
+#: * ``disk_hits`` — memo misses satisfied by the disk tier.
+#: * ``executions`` — ``run_on_function`` (or stage-runner) calls that
+#:   actually ran; a fully warm recompile has zero.
+#: * ``spliced`` — cached *rewrite* results put back into the module in
+#:   place of running the transform (one per chain of hits).
+#: * ``skipped_verifies`` — per-function re-verifies skipped because the
+#:   result came from the cache.
+#: * ``stores`` — new entries written (memory, and disk when attached).
+#: * ``prefix_restores`` — never bumped: the tier it counted is gone,
+#:   and ``benchmarks/e2e`` still reads the key.
+PASS_CACHE_COUNTERS = (
+    "hits",
+    "misses",
+    "disk_hits",
+    "executions",
+    "spliced",
+    "skipped_verifies",
+    "stores",
+    "prefix_restores",
+)
 
 
 def fingerprint_and_text(func: Operation) -> Tuple[str, str]:
@@ -184,7 +163,7 @@ class PassResultCache:
 
     def __init__(self, disk=None, max_entries: int = DEFAULT_MEMO_ENTRIES):
         self._memo = LruMemo(max_entries)
-        self.stats = PassCacheStats()
+        self.stats = Counters(*PASS_CACHE_COUNTERS)
         self.disk = disk
 
     def key(self, func_fp: str, pass_name: str, config: str = "") -> str:
@@ -216,7 +195,7 @@ class PassResultCache:
 
     def clear(self) -> None:
         self._memo.clear()
-        self.stats = PassCacheStats()
+        self.stats = Counters(*PASS_CACHE_COUNTERS)
 
     def __len__(self) -> int:
         return len(self._memo)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, List, Optional, Sequence
 
+from ..telemetry import add, delta
 from .builtin import ModuleOp
 from .context import Context
 from .pass_cache import FunctionCursor
@@ -157,15 +158,6 @@ class PassTiming:
                 entry["seconds"] += result.pattern_seconds.get(pattern, 0.0)
                 entry["rewrites"] += result.pattern_hits.get(pattern, 0)
 
-    def record_pass_cache(self, pass_name: str, deltas: Dict[str, int]) -> None:
-        """Fold one pass's cache-counter deltas into the timing tree."""
-        deltas = {key: value for key, value in deltas.items() if value}
-        if not deltas:
-            return
-        entry = self.pass_cache.setdefault(pass_name, {})
-        for key, value in deltas.items():
-            entry[key] = entry.get(key, 0) + value
-
     @property
     def total(self) -> float:
         return sum(self.seconds.values())
@@ -279,10 +271,9 @@ class PassManager:
                 ):
                     before = cache.stats.snapshot()
                     changed = self._run_cached(pass_, module, cursors)
-                    after = cache.stats.snapshot()
-                    self.timing.record_pass_cache(
-                        pass_.name,
-                        {key: after[key] - before[key] for key in after},
+                    add(
+                        self.timing.pass_cache,
+                        {pass_.name: delta(cache.stats.snapshot(), before)},
                     )
                 else:
                     # A module pass can read and rewrite anything: it

@@ -48,6 +48,7 @@ from collections import deque
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from ..telemetry import add
 from .builder import Builder, InsertionPoint
 from .core import IRError, Operation
 from .values import Value
@@ -299,16 +300,9 @@ class RewriteResult:
         drivers aggregated to pass level)."""
         self.num_rewrites += other.num_rewrites
         self.iterations += other.iterations
-        for name, count in other.pattern_hits.items():
-            self.pattern_hits[name] = self.pattern_hits.get(name, 0) + count
-        for name, count in other.pattern_attempts.items():
-            self.pattern_attempts[name] = (
-                self.pattern_attempts.get(name, 0) + count
-            )
-        for name, secs in other.pattern_seconds.items():
-            self.pattern_seconds[name] = (
-                self.pattern_seconds.get(name, 0.0) + secs
-            )
+        add(self.pattern_hits, other.pattern_hits)
+        add(self.pattern_attempts, other.pattern_attempts)
+        add(self.pattern_seconds, other.pattern_seconds)
         return self
 
 

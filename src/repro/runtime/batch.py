@@ -21,6 +21,7 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+from ..telemetry import delta
 from .pool import parallel_map
 
 #: Per-worker state installed by the initializer.
@@ -43,7 +44,8 @@ class BatchResult:
 def unit_config(pass_names: Sequence[str], driver: str, source_kind: str):
     """The ``CompileConfig`` of one ``mlt-opt`` compile.  Batch units
     and single-file ``--execute --engine compiled`` both key through
-    it, which is what lets ``--compile`` warm a later ``--execute``."""
+    it, which is what lets a batch over ``--cache-dir`` warm a later
+    ``--execute``."""
     from ..store import CompileConfig
 
     return CompileConfig(
@@ -101,7 +103,7 @@ def _process_file(input_path: str, state: dict) -> BatchResult:
         pm = build_pipeline(state["pass_names"])
         # Function-granular tier below modules/: an edited input still
         # skips the passes of its unchanged functions.
-        pm.pass_cache = store.passes if state["pass_cache"] else None
+        pm.pass_cache = store.passes
         pm.run(module)
         if state["verify"]:
             verify(module, pm.context)
@@ -112,14 +114,10 @@ def _process_file(input_path: str, state: dict) -> BatchResult:
     unit = compile_unit(
         store, raw_text, state["config"], build, kernel=compiling
     )
-    cache_snapshot = None
-    if compiling:
-        # The store outlives the unit; report this unit's share of it.
-        cache_snapshot = {
-            tier: counters
-            and {k: v - before[tier][k] for k, v in counters.items()}
-            for tier, counters in store.kernels.snapshot().items()
-        }
+    # The store outlives the unit; report this unit's share of it.
+    cache_snapshot = (
+        delta(store.kernels.snapshot(), before) if compiling else None
+    )
 
     output_path = None
     if out_dir:
@@ -147,7 +145,6 @@ def run_batch(
     source_kind: str = "auto",
     verify: bool = True,
     compile_kernels: bool = False,
-    pass_cache: bool = True,
 ) -> List[BatchResult]:
     """Compile many input files through one shared pool and cache."""
     if out_dir:
@@ -160,7 +157,6 @@ def run_batch(
         "source_kind": source_kind,
         "verify": verify,
         "compile_kernels": compile_kernels,
-        "pass_cache": pass_cache,
     }
     return parallel_map(
         _run_unit,

@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Sequence
 from ..execution.engine.cache import KernelCache, fingerprint_module
 from ..execution.engine.optimizer import DEFAULT_TILE_SIZE
 from ..store import SCHEDULE_CACHE_VERSION, ArtifactStore
+from ..telemetry import add, delta
 
 #: Tile edges the tuner tries (0 = untiled).
 TILE_SIZES = (0, 8, 16, 32, 64)
@@ -163,12 +164,7 @@ def _evaluate_candidate(unit) -> Dict:
         "checksum": measured[1],
     }
     if before is not None:
-        after = pass_cache.stats.snapshot()
-        row["pass_cache"] = {
-            key: after[key] - before[key]
-            for key in after
-            if after[key] != before[key]
-        }
+        row["pass_cache"] = delta(pass_cache.stats.snapshot(), before)
     return row
 
 
@@ -325,8 +321,7 @@ def autotune_kernel(
     default_wall = default_row["wall_time_s"]
     cache_totals: Dict[str, int] = {}
     for row in results:
-        for key, value in (row.get("pass_cache") or {}).items():
-            cache_totals[key] = cache_totals.get(key, 0) + value
+        add(cache_totals, row.get("pass_cache"))
     return {
         "kernel": kernel,
         "cached": False,

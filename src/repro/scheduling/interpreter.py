@@ -46,6 +46,7 @@ from ..execution.engine.optimizer import (
 )
 from ..execution.engine.vectorize import band_collapses
 from ..ir import ModuleOp, Operation
+from ..telemetry import delta
 from ..transforms.canonicalize import canonicalize
 from ..transforms.copy_elimination import copy_eliminate
 from ..transforms.distribution import distribute_loops
@@ -269,12 +270,9 @@ def apply_schedule(
             fps = [None] * len(funcs)
         else:
             raise ScheduleError(f"unknown schedule step {step.name}")
-        delta = {
-            key: value - before[key]
-            for key, value in stats._counter_values().items()
-            if value != before[key]
-        }
-        stats.stages.append({"stage": step.name, **delta})
+        stats.stages.append(
+            {"stage": step.name, **delta(stats._counter_values(), before)}
+        )
 
     if isinstance(payload, ModuleOp):
         payload.bump_version()

@@ -256,7 +256,7 @@ class RaiseAffineToLinalgPass(FunctionPass):
         self.tactics = list(tactics) if tactics is not None else None
         self.raise_fills = raise_fills
         #: Callsites plus per-pattern / per-bail-reason observability
-        #: (``mlt-opt --raise-stats``).
+        #: (``mlt-opt --stats``).
         self.stats = RaiseStats()
         self._frozen = None
 

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional
 
+from ..telemetry import add
+
 #: Why a compiled TDL tactic's matcher bailed on an ``affine.for`` root.
 TDL_BAIL_REASONS = (
     "inner-loop-root",      # root is an inner loop of a larger perfect band
@@ -162,15 +164,9 @@ class RaiseStats:
 
     def merge(self, other: "RaiseStats") -> "RaiseStats":
         """Fold ``other`` into this instance (for multi-pass reports)."""
-        for name, entry in other.patterns.items():
-            mine = self._pattern(name)
-            mine["attempted"] += entry["attempted"]
-            mine["matched"] += entry["matched"]
-            mine["bailed"] += entry["bailed"]
-            for reason, count in entry["bail_reasons"].items():
-                mine["bail_reasons"][reason] = (
-                    mine["bail_reasons"].get(reason, 0) + count
-                )
+        add(self.patterns, other.patterns)
+        add(self.raised_ops, other.raised_ops)
+        add(self.bail_reasons, other.bail_reasons)
         for field in (
             "synth_nests_attempted",
             "synth_nests_raised",
@@ -182,10 +178,6 @@ class RaiseStats:
             "trials_run",
         ):
             setattr(self, field, getattr(self, field) + getattr(other, field))
-        for key, count in other.raised_ops.items():
-            self.raised_ops[key] = self.raised_ops.get(key, 0) + count
-        for key, count in other.bail_reasons.items():
-            self.bail_reasons[key] = self.bail_reasons.get(key, 0) + count
         return self
 
     def __repr__(self) -> str:

@@ -117,6 +117,21 @@ def build_pipeline(
     return pm
 
 
+#: Options only one mode honours.  Setting one to a non-default value in
+#: the other mode is refused (exit 2), never silently dropped.
+SINGLE_INPUT_ONLY = (
+    "--output",
+    "--timing",
+    "--estimate",
+    "--execute",
+    "--engine",
+    "--exec-seed",
+    "--opt-mode",
+    "--tile-sizes",
+)
+BATCH_ONLY = ("--jobs", "--out-dir")
+
+
 def main(argv: List[str] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
 
@@ -156,43 +171,21 @@ def main(argv: List[str] = None) -> int:
         "--cache-dir",
         help="persistent compilation cache root shared across processes "
         "and sessions: kernels/ modules/ passes/ schedules/ namespaces, "
-        "the same layout and keys in single-file and batch mode",
+        "the same layout and keys in single-file and batch mode.  Both "
+        "modes skip the passes of unchanged functions through passes/; "
+        "batch mode also codegens every module into kernels/, so a later "
+        "--execute FUNC --engine compiled run of the same input and "
+        "passes performs no codegen",
     )
     parser.add_argument(
-        "--cache-stats",
+        "--stats",
         action="store_true",
-        help="print kernel-cache statistics (memory + disk tiers) to "
-        "stderr after the run",
-    )
-    parser.add_argument(
-        "--compile",
-        action="store_true",
-        help="batch mode: also codegen each module into the kernels/ "
-        "namespace of --cache-dir (implied by --cache-dir), so a later "
-        "--execute FUNC --engine compiled run of the same input, passes "
-        "and --opt-mode performs no codegen",
-    )
-    parser.add_argument(
-        "--pass-cache",
-        nargs="?",
-        const="",
-        metavar="DIR",
-        help="function-granular pass-result cache: skip passes whose "
-        "result for an unchanged function is already cached.  DIR is "
-        "the persistent root (defaults to --cache-dir when given "
-        "bare); batch mode enables this automatically under "
-        "--cache-dir",
-    )
-    parser.add_argument(
-        "--no-pass-cache",
-        action="store_true",
-        help="batch mode: disable the function-granular pass cache",
-    )
-    parser.add_argument(
-        "--pass-cache-stats",
-        action="store_true",
-        help="print pass-cache counters (hits/misses/spliced/"
-        "executions, memory + disk tiers) to stderr after the run",
+        help="print one stderr line, 'mlt-opt: stats: {json}', with the "
+        "counters of every layer that ran: raise (raising passes), "
+        "pass_cache (with --cache-dir), kernel_cache, vectorize and opt "
+        "(with --execute FUNC --engine compiled; opt needs --opt-mode).  "
+        "Batch mode reports kernel_cache (with --cache-dir), summed over "
+        "units",
     )
     parser.add_argument(
         "--source",
@@ -240,15 +233,6 @@ def main(argv: List[str] = None) -> int:
         help="RNG seed for --execute input buffers",
     )
     parser.add_argument(
-        "--engine-stats",
-        action="store_true",
-        help="with --execute --engine compiled: print the vectorizer's "
-        "codegen decisions (collapsed/partial/bailed nests, recognized "
-        "contractions, LICM hoists, bail reasons) and the buffer plan "
-        "(std.alloc ops made views / producer results / left zero-filled, "
-        "and why) to stderr",
-    )
-    parser.add_argument(
         "--opt-mode",
         choices=["none", "fuse", "full"],
         default="none",
@@ -257,29 +241,25 @@ def main(argv: List[str] = None) -> int:
         "distribution, cache-blocking tiling; default: none)",
     )
     parser.add_argument(
-        "--opt-stats",
-        action="store_true",
-        help="with --execute --engine compiled: print the optimizer's "
-        "per-stage OptStats taxonomy to stderr",
-    )
-    parser.add_argument(
         "--tile-sizes",
         help="comma-separated tile edges: drives -affine-loop-tile "
         "(per-depth, last repeats) and the --opt-mode tiling stage "
         "(first value; default: 32)",
     )
     parser.add_argument(
-        "--raise-stats",
-        action="store_true",
-        help="print the RaiseStats of every raising pass in the "
-        "pipeline, merged (per-TDL-pattern attempted/matched/bailed "
-        "from -raise-affine-to-linalg, nest/candidate counters from "
-        "-raise-affine-synth), to stderr after the pipeline",
-    )
-    parser.add_argument(
         "-o", "--output", default="-", help="output file (default stdout)"
     )
     args = parser.parse_args(rest)
+
+    batch = len(args.input) > 1
+    mode, refused = (
+        ("single-input", SINGLE_INPUT_ONLY) if batch else ("batch", BATCH_ONLY)
+    )
+    for flag in refused:
+        dest = flag[2:].replace("-", "_")
+        if getattr(args, dest) != parser.get_default(dest):
+            sys.stderr.write(f"mlt-opt: {flag} is a {mode} option\n")
+            return 2
 
     tile_sizes = None
     if args.tile_sizes:
@@ -292,22 +272,13 @@ def main(argv: List[str] = None) -> int:
         if not tile_sizes or any(size < 1 for size in tile_sizes):
             parser.error("--tile-sizes needs positive integers")
 
-    if len(args.input) > 1:
+    if batch:
         return _batch_main(args, pass_names)
 
-    from .execution import KERNEL_CACHE
     from .runtime.batch import unit_config
     from .store import ArtifactStore
 
     store = ArtifactStore(args.cache_dir) if args.cache_dir else None
-    kernel_cache = store.kernels if store else KERNEL_CACHE
-    pass_cache = None
-    if args.pass_cache is not None:
-        if not (args.pass_cache or store):
-            parser.error("--pass-cache without DIR needs --cache-dir")
-        pass_cache = (
-            ArtifactStore(args.pass_cache) if args.pass_cache else store
-        ).passes
 
     try:
         module = load_input(args.input[0], args.source)
@@ -318,12 +289,10 @@ def main(argv: List[str] = None) -> int:
 
     set_default_driver(args.driver)
     pm = build_pipeline(pass_names, tile_sizes)
-    pm.pass_cache = pass_cache
+    pm.pass_cache = store.passes if store else None
     timing = pm.run(module)
     if not args.no_verify:
         verify(module, pm.context)
-    if args.raise_stats:
-        _print_raise_stats(pm)
 
     text = print_module(module)
     if args.output == "-":
@@ -345,91 +314,47 @@ def main(argv: List[str] = None) -> int:
                 f"@{func.sym_name}: {report.seconds * 1e3:.3f} ms, "
                 f"{report.gflops:.2f} GFLOP/s on {machine.name}\n"
             )
+    engine = None
     if args.execute:
         try:
-            _execute_module(
+            engine = _execute_module(
                 module,
-                args.execute,
-                args.engine,
-                args.exec_seed,
+                args,
                 unit_config(pass_names, args.driver, args.source),
-                kernel_cache,
-                engine_stats=args.engine_stats,
-                opt_mode=args.opt_mode,
-                opt_stats=args.opt_stats,
-                tile_size=tile_sizes[0] if tile_sizes else None,
-                pass_cache=pass_cache,
+                store,
+                tile_sizes[0] if tile_sizes else None,
             )
         except Exception as exc:
             sys.stderr.write(f"mlt-opt: --execute: {exc}\n")
             return 1
-    elif args.engine_stats or args.opt_stats:
-        sys.stderr.write(
-            "mlt-opt: --engine-stats/--opt-stats need --execute FUNC "
-            "--engine compiled\n"
-        )
-    if args.cache_stats:
-        _print_cache_stats(kernel_cache)
-    if args.pass_cache_stats:
-        _print_pass_cache_stats(pass_cache)
+    if args.stats:
+        from .tactics.stats import merge_pass_stats
+
+        stats = {}
+        raised = merge_pass_stats(pm.passes)
+        if raised is not None:
+            stats["raise"] = raised.snapshot()
+        if store is not None:
+            stats["pass_cache"] = store.passes.snapshot()
+        if engine is not None:
+            stats["kernel_cache"] = engine.cache.snapshot()
+            stats["vectorize"] = engine.vectorize_stats
+            if args.opt_mode != "none":
+                stats["opt"] = engine.opt_stats
+        _print_stats(stats)
     return 0
 
 
-def _print_pass_cache_stats(pass_cache) -> None:
-    import json
-
-    if pass_cache is None:
-        sys.stderr.write(
-            "mlt-opt: --pass-cache-stats: no pass cache active "
-            "(use --pass-cache [DIR])\n"
-        )
-        return
-    sys.stderr.write(
-        "mlt-opt: pass cache: "
-        + json.dumps(pass_cache.snapshot(), sort_keys=True)
-        + "\n"
-    )
-
-
-def _print_raise_stats(pm: PassManager) -> None:
-    """Merge the RaiseStats of every raising pass in the pipeline and
-    print the snapshot to stderr."""
-    import json
-
-    from .tactics.stats import merge_pass_stats
-
-    merged = merge_pass_stats(pm.passes)
-    if merged is None:
-        sys.stderr.write(
-            "mlt-opt: --raise-stats: no raising pass in the pipeline "
-            "(use -raise-affine-to-linalg or -raise-affine-synth)\n"
-        )
-        return
-    sys.stderr.write(
-        "mlt-opt: raise stats: "
-        + json.dumps(merged.snapshot(), sort_keys=True)
-        + "\n"
-    )
-
-
-def _print_cache_stats(kernel_cache) -> None:
+def _print_stats(stats: dict) -> None:
     import json
 
     sys.stderr.write(
-        "mlt-opt: kernel cache: "
-        + json.dumps(kernel_cache.snapshot(), sort_keys=True)
-        + "\n"
+        "mlt-opt: stats: " + json.dumps(stats, sort_keys=True) + "\n"
     )
 
 
 def _batch_main(args, pass_names: List[str]) -> int:
     """Batch mode: many inputs, one shared pool and persistent cache."""
-    if args.execute or args.estimate or args.tile_sizes:
-        sys.stderr.write(
-            "mlt-opt: --execute/--estimate/--tile-sizes are single-input "
-            "options\n"
-        )
-        return 2
     from .runtime.batch import run_batch
 
     results = run_batch(
@@ -441,8 +366,7 @@ def _batch_main(args, pass_names: List[str]) -> int:
         driver=args.driver,
         source_kind=args.source,
         verify=not args.no_verify,
-        compile_kernels=args.compile or bool(args.cache_dir),
-        pass_cache=not args.no_pass_cache,
+        compile_kernels=bool(args.cache_dir),
     )
     failed = 0
     for result in results:
@@ -453,98 +377,57 @@ def _batch_main(args, pass_names: List[str]) -> int:
             f"({result.seconds * 1e3:.1f} ms, {detail})\n"
         )
         failed += 0 if result.ok else 1
-    if args.cache_stats:
-        merged = {"memory": None, "disk": None}
-        snapshots = [r.cache_snapshot for r in results if r.cache_snapshot]
-        for tier in ("memory", "disk"):
-            tiers = [s[tier] for s in snapshots if s.get(tier)]
-            if tiers:
-                merged[tier] = {
-                    key: sum(t[key] for t in tiers) for key in tiers[0]
-                }
-        import json
+    if args.stats:
+        from .execution.engine.cache import CACHE_COUNTERS
+        from .telemetry import add
 
-        sys.stderr.write(
-            "mlt-opt: kernel cache (batch, summed over units): "
-            + json.dumps(merged, sort_keys=True)
-            + "\n"
-        )
+        stats = {}
+        if args.cache_dir:
+            # Unit shares list only what moved; the sum lists every
+            # counter, as a single-file run does.
+            totals = stats["kernel_cache"] = {
+                tier: dict.fromkeys(CACHE_COUNTERS, 0)
+                for tier in ("memory", "disk")
+            }
+            for result in results:
+                add(totals, result.cache_snapshot)
+        _print_stats(stats)
     return 1 if failed else 0
 
 
-def _execute_module(
-    module: ModuleOp,
-    func_name: str,
-    engine: str,
-    seed: int,
-    config,
-    kernel_cache,
-    engine_stats: bool = False,
-    opt_mode: str = "none",
-    opt_stats: bool = False,
-    tile_size: int = None,
-    pass_cache=None,
-) -> None:
-    """Run one function on deterministic random inputs and report a
+def _execute_module(module: ModuleOp, args, config, store, tile_size):
+    """Run ``--execute FUNC`` on deterministic random inputs and report a
     checksum per output buffer (the two --engine backends must print
-    identical lines up to float tolerance)."""
+    identical lines up to float tolerance).  Returns the
+    :class:`~repro.execution.ExecutionEngine` under ``--engine
+    compiled``, else None."""
     from .fuzzing.oracle import make_args, module_arg_shapes
 
-    shapes = module_arg_shapes(module, func_name)
-    args = make_args(shapes, seed)
-    if engine == "compiled":
+    func_name = args.execute
+    buffers = make_args(module_arg_shapes(module, func_name), args.exec_seed)
+    compiled = None
+    if args.engine == "compiled":
         from .execution import ExecutionEngine
 
         compiled = ExecutionEngine(
             module,
             pipeline=config,
-            cache=kernel_cache,
-            opt_mode=opt_mode,
+            cache=store.kernels if store else None,
+            opt_mode=args.opt_mode,
             tile_size=tile_size,
-            pass_cache=pass_cache,
+            pass_cache=store.passes if store else None,
         )
-        compiled.run(func_name, *args)
-        if engine_stats:
-            import json
-
-            stats = compiled.vectorize_stats
-            sys.stderr.write(
-                "mlt-opt: vectorize stats: "
-                + (
-                    json.dumps(stats, sort_keys=True)
-                    if stats is not None
-                    else "unavailable (kernel from a pre-stats artifact)"
-                )
-                + "\n"
-            )
-        if opt_stats:
-            import json
-
-            stats = compiled.opt_stats
-            sys.stderr.write(
-                "mlt-opt: opt stats: "
-                + (
-                    json.dumps(stats, sort_keys=True)
-                    if stats is not None
-                    else "unavailable (opt-mode none or pre-optimizer "
-                    "artifact)"
-                )
-                + "\n"
-            )
+        compiled.run(func_name, *buffers)
     else:
         from .execution import Interpreter
 
-        Interpreter(module).run(func_name, *args)
-        if engine_stats or opt_stats:
-            sys.stderr.write(
-                "mlt-opt: --engine-stats/--opt-stats: interpreter backend "
-                "has no vectorizer/optimizer; use --engine compiled\n"
-            )
-    for pos, buf in enumerate(args):
+        Interpreter(module).run(func_name, *buffers)
+    for pos, buf in enumerate(buffers):
         sys.stderr.write(
             f"@{func_name} arg {pos}: shape={tuple(buf.shape)} "
-            f"checksum={float(buf.sum()):.6f} [{engine}]\n"
+            f"checksum={float(buf.sum()):.6f} [{args.engine}]\n"
         )
+    return compiled
 
 
 def fuzz_main(argv: List[str] = None) -> int:

@@ -1,18 +1,23 @@
-"""CacheStats must count exactly under concurrent engine use.
+"""Cache counters must count exactly under concurrent engine use.
 
 Before the serving front-end, caches were only touched from one thread
 and the bare ``stats.hits += 1`` increments could never race.  The
 server's executor threads and the pool bridge now bump the same
-counters concurrently, so every mutation goes through
-``CacheStats.bump`` under a lock — these tests hammer one cache from
-many threads and assert the *exact* totals, which lost increments
-would shave.
+counters concurrently, so every cache's counter block is a
+:class:`repro.telemetry.Counters` that bumps under a lock — these tests
+hammer one block from many threads and assert the *exact* totals,
+which lost increments would shave.
 """
 
+import sys
 import threading
 
-from repro.execution.engine.cache import CacheStats, KernelCache
+import pytest
+
+from repro.execution.engine.cache import KernelCache
 from repro.execution.engine.disk_cache import DiskKernelCache
+from repro.ir.pass_cache import PassResultCache
+from repro.telemetry import Counters
 
 
 class FakeKernel:
@@ -29,33 +34,55 @@ def _hammer(threads, target):
         t.join()
 
 
+#: Every cache's counter block, with one counter beyond hits/misses.
+CACHES = {
+    "kernel": (lambda tmp: KernelCache().stats, "codegen_count"),
+    "disk": (lambda tmp: DiskKernelCache(str(tmp)).stats, "bytes_read"),
+    "pass": (lambda tmp: PassResultCache().stats, "executions"),
+}
+
+
 class TestCacheStatsBump:
     THREADS = 8
     OPS = 2_000
 
-    def test_concurrent_bumps_are_exact(self):
-        stats = CacheStats()
+    @pytest.mark.parametrize("cache", sorted(CACHES))
+    def test_concurrent_bumps_are_exact(self, cache, tmp_path):
+        make, extra = CACHES[cache]
+        stats = make(tmp_path)
 
         def spin(_):
             for _ in range(self.OPS):
-                stats.bump(hits=1, bytes_read=3)
-                stats.bump(misses=1, codegen_count=1)
+                stats.bump(hits=1, **{extra: 3})
+                stats.bump(misses=1)
 
-        _hammer(self.THREADS, spin)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [
+                threading.Thread(target=spin, args=(i,))
+                for i in range(self.THREADS)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
         snap = stats.snapshot()
         assert snap["hits"] == self.THREADS * self.OPS
         assert snap["misses"] == self.THREADS * self.OPS
-        assert snap["codegen_count"] == self.THREADS * self.OPS
-        assert snap["bytes_read"] == 3 * self.THREADS * self.OPS
+        assert snap[extra] == 3 * self.THREADS * self.OPS
 
     def test_negative_deltas(self):
-        stats = CacheStats()
+        stats = Counters("hits")
         stats.bump(hits=5)
         stats.bump(hits=-2)
         assert stats.hits == 3
 
     def test_snapshot_is_consistent_under_writers(self):
-        stats = CacheStats()
+        stats = Counters("hits", "misses")
         stop = threading.Event()
 
         def writer():

@@ -180,11 +180,9 @@ class TestCLI:
         assert "affine.for" in out
 
     def test_raise_stats_flag_prints_both_tiers(self, c_file, capsys):
-        _, _, err = self._run(
-            [c_file, *TIERS, "--raise-stats"], capsys
-        )
-        line = next(l for l in err.splitlines() if "raise stats" in l)
-        payload = json.loads(line.split("raise stats: ", 1)[1])
+        _, _, err = self._run([c_file, *TIERS, "--stats"], capsys)
+        (line,) = [l for l in err.splitlines() if "mlt-opt: stats: " in l]
+        payload = json.loads(line.split("mlt-opt: stats: ", 1)[1])["raise"]
         assert payload["synth"]["nests_raised"] >= 1
         assert "GEMM" in payload["tdl"]
         gemm = payload["tdl"]["GEMM"]

@@ -116,6 +116,48 @@ def test_only_the_store_module_knows_layout_and_key_format():
     assert offenders == []
 
 
+def test_one_counter_type_and_one_stats_flag(capsys):
+    """Outside ``repro/telemetry.py`` nothing under ``src/`` defines its
+    own ``bump`` or subtracts a ``before`` snapshot by hand (two counter
+    classes and eight delta/sum loops, each a copy, preceded
+    ``Counters``/``delta``/``add``), and ``mlt-opt`` has one stats flag
+    and one cache root."""
+    forbidden = re.compile(r"def bump\(|-\s*before\[\w+\]")
+    offenders = [
+        rel
+        for rel, text in _src_files()
+        if rel != "telemetry.py" and forbidden.search(text)
+    ]
+    assert offenders == []
+
+    from repro.tool import main
+
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    help_text = capsys.readouterr().out
+    options = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", help_text))
+    assert [o for o in options if o.endswith("-stats")] == ["--stats"]
+    assert not options & {"--pass-cache", "--no-pass-cache", "--compile"}
+    assert options == {
+        "--help",
+        "--jobs",
+        "--out-dir",
+        "--cache-dir",
+        "--stats",
+        "--source",
+        "--no-verify",
+        "--timing",
+        "--driver",
+        "--estimate",
+        "--execute",
+        "--engine",
+        "--exec-seed",
+        "--opt-mode",
+        "--tile-sizes",
+        "--output",
+    }
+
+
 def test_raising_tiers_are_selected_by_the_pass_list_only():
     """No second fallback raiser, tier-set knob or raise-stats class
     grows back under ``src/``, and the TDL tier does not import the

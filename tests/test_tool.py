@@ -1,10 +1,12 @@
 """The mlt-opt command-line driver."""
 
 import io
+import json
 import sys
 
 import pytest
 
+from repro.execution.engine.cache import CACHE_COUNTERS
 from repro.tool import build_pipeline, load_input, main
 
 
@@ -23,6 +25,12 @@ def c_file(tmp_path):
     path = tmp_path / "kernel.c"
     path.write_text(GEMM)
     return str(path)
+
+
+def stats_of(err):
+    """The one ``--stats`` report among a run's stderr lines."""
+    (line,) = [l for l in err.splitlines() if l.startswith("mlt-opt: stats: ")]
+    return json.loads(line[len("mlt-opt: stats: ") :])
 
 
 class TestLoadInput:
@@ -189,33 +197,33 @@ module {
                 "f",
                 "--engine",
                 "compiled",
-                "--engine-stats",
+                "--stats",
                 "-o",
                 "/dev/null",
             ],
             capsys,
         )
         assert code == 0
-        assert (
-            '"buffer_plan": {"fresh": 0, "reasons": {"used-before-write": 1}, '
-            '"view": 1, "zeros": 1}'
-        ) in err
+        assert stats_of(err)["vectorize"]["buffer_plan"] == {
+            "fresh": 0,
+            "reasons": {"used-before-write": 1},
+            "view": 1,
+            "zeros": 1,
+        }
 
     def test_compile_warms_a_later_execute(self, c_file, capsys, tmp_path):
-        """``--compile`` (batch mode) and ``--execute --engine compiled``
-        (single-file mode) open the same ``kernels/`` namespace and key
-        through the same ``CompileConfig``: the second command performs
-        no codegen and leaves nothing at the top level of the root."""
-        import json
+        """A batch over ``--cache-dir`` and ``--execute --engine
+        compiled`` (single-file mode) open the same ``kernels/``
+        namespace and key through the same ``CompileConfig``: the second
+        command performs no codegen and leaves nothing at the top level
+        of the root."""
         import os
 
         other = tmp_path / "other.c"
         other.write_text(GEMM.replace("gemm", "gemm2"))
         root = tmp_path / "cache"
         common = ["-raise-affine-to-linalg", "--cache-dir", str(root)]
-        code, _, _ = self._run(
-            [c_file, str(other), "--compile", *common], capsys
-        )
+        code, _, _ = self._run([c_file, str(other), *common], capsys)
         assert code == 0
         code, _, err = self._run(
             [
@@ -224,7 +232,7 @@ module {
                 "gemm",
                 "--engine",
                 "compiled",
-                "--cache-stats",
+                "--stats",
                 "-o",
                 "/dev/null",
                 *common,
@@ -232,8 +240,7 @@ module {
             capsys,
         )
         assert code == 0
-        (line,) = [l for l in err.splitlines() if "kernel cache: " in l]
-        stats = json.loads(line.split("kernel cache: ")[1])
+        stats = stats_of(err)["kernel_cache"]
         assert stats["memory"]["codegen_count"] == 0
         assert stats["disk"]["hits"] == 1
         assert stats["disk"]["bytes_written"] == 0
@@ -250,6 +257,92 @@ module {
         )
         assert code == 1
         assert "nope" in err
+
+    def test_single_file_cache_dir_replays_passes(
+        self, c_file, capsys, tmp_path
+    ):
+        """``--cache-dir`` opens ``passes/`` in single-file mode too: a
+        second process-fresh run over the same root re-executes no pass
+        and prints the same bytes."""
+        argv = [
+            c_file,
+            "-raise-affine-to-linalg",
+            "-canonicalize",
+            "--cache-dir",
+            str(tmp_path / "cache"),
+            "--stats",
+        ]
+        code, first, _ = self._run(argv, capsys)
+        assert code == 0
+        code, second, err = self._run(argv, capsys)
+        assert code == 0
+        memory = stats_of(err)["pass_cache"]["memory"]
+        assert memory["executions"] == 0
+        assert memory["hits"] > 0
+        assert second == first
+
+
+class TestStats:
+    """``--stats`` prints one line with one key per layer that ran."""
+
+    def _stats(self, argv, capsys):
+        assert main(argv) == 0
+        return stats_of(capsys.readouterr().err)
+
+    def test_single_file_raise_pass(self, c_file, capsys):
+        stats = self._stats([c_file, "-raise-affine-to-linalg", "--stats"], capsys)
+        assert set(stats) == {"raise"}
+        assert set(stats["raise"]) == {"synth", "tdl"}
+        assert stats["raise"]["tdl"]["GEMM"]["matched"] == 1
+
+    def test_single_file_every_layer(self, c_file, capsys, tmp_path):
+        stats = self._stats(
+            [
+                c_file,
+                "-raise-affine-to-linalg",
+                "--execute",
+                "gemm",
+                "--engine",
+                "compiled",
+                "--opt-mode",
+                "full",
+                "--cache-dir",
+                str(tmp_path / "cache"),
+                "--stats",
+                "-o",
+                "/dev/null",
+            ],
+            capsys,
+        )
+        assert set(stats) == {
+            "raise",
+            "pass_cache",
+            "kernel_cache",
+            "vectorize",
+            "opt",
+        }
+        assert set(stats["pass_cache"]) == {"memory", "entries", "disk"}
+        for tier in ("memory", "disk"):
+            assert set(stats["kernel_cache"][tier]) == set(CACHE_COUNTERS)
+        assert stats["kernel_cache"]["memory"]["codegen_count"] == 1
+        assert stats["opt"]["mode"] == "full"
+        assert "buffer_plan" in stats["vectorize"]
+
+    def test_batch_sums_the_kernel_cache_over_units(
+        self, c_file, capsys, tmp_path
+    ):
+        other = tmp_path / "other.c"
+        other.write_text(GEMM.replace("gemm", "gemm2"))
+        argv = [c_file, str(other), "-raise-affine-to-linalg", "--stats"]
+        assert self._stats(argv, capsys) == {}
+        stats = self._stats(
+            [*argv, "--cache-dir", str(tmp_path / "cache")], capsys
+        )
+        assert set(stats) == {"kernel_cache"}
+        for tier in ("memory", "disk"):
+            assert set(stats["kernel_cache"][tier]) == set(CACHE_COUNTERS)
+        assert stats["kernel_cache"]["memory"]["codegen_count"] == 2
+        assert stats["kernel_cache"]["disk"]["misses"] == 2
 
 
 TRANSPOSED_A = """
@@ -302,6 +395,46 @@ class TestBatchMode:
             main([*paths, tiers[0], "--raise-mode", "tdl+synth"])
         assert exit_info.value.code == 2
         assert "--raise-mode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, argv, batch",
+        [
+            pytest.param(flag, argv, batch, id=f"{mode}:{flag}")
+            for flag, argv, batch, mode in [
+                ("--output", ["-o", "x.mlir"], True, "batch"),
+                ("--timing", ["--timing"], True, "batch"),
+                ("--estimate", ["--estimate", "amd"], True, "batch"),
+                ("--execute", ["--execute", "gemm"], True, "batch"),
+                ("--engine", ["--engine", "compiled"], True, "batch"),
+                ("--exec-seed", ["--exec-seed", "3"], True, "batch"),
+                ("--opt-mode", ["--opt-mode", "full"], True, "batch"),
+                ("--tile-sizes", ["--tile-sizes", "8"], True, "batch"),
+                ("--jobs", ["--jobs", "2"], False, "single"),
+                ("--out-dir", ["--out-dir", "O"], False, "single"),
+            ]
+        ],
+    )
+    def test_mode_only_flags_are_refused(
+        self, flag, argv, batch, c_file, tmp_path, capsys, monkeypatch
+    ):
+        """An option the mode cannot honour exits 2 with one message
+        and writes nothing, instead of being silently dropped."""
+        monkeypatch.chdir(tmp_path)
+        inputs = [c_file]
+        if batch:
+            other = tmp_path / "other.c"
+            other.write_text(GEMM.replace("gemm", "gemm2"))
+            inputs.append(str(other))
+        code, out, err = self._run(
+            [*inputs, "-raise-affine-to-linalg", *argv], capsys
+        )
+        mode = "single-input" if batch else "batch"
+        assert code == 2
+        assert err == f"mlt-opt: {flag} is a {mode} option\n"
+        assert out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            {"kernel.c", "other.c"} if batch else {"kernel.c"}
+        )
 
     def test_batch_refuses_tile_sizes(self, c_file, tmp_path, capsys):
         other = tmp_path / "other.c"
