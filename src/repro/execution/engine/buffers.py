@@ -37,8 +37,8 @@ already taken of it):
 A value handed to an op the plan cannot see through (a call, a return,
 an unregistered op) is never aliased in either direction.  Distinct
 memref arguments are assumed not to overlap — the vectorizer's standing
-assumption — and to be C-contiguous arrays of their static shape, which
-``ExecutionEngine.run`` checks; ``_rt.reshape_view`` re-checks what
+assumption — and to be C-contiguous arrays of their static shape, both
+of which ``ExecutionEngine.run`` checks; ``_rt.reshape_view`` re-checks what
 rule (c) relies on, so a caller that bypasses ``run`` gets an error
 rather than a silently lost copy-back.
 

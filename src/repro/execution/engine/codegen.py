@@ -22,6 +22,7 @@ An op without an emitter fails codegen with a one-line
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import CodeType
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -839,11 +840,13 @@ def generate_module_source(
 class CompiledModule:
     """A compiled kernel: generated source plus callable entry points.
 
-    ``vectorize_stats`` is the codegen-time :class:`~.vectorize.
-    VectorizeStats` snapshot (``None`` for kernels re-hydrated from a
-    pre-stats disk artifact); ``opt_stats`` is the mid-level
-    optimizer's :class:`~.optimizer.OptStats` snapshot (``None`` when
-    the engine compiled with ``opt_mode="none"``).
+    ``code`` is the module code object ``source`` compiles to (what the
+    disk tier persists as bytecode); ``vectorize_stats`` is the
+    codegen-time :class:`~.vectorize.VectorizeStats` snapshot (``None``
+    for kernels re-hydrated from a pre-stats disk artifact);
+    ``opt_stats`` is the mid-level optimizer's
+    :class:`~.optimizer.OptStats` snapshot (``None`` when the engine
+    compiled with ``opt_mode="none"``).
     """
 
     key: str
@@ -851,6 +854,7 @@ class CompiledModule:
     functions: Dict[str, Callable]
     vectorize_stats: Optional[dict] = None
     opt_stats: Optional[dict] = None
+    code: Optional[CodeType] = None
 
 
 def load_compiled_source(
@@ -858,11 +862,15 @@ def load_compiled_source(
     key: str = "",
     vectorize_stats: Optional[dict] = None,
     opt_stats: Optional[dict] = None,
+    code: Optional[CodeType] = None,
 ) -> CompiledModule:
-    """``compile()`` + ``exec`` already-generated kernel source.
+    """``exec`` already-generated kernel source, ``compile()``-ing it
+    first unless its code object is given.
 
-    This is the disk-cache re-hydration path: no IR walk, no codegen —
-    the entry points are recovered from the generated ``_fn_*`` defs.
+    This is the one re-hydration path: no IR walk, no codegen — the
+    entry points are recovered from the generated ``_fn_*`` defs.  The
+    disk tier hands in the code object it unmarshalled, so a warm load
+    compiles nothing.
     """
     namespace = {
         "_np": np,
@@ -870,7 +878,8 @@ def load_compiled_source(
         "_f32": runtime.f32,
         "EngineError": EngineError,
     }
-    code = compile(source, f"<engine:{key[:12] or 'module'}>", "exec")
+    if code is None:
+        code = compile(source, f"<engine:{key[:12] or 'module'}>", "exec")
     exec(code, namespace)
     functions = {
         name[len("_fn_"):]: fn
@@ -883,6 +892,7 @@ def load_compiled_source(
         functions=functions,
         vectorize_stats=vectorize_stats,
         opt_stats=opt_stats,
+        code=code,
     )
 
 

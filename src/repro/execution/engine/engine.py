@@ -10,11 +10,12 @@ kernel in a content-addressed :class:`~.cache.KernelCache`.
 from __future__ import annotations
 
 import dataclasses
+from itertools import combinations
 from typing import Any, List, Optional, Union
 
 from ...ir import ModuleOp, MemRefType
 from ...store import CompileConfig
-from ..interpreter import memref_argument_fault
+from ..interpreter import memref_argument_fault, overlapping_arguments
 from .cache import KERNEL_CACHE, KernelCache, fingerprint_module
 from .codegen import (
     VECTORIZE_MODES,
@@ -120,21 +121,23 @@ class ExecutionEngine:
         self.compiled: CompiledModule = self.cache.get_or_compile_key(
             config.kernel_key(fingerprint_module(module)), _build
         )
-        #: name -> (argument count, ((position, memref type), ...)) of
-        #: the functions as compiled.  Resolved here, not per call:
-        #: ``run`` sits inside every timed region, where each attribute
-        #: chase through the IR is a cache miss.
-        self._signatures = {
-            func.sym_name: (
-                len(func.arguments),
-                tuple(
-                    (pos, arg.type)
-                    for pos, arg in enumerate(func.arguments)
-                    if isinstance(arg.type, MemRefType)
-                ),
+        #: name -> (argument count, ((position, memref type), ...),
+        #: every pair of memref positions) of the functions as compiled.
+        #: Resolved here, not per call: ``run`` sits inside every timed
+        #: region, where each attribute chase through the IR is a cache
+        #: miss.
+        self._signatures = {}
+        for func in module.functions:
+            memrefs = tuple(
+                (pos, arg.type)
+                for pos, arg in enumerate(func.arguments)
+                if isinstance(arg.type, MemRefType)
             )
-            for func in module.functions
-        }
+            self._signatures[func.sym_name] = (
+                len(func.arguments),
+                memrefs,
+                tuple(combinations([pos for pos, _ in memrefs], 2)),
+            )
 
     @property
     def source(self) -> str:
@@ -160,7 +163,7 @@ class ExecutionEngine:
         signature = self._signatures.get(func_name)
         if signature is None:
             raise EngineError(f"engine: no function @{func_name}")
-        count, memrefs = signature
+        count, memrefs, pairs = signature
         if len(args) != count:
             raise EngineError(
                 f"engine: @{func_name} expects {count} args, got {len(args)}"
@@ -173,6 +176,9 @@ class ExecutionEngine:
                 raise EngineError(
                     f"engine: @{func_name}: argument {pos}: {fault}"
                 )
+        fault = overlapping_arguments(pairs, args)
+        if fault is not None:
+            raise EngineError(f"engine: @{func_name}: {fault}")
         return self.compiled.functions[func_name](*args)
 
 

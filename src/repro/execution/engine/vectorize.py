@@ -48,7 +48,8 @@ the tile stage marked ``no_vectorize`` and which is therefore never
 offered to this module.)  Buffers are assumed non-aliasing unless they
 are the same SSA value — the same assumption the rest of the evaluation
 stack makes, and one the fuzzing ``engine-diff``/``vectorize-diff``
-stages continuously cross-check.
+stages continuously cross-check.  For arguments it is the call
+contract: both backends refuse memref arguments that overlap.
 """
 
 from __future__ import annotations

@@ -404,8 +404,9 @@ def _run(kernel_fn, shapes, seed: int):
     from ..fuzzing.oracle import make_args
 
     # Straight into the kernel, past ``ExecutionEngine.run``'s memref
-    # argument check: ``make_args`` builds C-contiguous arrays of
-    # exactly ``shapes``, which is all that check would establish.
+    # argument checks: ``make_args`` builds fresh, distinct (so never
+    # overlapping) C-contiguous arrays of exactly ``shapes``, which is
+    # all those checks would establish.
     args = make_args(shapes, seed)
     kernel_fn(*args)
     return [float(buf.sum()) for buf in args]

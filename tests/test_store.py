@@ -353,9 +353,38 @@ def _truncate_file(path, *_):
 
 
 def _halve_payload(path, record_inside, payload, _required):
+    # Under ``kernels`` the bytecode stays intact: only the digest keeps
+    # it from being served for a source it no longer matches.
     def edit(record):
         if payload in record:  # ``clean`` pass entries carry no text
             record[payload] = record[payload][: len(record[payload]) // 2]
+
+    _rewrite_json(path, record_inside, edit)
+
+
+def _plausible_edit(path, record_inside, payload, required):
+    """Damage that still parses and still execs, so only the envelope
+    digest can tell: a comment line appended to kernel source, a digit
+    bumped in printed IR or inside a pass/schedule record field."""
+
+    def bump(text):
+        # Not a digit of a name (``%arg0``, ``f32``): the text must parse.
+        bumped, count = re.subn(
+            r"(?<![\w%])\d",
+            lambda digit: str((int(digit.group()) + 1) % 10),
+            text,
+            count=1,
+        )
+        assert count == 1
+        return bumped
+
+    def edit(record):
+        if payload == "source":
+            record["source"] += "# x\n"
+        elif record_inside:
+            record[required] = json.loads(bump(json.dumps(record[required])))
+        else:
+            record[payload] = bump(record[payload])
 
     _rewrite_json(path, record_inside, edit)
 
@@ -374,7 +403,14 @@ def _unlink(path, *_):
 
 @pytest.mark.parametrize(
     "damage",
-    [_truncate_file, _halve_payload, _wrong_key, _drop_field, _unlink],
+    [
+        _truncate_file,
+        _halve_payload,
+        _plausible_edit,
+        _wrong_key,
+        _drop_field,
+        _unlink,
+    ],
     ids=lambda f: f.__name__[1:],
 )
 @pytest.mark.parametrize("namespace", sorted(CONSUMERS))
