@@ -79,6 +79,23 @@ class Builder:
             self._ip.index += 1
         return op
 
+    def insert_at(self, block: Block, position: int, op: Operation) -> Operation:
+        """Insert ``op`` at ``block.operations[position]`` through
+        :meth:`insert`, leaving the insertion point before the op it was
+        before (its index shifts when it is in ``block`` at or past
+        ``position``)."""
+        ip = self._ip
+        self._ip = InsertionPoint(block, position)
+        try:
+            self.insert(op)
+        finally:
+            self._ip = ip
+        if ip is not None and ip.block is block and (
+            ip.index is not None and ip.index >= position
+        ):
+            ip.index += 1
+        return op
+
     def create(
         self,
         name: str,

@@ -66,6 +66,12 @@ class PatternRewriter(Builder):
 
     def __init__(self, root: Optional[Operation] = None):
         super().__init__()
+        #: The op the driver runs on; None for a rewriter used on its own.
+        self.root = root
+        #: Per-run constant pool of the patterns that share constants
+        #: (``transforms/lowering.py``), built from the IR on first use.
+        #: It lives exactly as long as the run: nothing is kept on an op.
+        self.constant_pool = None
         #: ``bump_version`` of the module owning ``root``, resolved once
         #: by the driver that created this rewriter; None for a rewriter
         #: used on its own, which climbs to the module on every mutation.

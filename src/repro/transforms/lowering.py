@@ -22,6 +22,16 @@ is what lets the conversion check that no created op is itself a root
 of the same set.  (The CFG-peeling half of SCF→LLVM operates on blocks,
 not single ops, and stays a structural loop — one forward scan over the
 function's blocks.)
+
+Every index constant ``lower-affine`` and ``convert-scf-to-llvm`` need
+(affine constants, loop steps, ceildiv's ``1``, linearization sizes)
+comes from one pool per function: one ``std.constant`` per value at the
+top of the entry block, shared by every later request in the same
+conversion run.  The pool is kept on the run's rewriter and rebuilt
+from the entry block's leading index constants at the start of each
+run, never kept on an op, so print → parse (or a pass-cache splice)
+between the passes changes nothing.  Accesses linearize row-major from
+the first subscript, ``(i0*size1 + i1)*size2 + ...``.
 """
 
 from __future__ import annotations
@@ -46,8 +56,10 @@ from ..ir import (
     Builder,
     Context,
     FrozenPatternSet,
+    FuncOp,
     FunctionPass,
     IRError,
+    IndexType,
     ModuleOp,
     Operation,
     PassManager,
@@ -400,13 +412,60 @@ _BINARY_EXPR_OPS = {
 }
 
 
+class _IndexConstantPool:
+    """One ``std.constant : index`` per value, at the top of a
+    function's entry block.
+
+    Read from the IR when a conversion run first asks for a constant:
+    the pool is the leading run of index constants of the entry block
+    (the first of each value wins), which dominates every op of the
+    function.  New constants are appended to that run, so a later run
+    (or the same IR after print -> parse) reads back the same pool.
+    """
+
+    def __init__(self, func: FuncOp):
+        self.block = func.entry_block
+        self.values: Dict[int, Value] = {}
+        self.end = 0
+        for op in self.block.operations:
+            if op.name != "std.constant" or not isinstance(
+                op.result.type, IndexType
+            ):
+                break
+            self.values.setdefault(op.value, op.result)
+            self.end += 1
+
+    def get(self, rewriter: PatternRewriter, value: int) -> Value:
+        result = self.values.get(value)
+        if result is None:
+            op = std.ConstantOp.create(value, index)
+            rewriter.insert_at(self.block, self.end, op)
+            self.end += 1
+            result = self.values[value] = op.result
+        return result
+
+
+def _index_constant(builder: Builder, value: int) -> Value:
+    """An index constant: the pooled one when ``builder`` is the
+    rewriter of a conversion run over a function, otherwise a new one
+    at the insertion point."""
+    if isinstance(builder, PatternRewriter) and isinstance(
+        builder.root, FuncOp
+    ):
+        pool = builder.constant_pool
+        if pool is None:
+            pool = builder.constant_pool = _IndexConstantPool(builder.root)
+        return pool.get(builder, value)
+    return builder.insert(std.ConstantOp.create(value, index)).result
+
+
 def expand_affine_expr(
     builder: Builder, expr: ae.AffineExpr, operands: Sequence[Value]
 ) -> Value:
     """Materialize an affine expression as std arithmetic over index
     values."""
     if isinstance(expr, ae.AffineConstantExpr):
-        return builder.insert(std.ConstantOp.create(expr.value, index)).result
+        return _index_constant(builder, expr.value)
     if isinstance(expr, ae.AffineDimExpr):
         return operands[expr.position]
     if isinstance(expr, ae.AffineSymbolExpr):
@@ -418,7 +477,7 @@ def expand_affine_expr(
     if op_class is not None:
         return builder.insert(op_class.create(lhs, rhs)).result
     # ceildiv(a, b) = (a + b - 1) floordiv b
-    one = builder.insert(std.ConstantOp.create(1, index)).result
+    one = _index_constant(builder, 1)
     num = builder.insert(std.AddIOp.create(lhs, rhs)).result
     num = builder.insert(std.SubIOp.create(num, one)).result
     return builder.insert(std.DivIOp.create(num, rhs)).result
@@ -453,7 +512,7 @@ def _lower_one_affine_for(op: AffineForOp, rewriter: PatternRewriter) -> None:
     ub = _lower_affine_bound(
         rewriter, op.upper_bound_map, op.ub_operands, minimize=True
     )
-    step = rewriter.insert(std.ConstantOp.create(op.step, index)).result
+    step = _index_constant(rewriter, op.step)
     scf_for = rewriter.insert(scf_d.ForOp.create(lb, ub, step))
     # Move body ops (except the affine terminator) into the scf body,
     # before its terminator.
@@ -538,10 +597,14 @@ class AffineToSCFPass(_ConversionPass):
 def _linearize_indices(
     builder: Builder, memref: Value, indices: Sequence[Value]
 ) -> Value:
+    """Row-major offset ``(i0*size1 + i1)*size2 + ...``; a rank-0
+    access is offset 0."""
+    if not indices:
+        return _index_constant(builder, 0)
     shape = memref.type.shape
-    flat = builder.insert(std.ConstantOp.create(0, index)).result
-    for size, idx in zip(shape, indices):
-        size_c = builder.insert(std.ConstantOp.create(size, index)).result
+    flat = indices[0]
+    for size, idx in zip(shape[1:], indices[1:]):
+        size_c = _index_constant(builder, size)
         flat = builder.insert(std.MulIOp.create(flat, size_c)).result
         flat = builder.insert(std.AddIOp.create(flat, idx)).result
     return flat

@@ -114,6 +114,24 @@ class TestBlocksAndRegions:
         assert block.terminator is not None
         assert len(block.ops_without_terminator()) == 1
 
+    def test_insert_at_keeps_the_insertion_point_on_its_op(self):
+        block = Block()
+        first, second = _constants(2)
+        block.append(first)
+        block.append(second)
+        builder = Builder(InsertionPoint.before(second))
+        hoisted = create_operation("foo.hoisted")
+        builder.insert_at(block, 0, hoisted)
+        here = builder.insert(create_operation("foo.here"))
+        assert block.operations == [hoisted, first, here, second]
+        # An insertion point before the position, or in another block,
+        # does not move.
+        builder.set_insertion_point_before(first)
+        other = Block()
+        builder.insert_at(other, 0, create_operation("foo.elsewhere"))
+        builder.insert_at(block, 3, create_operation("foo.later"))
+        assert builder.insert(create_operation("foo.then")) is block.operations[1]
+
 
 class TestStructuralOps:
     def test_erase_requires_unused_results(self):

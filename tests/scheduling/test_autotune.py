@@ -126,7 +126,24 @@ def test_duplicate_candidates_share_one_measurement(merged):
     assert all(len(pairs) == 1 for pairs in measurements.values())
 
 
-def test_jobs_do_not_change_partition_or_winner(merged):
+def test_jobs_do_not_change_partition_or_winner(monkeypatch, merged):
+    # Two separately timed searches can crown different winners, so the
+    # clock is replaced by a wall derived from the kernel key (the
+    # checksum stays real).  The pools are forked after the patch, so
+    # the workers time kernels with it too.
+    import hashlib
+
+    real = autotune_module._time_kernel
+
+    def wall_of(kernel_key):
+        digest = hashlib.sha256(kernel_key.encode()).hexdigest()
+        return 1e-3 + int(digest[:8], 16) * 1e-12
+
+    def keyed(engine, func_name, repeats, seed):
+        _, checksum = real(engine, func_name, repeats, seed)
+        return wall_of(engine.compiled.key), checksum
+
+    monkeypatch.setattr(autotune_module, "_time_kernel", keyed)
     with fresh_pools():
         serial = autotune_kernel(
             "2mm", budget=24, repeats=1, pipeline="baseline", jobs=1
@@ -137,12 +154,14 @@ def test_jobs_do_not_change_partition_or_winner(merged):
     assert _partition(merged[0]) == _partition(merged[1])
     assert serial["distinct_kernels"] == sharded["distinct_kernels"]
     assert serial["best_params"] == sharded["best_params"]
-    # across shards the lowest-index row of a kernel is its measurement
+    # across shards the lowest-index row of a kernel is its measurement,
+    # and every worker timed with the stub
     for candidates in merged:
         by_key = {}
         for candidate in candidates:
             first = by_key.setdefault(candidate["kernel_key"], candidate)
             assert candidate["wall_time_s"] == first["wall_time_s"]
+            assert candidate["wall_time_s"] == wall_of(candidate["kernel_key"])
 
 
 def test_checksum_mismatch_still_rejected(monkeypatch, merged):

@@ -11,6 +11,7 @@ from repro.ir import (
     Builder,
     Context,
     FuncOp,
+    IndexType,
     InsertionPoint,
     ModuleOp,
     ReturnOp,
@@ -304,6 +305,8 @@ class TestLoweringIsAConversion:
         # 50 094 ``parent_op`` reads in all.  Pinned at what one-walk
         # lowering with a driver-bound rewriter achieves (3 900 bumps —
         # payload ops are now notified too — and 1 986 reads), plus 20%.
+        # Today: 2 312 bumps (pooled index constants build fewer ops) and
+        # 1 986 reads (the pool finds its entry block once per run).
         from repro.ir import ModuleOp, Operation
 
         counts = {"bumps": 0, "parent_op": 0}
@@ -327,41 +330,160 @@ class TestLoweringIsAConversion:
         assert counts["parent_op"] <= 2400, counts
 
 
+def _index_constants(ops):
+    return [
+        op
+        for op in ops
+        if op.name == "std.constant" and isinstance(op.result.type, IndexType)
+    ]
+
+
+def _interpreter_source(name):
+    """A corpus kernel at sizes its lowered form interprets quickly: the
+    contractions get extents 2, 3, 4, ... in index order."""
+    from repro.evaluation import get_kernel
+    from repro.evaluation.kernels import contraction_source
+    from repro.tactics.contraction import (
+        PAPER_CONTRACTIONS,
+        parse_contraction_spec,
+    )
+
+    if name not in PAPER_CONTRACTIONS:
+        return get_kernel(name).small()
+    names = sorted({v for part in parse_contraction_spec(name) for v in part})
+    return contraction_source(name, {v: 2 + i for i, v in enumerate(names)})
+
+
+RAISED = pytest.mark.parametrize(
+    "raised", [True, False], ids=["raised", "unraised"]
+)
+
+
+class TestIndexConstants:
+    """Lowering takes every index constant from one pool per function:
+    one ``std.constant`` per value at the top of the entry block, read
+    back from the IR by each conversion run (nothing is kept on an op)."""
+
+    @RAISED
+    def test_one_constant_per_value_in_the_entry_block(self, raised):
+        pooled = 0
+        for name, module in _corpus_modules(raised).items():
+            lower_to_llvm(module)
+            for func in module.functions:
+                constants = _index_constants(func.walk())
+                values = [op.value for op in constants]
+                assert len(values) == len(set(values)), (name, values)
+                # All of them lead the entry block, so they dominate
+                # every use.
+                leading = func.entry_block.operations[: len(constants)]
+                assert leading == constants, name
+                pooled += len(constants)
+        assert pooled > 0
+
+    @RAISED
+    def test_print_parse_between_the_passes_prints_the_same_bytes(self, raised):
+        from repro.ir import PassManager, print_module
+        from repro.ir.parser import parse_module
+        from repro.transforms.lowering import lowering_pipeline
+
+        for name, module in _corpus_modules(raised).items():
+            staged = parse_module(print_module(module))
+            lower_to_llvm(module)
+            passes = lowering_pipeline().passes
+            split = [p.name for p in passes].index("convert-scf-to-llvm")
+            PassManager(Context()).add(*passes[:split]).run(staged)
+            staged = parse_module(print_module(staged))
+            PassManager(Context()).add(*passes[split:]).run(staged)
+            assert print_module(staged) == print_module(module), name
+
+    @RAISED
+    def test_interpreter_agrees_with_the_met_module(self, raised):
+        from repro.evaluation import PAPER_BENCHMARKS, get_kernel
+        from repro.fuzzing.oracle import (
+            execute_snapshot,
+            make_args,
+            module_arg_shapes,
+        )
+
+        for name in sorted(PAPER_BENCHMARKS):
+            source = _interpreter_source(name)
+            func = get_kernel(name).func_name
+            reference = compile_c(source)
+            lowered = compile_c(source)
+            if raised:
+                raise_affine_to_linalg(lowered)
+            lower_to_llvm(lowered)
+            verify(lowered, Context())
+            args = make_args(module_arg_shapes(reference, func), seed=3)
+            expected = execute_snapshot(reference, func, args)
+            actual = execute_snapshot(lowered, func, args, 100_000_000)
+            for want, got in zip(expected, actual):
+                assert_close(want, got, rtol=2e-3)
+
+    def test_plain_builder_outside_a_function_inserts_in_place(self):
+        from repro.ir import Block, index
+        from repro.ir import affine_expr as ae
+        from repro.transforms import expand_affine_expr
+
+        block = Block([index])
+        marker = block.append(std.ConstantOp.create(7, index))
+        builder = Builder(InsertionPoint.before(marker))
+        expand_affine_expr(builder, (ae.dim(0) + 3).ceildiv(2), block.arguments)
+        expand_affine_expr(builder, ae.constant(3), [])
+        assert [op.name for op in block.operations] == [
+            "std.constant",
+            "std.addi",
+            "std.constant",
+            "std.constant",
+            "std.addi",
+            "std.subi",
+            "std.divi",
+            "std.constant",
+            "std.constant",
+        ]
+        # No pool outside a conversion run: 3 is built twice, and the
+        # marker is still last.
+        assert [op.value for op in _index_constants(block.operations)] == [
+            3, 2, 1, 3, 7
+        ]
+
+
 #: Block labels and terminators, in region order, of conv2d + copy + fill
 #: after ``_peel_all_loops`` — as printed when the peel restarted its
-#: scan from block 0 after every loop.
+#: scan from block 0 after every loop.  Every loop enters with the
+#: pooled ``%0 = constant 0``.
 PEELED_CFG = [
     "entry llvm.br ^bb0(%0)",
-    "^bb0(%3: index): llvm.cond_br %4, ^bb1, ^bb2",
-    "^bb1: llvm.br ^bb3(%5)",
-    "^bb2: llvm.br ^bb4(%8)",
-    "^bb3(%11: index): llvm.cond_br %12, ^bb5, ^bb6",
-    "^bb5: llvm.br ^bb7(%13)",
-    "^bb6: llvm.br ^bb0(%16)",
-    "^bb4(%17: index): llvm.cond_br %18, ^bb8, ^bb9",
-    "^bb8: llvm.br ^bb4(%20)",
-    "^bb9: llvm.br ^bb10(%22)",
-    "^bb7(%25: index): llvm.cond_br %26, ^bb11, ^bb12",
-    "^bb11: llvm.br ^bb13(%27)",
-    "^bb12: llvm.br ^bb3(%30)",
-    "^bb10(%31: index): llvm.cond_br %32, ^bb14, ^bb15",
-    "^bb14: llvm.br ^bb10(%33)",
+    "^bb0(%4: index): llvm.cond_br %5, ^bb1, ^bb2",
+    "^bb1: llvm.br ^bb3(%0)",
+    "^bb2: llvm.br ^bb4(%0)",
+    "^bb3(%6: index): llvm.cond_br %7, ^bb5, ^bb6",
+    "^bb5: llvm.br ^bb7(%0)",
+    "^bb6: llvm.br ^bb0(%8)",
+    "^bb4(%9: index): llvm.cond_br %10, ^bb8, ^bb9",
+    "^bb8: llvm.br ^bb4(%12)",
+    "^bb9: llvm.br ^bb10(%0)",
+    "^bb7(%14: index): llvm.cond_br %15, ^bb11, ^bb12",
+    "^bb11: llvm.br ^bb13(%0)",
+    "^bb12: llvm.br ^bb3(%16)",
+    "^bb10(%17: index): llvm.cond_br %18, ^bb14, ^bb15",
+    "^bb14: llvm.br ^bb10(%19)",
     "^bb15: return",
-    "^bb13(%34: index): llvm.cond_br %35, ^bb16, ^bb17",
-    "^bb16: llvm.br ^bb18(%36)",
-    "^bb17: llvm.br ^bb7(%39)",
-    "^bb18(%40: index): llvm.cond_br %41, ^bb19, ^bb20",
-    "^bb19: llvm.br ^bb21(%42)",
-    "^bb20: llvm.br ^bb13(%45)",
-    "^bb21(%46: index): llvm.cond_br %47, ^bb22, ^bb23",
-    "^bb22: llvm.br ^bb24(%48)",
-    "^bb23: llvm.br ^bb18(%51)",
-    "^bb24(%52: index): llvm.cond_br %53, ^bb25, ^bb26",
-    "^bb25: llvm.br ^bb24(%61)",
-    "^bb26: llvm.br ^bb21(%62)",
+    "^bb13(%20: index): llvm.cond_br %21, ^bb16, ^bb17",
+    "^bb16: llvm.br ^bb18(%0)",
+    "^bb17: llvm.br ^bb7(%22)",
+    "^bb18(%23: index): llvm.cond_br %24, ^bb19, ^bb20",
+    "^bb19: llvm.br ^bb21(%0)",
+    "^bb20: llvm.br ^bb13(%25)",
+    "^bb21(%26: index): llvm.cond_br %27, ^bb22, ^bb23",
+    "^bb22: llvm.br ^bb24(%0)",
+    "^bb23: llvm.br ^bb18(%28)",
+    "^bb24(%29: index): llvm.cond_br %30, ^bb25, ^bb26",
+    "^bb25: llvm.br ^bb24(%38)",
+    "^bb26: llvm.br ^bb21(%39)",
 ]
 PEELED_TEXT_SHA256 = (
-    "5bce1f62a4038a39e2144e2ec26e2e7f9fd6a573d421c44b6c829934e8c83b71"
+    "33dc5edb829b9250e3aee91a599693879402dfe79c9b97c88b81638db4b5362d"
 )
 
 
