@@ -13,23 +13,22 @@ with the machine model:
     the default Linalg lowering (tiled loops).
   * ``MLT-BLAS``       — raising to Linalg, then the BLAS substitution
     (library calls with dispatch overhead).
+
+The two MLT configurations price the module their list in
+:data:`NAMED_PIPELINES` builds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
-from ..dialects import linalg as linalg_d
-from ..dialects.affine import outermost_loops, perfect_nest
 from ..execution.cost_model import CostModel, CostReport
 from ..execution.machines import Machine
-from ..ir import Context, ModuleOp, PatternRewriter
+from ..ir import ModuleOp, PassManager
 from ..met import compile_c
 from ..polyhedral.pluto import PlutoOptions, pluto_best, pluto_optimize
-from ..tactics.raising import raise_affine_to_linalg
-from ..transforms.lowering import LinalgToBlasPass, lower_linalg_op_to_affine
-from ..transforms.tiling import TilingError, tile_perfect_nest
+from ..tactics.stats import merge_pass_stats
 
 
 @dataclass
@@ -75,53 +74,23 @@ def run_pluto_best(source: str, machine: Machine) -> PipelineResult:
     )
 
 
-def _default_linalg_lowering(module: ModuleOp, tile: int = 32) -> None:
-    """The default Linalg codegen path: named contraction-like ops
-    become tiled loop nests; data-movement ops stay (priced as views /
-    memory passes by the model)."""
-    rewriter = PatternRewriter()
-    for func in module.functions:
-        for op in list(func.walk()):
-            if isinstance(
-                op,
-                (linalg_d.MatmulOp, linalg_d.MatvecOp, linalg_d.Conv2DNchwOp),
-            ):
-                block = op.parent_block
-                before = list(block.operations)
-                lower_linalg_op_to_affine(op, rewriter)
-                new_roots = [
-                    o for o in block.operations if o not in before
-                ]
-                for root in new_roots:
-                    band = perfect_nest(root)
-                    if len(band) < 2:
-                        continue
-                    try:
-                        tile_perfect_nest(root, [tile] * len(band))
-                    except TilingError:
-                        pass
+def _run_named(config: str, pipeline: str, source: str, machine: Machine):
+    module = compile_c(source, distribute=False)
+    pm = named_pipeline(pipeline)
+    pm.run(module)
+    report = _cost(module, machine)
+    raised = merge_pass_stats(pm.passes).total
+    return PipelineResult(
+        config, report.seconds, report.flops, f"raised={raised}"
+    )
 
 
 def run_mlt_linalg(source: str, machine: Machine) -> PipelineResult:
-    module = compile_c(source)
-    stats = raise_affine_to_linalg(module)
-    _default_linalg_lowering(module)
-    report = _cost(module, machine)
-    return PipelineResult(
-        "MLT-Linalg", report.seconds, report.flops, f"raised={stats.total}"
-    )
+    return _run_named("MLT-Linalg", "mlt-linalg", source, machine)
 
 
-def run_mlt_blas(
-    source: str, machine: Machine, library: str = "mkl-dnn"
-) -> PipelineResult:
-    module = compile_c(source)
-    stats = raise_affine_to_linalg(module)
-    LinalgToBlasPass(library).run(module, Context())
-    report = _cost(module, machine)
-    return PipelineResult(
-        "MLT-BLAS", report.seconds, report.flops, f"raised={stats.total}"
-    )
+def run_mlt_blas(source: str, machine: Machine) -> PipelineResult:
+    return _run_named("MLT-BLAS", "mlt-blas", source, machine)
 
 
 ALL_PIPELINES: Dict[str, Callable] = {
@@ -141,51 +110,61 @@ def run_all_pipelines(
 
 
 # ----------------------------------------------------------------------
-# Module builders (measured execution)
+# Named pipelines (measured execution)
 #
-# The pipelines above price transformed modules with the machine model;
-# these builders return the transformed *module itself*, so the
-# benchmark harness can execute it — interpreted or compiled — and
-# measure wall-clock time instead.
+# The pricing above and every driver that executes, serves or tunes a
+# corpus kernel build the module through one of these pass lists.
 # ----------------------------------------------------------------------
 
 
-def build_baseline(source: str, tile: int = 32) -> ModuleOp:
-    """The MET output as-is: naive affine loop nests (no raising)."""
-    return compile_c(source)
-
-
-def build_mlt_linalg(source: str, tile: int = 32) -> ModuleOp:
-    """Raise to Linalg, then the default tiled-loop lowering."""
-    module = compile_c(source)
-    raise_affine_to_linalg(module)
-    _default_linalg_lowering(module, tile=tile)
-    return module
-
-
-def build_mlt_blas(
-    source: str, tile: int = 32, library: str = "mkl-dnn"
-) -> ModuleOp:
-    """Raise to Linalg, then substitute BLAS library calls."""
-    module = compile_c(source)
-    raise_affine_to_linalg(module)
-    LinalgToBlasPass(library).run(module, Context())
-    return module
-
-
-MODULE_BUILDERS: Dict[str, Callable[..., ModuleOp]] = {
-    "baseline": build_baseline,
-    "mlt-linalg": build_mlt_linalg,
-    "mlt-blas": build_mlt_blas,
+#: Every named pipeline as a pass list in ``mlt-opt``'s pass-name
+#: vocabulary (``tool._pass_registry``), run by one ``PassManager`` over
+#: ``compile_c(source, distribute=False)``: MET's loop distribution is
+#: the first pass of each.  The fuzz oracle stages exactly these lists.
+NAMED_PIPELINES: Dict[str, Tuple[str, ...]] = {
+    "baseline": ("affine-loop-distribution",),
+    "mlt-linalg": (
+        "affine-loop-distribution",
+        "raise-affine-to-linalg",
+        "convert-linalg-contractions-to-tiled-loops",
+    ),
+    "mlt-blas": (
+        "affine-loop-distribution",
+        "raise-affine-to-linalg",
+        "convert-linalg-to-blas",
+    ),
+    "mlt-synth": (
+        "affine-loop-distribution",
+        "canonicalize",
+        "raise-affine-to-linalg",
+        "raise-affine-synth",
+        "convert-linalg-to-affine-loops",
+    ),
+    "mlt-affine": (
+        "affine-loop-distribution",
+        "canonicalize",
+        "raise-affine-to-affine",
+        "affine-expand-matmul",
+        "lower-affine",
+        "convert-scf-to-llvm",
+    ),
 }
+
+
+def named_pipeline(name: str, tile: int = 32) -> PassManager:
+    """The pass manager of one named pipeline; ``tile`` drives its
+    tiling passes."""
+    from ..tool import build_pipeline
+
+    if name not in NAMED_PIPELINES:
+        raise ValueError(
+            f"unknown pipeline {name!r}; known: {sorted(NAMED_PIPELINES)}"
+        )
+    return build_pipeline(list(NAMED_PIPELINES[name]), [tile])
 
 
 def build_module(source: str, pipeline: str, tile: int = 32) -> ModuleOp:
     """Build the executable module for one named pipeline."""
-    try:
-        builder = MODULE_BUILDERS[pipeline]
-    except KeyError:
-        raise ValueError(
-            f"unknown pipeline {pipeline!r}; known: {sorted(MODULE_BUILDERS)}"
-        )
-    return builder(source, tile=tile)
+    module = compile_c(source, distribute=False)
+    named_pipeline(pipeline, tile).run(module)
+    return module

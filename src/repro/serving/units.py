@@ -191,12 +191,12 @@ def normalize_request(
         except (KeyError, ValueError) as exc:
             raise BadRequest(f"unknown kernel {name!r}") from exc
         pipeline = request.get("pipeline", "baseline")
-        from ..evaluation.pipelines import MODULE_BUILDERS
+        from ..evaluation.pipelines import NAMED_PIPELINES
 
-        if pipeline not in MODULE_BUILDERS:
+        if pipeline not in NAMED_PIPELINES:
             raise BadRequest(
                 f"unknown pipeline {pipeline!r}; "
-                f"known: {sorted(MODULE_BUILDERS)}"
+                f"known: {sorted(NAMED_PIPELINES)}"
             )
         heavy = bool(request.get("heavy", False))
         spec.update(
@@ -281,27 +281,24 @@ def spec_config(spec: dict) -> CompileConfig:
 
 
 def _build_module(spec: dict, pass_cache=None):
-    if spec["mode"] == "corpus":
-        from ..evaluation.pipelines import build_module
-
-        return build_module(
-            spec["source"], spec["pipeline"], tile=spec["tile"]
-        )
     from ..ir import verify
-    from ..ir.parser import parse_module
-    from ..tool import build_pipeline
+    from ..met import compile_c
 
-    kind = spec["source_kind"]
     text = spec["source"]
-    if kind == "auto":
-        kind = "c" if "{" in text and "void" in text else "ir"
-    if kind == "c":
-        from ..met import compile_c
+    if spec["mode"] == "corpus":
+        from ..evaluation.pipelines import named_pipeline
 
-        module = compile_c(text)
+        module = compile_c(text, distribute=False)
+        pm = named_pipeline(spec["pipeline"], spec["tile"])
     else:
-        module = parse_module(text)
-    pm = build_pipeline(spec["passes"])
+        from ..ir.parser import parse_module
+        from ..tool import build_pipeline
+
+        kind = spec["source_kind"]
+        if kind == "auto":
+            kind = "c" if "{" in text and "void" in text else "ir"
+        module = compile_c(text) if kind == "c" else parse_module(text)
+        pm = build_pipeline(spec["passes"])
     pm.pass_cache = pass_cache
     pm.run(module)
     verify(module, pm.context)

@@ -45,6 +45,7 @@ def _pass_registry(
         CopyEliminationPass,
         DelinearizationPass,
         ExpandAffineMatmulPass,
+        LinalgContractionsToTiledLoopsPass,
         LinalgToAffinePass,
         LinalgToBlasPass,
         LoopDistributionPass,
@@ -55,6 +56,7 @@ def _pass_registry(
         TileLoopNestPass,
     )
 
+    tile = tile_sizes if tile_sizes else 32
     return {
         "affine-loop-fusion": LoopFusionPass,
         "affine-copy-elimination": CopyEliminationPass,
@@ -67,10 +69,11 @@ def _pass_registry(
         "linalg-matrix-chain-reorder": MatrixChainReorderPass,
         "convert-linalg-to-blas": LinalgToBlasPass,
         "convert-linalg-to-affine-loops": LinalgToAffinePass,
-        "affine-expand-matmul": ExpandAffineMatmulPass,
-        "affine-loop-tile": lambda: TileLoopNestPass(
-            tile_sizes if tile_sizes else 32
+        "convert-linalg-contractions-to-tiled-loops": lambda: (
+            LinalgContractionsToTiledLoopsPass(tile)
         ),
+        "affine-expand-matmul": ExpandAffineMatmulPass,
+        "affine-loop-tile": lambda: TileLoopNestPass(tile),
         "canonicalize": CanonicalizePass,
         "lower-affine": AffineToSCFPass,
         "convert-scf-to-llvm": SCFToLLVMPass,

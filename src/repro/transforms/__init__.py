@@ -5,6 +5,7 @@ from .distribution import LoopDistributionPass, distribute_loops  # noqa: F401
 from .lowering import (  # noqa: F401
     AffineToSCFPass,
     ExpandAffineMatmulPass,
+    LinalgContractionsToTiledLoopsPass,
     LinalgToAffinePass,
     LinalgToBlasPass,
     LowerBlasToLLVMPass,

@@ -4,6 +4,8 @@ This is the classic downward direction of the multi-level pipeline the
 paper complements with raising.  Every step is a pass:
 
   * :class:`LinalgToAffinePass`   — structured ops to affine loop nests
+  * :class:`LinalgContractionsToTiledLoopsPass` — only the contractions,
+    to tiled loop nests (the MLT-Linalg default lowering)
   * :class:`ExpandAffineMatmulPass` — ``affine.matmul`` to loops
   * :class:`AffineToSCFPass`      — affine loops/accesses to SCF + std
   * :class:`SCFToLLVMPass`        — structured loops to CFG with
@@ -49,6 +51,7 @@ from ..dialects.affine import (
     AffineMatmulOp,
     AffineStoreOp,
     build_loop_nest,
+    perfect_nest,
 )
 from ..ir import (
     AffineMap,
@@ -71,6 +74,7 @@ from ..ir import (
 )
 from ..ir import affine_expr as ae
 from .canonicalize import CanonicalizePass
+from .tiling import TileLoopNestPass, TilingError, tile_perfect_nest
 
 class _ConversionPass(FunctionPass):
     """A lowering pass: one conversion walk of ``patterns`` per function."""
@@ -303,6 +307,42 @@ def lower_linalg_to_affine(root: Operation) -> int:
 class LinalgToAffinePass(_ConversionPass):
     name = "convert-linalg-to-affine-loops"
     patterns = _LINALG_TO_AFFINE
+
+
+class LinalgContractionsToTiledLoopsPass(TileLoopNestPass):
+    """The default Linalg codegen path of Fig. 9's MLT-Linalg.
+
+    Named contraction-like ops (matmul, matvec, conv2d) become loop
+    nests, and every new nest of depth >= 2 is tiled with
+    ``affine-loop-tile``'s size rule; data-movement ops stay (priced as
+    views / memory passes by the model).
+    """
+
+    name = "convert-linalg-contractions-to-tiled-loops"
+    patterns = FrozenPatternSet(
+        [
+            LinalgToAffinePattern(name)
+            for name in ("linalg.matmul", "linalg.matvec", "linalg.conv2d_nchw")
+        ]
+    )
+
+    def run_on_function(self, func, context):
+        def loops():
+            return [op for op in func.walk() if isinstance(op, AffineForOp)]
+
+        before = set(loops())
+        result = apply_conversion(func, self.patterns)
+        self.rewrite_results.append(result)
+        fresh = [loop for loop in loops() if loop not in before]
+        for root in [loop for loop in fresh if loop.parent_op not in fresh]:
+            depth = len(perfect_nest(root))
+            if depth < 2:
+                continue
+            try:
+                tile_perfect_nest(root, self._sizes_for(depth))
+            except TilingError:
+                pass
+        return result.changed
 
 
 class ExpandAffineMatmulPattern(RewritePattern):

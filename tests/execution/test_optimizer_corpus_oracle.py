@@ -15,7 +15,7 @@ import pytest
 
 from repro.evaluation import PAPER_BENCHMARKS, get_kernel
 from repro.evaluation import kernels as K
-from repro.evaluation.pipelines import MODULE_BUILDERS, build_module
+from repro.evaluation.pipelines import build_module
 from repro.execution import ExecutionEngine, Interpreter
 from repro.execution.engine.cache import KernelCache
 from repro.execution.engine.optimizer import OPT_MODES
@@ -32,6 +32,9 @@ from repro.tactics.contraction import (
 )
 
 KERNELS = sorted(PAPER_BENCHMARKS) + ["doitgen"]
+#: The pipelines the benchmarks execute, spelled out so the test ids
+#: stay fixed whatever else the named-pipeline table holds.
+PIPELINES = ("baseline", "mlt-blas", "mlt-linalg")
 
 
 def _source(name):
@@ -87,12 +90,12 @@ def _assert_matches_interpreter(reference, pipeline, opt_mode):
     assert result.ok, f"[{result.kind}] {result.detail}"
 
 
-@pytest.mark.parametrize("pipeline", sorted(MODULE_BUILDERS))
+@pytest.mark.parametrize("pipeline", PIPELINES)
 def test_full_optimizer_matches_interpreter(reference, pipeline):
     _assert_matches_interpreter(reference, pipeline, "full")
 
 
-@pytest.mark.parametrize("pipeline", sorted(MODULE_BUILDERS))
+@pytest.mark.parametrize("pipeline", PIPELINES)
 def test_fuse_optimizer_matches_interpreter(reference, pipeline):
     _assert_matches_interpreter(reference, pipeline, "fuse")
 

@@ -256,6 +256,30 @@ class TestPassCacheStats:
             assert snap["executions"] > 0, snap
             assert snap["stores"] > 0, snap
 
+    @pytest.mark.parametrize("pipeline", ["mlt-linalg", "mlt-blas"])
+    def test_corpus_unit_replays_its_named_pipeline(self, pipeline):
+        # A corpus unit runs its named pass list through the tenant's
+        # pass cache, as a source unit runs its own list.
+        from repro.ir import print_module
+        from repro.serving.units import (
+            _build_module,
+            _tenant_store,
+            normalize_request,
+        )
+        from repro.telemetry import delta
+
+        spec = normalize_request(
+            {"op": "compile", "kernel": "2mm", "pipeline": pipeline}
+        )
+        store = _tenant_store(spec["tenant"])
+        cold = print_module(_build_module(spec, store.passes))
+        before = store.passes.snapshot()["memory"]
+        warm = print_module(_build_module(spec, store.passes))
+        replay = delta(store.passes.snapshot()["memory"], before)
+        assert warm == cold
+        assert replay.get("executions", 0) == 0, replay
+        assert replay["hits"] > 0, replay
+
 
 class TestBackpressure:
     def test_overloaded_requests_are_shed(self, tmp_path):
@@ -483,6 +507,16 @@ class TestProtocolAndValidation:
         assert bad_kernel["code"] == "bad-request"
         assert bad_op["code"] == "bad-request"
         assert bad_tenant["code"] == "bad-request"
+
+    def test_unknown_pipeline_lists_the_named_pipelines(self):
+        from repro.evaluation.pipelines import NAMED_PIPELINES
+        from repro.serving.units import BadRequest, normalize_request
+
+        with pytest.raises(BadRequest) as info:
+            normalize_request(
+                {"op": "compile", "kernel": "gemm", "pipeline": "blas"}
+            )
+        assert str(sorted(NAMED_PIPELINES)) in str(info.value)
 
     def test_malformed_field_type_gets_error_not_disconnect(
         self, tmp_path
