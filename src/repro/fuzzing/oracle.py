@@ -1,7 +1,9 @@
 """The differential pipeline-stage oracle.
 
-For a given kernel the oracle runs each Figure-9 pipeline *stage by
-stage*.  After every stage :func:`check_snapshot` checks the module
+For a given kernel the oracle runs each named pipeline (the pass lists
+of ``evaluation.pipelines.NAMED_PIPELINES``, the same lists that are
+served, tuned and priced) *pass by pass*: one stage per pass, after the
+``met`` stage.  After every stage :func:`check_snapshot` checks the module
 snapshot: the IR must verify, print -> parse -> print must reach a
 fixpoint, and the interpreter's output buffers must match the stage-0
 (MET output) reference up to a small float tolerance for reassociated
@@ -76,113 +78,25 @@ class Pipeline:
 
 
 def build_pipelines(fuzz_tile_size: int = 3) -> Dict[str, Pipeline]:
-    """The Figure-9 flows, staged for differential checking.
+    """Every named pipeline (``evaluation.pipelines.NAMED_PIPELINES``),
+    staged for differential checking: a ``met`` stage (the frontend's
+    undistributed output), then one stage per pass, named after it.
 
     ``fuzz_tile_size`` is deliberately tiny so the tiling pass actually
     fires on the small extents the generators emit (the production
     default of 32 would be a silent no-op).
     """
-    from ..raising import SynthRaisingPass
-    from ..tactics.raising import RaiseAffineToAffinePass, RaiseAffineToLinalgPass
-    from ..transforms import (
-        AffineToSCFPass,
-        CanonicalizePass,
-        ExpandAffineMatmulPass,
-        LinalgToAffinePass,
-        LinalgToBlasPass,
-        LoopDistributionPass,
-        SCFToLLVMPass,
-        TileLoopNestPass,
-    )
+    from ..evaluation.pipelines import NAMED_PIPELINES
+    from ..tool import _pass_registry
 
-    canonical = PipelineStage(
-        "distribute-canonicalize",
-        [
-            ("affine-loop-distribution", LoopDistributionPass),
-            ("canonicalize", CanonicalizePass),
-        ],
-    )
-
-    def met_stage() -> PipelineStage:
-        return PipelineStage("met", [])
-
+    registry = _pass_registry([fuzz_tile_size])
     return {
-        "mlt-linalg": Pipeline(
-            "mlt-linalg",
-            [
-                met_stage(),
-                canonical,
-                PipelineStage(
-                    "raise-linalg",
-                    [("raise-affine-to-linalg", RaiseAffineToLinalgPass)],
-                ),
-                PipelineStage(
-                    "tile-lower",
-                    [
-                        ("convert-linalg-to-affine-loops", LinalgToAffinePass),
-                        (
-                            "affine-loop-tile",
-                            lambda: TileLoopNestPass(fuzz_tile_size),
-                        ),
-                    ],
-                ),
-            ],
-        ),
-        "mlt-blas": Pipeline(
-            "mlt-blas",
-            [
-                met_stage(),
-                canonical,
-                PipelineStage(
-                    "raise-linalg",
-                    [("raise-affine-to-linalg", RaiseAffineToLinalgPass)],
-                ),
-                PipelineStage(
-                    "blas-substitution",
-                    [("convert-linalg-to-blas", LinalgToBlasPass)],
-                ),
-            ],
-        ),
-        "mlt-synth": Pipeline(
-            "mlt-synth",
-            [
-                met_stage(),
-                canonical,
-                PipelineStage(
-                    "raise-synth",
-                    [
-                        ("raise-affine-to-linalg", RaiseAffineToLinalgPass),
-                        ("raise-affine-synth", SynthRaisingPass),
-                    ],
-                ),
-                PipelineStage(
-                    "lower-loops",
-                    [("convert-linalg-to-affine-loops", LinalgToAffinePass)],
-                ),
-            ],
-        ),
-        "mlt-affine": Pipeline(
-            "mlt-affine",
-            [
-                met_stage(),
-                canonical,
-                PipelineStage(
-                    "raise-affine",
-                    [("raise-affine-to-affine", RaiseAffineToAffinePass)],
-                ),
-                PipelineStage(
-                    "expand-matmul",
-                    [("affine-expand-matmul", ExpandAffineMatmulPass)],
-                ),
-                PipelineStage(
-                    "lower-llvm",
-                    [
-                        ("lower-affine", AffineToSCFPass),
-                        ("convert-scf-to-llvm", SCFToLLVMPass),
-                    ],
-                ),
-            ],
-        ),
+        name: Pipeline(
+            name,
+            [PipelineStage("met")]
+            + [PipelineStage(p, [(p, registry[p])]) for p in passes],
+        )
+        for name, passes in NAMED_PIPELINES.items()
     }
 
 

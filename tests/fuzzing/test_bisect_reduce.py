@@ -18,6 +18,7 @@ from repro.fuzzing import (
 from repro.fuzzing.oracle import Pipeline, PipelineStage
 from repro.ir.pass_manager import FunctionPass
 from repro.met import compile_c
+from repro.transforms import LinalgToAffinePass
 from repro.transforms.tiling import TilingError, tile_perfect_nest
 
 
@@ -59,19 +60,18 @@ class InvalidIRPass(FunctionPass):
 
 
 def buggy_linalg_pipeline() -> Pipeline:
+    """``mlt-linalg`` with its tiled contraction lowering replaced by the
+    full loop lowering and the buggy tiling, one stage per pass."""
     base = build_pipelines()["mlt-linalg"]
-    lower = base.stages[-1]
-    assert lower.name == "tile-lower"
+    assert base.stages[-1].name == "convert-linalg-contractions-to-tiled-loops"
     return Pipeline(
         "mlt-linalg-buggy",
         list(base.stages[:-1])
         + [
-            PipelineStage(
-                "tile-lower",
-                [
-                    lower.passes[0],  # convert-linalg-to-affine-loops
-                    ("affine-loop-tile-buggy", OffByOneTilePass),
-                ],
+            PipelineStage(name, [(name, factory)])
+            for name, factory in (
+                ("convert-linalg-to-affine-loops", LinalgToAffinePass),
+                ("affine-loop-tile-buggy", OffByOneTilePass),
             )
         ],
     )
@@ -92,7 +92,7 @@ class TestPlantedMiscompile:
         report = run_oracle(KERNEL.source, planted, KERNEL.func_name, seed=3)
         assert not report.ok
         failure = report.first_failure
-        assert failure.stage == "tile-lower"
+        assert failure.stage == "affine-loop-tile-buggy"
         assert failure.kind == "diff"
         assert "elements differ" in failure.detail
 
@@ -107,10 +107,10 @@ class TestPlantedMiscompile:
         )
         assert result.reproduced
         assert result.culprit_pass == "affine-loop-tile-buggy"
-        assert result.stage == "tile-lower"
+        assert result.stage == "affine-loop-tile-buggy"
         assert result.kind == "diff"
-        # it's the 5th pass of the flattened pipeline (0-based index 4)
-        assert result.index == 4
+        # it's the 4th pass of the flattened pipeline (0-based index 3)
+        assert result.index == 3
 
     def test_reduction_reaches_ten_lines(self, planted):
         def still_fails(source: str) -> bool:
