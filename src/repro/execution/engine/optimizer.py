@@ -324,25 +324,6 @@ def apply_stage_meta(stats: OptStats, meta: Dict) -> None:
             setattr(stats, key, getattr(stats, key) + value)
 
 
-def run_function_stage(
-    pass_cache, func, stage_name, config, fn, stats, fp=None
-):
-    """Run (or replay from cache) one optimizer stage on one function.
-
-    Returns ``(func, fp)`` — the possibly-respliced function op plus
-    its post-stage fingerprint (``None`` when unknown); the caller
-    threads both back into its per-function lists so consecutive cache
-    hits fingerprint each function once, not once per stage.
-    """
-    from ...ir.pass_cache import cached_stage
-
-    func, meta, fp = cached_stage(
-        pass_cache, func, stage_name, config, _stage_runner(fn), fp=fp
-    )
-    apply_stage_meta(stats, meta)
-    return func, fp
-
-
 def run_optimizer(
     module: Operation,
     mode: str = "full",

@@ -42,7 +42,6 @@ from .core import (  # noqa: F401
 )
 from .pass_cache import (  # noqa: F401
     PassResultCache,
-    cached_stage,
     fingerprint_function,
 )
 from .pass_manager import (  # noqa: F401

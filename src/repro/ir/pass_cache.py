@@ -19,13 +19,16 @@ There is one memo path, :class:`FunctionCursor`, and it is the only
 code that looks an entry up (:meth:`~FunctionCursor.replay`), records
 one (:meth:`~FunctionCursor.execute`) or turns one back into IR
 (:meth:`~FunctionCursor.settle`).  ``PassManager`` (passes) and
-:func:`cached_stage` (schedule steps: the optimizer, the engine,
-``mlt-tune``) are its two callers.  Consecutive hits only advance the
-cursor's fingerprint along the entries' ``fp`` chain; the last
-``rewrite`` entry of the chain is parsed and spliced once, when
-something has to look at the function.  A chain of per-pass hits *is*
-the pipeline prefix, so a cold process re-compiling an unchanged
-function pays one parse, not one per rewriting pass.
+``scheduling.interpreter.apply_schedule`` (schedule steps: the
+optimizer, the engine, ``mlt-tune``) are its two callers.  Consecutive
+hits only advance the cursor's fingerprint along the entries' ``fp``
+chain; the last ``rewrite`` entry of the chain is parsed and spliced
+once, when something has to look at the function.  A chain of per-pass
+hits *is* the pipeline prefix, so a cold process re-compiling an
+unchanged function pays one parse, not one per rewriting pass.  And
+the fingerprint a chain reaches names the function before any splice:
+a schedule search keys a candidate on it and builds nothing for one
+whose fingerprints an earlier candidate already reached.
 
 Invalidation is purely content-addressed: any IR change produces a new
 function fingerprint, any pass-config or driver change a new key, and
@@ -301,46 +304,3 @@ class FunctionCursor:
             entry["meta"] = meta
         cache.put(cache.key(fp, name, config), entry)
         return self.fp != fp, meta
-
-
-def cached_stage(
-    cache: Optional[PassResultCache],
-    func: FuncOp,
-    stage_name: str,
-    config: str,
-    runner: Callable[[FuncOp], Optional[dict]],
-    fp: Optional[str] = None,
-) -> Tuple[FuncOp, dict, Optional[str]]:
-    """Memoize an arbitrary function-local transform through ``cache``.
-
-    ``runner(func)`` mutates ``func`` in place and returns a JSON-safe
-    ``meta`` dict of counter deltas (or None).  On a hit the runner is
-    skipped: a ``rewrite`` entry splices the cached result into the
-    enclosing module, and the stored ``meta`` is replayed so
-    stats-based observability (``OptStats`` stages, schedule reports)
-    stays identical to an uncached run.
-
-    ``fp``, when given, is the caller-known fingerprint of ``func`` —
-    stage drivers thread the returned fingerprint into the next stage
-    so a chain of cache hits prints each function once, not once per
-    stage.  Pass it only when nothing can have mutated ``func`` since
-    the fingerprint was taken.
-
-    Returns ``(func, meta, fp)`` — ``func`` may be a fresh op after a
-    splice, and ``fp`` is the post-stage fingerprint (``None`` when the
-    stage bypassed the cache, i.e. the result is unknown).
-    """
-
-    def run(target: FuncOp):
-        return None, dict(runner(target) or {})
-
-    if cache is None:
-        return func, run(func)[1], None
-    cursor = FunctionCursor(cache, func, fp)
-    entry = cursor.replay(stage_name, config, run)
-    if entry is not None:
-        meta = dict(entry.get("meta") or {})
-        cursor.settle()
-    else:
-        meta = cursor.execute(stage_name, config, run)[1]
-    return cursor.func, meta, cursor.fp

@@ -3,8 +3,8 @@
 The tuner turns the transform dialect into a search space: every
 candidate is a parameter point (:func:`enumerate_space`) reified as a
 schedule module (:func:`~.interpreter.schedule_from_params`), applied
-to a clone of the payload, and timed on deterministic real inputs.
-Candidates shard across the persistent worker pool
+to the payload, and timed on deterministic real inputs.  Candidates
+shard across the persistent worker pool
 (:func:`repro.runtime.pool.parallel_map`), so the search parallelizes
 exactly like the fuzz campaigns and the corpus driver.
 
@@ -12,7 +12,10 @@ The search is content-addressed on what codegen consumes: a candidate
 is identified by the kernel-cache key of its *post-schedule* payload,
 so parameter points whose steps were all no-ops on this payload are one
 kernel — compiled, warmed and timed once — and tie exactly, with the
-default point winning ties.
+default point winning ties.  A candidate is keyed before it is built
+(:class:`~.interpreter.KeyedSearch`): when its steps only hit the pass
+cache and end where an earlier candidate's did, it reuses that
+candidate's kernel key without cloning, splicing or printing any IR.
 
 The winning schedule persists in the disk cache's ``schedules/``
 namespace (beside ``modules/`` and ``kernels/``), keyed by the payload
@@ -94,14 +97,23 @@ def _init_worker(config: dict) -> None:
     cold."""
     global _WORKER_STATE
     from ..ir.parser import parse_module
+    from .interpreter import KeyedSearch
 
     state = dict(config)
-    state["module"] = parse_module(config["module_text"])
+    payload = config["payload"]
+    # Text only where the payload crosses into a worker process; a
+    # keyed search never mutates the module it is handed.
+    if isinstance(payload, str):
+        payload = parse_module(payload)
+    state["module"] = payload
     # One store per worker, shared across every candidate this worker
     # evaluates: a schedule step already applied to the same function
     # text runs once (with a disk root the whole pool shares it), and
     # candidates that leave the same payload behind share one kernel.
     state["store"] = ArtifactStore(config["cache_dir"])
+    # Outcome -> kernel key: a candidate whose steps only hit the pass
+    # cache and land where an earlier one did touches no IR.
+    state["search"] = KeyedSearch()
     state["measured"] = {}
     _WORKER_STATE = state
 
@@ -129,9 +141,9 @@ def _time_kernel(engine, func_name, repeats, seed):
 
 
 def _evaluate_candidate(unit) -> Dict:
-    """One tuning evaluation: apply the parameter point's schedule to a
-    clone of the payload, then compile and time the result — unless an
-    earlier candidate already left the same payload behind."""
+    """One tuning evaluation: key the parameter point's schedule on the
+    payload, and build, compile and time only what no earlier candidate
+    left behind."""
     index, params = unit
     state = _WORKER_STATE
     from ..execution.engine.engine import ExecutionEngine
@@ -141,21 +153,28 @@ def _evaluate_candidate(unit) -> Dict:
     before = (
         pass_cache.stats.snapshot() if pass_cache is not None else None
     )
-    target = state["module"].clone()
+    search = state["search"]
     applied = apply_schedule(
-        schedule_from_params(params), target, pass_cache=pass_cache
+        schedule_from_params(params),
+        state["module"],
+        pass_cache=pass_cache,
+        keyed=search,
     )
-    engine = ExecutionEngine(
-        target,
-        cache=state["store"].kernels,
-        vectorize=applied.vectorize or "nest",
-    )
-    kernel_key = engine.compiled.key
-    measured = state["measured"].get(kernel_key)
-    if measured is None:
-        measured = state["measured"][kernel_key] = _time_kernel(
-            engine, state["func_name"], state["repeats"], state["seed"]
+    kernel_key = search.known.get(applied.outcome)
+    if kernel_key is None:
+        engine = ExecutionEngine(
+            applied.payload,
+            cache=state["store"].kernels,
+            vectorize=applied.vectorize or "nest",
         )
+        kernel_key = engine.compiled.key
+        if kernel_key not in state["measured"]:
+            state["measured"][kernel_key] = _time_kernel(
+                engine, state["func_name"], state["repeats"], state["seed"]
+            )
+        if applied.outcome is not None:
+            search.known[applied.outcome] = kernel_key
+    measured = state["measured"][kernel_key]
     row = {
         "index": index,
         "params": params,
@@ -222,7 +241,7 @@ def autotune_kernel(
     from ..evaluation.pipelines import build_module
     from ..execution.engine.engine import ExecutionEngine
     from ..ir.printer import print_module
-    from ..runtime.pool import parallel_map
+    from ..runtime.pool import parallel_map, resolve_jobs
     from .interpreter import schedule_from_params
 
     spec = get_kernel(kernel)
@@ -267,8 +286,9 @@ def autotune_kernel(
         }
 
     points = enumerate_space()[: max(1, budget)]
+    inline = resolve_jobs(jobs) <= 1 or len(points) <= 1
     config = {
-        "module_text": print_module(module),
+        "payload": module if inline else print_module(module),
         "func_name": spec.func_name,
         "repeats": repeats,
         "seed": seed,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..dialects.affine import perfect_nest
 from ..dialects.transform import (
@@ -40,12 +40,14 @@ from ..execution.engine.optimizer import (
     OptStats,
     _eliminate_redundant_loops,
     _function_is_optimizable,
+    _stage_runner,
+    apply_stage_meta,
     heuristic_tile_sizes,
-    run_function_stage,
     tile_nests,
 )
 from ..execution.engine.vectorize import band_collapses
 from ..ir import ModuleOp, Operation
+from ..ir.pass_cache import FunctionCursor
 from ..telemetry import delta
 from ..transforms.canonicalize import canonicalize
 from ..transforms.copy_elimination import copy_eliminate
@@ -74,11 +76,21 @@ class ScheduleResult:
     ``transform.vectorize`` step requested (``None`` when the schedule
     leaves the engine default in charge); ``raise_stats`` is the
     raising snapshot when a ``transform.raise`` step ran.
+
+    ``outcome`` names what the steps left behind, read off the pass
+    cache: the requested codegen mode and the fingerprint each matched
+    function ended at.  On one payload, equal outcomes are equal
+    modules, hence one kernel.  It is ``None`` without a pass cache and
+    after a ``raise`` step or a second ``match``, which read or rewrite
+    more than the matched functions.  ``payload`` is the module the
+    steps rewrote, ``None`` when a keyed application built nothing.
     """
 
     stats: OptStats = field(default_factory=OptStats)
     vectorize: Optional[str] = None
     raise_stats: Optional[dict] = None
+    outcome: Optional[tuple] = None
+    payload: Optional[ModuleOp] = None
 
     def snapshot(self) -> dict:
         snap = self.stats.snapshot()
@@ -214,69 +226,186 @@ STEP_TABLE = {
 }
 
 
+class KeyedSearch:
+    """Many schedules applied to one payload, each keyed before it is
+    built.
+
+    Passed to :func:`apply_schedule` as ``keyed``, it leaves the payload
+    untouched, and every step is first a pass-cache lookup that only
+    advances the matched functions' fingerprints.  So the schedule's
+    ``outcome`` is known before any IR is.  An application whose
+    outcome is in ``known`` (the outcomes the caller needs no IR for;
+    the tuner maps each to its kernel key) clones, parses, splices and
+    prints nothing.  Any other one clones the payload when a step first
+    has to touch IR, and finishes on the clone.
+
+    Keep one per payload: ``functions`` remembers, per symbol of the
+    untouched payload, whether ``transform.match`` takes the function
+    and its fingerprint.
+    """
+
+    def __init__(self) -> None:
+        self.known: Dict[tuple, object] = {}
+        self.functions: Dict[str, Tuple[bool, Optional[str]]] = {}
+
+
+class _Application:
+    """One :func:`apply_schedule` call: the matched functions (as
+    cursors when there is a pass cache) and the module steps write to."""
+
+    def __init__(self, payload: ModuleOp, pass_cache, keyed) -> None:
+        self.payload = payload
+        self.cache = pass_cache
+        self.keyed = keyed
+        # A keyed payload is read-only.  Steps write to its clone, made
+        # when one first has to touch IR: at once without a pass cache,
+        # where every step does.
+        self.module: Optional[ModuleOp] = payload
+        if keyed is not None:
+            self.module = None if pass_cache is not None else payload.clone()
+        self.funcs: List[Operation] = []
+        self.cursors: List[FunctionCursor] = []
+        #: Whether the cursors' fingerprints say all the steps did.
+        self.exact = pass_cache is not None
+
+    def writable(self) -> ModuleOp:
+        if self.module is None:
+            self.module = self.payload.clone()
+            twins = dict(
+                zip(map(id, self.payload.functions), self.module.functions)
+            )
+            for cursor in self.cursors:
+                cursor.func = twins[id(cursor.func)]
+        return self.module
+
+    def settle(self) -> ModuleOp:
+        module = self.writable()
+        for cursor in self.cursors:
+            cursor.settle()
+        return module
+
+    def match(self, step, stats: OptStats, again: bool) -> None:
+        if again:
+            # It reads what the steps so far left behind.
+            self.exact = False
+            self.settle()
+        source = self.payload if self.module is None else self.module
+        memo = None
+        if self.keyed is not None and source is self.payload:
+            memo = self.keyed.functions
+        self.funcs, self.cursors = [], []
+        for func in source.functions:
+            stats.functions_seen += 1
+            if step.target is not None and func.sym_name != step.target:
+                continue
+            facts = memo.get(func.sym_name) if memo is not None else None
+            if facts is None:
+                facts = (_function_is_optimizable(func), None)
+            if not facts[0]:
+                stats.functions_skipped += 1
+            elif self.cache is None:
+                self.funcs.append(func)
+            else:
+                cursor = FunctionCursor(self.cache, func, facts[1])
+                self.cursors.append(cursor)
+                facts = (True, cursor.fp)
+            if memo is not None:
+                memo[func.sym_name] = facts
+
+    def stage(self, step, stats: OptStats) -> None:
+        body, config_of = STEP_TABLE[step.name]
+        runner = _stage_runner(partial(body, step))
+        for func in self.funcs:
+            apply_stage_meta(stats, runner(func))
+        config = config_of(step)
+
+        def run(func):
+            return None, runner(func)
+
+        for cursor in self.cursors:
+            entry = cursor.replay(step.name, config, run)
+            if entry is not None:
+                meta = entry.get("meta") or {}
+            else:
+                self.writable()
+                cursor.settle()
+                meta = cursor.execute(step.name, config, run)[1]
+            apply_stage_meta(stats, meta)
+
+    def raise_tiers(self, mode: str) -> Dict[str, int]:
+        module = self.settle()
+        self.exact = False
+        callsites = _raise_payload(module, mode)
+        # Module-level rewrite: every fingerprint is stale.
+        self.cursors = [
+            FunctionCursor(self.cache, cursor.func) for cursor in self.cursors
+        ]
+        return callsites
+
+    def run(self, sequence: SequenceOp) -> ScheduleResult:
+        result = ScheduleResult(stats=OptStats(mode="schedule"))
+        stats = result.stats
+        matched = False
+        for step in sequence.steps():
+            if step.name == "transform.match":
+                self.match(step, stats, again=matched)
+                matched = True
+                continue
+            if not matched:
+                raise ScheduleError(
+                    f"{step.name} before any transform.match — nothing to "
+                    f"transform"
+                )
+            before = stats._counter_values()
+            if step.name in STEP_TABLE:
+                self.stage(step, stats)
+            elif step.name == "transform.vectorize":
+                result.vectorize = step.mode
+            elif step.name == "transform.raise":
+                result.raise_stats = self.raise_tiers(step.mode)
+            else:
+                raise ScheduleError(f"unknown schedule step {step.name}")
+            stats.stages.append(
+                {"stage": step.name, **delta(stats._counter_values(), before)}
+            )
+        if self.exact:
+            result.outcome = (
+                result.vectorize,
+                tuple(cursor.fp for cursor in self.cursors),
+            )
+            if self.keyed is not None and result.outcome in self.keyed.known:
+                return result
+        result.payload = self.settle()
+        if isinstance(result.payload, ModuleOp):
+            result.payload.bump_version()
+        return result
+
+
 def apply_schedule(
-    schedule, payload: ModuleOp, pass_cache=None
+    schedule,
+    payload: ModuleOp,
+    pass_cache=None,
+    keyed: Optional[KeyedSearch] = None,
 ) -> ScheduleResult:
     """Apply ``schedule`` (a schedule module or sequence) to ``payload``
-    in place and return the populated :class:`ScheduleResult`.
+    and return the populated :class:`ScheduleResult`.
 
     ``pass_cache`` memoizes each step's result per function, so
     schedule search re-applying dozens of candidates to one payload
     pays for the shared prefix (match / fuse / copy_elim / ...) exactly
     once — only the schedule-dependent suffix executes per candidate.
-    ``raise`` steps are module-level and bypass the cache.
+    Each matched function keeps one
+    :class:`~repro.ir.pass_cache.FunctionCursor` across the steps, as
+    ``PassManager`` does across passes: its run of hits is spliced
+    once, when a step misses on it, a module-level ``raise`` step (it
+    bypasses the cache) or a second ``match`` reads the module, or the
+    schedule ends.
+
+    Without ``keyed`` the payload is rewritten in place.  With a
+    :class:`KeyedSearch` it is left alone; see there.
     """
-    sequence = _schedule_sequence(schedule)
-    result = ScheduleResult(stats=OptStats(mode="schedule"))
-    stats = result.stats
-
-    funcs: List[Operation] = []
-    fps: List[Optional[str]] = []
-    matched = False
-
-    for step in sequence.steps():
-        if step.name == "transform.match":
-            matched = True
-            funcs = []
-            for func in payload.functions:
-                stats.functions_seen += 1
-                if step.target is not None and func.sym_name != step.target:
-                    continue
-                if _function_is_optimizable(func):
-                    funcs.append(func)
-                else:
-                    stats.functions_skipped += 1
-            fps = [None] * len(funcs)
-            continue
-        if not matched:
-            raise ScheduleError(
-                f"{step.name} before any transform.match — nothing to "
-                f"transform"
-            )
-        before = stats._counter_values()
-        if step.name in STEP_TABLE:
-            body, config_of = STEP_TABLE[step.name]
-            stage, config = partial(body, step), config_of(step)
-            for index, func in enumerate(funcs):
-                funcs[index], fps[index] = run_function_stage(
-                    pass_cache, func, step.name, config, stage, stats,
-                    fp=fps[index],
-                )
-        elif step.name == "transform.vectorize":
-            result.vectorize = step.mode
-        elif step.name == "transform.raise":
-            result.raise_stats = _raise_payload(payload, step.mode)
-            # Module-level rewrite: every memoized fingerprint is stale.
-            fps = [None] * len(funcs)
-        else:
-            raise ScheduleError(f"unknown schedule step {step.name}")
-        stats.stages.append(
-            {"stage": step.name, **delta(stats._counter_values(), before)}
-        )
-
-    if isinstance(payload, ModuleOp):
-        payload.bump_version()
-    return result
+    application = _Application(payload, pass_cache, keyed)
+    return application.run(_schedule_sequence(schedule))
 
 
 def _raise_payload(payload: ModuleOp, mode: str) -> Dict[str, int]:

@@ -26,7 +26,6 @@ from repro.ir import (
     apply_conversion,
     apply_patterns_snapshot,
     apply_patterns_worklist,
-    cached_stage,
     fingerprint_function,
     print_module,
 )
@@ -712,64 +711,121 @@ class TestStaleFingerprintRegressions:
         assert snap["executions"] == 1
 
 
-class TestCachedStage:
-    def _func(self):
+#: Clean on both TWO_FUNCS functions, with a counter that moves.
+CLEAN_STEPS = """
+module {
+  transform.sequence {
+    %0 = transform.match
+    %1 = transform.dead_loops %0
+    %2 = transform.canonicalize %1
+  }
+}
+"""
+
+
+class TestScheduleStepCached:
+    """Schedule steps through the one memo path: ``apply_schedule``
+    holds a ``FunctionCursor`` per matched function across its steps."""
+
+    @pytest.fixture
+    def bodies(self, monkeypatch):
+        """Every stage body that really ran, by step mnemonic."""
+        from repro.scheduling import interpreter
+
+        ran = []
+        table = {
+            name: (
+                lambda step, func, scratch, _name=name, _body=body: (
+                    ran.append(_name) or _body(step, func, scratch)
+                ),
+                config,
+            )
+            for name, (body, config) in interpreter.STEP_TABLE.items()
+        }
+        monkeypatch.setattr(interpreter, "STEP_TABLE", table)
+        return ran
+
+    def _apply(self, text, cache, module=None, keyed=None):
+        from repro.scheduling.interpreter import apply_schedule
+
+        module = compile_c(TWO_FUNCS) if module is None else module
+        return apply_schedule(parse_module(text), module, cache, keyed=keyed)
+
+    def test_uncached_steps_run_on_the_payload_functions(self, bodies):
         module = compile_c(TWO_FUNCS)
-        return module, module.functions[0]
-
-    def test_none_cache_passthrough(self):
-        _, func = self._func()
-        ran = []
-        out, meta, fp = cached_stage(
-            None, func, "s", "", lambda f: ran.append(f) or {"n": 1}
+        funcs = list(module.functions)
+        result = self._apply(CLEAN_STEPS, None, module)
+        assert bodies == (
+            ["transform.dead_loops"] * 2 + ["transform.canonicalize"] * 2
         )
-        assert out is func and meta == {"n": 1} and ran
-        assert fp is None  # bypassed: post-stage fingerprint unknown
+        assert result.payload is module and module.functions == funcs
+        assert result.outcome is None  # no cache: nothing to key on
 
-    def test_clean_hit_replays_meta_without_running(self):
+    def test_clean_hit_replays_stats_without_running(self, bodies):
+        # Fusion refuses the pair (different trip counts): the function
+        # is left as it was, and the refusal is counted.
+        misaligned = """
+        void f(float A[8], float B[4]) {
+          for (int i = 0; i < 8; i++) A[i] = A[i] * 2.0;
+          for (int i = 0; i < 4; i++) B[i] = A[i] + 1.0;
+        }
+        """
+        steps = CLEAN_STEPS.replace("dead_loops", "fuse")
         cache = PassResultCache()
-        module, func = self._func()
-        cached_stage(cache, func, "s", "", lambda f: {"n": 3})
-        ran = []
-        out, meta, fp = cached_stage(
-            cache, func, "s", "", lambda f: ran.append(f)
+        cold = self._apply(steps, cache, compile_c(misaligned))
+        executed = list(bodies)
+        module = compile_c(misaligned)
+        funcs = list(module.functions)
+        warm = self._apply(steps, cache, module)
+        assert bodies == executed  # no body ran twice
+        assert warm.snapshot() == cold.snapshot()
+        assert warm.stats.fusion_bails  # replayed from the entry
+        assert module.functions == funcs  # clean results: no splice
+        assert warm.outcome == cold.outcome == (
+            None,
+            tuple(fingerprint_function(f) for f in funcs),
         )
-        assert not ran and meta == {"n": 3}
-        assert out is func  # clean result: no splice
-        assert fp == fingerprint_function(func)
 
-    def test_threaded_fingerprint_skips_reprinting(self):
+    def test_keyed_search_fingerprints_each_function_once(
+        self, monkeypatch
+    ):
+        import repro.ir.pass_cache as pass_cache_mod
+        from repro.scheduling.interpreter import KeyedSearch
+
+        printed = []
+        real = pass_cache_mod.print_module
+        monkeypatch.setattr(
+            pass_cache_mod,
+            "print_module",
+            lambda op: printed.append(op) or real(op),
+        )
+        cache, search = PassResultCache(), KeyedSearch()
+        module = compile_c(TWO_FUNCS)
+        first = self._apply(CLEAN_STEPS, cache, module, search)
+        cold_prints = len(printed)
+        assert cold_prints > 0
+        search.known[first.outcome] = "built"
+        again = self._apply(CLEAN_STEPS, cache, module, search)
+        # Entry fingerprints are remembered, every step hits: no print.
+        assert len(printed) == cold_prints and again.payload is None
+        assert again.outcome == first.outcome
+
+    def test_rewrite_hit_splices_byte_identical(self, bodies):
+        schedule = print_module(_tile_schedule("size = 8"))
         cache = PassResultCache()
-        module, func = self._func()
-        _, _, fp = cached_stage(cache, func, "s", "", lambda f: None)
-        # With the fingerprint threaded the hit path never prints.
-        out, meta, fp2 = cached_stage(
-            cache, func, "s", "", lambda f: None, fp=fp
+        cold = self._apply(
+            schedule, cache, compile_c(TILABLE, distribute=False)
         )
-        assert fp2 == fp
-        assert cache.stats.snapshot()["hits"] == 1
+        reference = print_module(cold.payload)
+        executed = list(bodies)
 
-    def test_rewrite_hit_splices_byte_identical(self):
-        def mutate(func):
-            from repro.transforms.fusion import greedy_fuse
-
-            greedy_fuse(func)
-            return {"fused": 1}
-
-        cache = PassResultCache()
-        module, func = self._func()
-        cached_stage(cache, func, "fuse", "", mutate)
-        reference = print_module(module)
-
-        module2, func2 = self._func()
-        ran = []
-        out, meta, _ = cached_stage(
-            cache, func2, "fuse", "", lambda f: ran.append(f)
-        )
-        if cache.stats.snapshot()["spliced"]:
-            assert out is not func2
-        assert not ran
-        assert print_module(module2) == reference
+        module = compile_c(TILABLE, distribute=False)
+        func = module.functions[0]
+        self._apply(schedule, cache, module)
+        assert bodies == executed
+        assert module.functions[0] is not func  # spliced
+        assert cache.stats.snapshot()["spliced"] == 1  # once per chain
+        assert print_module(module) == reference
 
 
 # A reduction-like nest the vectorizer rejects and the tiler takes (the

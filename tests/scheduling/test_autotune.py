@@ -184,6 +184,35 @@ def test_checksum_mismatch_still_rejected(monkeypatch, merged):
     assert row["best_params"] == default_params()
 
 
+def test_a_repeat_candidate_touches_no_ir(monkeypatch, merged):
+    # Under the unraised pipeline 2mm has several kernels; a candidate
+    # is built (one payload clone) only when a step missed the pass
+    # cache or its outcome is new, and compiled only when its outcome is
+    # new.  Every other candidate is answered from its outcome's key.
+    from repro.execution.engine.engine import ExecutionEngine
+    from repro.ir import ModuleOp
+
+    clones, engines = [], []
+    real_clone, real_init = ModuleOp.clone, ExecutionEngine.__init__
+
+    def counting_clone(self, *args, **kwargs):
+        clones.append(self)
+        return real_clone(self, *args, **kwargs)
+
+    def counting_init(self, *args, **kwargs):
+        engines.append(args[0])
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ModuleOp, "clone", counting_clone)
+    monkeypatch.setattr(ExecutionEngine, "__init__", counting_init)
+    row = autotune_kernel("2mm", budget=24, repeats=1, pipeline="baseline")
+    (candidates,) = merged
+    missed = [c for c in candidates if c["pass_cache"].get("misses")]
+    assert row["distinct_kernels"] > 1
+    assert len(engines) == row["distinct_kernels"]
+    assert len(missed) <= len(clones) < row["evaluations"]
+
+
 def test_no_memo_survives_a_search(monkeypatch):
     import repro.execution.engine.engine as engine_module
 

@@ -27,7 +27,8 @@ from repro.scheduling import (
     random_schedule,
     schedule_from_params,
 )
-from repro.scheduling.interpreter import STEP_TABLE
+from repro.scheduling.autotune import enumerate_space
+from repro.scheduling.interpreter import STEP_TABLE, KeyedSearch
 
 from ..conftest import assert_close
 
@@ -122,6 +123,54 @@ def test_random_schedules_preserve_semantics(kernel):
         )
         for got, want in zip(actual, expected):
             assert_close(got, want, rtol=1e-5)
+
+
+def test_keyed_application_builds_what_in_place_application_builds():
+    # The unraised payload, where the tuner's points really differ.
+    # Every point is applied twice: in place to a fresh payload without
+    # a cache, and keyed to one shared payload through one cache.
+    source = get_kernel("2mm").small()
+    payload = build_module(source, "baseline")
+    pristine = print_module(payload)
+    cache = PassResultCache()
+    search = KeyedSearch()
+    texts = {}
+    for params in enumerate_space():
+        schedule = schedule_from_params(params)
+        reference = build_module(source, "baseline")
+        expected = apply_schedule(schedule, reference)
+        keyed = apply_schedule(schedule, payload, cache, keyed=search)
+        text = print_module(keyed.payload)
+        assert text == print_module(reference)
+        assert keyed.snapshot() == expected.snapshot()
+        # equal outcomes are equal modules
+        assert texts.setdefault(keyed.outcome, text) == text
+    assert print_module(payload) == pristine
+    assert 1 < len(texts) < len(enumerate_space())
+
+    # Once every outcome is known, no point builds anything, and the
+    # stats still come back whole.
+    search.known.update(texts)
+    for params in enumerate_space():
+        schedule = schedule_from_params(params)
+        again = apply_schedule(schedule, payload, cache, keyed=search)
+        assert again.payload is None and again.outcome in texts
+        expected = apply_schedule(schedule, build_module(source, "baseline"))
+        assert again.snapshot() == expected.snapshot()
+
+
+def test_outcome_needs_a_pass_cache_and_function_local_steps():
+    payload = _payload("gemm")
+    assert apply_schedule(canned_schedule("full"), payload).outcome is None
+    two_matches = parse_module(
+        "module {\n  transform.sequence {\n"
+        "    %0 = transform.match\n"
+        "    %1 = transform.canonicalize %0\n"
+        "    %2 = transform.match\n"
+        "  }\n}\n"
+    )
+    result = apply_schedule(two_matches, _payload("gemm"), PassResultCache())
+    assert result.outcome is None and result.payload is not None
 
 
 def test_schedule_result_reports_stats():
