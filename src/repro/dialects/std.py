@@ -11,7 +11,7 @@ from typing import Union
 
 from ..ir.attributes import FloatAttr, IntegerAttr
 from ..ir.core import IRError, Operation, register_op
-from ..ir.types import F32Type, F64Type, IndexType, IntegerType, Type, is_float
+from ..ir.types import IndexType, IntegerType, Type, is_float
 from ..ir.values import Value
 
 
@@ -327,7 +327,3 @@ class DeallocOp(Operation):
     @staticmethod
     def create(memref: Value) -> "DeallocOp":
         return DeallocOp(operands=[memref])
-
-
-#: Ops a multiply-accumulate body may consist of, used by matchers.
-FLOAT_BINARY_OPS = (AddFOp, SubFOp, MulFOp, DivFOp, MaxFOp)

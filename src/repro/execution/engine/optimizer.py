@@ -29,9 +29,10 @@ vectorizer, mirroring Parakeet's ``Fusion`` / ``CopyElimination`` /
 ``opt_mode`` selects the pipeline: ``"none"`` (no-op), ``"fuse"``
 (stage 1 only), ``"full"`` (all stages).  A pipeline is a canned
 transform-dialect schedule (``scheduling.interpreter.canned_schedule``)
-and :func:`run_optimizer` applies it through the one schedule
-interpreter; this module holds what the stages share — the soundness
-gate, the counters, and the dead-loop and tiling stage bodies.
+and :func:`run_optimizer` applies it; every stage is a function pass,
+run by the one ``PassManager``.  This module holds what is the
+optimizer's own: the soundness gate, the counters, the dead-loop
+pass, the fuse step's veto and the tile step's size rules.
 
 Soundness gate: a function is only optimized when every op it contains
 comes from a whitelist whose memory effects the legality analyses can
@@ -44,19 +45,18 @@ blas, scf, llvm, calls — is left untouched and counted in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
-from ...analysis.accesses import access_function, collect_accesses
+from ...analysis.accesses import access_function
 from ...dialects.affine import (
     AffineForOp,
     AffineLoadOp,
     AffineStoreOp,
-    outermost_loops,
     perfect_nest,
 )
-from ...ir import Operation
-from ...telemetry import add, delta
-from ...transforms.tiling import TilingError, tile_perfect_nest
+from ...ir import FunctionPass, Operation
+from ...telemetry import add
+from ...transforms.tiling import TileLoopNestPass
 from .vectorize import band_collapses
 
 OPT_MODES = ("none", "fuse", "full")
@@ -95,11 +95,11 @@ _OPT_SAFE_OPS = frozenset(
 
 @dataclass
 class OptStats:
-    """Per-pipeline counters, mirroring ``VectorizeStats``.
+    """Per-pipeline counters, mirroring ``VectorizeStats``: the sum of
+    what each step's pass counted (:meth:`add`).
 
-    ``stages`` records, in execution order, the per-stage delta of
-    every counter that stage changed — the observability contract the
-    ISSUE calls a "per-stage snapshot".
+    ``stages`` records, in execution order, the per-step delta of every
+    counter that step changed, keyed by its transform mnemonic.
     """
 
     mode: str = "none"
@@ -134,6 +134,20 @@ class OptStats:
     def _counter_values(self) -> Dict[str, int]:
         return {name: getattr(self, name) for name in self._COUNTERS}
 
+    def add(self, counters: Dict, stage: Optional[str] = None) -> None:
+        """Fold in a pass's counters (they carry these fields' names); a
+        ``stage`` also gets them appended to ``stages``."""
+        for name, value in counters.items():
+            if name == "fusion_bails":
+                add(self.fusion_bails, value)
+            else:
+                setattr(self, name, getattr(self, name) + value)
+        if stage is not None:
+            self.stages.append({"stage": stage})
+            for name in self._COUNTERS if counters else ():
+                if name in counters:
+                    self.stages[-1][name] = counters[name]
+
     def snapshot(self) -> dict:
         """Plain-dict form, safe to serialize into cache artifacts."""
         snap = {
@@ -160,87 +174,80 @@ def _function_is_optimizable(func: Operation) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Redundant (idempotent) loop elimination
+# The optimizer's own passes (a schedule step names each one)
 # ----------------------------------------------------------------------
 
 
-def _eliminate_redundant_loops(func: Operation, stats: OptStats) -> None:
-    """Run idempotent loops exactly once.
+class DeadLoopsPass(FunctionPass):
+    """Run idempotent loops exactly once (``transform.dead_loops``; no
+    ``mlt-opt`` flag).
 
     A loop whose induction variable is never used and whose body reads
     no buffer it also writes performs byte-identical side effects on
     every iteration.  With a known positive trip count the loop is
     equivalent to a single execution of its body, so the body is
     spliced into the parent block and the loop erased.  Zero-trip
-    loops are left for canonicalize's empty-loop pattern.
+    loops are left for canonicalize's empty-loop pattern.  Counts
+    ``loops_eliminated``.
     """
-    changed = True
-    while changed:
-        changed = False
-        for op in list(func.walk()):
-            if not isinstance(op, AffineForOp) or op.parent_block is None:
-                continue
-            trip = op.constant_trip_count()
-            if trip is None or trip < 1:
-                continue
-            iv = op.induction_var
-            if any(
-                operand is iv
-                for nested in op.walk()
-                for operand in nested.operands
-            ):
-                continue
-            reads, writes = set(), set()
-            for nested in op.walk():
-                if isinstance(nested, AffineLoadOp):
-                    reads.add(id(nested.memref))
-                elif isinstance(nested, AffineStoreOp):
-                    writes.add(id(nested.memref))
-            if reads & writes:
-                continue
-            block = op.parent_block
-            position = block.operations.index(op)
-            for body_op in op.ops_in_body():
-                op.body.remove(body_op)
-                block.insert(position, body_op)
-                position += 1
-            op.erase()
-            stats.loops_eliminated += 1
-            changed = True
-            break
+
+    name = "affine-dead-loop-elimination"
+
+    def run_on_function(self, func, context):
+        eliminated = 0
+        changed = True
+        while changed:
+            changed = False
+            for op in list(func.walk()):
+                if not isinstance(op, AffineForOp) or op.parent_block is None:
+                    continue
+                trip = op.constant_trip_count()
+                if trip is None or trip < 1:
+                    continue
+                iv = op.induction_var
+                if any(
+                    operand is iv
+                    for nested in op.walk()
+                    for operand in nested.operands
+                ):
+                    continue
+                reads, writes = set(), set()
+                for nested in op.walk():
+                    if isinstance(nested, AffineLoadOp):
+                        reads.add(id(nested.memref))
+                    elif isinstance(nested, AffineStoreOp):
+                        writes.add(id(nested.memref))
+                if reads & writes:
+                    continue
+                block = op.parent_block
+                position = block.operations.index(op)
+                for body_op in op.ops_in_body():
+                    op.body.remove(body_op)
+                    block.insert(position, body_op)
+                    position += 1
+                op.erase()
+                eliminated += 1
+                changed = True
+                break
+        self.count(loops_eliminated=eliminated)
+        return eliminated
 
 
-# ----------------------------------------------------------------------
-# Tiling heuristic
-# ----------------------------------------------------------------------
-
-
-def _tiling_is_legal(root: AffineForOp, band: List[AffineForOp]) -> bool:
-    """Blocked execution is safe (and bit-exact) when every conflicting
-    access pair touches identical elements per iteration (all
-    dependences are distance 0, so the band is fully permutable) and
-    any read/write pair leaves at most one band IV free — the blocked
-    schedule preserves the relative order of iterations that differ in
-    a single unused IV, keeping f32 reduction order intact."""
-    band_ivs = {id(loop.induction_var) for loop in band}
-    accesses = collect_accesses(root)
-    for i, a in enumerate(accesses):
-        for b in accesses[i + 1 :]:
-            if a.memref is not b.memref or not (a.is_write or b.is_write):
-                continue
-            if not a.same_element(b):
-                return False
-            if not (a.is_write and b.is_write):
-                for acc in (a, b):
-                    used = {
-                        id(iv)
-                        for sub in acc.subscripts
-                        for iv in sub.coeffs
-                        if id(iv) in band_ivs
-                    }
-                    if len(band_ivs) - len(used) > 1:
-                        return False
-    return True
+def would_lose_collapse(first, second) -> Optional[str]:
+    """The fuse step's veto, the vectorizer's first refusal on a fusion
+    candidate: when both bands already collapse whole and one of them
+    folds a reduction, it is one ``contract``/``.sum`` call today, and
+    the fused body — two stores, or an accumulator chain once
+    ``copy_elim`` forwards the shared element — is a form neither the
+    vectorizer nor ``distribute`` gets back.  Elementwise pairs keep
+    fusing: their fused body still collapses after ``copy_elim``."""
+    first_kind = band_collapses(perfect_nest(first))
+    if first_kind is None:
+        return None
+    second_kind = band_collapses(perfect_nest(second))
+    if second_kind is None or first_kind == second_kind == "elementwise":
+        return None
+    return "would-lose-collapse"
 
 
 def heuristic_tile_sizes(
@@ -266,62 +273,24 @@ def heuristic_tile_sizes(
     return sizes
 
 
-def tile_nests(
-    func: Operation,
-    sizes_for: Callable[[List[AffineForOp]], Optional[List[int]]],
-    stats: OptStats,
-) -> None:
-    """Tile every outermost constant-bound unit-step band for which
-    ``sizes_for(band)`` returns sizes and blocking is legal.  Tiled
-    loops carry ``no_vectorize`` (see the module docstring)."""
-    for root in list(outermost_loops(func)):
-        if root.parent_block is None:
-            continue
-        band = perfect_nest(root)
-        if any(
-            not loop.has_constant_bounds() or loop.step != 1 for loop in band
-        ):
-            continue
-        sizes = sizes_for(band)
-        if sizes is None or not _tiling_is_legal(root, band):
-            continue
-        try:
-            new_loops = tile_perfect_nest(root, list(sizes))
-        except TilingError:
-            continue
-        for loop in new_loops:
-            loop.mark_no_vectorize()
-        stats.nests_tiled += 1
+class ScheduleTilePass(TileLoopNestPass):
+    """``transform.tile``'s size rules.  An int ``tile_size`` (``{size}``)
+    picks sizes with :func:`heuristic_tile_sizes`; a list (``{sizes}``)
+    tiles exactly the bands of its depth, overriding the heuristic and
+    the vectorizer's first refusal.  The dependence-legality gate holds
+    either way.  Tiled loops carry ``no_vectorize``."""
 
+    mark_no_vectorize = True
 
-# ----------------------------------------------------------------------
-# One stage on one function (what the schedule interpreter loops over)
-# ----------------------------------------------------------------------
+    def cache_config(self) -> str:
+        if isinstance(self.tile_size, int):
+            return f"size={self.tile_size}"
+        return "sizes=" + ",".join(map(str, self.tile_size))
 
-
-def _stage_runner(fn):
-    """Adapt a ``fn(func, scratch_stats)`` stage body into a pass-cache
-    runner returning the JSON-safe counter-delta dict."""
-
-    def runner(func):
-        scratch = OptStats()
-        fn(func, scratch)
-        meta = delta(scratch._counter_values(), {})
-        if scratch.fusion_bails:
-            meta["fusion_bails"] = dict(scratch.fusion_bails)
-        return meta
-
-    return runner
-
-
-def apply_stage_meta(stats: OptStats, meta: Dict) -> None:
-    """Fold one function's stage-counter deltas into ``stats`` — the
-    replay path that keeps cached runs observably identical."""
-    for key, value in meta.items():
-        if key == "fusion_bails":
-            add(stats.fusion_bails, value)
-        else:
-            setattr(stats, key, getattr(stats, key) + value)
+    def sizes_for(self, band: List[AffineForOp]) -> Optional[List[int]]:
+        if isinstance(self.tile_size, int):
+            return heuristic_tile_sizes(band, self.tile_size)
+        return self.tile_size if len(band) == len(self.tile_size) else None
 
 
 def run_optimizer(
@@ -337,8 +306,8 @@ def run_optimizer(
 
     ``pass_cache`` (a :class:`~repro.ir.pass_cache.PassResultCache`)
     memoizes every stage per function: a warm run splices cached
-    post-stage IR and replays the recorded counter deltas instead of
-    re-running the transforms.
+    post-stage IR and adds the recorded counters back instead of
+    re-running the passes.
     """
     from ...scheduling.interpreter import apply_schedule, canned_schedule
 

@@ -432,6 +432,10 @@ def check_schedule_module(
     re-checks its own legality, so *any* divergence is a transform bug
     — this is the oracle that keeps the autotuner's whole search space
     honest, not just the canned pipelines.
+
+    Each schedule is also applied through a fresh pass cache, cold and
+    then warm, and keyed on the untouched snapshot (the tuner's path):
+    printed IR and stats must equal the uncached application's.
     """
     import random
 
@@ -445,7 +449,8 @@ def check_schedule_module(
         schedule_text = print_module(schedule)
         try:
             clone = module.clone()
-            apply_schedule(schedule, clone)
+            expected = _applied_text(apply_schedule(schedule, clone))
+            detail = _cached_schedule_diff(schedule, module, expected)
             args = [a.copy() for a in base_args]
             Interpreter(clone, max_steps=max_steps).run(func_name, *args)
         except Exception as exc:
@@ -456,17 +461,43 @@ def check_schedule_module(
                 f"trial={trial}: {exc} | schedule: {schedule_text}",
                 ir_text,
             )
-        detail = _diff_detail(interpreter_outputs, args, rtol)
+        if not detail:
+            numeric = _diff_detail(interpreter_outputs, args, rtol)
+            detail = numeric and f"vs unscheduled: {numeric}"
         if detail:
             return StageResult(
                 result_name,
                 False,
                 "schedule-diff",
-                f"trial={trial} vs unscheduled: {detail} | "
-                f"schedule: {schedule_text}",
+                f"trial={trial} {detail} | schedule: {schedule_text}",
                 ir_text,
             )
     return StageResult(result_name, True, "ok", "", ir_text)
+
+
+def _cached_schedule_diff(schedule, module, expected: str) -> str:
+    """How applying ``schedule`` to ``module`` through a fresh pass
+    cache (cold, then warm, then keyed) differs from ``expected``, the
+    uncached application's printed IR and stats; "" if it does not."""
+    from ..ir import PassResultCache
+    from ..scheduling.interpreter import KeyedSearch, apply_schedule
+
+    cache = PassResultCache()
+    for how in ("cold", "warm", "keyed"):
+        keyed = KeyedSearch() if how == "keyed" else None
+        target = module if keyed else module.clone()
+        applied = apply_schedule(schedule, target, cache, keyed=keyed)
+        actual = _applied_text(applied)
+        if actual != expected:
+            return f"{how} cached application vs uncached: " + _text_diff(
+                expected, actual, "uncached", how
+            )
+    return ""
+
+
+def _applied_text(applied) -> str:
+    """A schedule application's printed IR and stats, for diffing."""
+    return f"{print_module(applied.payload)}{applied.stats.snapshot()}"
 
 
 def _crash_text(what: str, exc: Exception) -> str:

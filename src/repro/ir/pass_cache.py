@@ -12,15 +12,14 @@ Key anatomy (SHA-256 hex): one entry per ``(function fingerprint, pass
 name, pass config, pattern driver, PASS_CACHE_VERSION)``.  The value
 records whether the transform left the function byte-identical
 (``clean``) or rewrote it (``rewrite`` + the printed result IR), the
-result's fingerprint ``fp``, and an optional ``meta`` dict of counter
-deltas so observability survives a hit.
+result's fingerprint ``fp``, and an optional ``meta`` dict of what the
+pass counted on the function, added back on a hit.
 
 There is one memo path, :class:`FunctionCursor`, and it is the only
 code that looks an entry up (:meth:`~FunctionCursor.replay`), records
 one (:meth:`~FunctionCursor.execute`) or turns one back into IR
-(:meth:`~FunctionCursor.settle`).  ``PassManager`` (passes) and
-``scheduling.interpreter.apply_schedule`` (schedule steps: the
-optimizer, the engine, ``mlt-tune``) are its two callers.  Consecutive
+(:meth:`~FunctionCursor.settle`).  ``PassManager`` is its one caller,
+for passes and schedule steps alike (a step is a pass).  Consecutive
 hits only advance the cursor's fingerprint along the entries' ``fp``
 chain; the last ``rewrite`` entry of the chain is parsed and spliced
 once, when something has to look at the function.  A chain of per-pass
@@ -63,8 +62,8 @@ DEFAULT_MEMO_ENTRIES = 4096
 #:
 #: * ``hits`` / ``misses`` — per-pass memo lookups.
 #: * ``disk_hits`` — memo misses satisfied by the disk tier.
-#: * ``executions`` — ``run_on_function`` (or stage-runner) calls that
-#:   actually ran; a fully warm recompile has zero.
+#: * ``executions`` — ``run_on_function`` calls that actually ran; a
+#:   fully warm recompile has zero.
 #: * ``spliced`` — cached *rewrite* results put back into the module in
 #:   place of running the transform (one per chain of hits).
 #: * ``skipped_verifies`` — per-function re-verifies skipped because the
@@ -195,10 +194,6 @@ class PassResultCache:
         self._memo.put(key, entry)
         self.stats.bump(stores=1)
         store_record(self.disk, key, entry)
-
-    def clear(self) -> None:
-        self._memo.clear()
-        self.stats = Counters(*PASS_CACHE_COUNTERS)
 
     def __len__(self) -> int:
         return len(self._memo)

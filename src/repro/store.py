@@ -37,7 +37,7 @@ NAMESPACES = ("kernels", "modules", "passes", "schedules")
 #: Folded into every ``passes/``, ``modules/`` and ``kernels/`` key:
 #: bump whenever any pass's semantics change in a way its
 #: ``cache_config()`` does not capture.
-PASS_CACHE_VERSION = "pass-cache-v5"
+PASS_CACHE_VERSION = "pass-cache-v6"
 
 #: Codegen schema version, folded into every ``kernels/`` key.  Bump on
 #: any change to generated-source semantics (vectorizer strategy,

@@ -187,4 +187,5 @@ class CanonicalizePass(FunctionPass):
             func, _frozen_canonicalization_set(), max_iterations=_MAX_ITERATIONS
         )
         self.rewrite_results.append(result)
+        self.count(simplifications=result.num_rewrites)
         return result.changed

@@ -21,7 +21,7 @@ with non-linear maps are never forwarded or killed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..analysis.accesses import access_function
 from ..dialects.affine import AffineForOp, AffineLoadOp, AffineStoreOp
@@ -229,4 +229,10 @@ class CopyEliminationPass(FunctionPass):
     name = "affine-copy-elimination"
 
     def run_on_function(self, func, context):
-        return copy_eliminate(func).changed
+        result = copy_eliminate(func)
+        self.count(
+            stores_forwarded=result.stores_forwarded,
+            dead_stores_removed=result.dead_stores_removed,
+            dead_allocs_removed=result.dead_allocs_removed,
+        )
+        return result.changed

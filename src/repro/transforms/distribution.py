@@ -28,7 +28,7 @@ subexpression still distribute.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from ..analysis.accesses import MemoryAccess, collect_accesses
 from ..dialects.affine import AffineForOp, AffineLoadOp, AffineStoreOp
@@ -327,4 +327,6 @@ class LoopDistributionPass(FunctionPass):
     name = "affine-loop-distribution"
 
     def run_on_function(self, func, context):
-        return distribute_loops(func)
+        split = distribute_loops(func)
+        self.count(loops_distributed=split)
+        return split

@@ -99,10 +99,6 @@ def _iteration_space_mismatch(
     return "bounds-alignable-operands"
 
 
-def _same_iteration_space(a: AffineForOp, b: AffineForOp) -> bool:
-    return _iteration_space_mismatch(a, b) is None
-
-
 def can_fuse(
     first: AffineForOp,
     second: AffineForOp,
@@ -214,10 +210,6 @@ def _accumulates_in_place(access) -> bool:
             if stored and loaded and stored.same_element(loaded):
                 loads.append(load)
     return len(loads) == 1 and op in (store, loads[0])
-
-
-def _defined_values(op: Operation) -> List:
-    return list(op.results)
 
 
 def _uses_value_of(consumer: Operation, producer: Operation) -> bool:
@@ -332,13 +324,32 @@ def greedy_fuse(
 
 
 class LoopFusionPass(FunctionPass):
+    """:func:`greedy_fuse` over each function.  ``require_flow`` and
+    ``veto`` are its options; the veto's name is part of the cache
+    config.  Counts ``loops_fused`` and ``fusion_bails``."""
+
     name = "affine-loop-fusion"
 
-    def __init__(self, require_flow: bool = False):
+    def __init__(
+        self,
+        require_flow: bool = False,
+        veto: Optional[
+            Callable[[AffineForOp, AffineForOp], Optional[str]]
+        ] = None,
+    ):
         self.require_flow = require_flow
+        self.veto = veto
 
     def cache_config(self) -> str:
-        return f"flow={self.require_flow}"
+        config = f"flow={self.require_flow}"
+        if self.veto is not None:
+            config += f";veto={self.veto.__name__}"
+        return config
 
     def run_on_function(self, func, context):
-        return greedy_fuse(func, require_flow=self.require_flow)
+        bails: Dict[str, int] = {}
+        fused = greedy_fuse(
+            func, self.require_flow, bails=bails, veto=self.veto
+        )
+        self.count(loops_fused=fused, fusion_bails=bails)
+        return fused

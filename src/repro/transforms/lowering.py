@@ -335,11 +335,11 @@ class LinalgContractionsToTiledLoopsPass(TileLoopNestPass):
         self.rewrite_results.append(result)
         fresh = [loop for loop in loops() if loop not in before]
         for root in [loop for loop in fresh if loop.parent_op not in fresh]:
-            depth = len(perfect_nest(root))
-            if depth < 2:
+            band = perfect_nest(root)
+            if len(band) < 2:
                 continue
             try:
-                tile_perfect_nest(root, self._sizes_for(depth))
+                tile_perfect_nest(root, self.sizes_for(band))
             except TilingError:
                 pass
         return result.changed

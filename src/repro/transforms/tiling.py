@@ -14,9 +14,10 @@ Pluto baseline.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
-from ..dialects.affine import AffineForOp, perfect_nest
+from ..analysis.accesses import collect_accesses
+from ..dialects.affine import AffineForOp, outermost_loops, perfect_nest
 from ..ir import AffineMap, IRError, Operation
 from ..ir import affine_expr as ae
 from ..ir.pass_manager import FunctionPass
@@ -116,15 +117,82 @@ def tile_perfect_nest(
     return new_loops
 
 
-class TileLoopNestPass(FunctionPass):
-    """Tile every outermost perfect band with a fixed tile size.
+def tiling_is_legal(root: AffineForOp, band: List[AffineForOp]) -> bool:
+    """Blocked execution is safe (and bit-exact) when every conflicting
+    access pair touches identical elements per iteration (all
+    dependences are distance 0, so the band is fully permutable) and
+    any read/write pair leaves at most one band IV free — the blocked
+    schedule preserves the relative order of iterations that differ in
+    a single unused IV, keeping f32 reduction order intact."""
+    band_ivs = {id(loop.induction_var) for loop in band}
+    accesses = collect_accesses(root)
+    for i, a in enumerate(accesses):
+        for b in accesses[i + 1 :]:
+            if a.memref is not b.memref or not (a.is_write or b.is_write):
+                continue
+            if not a.same_element(b):
+                return False
+            if not (a.is_write and b.is_write):
+                for acc in (a, b):
+                    used = {
+                        id(iv)
+                        for sub in acc.subscripts
+                        for iv in sub.coeffs
+                        if id(iv) in band_ivs
+                    }
+                    if len(band_ivs) - len(used) > 1:
+                        return False
+    return True
 
-    ``tile_size`` is one edge applied at every depth, or a per-depth
-    size list (the last entry repeats for deeper bands) — the form
-    ``mlt-opt --tile-sizes`` and the schedule autotuner drive.
+
+def tile_nests(
+    func: Operation,
+    sizes_for: Callable[[List[AffineForOp]], Optional[Sequence[int]]],
+    mark_no_vectorize: bool = False,
+) -> int:
+    """Tile every outermost constant-bound unit-step band for which
+    ``sizes_for(band)`` returns sizes and blocking is legal; returns how
+    many were tiled.  ``mark_no_vectorize`` gives the new loops the
+    printed ``no_vectorize`` attribute."""
+    tiled = 0
+    for root in list(outermost_loops(func)):
+        if root.parent_block is None:
+            continue
+        band = perfect_nest(root)
+        if any(
+            not loop.has_constant_bounds() or loop.step != 1 for loop in band
+        ):
+            continue
+        sizes = sizes_for(band)
+        if sizes is None or not tiling_is_legal(root, band):
+            continue
+        try:
+            new_loops = tile_perfect_nest(root, list(sizes))
+        except TilingError:
+            continue
+        if mark_no_vectorize:
+            for loop in new_loops:
+                loop.mark_no_vectorize()
+        tiled += 1
+    return tiled
+
+
+class TileLoopNestPass(FunctionPass):
+    """Tile every outermost perfect band whose blocking is legal
+    (:func:`tile_nests`).
+
+    The size rule is the one thing that varies.  Here ``tile_size`` is
+    one edge applied at every depth, or a per-depth size list (the last
+    entry repeats for deeper bands) — the form ``mlt-opt --tile-sizes``
+    drives.  A subclass overrides :meth:`sizes_for` and
+    :meth:`cache_config`, and may mark what it tiles.  Counts
+    ``nests_tiled``.
     """
 
     name = "affine-loop-tile"
+
+    #: Whether tiled loops carry ``no_vectorize``.
+    mark_no_vectorize = False
 
     def __init__(self, tile_size=32):
         self.tile_size = tile_size
@@ -134,25 +202,17 @@ class TileLoopNestPass(FunctionPass):
             return f"tile={self.tile_size}"
         return "tile=" + ",".join(str(s) for s in self.tile_size)
 
-    def _sizes_for(self, depth: int) -> List[int]:
+    def sizes_for(self, band: List[AffineForOp]) -> Optional[List[int]]:
+        """Tile sizes for ``band``; None leaves it untiled."""
+        depth = len(band)
         if isinstance(self.tile_size, int):
             return [self.tile_size] * depth
-        sizes = list(self.tile_size)
-        if not sizes:
-            sizes = [32]
+        sizes = list(self.tile_size) or [32]
         while len(sizes) < depth:
             sizes.append(sizes[-1])
         return sizes[:depth]
 
     def run_on_function(self, func, context):
-        from ..dialects.affine import outermost_loops
-
-        tiled = 0
-        for loop in outermost_loops(func):
-            band = perfect_nest(loop)
-            try:
-                tile_perfect_nest(loop, self._sizes_for(len(band)))
-            except TilingError:
-                continue
-            tiled += 1
+        tiled = tile_nests(func, self.sizes_for, self.mark_no_vectorize)
+        self.count(nests_tiled=tiled)
         return tiled

@@ -17,10 +17,8 @@ could not (the PR-8 follow-on the autotuner searches over).
 
 from __future__ import annotations
 
-from typing import List
-
 from ..dialects.affine import AffineApplyOp, AffineForOp, outermost_loops
-from ..ir import AffineMap, Operation
+from ..ir import AffineMap, FunctionPass, Operation
 from ..ir import affine_expr as ae
 from .fusion import fuse_sibling_loops
 
@@ -99,3 +97,22 @@ def unroll_jam_loops(root: Operation, factor: int) -> int:
         if unroll_jam_loop(loop, factor):
             count += 1
     return count
+
+
+class UnrollJamPass(FunctionPass):
+    """:func:`unroll_jam_loops` by ``factor`` over each function (a
+    schedule's ``transform.unroll_jam``; no ``mlt-opt`` flag).  Counts
+    ``loops_unroll_jammed``."""
+
+    name = "affine-loop-unroll-jam"
+
+    def __init__(self, factor: int):
+        self.factor = factor
+
+    def cache_config(self) -> str:
+        return f"factor={self.factor}"
+
+    def run_on_function(self, func, context):
+        jammed = unroll_jam_loops(func, self.factor)
+        self.count(loops_unroll_jammed=jammed)
+        return jammed

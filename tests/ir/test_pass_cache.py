@@ -385,7 +385,8 @@ def _batch_pipeline(cache=None):
 
 def _expected_pass_artifacts(source, cache):
     """key -> entry a cold cached run must publish, worked out from an
-    *uncached* run of the same pipeline snapshotted after every pass."""
+    *uncached* run of the same pipeline snapshotted after every pass on
+    every function (with what the pass counted there as ``meta``)."""
 
     def digest(text):
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -397,18 +398,19 @@ def _expected_pass_artifacts(source, cache):
 
     module = compile_c(source)
     pm = _batch_pipeline()
-    before = {f.sym_name: print_module(f) for f in module.functions}
     expected = {}
     for pass_ in pm.passes:
-        pass_.run(module, pm.context)
+        pass_.rewrite_results = []
+        pass_.prepare(module, pm.context)
         config = pass_.cache_config()
-        after = {f.sym_name: print_module(f) for f in module.functions}
-        for name, text in after.items():
-            fp, new_fp = digest(before[name]), digest(text)
-            expected[cache.key(fp, pass_.name, config)] = result(
-                text, new_fp, fp
-            )
-        before = after
+        for func in module.functions:
+            fp = digest(print_module(func))
+            counted = pass_.run_counted(func, pm.context)[1]
+            text = print_module(func)
+            entry = result(text, digest(text), fp)
+            if counted is not None:
+                entry["meta"] = counted
+            expected[cache.key(fp, pass_.name, config)] = entry
     return expected
 
 
@@ -724,25 +726,34 @@ module {
 
 
 class TestScheduleStepCached:
-    """Schedule steps through the one memo path: ``apply_schedule``
-    holds a ``FunctionCursor`` per matched function across its steps."""
+    """Schedule steps through the one memo path: each step is a pass,
+    and the ``PassManager`` ``apply_schedule`` runs holds a
+    ``FunctionCursor`` per matched function across them."""
 
     @pytest.fixture
     def bodies(self, monkeypatch):
-        """Every stage body that really ran, by step mnemonic."""
+        """Every step pass that really ran on a function, by step
+        mnemonic."""
         from repro.scheduling import interpreter
 
         ran = []
+
+        def recording(name, make):
+            def build(step):
+                pass_ = make(step)
+                run = pass_.run_on_function
+                pass_.run_on_function = lambda func, context: (
+                    ran.append(name) or run(func, context)
+                )
+                return pass_
+
+            return build
+
         table = {
-            name: (
-                lambda step, func, scratch, _name=name, _body=body: (
-                    ran.append(_name) or _body(step, func, scratch)
-                ),
-                config,
-            )
-            for name, (body, config) in interpreter.STEP_TABLE.items()
+            name: recording(name, make)
+            for name, make in interpreter.STEP_PASSES.items()
         }
-        monkeypatch.setattr(interpreter, "STEP_TABLE", table)
+        monkeypatch.setattr(interpreter, "STEP_PASSES", table)
         return ran
 
     def _apply(self, text, cache, module=None, keyed=None):

@@ -2,17 +2,18 @@
 
 ``run_optimizer(mode)`` *is* ``apply_schedule(canned_schedule(mode))``
 (the canned step order is pinned by
-``tests/transforms/test_optimizer_pipeline.py``), every step op
-dispatches through one table, the two entry points share pass-cache
-entries, and any schedule (including random ones) is
-semantics-preserving because every step re-checks its own legality.
+``tests/transforms/test_optimizer_pipeline.py``), every rewriting step
+op names one function pass (``STEP_PASSES``) that the one
+``PassManager`` runs, the two entry points share pass-cache entries,
+and any schedule (including random ones) is semantics-preserving
+because every step re-checks its own legality.
 """
 
 import random
 
 import pytest
 
-from repro.dialects.transform import STEP_OPS
+from repro.dialects.transform import STEP_OPS, find_sequences
 from repro.evaluation import get_kernel
 from repro.evaluation.pipelines import build_module
 from repro.execution import Interpreter
@@ -28,7 +29,8 @@ from repro.scheduling import (
     schedule_from_params,
 )
 from repro.scheduling.autotune import enumerate_space
-from repro.scheduling.interpreter import STEP_TABLE, KeyedSearch
+from repro.ir.pass_manager import FunctionPass
+from repro.scheduling.interpreter import STEP_PASSES, KeyedSearch
 
 from ..conftest import assert_close
 
@@ -39,20 +41,68 @@ def _payload(kernel):
     return build_module(get_kernel(kernel).small(), "mlt-linalg")
 
 
+#: One step of every kind (tile in both size forms).
+EVERY_STEP = """
+module {
+  transform.sequence {
+    %0 = transform.match
+    %1 = transform.fuse %0 {flow = true}
+    %2 = transform.copy_elim %1
+    %3 = transform.dead_loops %2
+    %4 = transform.canonicalize %3
+    %5 = transform.distribute %4
+    %6 = transform.tile %5 {size = 8}
+    %7 = transform.tile %6 {sizes = [8, 16]}
+    %8 = transform.unroll_jam %7 {factor = 2}
+    %9 = transform.vectorize %8 {mode = "nest"}
+    %10 = transform.raise %9 {mode = "tdl"}
+  }
+}
+"""
+
+
 @pytest.mark.parametrize("mnemonic", sorted(STEP_OPS))
 def test_every_step_op_has_a_table_row(mnemonic):
     # A step op added to the dialect without a row would fall through
     # to "unknown schedule step" at apply time; catch it here instead.
+    steps = [
+        step
+        for step in find_sequences(parse_module(EVERY_STEP))[0].steps()
+        if step.name == mnemonic
+    ]
+    assert steps
     if mnemonic in (
         "transform.match",
         "transform.vectorize",
         "transform.raise",
     ):
         # Rewrite no function; apply_schedule handles them by name.
-        assert mnemonic not in STEP_TABLE
-    else:
-        body, config = STEP_TABLE[mnemonic]
-        assert callable(body) and callable(config)
+        assert mnemonic not in STEP_PASSES
+        return
+    passes = [STEP_PASSES[mnemonic](step) for step in steps]
+    # One function pass per step, cached per function like any other.
+    assert all(
+        isinstance(pass_, FunctionPass) and pass_.cacheable
+        for pass_ in passes
+    )
+    # Distinct step configurations never share a pass-cache entry.
+    assert len({pass_.cache_config() for pass_ in passes}) == len(steps)
+
+
+def test_step_passes_key_apart_from_their_mlt_opt_flags():
+    # The schedule's fuse and tile carry options the mlt-opt passes of
+    # the same name do not (the collapse veto, the size rules, the
+    # no_vectorize marks), so the two never share pass-cache entries.
+    from repro.tool import _pass_registry
+
+    registry = _pass_registry(None)
+    steps = find_sequences(parse_module(EVERY_STEP))[0].steps()
+    for step in steps:
+        if step.name not in ("transform.fuse", "transform.tile"):
+            continue
+        pass_ = STEP_PASSES[step.name](step)
+        flag = registry[pass_.name]()
+        assert pass_.cache_config() != flag.cache_config()
 
 
 def test_opt_mode_and_canned_schedule_share_pass_cache_entries():

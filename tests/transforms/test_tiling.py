@@ -9,7 +9,7 @@ from repro.dialects.affine import outermost_loops, perfect_nest
 from repro.execution import Interpreter
 from repro.met import compile_c
 from repro.transforms import TileLoopNestPass, TilingError, tile_perfect_nest
-from repro.ir import Context, verify
+from repro.ir import Context, print_module, verify
 
 from ..conftest import assert_close, build_gemm_module, random_arrays
 
@@ -99,3 +99,30 @@ class TestTilingSemantics:
         TileLoopNestPass(32).run(module, Context())
         root = outermost_loops(module.functions[0])[0]
         assert len(perfect_nest(root)) == 6
+
+    def test_tile_pass_refuses_an_illegal_band(self):
+        # A[i][j] reads A[i-1][j+1]: a (1, -1) dependence.  Blocked 4x4,
+        # row i's column 7 reads row i-1's column 8 before the next tile
+        # has written it, so `mlt-opt -affine-loop-tile` used to change
+        # the result (checksum 396.29 -> 236.43).  The pass now shares
+        # the schedule's dependence-legality gate.
+        reference = compile_c(SKEW)
+        module = compile_c(SKEW)
+        pass_ = TileLoopNestPass(4)
+        pass_.run(module, Context())
+        assert print_module(module) == print_module(reference)
+        assert pass_.counters == {}  # nothing tiled
+        (want,) = random_arrays(5, (16, 16))
+        got = want.copy()
+        Interpreter(reference).run("skew", want)
+        Interpreter(module).run("skew", got)
+        assert_close(got, want)
+
+
+SKEW = """
+void skew(float A[16][16]) {
+  for (int i = 1; i < 16; i++)
+    for (int j = 0; j < 15; j++)
+      A[i][j] = A[i - 1][j + 1] + A[i][j];
+}
+"""
