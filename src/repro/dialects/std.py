@@ -104,8 +104,12 @@ class DivFOp(FloatArithOp):
 
 @register_op
 class MaxFOp(FloatArithOp):
+    """The larger operand; a NaN in either operand is the result, as in
+    ``np.maximum`` and MLIR's ``arith.maximumf`` (Python's ``max``
+    returns whichever operand comes first when one is NaN)."""
+
     OP_NAME = "std.maxf"
-    PYTHON_FUNC = staticmethod(max)
+    PYTHON_FUNC = staticmethod(lambda a, b: a if a >= b or a != a else b)
 
 
 @register_op

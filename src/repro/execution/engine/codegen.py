@@ -27,6 +27,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ...analysis.band import summarize_band
 from ...dialects.affine import AffineForOp
 from ...ir import FuncOp, ModuleOp, Operation, is_float
 from ...ir.affine_expr import AffineExpr, AffineExprKind
@@ -160,6 +161,18 @@ def _emit_constant(ctx: _FuncContext, op) -> None:
     ctx.emit(f"{ctx.define(op.results[0])} = {value!r}")
 
 
+#: Scalar Python spelling of each float binary op, shared by the scalar
+#: emitters and the vectorizer's band-invariant values.  ``maxf``
+#: propagates a NaN from either operand, as ``np.maximum`` does.
+FLOAT_BINARY_TEMPLATES = {
+    "std.addf": "({a} + {b})",
+    "std.subf": "({a} - {b})",
+    "std.mulf": "({a} * {b})",
+    "std.divf": "({a} / {b})",
+    "std.maxf": "({a} if {a} >= {b} or {a} != {a} else {b})",
+}
+
+
 def _float_binary(expr: str):
     def emit(ctx: _FuncContext, op) -> None:
         a, b = ctx.name(op.operand(0)), ctx.name(op.operand(1))
@@ -189,10 +202,14 @@ def _emit_cmpi(ctx: _FuncContext, op) -> None:
     ctx.emit(f"{ctx.define(op.results[0])} = ({a} {python_op} {b})")
 
 
+#: Python comparison per ordered ``std.cmpf`` predicate.
+CMPF_PYTHON = {
+    "oeq": "==", "one": "!=", "olt": "<", "ole": "<=", "ogt": ">", "oge": ">=",
+}
+
+
 def _emit_cmpf(ctx: _FuncContext, op) -> None:
-    python_op = {
-        "oeq": "==", "one": "!=", "olt": "<", "ole": "<=", "ogt": ">", "oge": ">=",
-    }[op.predicate]
+    python_op = CMPF_PYTHON[op.predicate]
     a, b = ctx.name(op.operand(0)), ctx.name(op.operand(1))
     ctx.emit(f"{ctx.define(op.results[0])} = ({a} {python_op} {b})")
 
@@ -299,7 +316,7 @@ def _emit_affine_apply(ctx: _FuncContext, op) -> None:
 
 
 def _emit_affine_for(ctx: _FuncContext, op: AffineForOp) -> None:
-    from .vectorize import collect_band, try_vectorize_band
+    from .vectorize import try_vectorize_band
 
     codegen = ctx.codegen
     mode = codegen.vectorize
@@ -315,8 +332,8 @@ def _emit_affine_for(ctx: _FuncContext, op: AffineForOp) -> None:
         if is_root and mode != "none":
             stats.record_bail("tiled")
     elif mode != "none":
-        band = collect_band(op)
-        if mode == "innermost" and len(band) > 1:
+        band = summarize_band(op)
+        if mode == "innermost" and band.depth > 1:
             band = None  # emulate the innermost-only vectorizer
         if band is not None and try_vectorize_band(
             ctx, band, stats, allow_contraction=(mode == "nest")
@@ -491,7 +508,9 @@ def _emit_copy(ctx: _FuncContext, op) -> None:
         ctx.emit(f"{ctx.name(op.output)}[...] = {src}")
 
 
-_CONTRACTION_LABELS = "abcdefghijklmnopqrstuvwxyz"
+#: Axis labels of a :func:`runtime.contract` spec, here and in the
+#: vectorizer; deeper nests skip the contraction fast path.
+CONTRACTION_LABELS = "abcdefghijklmnopqrstuvwxyz"
 
 
 def _pure_dim_positions(map_) -> Optional[List[int]]:
@@ -551,7 +570,7 @@ def generic_contraction_spec(op) -> Optional[tuple]:
         return None
 
     maps = op.indexing_maps
-    if op.num_loops > len(_CONTRACTION_LABELS):
+    if op.num_loops > len(CONTRACTION_LABELS):
         return None
     a_dims = _pure_dim_positions(maps[0])
     b_dims = _pure_dim_positions(maps[1])
@@ -573,7 +592,7 @@ def generic_contraction_spec(op) -> Optional[tuple]:
         range(op.num_loops)
     ):
         return None
-    label = _CONTRACTION_LABELS.__getitem__
+    label = CONTRACTION_LABELS.__getitem__
     spec = (
         "".join(label(d) for d in a_dims)
         + ","
@@ -626,11 +645,10 @@ EMITTERS: Dict[str, Callable[[_FuncContext, Operation], None]] = {
     "func.call": _emit_func_call,
     "llvm.call": _emit_llvm_call,
     "std.constant": _emit_constant,
-    "std.addf": _float_binary("({a} + {b})"),
-    "std.subf": _float_binary("({a} - {b})"),
-    "std.mulf": _float_binary("({a} * {b})"),
-    "std.divf": _float_binary("({a} / {b})"),
-    "std.maxf": _float_binary("({a} if {a} >= {b} else {b})"),
+    **{
+        name: _float_binary(template)
+        for name, template in FLOAT_BINARY_TEMPLATES.items()
+    },
     "std.negf": _emit_negf,
     "std.cmpf": _emit_cmpf,
     "std.addi": _int_binary("({a} + {b})"),

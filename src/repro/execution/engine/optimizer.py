@@ -36,10 +36,11 @@ pass, the fuse step's veto and the tile step's size rules.
 
 Soundness gate: a function is only optimized when every op it contains
 comes from a whitelist whose memory effects the legality analyses can
-enumerate (affine loops/accesses + pure std arithmetic + local
-alloc/dealloc) and every access map is linear.  Anything else — linalg,
-blas, scf, llvm, calls — is left untouched and counted in
-``OptStats.functions_skipped``.
+enumerate — the band payload set
+(:data:`~repro.analysis.band.PAYLOAD_OPS`) plus affine loops, index
+arithmetic and local alloc/dealloc — and every access map is linear.
+Anything else — linalg, blas, scf, llvm, calls — is left untouched and
+counted in ``OptStats.functions_skipped``.
 """
 
 from __future__ import annotations
@@ -48,12 +49,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ...analysis.accesses import access_function
-from ...dialects.affine import (
-    AffineForOp,
-    AffineLoadOp,
-    AffineStoreOp,
-    perfect_nest,
-)
+from ...analysis.band import PAYLOAD_OPS
+from ...dialects.affine import AffineForOp, AffineLoadOp, AffineStoreOp
 from ...ir import FunctionPass, Operation
 from ...telemetry import add
 from ...transforms.tiling import TileLoopNestPass
@@ -65,32 +62,21 @@ OPT_MODES = ("none", "fuse", "full")
 #: many iterations stay untiled.
 DEFAULT_TILE_SIZE = 32
 
-#: Ops a function may contain for the optimizer to touch it at all.
-_OPT_SAFE_OPS = frozenset(
-    {
-        "affine.for",
-        "affine.load",
-        "affine.store",
-        "affine.yield",
-        "affine.apply",
-        "std.constant",
-        "std.addf",
-        "std.subf",
-        "std.mulf",
-        "std.divf",
-        "std.maxf",
-        "std.negf",
-        "std.cmpf",
-        "std.select",
-        "std.addi",
-        "std.subi",
-        "std.muli",
-        "std.index_cast",
-        "std.alloc",
-        "std.dealloc",
-        "func.return",
-    }
-)
+#: Ops a function may contain for the optimizer to touch it at all: a
+#: band payload's ops plus the loop structure, index arithmetic and
+#: local buffers around it.
+_OPT_SAFE_OPS = PAYLOAD_OPS | {
+    "affine.for",
+    "affine.yield",
+    "affine.apply",
+    "std.addi",
+    "std.subi",
+    "std.muli",
+    "std.index_cast",
+    "std.alloc",
+    "std.dealloc",
+    "func.return",
+}
 
 
 @dataclass
@@ -241,10 +227,10 @@ def would_lose_collapse(first, second) -> Optional[str]:
     ``copy_elim`` forwards the shared element — is a form neither the
     vectorizer nor ``distribute`` gets back.  Elementwise pairs keep
     fusing: their fused body still collapses after ``copy_elim``."""
-    first_kind = band_collapses(perfect_nest(first))
+    first_kind = band_collapses(first)
     if first_kind is None:
         return None
-    second_kind = band_collapses(perfect_nest(second))
+    second_kind = band_collapses(second)
     if second_kind is None or first_kind == second_kind == "elementwise":
         return None
     return "would-lose-collapse"
@@ -260,7 +246,7 @@ def heuristic_tile_sizes(
         return None
     # The vectorizer gets first refusal: if any suffix of the band
     # collapses (including the partial-collapse retry), leave it.
-    if any(band_collapses(band[i:]) for i in range(len(band))):
+    if any(band_collapses(loop) for loop in band):
         return None
     sizes = []
     for loop in band:

@@ -2,12 +2,15 @@
 
 The unit of vectorization is a **band**: the longest chain of perfectly
 nested ``affine.for`` ops starting at a given loop (each body is exactly
-one ``affine.for`` until the compute body).  When the innermost body is
-a straight line of affine loads/stores and element-wise float
-arithmetic, the whole band collapses into *one* N-dimensional NumPy
-expression — every induction variable becomes an array axis, every
-access where an induction variable appears linearly in exactly one
-subscript becomes a strided slice, a *load* subscript over several
+one ``affine.for`` until the compute body), read once into a
+:class:`~repro.analysis.band.BandSummary` — the same band, payload,
+loads and stores the optimizer's tile/fuse queries and the synthesis
+raiser read.  When the payload is a straight line of affine
+loads/stores and element-wise float arithmetic, the whole band
+collapses into *one* N-dimensional NumPy expression — every induction
+variable becomes an array axis, every access where an induction
+variable appears linearly in exactly one subscript becomes a strided
+slice, a *load* subscript over several
 induction variables (``x[i + j]``, convolution's ``I[y + p][x + q]``)
 becomes a :func:`~.runtime.window` view with one axis per variable, and
 the single store either assigns a slice (element-wise case) or folds a
@@ -24,8 +27,8 @@ a scalar Python loop for the *outermost* band loop and retries on the
 next-inner loop (partial collapse: the innermost ``k`` dims of a band
 still vectorize) — whenever it cannot prove safety:
 
-* any body op outside :data:`SAFE_OPS` (nested non-perfect loops,
-  integer/index arithmetic, calls, ...);
+* any payload op outside :data:`~repro.analysis.band.PAYLOAD_OPS`
+  (nested non-perfect loops, integer/index arithmetic, calls, ...);
 * an inner band loop whose bounds depend on an outer band induction
   variable (triangular nests);
 * more than one store, or a store whose value is not a recognisable
@@ -57,55 +60,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ...analysis.band import PAYLOAD_OPS, BandSummary, summarize_band
 from ...dialects.affine import AffineForOp, AffineLoadOp, AffineStoreOp
 from ...ir import Operation, is_float
-from .codegen import affine_expr_src
+from .codegen import (
+    CMPF_PYTHON,
+    CONTRACTION_LABELS,
+    FLOAT_BINARY_TEMPLATES,
+    affine_expr_src,
+)
 from .runtime import EngineError
 
-#: Ops a vectorizable body may contain.  Everything else forces the
-#: scalar fallback.
-SAFE_OPS = {
-    "affine.load",
-    "affine.store",
-    "std.constant",
-    "std.addf",
-    "std.subf",
-    "std.mulf",
-    "std.divf",
-    "std.maxf",
-    "std.negf",
-    "std.cmpf",
-    "std.select",
-}
-
-_VEC_BINOPS = {
-    "std.addf": "({a} + {b})",
-    "std.subf": "({a} - {b})",
-    "std.mulf": "({a} * {b})",
-    "std.divf": "({a} / {b})",
-    "std.maxf": "_np.maximum({a}, {b})",
-}
-
-_SCALAR_BINOPS = {
-    "std.addf": "({a} + {b})",
-    "std.subf": "({a} - {b})",
-    "std.mulf": "({a} * {b})",
-    "std.divf": "({a} / {b})",
-    "std.maxf": "({a} if {a} >= {b} else {b})",
-}
-
-_CMPF_PYTHON = {
-    "oeq": "==",
-    "one": "!=",
-    "olt": "<",
-    "ole": "<=",
-    "ogt": ">",
-    "oge": ">=",
-}
-
-#: Axis labels for contraction specs; bands deeper than this skip the
-#: contraction fast path (the generic ``.sum`` path still applies).
-_EINSUM_LETTERS = "abcdefghijklmnopqrstuvwxyz"
+#: Array spellings: the scalar ones, except that NumPy's NaN-propagating
+#: maximum replaces the scalar conditional.
+_VEC_BINOPS = {**FLOAT_BINARY_TEMPLATES, "std.maxf": "_np.maximum({a}, {b})"}
 
 
 @dataclass
@@ -164,30 +132,20 @@ class _Bail(Exception):
         self.reason = reason
 
 
-def collect_band(op: AffineForOp) -> List[AffineForOp]:
-    """The maximal perfect nest rooted at ``op``, outermost first."""
-    band = [op]
-    while True:
-        body = band[-1].ops_in_body()
-        if len(body) == 1 and isinstance(body[0], AffineForOp):
-            band.append(body[0])
-        else:
-            return band
-
-
 def try_vectorize_band(
     ctx,
-    band: List[AffineForOp],
+    summary: BandSummary,
     stats: Optional[VectorizeStats] = None,
     allow_contraction: bool = True,
 ) -> bool:
-    """Emit ``band`` as one N-d NumPy expression; False means bail.
+    """Emit the summarized band as one N-d NumPy expression; False
+    means bail.
 
     On a bail the reason is recorded on ``stats`` and nothing has been
     emitted (analysis runs before any line is generated).
     """
     try:
-        vec = _Vectorizer(ctx, band, allow_contraction)
+        vec = _Vectorizer(ctx, summary, allow_contraction)
     except _Bail as bail:
         if stats is not None:
             stats.record_bail(bail.reason)
@@ -198,17 +156,17 @@ def try_vectorize_band(
     return True
 
 
-def band_collapses(band: List[AffineForOp]) -> Optional[str]:
-    """Pure legality query: would :func:`try_vectorize_band` accept this
-    band, and as what?  ``None`` (it bails), ``"elementwise"`` or
-    ``"reduction"`` (the store folds a ``.sum``/contraction).  Runs the
-    analysis phase only (which never touches the emission context),
-    records nothing, and emits nothing.  The mid-level optimizer gives
-    the vectorizer first refusal through it: tiling leaves collapsible
-    nests alone, and fusion does not glue a collapsed reduction into a
-    body that no longer collapses."""
+def band_collapses(root: AffineForOp) -> Optional[str]:
+    """Pure legality query: would :func:`try_vectorize_band` accept the
+    band rooted at ``root``, and as what?  ``None`` (it bails),
+    ``"elementwise"`` or ``"reduction"`` (the store folds a
+    ``.sum``/contraction).  Runs the analysis phase only (which never
+    touches the emission context), records nothing, and emits nothing.
+    The mid-level optimizer gives the vectorizer first refusal through
+    it: tiling leaves collapsible nests alone, and fusion does not glue
+    a collapsed reduction into a body that no longer collapses."""
     try:
-        vec = _Vectorizer(None, list(band), allow_contraction=True)
+        vec = _Vectorizer(None, summarize_band(root), allow_contraction=True)
     except _Bail:
         return None
     return "reduction" if vec.reduced else "elementwise"
@@ -283,12 +241,12 @@ class _Access:
 class _Vectorizer:
     """Analysis (may raise :class:`_Bail`) then emission for one band."""
 
-    def __init__(self, ctx, band: List[AffineForOp], allow_contraction: bool):
+    def __init__(self, ctx, summary: BandSummary, allow_contraction: bool):
         self.ctx = ctx
-        self.band = band
-        self.rank = len(band)
-        self.ivs = [loop.induction_var for loop in band]
-        self.body = band[-1].ops_in_body()
+        self.summary = summary
+        self.band = summary.band
+        self.rank = len(self.band)
+        self.ivs = [loop.induction_var for loop in self.band]
         self.allow_contraction = allow_contraction
         self.accesses: Dict[int, _Access] = {}
         #: id(value) -> vary set, computed during analysis
@@ -316,15 +274,12 @@ class _Vectorizer:
                 for v in list(loop.lb_operands) + list(loop.ub_operands)
             ):
                 raise _Bail("triangular-bounds")
-        stores = []
-        for body_op in self.body:
-            if body_op.name not in SAFE_OPS:
+        for body_op in self.summary.payload:
+            if body_op.name not in PAYLOAD_OPS:
                 raise _Bail("unsafe-op")
             if isinstance(body_op, (AffineLoadOp, AffineStoreOp)):
                 self.accesses[id(body_op)] = _Access(body_op, self.ivs)
-            if isinstance(body_op, AffineStoreOp):
-                stores.append(body_op)
-            elif body_op.results:
+            if body_op.results:
                 result = body_op.results[0]
                 if isinstance(body_op, AffineLoadOp):
                     self.vary[id(result)] = self.accesses[id(body_op)].vary
@@ -333,6 +288,7 @@ class _Vectorizer:
                     for value in body_op.operands:
                         vary = vary | self._vary_of(value)
                     self.vary[id(result)] = vary
+        stores = self.summary.stores
         if len(stores) != 1:
             raise _Bail("multiple-stores" if stores else "no-store")
         self.store = stores[0]
@@ -345,10 +301,9 @@ class _Vectorizer:
 
     def _loads_of_stored_buffer(self, store_access: _Access) -> List[_Access]:
         return [
-            access
-            for access in self.accesses.values()
-            if isinstance(access.op, AffineLoadOp)
-            and id(access.op.memref) == store_access.signature[2]
+            self.accesses[id(load)]
+            for load in self.summary.loads
+            if id(load.memref) == store_access.signature[2]
         ]
 
     def _check_elementwise_hazards(self, store_access: _Access) -> None:
@@ -400,7 +355,7 @@ class _Vectorizer:
         scalar factors) suitable for one :func:`~.runtime.contract`
         call.  Returns ``(vector_loads, scalar_values, internal_muls)``
         or ``None``."""
-        if self.rank > len(_EINSUM_LETTERS):
+        if self.rank > len(CONTRACTION_LABELS):
             return None
         # Every output label must appear in some input: the product
         # must vary over the full band, not just the reduced axes.
@@ -454,7 +409,7 @@ class _Vectorizer:
         guard = " and ".join(f"{n} > 0" for n in self.n_names)
         ctx.emit(f"if {guard}:")
         ctx.indent += 1
-        for body_op in self.body:
+        for body_op in self.summary.payload:
             if id(body_op) in self.fused_ops:
                 continue
             self._emit_body_op(body_op)
@@ -488,7 +443,7 @@ class _Vectorizer:
             b = self._value(body_op.operand(1))
             self._assign(
                 body_op.results[0],
-                f"({a} {_CMPF_PYTHON[body_op.predicate]} {b})",
+                f"({a} {CMPF_PYTHON[body_op.predicate]} {b})",
             )
         elif name == "std.select":
             c, t, f = (self._value(body_op.operand(i)) for i in range(3))
@@ -503,7 +458,7 @@ class _Vectorizer:
             a = self._value(body_op.operand(0))
             b = self._value(body_op.operand(1))
             vec = bool(self._vary_of(body_op.results[0]))
-            table = _VEC_BINOPS if vec else _SCALAR_BINOPS
+            table = _VEC_BINOPS if vec else FLOAT_BINARY_TEMPLATES
             src = table[name].format(a=a, b=b)
             if not vec and str(body_op.results[0].type) == "f32":
                 src = f"_f32({src})"
@@ -614,7 +569,7 @@ class _Vectorizer:
             self.values[id(load.results[0])] = temp
 
     def _labels(self, access: _Access) -> str:
-        return "".join(_EINSUM_LETTERS[b] for b in access.sub_order)
+        return "".join(CONTRACTION_LABELS[b] for b in access.sub_order)
 
     def _emit_store(self, store: AffineStoreOp) -> None:
         ctx = self.ctx

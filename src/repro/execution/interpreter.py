@@ -543,18 +543,15 @@ _HANDLERS = {
     "func.call": _handle_func_call,
     "llvm.call": _handle_llvm_call,
     "std.constant": _handle_constant,
-    "std.addf": _make_binary_handler(lambda a, b: a + b),
-    "std.subf": _make_binary_handler(lambda a, b: a - b),
-    "std.mulf": _make_binary_handler(lambda a, b: a * b),
-    "std.divf": _make_binary_handler(lambda a, b: a / b),
-    "std.maxf": _make_binary_handler(max),
+    **{
+        cls.OP_NAME: _make_binary_handler(cls.PYTHON_FUNC)
+        for cls in (
+            std.AddFOp, std.SubFOp, std.MulFOp, std.DivFOp, std.MaxFOp,
+            std.AddIOp, std.SubIOp, std.MulIOp, std.DivIOp, std.RemIOp,
+        )
+    },
     "std.negf": _handle_negf,
     "std.cmpf": _handle_cmpf,
-    "std.addi": _make_binary_handler(lambda a, b: a + b),
-    "std.subi": _make_binary_handler(lambda a, b: a - b),
-    "std.muli": _make_binary_handler(lambda a, b: a * b),
-    "std.divi": _make_binary_handler(lambda a, b: a // b),
-    "std.remi": _make_binary_handler(lambda a, b: a % b),
     "std.cmpi": _handle_cmpi,
     "std.select": lambda i, op, env: env.set(
         op.results[0],

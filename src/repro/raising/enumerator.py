@@ -25,6 +25,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
+from ..analysis.band import BandSummary
 from .nest import NestSummary
 from .pruner import (
     Assignment,
@@ -76,7 +77,7 @@ class Candidate:
         return f"linalg.generic[{self.body}] {maps}"
 
 
-def classify_mac(summary: NestSummary) -> Optional[str]:
+def classify_mac(summary: BandSummary) -> Optional[str]:
     """``"+"``/``"-"`` if the payload is a single multiply-accumulate
     (``acc = acc ± a*b`` with three loads), else ``None``.
 

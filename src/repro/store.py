@@ -36,8 +36,9 @@ NAMESPACES = ("kernels", "modules", "passes", "schedules")
 
 #: Folded into every ``passes/``, ``modules/`` and ``kernels/`` key:
 #: bump whenever any pass's semantics change in a way its
-#: ``cache_config()`` does not capture.
-PASS_CACHE_VERSION = "pass-cache-v6"
+#: ``cache_config()`` does not capture (v6 -> v7: canonicalize folds
+#: ``std.maxf`` of a NaN constant to NaN).
+PASS_CACHE_VERSION = "pass-cache-v7"
 
 #: Codegen schema version, folded into every ``kernels/`` key.  Bump on
 #: any change to generated-source semantics (vectorizer strategy,
@@ -48,8 +49,9 @@ PASS_CACHE_VERSION = "pass-cache-v6"
 #: and so does a change in what a stage emits (5 -> 6: fusion's
 #: ``would-lose-collapse``, window loads, lazy canonical views), and so
 #: does the buffer plan (6 -> 7: view/fresh allocs, see
-#: :mod:`repro.execution.engine.buffers`).
-CODEGEN_VERSION = 7
+#: :mod:`repro.execution.engine.buffers`), and so does an op's scalar
+#: spelling (7 -> 8: ``std.maxf`` propagates NaN).
+CODEGEN_VERSION = 8
 
 #: Folded into every ``schedules/`` key: bump when the schedule space
 #: or the record layout changes so stale tunings never replay.

@@ -340,3 +340,47 @@ class TestGeneratedSource:
     def test_engine_source_property(self):
         engine = ExecutionEngine(compile_c(STENCIL), cache=KernelCache())
         assert "def _fn_stencil(" in engine.source
+
+
+FLOAT_BINOPS = ("addf", "subf", "mulf", "divf", "maxf")
+
+ELEMENTWISE_BINOP = """
+module {{
+  func @f(%a: memref<8xf32>, %b: memref<8xf32>, %c: memref<8xf32>) {{
+    affine.for %i = 0 to 8 {{
+      %x = affine.load %a[%i] : memref<8xf32>
+      %y = affine.load %b[%i] : memref<8xf32>
+      %z = std.{op} %x, %y : f32
+      affine.store %z, %c[%i] : memref<8xf32>
+    }}
+    return
+  }}
+}}
+"""
+
+
+@pytest.mark.parametrize("op", FLOAT_BINOPS)
+def test_float_binops_agree_on_nan_and_inf(op):
+    """Every float binary op means one thing in the interpreter and in
+    each vectorize mode, NaN and infinity operands included: ``maxf``
+    propagates NaN from either side, as ``np.maximum`` and MLIR's
+    ``arith.maximumf`` do.  (No zero divisors: the interpreter computes
+    in Python floats, where ``x / 0.0`` raises.)"""
+    module = parse_module(ELEMENTWISE_BINOP.format(op=op))
+    nan, inf = float("nan"), float("inf")
+    a = np.array([nan, 1, nan, 2, inf, -inf, inf, 5], dtype=np.float32)
+    b = np.array([1, nan, nan, 3, inf, inf, -inf, -inf], dtype=np.float32)
+    want = np.full(8, 7.0, dtype=np.float32)
+    Interpreter(module).run("f", a.copy(), b.copy(), want)
+    with np.errstate(invalid="ignore"):
+        reference = {
+            "addf": a + b, "subf": a - b, "mulf": a * b,
+            "divf": a / b, "maxf": np.maximum(a, b),
+        }[op]
+    np.testing.assert_array_equal(want, reference)
+    for vectorize in ("nest", "innermost", "none"):
+        got = np.full(8, 7.0, dtype=np.float32)
+        engine = ExecutionEngine(module, vectorize=vectorize, cache=KernelCache())
+        with np.errstate(invalid="ignore"):
+            engine.run("f", a.copy(), b.copy(), got)
+        np.testing.assert_array_equal(got, want, err_msg=vectorize)

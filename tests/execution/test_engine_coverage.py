@@ -14,9 +14,11 @@ import pytest
 import repro.dialects  # noqa: F401 — populates OP_REGISTRY
 from repro.execution import ExecutionEngine
 from repro.execution.engine import EMITTERS, EngineError
+from repro.analysis.band import PAYLOAD_OPS
 from repro.execution.interpreter import _HANDLERS
 from repro.ir import FuncOp, ModuleOp, Operation, ReturnOp
 from repro.ir.core import OP_REGISTRY
+from repro.ir.parser import parse_module
 
 #: Ops that hold functions/regions but are never emitted themselves.
 STRUCTURAL_OPS = {"builtin.module", "func.func"}
@@ -43,41 +45,88 @@ class TestEmitterCoverage:
 
 
 class TestVectorizerSafeSetAudit:
-    """Joint audit of the three op tables that must stay in sync: the
-    vectorizer's SAFE_OPS, the engine's EMITTERS, and the interpreter's
-    handlers.  An op the vectorizer accepts into a collapsed band must
-    also be scalar-compilable (fallback path) and interpretable (the
-    vectorize-diff oracle's reference)."""
+    """Joint audit of the one band payload set and the tables that must
+    cover it: an op in :data:`PAYLOAD_OPS` may sit in a collapsed band,
+    so it must also be scalar-compilable (the bail fallback),
+    interpretable (the vectorize-diff oracle's reference), inside the
+    optimizer's gate, and replayable in a synthesized clone body."""
 
     def test_safe_ops_are_registered(self):
-        from repro.execution.engine.vectorize import SAFE_OPS
-
-        unknown = set(SAFE_OPS) - set(OP_REGISTRY)
-        assert not unknown, f"SAFE_OPS not in any dialect: {sorted(unknown)}"
+        unknown = set(PAYLOAD_OPS) - set(OP_REGISTRY)
+        assert not unknown, f"PAYLOAD_OPS not in any dialect: {sorted(unknown)}"
 
     def test_safe_ops_have_scalar_emitters(self):
-        from repro.execution.engine.vectorize import SAFE_OPS
-
-        missing = set(SAFE_OPS) - set(EMITTERS)
+        missing = set(PAYLOAD_OPS) - set(EMITTERS)
         assert not missing, (
-            f"vectorizer-safe ops the scalar engine cannot compile "
+            f"payload ops the scalar engine cannot compile "
             f"(the bail fallback would crash): {sorted(missing)}"
         )
 
     def test_safe_ops_have_interpreter_handlers(self):
-        from repro.execution.engine.vectorize import SAFE_OPS
-
-        missing = set(SAFE_OPS) - set(_HANDLERS)
+        missing = set(PAYLOAD_OPS) - set(_HANDLERS)
         assert not missing, (
-            f"vectorizer-safe ops the interpreter cannot execute "
+            f"payload ops the interpreter cannot execute "
             f"(vectorize-diff has no reference): {sorted(missing)}"
         )
 
     def test_widened_safe_set_members(self):
-        """The negation and min/max-idiom ops are part of the safe set."""
-        from repro.execution.engine.vectorize import SAFE_OPS
+        """The negation and min/max-idiom ops are part of the payload set."""
+        assert {"std.negf", "std.cmpf", "std.select"} <= PAYLOAD_OPS
 
-        assert {"std.negf", "std.cmpf", "std.select"} <= SAFE_OPS
+    def test_optimizer_gate_contains_the_payload_set(self):
+        from repro.execution.engine.optimizer import _OPT_SAFE_OPS
+
+        assert PAYLOAD_OPS <= _OPT_SAFE_OPS
+
+    def test_clone_body_replays_every_payload_op(self):
+        """``_fill_clone_body`` clones every non-access payload op into
+        the generic body: a clone-body candidate over a band holding one
+        of each keeps them all."""
+        from repro.analysis.band import summarize_band
+        from repro.raising import NestSummary, materialize_candidate
+        from repro.raising.enumerator import Candidate
+        from repro.raising.nest import summarize_nest
+
+        module = parse_module(EVERY_PAYLOAD_OP)
+        root = next(op for op in module.walk() if op.name == "affine.for")
+        assert {op.name for op in summarize_band(root).payload} == PAYLOAD_OPS
+        summary = summarize_nest(root)
+        assert isinstance(summary, NestSummary)
+        candidate = Candidate(
+            kind="map",
+            op_name="linalg.generic",
+            inputs=(0, 1),
+            output=2,
+            assignments=((0,), (0,), (0,)),
+            body="clone",
+            input_loads=(0, 1),
+        )
+        generic = materialize_candidate(candidate, summary, summary.arrays)
+        replayed = {op.name for op in generic.body.ops_without_terminator()}
+        assert replayed == PAYLOAD_OPS - {"affine.load", "affine.store"}
+
+
+EVERY_PAYLOAD_OP = """
+module {
+  func @f(%a: memref<4xf32>, %b: memref<4xf32>, %c: memref<4xf32>) {
+    affine.for %i = 0 to 4 {
+      %x = affine.load %a[%i] : memref<4xf32>
+      %y = affine.load %b[%i] : memref<4xf32>
+      %k = std.constant 2.0 : f32
+      %s = std.addf %x, %y : f32
+      %d = std.subf %s, %k : f32
+      %m = std.mulf %d, %x : f32
+      %q = std.divf %m, %k : f32
+      %n = std.negf %q : f32
+      %g = std.maxf %n, %y : f32
+      %p = std.cmpf "olt", %g, %x : f32
+      %r = "std.select"(%p, %g, %x) : (i1, f32, f32) -> (f32)
+      affine.store %r, %c[%i] : memref<4xf32>
+    }
+    return
+  }
+}
+"""
 
 
 class TestUnknownOpDiagnostic:

@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 
 from repro.dialects import affine as affine_d
 from repro.dialects import std
+from repro.dialects.affine import perfect_nest
 from repro.execution import ExecutionEngine, Interpreter, KernelCache
 from repro.execution.engine import generate_module_source
 from repro.execution.engine.licm import hoist_loop_invariants
-from repro.execution.engine.vectorize import collect_band
 from repro.fuzzing.oracle import make_args, module_arg_shapes
 from repro.ir import (
     AffineMap,
@@ -84,7 +84,7 @@ class TestBandDetection:
         """
         _, loops = self._outer_loops(src, "k")
         assert len(loops) == 1
-        assert len(collect_band(loops[0])) == 3
+        assert len(perfect_nest(loops[0])) == 3
 
     def test_imperfect_nest_band_stops_at_the_extra_statement(self):
         src = """
@@ -97,7 +97,7 @@ class TestBandDetection:
         }
         """
         _, loops = self._outer_loops(src, "k")
-        assert len(collect_band(loops[0])) == 1
+        assert len(perfect_nest(loops[0])) == 1
 
     def test_single_loop_is_a_band_of_one(self):
         src = """
@@ -107,7 +107,7 @@ class TestBandDetection:
         }
         """
         _, loops = self._outer_loops(src, "k")
-        assert len(collect_band(loops[0])) == 1
+        assert len(perfect_nest(loops[0])) == 1
 
 
 # ----------------------------------------------------------------------
