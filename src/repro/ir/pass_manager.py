@@ -101,7 +101,8 @@ class FunctionPass(Pass):
     What a pass did goes through :meth:`count` into :attr:`counters`.
     The pass cache stores each function's share in its entry (``meta``)
     and adds it back on a hit, so the counters read the same however
-    much was cached.
+    much was cached.  The raising passes count here too: their
+    ``RaiseStats`` is a view over these counters.
     """
 
     cacheable = True

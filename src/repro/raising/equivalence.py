@@ -23,7 +23,7 @@ afterwards, so a candidate that clobbers a live-in is rejected too.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Callable, List
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from ..ir import (
     ReturnOp,
 )
 from ..ir.verifier import verify
-from ..tactics.stats import RaiseStats
 from .enumerator import Candidate
 from .nest import NestSummary
 from .rewriter import materialize_candidate
@@ -99,17 +98,19 @@ class EquivalenceChecker:
 
     Reference outputs are computed once per nest (not once per
     candidate); each :meth:`check` call then costs one interpreter run
-    per trial plus, on success, the engine cross-check.
+    per trial plus, on success, the engine cross-check.  ``count``
+    receives ``trials_run`` and each verdict
+    (``candidates_validated``/``candidates_rejected``).
     """
 
     def __init__(
         self,
         summary: NestSummary,
-        stats: Optional[RaiseStats] = None,
+        count: Callable[..., None] = lambda **amounts: None,
         max_steps: int = MAX_STEPS,
     ):
         self.summary = summary
-        self.stats = stats
+        self.count = count
         self.max_steps = max_steps
         rng = np.random.default_rng(SEED)
         self.trial_exact = [True] * INTEGER_TRIALS + [False] * RANDOM_TRIALS
@@ -147,8 +148,7 @@ class EquivalenceChecker:
 
         arrays = [a.copy() for a in inputs]
         Interpreter(module, max_steps=self.max_steps).run(FUNC_NAME, *arrays)
-        if self.stats is not None:
-            self.stats.trials_run += 1
+        self.count(trials_run=1)
         return arrays
 
     def _run_engine(
@@ -158,8 +158,7 @@ class EquivalenceChecker:
 
         arrays = [a.copy() for a in inputs]
         ExecutionEngine(module).run(FUNC_NAME, *arrays)
-        if self.stats is not None:
-            self.stats.trials_run += 1
+        self.count(trials_run=1)
         return arrays
 
     def _agree(
@@ -207,9 +206,7 @@ class EquivalenceChecker:
         return True
 
     def _note(self, accepted: bool) -> None:
-        if self.stats is None:
-            return
         if accepted:
-            self.stats.candidates_validated += 1
+            self.count(candidates_validated=1)
         else:
-            self.stats.candidates_rejected += 1
+            self.count(candidates_rejected=1)

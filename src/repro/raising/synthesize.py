@@ -6,7 +6,8 @@ full enumerate -> prune -> validate -> rewrite loop; the first candidate
 (in the enumerator's preference order: named op, then contraction
 generic, then clone-body generic) that survives I/O-equivalence
 validation replaces the nest.  Every outcome — raise or bail — is
-recorded in a :class:`~..tactics.stats.RaiseStats`.
+counted through the pass's ``count`` (read back as a
+:class:`~..tactics.stats.RaiseStats`).
 
 ``SynthRaisingPass`` (``-raise-affine-synth``) applies this to a whole
 module; the pass list composes it after the TDL tier
@@ -15,11 +16,11 @@ module; the pass list composes it after the TDL tier
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import Callable, List, Optional, Union
 
 from ..dialects.affine import AffineForOp, perfect_nest
-from ..ir import Context, FunctionPass, ModuleOp, PatternRewriter
-from ..tactics.stats import RaiseStats
+from ..ir import Context, ModuleOp, PatternRewriter
+from ..tactics.stats import RaiseStats, RaisingPass
 from .enumerator import MAX_CANDIDATES, Candidate, enumerate_candidates
 from .equivalence import MAX_STEPS, EquivalenceChecker, OracleError
 from .nest import summarize_nest
@@ -28,41 +29,42 @@ from .rewriter import apply_candidate
 
 def synthesize_nest(
     root: AffineForOp,
-    stats: RaiseStats,
+    count: Callable[..., None],
     rewriter: Optional[PatternRewriter] = None,
     max_candidates: int = MAX_CANDIDATES,
     max_steps: int = MAX_STEPS,
 ) -> Union[Candidate, str]:
     """Try to raise the band rooted at ``root``; returns the applied
-    candidate or a :data:`~..tactics.stats.SYNTH_BAIL_REASONS` key."""
+    candidate or a :data:`~..tactics.stats.SYNTH_BAIL_REASONS` key.
+    What happened goes to ``count`` (a ``SynthRaisingPass.count``)."""
     summary = summarize_nest(root)
     if isinstance(summary, str):
-        stats.record_synth_bail(summary)
+        count(bail_reasons={summary: 1})
         return summary
 
     result, pruned = enumerate_candidates(summary, max_candidates)
-    stats.candidates_pruned += pruned
+    count(candidates_pruned=pruned)
     if isinstance(result, str):
-        stats.record_synth_bail(result)
+        count(bail_reasons={result: 1})
         return result
-    stats.candidates_enumerated += len(result)
+    count(candidates_enumerated=len(result))
 
     try:
-        checker = EquivalenceChecker(summary, stats, max_steps)
+        checker = EquivalenceChecker(summary, count, max_steps)
     except OracleError:
-        stats.record_synth_bail("oracle-error")
+        count(bail_reasons={"oracle-error": 1})
         return "oracle-error"
 
     for candidate in result:
         if checker.check(candidate):
             apply_candidate(candidate, summary, rewriter or PatternRewriter())
-            stats.record_synth_raise(candidate.op_name)
+            count(raised_ops={candidate.op_name: 1})
             return candidate
-    stats.record_synth_bail("validation-failed")
+    count(bail_reasons={"validation-failed": 1})
     return "validation-failed"
 
 
-def synthesize_function(func, stats: RaiseStats, **limits) -> int:
+def synthesize_function(func, count: Callable[..., None], **limits) -> int:
     """Raise every eligible band in ``func``; returns the raise count.
 
     Bands are visited outermost-first; an imperfect outer band bails
@@ -80,7 +82,7 @@ def synthesize_function(func, stats: RaiseStats, **limits) -> int:
     raised = 0
     while worklist:
         root = worklist.pop(0)
-        outcome = synthesize_nest(root, stats, rewriter, **limits)
+        outcome = synthesize_nest(root, count, rewriter, **limits)
         if isinstance(outcome, Candidate):
             raised += 1
         elif outcome == "imperfect-nest":
@@ -93,11 +95,12 @@ def synthesize_function(func, stats: RaiseStats, **limits) -> int:
     return raised
 
 
-class SynthRaisingPass(FunctionPass):
+class SynthRaisingPass(RaisingPass):
     """``-raise-affine-synth``: enumerative raising for every affine
     band still standing (typically run after the TDL tier)."""
 
     name = "raise-affine-synth"
+    tier = "synth"
 
     def __init__(
         self,
@@ -108,13 +111,12 @@ class SynthRaisingPass(FunctionPass):
             "max_candidates": max_candidates,
             "max_steps": max_steps,
         }
-        self.stats = RaiseStats()
 
     def cache_config(self) -> str:
         return repr(self.limits)
 
     def run_on_function(self, func, context: Context):
-        return synthesize_function(func, self.stats, **self.limits) > 0
+        return synthesize_function(func, self.count, **self.limits) > 0
 
 
 def raise_with_synthesis(module: ModuleOp, **limits) -> RaiseStats:

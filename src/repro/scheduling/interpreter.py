@@ -79,8 +79,9 @@ class ScheduleResult:
     ``stats.stages`` holds one per-step counter delta, keyed by the
     step's transform mnemonic.  ``vectorize`` is the codegen mode a
     ``transform.vectorize`` step requested (``None`` when the schedule
-    leaves the engine default in charge); ``raise_stats`` is the
-    raising snapshot when a ``transform.raise`` step ran.
+    leaves the engine default in charge); ``raise_stats`` is the raised
+    callsites per tactic (``RaiseStats.callsites``) when a
+    ``transform.raise`` step ran.
 
     ``outcome`` names what the steps left behind, read off the pass
     cache: the requested codegen mode and the fingerprint each matched

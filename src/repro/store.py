@@ -37,8 +37,10 @@ NAMESPACES = ("kernels", "modules", "passes", "schedules")
 #: Folded into every ``passes/``, ``modules/`` and ``kernels/`` key:
 #: bump whenever any pass's semantics change in a way its
 #: ``cache_config()`` does not capture (v6 -> v7: canonicalize folds
-#: ``std.maxf`` of a NaN constant to NaN).
-PASS_CACHE_VERSION = "pass-cache-v7"
+#: ``std.maxf`` of a NaN constant to NaN), or what an entry's ``meta``
+#: carries (v7 -> v8: raising passes store their counts, which a v7
+#: entry would replay as zero).
+PASS_CACHE_VERSION = "pass-cache-v8"
 
 #: Codegen schema version, folded into every ``kernels/`` key.  Bump on
 #: any change to generated-source semantics (vectorizer strategy,

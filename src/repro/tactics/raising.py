@@ -10,7 +10,7 @@ compose as passes: the enumerative fallback is ``-raise-affine-synth``
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from ..analysis.accesses import access_function
 from ..dialects import linalg as linalg_d
@@ -19,7 +19,6 @@ from ..dialects.affine import AffineForOp, AffineStoreOp, perfect_nest
 from ..ir import (
     Context,
     FrozenPatternSet,
-    FunctionPass,
     ModuleOp,
     Operation,
     PatternRewriter,
@@ -28,7 +27,7 @@ from ..ir import (
 )
 from .compiled import CompiledTactic, compile_tactic
 from .contraction import PAPER_CONTRACTIONS, contraction_tactic_tdl
-from .stats import RaiseStats
+from .stats import RaiseStats, RaisingPass
 from .tdl.frontend import tdl_to_tds
 from .tdl.parser import parse_tdl
 
@@ -89,21 +88,23 @@ def gemm_tactic() -> CompiledTactic:
 
 
 class TacticRewritePattern(RewritePattern):
-    """Hooks a compiled tactic into the MLIR-style pattern rewriter."""
+    """Hooks a compiled tactic into the MLIR-style pattern rewriter;
+    every matcher invocation goes to ``count_match`` (a
+    :meth:`TacticPass.count_match`)."""
 
     root_op_name = "affine.for"
 
     def __init__(
         self,
         tactic: CompiledTactic,
+        count_match: Callable[[str, str], None],
         target: str = "linalg",
         library: str = "mkl-dnn",
-        stats: Optional[RaiseStats] = None,
     ):
         self.tactic = tactic
+        self.count_match = count_match
         self.target = target
         self.library = library
-        self.stats = stats
         # Deeper patterns first: a contraction band must be claimed by
         # its contraction tactic, not a shallower pattern.
         self.benefit = tactic.num_loops
@@ -114,8 +115,7 @@ class TacticRewritePattern(RewritePattern):
 
     def match_and_rewrite(self, op: Operation, rewriter: PatternRewriter) -> bool:
         result, reason = self.tactic.match_explain(op)
-        if self.stats is not None:
-            self.stats.record_tdl(self.tactic.name, reason)
+        self.count_match(self.tactic.name, reason)
         if result is None:
             return False
         from .builders import apply_builders
@@ -142,12 +142,11 @@ class FillRaisingPattern(RewritePattern):
     root_op_name = "affine.for"
     benefit = 0  # after all tactics
 
-    def __init__(self, stats: Optional[RaiseStats] = None):
-        self.stats = stats
+    def __init__(self, count_match: Callable[[str, str], None]):
+        self.count_match = count_match
 
     def _bail(self, reason: str = "pattern-mismatch") -> bool:
-        if self.stats is not None:
-            self.stats.record_tdl("FILL", reason)
+        self.count_match("FILL", reason)
         return False
 
     def match_and_rewrite(self, op: Operation, rewriter: PatternRewriter) -> bool:
@@ -202,8 +201,7 @@ class FillRaisingPattern(RewritePattern):
         )
         rewriter.insert(linalg_d.FillOp.create(new_const.result, memref))
         rewriter.erase_nest(band[0])
-        if self.stats is not None:
-            self.stats.record_tdl("FILL", "matched")
+        self.count_match("FILL", "matched")
         return True
 
 
@@ -212,14 +210,31 @@ class FillRaisingPattern(RewritePattern):
 # ----------------------------------------------------------------------
 
 
-class RaiseAffineToAffinePass(FunctionPass):
+class TacticPass(RaisingPass):
+    """A TDL raising tier: one frozen pattern set applied greedily per
+    function."""
+
+    tier = "tdl"
+    _frozen: Optional[FrozenPatternSet] = None
+
+    def count_match(self, tactic: str, outcome: str) -> None:
+        """One matcher invocation: ``outcome`` is ``"matched"`` or a
+        :data:`~.stats.TDL_BAIL_REASONS` key.  Increments in place (the
+        TDL hot path); ``counters`` is looked up per call, since
+        ``run_counted`` swaps it per function."""
+        outcomes = self.counters.setdefault(tactic, {})
+        outcomes[outcome] = outcomes.get(outcome, 0) + 1
+
+    def run_on_function(self, func, context: Context):
+        result = apply_patterns_greedily(func, self._frozen)
+        self.rewrite_results.append(result)
+        return result.changed
+
+
+class RaiseAffineToAffinePass(TacticPass):
     """-raise-affine-to-affine: GEMM loop nests -> affine.matmul."""
 
     name = "raise-affine-to-affine"
-
-    def __init__(self):
-        self.stats = RaiseStats()
-        self._frozen = None
 
     def prepare(self, module: ModuleOp, context: Context) -> None:
         # Freeze the pattern set once per pass *object*, not once per
@@ -231,18 +246,13 @@ class RaiseAffineToAffinePass(FunctionPass):
             self._frozen = FrozenPatternSet(
                 [
                     TacticRewritePattern(
-                        gemm_tactic(), target="affine", stats=self.stats
+                        gemm_tactic(), self.count_match, target="affine"
                     )
                 ]
             )
 
-    def run_on_function(self, func, context: Context):
-        result = apply_patterns_greedily(func, self._frozen)
-        self.rewrite_results.append(result)
-        return result.changed
 
-
-class RaiseAffineToLinalgPass(FunctionPass):
+class RaiseAffineToLinalgPass(TacticPass):
     """-raise-affine-to-linalg: loop nests -> Linalg named ops (the TDL
     tier; ``-raise-affine-synth`` after it is the fallback tier)."""
 
@@ -255,10 +265,6 @@ class RaiseAffineToLinalgPass(FunctionPass):
     ):
         self.tactics = list(tactics) if tactics is not None else None
         self.raise_fills = raise_fills
-        #: Callsites plus per-pattern / per-bail-reason observability
-        #: (``mlt-opt --stats``).
-        self.stats = RaiseStats()
-        self._frozen = None
 
     def cache_config(self) -> str:
         tactic_names = (
@@ -278,17 +284,12 @@ class RaiseAffineToLinalgPass(FunctionPass):
             self.tactics if self.tactics is not None else default_linalg_tactics()
         )
         patterns: List[RewritePattern] = [
-            TacticRewritePattern(t, target="linalg", stats=self.stats)
+            TacticRewritePattern(t, self.count_match, target="linalg")
             for t in tactics
         ]
         if self.raise_fills:
-            patterns.append(FillRaisingPattern(self.stats))
+            patterns.append(FillRaisingPattern(self.count_match))
         self._frozen = FrozenPatternSet(patterns)
-
-    def run_on_function(self, func, context: Context):
-        result = apply_patterns_greedily(func, self._frozen)
-        self.rewrite_results.append(result)
-        return result.changed
 
 
 # ----------------------------------------------------------------------

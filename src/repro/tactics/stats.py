@@ -15,12 +15,17 @@ Two taxonomies:
 
 Keys are part of the observable surface (tests and ``BENCH_raise.json``
 key on them); add new ones, never rename.
+
+The raising passes record into their ``FunctionPass`` counters, the
+channel the pass cache stores and replays; :class:`RaiseStats` only
+reads them.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Optional
 
+from ..ir.pass_manager import FunctionPass
 from ..telemetry import add
 
 #: Why a compiled TDL tactic's matcher bailed on an ``affine.for`` root.
@@ -49,157 +54,109 @@ SYNTH_BAIL_REASONS = (
 )
 
 
+#: The synthesis tier's plain counters, in report order.  Its nest
+#: counts are derived: raised from ``raised_ops``, bailed from
+#: ``bail_reasons``.
+SYNTH_COUNTERS = (
+    "candidates_enumerated",  # proposed and not pruned
+    "candidates_pruned",      # never validated
+    "candidates_validated",   # accepted by the oracle
+    "candidates_rejected",    # refused by the oracle
+    "trials_run",             # interpreter executions spent
+)
+
+
 class RaiseStats:
-    """Aggregated raising observability for one pass run.
+    """Read-only view over raising-pass counters: one pass's
+    (``pass_.stats``) or several merged (:func:`merge_pass_stats`).
 
-    ``patterns`` tracks the TDL tier per compiled tactic:
-    ``{name: {"attempted": n, "matched": n, "bailed": n,
-    "bail_reasons": {reason: n}}}``.  ``attempted`` counts matcher
-    *invocations* (the greedy driver may try one root several times),
-    so it is an upper bound on distinct nests.  ``callsites`` and
-    ``total`` (Figure 8's metric) are views over ``matched``.
-
-    The synthesis tier counts nests and candidates:
-    ``nests_attempted``/``nests_raised``/``nests_bailed``,
-    ``candidates_enumerated``/``candidates_pruned`` (never validated),
-    ``candidates_validated``/``candidates_rejected`` (oracle verdicts),
-    ``trials_run`` (interpreter executions spent), ``raised_ops``
-    (emitted op name -> count), and ``bail_reasons`` keyed by
-    :data:`SYNTH_BAIL_REASONS`.
+    ``tdl`` holds the TDL tier's counters, ``{tactic: {outcome: n}}``
+    with one count per matcher *invocation* (the greedy driver may try
+    one root several times, so ``attempted`` is an upper bound on
+    distinct nests); ``outcome`` is ``"matched"`` or a
+    :data:`TDL_BAIL_REASONS` key.  ``synth`` holds the synthesis tier's:
+    ``raised_ops`` (emitted op name -> nests), ``bail_reasons``
+    (:data:`SYNTH_BAIL_REASONS` key -> nests) and the
+    :data:`SYNTH_COUNTERS`.  Attempted and bailed counts, and Figure 8's
+    ``callsites`` and ``total``, are derived here.
     """
 
-    def __init__(self) -> None:
-        self.patterns: Dict[str, Dict] = {}
-        self.synth_nests_attempted = 0
-        self.synth_nests_raised = 0
-        self.synth_nests_bailed = 0
-        self.candidates_enumerated = 0
-        self.candidates_pruned = 0
-        self.candidates_validated = 0
-        self.candidates_rejected = 0
-        self.trials_run = 0
-        self.raised_ops: Dict[str, int] = {}
-        self.bail_reasons: Dict[str, int] = {}
+    __slots__ = ("_tdl", "_synth")
 
-    # -- TDL tier ------------------------------------------------------
-
-    def _pattern(self, name: str) -> Dict:
-        entry = self.patterns.get(name)
-        if entry is None:
-            entry = {
-                "attempted": 0,
-                "matched": 0,
-                "bailed": 0,
-                "bail_reasons": {},
-            }
-            self.patterns[name] = entry
-        return entry
-
-    def record_tdl(self, pattern_name: str, reason: str) -> None:
-        """One matcher invocation; ``reason`` is ``"matched"`` or a
-        :data:`TDL_BAIL_REASONS` key."""
-        entry = self._pattern(pattern_name)
-        entry["attempted"] += 1
-        if reason == "matched":
-            entry["matched"] += 1
-        else:
-            entry["bailed"] += 1
-            reasons = entry["bail_reasons"]
-            reasons[reason] = reasons.get(reason, 0) + 1
+    def __init__(
+        self, tdl: Optional[Dict] = None, synth: Optional[Dict] = None
+    ) -> None:
+        self._tdl = {} if tdl is None else tdl
+        self._synth = {} if synth is None else synth
 
     @property
     def callsites(self) -> Dict[str, int]:
         """Raised callsites per tactic — the tactics that matched."""
         return {
-            name: entry["matched"]
-            for name, entry in self.patterns.items()
-            if entry["matched"]
+            name: outcomes["matched"]
+            for name, outcomes in self._tdl.items()
+            if outcomes.get("matched")
         }
 
     @property
     def total(self) -> int:
-        return sum(entry["matched"] for entry in self.patterns.values())
-
-    # -- synthesis tier ------------------------------------------------
-
-    def record_synth_bail(self, reason: str) -> None:
-        self.synth_nests_attempted += 1
-        self.synth_nests_bailed += 1
-        self.bail_reasons[reason] = self.bail_reasons.get(reason, 0) + 1
-
-    def record_synth_raise(self, op_name: str) -> None:
-        self.synth_nests_attempted += 1
-        self.synth_nests_raised += 1
-        self.raised_ops[op_name] = self.raised_ops.get(op_name, 0) + 1
-
-    # -- reporting -----------------------------------------------------
+        return sum(outcomes.get("matched", 0) for outcomes in self._tdl.values())
 
     def snapshot(self) -> dict:
-        """JSON-ready view with deterministic key order."""
+        """JSON-ready report: every counter present, deterministic key
+        order."""
+        synth = self._synth
+        raised_ops = dict(sorted(synth.get("raised_ops", {}).items()))
+        bail_reasons = dict(sorted(synth.get("bail_reasons", {}).items()))
+        raised, bailed = sum(raised_ops.values()), sum(bail_reasons.values())
         return {
             "tdl": {
-                name: {
-                    "attempted": entry["attempted"],
-                    "matched": entry["matched"],
-                    "bailed": entry["bailed"],
-                    "bail_reasons": dict(
-                        sorted(entry["bail_reasons"].items())
-                    ),
-                }
-                for name, entry in sorted(self.patterns.items())
+                name: _tdl_entry(outcomes)
+                for name, outcomes in sorted(self._tdl.items())
             },
             "synth": {
-                "nests_attempted": self.synth_nests_attempted,
-                "nests_raised": self.synth_nests_raised,
-                "nests_bailed": self.synth_nests_bailed,
-                "candidates_enumerated": self.candidates_enumerated,
-                "candidates_pruned": self.candidates_pruned,
-                "candidates_validated": self.candidates_validated,
-                "candidates_rejected": self.candidates_rejected,
-                "trials_run": self.trials_run,
-                "raised_ops": dict(sorted(self.raised_ops.items())),
-                "bail_reasons": dict(sorted(self.bail_reasons.items())),
+                "nests_attempted": raised + bailed,
+                "nests_raised": raised,
+                "nests_bailed": bailed,
+                **{name: synth.get(name, 0) for name in SYNTH_COUNTERS},
+                "raised_ops": raised_ops,
+                "bail_reasons": bail_reasons,
             },
         }
 
-    def merge(self, other: "RaiseStats") -> "RaiseStats":
-        """Fold ``other`` into this instance (for multi-pass reports)."""
-        add(self.patterns, other.patterns)
-        add(self.raised_ops, other.raised_ops)
-        add(self.bail_reasons, other.bail_reasons)
-        for field in (
-            "synth_nests_attempted",
-            "synth_nests_raised",
-            "synth_nests_bailed",
-            "candidates_enumerated",
-            "candidates_pruned",
-            "candidates_validated",
-            "candidates_rejected",
-            "trials_run",
-        ):
-            setattr(self, field, getattr(self, field) + getattr(other, field))
-        return self
 
-    def __repr__(self) -> str:
-        return (
-            f"RaiseStats(tdl_patterns={len(self.patterns)}, "
-            f"synth_raised={self.synth_nests_raised}/"
-            f"{self.synth_nests_attempted})"
-        )
+def _tdl_entry(outcomes: Dict[str, int]) -> dict:
+    reasons = {
+        reason: n for reason, n in sorted(outcomes.items()) if reason != "matched"
+    }
+    matched, bailed = outcomes.get("matched", 0), sum(reasons.values())
+    return {
+        "attempted": matched + bailed,
+        "matched": matched,
+        "bailed": bailed,
+        "bail_reasons": reasons,
+    }
+
+
+class RaisingPass(FunctionPass):
+    """A raising tier.  It counts through :meth:`count` like every
+    function pass (so a pass-cache hit replays its counts); ``tier``
+    names the :class:`RaiseStats` section its counters fill."""
+
+    tier: str
+
+    @property
+    def stats(self) -> RaiseStats:
+        return RaiseStats(**{self.tier: self.counters})
 
 
 def merge_pass_stats(passes: Iterable) -> Optional[RaiseStats]:
-    """The ``stats`` of every raising pass among ``passes``, merged —
+    """The counters of every raising pass among ``passes``, merged —
     the tiers of one pipeline read as one report.  ``None`` when no
     pass is a raising pass."""
-    found = [
-        pass_.stats
-        for pass_ in passes
-        if isinstance(getattr(pass_, "stats", None), RaiseStats)
-    ]
-    if not found:
-        return None
-    merged = RaiseStats()
-    for stats in found:
-        merged.merge(stats)
-    return merged
+    tiers = None
+    for pass_ in passes:
+        if isinstance(pass_, RaisingPass):
+            tiers = tiers or {"tdl": {}, "synth": {}}
+            add(tiers[pass_.tier], pass_.counters)
+    return None if tiers is None else RaiseStats(**tiers)

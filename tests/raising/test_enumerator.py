@@ -6,8 +6,8 @@ import pytest
 from repro.dialects.affine import AffineForOp
 from repro.met import compile_c
 from repro.raising import (
-    RaiseStats,
     SYNTH_BAIL_REASONS,
+    SynthRaisingPass,
     classify_mac,
     enumerate_candidates,
     summarize_nest,
@@ -152,10 +152,11 @@ class TestBailTaxonomy:
             "void kernel(float A[5], float B[4]) {"
             " for (int i = 0; i < 4; i++) B[i] = A[i+1]; }"
         )
-        stats = RaiseStats()
-        outcome = synthesize_nest(outer_loop(source), stats)
+        pass_ = SynthRaisingPass()
+        outcome = synthesize_nest(outer_loop(source), pass_.count)
         assert outcome == "no-candidate"
-        assert stats.bail_reasons == {"no-candidate": 1}
+        stats = pass_.stats.snapshot()["synth"]
+        assert stats["bail_reasons"] == {"no-candidate": 1}
 
     def test_validation_failed(self):
         # Shape-plausible candidates exist (B is square) but none match
@@ -167,19 +168,23 @@ class TestBailTaxonomy:
             " for (int k = 0; k < 3; k++)"
             " C[i][j] += A[i+1][k] * B[k][j]; }"
         )
-        stats = RaiseStats()
-        outcome = synthesize_nest(outer_loop(source), stats)
+        pass_ = SynthRaisingPass()
+        outcome = synthesize_nest(outer_loop(source), pass_.count)
         assert outcome == "validation-failed"
-        assert stats.candidates_rejected > 0
-        assert stats.candidates_validated == 0
+        stats = pass_.stats.snapshot()["synth"]
+        assert stats["candidates_rejected"] > 0
+        assert stats["candidates_validated"] == 0
 
     def test_oracle_error_on_trial_budget(self):
-        outcome = synthesize_nest(outer_loop(GEMM), RaiseStats(), max_steps=3)
+        outcome = synthesize_nest(
+            outer_loop(GEMM), SynthRaisingPass().count, max_steps=3
+        )
         assert outcome == "oracle-error"
 
     def test_too_many_candidates(self):
-        stats = RaiseStats()
-        outcome = synthesize_nest(outer_loop(GEMM), stats, max_candidates=1)
+        outcome = synthesize_nest(
+            outer_loop(GEMM), SynthRaisingPass().count, max_candidates=1
+        )
         assert outcome == "too-many-candidates"
 
     def test_every_probed_reason_is_in_the_taxonomy(self):

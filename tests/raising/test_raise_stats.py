@@ -1,13 +1,24 @@
 """The RaiseStats taxonomy: per-pattern TDL accounting via
-``match_explain`` (one unit kernel per bail reason) and the
-merge/snapshot reporting surface."""
+``match_explain`` (one unit kernel per bail reason), the view over the
+raising passes' counters, and their replay from a pass cache."""
 
 import pytest
 
 from repro.dialects.affine import AffineForOp
 from repro.met import compile_c
-from repro.raising import RaiseStats, SYNTH_BAIL_REASONS, TDL_BAIL_REASONS
-from repro.tactics.raising import gemm_tactic
+from repro.ir import Context, PassManager, PassResultCache
+from repro.raising import (
+    RaiseStats,
+    SYNTH_BAIL_REASONS,
+    SynthRaisingPass,
+    TDL_BAIL_REASONS,
+)
+from repro.tactics.raising import (
+    RaiseAffineToAffinePass,
+    RaiseAffineToLinalgPass,
+    gemm_tactic,
+)
+from repro.tactics.stats import merge_pass_stats
 
 #: reason -> (kernel, match the outer loop?).  Each kernel makes the
 #: gemm matcher bail for exactly that reason.
@@ -83,35 +94,34 @@ class TestMatchExplain:
 
 class TestRaiseStats:
     def test_record_tdl_accounting(self):
-        stats = RaiseStats()
-        stats.record_tdl("GEMM", "matched")
-        stats.record_tdl("GEMM", "depth-mismatch")
-        stats.record_tdl("GEMM", "depth-mismatch")
-        entry = stats.snapshot()["tdl"]["GEMM"]
+        pass_ = RaiseAffineToLinalgPass()
+        pass_.count_match("GEMM", "matched")
+        pass_.count_match("GEMM", "depth-mismatch")
+        pass_.count_match("GEMM", "depth-mismatch")
+        entry = pass_.stats.snapshot()["tdl"]["GEMM"]
         assert entry["attempted"] == 3
         assert entry["matched"] == 1
         assert entry["bailed"] == 2
         assert entry["bail_reasons"] == {"depth-mismatch": 2}
 
     def test_record_synth_accounting(self):
-        stats = RaiseStats()
-        stats.record_synth_raise("linalg.generic")
-        stats.record_synth_bail("validation-failed")
-        synth = stats.snapshot()["synth"]
+        pass_ = SynthRaisingPass()
+        pass_.count(raised_ops={"linalg.generic": 1})
+        pass_.count(bail_reasons={"validation-failed": 1})
+        synth = pass_.stats.snapshot()["synth"]
         assert synth["nests_attempted"] == 2
         assert synth["nests_raised"] == 1
         assert synth["raised_ops"] == {"linalg.generic": 1}
         assert synth["bail_reasons"] == {"validation-failed": 1}
 
     def test_merge_folds_both_tiers(self):
-        left, right = RaiseStats(), RaiseStats()
-        left.record_tdl("GEMM", "matched")
-        right.record_tdl("GEMM", "body-shape")
-        right.record_tdl("FILL", "matched")
-        right.record_synth_raise("linalg.matmul")
-        right.candidates_enumerated = 5
-        left.merge(right)
-        snap = left.snapshot()
+        left, right = RaiseAffineToLinalgPass(), RaiseAffineToLinalgPass()
+        synth = SynthRaisingPass()
+        left.count_match("GEMM", "matched")
+        right.count_match("GEMM", "body-shape")
+        right.count_match("FILL", "matched")
+        synth.count(raised_ops={"linalg.matmul": 1}, candidates_enumerated=5)
+        snap = merge_pass_stats([left, right, synth]).snapshot()
         assert snap["tdl"]["GEMM"]["attempted"] == 2
         assert snap["tdl"]["FILL"]["matched"] == 1
         assert snap["synth"]["nests_raised"] == 1
@@ -120,7 +130,43 @@ class TestRaiseStats:
     def test_snapshot_is_json_ready(self):
         import json
 
-        stats = RaiseStats()
-        stats.record_tdl("GEMM", "iv-binding")
-        stats.record_synth_bail("no-candidate")
+        stats = RaiseStats(
+            tdl={"GEMM": {"iv-binding": 1}},
+            synth={"bail_reasons": {"no-candidate": 1}},
+        )
         assert json.loads(json.dumps(stats.snapshot()))
+
+
+TRANSPOSED_GEMM = TDL_BAIL_KERNELS["structure-mismatch"]
+
+
+class TestWarmPassCache:
+    """A pass-cache hit replays the raising counts: a warm run reports
+    what the cold run that filled the cache did."""
+
+    @pytest.mark.parametrize(
+        "pass_type, source",
+        [
+            (RaiseAffineToAffinePass, GEMM),
+            (RaiseAffineToLinalgPass, GEMM),
+            (SynthRaisingPass, TRANSPOSED_GEMM),
+        ],
+        ids=["affine", "linalg", "synth"],
+    )
+    def test_warm_counts_equal_cold(self, pass_type, source):
+        cache = PassResultCache()
+        snapshots = []
+        for _ in ("cold", "warm"):
+            pass_ = pass_type()
+            PassManager(Context(), pass_cache=cache).add(pass_).run(
+                compile_c(source)
+            )
+            snapshots.append(pass_.stats.snapshot())
+        cold, warm = snapshots
+        assert cache.stats.executions == 1 and cache.stats.hits == 1
+        if pass_type is SynthRaisingPass:
+            assert cold["synth"]["nests_raised"] == 1
+            assert cold["synth"]["trials_run"] == 11
+        else:
+            assert cold["tdl"]["GEMM"]["matched"] == 1
+        assert warm == cold

@@ -85,9 +85,8 @@ class TestGenericRaising:
     def test_transposed_output_raises_to_generic(self):
         module = compile_c(TRANSPOSED_OUT)
         stats = raise_two_tiers(module)
-        assert stats.callsites == {} and stats.raised_ops == {
-            "linalg.generic": 1
-        }
+        assert stats.callsites == {}
+        assert stats.snapshot()["synth"]["raised_ops"] == {"linalg.generic": 1}
         (generic,) = _generics(module)
         assert generic.iterator_types == ["parallel", "parallel", "reduction"]
         assert not _loops(module)
@@ -102,7 +101,7 @@ class TestGenericRaising:
 
     def test_exotic_contraction(self):
         raised = compile_c(EXOTIC)
-        assert raise_two_tiers(raised).synth_nests_raised == 1
+        assert raise_two_tiers(raised).snapshot()["synth"]["nests_raised"] == 1
         assert len(_generics(raised)) == 1 and not _loops(raised)
         _assert_same_result(
             compile_c(EXOTIC),
@@ -119,25 +118,28 @@ class TestGenericRaising:
         module = compile_c(GEMM)
         stats = raise_two_tiers(module)
         assert stats.callsites == {"GEMM": 1}
-        assert stats.synth_nests_attempted == 0 and not _generics(module)
+        assert stats.snapshot()["synth"]["nests_attempted"] == 0
+        assert not _generics(module)
 
     def test_generic_mops_up_after_named(self):
         module = compile_c(GEMM + TRANSPOSED_OUT)
         stats = raise_two_tiers(module)
         assert stats.callsites == {"GEMM": 1}
-        assert stats.raised_ops == {"linalg.generic": 1}
+        assert stats.snapshot()["synth"]["raised_ops"] == {"linalg.generic": 1}
         assert not _loops(module)
 
     def test_aliased_accumulator_rejected(self):
         module = compile_c(ALIASED_ACCUMULATOR)
         stats = raise_two_tiers(module)
-        assert stats.total == 0 and stats.synth_nests_raised == 0
+        assert stats.total == 0
+        assert stats.snapshot()["synth"]["nests_raised"] == 0
         assert len(_loops(module)) == 3
 
     def test_scaled_subscript_rejected(self):
         module = compile_c(SCALED_SUBSCRIPT)
         stats = raise_two_tiers(module)
-        assert stats.total == 0 and stats.synth_nests_raised == 0
+        assert stats.total == 0
+        assert stats.snapshot()["synth"]["nests_raised"] == 0
         assert len(_loops(module)) == 3
 
     def test_generic_flops_accounting(self):

@@ -328,6 +328,28 @@ class TestStats:
         assert stats["opt"]["mode"] == "full"
         assert "buffer_plan" in stats["vectorize"]
 
+    def test_warm_pass_cache_reports_the_same_raise(
+        self, capsys, tmp_path
+    ):
+        """A second run over a warm ``--cache-dir`` raises nothing
+        itself, and still reports what the raising tiers did."""
+        path = tmp_path / "transposed.c"
+        path.write_text(GEMM + TRANSPOSED_A)
+        argv = [
+            str(path),
+            "-raise-affine-to-linalg",
+            "-raise-affine-synth",
+            "--cache-dir",
+            str(tmp_path / "cache"),
+            "--stats",
+        ]
+        cold = self._stats(argv, capsys)
+        warm = self._stats(argv, capsys)
+        assert warm["pass_cache"]["memory"]["executions"] == 0
+        assert cold["raise"]["tdl"]["GEMM"]["matched"] == 1
+        assert cold["raise"]["synth"]["nests_raised"] == 1
+        assert warm["raise"] == cold["raise"]
+
     def test_batch_sums_the_kernel_cache_over_units(
         self, c_file, capsys, tmp_path
     ):
