@@ -11,8 +11,9 @@ asserts the tiering story end to end:
    (synth hit), with the candidate I/O-validated by the equivalence
    oracle — ``synth_ms`` is what that second pass cost (its interpreter
    trials dominate), ``wall_time_s`` one run of the raised kernel;
-3. the raised op compiles to the engine's ``runtime.contract``
-   tensordot fast path (asserted on the generated source);
+3. every raised ``linalg.generic`` is one the engine's codegen
+   recognizes as a contraction (``generic_contraction_spec``), so it
+   compiles to a planned BLAS call (``@``/``np.tensordot``);
 4. the compiled result numerically matches the un-raised interpreter
    run on fresh inputs.
 
@@ -33,6 +34,7 @@ import time
 import numpy as np
 
 from repro.dialects.affine import AffineForOp
+from repro.execution.engine.codegen import generic_contraction_spec
 from repro.met import compile_c
 from repro.tactics.stats import merge_pass_stats
 from repro.tool import build_pipeline
@@ -143,7 +145,11 @@ def measure_kernel(name: str, func_name: str, source: str) -> dict:
         return row
 
     engine = ExecutionEngine(synth_module)
-    row["fast_path"] = "_rt.contract(" in engine.source
+    row["fast_path"] = all(
+        generic_contraction_spec(op) is not None
+        for op in synth_module.walk()
+        if op.name == "linalg.generic"
+    )
 
     # Fresh-input cross-check: un-raised interpreter vs raised engine.
     reference = compile_c(source)

@@ -7,7 +7,8 @@ Per kernel, the baseline (un-raised) module is compiled four ways:
   * ``innermost``  — only the innermost loop of each band becomes a
     NumPy expression (the engine's pre-whole-nest behaviour);
   * ``nest``       — whole perfect bands collapse to N-d kernels, with
-    contractions routed to ``runtime.contract`` (tensordot/einsum);
+    each contraction planned at codegen as one ``@``/``np.tensordot``/
+    ``np.einsum`` call;
   * ``mlt-blas``   — the raised pipeline (Linalg -> BLAS library
     calls), compiled with the default ``nest`` mode, as the
     library-dispatch reference point.

@@ -508,9 +508,50 @@ def _emit_copy(ctx: _FuncContext, op) -> None:
         ctx.emit(f"{ctx.name(op.output)}[...] = {src}")
 
 
-#: Axis labels of a :func:`runtime.contract` spec, here and in the
-#: vectorizer; deeper nests skip the contraction fast path.
+#: Axis labels of a contraction spec, here and in the vectorizer;
+#: deeper nests skip the contraction fast path.
 CONTRACTION_LABELS = "abcdefghijklmnopqrstuvwxyz"
+
+
+def contraction_src(spec: str, operands: Sequence[str]) -> str:
+    """NumPy source of the einsum ``spec`` over the named ``operands``,
+    planned once here so the kernel runs the call with nothing left to
+    parse.
+
+    ``spec`` is an einsum subscript (one label per loop, output labels
+    in the store's subscript order).  A two-operand pure contraction —
+    summed labels, no batch label, every other label in the output —
+    is one BLAS call: ``@`` (with ``.T`` views) when one label is
+    summed and no operand has more than two, ``np.tensordot`` with
+    literal axes otherwise.  Everything else is
+    ``np.einsum(..., optimize=True)``.  Each form keeps the input
+    dtype (f32 stays f32), so results match the scalar loop up to
+    reassociation tolerance.
+    """
+    ins, out = spec.split("->")
+    in_specs = ins.split(",")
+    if len(operands) == 2:
+        (a_spec, b_spec), (a, b) = in_specs, operands
+        summed = [c for c in a_spec if c in b_spec and c not in out]
+        free = [c for c in a_spec + b_spec if c not in summed]
+        # Pure: a batch label is free twice, and a label summed in one
+        # operand only (no tensordot axis) is missing from ``out``.
+        if summed and sorted(free) == sorted(out):
+            if len(summed) == 1 and len(a_spec) <= 2 and len(b_spec) <= 2:
+                (k,) = summed
+                x = a if a_spec[-1] == k else f"{a}.T"
+                y = b if b_spec[0] == k else f"{b}.T"
+                return f"({x} @ {y})" + ("" if list(out) == free else ".T")
+            axes = (
+                [a_spec.index(c) for c in summed],
+                [b_spec.index(c) for c in summed],
+            )
+            src = f"_np.tensordot({a}, {b}, {axes!r})"
+            perm = tuple(free.index(c) for c in out)
+            if perm != tuple(range(len(perm))):
+                src = f"{src}.transpose({perm})"
+            return src
+    return f"_np.einsum({spec!r}, {', '.join(operands)}, optimize=True)"
 
 
 def _pure_dim_positions(map_) -> Optional[List[int]]:
@@ -531,7 +572,7 @@ def generic_contraction_spec(op) -> Optional[tuple]:
     tensor contraction.
 
     Returns ``(spec, subtract, scalar_out)`` — an einsum subscript for
-    :func:`runtime.contract`, whether accumulation subtracts, and
+    :func:`contraction_src`, whether accumulation subtracts, and
     whether the output map is all-constant-0 (scalar accumulator like
     ``s[0] += x[i]*y[i]``) — or ``None`` when the generic must run as
     scalar loops.  This is what routes synthesis-raised permuted /
@@ -608,14 +649,13 @@ def _emit_generic(ctx: _FuncContext, op) -> None:
     if recognized is not None:
         spec, subtract, scalar_out = recognized
         a, b, out = ctx.operand_names(op.operands)
-        acc = ctx.fresh("_acc")
-        ctx.emit(f"{acc} = _rt.contract({spec!r}, {a}, {b})")
         if scalar_out:
             index = ", ".join("0" for _ in op.indexing_maps[2].results)
             target = f"{out}[{index}]"
         else:
             target = f"{out}[...]"
-        ctx.emit(f"{target} {'-=' if subtract else '+='} {acc}")
+        sign = "-" if subtract else "+"
+        ctx.emit(f"{target} {sign}= {contraction_src(spec, (a, b))}")
         return
     extents = op.iteration_domain()
     maps = op.indexing_maps

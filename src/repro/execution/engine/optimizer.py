@@ -222,7 +222,7 @@ class DeadLoopsPass(FunctionPass):
 def would_lose_collapse(first, second) -> Optional[str]:
     """The fuse step's veto, the vectorizer's first refusal on a fusion
     candidate: when both bands already collapse whole and one of them
-    folds a reduction, it is one ``contract``/``.sum`` call today, and
+    folds a reduction, it is one contraction/``.sum`` call today, and
     the fused body — two stores, or an accumulator chain once
     ``copy_elim`` forwards the shared element — is a form neither the
     vectorizer nor ``distribute`` gets back.  Elementwise pairs keep

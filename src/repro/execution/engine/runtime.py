@@ -90,48 +90,6 @@ def conv2d(src, kernel, out) -> None:
             ).astype(out.dtype)
 
 
-def contract(spec, *operands):
-    """Tensor contraction for whole-nest vectorized reduction kernels.
-
-    ``spec`` is an einsum subscript string produced by the vectorizer's
-    contraction matcher (one label per band axis, output labels in the
-    store's subscript order).  The common two-operand case with pure
-    contracted axes and no batch axes routes through ``np.tensordot``,
-    which lands on the BLAS ``dot`` path; everything else falls back to
-    ``np.einsum(..., optimize=True)``.  Input dtype is preserved (f32
-    stays f32), so results match the scalar loop up to reassociation
-    tolerance.
-    """
-    ins, out = spec.split("->")
-    in_specs = ins.split(",")
-    if len(operands) == 2:
-        a_spec, b_spec = in_specs
-        a, b = operands
-        shared = set(a_spec) & set(b_spec)
-        summed = [c for c in a_spec if c in shared and c not in out]
-        batch = [c for c in shared if c in out]
-        # tensordot only sums labels shared by both inputs; a contracted
-        # label present in just one input must go through einsum.
-        one_sided = set(a_spec) ^ set(b_spec)
-        if summed and not batch and one_sided <= set(out):
-            result = np.tensordot(
-                a,
-                b,
-                axes=(
-                    [a_spec.index(c) for c in summed],
-                    [b_spec.index(c) for c in summed],
-                ),
-            )
-            free = [c for c in a_spec if c not in summed] + [
-                c for c in b_spec if c not in summed
-            ]
-            perm = [free.index(c) for c in out]
-            if perm != list(range(len(perm))):
-                result = result.transpose(perm)
-            return result
-    return np.einsum(spec, *operands, optimize=True)
-
-
 def window(view, axis, dims):
     """Open one sliced axis of ``view`` into one axis per ``(stride,
     n)`` of ``dims``: element ``(i0, i1, ...)`` of the new axes is

@@ -18,9 +18,11 @@ the single store either assigns a slice (element-wise case) or folds a
 
 On top of the band analysis, **contraction recognition** turns the
 canonical accumulate-a-product-of-loads shape (``C[i,j] += A[i,k] *
-B[k,j]`` and friends) into a single :func:`~.runtime.contract` call —
-``np.tensordot``/``np.einsum`` underneath — so even un-raised baseline
-pipelines reach BLAS-grade kernels.
+B[k,j]`` and friends) into a single BLAS-backed call that
+:func:`~.codegen.contraction_src` plans while the kernel is generated
+(``@``, ``np.tensordot`` or ``np.einsum``), so even un-raised baseline
+pipelines reach BLAS-grade kernels.  A reduction accumulates in place:
+the store is ``view += ...`` / ``view -= ...``.
 
 The transform bails out — returning ``False`` so codegen falls back to
 a scalar Python loop for the *outermost* band loop and retries on the
@@ -68,6 +70,7 @@ from .codegen import (
     CONTRACTION_LABELS,
     FLOAT_BINARY_TEMPLATES,
     affine_expr_src,
+    contraction_src,
 )
 from .runtime import EngineError
 
@@ -352,9 +355,9 @@ class _Vectorizer:
 
     def _match_contraction(self, contrib):
         """Recognise ``contrib`` as a product of vector loads (times
-        scalar factors) suitable for one :func:`~.runtime.contract`
-        call.  Returns ``(vector_loads, scalar_values, internal_muls)``
-        or ``None``."""
+        scalar factors) suitable for one planned contraction (see
+        :func:`~.codegen.contraction_src`).  Returns ``(vector_loads,
+        scalar_values, internal_muls)`` or ``None``."""
         if self.rank > len(CONTRACTION_LABELS):
             return None
         # Every output label must appear in some input: the product
@@ -603,8 +606,7 @@ class _Vectorizer:
             perm = tuple(kept.index(b) for b in access.sub_order)
             if perm != tuple(range(len(perm))):
                 contrib_src = f"{contrib_src}.transpose({perm})"
-        target = self._view(access)
-        ctx.emit(f"{target} = {target} {sign} {contrib_src}")
+        ctx.emit(f"{self._view(access)} {sign}= {contrib_src}")
 
     def _emit_contraction(self, store_access: _Access) -> str:
         leaves, scalars, _internal = self.contraction
@@ -612,10 +614,9 @@ class _Vectorizer:
             ",".join(self._labels(self.accesses[id(leaf)]) for leaf in leaves),
             self._labels(store_access),
         )
-        operands = ", ".join(
-            self.raw_views[id(leaf.results[0])] for leaf in leaves
+        src = contraction_src(
+            spec, [self.raw_views[id(leaf.results[0])] for leaf in leaves]
         )
-        src = f"_rt.contract({spec!r}, {operands})"
         if scalars:
             factors = " * ".join(self._value(value) for value in scalars)
             src = f"(({factors}) * {src})"

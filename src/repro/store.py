@@ -52,8 +52,10 @@ PASS_CACHE_VERSION = "pass-cache-v8"
 #: ``would-lose-collapse``, window loads, lazy canonical views), and so
 #: does the buffer plan (6 -> 7: view/fresh allocs, see
 #: :mod:`repro.execution.engine.buffers`), and so does an op's scalar
-#: spelling (7 -> 8: ``std.maxf`` propagates NaN).
-CODEGEN_VERSION = 8
+#: spelling (7 -> 8: ``std.maxf`` propagates NaN), and so does where a
+#: contraction is planned (8 -> 9: codegen emits the ``@``/tensordot/
+#: einsum call itself and reductions accumulate in place).
+CODEGEN_VERSION = 9
 
 #: Folded into every ``schedules/`` key: bump when the schedule space
 #: or the record layout changes so stale tunings never replay.

@@ -63,8 +63,10 @@ class TestBasicAgreement:
     def test_gemm_matches_interpreter(self):
         engine = _run_both(compile_c(GEMM), "gemm")
         # The whole ijk nest is a recognizable contraction — it must
-        # collapse into one BLAS-backed contraction call.
-        assert "_rt.contract" in engine.source
+        # collapse into one BLAS-backed contraction call, planned as a
+        # matrix product.
+        assert engine.vectorize_stats["contractions"] == 1
+        assert " @ " in engine.source
 
     def test_stencil_matches_interpreter(self):
         engine = _run_both(compile_c(STENCIL), "stencil")

@@ -9,7 +9,7 @@ attached to the kernel truthfully describe what codegen did.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.dialects import affine as affine_d
@@ -17,6 +17,7 @@ from repro.dialects import std
 from repro.dialects.affine import perfect_nest
 from repro.execution import ExecutionEngine, Interpreter, KernelCache
 from repro.execution.engine import generate_module_source
+from repro.execution.engine.codegen import contraction_src
 from repro.execution.engine.licm import hoist_loop_invariants
 from repro.fuzzing.oracle import make_args, module_arg_shapes
 from repro.ir import (
@@ -122,9 +123,9 @@ class TestContractionRecognition:
         module = compile_c(gemm_source(8, 7, 6))
         stats = _check_all_modes(module, "gemm")["nest"]
         assert stats["nests_bailed"] == 0
-        assert stats["contractions"] >= 1
+        assert stats["contractions"] == 1
         source = generate_module_source(module)
-        assert "_rt.contract" in source
+        assert " @ " in source  # planned as one matrix product
         assert "for " not in source  # fully loop-free
 
     def test_two_mm_recognizes_both_contractions(self):
@@ -168,9 +169,10 @@ class TestContractionRecognition:
         }
         """
         module = compile_c(src)
-        _check_all_modes(module, "k")
+        assert _check_all_modes(module, "k")["nest"]["contractions"] == 1
         source = generate_module_source(module)
-        assert "_rt.contract" in source
+        # The factor scales the planned product, not one operand.
+        assert "((1.5) * (" in source and " @ " in source
 
     def test_full_reduction_with_one_sided_label(self):
         # out[0] += A[i][j] * B[i]: label j is summed but appears in
@@ -186,86 +188,164 @@ class TestContractionRecognition:
         module = compile_c(src)
         _check_all_modes(module, "red")
 
+    @pytest.mark.parametrize(
+        "body, spelling",
+        [
+            ("C[i][j] -= A[i][k] * B[k][j];", "] -= (_t"),
+            ("C[2 * i][j] += A[i][k] * B[k][j];", ", 2), slice("),
+            ("C[j][i] += A[i][k] * B[k][j];", ").T"),
+        ],
+        ids=["subtracting", "step-two-target", "transposed-target"],
+    )
+    def test_accumulation_writes_through_the_store_view(self, body, spelling):
+        src = f"""
+        void k(float A[5][4], float B[4][6], float C[10][10]) {{
+          for (int i = 0; i < 5; i++)
+            for (int j = 0; j < 6; j++)
+              for (int k = 0; k < 4; k++)
+                {body}
+        }}
+        """
+        module = compile_c(src)
+        assert _check_all_modes(module, "k")["nest"]["contractions"] == 1
+        (store,) = [
+            line for line in generate_module_source(module).splitlines()
+            if "= (_t" in line
+        ]
+        assert spelling in store
+
     def test_innermost_mode_never_emits_contract(self):
         from repro.evaluation.kernels import gemm_source
 
         module = compile_c(gemm_source(8, 7, 6))
+        assert _stats_for(module, "innermost")["contractions"] == 0
         source = generate_module_source(module, vectorize="innermost")
-        assert "_rt.contract" not in source
+        assert " @ " not in source and "_np.tensordot(" not in source
         assert "for " in source
 
     def test_none_mode_emits_pure_scalar_loops(self):
         from repro.evaluation.kernels import gemm_source
 
         module = compile_c(gemm_source(8, 7, 6))
+        assert _stats_for(module, "none")["contractions"] == 0
         source = generate_module_source(module, vectorize="none")
         assert "slice(" not in source
-        assert "_rt.contract" not in source
+        assert " @ " not in source and "_np.tensordot(" not in source
+
+
+@st.composite
+def two_operand_specs(draw):
+    """``"A,B->O"`` over up to four labels: each operand a nonempty
+    ordered subset, the output any ordered subset of their union."""
+    labels = draw(
+        st.lists(st.sampled_from("abcd"), min_size=1, max_size=4, unique=True)
+    )
+
+    def part(pool, min_size):
+        order = draw(st.permutations(pool))
+        return "".join(order[: draw(st.integers(min_size, len(pool)))])
+
+    a_spec, b_spec = part(labels, 1), part(labels, 1)
+    return f"{a_spec},{b_spec}->{part(sorted(set(a_spec + b_spec)), 0)}"
+
+
+def _planned(spec, *operands):
+    """The expression codegen plans for ``spec`` and its value, with
+    ``_np`` bound as in a generated kernel."""
+    names = [f"x{i}" for i in range(len(operands))]
+    src = contraction_src(spec, names)
+    return src, eval(src, {"_np": np}, dict(zip(names, operands)))
 
 
 class TestRuntimeContract:
-    def test_tensordot_path_matches_einsum(self):
-        from repro.execution.engine.runtime import contract
+    """The contraction a kernel runs, as planned by codegen."""
 
+    def test_tensordot_path_matches_einsum(self):
         rng = np.random.default_rng(0)
-        a = rng.random((4, 5), dtype=np.float32)
-        b = rng.random((5, 6), dtype=np.float32)
+        a = rng.random((4, 5, 3), dtype=np.float32)
+        b = rng.random((5, 3, 6), dtype=np.float32)
+        src, got = _planned("acd,cdb->ab", a, b)
+        assert src == "_np.tensordot(x0, x1, ([1, 2], [0, 1]))"
         np.testing.assert_allclose(
-            contract("ac,cb->ab", a, b),
-            np.einsum("ac,cb->ab", a, b),
-            rtol=RTOL,
+            got, np.einsum("acd,cdb->ab", a, b), rtol=RTOL
+        )
+        src, got = _planned("ac,cb->ab", a[:, :, 0], b[:, 0, :])
+        assert src == "(x0 @ x1)"
+        np.testing.assert_allclose(
+            got, np.einsum("ac,cb->ab", a[:, :, 0], b[:, 0, :]), rtol=RTOL
         )
 
     def test_transposed_output_order(self):
-        from repro.execution.engine.runtime import contract
-
         rng = np.random.default_rng(1)
         a = rng.random((4, 5), dtype=np.float32)
         b = rng.random((5, 6), dtype=np.float32)
+        src, got = _planned("ac,cb->ba", a, b)
+        assert src == "(x0 @ x1).T"
         np.testing.assert_allclose(
-            contract("ac,cb->ba", a, b),
-            np.einsum("ac,cb->ba", a, b),
-            rtol=RTOL,
+            got, np.einsum("ac,cb->ba", a, b), rtol=RTOL
+        )
+        c = rng.random((4, 5, 2), dtype=np.float32)
+        src, got = _planned("acd,cb->bda", c, b)
+        assert src.endswith(".transpose((2, 1, 0))")
+        np.testing.assert_allclose(
+            got, np.einsum("acd,cb->bda", c, b), rtol=RTOL
         )
 
     def test_one_sided_summed_label_falls_back_to_einsum(self):
         # 'b' is contracted but appears only in the first operand;
-        # tensordot cannot sum it, so contract() must route to einsum
-        # instead of returning a wrong-rank array.
-        from repro.execution.engine.runtime import contract
-
+        # tensordot cannot sum it, so the plan must be einsum instead
+        # of a wrong-rank product.
         rng = np.random.default_rng(3)
         a = rng.random((3, 4), dtype=np.float32)
         b = rng.random(3, dtype=np.float32)
-        np.testing.assert_allclose(
-            contract("ab,a->", a, b),
-            np.einsum("ab,a->", a, b),
-            rtol=RTOL,
-        )
-        np.testing.assert_allclose(
-            contract("ab,a->a", a, b),
-            np.einsum("ab,a->a", a, b),
-            rtol=RTOL,
-        )
+        for spec in ("ab,a->", "ab,a->a"):
+            src, got = _planned(spec, a, b)
+            assert src.startswith("_np.einsum(")
+            np.testing.assert_allclose(
+                got, np.einsum(spec, a, b), rtol=RTOL
+            )
 
     def test_batch_axes_fall_back_to_einsum(self):
-        from repro.execution.engine.runtime import contract
-
         rng = np.random.default_rng(2)
         a = rng.random((3, 4, 5), dtype=np.float32)
         b = rng.random((3, 5, 6), dtype=np.float32)
+        src, got = _planned("abc,acd->abd", a, b)
+        assert src == "_np.einsum('abc,acd->abd', x0, x1, optimize=True)"
         np.testing.assert_allclose(
-            contract("abc,acd->abd", a, b),
-            np.einsum("abc,acd->abd", a, b),
-            rtol=RTOL,
+            got, np.einsum("abc,acd->abd", a, b), rtol=RTOL
         )
 
     def test_dtype_preserved(self):
-        from repro.execution.engine.runtime import contract
-
         a = np.ones((2, 3), dtype=np.float32)
-        b = np.ones((3, 2), dtype=np.float32)
-        assert contract("ac,cb->ab", a, b).dtype == np.float32
+        b = np.ones((3, 2, 2), dtype=np.float32)
+        for spec, y in (("ac,cb->ab", b[:, :, 0]), ("ac,cbd->abd", b)):
+            assert _planned(spec, a, y)[1].dtype == np.float32
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec=two_operand_specs(), scaled=st.booleans())
+    @example(spec="ca,cb->ab", scaled=False)  # x0.T @ x1
+    @example(spec="ac,bc->ba", scaled=True)  # (x0 @ x1.T).T, scaled
+    @example(spec="a,ba->b", scaled=False)  # vector @ matrix.T
+    @example(spec="ab,b->a", scaled=False)  # matrix @ vector
+    @example(spec="a,a->", scaled=True)  # scalar output, scaled
+    @example(spec="ab,a->b", scaled=False)  # one-sided summed label
+    @example(spec="abc,acd->abd", scaled=False)  # batch label
+    @example(spec="acd,cb->bda", scaled=False)  # tensordot, transposed
+    def test_every_plan_matches_einsum(self, spec, scaled):
+        ins, _ = spec.split("->")
+        extent = {c: 2 + "abcd".index(c) for c in ins if c != ","}
+        rng = np.random.default_rng(0)
+        a, b = (
+            rng.random([extent[c] for c in part], dtype=np.float32)
+            for part in ins.split(",")
+        )
+        src = contraction_src(spec, ["x0", "x1"])
+        want = np.einsum(spec, a, b)
+        if scaled:  # the vectorizer's spelling of a scalar factor
+            src, want = f"((1.5) * {src})", 1.5 * want
+        got = eval(src, {"_np": np}, {"x0": a, "x1": b})
+        assert np.shape(got) == want.shape, src
+        np.testing.assert_allclose(got, want, rtol=RTOL, err_msg=src)
 
 
 # ----------------------------------------------------------------------
@@ -517,7 +597,8 @@ class TestWindowLoads:
         """
         source = self._collapsed(src, "k", contractions=1)
         assert source.count("_rt.window(") == 1
-        assert "_rt.contract('ab,b->a'" in source
+        # 'ab,b->a' is a matrix-vector product over the window view.
+        assert source.count(" @ ") == 1
 
     def test_strided_window(self):
         src = """
