@@ -39,8 +39,11 @@ NAMESPACES = ("kernels", "modules", "passes", "schedules")
 #: ``cache_config()`` does not capture (v6 -> v7: canonicalize folds
 #: ``std.maxf`` of a NaN constant to NaN), or what an entry's ``meta``
 #: carries (v7 -> v8: raising passes store their counts, which a v7
-#: entry would replay as zero).
-PASS_CACHE_VERSION = "pass-cache-v8"
+#: entry would replay as zero), or what a tactic of one name rewrites
+#: to (v8 -> v9: ``-raise-affine-to-linalg`` keys on tactic names, and
+#: the TTGT tactics now raise with the plan of fewest transposing
+#: copies, which a v8 entry would replay as the old plan).
+PASS_CACHE_VERSION = "pass-cache-v9"
 
 #: Codegen schema version, folded into every ``kernels/`` key.  Bump on
 #: any change to generated-source semantics (vectorizer strategy,

@@ -31,7 +31,11 @@ from .raising import (  # noqa: F401
     raise_affine_to_affine,
     raise_affine_to_linalg,
 )
-from .contraction import contraction_tactic_tdl, ttgt_plan  # noqa: F401
+from .contraction import (  # noqa: F401
+    contraction_tactic_tdl,
+    ttgt_plan,
+    ttgt_plans,
+)
 from .chain import (  # noqa: F401
     MatrixChainReorderPass,
     optimal_parenthesization,

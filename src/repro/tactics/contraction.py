@@ -5,16 +5,19 @@ A contraction spec follows the paper's naming convention
 
     C(a,b,c) += A(a,c,d) * B(d,b)
 
-:func:`ttgt_plan` computes the Transpose-Transpose-GEMM-Transpose
-decomposition — flatten the tensors into matrices via explicit
-transpositions and reshapes, run GEMM, fold the result back — and
-:func:`contraction_tactic_tdl` renders it as TDL text, which then goes
-through the ordinary TDL -> TDS -> matchers pipeline.
+A Transpose-Transpose-GEMM-Transpose plan flattens the tensors into
+matrices D[M,N] += E[M,K] * F[K,N] through transpositions and reshapes,
+runs GEMM, and folds the result back.  :func:`ttgt_plans` enumerates
+the group orders that can make an operand a reshape view,
+:func:`ttgt_plan` picks the one with the fewest transposing copies, and
+:func:`contraction_tactic_tdl` renders a plan as TDL text, which then
+goes through the ordinary TDL -> TDS -> matchers pipeline.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple
+import itertools
+from typing import List, NamedTuple, Optional, Tuple
 
 from .tdl.ast import TdlSyntaxError
 
@@ -23,9 +26,9 @@ class TTGTPlan(NamedTuple):
     out_indices: List[str]
     a_indices: List[str]
     b_indices: List[str]
-    m_group: List[str]  # A-free indices (GEMM rows), in A order
-    n_group: List[str]  # B-free indices (GEMM cols), in B order
-    k_group: List[str]  # contracted indices, in A order
+    m_group: List[str]  # A-free indices (GEMM rows), in A or output order
+    n_group: List[str]  # B-free indices (GEMM cols), in B or output order
+    k_group: List[str]  # contracted indices, in A or B order
 
 
 def parse_contraction_spec(spec: str) -> Tuple[List[str], List[str], List[str]]:
@@ -35,8 +38,14 @@ def parse_contraction_spec(spec: str) -> Tuple[List[str], List[str], List[str]]:
     return [list(part) for part in parts]
 
 
-def ttgt_plan(spec: str) -> TTGTPlan:
-    """Derive the TTGT grouping for a contraction spec."""
+def ttgt_plans(spec: str) -> List[TTGTPlan]:
+    """The eight TTGT plans of a contraction spec (equal ones included:
+    a group's two orders may coincide).
+
+    Only two orders of each group can make an operand a copy-free
+    view: M in output or A order, N in output or B order, K in A or B
+    order.  The first plan is the operand-order one (M in A order, N in
+    B order, K in A order)."""
     out_idx, a_idx, b_idx = parse_contraction_spec(spec)
     out_set, a_set, b_set = set(out_idx), set(a_idx), set(b_idx)
     if len(a_set) != len(a_idx) or len(b_set) != len(b_idx):
@@ -46,6 +55,8 @@ def ttgt_plan(spec: str) -> TTGTPlan:
     n_group = [v for v in b_idx if v in out_set]
     if not k_group:
         raise TdlSyntaxError(f"{spec}: no contracted index")
+    if not m_group or not n_group:
+        raise TdlSyntaxError(f"{spec}: an operand has no free index")
     if sorted(m_group + n_group) != sorted(out_idx):
         raise TdlSyntaxError(
             f"{spec}: output indices are not the union of free indices"
@@ -54,94 +65,85 @@ def ttgt_plan(spec: str) -> TTGTPlan:
         raise TdlSyntaxError(f"{spec}: A has indices outside M+K")
     if sorted(b_idx) != sorted(k_group + n_group):
         raise TdlSyntaxError(f"{spec}: B has indices outside K+N")
-    return TTGTPlan(out_idx, a_idx, b_idx, m_group, n_group, k_group)
+    m_orders = (m_group, [v for v in out_idx if v in a_set])
+    n_orders = (n_group, [v for v in out_idx if v in b_set])
+    k_orders = (k_group, [v for v in b_idx if v in a_set])
+    return [
+        TTGTPlan(out_idx, a_idx, b_idx, m, n, k)
+        for m, n, k in itertools.product(m_orders, n_orders, k_orders)
+    ]
 
 
-def _group_ref(
-    group: List[str], fresh: str, where: Dict[str, List[str]]
+def transposing_copies(plan: TTGTPlan) -> int:
+    """Transposing copies a plan needs.  An operand is a reshape view
+    exactly when its index list is its groups concatenated; C counts
+    twice, since it is copied in and copied back out."""
+    m, n, k = plan.m_group, plan.n_group, plan.k_group
+    return (
+        2 * (plan.out_indices != m + n)
+        + (plan.a_indices != m + k)
+        + (plan.b_indices != k + n)
+    )
+
+
+def ttgt_plan(spec: str) -> TTGTPlan:
+    """The plan of ``spec`` with the fewest transposing copies; on a tie
+    the operand-order plan."""
+    return min(ttgt_plans(spec), key=transposing_copies)
+
+
+def contraction_tactic_tdl(
+    spec: str, name: Optional[str] = None, plan: Optional[TTGTPlan] = None
 ) -> str:
-    """Name for a (possibly grouped) GEMM dimension; records the
-    where-clause when flattening more than one index."""
-    if len(group) == 1:
-        return group[0]
-    where[fresh] = list(group)
-    return fresh
-
-
-def _copy_stmt_needed(src_indices: List[str], grouped: List[List[str]]) -> bool:
-    """A copy is needed unless the source is already the flattened
-    matrix: exactly the groups, in order, each of size 1."""
-    flat = [v for group in grouped for v in group]
-    if src_indices != flat:
-        return True
-    return any(len(group) > 1 for group in grouped)
-
-
-def contraction_tactic_tdl(spec: str, name: Optional[str] = None) -> str:
-    """Render the TTGT tactic for a contraction spec as TDL text."""
-    plan = ttgt_plan(spec)
+    """Render a TTGT plan of a contraction spec (by default
+    :func:`ttgt_plan`'s) as TDL text."""
+    if plan is None:
+        plan = ttgt_plan(spec)
     tactic_name = name or "TTGT_" + spec.replace("-", "_")
-    where_c: Dict[str, List[str]] = {}
-    m_ref = _group_ref(plan.m_group, "m0", where_c)
-    n_ref = _group_ref(plan.n_group, "n0", where_c)
-    where_a: Dict[str, List[str]] = {}
-    m_ref_a = _group_ref(plan.m_group, "m0", where_a)
-    where_b: Dict[str, List[str]] = {}
-    n_ref_b = _group_ref(plan.n_group, "n0", where_b)
-    k_ref_holder: Dict[str, List[str]] = {}
-    k_ref = _group_ref(plan.k_group, "k0", k_ref_holder)
+    groups = {"m0": plan.m_group, "n0": plan.n_group, "k0": plan.k_group}
+    # A group of one index is named by it; a longer one by a where-var.
+    ref = {var: group[0] if len(group) == 1 else var
+           for var, group in groups.items()}
 
-    def clause(where: Dict[str, List[str]]) -> str:
-        if not where:
-            return ""
-        return " where " + ", ".join(
-            f"{v} = {' * '.join(group)}" for v, group in where.items()
+    def flattening(tensor: str, indices: List[str], rows: str, cols: str):
+        """``(matrix, tensor access, where-clause)`` of the statement
+        flattening ``tensor`` to a (rows, cols) matrix; None when it
+        already is that matrix."""
+        grouped = [var for var in (rows, cols) if len(groups[var]) > 1]
+        if indices == groups[rows] + groups[cols] and not grouped:
+            return None
+        where = ", ".join(
+            f"{var} = {' * '.join(groups[var])}" for var in grouped
+        )
+        return (
+            f"({ref[rows]}, {ref[cols]})",
+            f"{tensor}({', '.join(indices)})",
+            f" where {where}" if where else "",
         )
 
-    out_list = ", ".join(plan.out_indices)
-    a_list = ", ".join(plan.a_indices)
-    b_list = ", ".join(plan.b_indices)
-
     lines = [f"def {tactic_name} {{", "  pattern",
-             f"    C({out_list}) += A({a_list}) * B({b_list})", "  builder"]
+             f"    C({', '.join(plan.out_indices)}) += "
+             f"A({', '.join(plan.a_indices)}) * B({', '.join(plan.b_indices)})",
+             "  builder"]
 
     # D = flatten(C), E = flatten(A), F = flatten(B) — omitting
     # flattenings that would be identities.
-    c_grouped = [plan.m_group, plan.n_group]
-    needs_d = _copy_stmt_needed(plan.out_indices, c_grouped)
-    if needs_d:
-        d_name = "D"
-        lines.append(
-            f"    {d_name}({m_ref}, {n_ref}) = C({out_list})" + clause(where_c)
-        )
-    else:
-        d_name = "C"
-    a_grouped = [plan.m_group, plan.k_group]
-    if _copy_stmt_needed(plan.a_indices, a_grouped):
-        e_name = "E"
-        lines.append(
-            f"    {e_name}({m_ref_a}, {k_ref}) = A({a_list})"
-            + clause({**where_a, **k_ref_holder})
-        )
-    else:
-        e_name = "A"
-    b_grouped = [plan.k_group, plan.n_group]
-    if _copy_stmt_needed(plan.b_indices, b_grouped):
-        f_name = "F"
-        lines.append(
-            f"    {f_name}({k_ref}, {n_ref_b}) = B({b_list})"
-            + clause({**k_ref_holder, **where_b})
-        )
-    else:
-        f_name = "B"
-    lines.append(
-        f"    {d_name}({m_ref}, {n_ref}) += "
-        f"{e_name}({m_ref}, {k_ref}) * {f_name}({k_ref}, {n_ref})"
-    )
-    if needs_d:
-        lines.append(
-            f"    C({out_list}) = {d_name}({m_ref}, {n_ref})" + clause(where_c)
-        )
+    flat = {
+        "D": flattening("C", plan.out_indices, "m0", "n0"),
+        "E": flattening("A", plan.a_indices, "m0", "k0"),
+        "F": flattening("B", plan.b_indices, "k0", "n0"),
+    }
+    for temp, stmt in flat.items():
+        if stmt is not None:
+            matrix, access, where = stmt
+            lines.append(f"    {temp}{matrix} = {access}{where}")
+    d, e, f = (temp if flat[temp] else tensor
+               for temp, tensor in zip("DEF", "CAB"))
+    m, n, k = ref["m0"], ref["n0"], ref["k0"]
+    lines.append(f"    {d}({m}, {n}) += {e}({m}, {k}) * {f}({k}, {n})")
+    if flat["D"] is not None:
+        matrix, access, where = flat["D"]
+        lines.append(f"    {access} = D{matrix}{where}")
     lines.append("}")
     return "\n".join(lines)
 

@@ -31,11 +31,13 @@ KERNELS = sorted(PAPER_BENCHMARKS) + ["doitgen"]
 
 #: sha256 over the printed ``build_module`` IR of every kernel x
 #: {small, mid} x tile {32, 8}, in that order; taken from the builders
-#: the table replaced, so the lists print byte-identical IR.
+#: the table replaced, so the lists print byte-identical IR.  The
+#: raising lists' digests also move with the TTGT tactics' plans
+#: (``tactics/contraction.py``); ``baseline`` never raises.
 GOLDEN = {
     "baseline": "dcfb364ab1dc6a1355eb471f314deeb2ee55a8fc3f32c282f8aeef6b0376bdbd",
-    "mlt-linalg": "9c4a59b03ff53f4f830ccb99c7b5ee8bf970d10e8ba81db62af11564500e1444",
-    "mlt-blas": "ecad045db852d80ee11e78e995a7d8274a4b5159a811501a4cb34aeecebb4d21",
+    "mlt-linalg": "baacd31edde4481701ce905372fa90d37d8079251bab36b0ae37187c6a53e70b",
+    "mlt-blas": "1336710b735a58341b2b07e616879264a400dd5ab28a586a4b4da6e96f41e8da",
 }
 
 

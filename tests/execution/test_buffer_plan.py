@@ -42,6 +42,8 @@ from repro.ir.parser import parse_module
 from repro.tactics.contraction import (
     PAPER_CONTRACTIONS,
     parse_contraction_spec,
+    transposing_copies,
+    ttgt_plan,
 )
 
 
@@ -562,6 +564,22 @@ def _mid_contraction(spec):
     return K.contraction_source(spec, {v: extent for v in names})
 
 
+#: Transposing copies of each raised contraction's TTGT plan, 10 in
+#: all: the planner's choice and its price, so a plan that needs more,
+#: or a price the IR does not bear out, fails by kernel.
+#: ``abc-acd-db``'s two are C's copy in and back out: its output
+#: interleaves the GEMM's row and column indices.
+TTGT_TRANSPOSES = {
+    "ab-acd-dbc": 1,
+    "abc-acd-db": 2,
+    "abc-ad-bdc": 1,
+    "ab-cad-dcb": 1,
+    "abc-bda-dc": 1,
+    "abcd-aebf-dfce": 2,
+    "abcd-aebf-fdec": 2,
+}
+
+
 class TestRaisedContractionsAllocateNothingTheyDontNeed:
     @pytest.mark.parametrize("spec", PAPER_CONTRACTIONS)
     def test_ttgt_costs_its_transposes_and_one_gemm(self, spec):
@@ -569,6 +587,8 @@ class TestRaisedContractionsAllocateNothingTheyDontNeed:
         transposes = sum(
             op.name == "blas.transpose" for op in module.walk()
         )
+        assert transposes == TTGT_TRANSPOSES[spec]
+        assert transposes == transposing_copies(ttgt_plan(spec))
         engine = ExecutionEngine(
             module, pipeline="mlt-blas", opt_mode="full", cache=KernelCache()
         )

@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 from repro.execution import Interpreter
 from repro.ir import Context, verify
 from repro.met import compile_c
+from repro.raising.equivalence import RTOL
 from repro.tactics import (
     contraction_tactic_tdl,
     raise_affine_to_linalg,
     reorder_matrix_chains,
     ttgt_plan,
+    ttgt_plans,
 )
 from repro.tactics.chain import (
     chain_multiplications,
@@ -23,7 +25,13 @@ from repro.tactics.chain import (
     optimal_parenthesization,
     parenthesization_str,
 )
-from repro.tactics.contraction import PAPER_CONTRACTIONS
+from repro.tactics.contraction import (
+    PAPER_CONTRACTIONS,
+    TTGTPlan,
+    parse_contraction_spec,
+    transposing_copies,
+)
+from repro.tactics.raising import compile_tdl
 from repro.tactics.tdl.ast import TdlSyntaxError
 from repro.evaluation.kernels import (
     contraction_source,
@@ -70,11 +78,93 @@ class TestTTGTPlan:
             assert tactic.builders
 
 
+#: (|M|, |N|, |K|) with every tensor of rank <= 4.
+_GROUP_SIZES = [
+    (m, n, k)
+    for m, n, k in itertools.product(range(1, 4), repeat=3)
+    if max(m + n, m + k, k + n) <= 4
+]
+
+
+@st.composite
+def contraction_specs(draw):
+    """A valid ``out-A-B`` spec of rank <= 4 per tensor: every index in
+    exactly two of C, A, B, and M, N, K each non-empty."""
+    m, n, k = draw(st.sampled_from(_GROUP_SIZES))
+    names = iter("abcdef")
+    m_idx, n_idx, k_idx = (
+        [next(names) for _ in range(size)] for size in (m, n, k)
+    )
+    out, a, b = (
+        draw(st.permutations(indices))
+        for indices in (m_idx + n_idx, m_idx + k_idx, k_idx + n_idx)
+    )
+    return "-".join("".join(indices) for indices in (out, a, b))
+
+
+def _legacy_plan(spec):
+    """M in A order, N in B order, K in A order."""
+    out, a, b = parse_contraction_spec(spec)
+    return TTGTPlan(
+        out, a, b,
+        [v for v in a if v in out],
+        [v for v in b if v in out],
+        [v for v in a if v in b],
+    )
+
+
+class TestEveryTTGTPlan:
+    @given(contraction_specs())
+    @settings(deadline=None)
+    def test_every_plan_raises_to_the_same_values(self, spec):
+        out_idx, a_idx, b_idx = parse_contraction_spec(spec)
+        sizes = {v: 2 + i % 3 for i, v in enumerate("abcdef")}
+        src = contraction_source(spec, sizes)
+        shape = lambda idx: tuple(sizes[v] for v in idx)
+        a, b = random_arrays(3, shape(a_idx), shape(b_idx))
+        expected = np.zeros(shape(out_idx), np.float32)
+        Interpreter(compile_c(src)).run("contraction", a, b, expected)
+        plans = ttgt_plans(spec)
+        assert len(plans) == 8
+        for tdl in {contraction_tactic_tdl(spec, plan=p) for p in plans}:
+            raised = compile_c(src)
+            stats = raise_affine_to_linalg(raised, tactics=compile_tdl(tdl))
+            assert stats.total == 1, tdl
+            verify(raised, Context())
+            got = np.zeros(shape(out_idx), np.float32)
+            Interpreter(raised).run("contraction", a, b, got)
+            assert_close(expected, got, rtol=RTOL)
+
+    @given(contraction_specs())
+    def test_the_plan_has_the_fewest_copies_and_ties_keep_the_legacy_plan(
+        self, spec
+    ):
+        plan = ttgt_plan(spec)
+        fewest = min(map(transposing_copies, ttgt_plans(spec)))
+        assert transposing_copies(plan) == fewest
+        legacy = _legacy_plan(spec)
+        assert legacy in ttgt_plans(spec)
+        if transposing_copies(legacy) == fewest:
+            assert plan == legacy
+
+    @pytest.mark.parametrize(
+        "spec, copies",
+        [("abc-bda-dc", (3, 1)), ("ab-cad-dcb", (2, 1)),
+         ("abcd-aebf-dfce", (4, 2)), ("abc-acd-db", (2, 2))],
+    )
+    def test_paper_contractions_drop_their_avoidable_copies(self, spec, copies):
+        assert (transposing_copies(_legacy_plan(spec)),
+                transposing_copies(ttgt_plan(spec))) == copies
+
+    def test_an_operand_without_a_free_index_is_rejected(self):
+        with pytest.raises(TdlSyntaxError, match="no free index"):
+            ttgt_plan("a-abc-bc")
+
+
 @pytest.mark.parametrize("spec", PAPER_CONTRACTIONS)
 def test_contraction_raising_preserves_semantics(spec):
     """Every paper contraction: raise via TTGT, compare numerics."""
     from repro.evaluation.kernels import _contraction_spec_sizes_small
-    from repro.tactics.contraction import parse_contraction_spec
 
     sizes = _contraction_spec_sizes_small(spec)
     src = contraction_source(spec, sizes)

@@ -285,19 +285,19 @@ class TestLoweringIsAConversion:
                     assert result.iterations == 1, pass_.name
                     entry[0] += result.trials
                     entry[1] += result.num_rewrites
-        # (trials, rewrites) per corpus pass, as measured under the
-        # worklist driver before lowering became a conversion.
+        # (trials, rewrites) per corpus pass; they move with the raised
+        # contractions' TTGT plans (tactics/contraction.py).
         assert totals == {
-            "convert-linalg-to-affine-loops": [74, 74],
+            "convert-linalg-to-affine-loops": [67, 67],
             "affine-expand-matmul": [0, 0],
-            "canonicalize": [450, 0],
-            "lower-affine": [409, 409],
-            "convert-scf-to-llvm": [190, 190],
+            "canonicalize": [418, 0],
+            "lower-affine": [370, 370],
+            "convert-scf-to-llvm": [176, 176],
             "convert-blas-to-llvm": [0, 0],
         }
         # transforms.lower_trials / transforms.lower_rewrites of the
         # e2e benchmark's traced compile_cold run.
-        assert [sum(column) for column in zip(*totals.values())] == [1123, 673]
+        assert [sum(column) for column in zip(*totals.values())] == [1031, 613]
 
     def test_bookkeeping_ceiling(self, monkeypatch):
         # Under the fixpoint driver one lowering of the corpus made
