@@ -11,7 +11,6 @@ from .engine import (  # noqa: F401
     KERNEL_CACHE,
     KernelCache,
     OPT_MODES,
-    OptStats,
     run_function_compiled,
     run_optimizer,
 )

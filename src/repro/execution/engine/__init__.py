@@ -27,5 +27,5 @@ from .codegen import (  # noqa: F401
 )
 from .disk_cache import DiskKernelCache  # noqa: F401
 from .engine import ExecutionEngine, run_function_compiled  # noqa: F401
-from .optimizer import OPT_MODES, OptStats, run_optimizer  # noqa: F401
+from .optimizer import OPT_MODES, run_optimizer  # noqa: F401
 from .vectorize import VectorizeStats  # noqa: F401

@@ -34,6 +34,7 @@ from ...ir.affine_expr import AffineExpr, AffineExprKind
 from ...ir.types import F64Type, IndexType, IntegerType, MemRefType
 from . import runtime
 from .buffers import ELIDED, VIEW, plan_buffers
+from .licm import hoist_loop_invariants
 from .runtime import EngineError
 
 #: Hard bound on block transitions when executing a lowered CFG region;
@@ -770,12 +771,7 @@ EMITTERS.update(
 
 
 class CodeGenerator:
-    def __init__(
-        self,
-        module: ModuleOp,
-        vectorize: str = "nest",
-        licm: bool = True,
-    ):
+    def __init__(self, module: ModuleOp, vectorize: str = "nest"):
         if vectorize not in VECTORIZE_MODES:
             raise EngineError(
                 f"engine: unknown vectorize mode {vectorize!r}; "
@@ -785,7 +781,6 @@ class CodeGenerator:
 
         self.module = module
         self.vectorize = vectorize
-        self.licm = licm
         self.vec_stats = VectorizeStats()
 
     def emit_op(self, ctx: _FuncContext, op: Operation) -> None:
@@ -802,11 +797,8 @@ class CodeGenerator:
         ctx.buffer_actions = plan_buffers(func, self.vec_stats)
         if len(region.blocks) == 1:
             ctx.emit_block(region.entry_block.operations)
-            if self.licm:
-                from .licm import hoist_loop_invariants
-
-                ctx.lines, hoisted = hoist_loop_invariants(ctx.lines)
-                self.vec_stats.licm_hoisted += hoisted
+            ctx.lines, hoisted = hoist_loop_invariants(ctx.lines)
+            self.vec_stats.licm_hoisted += hoisted
             if not _returns_on_all_paths(ctx.lines):
                 ctx.emit("return []")
         else:
@@ -887,11 +879,9 @@ def _module_chunks(generator: CodeGenerator) -> str:
     return "\n\n\n".join(chunks) + "\n"
 
 
-def generate_module_source(
-    module: ModuleOp, vectorize: str = "nest", licm: bool = True
-) -> str:
+def generate_module_source(module: ModuleOp, vectorize: str = "nest") -> str:
     """Generate the full Python source for a module's functions."""
-    return _module_chunks(CodeGenerator(module, vectorize=vectorize, licm=licm))
+    return _module_chunks(CodeGenerator(module, vectorize=vectorize))
 
 
 @dataclass
@@ -902,9 +892,8 @@ class CompiledModule:
     disk tier persists as bytecode); ``vectorize_stats`` is the
     codegen-time :class:`~.vectorize.VectorizeStats` snapshot (``None``
     for kernels re-hydrated from a pre-stats disk artifact);
-    ``opt_stats`` is the mid-level optimizer's
-    :class:`~.optimizer.OptStats` snapshot (``None`` when the engine
-    compiled with ``opt_mode="none"``).
+    ``opt_stats`` is the ``ScheduleResult.snapshot`` of the schedule
+    that ran before codegen (``None`` when none ran).
     """
 
     key: str
@@ -955,13 +944,10 @@ def load_compiled_source(
 
 
 def compile_module(
-    module: ModuleOp,
-    key: str = "",
-    vectorize: str = "nest",
-    licm: bool = True,
+    module: ModuleOp, key: str = "", vectorize: str = "nest"
 ) -> CompiledModule:
     """Codegen + ``compile()`` one module into callable kernels."""
-    generator = CodeGenerator(module, vectorize=vectorize, licm=licm)
+    generator = CodeGenerator(module, vectorize=vectorize)
     return load_compiled_source(
         _module_chunks(generator),
         key,

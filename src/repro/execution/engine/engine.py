@@ -41,10 +41,13 @@ class ExecutionEngine:
     own, so batches over ``--cache-dir`` and ``--execute`` runs share
     kernels.
 
-    ``opt_mode`` (see :data:`~.optimizer.OPT_MODES`) selects the
-    mid-level loop-optimizer pipeline run before codegen.  The caller's
-    module is never mutated: optimization happens on a clone, inside
-    the cache-miss builder.
+    ``schedule`` is the transform schedule run before codegen, and an
+    ``opt_mode`` other than ``"none"`` (see :data:`~.optimizer.OPT_MODES`)
+    names one: ``canned_schedule(opt_mode, tile_size)``.  Either way the
+    kernel is keyed on the schedule's fingerprint, so the two spellings
+    of one schedule share a kernel.  The caller's module is never
+    mutated: the schedule runs on a clone, inside the cache-miss
+    builder.
     """
 
     def __init__(
@@ -58,16 +61,28 @@ class ExecutionEngine:
         schedule: Optional[ModuleOp] = None,
         pass_cache=None,
     ):
-        from .optimizer import DEFAULT_TILE_SIZE, run_optimizer
+        from ...scheduling.interpreter import (
+            apply_schedule,
+            canned_fingerprint,
+            canned_schedule,
+            schedule_vectorize,
+        )
+        from .optimizer import DEFAULT_TILE_SIZE
 
         if tile_size is None:
             tile_size = DEFAULT_TILE_SIZE
+        fingerprint = ""
+        if opt_mode != "none":
+            if schedule is not None:
+                raise EngineError(
+                    f"engine: opt_mode={opt_mode!r} and schedule both name "
+                    "the optimizer schedule; pass one"
+                )
+            schedule = canned_schedule(opt_mode, tile_size)
+            fingerprint = canned_fingerprint(opt_mode, tile_size)
+        elif schedule is not None:
+            fingerprint = fingerprint_module(schedule)
         if schedule is not None:
-            from ...scheduling.interpreter import (
-                apply_schedule,
-                schedule_vectorize,
-            )
-
             requested = schedule_vectorize(schedule)
             if requested is not None:
                 vectorize = requested
@@ -79,8 +94,6 @@ class ExecutionEngine:
         self.module = module
         self.pipeline = pipeline
         self.vectorize = vectorize
-        self.opt_mode = opt_mode
-        self.tile_size = tile_size
         self.schedule = schedule
         self.cache = cache if cache is not None else KERNEL_CACHE
         config = dataclasses.replace(
@@ -88,32 +101,20 @@ class ExecutionEngine:
             if isinstance(pipeline, CompileConfig)
             else CompileConfig(label=pipeline),
             vectorize=vectorize,
-            opt_mode=opt_mode,
             tile=tile_size,
-            schedule="" if schedule is None else fingerprint_module(schedule),
+            schedule=fingerprint,
         )
 
         def _build(key: str) -> CompiledModule:
             # ``pass_cache`` is the function-granular compilation
-            # firewall: on a kernel-cache miss, any optimizer/schedule
-            # stage already cached for an unchanged function is spliced
-            # in instead of re-running (keys are content-addressed, so
+            # firewall: on a kernel-cache miss, any schedule stage
+            # already cached for an unchanged function is spliced in
+            # instead of re-running (keys are content-addressed, so
             # this never changes the produced IR).
-            target = module
-            opt_stats = None
+            target, opt_stats = module, None
             if schedule is not None:
-                target = module.clone()
-                opt_stats = apply_schedule(
-                    schedule, target, pass_cache=pass_cache
-                ).snapshot()
-            elif opt_mode != "none":
-                target = module.clone()
-                opt_stats = run_optimizer(
-                    target,
-                    opt_mode,
-                    tile_size=tile_size,
-                    pass_cache=pass_cache,
-                ).snapshot()
+                applied = apply_schedule(schedule, module.clone(), pass_cache)
+                target, opt_stats = applied.payload, applied.snapshot()
             compiled = compile_module(target, key, vectorize=vectorize)
             compiled.opt_stats = opt_stats
             return compiled
@@ -153,10 +154,9 @@ class ExecutionEngine:
 
     @property
     def opt_stats(self) -> Optional[dict]:
-        """What the ``opt_mode`` pipeline or the explicit ``schedule``
-        did to this kernel, or ``None`` when the engine compiled with
-        neither (or the kernel was re-hydrated from a pre-optimizer
-        disk artifact)."""
+        """What the schedule did to this kernel (``ScheduleResult.snapshot``),
+        or ``None`` when the engine compiled with none (or the kernel was
+        re-hydrated from a pre-optimizer disk artifact)."""
         return getattr(self.compiled, "opt_stats", None)
 
     def run(self, func_name: str, *args) -> List[Any]:

@@ -26,13 +26,13 @@ vectorizer, mirroring Parakeet's ``Fusion`` / ``CopyElimination`` /
    codegen skips the (provably futile) collapse attempt instead of
    inflating ``bail_reasons``.
 
-``opt_mode`` selects the pipeline: ``"none"`` (no-op), ``"fuse"``
-(stage 1 only), ``"full"`` (all stages).  A pipeline is a canned
+An ``opt_mode`` names a pipeline: ``"none"`` (no schedule), ``"fuse"``
+(stage 1 only), ``"full"`` (all stages).  Each is a canned
 transform-dialect schedule (``scheduling.interpreter.canned_schedule``)
 and :func:`run_optimizer` applies it; every stage is a function pass,
 run by the one ``PassManager``.  This module holds what is the
-optimizer's own: the soundness gate, the counters, the dead-loop
-pass, the fuse step's veto and the tile step's size rules.
+optimizer's own: the soundness gate, the dead-loop pass, the fuse
+step's veto and the tile step's size rules.
 
 Soundness gate: a function is only optimized when every op it contains
 comes from a whitelist whose memory effects the legality analyses can
@@ -40,19 +40,17 @@ enumerate — the band payload set
 (:data:`~repro.analysis.band.PAYLOAD_OPS`) plus affine loops, index
 arithmetic and local alloc/dealloc — and every access map is linear.
 Anything else — linalg, blas, scf, llvm, calls — is left untouched and
-counted in ``OptStats.functions_skipped``.
+counted in ``functions_skipped``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ...analysis.accesses import access_function
 from ...analysis.band import PAYLOAD_OPS
 from ...dialects.affine import AffineForOp, AffineLoadOp, AffineStoreOp
 from ...ir import FunctionPass, Operation
-from ...telemetry import add
 from ...transforms.tiling import TileLoopNestPass
 from .vectorize import band_collapses
 
@@ -77,74 +75,6 @@ _OPT_SAFE_OPS = PAYLOAD_OPS | {
     "std.dealloc",
     "func.return",
 }
-
-
-@dataclass
-class OptStats:
-    """Per-pipeline counters, mirroring ``VectorizeStats``: the sum of
-    what each step's pass counted (:meth:`add`).
-
-    ``stages`` records, in execution order, the per-step delta of every
-    counter that step changed, keyed by its transform mnemonic.
-    """
-
-    mode: str = "none"
-    functions_seen: int = 0
-    functions_skipped: int = 0
-    loops_fused: int = 0
-    stores_forwarded: int = 0
-    dead_stores_removed: int = 0
-    dead_allocs_removed: int = 0
-    loops_eliminated: int = 0
-    simplifications: int = 0
-    loops_distributed: int = 0
-    nests_tiled: int = 0
-    loops_unroll_jammed: int = 0
-    #: Why fusion rejected candidate pairs (reason -> count): the
-    #: taxonomy that makes a schedule's fuse decision explainable.
-    fusion_bails: Dict[str, int] = field(default_factory=dict)
-    stages: List[Dict[str, int]] = field(default_factory=list)
-
-    _COUNTERS = (
-        "loops_fused",
-        "stores_forwarded",
-        "dead_stores_removed",
-        "dead_allocs_removed",
-        "loops_eliminated",
-        "simplifications",
-        "loops_distributed",
-        "nests_tiled",
-        "loops_unroll_jammed",
-    )
-
-    def _counter_values(self) -> Dict[str, int]:
-        return {name: getattr(self, name) for name in self._COUNTERS}
-
-    def add(self, counters: Dict, stage: Optional[str] = None) -> None:
-        """Fold in a pass's counters (they carry these fields' names); a
-        ``stage`` also gets them appended to ``stages``."""
-        for name, value in counters.items():
-            if name == "fusion_bails":
-                add(self.fusion_bails, value)
-            else:
-                setattr(self, name, getattr(self, name) + value)
-        if stage is not None:
-            self.stages.append({"stage": stage})
-            for name in self._COUNTERS if counters else ():
-                if name in counters:
-                    self.stages[-1][name] = counters[name]
-
-    def snapshot(self) -> dict:
-        """Plain-dict form, safe to serialize into cache artifacts."""
-        snap = {
-            "mode": self.mode,
-            "functions_seen": self.functions_seen,
-            "functions_skipped": self.functions_skipped,
-        }
-        snap.update(self._counter_values())
-        snap["fusion_bails"] = dict(self.fusion_bails)
-        snap["stages"] = [dict(stage) for stage in self.stages]
-        return snap
 
 
 def _function_is_optimizable(func: Operation) -> bool:
@@ -284,11 +214,9 @@ def run_optimizer(
     mode: str = "full",
     tile_size: int = DEFAULT_TILE_SIZE,
     pass_cache=None,
-) -> OptStats:
-    """Apply ``canned_schedule(mode, tile_size)`` in-place to ``module``.
-
-    Returns the populated :class:`OptStats`.  ``mode="none"`` returns
-    immediately without touching the IR.
+):
+    """Apply ``canned_schedule(mode, tile_size)`` in-place to ``module``
+    and return its :class:`~repro.scheduling.interpreter.ScheduleResult`.
 
     ``pass_cache`` (a :class:`~repro.ir.pass_cache.PassResultCache`)
     memoizes every stage per function: a warm run splices cached
@@ -297,9 +225,6 @@ def run_optimizer(
     """
     from ...scheduling.interpreter import apply_schedule, canned_schedule
 
-    schedule = canned_schedule(mode, tile_size)  # rejects an unknown mode
-    if mode == "none":
-        return OptStats(mode=mode)
-    stats = apply_schedule(schedule, module, pass_cache).stats
-    stats.mode = mode
-    return stats
+    return apply_schedule(
+        canned_schedule(mode, tile_size), module, pass_cache
+    )

@@ -497,7 +497,7 @@ def _cached_schedule_diff(schedule, module, expected: str) -> str:
 
 def _applied_text(applied) -> str:
     """A schedule application's printed IR and stats, for diffing."""
-    return f"{print_module(applied.payload)}{applied.stats.snapshot()}"
+    return f"{print_module(applied.payload)}{applied.snapshot()}"
 
 
 def _crash_text(what: str, exc: Exception) -> str:

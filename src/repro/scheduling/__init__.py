@@ -10,6 +10,7 @@ from .interpreter import (  # noqa: F401
     ScheduleError,
     ScheduleResult,
     apply_schedule,
+    canned_fingerprint,
     canned_schedule,
     random_schedule,
     schedule_from_params,

@@ -2,8 +2,9 @@
 
 :func:`apply_schedule` turns a ``transform.sequence`` into one
 ``PassManager`` pipeline and runs it: each step names a pass
-(:data:`STEP_PASSES`).  It is the only optimizer driver: each engine
-``opt_mode`` pipeline is a :func:`canned_schedule`, and
+(:data:`STEP_PASSES`).  It is the only optimizer driver: an engine
+``opt_mode`` is the name of a :func:`canned_schedule`, resolved where a
+request enters (the engine, serving, ``mlt-opt --execute``), and
 ``run_optimizer(module, mode)`` is
 ``apply_schedule(canned_schedule(mode), module)``.
 
@@ -19,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from ..dialects.transform import (
     CanonicalizeOp,
@@ -38,11 +39,11 @@ from ..execution.engine.optimizer import (
     DEFAULT_TILE_SIZE,
     OPT_MODES,
     DeadLoopsPass,
-    OptStats,
     ScheduleTilePass,
     _function_is_optimizable,
     would_lose_collapse,
 )
+from ..execution.engine.cache import fingerprint_module
 from ..ir import Context, ModuleOp
 from ..ir.pass_manager import (
     FunctionFilter,
@@ -50,7 +51,9 @@ from ..ir.pass_manager import (
     LambdaPass,
     PassManager,
 )
+from ..store import LruMemo
 from ..tactics.stats import merge_pass_stats
+from ..telemetry import add
 from ..transforms.canonicalize import CanonicalizePass
 from ..transforms.copy_elimination import CopyEliminationPass
 from ..transforms.distribution import LoopDistributionPass
@@ -72,12 +75,40 @@ RAISE_TIERS = {
 }
 
 
+#: What the step passes count, summed over a schedule's steps; a
+#: stage records its share of each.  ``transform.match`` counts
+#: ``functions_seen``/``functions_skipped``, ``transform.fuse`` also
+#: ``fusion_bails`` (reason -> count: why fusion rejected a pair).
+STEP_COUNTERS = (
+    "loops_fused",
+    "stores_forwarded",
+    "dead_stores_removed",
+    "dead_allocs_removed",
+    "loops_eliminated",
+    "simplifications",
+    "loops_distributed",
+    "nests_tiled",
+    "loops_unroll_jammed",
+)
+
+
+def _zero_counters() -> Dict:
+    return {
+        "functions_seen": 0,
+        "functions_skipped": 0,
+        **dict.fromkeys(STEP_COUNTERS, 0),
+        "fusion_bails": {},
+    }
+
+
 @dataclass
 class ScheduleResult:
     """What applying a schedule did (and requested).
 
-    ``stats.stages`` holds one per-step counter delta, keyed by the
-    step's transform mnemonic.  ``vectorize`` is the codegen mode a
+    ``counters`` sums what the step passes counted; every counter is
+    present, zeros included.  ``stages`` holds one entry per step after
+    the first match, in order: the step's transform mnemonic and the
+    :data:`STEP_COUNTERS` it moved.  ``vectorize`` is the codegen mode a
     ``transform.vectorize`` step requested (``None`` when the schedule
     leaves the engine default in charge); ``raise_stats`` is the raised
     callsites per tactic (``RaiseStats.callsites``) when a
@@ -92,17 +123,21 @@ class ScheduleResult:
     steps rewrote, ``None`` when a keyed application built nothing.
     """
 
-    stats: OptStats = field(default_factory=OptStats)
+    counters: Dict = field(default_factory=_zero_counters)
+    stages: List[Dict] = field(default_factory=list)
     vectorize: Optional[str] = None
     raise_stats: Optional[dict] = None
     outcome: Optional[tuple] = None
     payload: Optional[ModuleOp] = None
 
     def snapshot(self) -> dict:
-        snap = self.stats.snapshot()
+        """The one report of a schedule application (``engine.opt_stats``,
+        ``mlt-opt --stats``'s ``opt``, the ``kernels/`` envelope): a
+        fixed key set, so cold, warm and keyed applications print alike."""
+        snap = add(_zero_counters(), self.counters)
+        snap["stages"] = [dict(stage) for stage in self.stages]
         snap["vectorize"] = self.vectorize
-        if self.raise_stats is not None:
-            snap["raise"] = dict(self.raise_stats)
+        snap["raise"] = self.raise_stats
         return snap
 
 
@@ -139,7 +174,7 @@ def schedule_vectorize(schedule) -> Optional[str]:
 
 #: Transform mnemonic (the keys of ``dialects.transform.STEP_OPS``) ->
 #: the function pass the step runs, built from the step op's
-#: attributes.  The mnemonic is the stage name in ``OptStats.stages``;
+#: attributes.  The mnemonic is the stage name in ``ScheduleResult.stages``;
 #: the pass's name and ``cache_config`` key its pass-cache entries.
 #: ``match``, ``vectorize`` and ``raise`` name no function pass.
 STEP_PASSES = {
@@ -178,7 +213,7 @@ def apply_schedule(
     :class:`~repro.ir.pass_manager.KeyedSearch` it is left alone; see
     there.
     """
-    result = ScheduleResult(stats=OptStats(mode="schedule"))
+    result = ScheduleResult()
     pm = PassManager(_CONTEXT, verify_each=False, pass_cache=pass_cache)
     #: (stage name, None for a match; the pass whose counts it adds).
     stages = []
@@ -212,7 +247,11 @@ def apply_schedule(
     pm.run(payload, keyed=keyed, tag=result.vectorize)
 
     for name, pass_ in stages:
-        result.stats.add(getattr(pass_, "counters", {}), stage=name)
+        counted = getattr(pass_, "counters", {})
+        add(result.counters, counted)
+        if name is not None:
+            moved = {c: counted[c] for c in STEP_COUNTERS if c in counted}
+            result.stages.append({"stage": name, **moved})
     if tiers is not None:
         result.raise_stats = merge_pass_stats(tiers.passes).callsites
     result.outcome, result.payload = pm.outcome, pm.payload
@@ -263,8 +302,8 @@ _OPT_STEPS = (
 def canned_schedule(
     mode: str, tile_size: int = DEFAULT_TILE_SIZE
 ) -> ModuleOp:
-    """The engine's ``opt_mode`` pipelines (``OPT_MODES``) as schedule
-    modules — what ``run_optimizer(payload, mode)`` applies."""
+    """The schedule an ``opt_mode`` (``OPT_MODES``) names — what an
+    engine, a serve unit or ``run_optimizer(payload, mode)`` applies."""
     if mode not in OPT_MODES:
         raise ScheduleError(
             f"unknown opt mode {mode!r}; expected one of {OPT_MODES}"
@@ -274,6 +313,20 @@ def canned_schedule(
         mode, (*_OPT_STEPS, tile)
     )
     return _schedule(steps)
+
+
+#: (mode, tile edge) -> :func:`canned_fingerprint`.
+_CANNED_FINGERPRINTS = LruMemo(64)
+
+
+def canned_fingerprint(mode: str, tile_size: int = DEFAULT_TILE_SIZE) -> str:
+    """``fingerprint_module(canned_schedule(mode, tile_size))``, printed
+    once per process: serving keys every request on it."""
+    fingerprint = _CANNED_FINGERPRINTS.get((mode, tile_size))
+    if fingerprint is None:
+        fingerprint = fingerprint_module(canned_schedule(mode, tile_size))
+        _CANNED_FINGERPRINTS.put((mode, tile_size), fingerprint)
+    return fingerprint
 
 
 def schedule_from_params(params: Dict) -> ModuleOp:

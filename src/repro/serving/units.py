@@ -261,17 +261,29 @@ def normalize_request(
 
 
 def spec_config(spec: dict) -> CompileConfig:
-    """The compile configuration one unit spec asks for."""
+    """The compile configuration one unit spec asks for: its
+    ``opt_mode`` keys as the canned schedule it names at the unit's
+    tile ("" for ``none``; ``"tuned"`` until :func:`serve_unit`
+    resolves it)."""
     if spec["mode"] == "corpus":
         frontend, pipeline = "c", (spec["pipeline"],)
     else:
         frontend, pipeline = spec["source_kind"], tuple(spec["passes"])
+    mode = spec.get("opt_mode", "full")
+    if mode == "none":
+        schedule = ""
+    elif mode == "tuned":
+        schedule = mode
+    else:
+        from ..scheduling import canned_fingerprint
+
+        schedule = canned_fingerprint(mode, spec["tile"])
     return CompileConfig(
         frontend=frontend,
         pipeline=pipeline,
         label="serve",
         tile=spec["tile"],
-        opt_mode=spec.get("opt_mode", "full"),
+        schedule=schedule,
     )
 
 
@@ -332,29 +344,35 @@ def serve_unit(spec: dict) -> dict:
             checksums = _run(functions[hot_func], shapes, spec["seed"])
             return _result(spec, key, "hot", checksums, start)
 
+    from ..execution.engine.cache import fingerprint_module
     from ..scheduling import apply_schedule, canned_schedule
 
     store = _tenant_store(tenant)
-    config = spec_config(spec)
+    mode = spec.get("opt_mode", "full")
     pristine = schedule = None
-    if config.opt_mode == "tuned":
+    if mode == "tuned":
         # The persisted winner is keyed off the *pristine* payload, so
-        # a tuned unit always runs the frontend; which schedule it
-        # found is part of the configuration every later rung keys on
-        # ("default" = no usable record: the canned full pipeline).
-        # Warm traffic rides the hot map, so only the first request per
-        # process pays.
-        from ..execution.engine.cache import fingerprint_module
-
+        # a tuned unit always runs the frontend; the schedule it found
+        # is what every later rung keys on.  With no usable record
+        # ("default") it runs the canned full schedule, and shares
+        # ``opt_mode="full"``'s kernel.  Warm traffic rides the hot
+        # map, so only the first request per process pays.
         pristine = _build_module(spec, store.passes)
         found = store.load_schedule(fingerprint_module(pristine))
+        tag = "default"
         if found is None:
-            schedule, tag = canned_schedule("full"), "default"
+            mode = "full"
         else:
             schedule = found[1]
             tag = text_fingerprint(found[0]["schedule"])[:16]
-        config = dataclasses.replace(config, schedule=tag)
-        spec = dict(spec, schedule_tag=tag)
+        spec = dict(spec, opt_mode=mode, schedule_tag=tag)
+    config = spec_config(spec)
+    if schedule is not None:
+        config = dataclasses.replace(
+            config, schedule=fingerprint_module(schedule)
+        )
+    elif mode != "none":
+        schedule = canned_schedule(mode, spec["tile"])
 
     def build():
         # Optimize before printing so persisted module text — and every
@@ -363,11 +381,8 @@ def serve_unit(spec: dict) -> dict:
         module = pristine
         if module is None:
             module = _build_module(spec, store.passes)
-        apply_schedule(
-            canned_schedule(config.opt_mode) if schedule is None else schedule,
-            module,
-            pass_cache=store.passes,
-        )
+        if schedule is not None:
+            apply_schedule(schedule, module, pass_cache=store.passes)
         return module
 
     wants_shapes = spec["execute"] or spec["warm_hot"]

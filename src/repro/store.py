@@ -114,11 +114,12 @@ class CompileConfig:
     driver: str = "worklist"
     #: Tile edge of the corpus pipelines and the optimizer's tiling.
     tile: int = 32
-    #: Mid-level optimizer mode (``OPT_MODES``, or serving's ``tuned``).
-    opt_mode: str = "none"
     #: Code generator's vectorize mode (``VECTORIZE_MODES``).
     vectorize: str = "nest"
-    #: Fingerprint of an explicit transform schedule ("" = none).
+    #: Fingerprint of the transform schedule that runs before codegen
+    #: ("" = none); an ``opt_mode`` keys as the canned schedule it
+    #: names, and serving's ``tuned`` as ``"tuned"`` until the unit
+    #: resolves it.
     schedule: str = ""
 
     def module_key(self, source: str) -> str:
@@ -128,8 +129,8 @@ class CompileConfig:
     def kernel_key(self, text_fp: str) -> str:
         """``kernels/`` key of the kernel compiled from the module text
         with fingerprint ``text_fp``.  Passes run on the way to a kernel
-        too (``opt_mode``, ``schedule``), so both versions fold in: an
-        upgrade of either never re-serves an older kernel."""
+        too (``schedule``), so both versions fold in: an upgrade of
+        either never re-serves an older kernel."""
         return digest(
             "kernel", PASS_CACHE_VERSION, str(CODEGEN_VERSION),
             repr(self), text_fp,

@@ -69,7 +69,8 @@ def _iteration_space_mismatch(
     that are equal non-constant expressions of the same SSA operands
     (symbolic sizes, tile IVs) compare equal too — fusion does not
     require the bounds to fold to literals.  The distinct reasons feed
-    ``OptStats.fusion_bails`` so the autotuner's fuse decisions are
+    the ``fusion_bails`` counter of a schedule's report
+    (``ScheduleResult.snapshot``) so the autotuner's fuse decisions are
     explainable:
 
     * ``step-mismatch`` — different strides; never alignable.

@@ -220,6 +220,10 @@ class TestPlantedWrongCodePerRow:
         import repro.execution as execution
 
         class WrongCode(execution.ExecutionEngine):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.opt_mode = kwargs.get("opt_mode", "none")
+
             def run(self, func_name, *run_args):
                 super().run(func_name, *run_args)
                 mine = (self.vectorize, self.opt_mode) == (

@@ -266,7 +266,7 @@ class TestDamagedArtifactIsAMiss:
         def compile_with(cache):
             module = compile_c(TILABLE, distribute=False)
             result = apply_schedule(schedule, module, pass_cache=cache)
-            return print_module(module), result.stats.snapshot()
+            return print_module(module), result.snapshot()
 
         self._check(tmp_path, damage, compile_with)
 
@@ -790,7 +790,7 @@ class TestScheduleStepCached:
         warm = self._apply(steps, cache, module)
         assert bodies == executed  # no body ran twice
         assert warm.snapshot() == cold.snapshot()
-        assert warm.stats.fusion_bails  # replayed from the entry
+        assert warm.counters["fusion_bails"]  # replayed from the entry
         assert module.functions == funcs  # clean results: no splice
         assert warm.outcome == cold.outcome == (
             None,
@@ -872,7 +872,7 @@ class TestTileStageCached:
 
         module = compile_c(TILABLE, distribute=False)
         result = apply_schedule(schedule, module, pass_cache=cache)
-        return print_module(module), result.stats.snapshot()
+        return print_module(module), result.snapshot()
 
     @pytest.mark.parametrize("tile_attr", ["size = 8", "sizes = [8, 16, 2]"])
     def test_second_application_runs_no_stage_body(self, tile_attr):
@@ -900,7 +900,7 @@ class TestTileStageCached:
         for _ in range(2):
             module = compile_c(TILABLE, distribute=False)
             stats = run_optimizer(module, "full", pass_cache=cache)
-            assert stats.nests_tiled == 1
+            assert stats.counters["nests_tiled"] == 1
             texts.append(print_module(module))
         assert texts[0] == texts[1] and "{no_vectorize}" in texts[0]
         # six stages, each executed exactly once across both runs

@@ -231,7 +231,7 @@ def test_schedule_result_reports_stats():
     # canned schedules carry no vectorize step (codegen mode is the
     # engine's knob); param schedules do.
     assert result.vectorize is None
-    assert result.stats.stages
+    assert result.stages
 
     payload = _payload("gemm")
     result = apply_schedule(

@@ -325,7 +325,12 @@ class TestStats:
         for tier in ("memory", "disk"):
             assert set(stats["kernel_cache"][tier]) == set(CACHE_COUNTERS)
         assert stats["kernel_cache"]["memory"]["codegen_count"] == 1
-        assert stats["opt"]["mode"] == "full"
+        # The one schedule report: no "mode" key, and the full
+        # schedule's last step is its tile.
+        from repro.scheduling import ScheduleResult
+
+        assert set(stats["opt"]) == set(ScheduleResult().snapshot())
+        assert stats["opt"]["stages"][-1]["stage"] == "transform.tile"
         assert "buffer_plan" in stats["vectorize"]
 
     def test_warm_pass_cache_reports_the_same_raise(

@@ -1,18 +1,19 @@
 """Fusion bail taxonomy: every rejection names its reason.
 
 The ``bails`` dict threaded through ``can_fuse``/``greedy_fuse``
-(surfaced as ``OptStats.fusion_bails``) is what makes a schedule's
-fuse decision explainable: "fusion didn't happen" always comes with a
-reason count.
+(surfaced as a schedule report's ``fusion_bails``) is what makes a
+schedule's fuse decision explainable: "fusion didn't happen" always
+comes with a reason count.
 """
 
 import pytest
 
 from repro.dialects.affine import outermost_loops
-from repro.execution.engine.optimizer import OptStats, run_optimizer
+from repro.execution.engine.optimizer import run_optimizer
 from repro.ir import print_module
 from repro.ir.pass_cache import PassResultCache
 from repro.met import compile_c
+from repro.scheduling import ScheduleResult
 from repro.transforms.fusion import can_fuse, greedy_fuse
 
 
@@ -76,7 +77,7 @@ def test_optimizer_snapshot_carries_taxonomy():
     snap = stats.snapshot()
     assert "fusion_bails" in snap
     assert isinstance(snap["fusion_bails"], dict)
-    assert OptStats().snapshot()["fusion_bails"] == {}
+    assert ScheduleResult().snapshot()["fusion_bails"] == {}
 
 
 def test_conflict_carried_blocks_the_gemver_shape():
@@ -151,8 +152,8 @@ def test_fuse_step_keeps_a_collapsed_reduction_whole(source):
     module, _ = _loops(source)
     before = print_module(module)
     stats = run_optimizer(module, "fuse")
-    assert stats.loops_fused == 0
-    assert stats.fusion_bails == {"would-lose-collapse": 1}
+    assert stats.counters["loops_fused"] == 0
+    assert stats.counters["fusion_bails"] == {"would-lose-collapse": 1}
     assert print_module(module) == before
     # The refusal is the fuse *step*'s policy: the transform itself
     # (Pluto baseline, affine-loop-fusion pass) fuses both as before.

@@ -15,7 +15,7 @@ from repro.dialects import std
 from repro.dialects.affine import outermost_loops, perfect_nest
 from repro.execution import ExecutionEngine, Interpreter
 from repro.execution.engine.cache import KernelCache
-from repro.execution.engine.codegen import compile_module
+from repro.execution.engine.codegen import EngineError, compile_module
 from repro.execution.engine.disk_cache import DiskKernelCache
 from repro.execution.engine.optimizer import OPT_MODES, run_optimizer
 from repro.fuzzing import generate_affine_module, generate_kernel
@@ -36,7 +36,12 @@ from repro.ir import (
 from repro.ir.affine_map import AffineMap
 from repro.ir.parser import parse_module
 from repro.met import compile_c
-from repro.scheduling.interpreter import apply_schedule, canned_schedule
+from repro.scheduling.interpreter import (
+    ScheduleError,
+    ScheduleResult,
+    apply_schedule,
+    canned_schedule,
+)
 from repro.transforms.fusion import can_fuse, greedy_fuse
 
 from ..conftest import assert_close
@@ -112,29 +117,29 @@ class TestStages:
         # full pipeline's distribute stage would legitimately re-split
         # the two-store fused body.
         module, stats = _optimized_clone(FUSABLE_SIBLINGS, mode="fuse")
-        assert stats.loops_fused >= 1
+        assert stats.counters["loops_fused"] >= 1
         func = module.functions[0]
         assert len(outermost_loops(func)) == 1
 
     def test_copy_elim_removes_dead_temporary(self):
         module, stats = _optimized_clone(DEAD_TEMPORARY)
-        assert stats.loops_fused >= 1
-        assert stats.stores_forwarded >= 1
-        assert stats.dead_allocs_removed >= 1
+        assert stats.counters["loops_fused"] >= 1
+        assert stats.counters["stores_forwarded"] >= 1
+        assert stats.counters["dead_allocs_removed"] >= 1
         assert not any(
             op.name == "std.alloc" for op in module.functions[0].walk()
         )
 
     def test_dead_loop_elimination(self):
         module, stats = _optimized_clone(REDUNDANT_LOOP)
-        assert stats.loops_eliminated >= 1
+        assert stats.counters["loops_eliminated"] >= 1
         func = module.functions[0]
         assert len(outermost_loops(func)) == 1
         assert len(perfect_nest(outermost_loops(func)[0])) == 1
 
     def test_distribution_carves_imperfect_gemm(self):
         module, stats = _optimized_clone(GEMM_IMPERFECT)
-        assert stats.loops_distributed >= 1
+        assert stats.counters["loops_distributed"] >= 1
         roots = outermost_loops(module.functions[0])
         assert len(roots) == 2
         depths = sorted(len(perfect_nest(root)) for root in roots)
@@ -142,7 +147,7 @@ class TestStages:
 
     def test_tiling_stage_blocks_scalar_nest(self):
         module, stats = _optimized_clone(TILABLE_SCALAR)
-        assert stats.nests_tiled == 1
+        assert stats.counters["nests_tiled"] == 1
         func = module.functions[0]
         root = outermost_loops(func)[0]
         assert all(loop.no_vectorize for loop in perfect_nest(root))
@@ -292,7 +297,8 @@ class TestEnginePlumbing:
         module = compile_c(DEAD_TEMPORARY, distribute=False)
         engine = ExecutionEngine(module, pipeline="plumb", opt_mode="full")
         stats = engine.opt_stats
-        assert stats is not None and stats["mode"] == "full"
+        assert stats is not None
+        assert stats["stages"][-1]["stage"] == "transform.tile"
         assert stats["stores_forwarded"] >= 1
         none_engine = ExecutionEngine(
             module, pipeline="plumb", opt_mode="none"
@@ -315,7 +321,7 @@ class TestEnginePlumbing:
             snapshots.append(engine.opt_stats)
         assert cache.stats.codegen_count == 0  # second engine: disk hit
         assert snapshots[0] == snapshots[1]
-        assert snapshots[0]["mode"] == "schedule"
+        assert set(snapshots[0]) == set(ScheduleResult().snapshot())
         assert snapshots[0]["stores_forwarded"] >= 1
         assert not hasattr(engine, "schedule_stats")
 
@@ -340,6 +346,52 @@ class TestEnginePlumbing:
             module, pipeline="keys", cache=cache, opt_mode="full"
         )
         assert cache.stats.codegen_count == len(OPT_MODES)
+
+
+class TestOneSpelling:
+    """An ``opt_mode`` is the name of a canned schedule: the engine
+    resolves it at construction, and from there on only the schedule
+    exists — one kernel and one report for either spelling."""
+
+    def test_mode_and_its_schedule_share_one_kernel(self):
+        from repro.evaluation import get_kernel
+
+        module = compile_c(get_kernel("gemver").small(), distribute=False)
+        cache = KernelCache()
+        by_mode = ExecutionEngine(module, cache=cache, opt_mode="full")
+        by_schedule = ExecutionEngine(
+            module, cache=cache, schedule=canned_schedule("full")
+        )
+        assert cache.stats.codegen_count == 1
+        assert by_schedule.source == by_mode.source
+        assert by_schedule.opt_stats == by_mode.opt_stats
+        assert "mode" not in by_mode.opt_stats
+
+    def test_mode_and_schedule_together_are_refused(self):
+        module = compile_c(FUSABLE_SIBLINGS, distribute=False)
+        with pytest.raises(EngineError, match="pass one"):
+            ExecutionEngine(
+                module,
+                cache=KernelCache(),
+                opt_mode="fuse",
+                schedule=canned_schedule("full"),
+            )
+
+    def test_unknown_mode_fails_before_the_cache(self):
+        module = compile_c(FUSABLE_SIBLINGS, distribute=False)
+        cache = KernelCache()
+        with pytest.raises(ScheduleError, match="aggressive"):
+            ExecutionEngine(module, cache=cache, opt_mode="aggressive")
+        assert cache.stats.misses == 0
+
+    def test_every_application_reports_every_counter(self):
+        # Zeros are present: the "none" schedule moves nothing and
+        # still reports the full key set.
+        module = compile_c(REDUNDANT_LOOP, distribute=False)
+        snap = run_optimizer(module, "none").snapshot()
+        assert set(snap) == set(ScheduleResult().snapshot())
+        assert snap["loops_fused"] == 0 and snap["stages"] == []
+        assert snap["functions_seen"] == 1
 
 
 class TestEquivalenceProperties:
