@@ -1,5 +1,10 @@
 """Buffer plan: which ``std.alloc`` needs storage of its own.
 
+Shared by the engine's code generator (``execution/engine/codegen.py``)
+and by ``convert-scf-to-llvm`` (``transforms/lowering.py``), which
+lowers a ``view`` reshape as its source buffer and an elided copy-back
+as nothing.
+
 The interpreter gives every ``std.alloc`` a zero-filled array and every
 ``reshape``/``transpose`` a copy into it.  That is the semantics; it is
 not what the code has to *do*.  A raised contraction (TTGT) allocates a
@@ -42,17 +47,18 @@ of which ``ExecutionEngine.run`` checks; ``_rt.reshape_view`` re-checks what
 rule (c) relies on, so a caller that bypasses ``run`` gets an error
 rather than a silently lost copy-back.
 
-Functions in CFG form and allocs inside loops are not planned.  The IR,
-the interpreter and the cost model (which already prices ``reshape`` as
-a view) are untouched; the ``engine-diff`` oracle rows license the plan.
+Functions in CFG form and allocs inside loops are not planned.  The
+interpreter and the cost model (which already prices ``reshape`` as a
+view) are untouched; the ``engine-diff`` oracle rows license the plan
+in the engine, and the lowering's interpreter oracles license it there.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
-from ...ir import FuncOp, Operation, Value
-from ...ir.types import MemRefType
+from ..ir import FuncOp, Operation, Value
+from ..ir.types import MemRefType
 
 #: Per-op actions the emitters look up by ``id(op)``.  ``VIEW`` and
 #: ``FRESH`` mark a producer that defines its own output, ``DEFERRED``
@@ -86,6 +92,10 @@ _LAST_OPERAND = {
         _READ | _WRITE,
     ),
 }
+
+
+def _ignore(*decision) -> None:
+    pass
 
 
 class _Use(NamedTuple):
@@ -134,15 +144,17 @@ def _fits(op: Operation) -> bool:
     return src.shape == out.shape
 
 
-def plan_buffers(func: FuncOp, stats) -> Dict[int, str]:
+def plan_buffers(func: FuncOp, stats=None) -> Dict[int, str]:
     """Classify every ``std.alloc`` of ``func``; returns the per-op
     action table (empty when nothing beats ``zeros``) and records each
-    decision on ``stats`` (:meth:`VectorizeStats.record_buffer`)."""
+    decision on ``stats`` (:meth:`VectorizeStats.record_buffer`) when
+    one is given."""
+    record = stats.record_buffer if stats is not None else _ignore
     region = func.regions[0]
     total = sum(op.name == "std.alloc" for op in func.walk())
     if total == 0 or len(region.blocks) != 1:
         for _ in range(total):
-            stats.record_buffer(ZEROS, "cfg")
+            record(ZEROS, "cfg")
         return {}
 
     top = list(region.entry_block.operations)
@@ -155,7 +167,7 @@ def plan_buffers(func: FuncOp, stats) -> Dict[int, str]:
             continue
         for inner in op.walk():
             if inner.name == "std.alloc":
-                stats.record_buffer(ZEROS, "in-loop")
+                record(ZEROS, "in-loop")
                 continue
             for value, kind in _effects(inner):
                 uses.setdefault(id(value), []).append(_Use(pos, inner, kind))
@@ -168,17 +180,17 @@ def plan_buffers(func: FuncOp, stats) -> Dict[int, str]:
     for alloc in allocs:
         buffer_uses = uses.get(id(alloc.results[0]))
         if not buffer_uses:
-            stats.record_buffer(ZEROS, "unused")
+            record(ZEROS, "unused")
             continue
         first = buffer_uses[0]
         if first.op is not top[first.pos]:
-            stats.record_buffer(ZEROS, "in-loop")
+            record(ZEROS, "in-loop")
         elif (
             first.kind != _WRITE
             or first.op.name not in _OVERWRITES
             or not _fits(first.op)
         ):
-            stats.record_buffer(ZEROS, "used-before-write")
+            record(ZEROS, "used-before-write")
         else:
             producers.append((first.pos, alloc, first.op))
     producers.sort(key=lambda entry: entry[0])
@@ -202,15 +214,15 @@ def plan_buffers(func: FuncOp, stats) -> Dict[int, str]:
             )
             if refusal is None:
                 actions[id(op)] = VIEW
-                stats.record_buffer(VIEW)
+                record(VIEW)
                 if back is not None:
                     actions[id(back)] = ELIDED
                 root[id(view)] = source_root
                 group.append(id(view))
                 continue
-            stats.record_buffer(FRESH, refusal)
+            record(FRESH, refusal)
         else:
-            stats.record_buffer(FRESH)
+            record(FRESH)
         actions[id(op)] = FRESH
     return actions
 

@@ -8,9 +8,9 @@ floor of the progressive-lowering pipeline (the "valley" of Figure 1).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Any, Dict, Mapping, Optional, Sequence
 
-from ..ir.attributes import StringAttr
+from ..ir.attributes import ArrayAttr, Attribute, StringAttr
 from ..ir.core import Block, IRError, Operation, register_op
 from ..ir.types import IndexType, MemRefType, Type
 from ..ir.values import Value
@@ -119,23 +119,43 @@ class StoreOp(Operation):
 
 @register_op
 class CallOp(Operation):
-    """Call into an external (library) symbol."""
+    """Call into an external (library) symbol.  Attributes other than
+    ``callee`` are the routine's parameters that are not operands
+    (``sgemm``'s ``alpha``, a transpose's ``permutation``)."""
 
     OP_NAME = "llvm.call"
 
     @staticmethod
     def create(
-        callee: str, operands: Sequence[Value], result_types: Sequence[Type] = ()
+        callee: str,
+        operands: Sequence[Value],
+        result_types: Sequence[Type] = (),
+        attributes: Optional[Mapping[str, Attribute]] = None,
     ) -> "CallOp":
         return CallOp(
             operands=operands,
             result_types=result_types,
-            attributes={"callee": StringAttr(callee)},
+            attributes={**(attributes or {}), "callee": StringAttr(callee)},
         )
 
     @property
     def callee(self) -> str:
         return self.attributes["callee"].value
+
+    @property
+    def parameters(self) -> Dict[str, Any]:
+        """The attributes other than ``callee``, as Python values."""
+        return {
+            name: _python_value(attr)
+            for name, attr in self.attributes.items()
+            if name != "callee"
+        }
+
+
+def _python_value(attr: Attribute) -> Any:
+    if isinstance(attr, ArrayAttr):
+        return [_python_value(element) for element in attr]
+    return attr.value
 
 
 @register_op

@@ -28,12 +28,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ...analysis.band import summarize_band
+from ...analysis.buffers import ELIDED, VIEW, plan_buffers
 from ...dialects.affine import AffineForOp
 from ...ir import FuncOp, ModuleOp, Operation, is_float
 from ...ir.affine_expr import AffineExpr, AffineExprKind
 from ...ir.types import F64Type, IndexType, IntegerType, MemRefType
 from . import runtime
-from .buffers import ELIDED, VIEW, plan_buffers
 from .licm import hoist_loop_invariants
 from .runtime import EngineError
 
@@ -101,8 +101,9 @@ class _FuncContext:
         #: last), used to split loop-invariant subscript arithmetic
         #: into hoistable statements
         self.loop_ivs: List = []
-        #: buffer-plan action per op id (see :mod:`.buffers`); an op
-        #: without one emits today's zero-filled alloc / copying helper
+        #: buffer-plan action per op id (see
+        #: :mod:`repro.analysis.buffers`); an op without one emits
+        #: today's zero-filled alloc / copying helper
         self.buffer_actions: Dict[int, str] = {}
 
     # -- value naming ----------------------------------------------------
@@ -408,7 +409,9 @@ def _emit_llvm_call(ctx: _FuncContext, op) -> None:
     if op.callee not in runtime.LIBRARY_CALLS:
         raise EngineError(f"engine: unknown library symbol @{op.callee}")
     args = ", ".join(ctx.operand_names(op.operands))
-    ctx.emit(f"_rt.library_call({op.callee!r}, [{args}])")
+    params = op.parameters
+    extra = f", {params!r}" if params else ""
+    ctx.emit(f"_rt.library_call({op.callee!r}, [{args}]{extra})")
 
 
 def _emit_llvm_load(ctx: _FuncContext, op) -> None:
@@ -457,8 +460,8 @@ def _emit_matvec(ctx: _FuncContext, op) -> None:
 
 def _output_layout(op) -> Tuple[str, str]:
     """Source of the ``shape`` and ``dtype`` a producer needs to define
-    ``op``'s output itself (see :mod:`.buffers`) instead of writing
-    into a zero-filled alloc."""
+    ``op``'s output itself (see :mod:`repro.analysis.buffers`) instead
+    of writing into a zero-filled alloc."""
     ty = op.operands[-1].type
     return repr(tuple(ty.shape)), repr(_np_dtype_literal(ty.element_type))
 

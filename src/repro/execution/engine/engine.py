@@ -170,7 +170,7 @@ class ExecutionEngine:
             )
         for pos, ty in memrefs:
             # Also what lets the buffer plan hand out a reshape of an
-            # argument as a view (see :mod:`.buffers`).
+            # argument as a view (see :mod:`repro.analysis.buffers`).
             fault = memref_argument_fault(ty, args[pos])
             if fault is not None:
                 raise EngineError(

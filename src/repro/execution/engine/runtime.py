@@ -49,10 +49,11 @@ def reshape(src, dst) -> None:
     dst[...] = np.ascontiguousarray(src).reshape(dst.shape)
 
 
-# The buffer plan (see :mod:`.buffers`) swaps a zero-filled alloc plus
-# one of the copying helpers above for a producer that returns the
-# buffer itself: always a new C-contiguous array of the memref's dtype,
-# so the values are the ones the copy into zeros would have left.
+# The buffer plan (see :mod:`repro.analysis.buffers`) swaps a
+# zero-filled alloc plus one of the copying helpers above for a producer
+# that returns the buffer itself: always a new C-contiguous array of the
+# memref's dtype, so the values are the ones the copy into zeros would
+# have left.
 
 
 def transposed(src, permutation, dtype):
@@ -123,13 +124,22 @@ def window(view, axis, dims):
 #: Library symbols the lowered ``llvm.call`` form may invoke, mirroring
 #: ``Interpreter.LIBRARY_CALLS``.
 LIBRARY_CALLS = {
-    "cblas_sgemm": lambda args: sgemm(args[0], args[1], args[2]),
-    "cblas_sgemv": lambda args: sgemv(args[0], args[1], args[2]),
+    "cblas_sgemm": lambda args, params: sgemm(
+        *args, params.get("alpha", 1.0), params.get("beta", 1.0)
+    ),
+    "cblas_sgemv": lambda args, params: sgemv(
+        *args, trans=params.get("trans", False)
+    ),
+    "mkl_somatcopy": lambda args, params: transpose(
+        *args, params["permutation"]
+    ),
+    "mlt_reshape_view": lambda args, params: reshape(*args),
+    "mkldnn_convolution_forward": lambda args, params: conv2d(*args),
 }
 
 
-def library_call(symbol: str, args) -> None:
+def library_call(symbol: str, args, params=None) -> None:
     handler = LIBRARY_CALLS.get(symbol)
     if handler is None:
         raise EngineError(f"engine: unknown library symbol @{symbol}")
-    handler(args)
+    handler(args, params or {})

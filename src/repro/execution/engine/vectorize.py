@@ -95,7 +95,8 @@ class VectorizeStats:
     contractions: int = 0
     licm_hoisted: int = 0
     bail_reasons: Dict[str, int] = field(default_factory=dict)
-    #: ``std.alloc`` ops per buffer-plan class (see :mod:`.buffers`)
+    #: ``std.alloc`` ops per buffer-plan class (see
+    #: :mod:`repro.analysis.buffers`)
     buffer_classes: Dict[str, int] = field(
         default_factory=lambda: {"view": 0, "fresh": 0, "zeros": 0}
     )

@@ -130,10 +130,20 @@ class _Env:
 class Interpreter:
     """Executes functions of a module against numpy arrays."""
 
-    #: Library symbols the lowered llvm.call form may invoke.
+    #: Library symbols the lowered llvm.call form may invoke, each
+    #: called with the operands and the call's ``parameters``.
     LIBRARY_CALLS = {
-        "cblas_sgemm": lambda args: _sgemm(args[0], args[1], args[2]),
-        "cblas_sgemv": lambda args: _sgemv(args[0], args[1], args[2]),
+        "cblas_sgemm": lambda args, params: _sgemm(
+            *args, params.get("alpha", 1.0), params.get("beta", 1.0)
+        ),
+        "cblas_sgemv": lambda args, params: _sgemv(
+            args[0].T if params.get("trans") else args[0], args[1], args[2]
+        ),
+        "mkl_somatcopy": lambda args, params: _transpose(
+            *args, params["permutation"]
+        ),
+        "mlt_reshape_view": lambda args, params: _reshape(*args),
+        "mkldnn_convolution_forward": lambda args, params: _conv2d(*args),
     }
 
     def __init__(
@@ -423,7 +433,7 @@ def _handle_llvm_call(interp, op, env) -> None:
     handler = Interpreter.LIBRARY_CALLS.get(op.callee)
     if handler is None:
         raise InterpreterError(f"unknown library symbol @{op.callee}")
-    handler([env.get(v) for v in op.operands])
+    handler([env.get(v) for v in op.operands], op.parameters)
 
 
 # -- linear algebra ops -------------------------------------------------
@@ -455,16 +465,20 @@ def _handle_matvec(interp, op, env) -> None:
     _sgemv(a, x, y)
 
 
+def _transpose(src, dst, permutation) -> None:
+    dst[...] = np.transpose(src, permutation)
+
+
+def _reshape(src, dst) -> None:
+    dst[...] = np.ascontiguousarray(src).reshape(dst.shape)
+
+
 def _handle_transpose(interp, op, env) -> None:
-    src = env.get(op.input)
-    dst = env.get(op.output)
-    dst[...] = np.transpose(src, op.permutation)
+    _transpose(env.get(op.input), env.get(op.output), op.permutation)
 
 
 def _handle_reshape(interp, op, env) -> None:
-    src = env.get(op.input)
-    dst = env.get(op.output)
-    dst[...] = np.ascontiguousarray(src).reshape(dst.shape)
+    _reshape(env.get(op.input), env.get(op.output))
 
 
 def _handle_fill(interp, op, env) -> None:
@@ -476,9 +490,10 @@ def _handle_copy(interp, op, env) -> None:
 
 
 def _handle_conv2d(interp, op, env) -> None:
-    src = env.get(op.input)
-    kernel = env.get(op.kernel)
-    out = env.get(op.output)
+    _conv2d(env.get(op.input), env.get(op.kernel), env.get(op.output))
+
+
+def _conv2d(src, kernel, out) -> None:
     _, _, kh, kw = kernel.shape
     n, f, oh, ow = out.shape
     for dy in range(kh):

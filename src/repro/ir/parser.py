@@ -806,6 +806,7 @@ def _parse_call(p: Parser, region) -> Operation:
         operands.append(p.parse_ssa_use())
         p.accept(",")
     p.expect(")")
+    attrs = p.parse_attr_dict() if name == "llvm.call" else {}
     p.expect(":")
     p.parse_type_list_parens()
     p.expect("->")
@@ -816,7 +817,7 @@ def _parse_call(p: Parser, region) -> Operation:
         return CallOp.create(callee, operands, result_types)
     from ..dialects.llvm import CallOp as LLVMCallOp
 
-    return LLVMCallOp.create(callee, operands, result_types)
+    return LLVMCallOp.create(callee, operands, result_types, attrs)
 
 
 def _parse_transform_sequence(p: Parser, region) -> Operation:

@@ -351,12 +351,14 @@ def _print_cond_branch(printer: Printer, op) -> None:
     )
 
 
-def _print_call_like(printer: Printer, op, callee: str) -> None:
+def _print_call_like(
+    printer: Printer, op, callee: str, attrs: str = ""
+) -> None:
     names = ", ".join(printer.namer(v) for v in op.operands)
     in_types = ", ".join(str(v.type) for v in op.operands)
     out_types = ", ".join(str(r.type) for r in op.results)
     printer.emit(
-        f"{printer._results_prefix(op)}{op.name} @{callee}({names}) : "
+        f"{printer._results_prefix(op)}{op.name} @{callee}({names}){attrs} : "
         f"({in_types}) -> ({out_types})"
     )
 
@@ -390,7 +392,9 @@ _CUSTOM_PRINTERS = {
     "func.func": _print_func,
     "func.return": _print_return,
     "func.call": lambda p, op: _print_call_like(p, op, op.callee),
-    "llvm.call": lambda p, op: _print_call_like(p, op, op.callee),
+    "llvm.call": lambda p, op: _print_call_like(
+        p, op, op.callee, _attr_dict_text(op, ("callee",))
+    ),
     "std.constant": _print_constant,
     "std.addf": _print_binary_arith,
     "std.subf": _print_binary_arith,

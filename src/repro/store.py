@@ -42,8 +42,12 @@ NAMESPACES = ("kernels", "modules", "passes", "schedules")
 #: entry would replay as zero), or what a tactic of one name rewrites
 #: to (v8 -> v9: ``-raise-affine-to-linalg`` keys on tactic names, and
 #: the TTGT tactics now raise with the plan of fewest transposing
-#: copies, which a v8 entry would replay as the old plan).
-PASS_CACHE_VERSION = "pass-cache-v9"
+#: copies, which a v8 entry would replay as the old plan), or what a
+#: lowering pass emits (v9 -> v10: ``convert-linalg-to-affine-loops``
+#: leaves reshapes alone and ``convert-scf-to-llvm`` lowers them as
+#: views or flat copies, so a v9 entry would replay a copy loop nest;
+#: and ``convert-blas-to-llvm`` keeps each op's attributes on its call).
+PASS_CACHE_VERSION = "pass-cache-v10"
 
 #: Codegen schema version, folded into every ``kernels/`` key.  Bump on
 #: any change to generated-source semantics (vectorizer strategy,
@@ -54,7 +58,7 @@ PASS_CACHE_VERSION = "pass-cache-v9"
 #: and so does a change in what a stage emits (5 -> 6: fusion's
 #: ``would-lose-collapse``, window loads, lazy canonical views), and so
 #: does the buffer plan (6 -> 7: view/fresh allocs, see
-#: :mod:`repro.execution.engine.buffers`), and so does an op's scalar
+#: :mod:`repro.analysis.buffers`), and so does an op's scalar
 #: spelling (7 -> 8: ``std.maxf`` propagates NaN), and so does where a
 #: contraction is planned (8 -> 9: codegen emits the ``@``/tensordot/
 #: einsum call itself and reductions accumulate in place).

@@ -4,12 +4,13 @@ This is the classic downward direction of the multi-level pipeline the
 paper complements with raising.  Every step is a pass:
 
   * :class:`LinalgToAffinePass`   — structured ops to affine loop nests
+    (all but ``linalg.reshape``)
   * :class:`LinalgContractionsToTiledLoopsPass` — only the contractions,
     to tiled loop nests (the MLT-Linalg default lowering)
   * :class:`ExpandAffineMatmulPass` — ``affine.matmul`` to loops
   * :class:`AffineToSCFPass`      — affine loops/accesses to SCF + std
   * :class:`SCFToLLVMPass`        — structured loops to CFG with
-    explicitly linearized memory accesses
+    explicitly linearized memory accesses; it also lowers reshapes
   * :class:`LinalgToBlasPass`     — the MLT-BLAS alternative: structured
     ops to vendor library calls
   * :class:`LowerBlasToLLVMPass`  — library ops to ``llvm.call``
@@ -24,6 +25,15 @@ is what lets the conversion check that no created op is itself a root
 of the same set.  (The CFG-peeling half of SCF→LLVM operates on blocks,
 not single ops, and stays a structural loop — one forward scan over the
 function's blocks.)
+
+Reshapes are lowered where accesses become flat offsets, as in MLIR,
+where a contiguous reshape is a view of the source's memory.  Once
+``convert-scf-to-llvm`` has flattened every access, a contiguous
+reshape changes no element's row-major offset, so the buffer plan
+(:mod:`repro.analysis.buffers`, the one the engine's code generator
+uses) decides it: a ``view`` reshape's destination is replaced by its
+source, a rule-(c) copy-back is dropped, and any other reshape copies
+its elements in one flat loop, which is then peeled like any other.
 
 Every index constant ``lower-affine`` and ``convert-scf-to-llvm`` need
 (affine constants, loop steps, ceildiv's ``1``, linearization sizes)
@@ -40,6 +50,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from ..analysis.buffers import ELIDED, VIEW, plan_buffers
 from ..dialects import blas as blas_d
 from ..dialects import linalg as linalg_d
 from ..dialects import llvm as llvm_d
@@ -164,9 +175,6 @@ def lower_linalg_op_to_affine(op: Operation, rewriter: PatternRewriter) -> bool:
         rewriter.insert(AffineStoreOp.create(val, op.output, ivs))
         rewriter.erase_op(op)
         return True
-    if isinstance(op, linalg_d.ReshapeOp):
-        _lower_reshape(op, rewriter)
-        return True
     if isinstance(op, linalg_d.Conv2DNchwOp):
         _lower_conv2d(op, rewriter)
         return True
@@ -187,31 +195,6 @@ def lower_linalg_op_to_affine(op: Operation, rewriter: PatternRewriter) -> bool:
         _lower_generic(op, rewriter)
         return True
     return False
-
-
-def _lower_reshape(op: linalg_d.ReshapeOp, rewriter: PatternRewriter) -> None:
-    groups = op.reassociation
-    if op.is_collapse():
-        high, low = op.input, op.output
-    else:
-        high, low = op.output, op.input
-    high_shape = high.type.shape
-    ivs = _loop_nest_before(op, list(high_shape), rewriter)
-    # Each low-rank subscript is the row-major linearization of its group.
-    low_exprs: List[ae.AffineExpr] = []
-    for group in groups:
-        expr: ae.AffineExpr = ae.constant(0)
-        for dim_pos in group:
-            expr = expr * high_shape[dim_pos] + ae.dim(dim_pos)
-        low_exprs.append(expr)
-    low_map = AffineMap(len(high_shape), 0, low_exprs)
-    if op.is_collapse():
-        val = rewriter.insert(AffineLoadOp.create(high, ivs)).result
-        rewriter.insert(AffineStoreOp.create(val, low, ivs, low_map))
-    else:
-        val = rewriter.insert(AffineLoadOp.create(low, ivs, low_map)).result
-        rewriter.insert(AffineStoreOp.create(val, high, ivs))
-    rewriter.erase_op(op)
 
 
 def _lower_conv2d(
@@ -268,12 +251,13 @@ def _lower_generic(op: linalg_d.GenericOp, rewriter: PatternRewriter) -> None:
 
 
 #: Op names ``lower_linalg_to_affine`` rewrites (``affine.matmul`` is
-#: deliberately excluded — expanding it is ExpandAffineMatmulPass's job).
+#: deliberately excluded — expanding it is ExpandAffineMatmulPass's job;
+#: so is ``linalg.reshape``, which ``convert-scf-to-llvm`` lowers once
+#: accesses are flat offsets).
 _LINALG_TO_AFFINE_ROOTS = (
     "linalg.matmul",
     "linalg.matvec",
     "linalg.transpose",
-    "linalg.reshape",
     "linalg.conv2d_nchw",
     "linalg.fill",
     "linalg.copy",
@@ -704,10 +688,73 @@ def _peel_all_loops(func) -> int:
     return count
 
 
+#: Users of a view's buffer that address it by flat offset, or (a
+#: reshape) are lowered here by flat offset: handing them the view's
+#: source instead changes nothing they compute.
+_FLAT_USERS = ("llvm.load", "llvm.store", "std.dealloc", "linalg.reshape")
+
+
+def _lower_reshapes(func: FuncOp) -> int:
+    """Lower every ``linalg.reshape`` of ``func``, whose accesses are
+    flat offsets by now; returns how many there were.
+
+    A contiguous reshape keeps each element's row-major offset, so
+    where the buffer plan lets the destination share the source's
+    memory (``VIEW``) the destination *is* the source: its alloc goes
+    and every use reads the source.  A rule-(c) copy-back (``ELIDED``)
+    is nothing.  Any other reshape copies its elements in one flat loop.
+    If a view would be read at its own shape (an op that is not flat
+    yet), nothing is aliased in the function.
+    """
+    reshapes = [op for op in func.walk() if op.name == "linalg.reshape"]
+    if not reshapes:
+        return 0
+    actions = plan_buffers(func)
+    if any(
+        actions.get(id(op)) == VIEW
+        and any(user.name not in _FLAT_USERS for user in op.output.users)
+        for op in reshapes
+    ):
+        actions = {}
+    rewriter = PatternRewriter(func)
+    for op in reshapes:
+        action = actions.get(id(op))
+        if action == VIEW:
+            buffer, source = op.output, op.input
+            rewriter.erase_op(op)
+            for user in buffer.users:
+                if user.name == "std.dealloc":
+                    rewriter.erase_op(user)
+            buffer.replace_all_uses_with(source)
+            rewriter.erase_op(buffer.defining_op)
+        elif action == ELIDED:
+            rewriter.erase_op(op)
+        else:
+            _flat_copy_loop(op, rewriter)
+    return len(reshapes)
+
+
+def _flat_copy_loop(op: linalg_d.ReshapeOp, rewriter: PatternRewriter) -> None:
+    """``scf.for %f = 0 to N { dst[%f] = src[%f] }`` over flat offsets:
+    the reshape's copy semantics in one loop."""
+    size = op.output.type.num_elements()
+    if size is None:
+        raise IRError(f"{op.name} of a dynamic memref cannot be lowered")
+    rewriter.set_insertion_point_before(op)
+    bounds = [_index_constant(rewriter, value) for value in (0, size, 1)]
+    loop = rewriter.insert(scf_d.ForOp.create(*bounds))
+    rewriter.set_insertion_point_before(loop.body.terminator)
+    offset = loop.induction_var
+    value = rewriter.insert(llvm_d.LoadOp.create(op.input, offset)).result
+    rewriter.insert(llvm_d.StoreOp.create(value, op.output, offset))
+    rewriter.erase_op(op)
+
+
 def lower_scf_to_llvm(func) -> int:
-    """Convert structured loops to explicit CFG and flatten memory ops."""
+    """Convert structured loops to explicit CFG, flatten memory ops and
+    lower reshapes."""
     flattened = apply_conversion(func, _FLATTEN).num_rewrites
-    return flattened + _peel_all_loops(func)
+    return flattened + _lower_reshapes(func) + _peel_all_loops(func)
 
 
 def _peel_loop_into_cfg(region, block: Block, position: int) -> None:
@@ -747,7 +794,8 @@ class SCFToLLVMPass(_ConversionPass):
 
     def run_on_function(self, func, context):
         flattened = super().run_on_function(func, context)
-        return _peel_all_loops(func) > 0 or flattened
+        reshaped = _lower_reshapes(func) > 0
+        return _peel_all_loops(func) > 0 or flattened or reshaped
 
 
 class LowerBlasToLLVMPattern(RewritePattern):
@@ -761,13 +809,22 @@ class LowerBlasToLLVMPattern(RewritePattern):
 
     def match_and_rewrite(self, op: Operation, rewriter: PatternRewriter) -> bool:
         rewriter.set_insertion_point_before(op)
-        rewriter.insert(llvm_d.CallOp.create(self.symbol, op.operands))
+        parameters = {
+            name: attr
+            for name, attr in op.attributes.items()
+            if name != "library"
+        }
+        rewriter.insert(
+            llvm_d.CallOp.create(self.symbol, op.operands, attributes=parameters)
+        )
         rewriter.erase_op(op)
         return True
 
 
 class LowerBlasToLLVMPass(_ConversionPass):
-    """Replace blas dialect ops by llvm.call into the library ABI."""
+    """Replace blas dialect ops by llvm.call into the library ABI; the
+    call keeps every attribute but ``library`` (``trans``, ``alpha``,
+    ``permutation``, ...)."""
 
     name = "convert-blas-to-llvm"
 

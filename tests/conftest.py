@@ -100,6 +100,22 @@ def assert_close(a: np.ndarray, b: np.ndarray, rtol: float = 1e-4) -> None:
     np.testing.assert_allclose(a, b, rtol=rtol, atol=1e-5)
 
 
+def interpreter_source(name):
+    """A corpus kernel at sizes its lowered form interprets quickly: the
+    contractions get extents 2, 3, 4, ... in index order."""
+    from repro.evaluation import get_kernel
+    from repro.evaluation.kernels import contraction_source
+    from repro.tactics.contraction import (
+        PAPER_CONTRACTIONS,
+        parse_contraction_spec,
+    )
+
+    if name not in PAPER_CONTRACTIONS:
+        return get_kernel(name).small()
+    names = sorted({v for part in parse_contraction_spec(name) for v in part})
+    return contraction_source(name, {v: 2 + i for i, v in enumerate(names)})
+
+
 def raise_two_tiers(module: ModuleOp):
     """The TDL tier, then the synthesis fallback on what it left — as
     the pass list spells it.  Returns the two passes' merged stats."""

@@ -1,4 +1,4 @@
-"""The engine's buffer plan (``execution/engine/buffers.py``): which
+"""The engine's buffer plan (``analysis/buffers.py``): which
 ``std.alloc`` becomes a view, which a producer's own result, and — the
 point of this file — every shape for which the zero-filled alloc and
 the copy must stay.
