@@ -40,6 +40,8 @@ from ..ir.types import Type
 #: ``codegen.VECTORIZE_MODES``; duplicated to avoid importing the
 #: execution engine from a dialect definition).
 VECTORIZE_MODES = ("none", "innermost", "nest")
+#: Smallest edge ``transform.tile {size}`` accepts.
+MIN_TILE_SIZE = 2
 
 
 class TransformHandleType(Type):
@@ -266,8 +268,8 @@ class TileOp(TransformStepOp):
             raise IRError(
                 "transform.tile needs exactly one of {size}, {sizes}"
             )
-        if size is not None and size < 2:
-            raise IRError("transform.tile size must be >= 2")
+        if size is not None and size < MIN_TILE_SIZE:
+            raise IRError(f"transform.tile size must be >= {MIN_TILE_SIZE}")
         if sizes is not None and (
             not sizes or any(s < 0 for s in sizes)
         ):

@@ -51,7 +51,7 @@ from . import protocol
 from .units import (
     BadRequest,
     configure_serving,
-    is_hot,
+    hot_entry,
     normalize_request,
     serve_unit,
     serving_cache_snapshots,
@@ -298,7 +298,10 @@ class CompileServer:
             # path re-runs normalization and reports the error instead
             # of letting it escape the connection read loop.
             return None
-        if spec.get("heavy") or spec.get("debug_delay_s") or not is_hot(spec):
+        if spec.get("heavy") or spec.get("debug_delay_s"):
+            return None
+        hot = hot_entry(spec)
+        if hot is None:
             return None
         if not self._admit():
             return protocol.error_response(
@@ -308,7 +311,7 @@ class CompileServer:
                 f"{self.config.max_pending})",
             )
         try:
-            result = serve_unit(spec)
+            result = serve_unit(spec, hot)
         except Exception as exc:  # noqa: BLE001 — reported to client
             return protocol.error_response(
                 request, "compile-error", f"{type(exc).__name__}: {exc}"
@@ -466,10 +469,11 @@ class CompileServer:
         # go to the executor (no shard lock: the hot path touches no
         # cache that needs serializing).
         loop = asyncio.get_running_loop()
-        if not spec.get("debug_delay_s") and is_hot(spec):
+        hot = None if spec.get("debug_delay_s") else hot_entry(spec)
+        if hot is not None:
             if not spec.get("heavy"):
-                return serve_unit(spec)
-            return await loop.run_in_executor(None, serve_unit, spec)
+                return serve_unit(spec, hot)
+            return await loop.run_in_executor(None, serve_unit, spec, hot)
         async with self._shard_lock(spec["tenant"], spec["mkey"]):
             return await loop.run_in_executor(None, serve_unit, spec)
 

@@ -21,9 +21,15 @@ across batch generations:
   share artifacts even for identical kernels, and two servers pointed
   at one root but different tenants can never cross-serve each other's
   kernels.
+* The **request memo** resolves a corpus request's ``(kernel, heavy,
+  pipeline, tile, opt_mode)`` to its source text, default entry
+  function and module key once per process, so a repeated request
+  neither regenerates nor hashes its source.
 * The **hot-kernel map** pins ``(compiled function, argument shapes)``
-  for served kernels, so a warm ``execute`` touches no IR at all —
-  no parse, no fingerprint, just input synthesis and the kernel call.
+  for served kernels and, from a kernel's second request on, a
+  read-only copy of its seeded inputs, so a warm ``execute`` touches
+  no IR and synthesizes nothing: it copies the pinned inputs, calls
+  the kernel and sums the buffers.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ import threading
 import time
 from typing import Dict, Optional, Tuple
 
+from ..dialects.transform import MIN_TILE_SIZE
 from ..store import (
     ArtifactStore,
     CompileConfig,
@@ -47,14 +54,26 @@ _TENANT_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.-]{0,63}$")
 
 #: Hot-kernel map bound: one entry is a compiled callable plus a shape
 #: tuple, so a few hundred of them are cheap; beyond that, least
-#: recently served entries fall back to the regular cache path.
+#: recently served entries fall back to the regular cache path.  The
+#: request memo has the same bound.
 HOT_MAX_ENTRIES = 1024
+#: Pinned-input bound per hot entry: a kernel whose seeded inputs take
+#: more bytes re-synthesizes them on every request instead.  Covers
+#: every small corpus kernel (the largest needs 37.7 KB) and caps the
+#: map's pins at ``HOT_MAX_ENTRIES`` x 64 KiB.
+HOT_PIN_MAX_BYTES = 64 * 1024
+
+#: Opt modes whose schedule ends in ``transform.tile`` at the unit's
+#: tile (``tuned`` falls back to ``full`` without a record).
+_TILING_MODES = ("full", "tuned")
 
 _LOCK = threading.Lock()
 _SERVE_ROOT: Optional[str] = None
 _TENANTS: Dict[Tuple[Optional[str], str], ArtifactStore] = {}
-#: (root, tenant, mkey) -> (kernel key, functions, shapes, func name).
+#: (root, tenant, mkey) -> :class:`HotKernel`.
 _HOT = LruMemo(HOT_MAX_ENTRIES)
+#: (kernel, heavy, pipeline, tile, opt_mode) -> (source, func, mkey).
+_REQUESTS = LruMemo(HOT_MAX_ENTRIES)
 
 
 class BadRequest(ValueError):
@@ -82,12 +101,14 @@ def configure_serving(root: Optional[str]) -> None:
 
 
 def reset_serving_state() -> None:
-    """Drop every tenant cache and hot kernel (tests)."""
+    """Drop every tenant cache, hot kernel, pinned input and memoized
+    request (tests)."""
     global _SERVE_ROOT
     with _LOCK:
         _SERVE_ROOT = None
         _TENANTS.clear()
     _HOT.clear()
+    _REQUESTS.clear()
 
 
 def _tenant_store(tenant: str) -> ArtifactStore:
@@ -101,21 +122,52 @@ def _tenant_store(tenant: str) -> ArtifactStore:
         return store
 
 
-def _hot_get(tenant: str, mkey: str):
-    return _HOT.get((_SERVE_ROOT, tenant, mkey))
+class HotKernel:
+    """One hot-map entry: a compiled entry point, its argument shapes
+    and, once it is served hot, the pristine inputs of the last seed."""
+
+    __slots__ = ("key", "func", "kernel", "shapes", "pinned")
+
+    def __init__(self, key: str, func: str, kernel, shapes):
+        self.key = key
+        self.func = func
+        self.kernel = kernel
+        self.shapes = shapes
+        #: ``(seed, read-only make_args(shapes, seed))`` or None.
+        self.pinned: Optional[tuple] = None
+
+    def inputs(self, seed: int) -> list:
+        """Fresh, writeable, distinct ``make_args(shapes, seed)``:
+        copies of the pinned arrays for the pinned seed; otherwise
+        synthesized, and pinned (replacing another seed's) when they
+        fit ``HOT_PIN_MAX_BYTES``."""
+        pinned = self.pinned
+        if pinned is None or pinned[0] != seed:
+            from ..fuzzing.oracle import make_args
+
+            args = make_args(self.shapes, seed)
+            if sum(buf.nbytes for buf in args) > HOT_PIN_MAX_BYTES:
+                return args
+            for buf in args:
+                buf.flags.writeable = False
+            pinned = self.pinned = (seed, args)
+        return [buf.copy() for buf in pinned[1]]
+
+    def pinned_bytes(self) -> int:
+        pinned = self.pinned
+        return 0 if pinned is None else sum(buf.nbytes for buf in pinned[1])
 
 
-def is_hot(spec: dict) -> bool:
-    """True when :func:`serve_unit` would take the hot-map fast path —
-    no parse, no hashing, just the pinned compiled call.  The server
-    uses this to run hot units directly on the event loop instead of
-    paying an executor round-trip."""
-    entry = _hot_get(spec["tenant"], spec["mkey"])
-    if entry is None:
-        return False
-    if not spec["execute"]:
-        return True
-    return spec.get("func") == entry[3]
+def hot_entry(spec: dict) -> Optional[HotKernel]:
+    """The hot-map entry :func:`serve_unit` would answer ``spec`` from
+    — no parse, no hashing, just the pinned compiled call — or None.
+    The server looks it up once and, when there is one, runs the unit
+    directly on the event loop instead of paying an executor
+    round-trip."""
+    entry = _HOT.get((_SERVE_ROOT, spec["tenant"], spec["mkey"]))
+    if entry is None or not spec["execute"]:
+        return entry
+    return entry if spec.get("func") == entry.func else None
 
 
 def serving_cache_snapshots() -> Dict[str, dict]:
@@ -131,7 +183,9 @@ def serving_cache_snapshots() -> Dict[str, dict]:
             else None,
             "pass_cache": store.passes.snapshot(),
         }
-    report["_hot_kernels"] = len(_HOT)
+    hot = _HOT.values()
+    report["_hot_kernels"] = len(hot)
+    report["_hot_pinned_bytes"] = sum(entry.pinned_bytes() for entry in hot)
     return report
 
 
@@ -156,11 +210,12 @@ def normalize_request(
     op = request.get("op")
     execute = op == "execute"
     tenant = validate_tenant(request.get("tenant", default_tenant))
+    # bool is an int subclass, but ``seed=True`` is no seed.
     seed = request.get("seed", 0)
-    if not isinstance(seed, int):
+    if isinstance(seed, bool) or not isinstance(seed, int):
         raise BadRequest("seed must be an integer")
     tile = request.get("tile", default_tile)
-    if not isinstance(tile, int) or tile <= 0:
+    if isinstance(tile, bool) or not isinstance(tile, int) or tile <= 0:
         raise BadRequest("tile must be a positive integer")
     opt_mode = request.get("opt_mode", "full")
     from ..execution.engine.optimizer import OPT_MODES
@@ -171,6 +226,11 @@ def normalize_request(
     if opt_mode not in OPT_MODES and opt_mode != "tuned":
         raise BadRequest(
             f"opt_mode must be one of {'|'.join(OPT_MODES)}|tuned"
+        )
+    if tile < MIN_TILE_SIZE and opt_mode in _TILING_MODES:
+        raise BadRequest(
+            f"tile must be >= {MIN_TILE_SIZE} under opt_mode {opt_mode} "
+            "(its schedule tiles)"
         )
 
     spec = {
@@ -183,32 +243,23 @@ def normalize_request(
     }
 
     if "kernel" in request:
-        from ..evaluation import get_kernel
-
         name = request["kernel"]
-        try:
-            kernel = get_kernel(name)
-        except (KeyError, ValueError) as exc:
-            raise BadRequest(f"unknown kernel {name!r}") from exc
         pipeline = request.get("pipeline", "baseline")
-        from ..evaluation.pipelines import NAMED_PIPELINES
-
-        if pipeline not in NAMED_PIPELINES:
-            raise BadRequest(
-                f"unknown pipeline {pipeline!r}; "
-                f"known: {sorted(NAMED_PIPELINES)}"
-            )
         heavy = bool(request.get("heavy", False))
-        spec.update(
-            mode="corpus",
-            kernel=name,
-            source=kernel.large() if heavy else kernel.small(),
-            pipeline=pipeline,
-            func=request.get("func", kernel.func_name),
-            # Heavy units run ~ms-scale kernels; the server keeps them
-            # off the event loop even when hot.
-            heavy=heavy,
-        )
+        if not isinstance(name, str):
+            raise BadRequest(f"unknown kernel {name!r}")
+        if not isinstance(pipeline, str):
+            raise BadRequest(f"unknown pipeline {pipeline!r}")
+        # Heavy units run ~ms-scale kernels; the server keeps them off
+        # the event loop even when hot.
+        spec.update(mode="corpus", kernel=name, pipeline=pipeline, heavy=heavy)
+        ident = (name, heavy, pipeline, tile, opt_mode)
+        resolved = _REQUESTS.get(ident)
+        if resolved is None:
+            resolved = _resolve_corpus(spec)
+            _REQUESTS.put(ident, resolved)
+        spec["source"], func, spec["mkey"] = resolved
+        spec["func"] = request.get("func", func)
     elif "source" in request:
         source = request["source"]
         if not isinstance(source, str) or not source.strip():
@@ -239,6 +290,7 @@ def normalize_request(
             source_kind=kind,
             func=func,
         )
+        spec["mkey"] = spec_config(spec).module_key(source)
     else:
         raise BadRequest(
             "request needs either a corpus kernel ('kernel' + "
@@ -253,11 +305,30 @@ def normalize_request(
                     "allow_debug"
                 )
             spec[debug_field] = request[debug_field]
-
-    # Content identity of the unit — the coalescing and hot-map key
-    # (for ``opt_mode="tuned"``: before the schedule is resolved).
-    spec["mkey"] = spec_config(spec).module_key(spec["source"])
     return spec
+
+
+def _resolve_corpus(spec: dict) -> Tuple[str, str, str]:
+    """``(source, default entry function, module key)`` of a corpus
+    unit spec; raises :class:`BadRequest` for an unknown kernel or
+    pipeline.  The module key is the unit's content identity — the
+    coalescing and hot-map key (for ``opt_mode="tuned"``: before the
+    schedule is resolved)."""
+    from ..evaluation import get_kernel
+    from ..evaluation.pipelines import NAMED_PIPELINES
+
+    name = spec["kernel"]
+    try:
+        kernel = get_kernel(name)
+    except (KeyError, ValueError) as exc:
+        raise BadRequest(f"unknown kernel {name!r}") from exc
+    if spec["pipeline"] not in NAMED_PIPELINES:
+        raise BadRequest(
+            f"unknown pipeline {spec['pipeline']!r}; "
+            f"known: {sorted(NAMED_PIPELINES)}"
+        )
+    source = kernel.large() if spec["heavy"] else kernel.small()
+    return source, kernel.func_name, spec_config(spec).module_key(source)
 
 
 def spec_config(spec: dict) -> CompileConfig:
@@ -317,8 +388,10 @@ def _build_module(spec: dict, pass_cache=None):
     return module
 
 
-def serve_unit(spec: dict) -> dict:
-    """Compile (and optionally execute) one normalized unit spec.
+def serve_unit(spec: dict, hot: Optional[HotKernel] = None) -> dict:
+    """Compile (and optionally execute) one normalized unit spec;
+    ``hot`` is the spec's :func:`hot_entry` when the caller already
+    looked it up.
 
     Pure function of (spec, cache contents): identical specs produce
     identical kernels and checksums whether they run inline, on any
@@ -331,23 +404,18 @@ def serve_unit(spec: dict) -> dict:
     if spec.get("debug_delay_s"):  # test seam: gated by allow_debug
         time.sleep(float(spec["debug_delay_s"]))
 
-    tenant = spec["tenant"]
-    mkey = spec["mkey"]
-    func = spec.get("func")
-
-    hot = _hot_get(tenant, mkey)
+    if hot is None:
+        hot = hot_entry(spec)
     if hot is not None:
-        key, functions, shapes, hot_func = hot
-        if not spec["execute"]:
-            return _result(spec, key, "hot", None, start)
-        if func == hot_func:
-            checksums = _run(functions[hot_func], shapes, spec["seed"])
-            return _result(spec, key, "hot", checksums, start)
+        checksums = None
+        if spec["execute"]:
+            checksums = _run(hot.kernel, hot.inputs(spec["seed"]))
+        return _result(spec, hot.key, "hot", checksums, start)
 
     from ..execution.engine.cache import fingerprint_module
     from ..scheduling import apply_schedule, canned_schedule
 
-    store = _tenant_store(tenant)
+    store = _tenant_store(spec["tenant"])
     mode = spec.get("opt_mode", "full")
     pristine = schedule = None
     if mode == "tuned":
@@ -394,32 +462,31 @@ def serve_unit(spec: dict) -> dict:
 
     checksums = None
     if wants_shapes:
-        from ..fuzzing.oracle import module_arg_shapes
+        from ..fuzzing.oracle import make_args, module_arg_shapes
 
         module = unit.module
-        run_func = func or module.functions[0].sym_name
+        run_func = spec.get("func") or module.functions[0].sym_name
         if module.lookup(run_func) is None:
             raise BadRequest(f"module has no function @{run_func}")
         shapes = module_arg_shapes(module, run_func)
+        kernel = unit.compiled.functions[run_func]
+        # Inputs are pinned from the first hot request on: a unit
+        # served once (a unique cold compile) pins nothing.
         _HOT.put(
-            (_SERVE_ROOT, tenant, mkey),
-            (key, unit.compiled.functions, shapes, run_func),
+            (_SERVE_ROOT, spec["tenant"], spec["mkey"]),
+            HotKernel(key, run_func, kernel, shapes),
         )
         if spec["execute"]:
-            checksums = _run(
-                unit.compiled.functions[run_func], shapes, spec["seed"]
-            )
+            checksums = _run(kernel, make_args(shapes, spec["seed"]))
     return _result(spec, key, cached, checksums, start)
 
 
-def _run(kernel_fn, shapes, seed: int):
-    from ..fuzzing.oracle import make_args
-
+def _run(kernel_fn, args) -> list:
     # Straight into the kernel, past ``ExecutionEngine.run``'s memref
-    # argument checks: ``make_args`` builds fresh, distinct (so never
-    # overlapping) C-contiguous arrays of exactly ``shapes``, which is
-    # all those checks would establish.
-    args = make_args(shapes, seed)
+    # argument checks: ``make_args`` and :meth:`HotKernel.inputs` give
+    # fresh, distinct (so never overlapping) C-contiguous arrays of
+    # exactly the argument shapes, which is all those checks would
+    # establish.
     kernel_fn(*args)
     return [float(buf.sum()) for buf in args]
 

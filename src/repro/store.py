@@ -176,6 +176,11 @@ class LruMemo:
         with self._lock:
             self._entries.clear()
 
+    def values(self) -> list:
+        """A snapshot of the entries, least recently used first."""
+        with self._lock:
+            return list(self._entries.values())
+
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)

@@ -543,6 +543,69 @@ class TestProtocolAndValidation:
         assert malformed["code"] in ("bad-request", "internal")
         assert after["ok"]
 
+    def test_tile_one_is_refused_where_the_schedule_tiles(self, tmp_path):
+        modes = ("full", "fuse", "none", "tuned")
+
+        async def scenario():
+            server = await start_server(tmp_path)
+            client = await connect(server)
+            responses = {
+                mode: await client.execute(
+                    kernel="gemm", pipeline="baseline", tile=1, opt_mode=mode
+                )
+                for mode in modes
+            }
+            await client.close()
+            await server.shutdown()
+            return responses
+
+        responses = run(scenario())
+        for mode in ("full", "tuned"):
+            assert responses[mode]["code"] == "bad-request", responses[mode]
+            assert "tile must be >= 2" in responses[mode]["error"]
+        for mode in ("fuse", "none"):
+            assert responses[mode]["ok"], responses[mode]
+
+    @pytest.mark.parametrize("field", ["seed", "tile"])
+    def test_a_bool_is_not_an_integer(self, tmp_path, field):
+        async def scenario():
+            server = await start_server(tmp_path)
+            client = await connect(server)
+            hot = await client.execute(kernel="gemm", pipeline="baseline")
+            responses = [
+                await client.execute(
+                    kernel="gemm", pipeline="baseline", **{field: value}
+                )
+                for value in (True, False)
+            ]
+            await client.close()
+            await server.shutdown()
+            return hot, responses
+
+        hot, responses = run(scenario())
+        assert hot["ok"]
+        for response in responses:
+            assert response["code"] == "bad-request", response
+            assert field in response["error"]
+
+    def test_stats_report_pinned_input_bytes(self, tmp_path):
+        async def scenario():
+            server = await start_server(tmp_path)
+            client = await connect(server)
+            before = await client.stats()
+            for _ in range(2):  # cold, then the first hot hit pins
+                await client.execute(kernel="gemm", pipeline="baseline")
+            after = await client.stats()
+            await client.close()
+            await server.shutdown()
+            return before, after
+
+        before, after = run(scenario())
+        assert before["tenants"]["_hot_pinned_bytes"] == 0
+        # gemm's small inputs: A[10][12], B[12][11], C[10][11] floats.
+        assert after["tenants"]["_hot_kernels"] == 1
+        assert after["tenants"]["_hot_pinned_bytes"] == 4 * (120 + 132 + 110)
+
     def test_heavy_hot_execute_served_off_loop(self, tmp_path):
         async def scenario():
             server = await start_server(tmp_path)
