@@ -16,7 +16,7 @@ from ..dialects.affine import (
     AffineLoadOp,
     AffineStoreOp,
 )
-from ..ir import Operation, Value
+from ..ir import AffineExpr, Operation, Value
 
 
 class AccessFunction:
@@ -101,19 +101,29 @@ def access_function(op: Operation) -> Optional[MemoryAccess]:
         is_write = True
     else:
         return None
-    map_ = op.map
     operands = op.indices
     subscripts: List[AccessFunction] = []
-    for expr in map_.results:
-        linear = expr.as_linear()
-        if linear is None:
+    for expr in op.map.results:
+        subscript = subscript_function(expr, operands)
+        if subscript is None:
             return None
-        coeffs: Dict[Value, int] = {}
-        for pos, coeff in linear.dim_coeffs.items():
-            value = operands[pos]
-            coeffs[value] = coeffs.get(value, 0) + coeff
-        subscripts.append(AccessFunction(coeffs, linear.constant))
+        subscripts.append(subscript)
     return MemoryAccess(op, op.memref, is_write, subscripts)
+
+
+def subscript_function(
+    expr: AffineExpr, operands: List[Value]
+) -> Optional[AccessFunction]:
+    """One access-map result over the op's index ``operands`` (dim
+    ``d_p`` is ``operands[p]``); ``None`` when it is non-linear."""
+    linear = expr.as_linear()
+    if linear is None:
+        return None
+    coeffs: Dict[Value, int] = {}
+    for pos, coeff in linear.dim_coeffs.items():
+        value = operands[pos]
+        coeffs[value] = coeffs.get(value, 0) + coeff
+    return AccessFunction(coeffs, linear.constant)
 
 
 def collect_accesses(root: Operation) -> List[MemoryAccess]:

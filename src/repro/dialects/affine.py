@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple, Union
 
-from ..ir.affine_expr import AffineExpr
+from ..ir.affine_expr import AffineConstantExpr, AffineExpr
 from ..ir.affine_map import AffineMap
 from ..ir.attributes import AffineMapAttr, IntegerAttr, UnitAttr
 from ..ir.core import Block, IRError, Operation, register_op
@@ -116,17 +116,20 @@ class AffineForOp(Operation):
         self.attributes["no_vectorize"] = UnitAttr()
 
     def constant_lower_bound(self) -> Optional[int]:
-        map_ = self.lower_bound_map
-        if map_.num_results == 1 and map_.results[0].is_constant():
-            return map_.results[0].evaluate((), ())
+        results = self.lower_bound_map.results
+        if len(results) == 1 and isinstance(results[0], AffineConstantExpr):
+            return results[0].value
         return None
 
     def constant_upper_bound(self) -> Optional[int]:
         """Constant upper bound; for multi-result (min) maps, the min of
         the constant results if all are constant."""
-        map_ = self.upper_bound_map
-        if all(e.is_constant() for e in map_.results):
-            return min(e.evaluate((), ()) for e in map_.results)
+        results = self.upper_bound_map.results
+        if len(results) == 1:
+            (expr,) = results
+            return expr.value if isinstance(expr, AffineConstantExpr) else None
+        if all(isinstance(e, AffineConstantExpr) for e in results):
+            return min(e.value for e in results)
         return None
 
     def has_constant_bounds(self) -> bool:
@@ -340,9 +343,13 @@ def perfect_nest(root: AffineForOp) -> List[AffineForOp]:
     band = [root]
     current = root
     while True:
-        body_ops = current.ops_in_body()
-        if len(body_ops) == 1 and isinstance(body_ops[0], AffineForOp):
-            current = body_ops[0]
+        # ``current.ops_in_body()`` without copying the block's list.
+        ops = current.body.operations
+        count = len(ops)
+        if count and ops[-1].IS_TERMINATOR:
+            count -= 1
+        if count == 1 and isinstance(ops[0], AffineForOp):
+            current = ops[0]
             band.append(current)
         else:
             return band

@@ -46,8 +46,11 @@ NAMESPACES = ("kernels", "modules", "passes", "schedules")
 #: lowering pass emits (v9 -> v10: ``convert-linalg-to-affine-loops``
 #: leaves reshapes alone and ``convert-scf-to-llvm`` lowers them as
 #: views or flat copies, so a v9 entry would replay a copy loop nest;
-#: and ``convert-blas-to-llvm`` keeps each op's attributes on its call).
-PASS_CACHE_VERSION = "pass-cache-v10"
+#: and ``convert-blas-to-llvm`` keeps each op's attributes on its call),
+#: or which nests a raising pass rewrites (v10 -> v11: a TDL tactic no
+#: longer raises a band that covers only part of its tensors, which a
+#: v10 entry would replay as the whole-tensor op).
+PASS_CACHE_VERSION = "pass-cache-v11"
 
 #: Codegen schema version, folded into every ``kernels/`` key.  Bump on
 #: any change to generated-source semantics (vectorizer strategy,

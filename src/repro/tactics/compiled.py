@@ -1,16 +1,17 @@
 """Compiled tactics: executable matchers generated from TDS records.
 
-This is the runtime form of the code the MLT TableGen backend emits
-(Listing 7): a structural matcher over the loop nest plus access
-matchers over the innermost block, producing a :class:`MatchResult`
-that the builders consume.
+The TableGen backend renders each record's matcher as one straight-line
+Python function (:meth:`~repro.tactics.tablegen.TableGenBackend.emit_python`,
+the runtime form of Listing 7); :func:`compile_tactic` compiles that
+source once per process.  A match yields the :class:`MatchResult` the
+builders consume.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from ..analysis.accesses import access_function
+from ..analysis.accesses import subscript_function
 from ..dialects.affine import (
     AffineForOp,
     AffineLoadOp,
@@ -18,19 +19,10 @@ from ..dialects.affine import (
     perfect_nest,
 )
 from ..dialects.std import AddFOp, MulFOp
-from ..ir import Operation, Value
-from .matchers.access import (
-    AccessPatternContext,
-    ArrayAccessPattern,
-    Placeholder,
-    PlaceholderExpr,
-    PlaceholderSum,
-    match_block_accesses,
-)
-from .matchers.op_matchers import m_Op
-from .matchers.structural import For, NestedPatternContext
+from ..ir import AffineDimExpr, AffineExpr, Operation, Value
+from .tablegen import TableGenBackend
 from .tds import TacticRecord
-from .tdl.ast import TdlAccess, TdlIndexExpr, TdlStatement
+from .tdl.ast import TdlStatement
 
 
 class MatchResult:
@@ -61,6 +53,73 @@ class MatchResult:
         )
 
 
+def covers_iteration_space(match: MatchResult, accesses: Tuple) -> bool:
+    """Whether the raised op computes what the band does: every band
+    loop starts at 0 with step 1, and every tensor dimension is the
+    range the op assumes for it.  A single-variable subscript needs the
+    dimension equal to the variable's extent; a sum such as ``y + kh``
+    needs it to hold every value the sum takes.  ``accesses`` is
+    :func:`~repro.tactics.tablegen.subscript_ranges` of the pattern."""
+    for loop in match.band:
+        if loop.step != 1 or loop.constant_lower_bound() != 0:
+            return False
+    extent = match.extent_of
+    for tensor, subscripts in accesses:
+        shape = match.memref_of[tensor].type.shape
+        for (terms, constant), dim in zip(subscripts, shape):
+            if len(terms) == 1:
+                if dim != extent[terms[0][0]]:
+                    return False
+            elif dim < constant + 1 + sum(
+                coeff * (extent[var] - 1) for var, coeff in terms
+            ):
+                return False
+    return True
+
+
+def single_candidate(
+    expr: AffineExpr, indices: List[Value], coeff: int, constant: int
+) -> Optional[Value]:
+    """The index value ``v`` when ``expr`` is ``coeff*v + constant``."""
+    function = subscript_function(expr, indices)
+    if function is None or function.constant != constant:
+        return None
+    if len(function.coeffs) != 1:
+        return None
+    ((value, value_coeff),) = function.coeffs.items()
+    return value if value_coeff == coeff else None
+
+
+#: What generated matchers may name.
+_MATCHER_GLOBALS = {
+    "AffineDimExpr": AffineDimExpr,
+    "AffineForOp": AffineForOp,
+    "AffineLoadOp": AffineLoadOp,
+    "AffineStoreOp": AffineStoreOp,
+    "AddFOp": AddFOp,
+    "MatchResult": MatchResult,
+    "MulFOp": MulFOp,
+    "covers_iteration_space": covers_iteration_space,
+    "perfect_nest": perfect_nest,
+    "single_candidate": single_candidate,
+    "subscript_function": subscript_function,
+}
+
+_Matcher = Callable[[Operation], Tuple[Optional[MatchResult], str]]
+
+#: Generated source -> its compiled ``match`` function.
+_COMPILED: Dict[str, _Matcher] = {}
+
+
+def _compile_matcher(source: str, name: str) -> _Matcher:
+    matcher = _COMPILED.get(source)
+    if matcher is None:
+        namespace = dict(_MATCHER_GLOBALS)
+        exec(compile(source, f"<tds matcher {name}>", "exec"), namespace)
+        matcher = _COMPILED[source] = namespace["match"]
+    return matcher
+
+
 class CompiledTactic:
     """A tactic compiled to matcher + builder form."""
 
@@ -68,6 +127,14 @@ class CompiledTactic:
         self.record = record
         self.pattern: TdlStatement = record.pattern
         self.loop_vars: List[str] = self.pattern.index_vars()
+        #: The generated matcher's source: what :meth:`match_explain` runs.
+        self.source = TableGenBackend().emit_python(record)
+        self._match = _compile_matcher(self.source, record.name)
+
+    def __reduce__(self):
+        # The generated function is not importable by name: rebuild it
+        # from the record.
+        return compile_tactic, (self.record,)
 
     @property
     def name(self) -> str:
@@ -83,7 +150,7 @@ class CompiledTactic:
 
     def match(self, op: Operation) -> Optional[MatchResult]:
         """Match the pattern with ``op`` as the band's outermost loop."""
-        return self.match_explain(op)[0]
+        return self._match(op)[0]
 
     def match_explain(
         self, op: Operation
@@ -91,133 +158,7 @@ class CompiledTactic:
         """Like :meth:`match`, but also reports *why* the matcher
         bailed: the second element is ``"matched"`` or a key from
         ``repro.tactics.stats.TDL_BAIL_REASONS``."""
-        if not isinstance(op, AffineForOp):
-            return None, "pattern-mismatch"
-        # The relative root must not itself be an inner loop of a larger
-        # perfect band (the enclosing loop would then be part of the
-        # computation we are about to replace).
-        parent = op.parent_op
-        if isinstance(parent, AffineForOp) and len(parent.ops_in_body()) == 1:
-            return None, "inner-loop-root"
-        band = perfect_nest(op)
-        if len(band) != self.num_loops:
-            return None, "depth-mismatch"
-        # Cheap pre-filter before building matcher machinery: the
-        # innermost block must have the right operation mix.
-        if not self._block_is_exact(band[-1]):
-            return None, "body-shape"
-
-        with NestedPatternContext(), AccessPatternContext() as pctx:
-            placeholders: Dict[str, Placeholder] = {
-                var: pctx.placeholder() for var in self.loop_vars
-            }
-            arrays: Dict[str, object] = {}
-            store_pattern = self._access_pattern(
-                self.pattern.lhs, placeholders, arrays, pctx
-            )
-            body_matcher = self._body_matcher(placeholders, arrays, pctx)
-
-            structural = For(
-                lambda body: match_block_accesses(
-                    body, store_pattern, body_matcher
-                )
-            )
-            node = structural
-            for _ in range(self.num_loops - 1):
-                node = For(node)
-            if not node.match(op):
-                return None, "structure-mismatch"
-            if not self._block_is_exact(band[-1]):
-                return None, "body-shape"
-
-            # Bound candidates must be exactly the band's IVs.
-            band_ivs = {id(loop.induction_var) for loop in band}
-            iv_of: Dict[str, Value] = {}
-            extent_of: Dict[str, int] = {}
-            for var, placeholder in placeholders.items():
-                candidate = pctx.candidate(placeholder)
-                if candidate is None or id(candidate) not in band_ivs:
-                    return None, "iv-binding"
-                iv_of[var] = candidate
-                loop = candidate.owner.parent_op
-                trip = loop.constant_trip_count()
-                if trip is None:
-                    return None, "non-constant-trip"
-                extent_of[var] = trip
-            memref_of = {
-                tensor: pctx[array] for tensor, array in arrays.items()
-            }
-            return (
-                MatchResult(self.name, band, iv_of, extent_of, memref_of),
-                "matched",
-            )
-
-    def _block_is_exact(self, innermost: AffineForOp) -> bool:
-        """The matched block must contain only the pattern's operations
-        ("make sure we have only the defined operations in the block")."""
-        ops = innermost.ops_in_body()
-        if self.pattern.op == "+=":
-            expected = {
-                "affine.load": 1 + len(self.pattern.rhs),
-                "affine.store": 1,
-                "std.mulf": len(self.pattern.rhs) - 1,
-                "std.addf": 1,
-            }
-        else:
-            expected = {"affine.load": 1, "affine.store": 1}
-        counts: Dict[str, int] = {}
-        for op in ops:
-            counts[op.name] = counts.get(op.name, 0) + 1
-        return counts == expected
-
-    def _subscript_pattern(
-        self, idx: TdlIndexExpr, placeholders: Dict[str, Placeholder]
-    ):
-        terms = [(placeholders[var], coeff) for var, coeff in idx.terms]
-        if len(terms) == 1:
-            placeholder, coeff = terms[0]
-            return PlaceholderExpr(placeholder, coeff, idx.constant)
-        return PlaceholderSum(terms, idx.constant)
-
-    def _access_pattern(
-        self,
-        access: TdlAccess,
-        placeholders: Dict[str, Placeholder],
-        arrays: Dict[str, object],
-        pctx: AccessPatternContext,
-    ) -> ArrayAccessPattern:
-        if access.tensor not in arrays:
-            arrays[access.tensor] = pctx.array_placeholder()
-        subscripts = [
-            self._subscript_pattern(idx, placeholders)
-            for idx in access.indices
-        ]
-        return arrays[access.tensor](subscripts)
-
-    def _body_matcher(self, placeholders, arrays, pctx):
-        pattern = self.pattern
-        if pattern.op == "+=" and len(pattern.rhs) == 2:
-            lhs_load = m_Op(
-                AffineLoadOp,
-                self._access_pattern(pattern.lhs, placeholders, arrays, pctx),
-            )
-            factor0 = m_Op(
-                AffineLoadOp,
-                self._access_pattern(pattern.rhs[0], placeholders, arrays, pctx),
-            )
-            factor1 = m_Op(
-                AffineLoadOp,
-                self._access_pattern(pattern.rhs[1], placeholders, arrays, pctx),
-            )
-            return m_Op(AddFOp, lhs_load, m_Op(MulFOp, factor0, factor1))
-        if pattern.op == "=" and len(pattern.rhs) == 1:
-            return m_Op(
-                AffineLoadOp,
-                self._access_pattern(pattern.rhs[0], placeholders, arrays, pctx),
-            )
-        raise NotImplementedError(
-            f"unsupported pattern shape in tactic {self.name}: {pattern}"
-        )
+        return self._match(op)
 
     # ------------------------------------------------------------------
     # Building

@@ -36,6 +36,7 @@ TDL_BAIL_REASONS = (
     "structure-mismatch",   # structural/access matchers rejected the body
     "iv-binding",           # placeholder bound to a non-band IV
     "non-constant-trip",    # a matched loop has no constant trip count
+    "partial-range",        # band starts off 0, steps, or misses part of a tensor
     "pattern-mismatch",     # coarse reason for hand-written patterns
 )
 

@@ -50,6 +50,13 @@ TDL_BAIL_KERNELS = {
         " for (int k = 0; k < 4; k++)"
         " C[i][j] += A[i][k] * B[k][j]; }"
     ),
+    "partial-range": (
+        "void kernel(float A[3][4], float B[4][5], float C[3][5]) {"
+        " for (int i = 0; i < 3; i++)"
+        " for (int j = 0; j < 5; j++)"
+        " for (int k = 1; k < 4; k++)"
+        " C[i][j] += A[i][k] * B[k][j]; }"
+    ),
 }
 
 GEMM = (

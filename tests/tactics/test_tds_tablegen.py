@@ -152,12 +152,50 @@ class TestTableGenRoundtrip:
         assert tactics[0].num_loops == 4
 
     def test_backend_emits_python_source(self):
+        # The emitted text is the source a compiled tactic runs, and
+        # executing it gives a matcher.
+        from repro.dialects.affine import AffineForOp
+        from repro.met import compile_c
+        from repro.tactics.compiled import _MATCHER_GLOBALS
+
         backend = TableGenBackend()
-        code = backend.emit_python(_ttgt_record())
-        assert "m_Placeholder()" in code
-        assert "m_ArrayPlaceholder()" in code
-        assert "match_block_accesses" in code
-        compile(code, "<generated>", "exec")  # must be valid Python
+        record = _ttgt_record()
+        assert backend.emit_python(record) == backend.compile([record])[0].source
+        record = tdl_to_tds(
+            parse_tdl("def G { pattern = builder C(i,j) += A(i,k) * B(k,j) }")[0]
+        )
+        namespace = dict(_MATCHER_GLOBALS)
+        exec(backend.emit_python(record), namespace)
+        module = compile_c(
+            "void gemm(float A[2][3], float B[3][4], float C[2][4]) {"
+            " for (int i = 0; i < 2; i++) for (int j = 0; j < 4; j++)"
+            " for (int k = 0; k < 3; k++) C[i][j] += A[i][k] * B[k][j]; }"
+        )
+        root = next(op for op in module.walk() if isinstance(op, AffineForOp))
+        result, reason = namespace["match"](root)
+        assert reason == "matched"
+        assert result.extent_of == {"i": 2, "j": 4, "k": 3}
+        assert [result.memref_of[t].type.shape for t in "CAB"] == [
+            (2, 4), (2, 3), (3, 4)
+        ]
+
+    def test_compiled_tactics_pickle(self):
+        import pickle
+
+        (tactic,) = TableGenBackend().compile([_ttgt_record()])
+        copy = pickle.loads(pickle.dumps(tactic))
+        assert copy.source == tactic.source and copy.name == "TTGT"
+
+    def test_backend_refuses_a_name_that_is_not_an_identifier(self):
+        from repro.tactics.tdl.ast import TdlAccess, TdlIndexExpr, TdlStatement
+        from repro.tactics.tds import TacticRecord
+
+        i = TdlIndexExpr.var("i")
+        pattern = TdlStatement(
+            TdlAccess("C", [i]), "=", [TdlAccess("A]\nimport os", [i])]
+        )
+        with pytest.raises(TableGenError, match="not an identifier"):
+            TableGenBackend().emit_python(TacticRecord("T", pattern, []))
 
 
 class TestBuilderSpecValidation:
