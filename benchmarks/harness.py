@@ -13,7 +13,9 @@ This module is also runnable — the bench-smoke entry point::
 pushes one small Figure-9 kernel through the baseline and the raised
 (BLAS) pipelines on the selected execution backend(s), checks that the
 interpreter and the compiled engine agree numerically, and writes
-``benchmarks/results/BENCH_fig9.json``.
+``benchmarks/results/BENCH_fig9.json``.  ``--jobs N`` runs the corpus
+scale study instead (:func:`run_scale_study`, ``BENCH_scale.json``)
+through ``mlt-opt``'s batch driver.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
+import tempfile
 import time
 from typing import Dict, List, Optional, Sequence
 
@@ -240,12 +244,198 @@ def _vectorize_smoke() -> int:
     return 0
 
 
+# ----------------------------------------------------------------------
+# Corpus scale study (``--jobs N``)
+# ----------------------------------------------------------------------
+
+#: Pipelines the scale study measures by default.
+SCALE_PIPELINES = ("baseline", "mlt-blas")
+
+
+def write_corpus(
+    kernel_names: Sequence[str], input_dir: str, heavy: bool = False
+) -> List[str]:
+    """Write each paper kernel's C source (LARGE sizes with ``heavy``)
+    to ``input_dir/<kernel>.c``; returns the paths in kernel order."""
+    from repro.evaluation import get_kernel
+
+    os.makedirs(input_dir, exist_ok=True)
+    paths = []
+    for name in kernel_names:
+        spec = get_kernel(name)
+        path = os.path.join(input_dir, f"{name}.c")
+        with open(path, "w") as handle:
+            handle.write(spec.large() if heavy else spec.small())
+        paths.append(path)
+    return paths
+
+
+def run_corpus(
+    inputs: Sequence[str],
+    pipelines: Sequence[str],
+    jobs: int,
+    cache_dir: str,
+    out_dir: str,
+) -> Dict:
+    """One ``mlt-opt`` batch (:func:`repro.runtime.batch.run_batch`) per
+    named pipeline over ``inputs``, kernels compiled into ``cache_dir``.
+
+    Returns an aggregate row; its ``outputs`` map ``(kernel, pipeline)``
+    to the unit's printed module and kernel source, the determinism
+    digest the study compares across runs.  A failed unit is an error.
+    """
+    from repro.evaluation.pipelines import NAMED_PIPELINES
+    from repro.runtime.batch import run_batch, unit_config
+    from repro.store import ArtifactStore, text_fingerprint
+
+    start = time.perf_counter()
+    batches = [
+        (
+            pipeline,
+            run_batch(
+                inputs,
+                NAMED_PIPELINES[pipeline],
+                os.path.join(out_dir, pipeline),
+                jobs=jobs,
+                cache_dir=cache_dir,
+                compile_kernels=True,
+            ),
+        )
+        for pipeline in pipelines
+    ]
+    wall = time.perf_counter() - start
+
+    kernels = ArtifactStore(cache_dir).kernels.disk
+    outputs = {}
+    codegen = module_hits = 0
+    for pipeline, results in batches:
+        config = unit_config(NAMED_PIPELINES[pipeline], "worklist", "auto")
+        for result in results:
+            if not result.ok:
+                raise AssertionError(
+                    f"scale study: {result.input_path} under {pipeline}: "
+                    f"{result.detail}"
+                )
+            codegen += result.cache_snapshot["memory"].get("codegen_count", 0)
+            module_hits += result.detail == "module-cache"
+            with open(result.output_path) as handle:
+                text = handle.read()
+            compiled = kernels.load(config.kernel_key(text_fingerprint(text)))
+            if compiled is None:
+                raise AssertionError(
+                    f"scale study: {result.input_path} under {pipeline}: "
+                    "no kernel in the cache"
+                )
+            kernel = os.path.splitext(os.path.basename(result.input_path))[0]
+            outputs[kernel, pipeline] = (text, compiled.source)
+    return {
+        "jobs": jobs,
+        "wall_time_s": wall,
+        "units": len(outputs),
+        "codegen_count": codegen,
+        "module_cache_hits": module_hits,
+        "outputs": outputs,
+    }
+
+
+def run_scale_study(
+    jobs: int,
+    kernel_names: Sequence[str],
+    pipelines: Sequence[str] = SCALE_PIPELINES,
+    cache_dir: Optional[str] = None,
+    heavy: bool = False,
+) -> Dict:
+    """Measure the corpus across worker counts and cache warmth.
+
+    Sequence (``cache_dir`` wiped before each *cold* run):
+
+    1. cold, ``jobs=1``   — the serial baseline;
+    2. cold, ``jobs=N``   — parallel speedup (when N > 1);
+    3. warm, ``jobs=1``   — persistent-cache speedup, zero codegen;
+    4. warm, ``jobs=N``   — both levers combined (when N > 1).
+
+    Every run must print the same module text and compile the same
+    kernel source per unit as the serial cold run, and a warm run must
+    run no codegen: either is a hard error.
+    """
+    from repro.runtime.pool import effective_cpus, get_pool, pool_stats
+
+    if jobs > 1:
+        # Fork the persistent pool outside the timed region: the study
+        # measures steady-state parallel throughput, and a service
+        # reusing the pool across calls pays the fork exactly once.
+        get_pool(jobs)
+
+    plan = [("cold", 1)]
+    if jobs > 1:
+        plan.append(("cold", jobs))
+    plan.append(("warm", 1))
+    if jobs > 1:
+        plan.append(("warm", jobs))
+
+    rows: List[Dict] = []
+    reference = None
+    with tempfile.TemporaryDirectory(prefix="scale-study-") as scratch:
+        cache_dir = cache_dir or os.path.join(scratch, "cache")
+        inputs = write_corpus(
+            kernel_names, os.path.join(scratch, "inputs"), heavy
+        )
+        for cache_state, run_jobs in plan:
+            if cache_state == "cold" and os.path.isdir(cache_dir):
+                shutil.rmtree(cache_dir)
+            row = run_corpus(
+                inputs,
+                pipelines,
+                run_jobs,
+                cache_dir,
+                os.path.join(scratch, f"out-{cache_state}-{run_jobs}"),
+            )
+            row["cache"] = cache_state
+            outputs = row.pop("outputs")
+            if reference is None:
+                reference = outputs
+            elif outputs != reference:
+                raise AssertionError(
+                    f"scale study: jobs={run_jobs} {cache_state} run "
+                    "printed different modules or kernels than the "
+                    "serial cold run"
+                )
+            rows.append(row)
+    by_key = {(r["cache"], r["jobs"]): r["wall_time_s"] for r in rows}
+    serial_cold = by_key[("cold", 1)]
+    warm_codegen = sum(
+        row["codegen_count"] for row in rows if row["cache"] == "warm"
+    )
+    if warm_codegen:
+        raise AssertionError(
+            f"scale study: warm runs performed {warm_codegen} codegen "
+            "invocations; every kernel should have come off the "
+            "persistent cache"
+        )
+    summary = {
+        "jobs": jobs,
+        "kernels": list(kernel_names),
+        "pipelines": list(pipelines),
+        "speedup": serial_cold / min(by_key.values()),
+        "warm_speedup": serial_cold / by_key[("warm", 1)],
+        "parallel_speedup": (
+            serial_cold / by_key[("cold", jobs)] if jobs > 1 else None
+        ),
+        "warm_codegen_count": warm_codegen,
+        # Honesty marker: parallel_speedup > 1 is only achievable when
+        # the study actually had more than one CPU to run on.
+        "effective_cpus": effective_cpus(),
+        "pool": pool_stats().get(str(jobs)),
+    }
+    return {"rows": rows, "summary": summary}
+
+
 def _scale_study(args) -> int:
-    """Corpus mode (``--jobs N``): shard the 16-kernel corpus across a
-    worker pool and a persistent cache, measure speedup vs. worker
-    count and cache warmth, and write results/BENCH_scale.json."""
+    """Corpus mode (``--jobs N``): compile the 16-kernel corpus through
+    ``mlt-opt``'s batch driver across a worker pool and a persistent
+    cache, measure speedup vs. worker count and cache warmth, and write
+    results/BENCH_scale.json."""
     from repro.evaluation.kernels import PAPER_BENCHMARKS
-    from repro.runtime.bench import DEFAULT_PIPELINES, run_scale_study
 
     kernels = (
         args.kernels.split(",") if args.kernels else list(PAPER_BENCHMARKS)
@@ -253,25 +443,14 @@ def _scale_study(args) -> int:
     pipelines = (
         args.pipelines.split(",")
         if args.pipelines
-        else list(DEFAULT_PIPELINES)
+        else list(SCALE_PIPELINES)
     )
     cache_dir = args.cache_dir or os.path.join(RESULTS_DIR, "kernel-cache")
     study = run_scale_study(
-        args.jobs,
-        kernels,
-        pipelines,
-        cache_dir=cache_dir,
-        heavy=args.heavy,
-        execute=args.execute_units,
-        seed=args.seed,
+        args.jobs, kernels, pipelines, cache_dir=cache_dir, heavy=args.heavy
     )
-    # unit_rows are per-run detail; keep the persisted report compact.
-    slim_rows = [
-        {k: v for k, v in row.items() if k != "unit_rows"}
-        for row in study["rows"]
-    ]
-    payload = {"rows": slim_rows, "summary": study["summary"]}
-    path = report_json("BENCH_scale", payload)
+    rows = study["rows"]
+    path = report_json("BENCH_scale", study)
     summary = study["summary"]
     table = format_table(
         f"scale study — {len(kernels)}-kernel corpus x "
@@ -285,7 +464,7 @@ def _scale_study(args) -> int:
                 row["codegen_count"],
                 row["module_cache_hits"],
             )
-            for row in slim_rows
+            for row in rows
         ],
     )
     print(table)
@@ -375,13 +554,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         action="store_true",
         help="corpus mode: compile the LARGE-size sources instead of "
         "the small ones",
-    )
-    parser.add_argument(
-        "--execute-units",
-        action="store_true",
-        help="corpus mode: also execute each compiled kernel on "
-        "deterministic inputs (folds an output digest into the "
-        "determinism checksum)",
     )
     args = parser.parse_args(list(sys.argv[1:] if argv is None else argv))
 

@@ -6,30 +6,22 @@ contraction ``S(p, q) += W(r, p) * V(r, q)`` (a Gram-matrix update,
 W^T V) can teach the compiler to recognize it with four lines of TDL:
 decompose it as an explicit transpose followed by a GEMM.
 
-This also shows the lower-level matcher API (structural + access
-matchers, §III-C) for readers who want finer-grained control than TDL.
+The TableGen backend turns the tactic into a straight-line Python
+matcher, and that generated code is what raising runs.  It is printed
+below: the hand-written matcher of the paper's Listing 7, written out
+by the compiler instead of by hand.
 
 Run:  python examples/custom_tactic.py
 """
 
 import numpy as np
 
-from repro.dialects.affine import AffineLoadOp, outermost_loops
-from repro.dialects.std import AddFOp, MulFOp
+from repro.dialects.affine import outermost_loops
 from repro.execution import Interpreter
 from repro.ir import print_module
 from repro.met import compile_c
 from repro.tactics import raise_affine_to_linalg
 from repro.tactics.raising import compile_tdl
-from repro.tactics.matchers import (
-    AccessPatternContext,
-    For,
-    NestedPatternContext,
-    m_ArrayPlaceholder,
-    m_Op,
-    m_Placeholder,
-    match_block_accesses,
-)
 
 C_SOURCE = """
 void gram(float W[40][24], float V[40][32], float S[24][32]) {
@@ -52,37 +44,22 @@ def GRAM {
 """
 
 
-def show_matcher_api(module):
-    """The generated matchers, written out by hand (cf. Listing 7)."""
+def show_generated_matcher(tactic, module):
+    """Print the matcher the backend generated for ``tactic`` (cf.
+    Listing 7) and run it on the kernel's outermost loop."""
+    print(tactic.source)
     root = outermost_loops(module.functions[0])[0]
-
-    def access_callback(body):
-        with AccessPatternContext() as pctx:
-            _p, _q, _r = (m_Placeholder() for _ in range(3))
-            _S, _W, _V = (m_ArrayPlaceholder() for _ in range(3))
-            store = _S(_p, _q)
-            mac = m_Op(
-                AddFOp,
-                m_Op(AffineLoadOp, _S(_p, _q)),
-                m_Op(
-                    MulFOp,
-                    m_Op(AffineLoadOp, _W(_r, _p)),
-                    m_Op(AffineLoadOp, _V(_r, _q)),
-                ),
-            )
-            return match_block_accesses(body, store, mac)
-
-    with NestedPatternContext():
-        matcher = For(For(For(access_callback)))
-        print(f"hand-written matcher fires: {matcher.match(root)}")
+    _match, reason = tactic.match_explain(root)
+    print(f"generated matcher on the gram nest: {reason}")
+    assert reason == "matched"
 
 
 def main():
     module = compile_c(C_SOURCE)
     reference = compile_c(C_SOURCE)
-    show_matcher_api(module)
 
     tactics = compile_tdl(GRAM_TDL)
+    show_generated_matcher(tactics[0], module)
     stats = raise_affine_to_linalg(module, tactics=tactics)
     print(f"raised callsites: {stats.callsites}")
     print(print_module(module))

@@ -275,12 +275,14 @@ class Conv2DNchwOp(LinalgStructuredOp):
         f, c2, kh, kw = k_ty.shape
         n2, f2, oh, ow = out_ty.shape
         static = -1 not in in_ty.shape + k_ty.shape + out_ty.shape
+        # A valid convolution reads only the input window it needs: the
+        # input may be larger than ``out + kernel - 1``, never smaller.
         if static and (
             c != c2
             or n != n2
             or f != f2
-            or oh != h - kh + 1
-            or ow != w - kw + 1
+            or h < oh + kh - 1
+            or w < ow + kw - 1
         ):
             raise IRError("linalg.conv2d_nchw shape mismatch")
 

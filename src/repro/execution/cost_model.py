@@ -156,12 +156,6 @@ class CostModel:
             report.add(op.name, *seconds_flops)
         return report
 
-    def estimate_module(self, module) -> CostReport:
-        report = CostReport()
-        for func in module.functions:
-            report.merge(self.cost_function(func))
-        return report
-
     # ------------------------------------------------------------------
     # Leaf (non-loop) op costs
     # ------------------------------------------------------------------

@@ -47,10 +47,6 @@ class AffineMap:
             raise ValueError(f"not a permutation: {perm}")
         return AffineMap(len(perm), 0, [dim(p) for p in perm])
 
-    @staticmethod
-    def from_exprs(num_dims: int, exprs: Sequence[AffineExpr]) -> "AffineMap":
-        return AffineMap(num_dims, 0, exprs)
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------

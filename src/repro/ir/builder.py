@@ -23,22 +23,10 @@ class InsertionPoint:
         return InsertionPoint(block, None)
 
     @staticmethod
-    def at_start(block: Block) -> "InsertionPoint":
-        return InsertionPoint(block, 0)
-
-    @staticmethod
     def before(op: Operation) -> "InsertionPoint":
         if op.parent_block is None:
             raise IRError("op is not in a block")
         return InsertionPoint(op.parent_block, op.parent_block.operations.index(op))
-
-    @staticmethod
-    def after(op: Operation) -> "InsertionPoint":
-        if op.parent_block is None:
-            raise IRError("op is not in a block")
-        return InsertionPoint(
-            op.parent_block, op.parent_block.operations.index(op) + 1
-        )
 
 
 class Builder:
@@ -49,23 +37,8 @@ class Builder:
 
     # -- insertion point management --------------------------------------
 
-    @property
-    def insertion_block(self) -> Block:
-        if self._ip is None:
-            raise IRError("builder has no insertion point")
-        return self._ip.block
-
-    def set_insertion_point_to_end(self, block: Block) -> None:
-        self._ip = InsertionPoint.at_end(block)
-
-    def set_insertion_point_to_start(self, block: Block) -> None:
-        self._ip = InsertionPoint.at_start(block)
-
     def set_insertion_point_before(self, op: Operation) -> None:
         self._ip = InsertionPoint.before(op)
-
-    def set_insertion_point_after(self, op: Operation) -> None:
-        self._ip = InsertionPoint.after(op)
 
     # -- op creation -------------------------------------------------------
 

@@ -109,9 +109,6 @@ class Operation:
     def set_operand(self, index: int, value: Value) -> None:
         self._operands[index].set(value)
 
-    def append_operand(self, value: Value) -> None:
-        self._operands.append(OpOperand(self, len(self._operands), value))
-
     @property
     def result(self) -> OpResult:
         if len(self.results) != 1:
@@ -384,9 +381,6 @@ class Region:
         self.blocks.append(block)
         block.parent_region = self
         return block
-
-    def is_empty(self) -> bool:
-        return not self.blocks
 
     def clone_into(self, dest: "Region", value_map: Dict[Value, Value]) -> None:
         for block in self.blocks:

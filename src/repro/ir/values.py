@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from .types import Type
 
@@ -75,9 +75,6 @@ class Value:
         """The operation producing this value, or ``None`` for block
         arguments."""
         return None
-
-    def walk_uses(self) -> Iterator[OpOperand]:
-        return iter(list(self._uses))
 
 
 class OpResult(Value):

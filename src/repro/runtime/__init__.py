@@ -1,7 +1,7 @@
 """Parallel compilation runtime.
 
-Shards independent work units — benchmark kernels, fuzz seeds,
-per-file pass-pipeline runs — across a ``multiprocessing`` worker pool
+Shards independent work units — fuzz seeds, per-file pass-pipeline
+runs — across a ``multiprocessing`` worker pool
 with deterministic, input-ordered result merging, and shares compiled
 artifacts between workers through the persistent disk tier of the
 kernel cache (see :mod:`repro.execution.engine.disk_cache`).
@@ -11,9 +11,8 @@ Layout:
 * :mod:`.pool` — the generic pool driver (``parallel_map``) and the
   deterministic seed-derivation helper shared by every surface;
 * :mod:`.fuzz` — seed-sharded fuzz campaigns (``mlt-fuzz --jobs N``);
-* :mod:`.batch` — multi-file ``mlt-opt`` batch compilation;
-* :mod:`.bench` — the benchmark-corpus driver behind
-  ``benchmarks.harness --jobs N`` and ``BENCH_scale.json``.
+* :mod:`.batch` — multi-file ``mlt-opt`` batch compilation, which the
+  corpus scale study (``benchmarks.harness --jobs N``) drives too.
 """
 
 from .pool import (  # noqa: F401

@@ -1,17 +1,17 @@
 """The worker-pool driver: deterministic parallel map over a
 **persistent** pool.
 
-Up through PR 4 every ``parallel_map`` call built a fresh
-``multiprocessing.Pool`` and tore it down again — fork, import, feed,
-join, for every wave of a fuzz campaign and every run of the scale
-study.  On the tiny units this project compiles (a few milliseconds
-each) that start-up tax dominated: ``BENCH_scale.json`` measured
-``jobs=4`` at 0.77x of *serial*.  This module replaces the per-run
-pools with a process-global pool that forks its workers **once** and
-feeds them batched unit schedules for the rest of the process
-lifetime — the same amortization a long-lived compilation service
-performs, and the same pool the serving front-end
-(:mod:`repro.serving`) submits request batches to.
+A ``multiprocessing.Pool`` built and torn down per call pays fork,
+import, feed and join for every wave of a fuzz campaign and every
+``mlt-opt`` batch.  On the tiny units this project compiles (a few
+milliseconds each) that start-up tax dominates: the corpus scale study
+(``benchmarks.harness --jobs N``, ``BENCH_scale.json``) measured
+``jobs=4`` at 0.77x of *serial* with per-call pools.  This module keeps
+a process-global pool that forks its workers **once** and feeds them
+batched unit schedules for the rest of the process lifetime — the same
+amortization a long-lived compilation service performs, and the same
+pool the serving front-end (:mod:`repro.serving`) submits request
+batches to.
 
 Design constraints, in order:
 

@@ -374,13 +374,9 @@ def _build_module(spec: dict, pass_cache=None):
         module = compile_c(text, distribute=False)
         pm = named_pipeline(spec["pipeline"], spec["tile"])
     else:
-        from ..ir.parser import parse_module
-        from ..tool import build_pipeline
+        from ..tool import build_pipeline, parse_source
 
-        kind = spec["source_kind"]
-        if kind == "auto":
-            kind = "c" if "{" in text and "void" in text else "ir"
-        module = compile_c(text) if kind == "c" else parse_module(text)
+        module = parse_source(text, spec["source_kind"])
         pm = build_pipeline(spec["passes"])
     pm.pass_cache = pass_cache
     pm.run(module)

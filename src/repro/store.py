@@ -115,7 +115,7 @@ class CompileConfig:
     #: Pass names, or the one corpus pipeline name.
     pipeline: Tuple[str, ...] = ()
     #: Key space of the producing driver (``"mlt-opt"``, ``"serve"``,
-    #: ``"bench"``, or an engine's ``pipeline`` label).
+    #: or an engine's ``pipeline`` label).
     label: str = ""
     #: Greedy pattern-rewrite driver the passes run under.
     driver: str = "worklist"

@@ -84,12 +84,17 @@ def _pass_registry(
 def load_input(path_or_dash: str, source_kind: str = "auto") -> ModuleOp:
     """Load a module from a .c file, a .mlir file, or stdin."""
     if path_or_dash == "-":
-        text = sys.stdin.read()
-        name = "<stdin>"
-    else:
-        with open(path_or_dash) as handle:
-            text = handle.read()
-        name = path_or_dash
+        return parse_source(sys.stdin.read(), source_kind)
+    with open(path_or_dash) as handle:
+        return parse_source(handle.read(), source_kind, path_or_dash)
+
+
+def parse_source(
+    text: str, source_kind: str = "auto", name: str = ""
+) -> ModuleOp:
+    """The module of one input text: C through the MET frontend, or
+    textual IR.  ``"auto"`` reads the kind off ``name``'s suffix, else
+    off the text."""
     kind = source_kind
     if kind == "auto":
         if name.endswith(".c"):

@@ -108,6 +108,19 @@ class TestConv2D:
         with pytest.raises(IRError):
             linalg.Conv2DNchwOp.create(i, k, o).verify_()
 
+    def test_input_larger_than_the_window_is_valid(self):
+        # h = 10 >= oh + kh - 1 = 8: the op reads rows 0..7 only.
+        i, k, o = _args((1, 3, 10, 9), (4, 3, 3, 3), (1, 4, 6, 6))
+        linalg.Conv2DNchwOp.create(i, k, o).verify_()
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 3, 7, 8), (1, 3, 8, 7)], ids=["height", "width"]
+    )
+    def test_input_smaller_than_the_window_is_rejected(self, shape):
+        i, k, o = _args(shape, (4, 3, 3, 3), (1, 4, 6, 6))
+        with pytest.raises(IRError):
+            linalg.Conv2DNchwOp.create(i, k, o).verify_()
+
 
 class TestGeneric:
     def _make(self):

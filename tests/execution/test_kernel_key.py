@@ -2,7 +2,7 @@
 enters a key.
 
 Every producer of ``kernels/`` artifacts (the engine, the serving tier,
-``mlt-opt`` batch mode, the corpus scale driver) must miss, by key, a
+``mlt-opt`` batch mode) must miss, by key, a
 directory filled by an older code generator; the version-independent
 tiers above it (``modules/``) may keep hitting.  The structural guard
 that only ``repro/store.py`` builds keys lives in ``tests/test_store.py``.
@@ -72,14 +72,8 @@ def _batch(root):
     )
 
 
-def _bench(root):
-    from repro.runtime.bench import run_corpus
-
-    return run_corpus(["gemm"], ["baseline"], cache_dir=root)["codegen_count"]
-
-
 @pytest.mark.parametrize(
-    "produce", [_engine, _serve, _batch, _bench], ids=lambda f: f.__name__[1:]
+    "produce", [_engine, _serve, _batch], ids=lambda f: f.__name__[1:]
 )
 def test_stale_codegen_kernels_are_never_reserved(
     produce, tmp_path, monkeypatch

@@ -1,13 +1,13 @@
-"""Tests for mlt-opt batch mode and the corpus scale driver."""
+"""Tests for mlt-opt batch mode and the corpus scale study over it."""
 
 import multiprocessing
 import os
 
 import pytest
 
+from benchmarks.harness import run_corpus, run_scale_study, write_corpus
 from repro.runtime.batch import BatchResult, run_batch
 from repro.store import CompileConfig
-from repro.runtime.bench import run_corpus, run_scale_study
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -156,12 +156,20 @@ class TestBatch:
 
 class TestScaleStudy:
     def test_corpus_unit_checksums_deterministic(self, tmp_path):
-        first = run_corpus(["gemm"], ["baseline"], jobs=1)
-        second = run_corpus(["gemm"], ["baseline"], jobs=1)
-        assert (
-            first["unit_rows"][0]["checksum"]
-            == second["unit_rows"][0]["checksum"]
-        )
+        inputs = write_corpus(["gemm"], str(tmp_path / "inputs"))
+
+        def run(tag):
+            return run_corpus(
+                inputs,
+                ["baseline"],
+                1,
+                str(tmp_path / tag / "cache"),
+                str(tmp_path / tag / "out"),
+            )
+
+        first, second = run("first"), run("second")
+        assert first["outputs"] == second["outputs"]
+        assert list(first["outputs"]) == [("gemm", "baseline")]
         assert first["units"] == 1
 
     @pytest.mark.skipif(not HAVE_FORK, reason="requires fork start method")
@@ -172,8 +180,9 @@ class TestScaleStudy:
             ["baseline"],
             cache_dir=str(tmp_path / "cache"),
         )
-        # Plan: cold/1, cold/2, warm/1, warm/2 — checksum agreement
-        # across all four runs is asserted inside run_scale_study.
+        # Plan: cold/1, cold/2, warm/1, warm/2 — agreement of module
+        # text and kernel source across all four runs is asserted
+        # inside run_scale_study.
         assert [(r["cache"], r["jobs"]) for r in study["rows"]] == [
             ("cold", 1),
             ("cold", 2),

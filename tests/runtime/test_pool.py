@@ -201,28 +201,27 @@ class TestSerialPoolDeterminism:
     """Serial and persistent-pool runs must be byte-identical."""
 
     def test_corpus_checksums_identical(self, tmp_path):
-        from repro.runtime.bench import run_corpus
+        from benchmarks.harness import run_corpus, write_corpus
         from repro.runtime.pool import fresh_pools
 
-        kernels = ["gemm", "atax", "bicg", "mvt"]
+        inputs = write_corpus(
+            ["gemm", "atax", "bicg", "mvt"], str(tmp_path / "inputs")
+        )
 
-        def checksums(jobs, tag):
-            row = run_corpus(
-                kernels,
+        def outputs(jobs, tag, cache="cache"):
+            # (kernel, pipeline) -> (--out-dir text, kernels/ source)
+            return run_corpus(
+                inputs,
                 ("baseline", "mlt-blas"),
-                jobs=jobs,
-                cache_dir=str(tmp_path / tag),
-                execute=True,
-            )
-            return [
-                (u["kernel"], u["pipeline"], u["checksum"])
-                for u in row["unit_rows"]
-            ]
+                jobs,
+                str(tmp_path / cache),
+                str(tmp_path / tag),
+            )["outputs"]
 
-        serial = checksums(1, "serial")
+        serial = outputs(1, "serial", cache="serial-cache")
         with fresh_pools():
-            pooled = checksums(2, "pooled")
-            pooled_again = checksums(2, "pooled-warm")
+            pooled = outputs(2, "pooled")
+            pooled_again = outputs(2, "pooled-warm")
         assert pooled == serial
         # Warm pooled rerun (same pool, disk cache warm) stays
         # byte-identical too: cache replay is not a second codegen.

@@ -664,6 +664,34 @@ class TestProtocolAndValidation:
         assert response["ok"], response
         assert len(response["checksums"]) == 2
 
+    def test_raised_conv2d_with_a_larger_input_is_served(self, tmp_path):
+        """TDL raises a convolution whose input is larger than
+        ``out + kernel - 1`` (it reads only the window it needs); the
+        raised module verifies and answers like the loop nest."""
+        from ..tactics.test_partial_range import FULL_RANGE
+
+        source, _ = FULL_RANGE["conv2d-larger-input"]
+
+        async def scenario():
+            server = await start_server(tmp_path)
+            client = await connect(server)
+            responses = [
+                await client.execute(
+                    source=source, passes=passes, func="kernel", seed=1
+                )
+                for passes in ([], ["raise-affine-to-linalg"])
+            ]
+            await client.close()
+            await server.shutdown()
+            return responses
+
+        loops, raised = run(scenario())
+        assert loops["ok"], loops
+        assert raised["ok"], raised
+        assert raised["checksums"] == pytest.approx(
+            loops["checksums"], rel=1e-5
+        )
+
     def test_truncated_ir_request_is_a_compile_error_not_a_wedge(
         self, tmp_path
     ):

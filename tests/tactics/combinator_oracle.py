@@ -1,6 +1,7 @@
 """The combinator matcher: a tactic's pattern assembled, on every
-attempt, from the public matcher API of Figure 6 (placeholders, array
-placeholders, ``m_Op`` trees and a ``For(For(...))`` chain).
+attempt, from the matcher API of Figure 6 (placeholders, array
+placeholders, ``m_Op`` trees and a ``For(For(...))`` chain) that
+:mod:`.matchers` keeps beside this oracle.
 
 Compiled tactics run the straight-line matcher the TableGen backend
 generates; this is the reading of the same pattern that the generated
@@ -18,7 +19,10 @@ from repro.tactics.compiled import (
     MatchResult,
     covers_iteration_space,
 )
-from repro.tactics.matchers.access import (
+from repro.tactics.tablegen import subscript_ranges
+from repro.tactics.tdl.ast import TdlAccess, TdlIndexExpr
+
+from .matchers.access import (
     AccessPatternContext,
     ArrayAccessPattern,
     Placeholder,
@@ -26,10 +30,8 @@ from repro.tactics.matchers.access import (
     PlaceholderSum,
     match_block_accesses,
 )
-from repro.tactics.matchers.op_matchers import m_Op
-from repro.tactics.matchers.structural import For, NestedPatternContext
-from repro.tactics.tablegen import subscript_ranges
-from repro.tactics.tdl.ast import TdlAccess, TdlIndexExpr
+from .matchers.op_matchers import m_Op
+from .matchers.structural import For, NestedPatternContext
 
 
 def oracle_match_explain(

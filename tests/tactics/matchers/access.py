@@ -24,9 +24,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ...analysis.accesses import AccessFunction, access_function
-from ...dialects.affine import AffineLoadOp, AffineStoreOp
-from ...ir import IRError, Operation, Value
+from repro.analysis.accesses import AccessFunction, access_function
+from repro.dialects.affine import AffineLoadOp, AffineStoreOp
+from repro.ir import IRError, Operation, Value
 
 
 class MatchFailure(IRError):

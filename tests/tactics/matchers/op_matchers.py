@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Union
 
-from ...ir import Operation, Value
+from repro.ir import Operation, Value
 
 
 class Capture:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ...ir import Operation, Value
+from repro.ir import Operation, Value
 from .op_matchers import OpMatcher, _Bindings
 
 

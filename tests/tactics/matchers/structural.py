@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from ...dialects.affine import AffineForOp
-from ...dialects.scf import ForOp as SCFForOp, IfOp as SCFIfOp
-from ...ir import Block, IRError, Operation
+from repro.dialects.affine import AffineForOp
+from repro.dialects.scf import ForOp as SCFForOp, IfOp as SCFIfOp
+from repro.ir import Block, IRError, Operation
 
 _ACTIVE_CONTEXTS: List["NestedPatternContext"] = []
 

@@ -19,14 +19,14 @@ from repro.dialects.affine import AffineLoadOp, outermost_loops
 from repro.execution import Interpreter
 from repro.met import compile_c
 from repro.tactics import raise_affine_to_linalg
-from repro.tactics.matchers import (
+from repro.tactics.raising import gemm_tactic
+
+from .matchers import (
     AccessPatternContext,
     m_ArrayPlaceholder,
     m_Op,
     m_Placeholder,
 )
-from repro.tactics.raising import gemm_tactic
-
 from ..conftest import assert_close
 
 

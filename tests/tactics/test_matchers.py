@@ -10,7 +10,9 @@ from repro.dialects.affine import (
     innermost_loops,
     outermost_loops,
 )
-from repro.tactics.matchers import (
+from repro.ir import f32
+
+from .matchers import (
     AccessPatternContext,
     For,
     NestedPatternContext,
@@ -21,9 +23,7 @@ from repro.tactics.matchers import (
     m_Placeholder,
     match_block_accesses,
 )
-from repro.tactics.matchers.access import MatchFailure
-from repro.ir import f32
-
+from .matchers.access import MatchFailure
 from ..conftest import build_gemm_module
 
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.evaluation.pipelines import NAMED_PIPELINES, build_module
 from repro.execution import Interpreter
 from repro.ir import Context, verify
 from repro.met import compile_c
@@ -155,6 +156,28 @@ class TestPartialRangesAreNotRaised:
         if full:
             assert raised == 1, source
         for want, have in zip(expected, got):
+            assert_close(want, have)
+
+
+class TestFullRangesVerify:
+    """A raised full-range op is a valid op: a convolution's input may be
+    larger than ``out + kernel - 1`` (it reads only the window it
+    needs)."""
+
+    @pytest.mark.parametrize("case", sorted(FULL_RANGE))
+    def test_full_range_raise_verifies(self, case):
+        source, _ = FULL_RANGE[case]
+        module = compile_c(source)
+        assert raise_affine_to_linalg(module).total == 1
+        verify(module, Context())
+
+    @pytest.mark.parametrize("pipeline", sorted(NAMED_PIPELINES))
+    def test_larger_input_conv2d_through_every_pipeline(self, pipeline):
+        source, shapes = FULL_RANGE["conv2d-larger-input"]
+        expected = _outputs(compile_c(source), shapes)
+        module = build_module(source, pipeline)
+        verify(module, Context())
+        for want, have in zip(expected, _outputs(module, shapes)):
             assert_close(want, have)
 
 

@@ -6,7 +6,8 @@ from repro.dialects.linalg import MatmulOp
 from repro.evaluation.kernels import matrix_chain_source
 from repro.met import compile_c
 from repro.tactics import raise_affine_to_linalg
-from repro.tactics.matchers import m_Any, m_Capt, m_Op, m_ProducerOp, producer_of
+
+from .matchers import m_Any, m_Capt, m_Op, m_ProducerOp, producer_of
 
 
 def _raised_chain(dims):

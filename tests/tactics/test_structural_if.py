@@ -16,7 +16,8 @@ from repro.ir import (
     index,
     memref,
 )
-from repro.tactics.matchers import For, If, NestedPatternContext
+
+from .matchers import For, If, NestedPatternContext
 
 
 def _module_with_if():

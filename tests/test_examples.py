@@ -40,3 +40,12 @@ def test_quickstart_validates_semantics():
     result = run_example("quickstart.py")
     assert "raising preserved the program's semantics" in result.stdout
     assert "linalg.matmul" in result.stdout
+
+
+def test_custom_tactic_prints_its_generated_matcher():
+    result = run_example("custom_tactic.py")
+    assert "Generated by the TableGen backend from TDS record GRAM" in (
+        result.stdout
+    )
+    assert "def match(op):" in result.stdout
+    assert "generated matcher on the gram nest: matched" in result.stdout

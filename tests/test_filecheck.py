@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.testing import FileCheckError, filecheck
+from .filecheck import FileCheckError, filecheck
 
 SAMPLE = """\
 func @gemm(%arg0: memref<8x8xf32>) {

@@ -25,9 +25,9 @@ from repro.ir import (
 )
 from repro.ir.parser import parse_module
 from repro.met import compile_c
-from repro.testing import filecheck
 from repro.transforms import LowerBlasToLLVMPass
 
+from ..filecheck import filecheck
 from ..conftest import assert_close, interpreter_source, random_arrays
 
 
