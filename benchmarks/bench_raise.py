@@ -34,7 +34,7 @@ import time
 import numpy as np
 
 from repro.dialects.affine import AffineForOp
-from repro.execution.engine.codegen import generic_contraction_spec
+from repro.analysis.contraction import generic_contraction_spec
 from repro.met import compile_c
 from repro.tactics.stats import merge_pass_stats
 from repro.tool import build_pipeline

@@ -9,7 +9,7 @@ and the locality model.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..dialects.affine import (
     AffineForOp,

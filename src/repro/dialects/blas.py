@@ -13,7 +13,6 @@ from typing import List, Sequence
 
 from ..ir.attributes import ArrayAttr, FloatAttr, StringAttr, int_array_attr
 from ..ir.core import IRError, Operation, register_op
-from ..ir.types import MemRefType
 from ..ir.values import Value
 
 #: Libraries with modeled efficiencies (see repro.execution.machines).

@@ -9,13 +9,12 @@ evaluation flow (C code -> Affine -> Linalg on buffers).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..ir.affine_map import AffineMap
 from ..ir.attributes import (
     AffineMapAttr,
     ArrayAttr,
-    Attribute,
     IntegerAttr,
     StringAttr,
     int_array_attr,
@@ -23,6 +22,7 @@ from ..ir.attributes import (
 from ..ir.core import Block, IRError, Operation, register_op
 from ..ir.types import MemRefType
 from ..ir.values import Value
+from . import std
 
 
 def _require_memref(op_name: str, value: Value, rank: Optional[int] = None):
@@ -378,6 +378,28 @@ class GenericOp(LinalgStructuredOp):
         )
         scalar_types = [v.type.element_type for v in operands]
         op.regions[0].add_block(Block(scalar_types))
+        return op
+
+    @staticmethod
+    def create_contraction(
+        a: Value,
+        b: Value,
+        output: Value,
+        indexing_maps: Sequence[AffineMap],
+        iterator_types: Sequence[str],
+        subtract: bool = False,
+    ) -> "GenericOp":
+        """A multiply-accumulate generic, ``out = out + a * b`` (``out -
+        a * b`` with ``subtract``): the body every raiser gives a tensor
+        contraction."""
+        op = GenericOp.create([a, b], [output], indexing_maps, iterator_types)
+        block = op.body
+        x, y, acc = block.arguments
+        mul = block.append(std.MulFOp.create(x, y))
+        combine = block.append(
+            (std.SubFOp if subtract else std.AddFOp).create(acc, mul.result)
+        )
+        block.append(LinalgYieldOp.create([combine.result]))
         return op
 
     @property

@@ -12,7 +12,7 @@ from typing import Any, Dict, Mapping, Optional, Sequence
 
 from ..ir.attributes import ArrayAttr, Attribute, StringAttr
 from ..ir.core import Block, IRError, Operation, register_op
-from ..ir.types import IndexType, MemRefType, Type
+from ..ir.types import MemRefType, Type
 from ..ir.values import Value
 
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from ..ir.attributes import (
-    Attribute,
     BoolAttr,
     IntegerAttr,
     StringAttr,

@@ -16,8 +16,8 @@ have the same restriction — their GEMM tactic is plain
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from ..tactics.contraction import PAPER_CONTRACTIONS, parse_contraction_spec
 

@@ -126,11 +126,13 @@ NAMED_PIPELINES: Dict[str, Tuple[str, ...]] = {
     "mlt-linalg": (
         "affine-loop-distribution",
         "raise-affine-to-linalg",
+        "linalg-contraction-ttgt",
         "convert-linalg-contractions-to-tiled-loops",
     ),
     "mlt-blas": (
         "affine-loop-distribution",
         "raise-affine-to-linalg",
+        "linalg-contraction-ttgt",
         "convert-linalg-to-blas",
     ),
     "mlt-synth": (

@@ -24,11 +24,11 @@ arithmetic-intensity and overhead mechanics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..analysis.accesses import MemoryAccess, access_function
-from ..dialects.affine import AffineForOp, AffineMatmulOp
-from ..ir import IRError, MemRefType, Operation, Value
+from ..dialects.affine import AffineForOp
+from ..ir import IRError, Operation, Value
 from ..ir.affine_expr import AffineDimExpr
 from .machines import CacheLevel, Machine
 

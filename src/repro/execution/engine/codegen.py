@@ -29,10 +29,11 @@ import numpy as np
 
 from ...analysis.band import summarize_band
 from ...analysis.buffers import ELIDED, VIEW, plan_buffers
+from ...analysis.contraction import generic_contraction_spec
 from ...dialects.affine import AffineForOp
 from ...ir import FuncOp, ModuleOp, Operation, is_float
 from ...ir.affine_expr import AffineExpr, AffineExprKind
-from ...ir.types import F64Type, IndexType, IntegerType, MemRefType
+from ...ir.types import F64Type, IndexType, IntegerType
 from . import runtime
 from .licm import hoist_loop_invariants
 from .runtime import EngineError
@@ -512,11 +513,6 @@ def _emit_copy(ctx: _FuncContext, op) -> None:
         ctx.emit(f"{ctx.name(op.output)}[...] = {src}")
 
 
-#: Axis labels of a contraction spec, here and in the vectorizer;
-#: deeper nests skip the contraction fast path.
-CONTRACTION_LABELS = "abcdefghijklmnopqrstuvwxyz"
-
-
 def contraction_src(spec: str, operands: Sequence[str]) -> str:
     """NumPy source of the einsum ``spec`` over the named ``operands``,
     planned once here so the kernel runs the call with nothing left to
@@ -556,96 +552,6 @@ def contraction_src(spec: str, operands: Sequence[str]) -> str:
                 src = f"{src}.transpose({perm})"
             return src
     return f"_np.einsum({spec!r}, {', '.join(operands)}, optimize=True)"
-
-
-def _pure_dim_positions(map_) -> Optional[List[int]]:
-    """Dim position per map result when every result is a bare ``dN``
-    and no dim repeats (no diagonal accesses); ``None`` otherwise."""
-    dims: List[int] = []
-    for expr in map_.results:
-        if expr.kind is not AffineExprKind.DIM:
-            return None
-        dims.append(expr.position)
-    if len(set(dims)) != len(dims):
-        return None
-    return dims
-
-
-def generic_contraction_spec(op) -> Optional[tuple]:
-    """Recognize a two-input multiply-accumulate ``linalg.generic`` as a
-    tensor contraction.
-
-    Returns ``(spec, subtract, scalar_out)`` — an einsum subscript for
-    :func:`contraction_src`, whether accumulation subtracts, and
-    whether the output map is all-constant-0 (scalar accumulator like
-    ``s[0] += x[i]*y[i]``) — or ``None`` when the generic must run as
-    scalar loops.  This is what routes synthesis-raised permuted /
-    transposed / subtracting contractions onto the ``np.tensordot``
-    fast path that the named ``linalg.matmul``/``matvec`` already enjoy.
-    """
-    if op.num_inputs != 2 or len(op.outputs) != 1:
-        return None
-    body_ops = op.body.ops_without_terminator()
-    if len(body_ops) != 2:
-        return None
-    mul, combine = body_ops
-    if mul.name != "std.mulf" or combine.name not in (
-        "std.addf",
-        "std.subf",
-    ):
-        return None
-    a_arg, b_arg, out_arg = op.body.arguments
-    if {id(v) for v in mul.operands} != {id(a_arg), id(b_arg)}:
-        return None
-    subtract = combine.name == "std.subf"
-    if subtract:
-        # subf is not commutative: only acc - a*b is an accumulation.
-        if (
-            combine.operands[0] is not out_arg
-            or combine.operands[1] is not mul.result
-        ):
-            return None
-    elif {id(v) for v in combine.operands} != {
-        id(out_arg),
-        id(mul.result),
-    }:
-        return None
-    term = op.body.terminator
-    if term.num_operands != 1 or term.operands[0] is not combine.result:
-        return None
-
-    maps = op.indexing_maps
-    if op.num_loops > len(CONTRACTION_LABELS):
-        return None
-    a_dims = _pure_dim_positions(maps[0])
-    b_dims = _pure_dim_positions(maps[1])
-    if a_dims is None or b_dims is None:
-        return None
-    out_map = maps[2]
-    out_dims = _pure_dim_positions(out_map)
-    scalar_out = False
-    if out_dims is None:
-        if all(
-            e.is_constant() and e.evaluate((), ()) == 0
-            for e in out_map.results
-        ):
-            scalar_out = True
-            out_dims = []
-        else:
-            return None
-    if set(a_dims) | set(b_dims) | set(out_dims) != set(
-        range(op.num_loops)
-    ):
-        return None
-    label = CONTRACTION_LABELS.__getitem__
-    spec = (
-        "".join(label(d) for d in a_dims)
-        + ","
-        + "".join(label(d) for d in b_dims)
-        + "->"
-        + "".join(label(d) for d in out_dims)
-    )
-    return spec, subtract, scalar_out
 
 
 def _emit_generic(ctx: _FuncContext, op) -> None:

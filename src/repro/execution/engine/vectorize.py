@@ -63,11 +63,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ...analysis.band import PAYLOAD_OPS, BandSummary, summarize_band
+from ...analysis.contraction import CONTRACTION_LABELS
 from ...dialects.affine import AffineForOp, AffineLoadOp, AffineStoreOp
 from ...ir import Operation, is_float
 from .codegen import (
     CMPF_PYTHON,
-    CONTRACTION_LABELS,
     FLOAT_BINARY_TEMPLATES,
     affine_expr_src,
     contraction_src,

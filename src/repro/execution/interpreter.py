@@ -19,23 +19,18 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 import numpy as np
 
-from ..dialects import blas as blas_d
-from ..dialects import linalg as linalg_d
+from ..analysis.contraction import generic_contraction_spec
 from ..dialects import llvm as llvm_d
-from ..dialects import scf as scf_d
 from ..dialects import std
 from ..dialects.affine import (
     AffineApplyOp,
     AffineForOp,
     AffineLoadOp,
-    AffineMatmulOp,
     AffineStoreOp,
-    AffineYieldOp,
 )
 from ..ir import (
     Block,
@@ -506,6 +501,22 @@ def _conv2d(src, kernel, out) -> None:
 
 
 def _handle_generic(interp, op, env) -> None:
+    """A generic the contraction reader recognises runs as one
+    ``np.einsum``; every other generic as scalar loops over its body."""
+    contraction = generic_contraction_spec(op)
+    if contraction is None:
+        _generic_loops(interp, op, env)
+        return
+    a, b, out = (env.get(v) for v in op.operands)
+    value = np.einsum(contraction.spec, a, b).astype(out.dtype)
+    at = (0,) * out.ndim if contraction.scalar_out else Ellipsis
+    if contraction.subtract:
+        out[at] -= value
+    else:
+        out[at] += value
+
+
+def _generic_loops(interp, op, env) -> None:
     extents = op.iteration_domain()
     maps = op.indexing_maps
     operands = [env.get(v) for v in op.operands]

@@ -21,7 +21,7 @@ the greedy path — in practice a handful of lines.
 from __future__ import annotations
 
 import copy
-from typing import Callable, Iterator, List, Optional
+from typing import Callable, Iterator, List
 
 from ..met import parse_c
 from ..met.c_ast import (

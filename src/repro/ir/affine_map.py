@@ -6,10 +6,8 @@ import re
 from typing import List, Optional, Sequence, Tuple
 
 from .affine_expr import (
-    AffineConstantExpr,
     AffineDimExpr,
     AffineExpr,
-    AffineExprKind,
     constant,
     dim,
     symbol,

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .attributes import Attribute
 from .core import Block, IRError, Operation, create_operation
 from .types import Type
 from .values import Value

@@ -8,7 +8,7 @@ contains :class:`Block` instances, which in turn contain operations.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Type as PyType
+from typing import Dict, Iterator, List, Optional, Sequence, Type as PyType
 
 from .attributes import Attribute, attr_from_python
 from .types import Type

@@ -37,7 +37,6 @@ from .types import (
     DYNAMIC,
     F32Type,
     F64Type,
-    FunctionType,
     IndexType,
     IntegerType,
     MemRefType,

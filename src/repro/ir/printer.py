@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from .affine_expr import AffineExpr
 from .affine_map import AffineMap, _pretty_expr
 from .attributes import Attribute, UnitAttr
 from .core import Block, Operation

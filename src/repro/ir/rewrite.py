@@ -49,7 +49,7 @@ from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..telemetry import add
-from .builder import Builder, InsertionPoint
+from .builder import Builder
 from .core import IRError, Operation
 from .values import Value
 

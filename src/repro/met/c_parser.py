@@ -18,7 +18,7 @@ Accepted grammar (informally)::
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from .c_ast import (
     ArrayRef,

@@ -12,7 +12,7 @@ polyhedral fragment of C.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from ..dialects import affine as affine_d
 from ..dialects import std
@@ -43,7 +43,6 @@ from .c_ast import (
     FunctionDef,
     Ident,
     Number,
-    Param,
     Stmt,
     UnaryOp,
 )

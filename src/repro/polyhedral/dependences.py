@@ -13,7 +13,7 @@ should) for loop-carried recurrences like ``A[i] = A[i-1]``.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 from ..analysis.accesses import MemoryAccess, collect_accesses
 from ..dialects.affine import AffineForOp

@@ -13,13 +13,13 @@ Models the source-to-source optimizer the paper compares against:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..dialects.affine import AffineForOp, outermost_loops, perfect_nest
 from ..execution.cost_model import CostModel
 from ..execution.machines import Machine
-from ..ir import ModuleOp, Operation
+from ..ir import ModuleOp
 from ..transforms.fusion import greedy_fuse
 from ..transforms.tiling import TilingError, tile_perfect_nest
 from .dependences import band_is_fully_permutable

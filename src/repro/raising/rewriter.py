@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from ..dialects import linalg as linalg_d
-from ..dialects import std
 from ..dialects.affine import AffineLoadOp, AffineStoreOp
 from ..ir import Operation, PatternRewriter, Value
 from ..ir import affine_expr as ae
@@ -51,17 +50,6 @@ def candidate_iterator_types(
         "parallel" if d in out_dims else "reduction"
         for d in range(summary.depth)
     ]
-
-
-def _fill_mac_body(op: linalg_d.GenericOp, subtract: bool) -> None:
-    block = op.body
-    a, b, acc = block.arguments
-    mul = block.append(std.MulFOp.create(a, b))
-    combine = (std.SubFOp if subtract else std.AddFOp).create(
-        acc, mul.result
-    )
-    block.append(combine)
-    block.append(linalg_d.LinalgYieldOp.create([combine.result]))
 
 
 def _fill_clone_body(
@@ -102,16 +90,19 @@ def materialize_candidate(
         return linalg_d.MatvecOp.create(
             ins[0], ins[1], out, trans=candidate.trans
         )
-    op = linalg_d.GenericOp.create(
-        inputs=ins,
-        outputs=[out],
-        indexing_maps=candidate_maps(candidate, summary),
-        iterator_types=candidate_iterator_types(candidate, summary),
-    )
+    maps = candidate_maps(candidate, summary)
+    iterator_types = candidate_iterator_types(candidate, summary)
     if candidate.body in ("mac-add", "mac-sub"):
-        _fill_mac_body(op, subtract=candidate.body == "mac-sub")
-    else:
-        _fill_clone_body(op, candidate, summary)
+        return linalg_d.GenericOp.create_contraction(
+            ins[0],
+            ins[1],
+            out,
+            maps,
+            iterator_types,
+            subtract=candidate.body == "mac-sub",
+        )
+    op = linalg_d.GenericOp.create(ins, [out], maps, iterator_types)
+    _fill_clone_body(op, candidate, summary)
     return op
 
 

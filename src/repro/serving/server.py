@@ -43,7 +43,7 @@ import contextlib
 import os
 import pickle
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..runtime.pool import WorkerCrashError, get_pool, pool_stats

@@ -49,8 +49,11 @@ NAMESPACES = ("kernels", "modules", "passes", "schedules")
 #: and ``convert-blas-to-llvm`` keeps each op's attributes on its call),
 #: or which nests a raising pass rewrites (v10 -> v11: a TDL tactic no
 #: longer raises a band that covers only part of its tensors, which a
-#: v10 entry would replay as the whole-tensor op).
-PASS_CACHE_VERSION = "pass-cache-v11"
+#: v10 entry would replay as the whole-tensor op), or what a contraction
+#: raises to (v11 -> v12: one ``linalg.generic``, the TTGT layout being
+#: ``-linalg-contraction-ttgt``'s, which a v11 entry would replay as the
+#: TTGT ops).
+PASS_CACHE_VERSION = "pass-cache-v12"
 
 #: Codegen schema version, folded into every ``kernels/`` key.  Bump on
 #: any change to generated-source semantics (vectorizer strategy,

@@ -5,13 +5,20 @@ A contraction spec follows the paper's naming convention
 
     C(a,b,c) += A(a,c,d) * B(d,b)
 
+A contraction is raised as one structured op:
+:func:`contraction_generic_tdl` renders the tactic whose builder is the
+statement itself, a ``linalg.generic`` with its indexing maps.
+
 A Transpose-Transpose-GEMM-Transpose plan flattens the tensors into
 matrices D[M,N] += E[M,K] * F[K,N] through transpositions and reshapes,
 runs GEMM, and folds the result back.  :func:`ttgt_plans` enumerates
 the group orders that can make an operand a reshape view,
 :func:`ttgt_plan` picks the one with the fewest transposing copies, and
 :func:`contraction_tactic_tdl` renders a plan as TDL text, which then
-goes through the ordinary TDL -> TDS -> matchers pipeline.
+goes through the ordinary TDL -> TDS -> matchers pipeline.  The
+``-linalg-contraction-ttgt`` pass (``transforms/ttgt.py``) applies that
+builder list to a raised generic, in the pipelines whose backend needs
+a GEMM layout.
 """
 
 from __future__ import annotations
@@ -29,6 +36,26 @@ class TTGTPlan(NamedTuple):
     m_group: List[str]  # A-free indices (GEMM rows), in A or output order
     n_group: List[str]  # B-free indices (GEMM cols), in B or output order
     k_group: List[str]  # contracted indices, in A or B order
+
+
+class TTGTRefused(TdlSyntaxError):
+    """A contraction no TTGT plan flattens to one GEMM; ``reason`` is a
+    key of :data:`TTGT_REFUSALS`."""
+
+    def __init__(self, spec: str, reason: str):
+        super().__init__(f"{spec}: {TTGT_REFUSALS[reason]}")
+        self.reason = reason
+
+
+#: Why a contraction has no TTGT plan.
+TTGT_REFUSALS = {
+    "repeated-index": "repeated index within a tensor",
+    "no-contracted-index": "no contracted index",
+    "no-free-index": "an operand has no free index",
+    "batch-index": "output indices are not the union of free indices",
+    "one-sided-index": "an operand has an index that is neither free "
+    "nor contracted",
+}
 
 
 def parse_contraction_spec(spec: str) -> Tuple[List[str], List[str], List[str]]:
@@ -49,22 +76,20 @@ def ttgt_plans(spec: str) -> List[TTGTPlan]:
     out_idx, a_idx, b_idx = parse_contraction_spec(spec)
     out_set, a_set, b_set = set(out_idx), set(a_idx), set(b_idx)
     if len(a_set) != len(a_idx) or len(b_set) != len(b_idx):
-        raise TdlSyntaxError(f"{spec}: repeated index within a tensor")
+        raise TTGTRefused(spec, "repeated-index")
     k_group = [v for v in a_idx if v in b_set and v not in out_set]
     m_group = [v for v in a_idx if v in out_set]
     n_group = [v for v in b_idx if v in out_set]
     if not k_group:
-        raise TdlSyntaxError(f"{spec}: no contracted index")
+        raise TTGTRefused(spec, "no-contracted-index")
     if not m_group or not n_group:
-        raise TdlSyntaxError(f"{spec}: an operand has no free index")
+        raise TTGTRefused(spec, "no-free-index")
     if sorted(m_group + n_group) != sorted(out_idx):
-        raise TdlSyntaxError(
-            f"{spec}: output indices are not the union of free indices"
-        )
-    if sorted(a_idx) != sorted(m_group + k_group):
-        raise TdlSyntaxError(f"{spec}: A has indices outside M+K")
-    if sorted(b_idx) != sorted(k_group + n_group):
-        raise TdlSyntaxError(f"{spec}: B has indices outside K+N")
+        raise TTGTRefused(spec, "batch-index")
+    if sorted(a_idx) != sorted(m_group + k_group) or sorted(b_idx) != sorted(
+        k_group + n_group
+    ):
+        raise TTGTRefused(spec, "one-sided-index")
     m_orders = (m_group, [v for v in out_idx if v in a_set])
     n_orders = (n_group, [v for v in out_idx if v in b_set])
     k_orders = (k_group, [v for v in b_idx if v in a_set])
@@ -90,6 +115,22 @@ def ttgt_plan(spec: str) -> TTGTPlan:
     """The plan of ``spec`` with the fewest transposing copies; on a tie
     the operand-order plan."""
     return min(ttgt_plans(spec), key=transposing_copies)
+
+
+def _statement(out_idx, a_idx, b_idx) -> str:
+    return (
+        f"C({', '.join(out_idx)}) += "
+        f"A({', '.join(a_idx)}) * B({', '.join(b_idx)})"
+    )
+
+
+def contraction_generic_tdl(spec: str) -> str:
+    """The tactic raising ``spec`` to one ``linalg.generic``: its
+    pattern is also its builder.  Named like the TTGT tactic, whose
+    pattern (and so matcher) it shares."""
+    statement = _statement(*parse_contraction_spec(spec))
+    name = "TTGT_" + spec.replace("-", "_")
+    return f"def {name} {{ pattern = builder {statement} }}"
 
 
 def contraction_tactic_tdl(
@@ -122,8 +163,8 @@ def contraction_tactic_tdl(
         )
 
     lines = [f"def {tactic_name} {{", "  pattern",
-             f"    C({', '.join(plan.out_indices)}) += "
-             f"A({', '.join(plan.a_indices)}) * B({', '.join(plan.b_indices)})",
+             "    " + _statement(plan.out_indices, plan.a_indices,
+                                 plan.b_indices),
              "  builder"]
 
     # D = flatten(C), E = flatten(A), F = flatten(B) — omitting

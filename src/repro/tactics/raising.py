@@ -26,7 +26,7 @@ from ..ir import (
     apply_patterns_greedily,
 )
 from .compiled import CompiledTactic, compile_tactic
-from .contraction import PAPER_CONTRACTIONS, contraction_tactic_tdl
+from .contraction import PAPER_CONTRACTIONS, contraction_generic_tdl
 from .stats import RaiseStats, RaisingPass
 from .tdl.frontend import tdl_to_tds
 from .tdl.parser import parse_tdl
@@ -59,7 +59,9 @@ _DEFAULT_TACTICS_CACHE: Optional[List[CompiledTactic]] = None
 
 def default_linalg_tactics() -> List[CompiledTactic]:
     """Tactics for the Affine-to-Linalg raising path: named ops plus
-    the TTGT tactics for the paper's contraction benchmarks.
+    one tactic per paper contraction benchmark, which raises it to one
+    ``linalg.generic`` (``-linalg-contraction-ttgt`` gives it the TTGT
+    layout where a backend needs one).
 
     Compiled tactics are stateless between matches, so the library is
     built once per process (like the C++ flow, where TableGen output is
@@ -69,7 +71,7 @@ def default_linalg_tactics() -> List[CompiledTactic]:
     if _DEFAULT_TACTICS_CACHE is None:
         sources = [GEMM_TDL, MATVEC_TDL, MATVEC_T_TDL, CONV2D_TDL]
         sources += [
-            contraction_tactic_tdl(spec) for spec in PAPER_CONTRACTIONS
+            contraction_generic_tdl(spec) for spec in PAPER_CONTRACTIONS
         ]
         tactics: List[CompiledTactic] = []
         for source in sources:

@@ -95,7 +95,8 @@ def _parse_builder(kind: str, body: str) -> BuilderSpec:
     outs = _parse_name_list(body, "Out")
     expr = _parse_expr(body)
     dims = _parse_dims(body)
-    return BuilderSpec(kind, ins, outs, expr, dims)
+    indices = _parse_dims(body, "Indices")
+    return BuilderSpec(kind, ins, outs, expr, dims, indices)
 
 
 def _parse_name_list(body: str, tag: str) -> List[str]:
@@ -106,8 +107,9 @@ def _parse_name_list(body: str, tag: str) -> List[str]:
     return names
 
 
-def _parse_dims(body: str) -> Optional[List[List[str]]]:
-    match = re.search(r"Dims\s*<\s*\[", body)
+def _parse_dims(body: str, tag: str = "Dims") -> Optional[List[List[str]]]:
+    """The name groups of ``tag<[a, {b, c}]>``: ``[[a], [b, c]]``."""
+    match = re.search(r"\b" + tag + r"\s*<\s*\[", body)
     if match is None:
         return None
     open_bracket = match.end() - 1

@@ -1,7 +1,13 @@
 """The TDL DSL frontend: lowers tactics to TDS records (§III-B).
 
-Builder statements are classified and decomposed into the five TDS
-builder templates.  A copy statement with a ``where`` clause —
+Builder statements are classified and decomposed into the TDS builder
+templates.  A contraction of matmul, matvec or convolution ranks becomes
+that named op's builder; any other contraction, such as
+
+    C(a, b, c) += A(a, c, d) * B(d, b)
+
+becomes one ``contractionBuilder`` (a ``linalg.generic`` with the
+statement's indexing maps).  A copy statement with a ``where`` clause —
 
     D(f, b) = C(a, b, c) where f = a * c
 
@@ -13,7 +19,7 @@ by transpose (lines 6-7).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..tds import BuilderSpec, TacticRecord
 from .ast import TdlAccess, TdlStatement, TdlSyntaxError, TdlTactic
@@ -77,8 +83,27 @@ class _Converter:
             matrix, vector = (r0, r1) if r0.rank == 2 else (r1, r0)
             self._convert_matvec(stmt, matrix, vector)
             return
-        raise TdlSyntaxError(
-            f"cannot classify contraction of ranks {ranks}: {stmt}"
+        self._convert_generic_contraction(stmt)
+
+    def _convert_generic_contraction(self, stmt: TdlStatement) -> None:
+        """``lhs += r0 * r1`` over plain index variables, as one
+        ``contractionBuilder``."""
+        lhs, (r0, r1) = stmt.lhs, stmt.rhs
+        bound = set(r0.simple_index_names()) | set(r1.simple_index_names())
+        unbound = [v for v in lhs.simple_index_names() if v not in bound]
+        if unbound:
+            raise TdlSyntaxError(
+                f"output index {unbound[0]!r} indexes no operand: {stmt}"
+            )
+        self.builders.append(
+            BuilderSpec(
+                "contractionBuilder",
+                [r0.tensor, r1.tensor],
+                [lhs.tensor],
+                indices=[
+                    access.simple_index_names() for access in (r0, r1, lhs)
+                ],
+            )
         )
 
     def _convert_matvec(self, stmt, matrix, vector) -> None:
@@ -111,8 +136,6 @@ class _Converter:
     def _convert_matmul(self, stmt: TdlStatement) -> None:
         lhs, (r0, r1) = stmt.lhs, stmt.rhs
         m, n = lhs.simple_index_names()
-        a_idx = r0.simple_index_names()
-        b_idx = r1.simple_index_names()
         # Canonical orientation: lhs(m,n) += A(m,k) * B(k,n).
         for first, second in ((r0, r1), (r1, r0)):
             fi = first.simple_index_names()

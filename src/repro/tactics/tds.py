@@ -13,8 +13,18 @@ plus a list of builder template instantiations (Listing 4)::
     ]>;
 
 The two-step TDL -> TDS -> code process factors common matcher/builder
-machinery into reusable templates (the five ``*Builder`` template
-classes below).
+machinery into reusable templates (the ``*Builder`` template classes
+below).  Besides the paper's five, ``contractionBuilder`` keeps a
+contraction one structured op: it builds a ``linalg.generic`` whose
+indexing maps are the statement's index lists, one per operand::
+
+    def TTGT_abc_acd_db : Tactic<C(a, b, c) += A(a, c, d) * B(d, b), [
+      contractionBuilder<In<[A, B]>, Out<[C]>,
+                         Indices<[{a, c, d}, {d, b}, {a, b, c}]>>,
+    ]>;
+
+The GEMM layout of such a generic (the TTGT list above) is a later
+rewrite, ``-linalg-contraction-ttgt``, run only where a backend needs it.
 """
 
 from __future__ import annotations
@@ -23,13 +33,15 @@ from typing import List, Optional, Sequence, Union
 
 from .tdl.ast import TdlStatement, TdlSyntaxError
 
-#: The builder templates TDS supports (Figure 5).
+#: The builder templates TDS supports (Figure 5, plus the structured
+#: contraction).
 BUILDER_KINDS = (
     "transposeBuilder",
     "reshapeBuilder",
     "matmulBuilder",
     "matvecBuilder",
     "convBuilder",
+    "contractionBuilder",
 )
 
 #: Builders processing a single input (Figure 5 constraints).
@@ -46,9 +58,16 @@ class BuilderSpec:
         outs: Sequence[str],
         expr: Optional[Union[List[int], List[List[int]]]] = None,
         dims: Optional[List[List[str]]] = None,
+        indices: Optional[List[List[str]]] = None,
     ):
         if kind not in BUILDER_KINDS:
             raise TdlSyntaxError(f"unknown builder kind {kind!r}")
+        if (kind == "contractionBuilder") != (indices is not None):
+            raise TdlSyntaxError(
+                "contractionBuilder, and only it, takes Indices"
+            )
+        if indices is not None and len(indices) != len(ins) + len(outs):
+            raise TdlSyntaxError("Indices needs one index list per operand")
         if kind in _SINGLE_INPUT and len(ins) != 1:
             raise TdlSyntaxError(f"{kind} processes a single input")
         if len(outs) != 1:
@@ -62,6 +81,9 @@ class BuilderSpec:
         #: per-output-dimension index-variable groups (sizes the buffer
         #: the builder materializes: extent = product of var extents)
         self.dims = dims
+        #: contractionBuilder: each operand's index variables, inputs
+        #: then output (its generic's indexing maps)
+        self.indices = indices
 
     @property
     def out(self) -> str:
@@ -90,11 +112,19 @@ class BuilderSpec:
         )
         return f", Dims<[{inner}]>"
 
+    def _indices_text(self) -> str:
+        if self.indices is None:
+            return ""
+        inner = ", ".join(
+            "{" + ", ".join(names) + "}" for names in self.indices
+        )
+        return f", Indices<[{inner}]>"
+
     def __str__(self) -> str:
         ins = ", ".join(self.ins)
         return (
             f"{self.kind}<In<[{ins}]>, Out<[{self.out}]>"
-            f"{self._expr_text()}{self._dims_text()}>"
+            f"{self._expr_text()}{self._dims_text()}{self._indices_text()}>"
         )
 
     def __repr__(self) -> str:
@@ -107,6 +137,7 @@ class BuilderSpec:
             and self.ins == other.ins
             and self.outs == other.outs
             and self.expr == other.expr
+            and self.indices == other.indices
         )
 
 

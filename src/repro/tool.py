@@ -4,11 +4,15 @@ Reads C or textual IR, runs a ``-``-flag pass pipeline, prints IR::
 
     python -m repro.tool kernel.c -raise-affine-to-linalg
     python -m repro.tool kernel.c -raise-affine-to-affine -emit-ir
-    python -m repro.tool module.mlir -convert-linalg-to-blas -lower-to-llvm
+    python -m repro.tool kernel.c -raise-affine-to-linalg \
+        -linalg-contraction-ttgt -convert-linalg-to-blas
     python -m repro.tool kernel.c -raise-affine-to-linalg -estimate=amd
 
 The flag names match the paper (§V: ``-raise-affine-to-affine``,
-``-raise-affine-to-linalg``).
+``-raise-affine-to-linalg``).  A tensor contraction raises to one
+``linalg.generic``; ``-linalg-contraction-ttgt`` gives it the TTGT
+transpose/reshape/matmul layout, so ``-convert-linalg-to-blas``
+without it leaves the generic (run by ``tensordot``, no ``sgemm``).
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ def _pass_registry(
         CopyEliminationPass,
         DelinearizationPass,
         ExpandAffineMatmulPass,
+        LinalgContractionTTGTPass,
         LinalgContractionsToTiledLoopsPass,
         LinalgToAffinePass,
         LinalgToBlasPass,
@@ -67,6 +72,7 @@ def _pass_registry(
         "raise-affine-to-linalg": RaiseAffineToLinalgPass,
         "raise-affine-synth": _synth_raising_pass,
         "linalg-matrix-chain-reorder": MatrixChainReorderPass,
+        "linalg-contraction-ttgt": LinalgContractionTTGTPass,
         "convert-linalg-to-blas": LinalgToBlasPass,
         "convert-linalg-to-affine-loops": LinalgToAffinePass,
         "convert-linalg-contractions-to-tiled-loops": lambda: (

@@ -17,6 +17,7 @@ from .lowering import (  # noqa: F401
     lower_to_llvm,
     lowering_pipeline,
 )
+from .ttgt import LinalgContractionTTGTPass  # noqa: F401
 from .tiling import TileLoopNestPass, TilingError, tile_perfect_nest  # noqa: F401
 from .fusion import (  # noqa: F401
     LoopFusionPass,

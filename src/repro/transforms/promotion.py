@@ -10,7 +10,7 @@ that produce unstructured SCF instead of affine loops.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..dialects import scf as scf_d
 from ..dialects import std
@@ -18,7 +18,6 @@ from ..dialects.affine import AffineForOp, AffineLoadOp, AffineStoreOp
 from ..ir import (
     AffineMap,
     FunctionPass,
-    Operation,
     Value,
 )
 from ..ir import affine_expr as ae

@@ -109,8 +109,9 @@ class TestPlantedMiscompile:
         assert result.culprit_pass == "affine-loop-tile-buggy"
         assert result.stage == "affine-loop-tile-buggy"
         assert result.kind == "diff"
-        # it's the 4th pass of the flattened pipeline (0-based index 3)
-        assert result.index == 3
+        # it's the 5th pass of the flattened pipeline (0-based index 4:
+        # distribution, raise, linalg-contraction-ttgt, lowering, tiling)
+        assert result.index == 4
 
     def test_reduction_reaches_ten_lines(self, planted):
         def still_fails(source: str) -> bool:

@@ -198,7 +198,7 @@ class TestCLI:
 class TestEngineFastPath:
     def test_raised_contraction_hits_tensordot(self):
         from repro.execution.engine import ExecutionEngine
-        from repro.execution.engine.codegen import generic_contraction_spec
+        from repro.analysis.contraction import generic_contraction_spec
 
         module = compile_c(TRANSPOSED)
         raise_two_tiers(module)

@@ -140,8 +140,10 @@ class TestOnRealIR:
     def test_ttgt_golden(self):
         from repro.evaluation.kernels import contraction_source
         from repro.ir import print_module
+        from repro.ir import Context
         from repro.met import compile_c
         from repro.tactics import raise_affine_to_linalg
+        from repro.transforms import LinalgContractionTTGTPass
 
         module = compile_c(
             contraction_source(
@@ -149,6 +151,14 @@ class TestOnRealIR:
             )
         )
         raise_affine_to_linalg(module)
+        # Raising leaves one generic; the TTGT layout is its own pass.
+        filecheck(print_module(module), """
+          CHECK-LABEL: func @contraction
+          CHECK-NOT: affine.for
+          CHECK: linalg.generic
+          CHECK-NOT: linalg.matmul
+        """)
+        LinalgContractionTTGTPass().run(module, Context())
         filecheck(print_module(module), """
           CHECK-LABEL: func @contraction
           CHECK-DAG: linalg.transpose

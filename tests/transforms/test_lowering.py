@@ -262,14 +262,20 @@ class TestFullLoweringPipeline:
         assert timing.total > 0
 
 
-def _corpus_modules(raised):
+def _corpus_modules(raised, ttgt=False):
+    """The 16 corpus kernels at small sizes: as MET emits them, raised
+    (``compile_cold``'s path: each contraction one generic), or raised
+    and given the TTGT layout (``ttgt``, as ``mlt-blas`` does)."""
     from repro.evaluation import PAPER_BENCHMARKS, get_kernel
+    from repro.transforms import LinalgContractionTTGTPass
 
     modules = {}
     for name in sorted(PAPER_BENCHMARKS):
         module = compile_c(get_kernel(name).small())
         if raised:
             raise_affine_to_linalg(module)
+        if ttgt:
+            LinalgContractionTTGTPass().run(module, Context())
         modules[name] = module
     return modules
 
@@ -310,20 +316,21 @@ class TestLoweringIsAConversion:
                     assert result.iterations == 1, pass_.name
                     entry[0] += result.trials
                     entry[1] += result.num_rewrites
-        # (trials, rewrites) per corpus pass; they move with the raised
-        # contractions' TTGT plans (tactics/contraction.py) and with how
+        # (trials, rewrites) per corpus pass; they move with what the
+        # contractions raise to (one generic each since the TTGT layout
+        # became its own pass: 763/437 with the TTGT ops) and with how
         # reshapes lower (as views, in convert-scf-to-llvm).
         assert totals == {
-            "convert-linalg-to-affine-loops": [46, 46],
+            "convert-linalg-to-affine-loops": [36, 36],
             "affine-expand-matmul": [0, 0],
-            "canonicalize": [326, 0],
-            "lower-affine": [257, 257],
-            "convert-scf-to-llvm": [134, 134],
+            "canonicalize": [293, 0],
+            "lower-affine": [214, 214],
+            "convert-scf-to-llvm": [114, 114],
             "convert-blas-to-llvm": [0, 0],
         }
         # transforms.lower_trials / transforms.lower_rewrites of the
         # e2e benchmark's traced compile_cold run.
-        assert [sum(column) for column in zip(*totals.values())] == [763, 437]
+        assert [sum(column) for column in zip(*totals.values())] == [657, 364]
 
     def test_bookkeeping_ceiling(self, monkeypatch):
         # Under the fixpoint driver one lowering of the corpus made
@@ -648,6 +655,34 @@ def _reshape_chain(steps):
     return module
 
 
+class TestRaisedContractionsLowerAsOneNest:
+    """Raising leaves a contraction one ``linalg.generic``, which the
+    loop path lowers as one nest: exactly the op count of the loops MET
+    emitted, with no TTGT copy."""
+
+    def test_each_contraction_lowers_to_its_unraised_op_count(self):
+        from repro.tactics.contraction import PAPER_CONTRACTIONS
+
+        raised = _corpus_modules(raised=True)
+        unraised = _corpus_modules(raised=False)
+        counts = {}
+        for spec in PAPER_CONTRACTIONS:
+            lower_to_llvm(raised[spec])
+            lower_to_llvm(unraised[spec])
+            counts[spec] = sum(1 for _ in raised[spec].walk())
+            assert counts[spec] == sum(1 for _ in unraised[spec].walk()), spec
+        assert sorted(set(counts.values())) == [47, 49, 71]
+
+    def test_the_corpus_lowers_to_the_compile_cold_op_count(self):
+        ops = 0
+        for module in _corpus_modules(raised=True).values():
+            lower_to_llvm(module)
+            ops += sum(1 for _ in module.walk())
+        # ir.ops_after_lower of the e2e compile_cold run: 1 239 when the
+        # contractions raised to their TTGT ops.
+        assert ops == 1046
+
+
 class TestReshapeViews:
     """``convert-scf-to-llvm`` lowers a reshape the buffer plan makes a
     view as its source buffer, an elided copy-back as nothing, and any
@@ -655,7 +690,7 @@ class TestReshapeViews:
 
     def test_the_raised_contractions_lower_with_no_reshape_loop(self):
         ops = reshapes = 0
-        for name, module in _corpus_modules(raised=True).items():
+        for name, module in _corpus_modules(raised=True, ttgt=True).items():
             reshapes += sum(op.name == "linalg.reshape" for op in module.walk())
             lower_to_llvm(module)
             names = [op.name for op in module.walk()]
@@ -663,8 +698,9 @@ class TestReshapeViews:
             assert _flat_copy_loops(module) == 0, name
             ops += len(names)
         assert reshapes == 21
-        # ir.ops_after_lower of the e2e compile_cold run: 1 853 when each
-        # reshape lowered to a copy loop nest.
+        # 1 853 when each reshape lowered to a copy loop nest.  (The e2e
+        # compile_cold run raises without the TTGT layout: see
+        # TestRaisedContractionsLowerAsOneNest.)
         assert ops == 1239
 
     @pytest.mark.parametrize("case", sorted(NON_VIEWS))
