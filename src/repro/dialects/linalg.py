@@ -9,8 +9,9 @@ evaluation flow (C code -> Affine -> Linalg on buffers).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
+from ..ir.affine_expr import AffineDimExpr
 from ..ir.affine_map import AffineMap
 from ..ir.attributes import (
     AffineMapAttr,
@@ -426,18 +427,26 @@ class GenericOp(LinalgStructuredOp):
     def num_loops(self) -> int:
         return len(self.iterator_types)
 
-    def iteration_domain(self) -> List[int]:
-        """Loop extents inferred from operand shapes via indexing maps."""
-        extents: List[Optional[int]] = [None] * self.num_loops
+    def _loop_extents(self):
+        """``(loop, size)`` for every operand dimension indexed by a
+        bare loop ``d<loop>``: the sizes the loop's extent is read from."""
         for operand, map_ in zip(self.operands, self.indexing_maps):
-            shape = operand.type.shape
-            for expr, size in zip(map_.results, shape):
+            for expr, size in zip(map_.results, operand.type.shape):
+                if isinstance(expr, AffineDimExpr):
+                    yield expr.position, size
+                    continue
                 linear = expr.as_linear()
                 if linear is None:
                     continue
                 single = linear.single_dim()
                 if single and single[1] == 1 and single[2] == 0:
-                    extents[single[0]] = size
+                    yield single[0], size
+
+    def iteration_domain(self) -> List[int]:
+        """Loop extents inferred from operand shapes via indexing maps."""
+        extents: List[Optional[int]] = [None] * self.num_loops
+        for loop, size in self._loop_extents():
+            extents[loop] = size
         if any(e is None for e in extents):
             raise IRError(
                 "linalg.generic: could not infer the full iteration domain"
@@ -470,6 +479,16 @@ class GenericOp(LinalgStructuredOp):
                 raise IRError(
                     f"linalg.generic: map {map_} rank {map_.num_results} vs "
                     f"memref rank {ty.rank}"
+                )
+        # Every operand dimension a loop indexes must agree on that
+        # loop's extent; otherwise the domain would be whichever operand
+        # came last, and the op would read part of the others.
+        extents: Dict[int, int] = {}
+        for loop, size in self._loop_extents():
+            if size >= 0 and extents.setdefault(loop, size) != size:
+                raise IRError(
+                    f"linalg.generic: operands disagree on the extent of "
+                    f"loop d{loop} ({extents[loop]} vs {size})"
                 )
         block = self.body
         if len(block.arguments) != self.num_operands:

@@ -1,7 +1,7 @@
 """Compiled NumPy execution engine.
 
-Where the interpreter walks the IR tree op by op, this subsystem
-*translates* a module into NumPy-vectorized Python source, compiles it
+Where the interpreter plans each function into closures and runs
+them, this subsystem *translates* a module into NumPy-vectorized Python source, compiles it
 once with :func:`compile`, and caches the compiled kernel in a
 content-addressed cache keyed by the module's printed form plus the
 pipeline name.  Repeated benchmark invocations and fuzz replays of the

@@ -13,7 +13,7 @@ Every function in the module becomes one generated ``def``:
   in for block arguments.
 
 The per-op logic lives in the :data:`EMITTERS` table, the compiled
-analogue of the interpreter's ``_HANDLERS`` — the coverage audit in
+analogue of the interpreter's ``_PLANNERS`` — the coverage audit in
 ``tests/execution/test_engine_coverage.py`` keeps the two in lockstep.
 An op without an emitter fails codegen with a one-line
 :class:`EngineError` naming the op.
@@ -589,7 +589,7 @@ def _emit_generic(ctx: _FuncContext, op) -> None:
 
 
 #: Op-name -> emitter.  The compiled counterpart of the interpreter's
-#: ``_HANDLERS`` table; the engine coverage audit diffs the two.
+#: ``_PLANNERS`` table; the engine coverage audit diffs the two.
 EMITTERS: Dict[str, Callable[[_FuncContext, Operation], None]] = {
     "func.return": _emit_return,
     "func.call": _emit_func_call,

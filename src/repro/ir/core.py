@@ -45,9 +45,6 @@ class Operation:
     OP_NAME = "builtin.unregistered"
     #: Ops marked as terminators must appear last in their block.
     IS_TERMINATOR = False
-    #: Interpreter handler memoized per instance on first dispatch
-    #: (class-level default keeps the cold read a plain attribute miss).
-    _interp_handler = None
 
     def __init__(
         self,

@@ -15,7 +15,7 @@ import repro.dialects  # noqa: F401 — populates OP_REGISTRY
 from repro.execution import ExecutionEngine
 from repro.execution.engine import EMITTERS, EngineError
 from repro.analysis.band import PAYLOAD_OPS
-from repro.execution.interpreter import _HANDLERS
+from repro.execution.interpreter import _PLANNERS
 from repro.ir import FuncOp, ModuleOp, Operation, ReturnOp
 from repro.ir.core import OP_REGISTRY
 from repro.ir.parser import parse_module
@@ -40,7 +40,7 @@ class TestEmitterCoverage:
     def test_engine_tracks_interpreter_surface(self):
         """Every op the interpreter can execute, the engine can compile
         (the engine-diff fuzz stage depends on this)."""
-        gap = set(_HANDLERS) - set(EMITTERS)
+        gap = set(_PLANNERS) - set(EMITTERS)
         assert not gap, f"interpreted ops the engine cannot compile: {gap}"
 
 
@@ -63,7 +63,7 @@ class TestVectorizerSafeSetAudit:
         )
 
     def test_safe_ops_have_interpreter_handlers(self):
-        missing = set(PAYLOAD_OPS) - set(_HANDLERS)
+        missing = set(PAYLOAD_OPS) - set(_PLANNERS)
         assert not missing, (
             f"payload ops the interpreter cannot execute "
             f"(vectorize-diff has no reference): {sorted(missing)}"

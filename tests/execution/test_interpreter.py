@@ -259,57 +259,63 @@ class TestLinalgExecution:
             run_function(module, "f", np.zeros(4, np.float32))
 
 
-class TestDispatchCache:
-    """``execute_op`` memoizes the handler lookup on the op instance."""
+class TestPlanOnce:
+    """``run`` plans each op once, then runs its closure on every
+    execution; the plan lives for that one run."""
 
-    def test_handler_resolved_once_per_op(self, monkeypatch):
+    SRC = """
+    void scale(float A[8]) {
+      for (int i = 0; i < 8; i++)
+        A[i] = A[i] * 2.0f;
+    }
+    """
+
+    def _count_planning(self, monkeypatch):
         from repro.execution import interpreter as interp_mod
 
-        src = """
-        void scale(float A[8]) {
-          for (int i = 0; i < 8; i++)
-            A[i] = A[i] * 2.0f;
-        }
-        """
-        module = compile_c(src)
+        planned = []
+        counting = {}
+        for name, planner in interp_mod._PLANNERS.items():
+            def plan(p, op, planner=planner):
+                planned.append(id(op))
+                return planner(p, op)
 
-        lookups = []
-        real_get = interp_mod._HANDLERS.get
+            counting[name] = plan
+        monkeypatch.setattr(interp_mod, "_PLANNERS", counting)
+        return planned
 
-        def counting_get(name, default=None):
-            lookups.append(name)
-            return real_get(name, default)
-
-        monkeypatch.setattr(
-            interp_mod, "_HANDLERS", _CountingHandlers(counting_get)
-        )
+    def test_each_op_is_planned_once_per_run(self, monkeypatch):
+        module = compile_c(self.SRC)
+        planned = self._count_planning(monkeypatch)
         interp = Interpreter(module)
-        for _ in range(3):
-            interp.run("scale", np.ones(8, np.float32))
-        # 8 iterations x 3 runs, yet each body op resolved exactly once.
-        assert len(lookups) == len(set(id(op) for f in module.functions
-                                       for op in f.walk()
-                                       if op._interp_handler is not None))
+        a = np.ones(8, np.float32)
+        interp.run("scale", a)
+        # 8 iterations, yet each op (bar the top-level return, which the
+        # function plan handles itself) is planned exactly once.
+        ops = [op for op in module.lookup("scale").walk()]
+        assert sorted(planned) == sorted(
+            id(op) for op in ops
+            if op.name not in ("func.func", "func.return", "affine.yield")
+        )
+        assert len(planned) == len(set(planned))
+        np.testing.assert_array_equal(a, np.full(8, 2.0, np.float32))
 
-    def test_cached_handler_matches_registry(self):
-        from repro.execution.interpreter import _HANDLERS
-
-        src = """
-        void gemm(float A[4][4], float B[4][4], float C[4][4]) {
-          for (int i = 0; i < 4; i++)
-            for (int j = 0; j < 4; j++)
-              for (int k = 0; k < 4; k++)
-                C[i][j] += A[i][k] * B[k][j];
-        }
-        """
-        module = compile_c(src)
-        run_function(module, "gemm", *random_arrays(0, (4, 4), (4, 4), (4, 4)))
-        for func in module.functions:
-            for op in func.walk():
-                if op._interp_handler is not None:
-                    assert op._interp_handler is _HANDLERS[op.name]
-
-
-class _CountingHandlers:
-    def __init__(self, get):
-        self.get = get
+    def test_a_plan_lives_for_one_run(self, monkeypatch):
+        module = compile_c(self.SRC)
+        func = module.lookup("scale")
+        state = [sorted(vars(op)) for op in func.walk()]
+        planned = self._count_planning(monkeypatch)
+        interp = Interpreter(module)
+        interp.run("scale", np.ones(8, np.float32))
+        per_run = len(planned)
+        interp.run("scale", np.ones(8, np.float32))
+        assert len(planned) == 2 * per_run
+        # Nothing is memoized on the IR, so a mutation between runs is
+        # planned afresh and never meets a stale plan.
+        assert [sorted(vars(op)) for op in func.walk()] == state
+        loop = next(op for op in func.walk() if op.name == "affine.for")
+        loop.set_constant_bounds(0, 4)
+        a = np.ones(8, np.float32)
+        interp.run("scale", a)
+        np.testing.assert_array_equal(a[:4], 2.0)
+        np.testing.assert_array_equal(a[4:], 1.0)

@@ -3,7 +3,7 @@ dialects can construct.
 
 Anything registered in OP_REGISTRY is constructible by some pipeline
 (the fuzzer builds modules at every level), so every op must be either
-dispatchable through ``_HANDLERS`` or be explicitly accounted for as a
+planned through ``_PLANNERS`` or be explicitly accounted for as a
 structural container.  A new dialect op without a handler fails this
 audit instead of surfacing later as an ``unhandled op`` crash mid-fuzz.
 """
@@ -13,7 +13,7 @@ import pytest
 
 import repro.dialects  # noqa: F401 — populates OP_REGISTRY
 from repro.execution import Interpreter
-from repro.execution.interpreter import _HANDLERS, InterpreterError
+from repro.execution.interpreter import _PLANNERS, InterpreterError
 from repro.ir import (
     Block,
     Builder,
@@ -34,7 +34,7 @@ STRUCTURAL_OPS = {"builtin.module", "func.func"}
 
 class TestHandlerCoverage:
     def test_every_registered_op_is_executable(self):
-        missing = set(OP_REGISTRY) - set(_HANDLERS) - STRUCTURAL_OPS
+        missing = set(OP_REGISTRY) - set(_PLANNERS) - STRUCTURAL_OPS
         assert not missing, (
             f"dialect ops without an interpreter handler: {sorted(missing)}; "
             "add a handler (or a clean-diagnostic stub) to "
@@ -42,7 +42,7 @@ class TestHandlerCoverage:
         )
 
     def test_no_stale_handlers(self):
-        stale = set(_HANDLERS) - set(OP_REGISTRY)
+        stale = set(_PLANNERS) - set(OP_REGISTRY)
         assert not stale, f"handlers for unregistered ops: {sorted(stale)}"
 
 
@@ -103,7 +103,5 @@ class TestNewHandlers:
         entry = func.entry_block
         dest = Block()
         entry.append(llvm_d.BrOp.create(dest))
-        interp = Interpreter(module)
-        env_func = module.lookup("f")
         with pytest.raises(InterpreterError, match="malformed IR"):
-            interp.execute_op(env_func.entry_block.operations[0], None)
+            Interpreter(module).run("f")

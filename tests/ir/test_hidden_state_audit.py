@@ -32,8 +32,8 @@ from repro.scheduling.interpreter import (
 SMALL_TILE = 3
 
 #: What ``Operation.__init__`` sets, plus memoized (derived, never
-#: semantic) caches: the interpreter's per-op handler and the module's
-#: version-stamped fingerprint.
+#: semantic) caches: the module's version-stamped fingerprint.  The
+#: interpreter stores nothing on ops (its plans live for one run).
 _CONSTRUCTOR_STATE = {
     "_name",
     "successors",
@@ -42,7 +42,6 @@ _CONSTRUCTOR_STATE = {
     "attributes",
     "regions",
     "parent_block",
-    "_interp_handler",
 }
 _MODULE_MEMOS = {"version", "_fingerprint_memo"}
 

@@ -2,12 +2,17 @@
 original nest on inputs the checker never saw, across every operand
 permutation of a contraction."""
 
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dialects.affine import AffineForOp
 from repro.fuzzing.generators import generate_kernel
+from repro.ir import IRError, verify
 from repro.met import compile_c
 from repro.raising import (
     EquivalenceChecker,
@@ -15,6 +20,9 @@ from repro.raising import (
     raise_with_synthesis,
     summarize_nest,
 )
+from repro.raising.equivalence import build_candidate_module
+
+from .test_synth_pass import TRANSPOSED
 
 GEMM = """
 void kernel(float A[3][4], float B[4][5], float C[3][5]) {
@@ -95,6 +103,32 @@ class TestChecker:
         verdicts = [(c, checker.check(c)) for c in candidates]
         assert any(ok for _, ok in verdicts)
         assert any(not ok for _, ok in verdicts)
+
+
+    def test_operands_that_disagree_on_an_extent_fail_to_verify(self):
+        """``C[i][j] += A[k][i] * B[k][i]`` over the transposed GEMM: B
+        is 4x5, so it reads loop i up to 5 where A and C stop at 3.  The
+        verifier refuses the candidate, whose domain would otherwise be
+        whichever operand came last, so the checker rejects it without
+        a trial."""
+        module = compile_c(TRANSPOSED, distribute=False)
+        root = next(
+            op for op in module.walk() if isinstance(op, AffineForOp)
+        )
+        summary = summarize_nest(root)
+        candidates, _ = enumerate_candidates(summary)
+        right = next(c for c in candidates if c.inputs == (0, 1))
+        (k, i), _, out = right.assignments
+        wrong = replace(right, assignments=((k, i), (k, i), out))
+        with pytest.raises(IRError, match=r"extent of loop d0 \(3 vs 5\)"):
+            verify(build_candidate_module(summary, wrong))
+        counts = Counter()
+        checker = EquivalenceChecker(summary, lambda **n: counts.update(n))
+        trials = counts["trials_run"]
+        assert not checker.check(wrong)
+        assert counts["trials_run"] == trials
+        assert counts["candidates_rejected"] == 1
+        assert checker.check(right)
 
 
 class TestFreshInputProperty:
