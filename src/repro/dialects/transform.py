@@ -26,19 +26,10 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from ..ir.attributes import (
-    BoolAttr,
-    IntegerAttr,
-    StringAttr,
-    int_array_attr,
-)
+from ..ir.attributes import BoolAttr, IntegerAttr, int_array_attr
 from ..ir.core import IRError, Operation, register_op
 from ..ir.types import Type
 
-#: Vectorize modes ``transform.vectorize`` may request (mirrors
-#: ``codegen.VECTORIZE_MODES``; duplicated to avoid importing the
-#: execution engine from a dialect definition).
-VECTORIZE_MODES = ("none", "innermost", "nest")
 #: Smallest edge ``transform.tile {size}`` accepts.
 MIN_TILE_SIZE = 2
 
@@ -99,30 +90,18 @@ class YieldOp(Operation):
 
 @register_op
 class MatchOp(Operation):
-    """Produce a handle to the payload functions a schedule targets.
-
-    With a ``target`` attribute only the named function is matched;
-    without one, every function of the payload module.  Either way the
-    interpreter applies the optimizer's soundness gate, so a schedule
-    can never touch a function whose memory effects the legality
-    analyses cannot enumerate.
+    """Produce a handle to every function of the payload module: a
+    schedule's first step, and its only match.  The interpreter applies
+    the optimizer's soundness gate, so a schedule can never touch a
+    function whose memory effects the legality analyses cannot
+    enumerate.
     """
 
     OP_NAME = "transform.match"
 
     @staticmethod
-    def create(target: Optional[str] = None) -> "MatchOp":
-        attrs = {}
-        if target is not None:
-            attrs["target"] = StringAttr(target)
-        return MatchOp(
-            result_types=[TransformHandleType()], attributes=attrs
-        )
-
-    @property
-    def target(self) -> Optional[str]:
-        attr = self.attributes.get("target")
-        return attr.value if attr is not None else None
+    def create() -> "MatchOp":
+        return MatchOp(result_types=[TransformHandleType()])
 
     def verify_(self) -> None:
         _check_handle_results(self)
@@ -301,63 +280,9 @@ class UnrollJamOp(TransformStepOp):
             raise IRError("transform.unroll_jam needs factor >= 2")
 
 
-@register_op
-class VectorizeOp(TransformStepOp):
-    """Request a codegen vectorize mode for the scheduled payload.
-
-    Pure annotation: the interpreter records the mode in its result so
-    the engine construction that follows can honor it; payload IR is
-    untouched.
-    """
-
-    OP_NAME = "transform.vectorize"
-
-    @staticmethod
-    def create(handle, mode: str = "nest") -> "VectorizeOp":
-        op = VectorizeOp._create(handle, {"mode": StringAttr(mode)})
-        op.verify_()
-        return op
-
-    @property
-    def mode(self) -> str:
-        return self.attributes["mode"].value
-
-    def verify_(self) -> None:
-        super().verify_()
-        attr = self.attributes.get("mode")
-        if attr is None or attr.value not in VECTORIZE_MODES:
-            raise IRError(
-                f"transform.vectorize mode must be one of "
-                f"{VECTORIZE_MODES}"
-            )
-
-
-@register_op
-class RaiseOp(TransformStepOp):
-    """Run raising passes over the payload module: ``mode`` is a
-    "+"-joined list of tier names (``tdl+synth``) that the schedule
-    interpreter resolves to passes, in order."""
-
-    OP_NAME = "transform.raise"
-
-    @staticmethod
-    def create(handle, mode: str = "tdl") -> "RaiseOp":
-        op = RaiseOp._create(handle, {"mode": StringAttr(mode)})
-        op.verify_()
-        return op
-
-    @property
-    def mode(self) -> str:
-        return self.attributes["mode"].value
-
-    def verify_(self) -> None:
-        super().verify_()
-        if not isinstance(self.attributes.get("mode"), StringAttr):
-            raise IRError("transform.raise needs a string mode")
-
-
-#: Ops allowed inside a sequence, keyed by mnemonic — the parser, the
-#: fuzz generator, and the interpreter all dispatch over this table.
+#: Ops allowed inside a sequence, keyed by mnemonic: exactly the steps
+#: the schedule producers (``canned_schedule``, ``schedule_from_params``,
+#: ``random_schedule``) emit.
 STEP_OPS = {
     "transform.match": MatchOp,
     "transform.fuse": FuseOp,
@@ -367,8 +292,6 @@ STEP_OPS = {
     "transform.distribute": DistributeOp,
     "transform.tile": TileOp,
     "transform.unroll_jam": UnrollJamOp,
-    "transform.vectorize": VectorizeOp,
-    "transform.raise": RaiseOp,
 }
 
 

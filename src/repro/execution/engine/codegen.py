@@ -49,9 +49,6 @@ MAX_CFG_STEPS = 10_000_000
 #: oracle's reference).
 VECTORIZE_MODES = ("nest", "innermost", "none")
 
-# A change to generated-source semantics anywhere in this package must
-# bump ``repro.store.CODEGEN_VERSION`` (it orphans older ``kernels/``).
-
 
 def _np_dtype_literal(elem_type) -> str:
     if isinstance(elem_type, F64Type):
@@ -667,8 +664,6 @@ EMITTERS.update(
             "distribute",
             "tile",
             "unroll_jam",
-            "vectorize",
-            "raise",
         )
     }
 )

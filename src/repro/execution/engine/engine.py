@@ -33,8 +33,8 @@ class ExecutionEngine:
     the module's fingerprint and a :class:`~repro.store.CompileConfig`
     holding every knob below, so the same kernel lowered by two
     pipelines, the ``vectorize-diff`` oracle's modes and two schedules
-    never share a kernel (the key also folds the code generator's
-    version: an upgrade never re-serves a stale persistent cache).
+    never share a kernel (the key also folds the code's digest: an
+    upgrade never re-serves a stale persistent cache).
 
     ``pipeline`` says how the module was produced: a bare label, or the
     producing driver's whole ``CompileConfig`` — ``mlt-opt`` passes its
@@ -65,7 +65,6 @@ class ExecutionEngine:
             apply_schedule,
             canned_fingerprint,
             canned_schedule,
-            schedule_vectorize,
         )
         from .optimizer import DEFAULT_TILE_SIZE
 
@@ -82,10 +81,6 @@ class ExecutionEngine:
             fingerprint = canned_fingerprint(opt_mode, tile_size)
         elif schedule is not None:
             fingerprint = fingerprint_module(schedule)
-        if schedule is not None:
-            requested = schedule_vectorize(schedule)
-            if requested is not None:
-                vectorize = requested
         if vectorize not in VECTORIZE_MODES:
             raise EngineError(
                 f"engine: unknown vectorize mode {vectorize!r}; "

@@ -1256,8 +1256,6 @@ _PLANNERS = {
             "distribute",
             "tile",
             "unroll_jam",
-            "vectorize",
-            "raise",
         )
     },
 }

@@ -46,7 +46,6 @@ from .pass_cache import (  # noqa: F401
 )
 from .pass_manager import (  # noqa: F401
     FunctionPass,
-    LambdaPass,
     Pass,
     PassManager,
     PassTiming,

@@ -835,10 +835,7 @@ def _parse_transform_match(p: Parser, region) -> Operation:
     from ..dialects.transform import MatchOp
 
     p.expect("transform.match")
-    target = None
-    if p.peek().kind == "SYMBOL":
-        target = p.next().text[1:]
-    return MatchOp.create(target)
+    return MatchOp.create()
 
 
 def _parse_transform_step(p: Parser, region) -> Operation:
@@ -864,8 +861,6 @@ _TRANSFORM_STEP_OPS = [
     "transform.distribute",
     "transform.tile",
     "transform.unroll_jam",
-    "transform.vectorize",
-    "transform.raise",
 ]
 
 

@@ -9,7 +9,7 @@ entirely — in-process through an LRU memo, and across processes
 through a ``passes/`` namespace in the shared disk cache.
 
 Key anatomy (SHA-256 hex): one entry per ``(function fingerprint, pass
-name, pass config, pattern driver, PASS_CACHE_VERSION)``.  The value
+name, pass config, pattern driver, repro.store.CODE_DIGEST)``.  The value
 records whether the transform left the function byte-identical
 (``clean``) or rewrote it (``rewrite`` + the printed result IR), the
 result's fingerprint ``fp``, and an optional ``meta`` dict of what the
@@ -31,8 +31,7 @@ whose fingerprints an earlier candidate already reached.
 
 Invalidation is purely content-addressed: any IR change produces a new
 function fingerprint, any pass-config or driver change a new key, and
-``repro.store.PASS_CACHE_VERSION`` is bumped whenever pass semantics
-change.
+any edit to the code a new ``repro.store.CODE_DIGEST``.
 Correctness is enforced (not assumed) by the ``incremental`` fuzz
 check, which byte-diffs incremental-vs-scratch printed IR at every
 pipeline snapshot.

@@ -155,34 +155,19 @@ class FunctionPass(Pass):
         raise NotImplementedError
 
 
-class LambdaPass(Pass):
-    """Wraps a plain callable as a pass."""
-
-    def __init__(self, name: str, fn: Callable[[ModuleOp, Context], None]):
-        self.name = name
-        self._fn = fn
-
-    def run(self, module: ModuleOp, context: Context) -> None:
-        self._fn(module, context)
-
-
 class FunctionFilter(Pass):
-    """Narrows the function passes after it to the functions named
-    ``target`` (all of them when None) that ``gate`` admits: a
-    schedule's ``transform.match``.  Module passes still see every
-    function.
+    """Narrows the function passes after it to the functions ``gate``
+    admits: a schedule's ``transform.match``.  It must be the first
+    pass.  Module passes still see every function.
 
     Counts ``functions_seen`` (every function looked at) and
-    ``functions_skipped`` (named, but refused by the gate).
+    ``functions_skipped`` (refused by the gate).
     """
 
     name = "function-filter"
 
-    def __init__(
-        self, gate: Callable[[FuncOp], bool], target: Optional[str] = None
-    ):
+    def __init__(self, gate: Callable[[FuncOp], bool]):
         self.gate = gate
-        self.target = target
         self.counters = {"functions_seen": 0, "functions_skipped": 0}
 
 
@@ -342,20 +327,16 @@ class PassManager:
             module.bump_version()
 
     def run(
-        self,
-        module: ModuleOp,
-        keyed: Optional[KeyedSearch] = None,
-        tag=None,
+        self, module: ModuleOp, keyed: Optional[KeyedSearch] = None
     ) -> PassTiming:
         """Run every pass over ``module``; returns :attr:`timing`.
 
         :attr:`payload` is then the module the passes rewrote: ``module``
         itself, or with ``keyed`` (a :class:`KeyedSearch`) its clone or
-        None.  With a pass cache :attr:`outcome` is ``(tag, the
-        fingerprint each cursor ended at)``: on one payload, equal
-        outcomes are equal modules (``tag``: what the caller's result
-        depends on besides the IR).  It is None after a module pass or
-        a late filter, which see more than the fingerprints say.
+        None.  With a pass cache :attr:`outcome` is the fingerprint each
+        cursor ended at: on one payload, equal outcomes are equal
+        modules.  It is None after a module pass, which sees more than
+        the fingerprints say.
         """
         cache = self.pass_cache
         if self.verify_each:
@@ -378,9 +359,9 @@ class PassManager:
                 changed = None
                 if isinstance(pass_, FunctionFilter):
                     if index:
-                        # It reads what the passes so far left behind.
-                        exact = False
-                        self._settle_all()
+                        raise ValueError(
+                            f"{pass_.name} must be the first pass"
+                        )
                     selected = self._select(pass_, keyed)
                     changed = False
                 elif (
@@ -405,9 +386,8 @@ class PassManager:
                 )
                 self._after_pass(pass_, changed)
             if exact:
-                self.outcome = (
-                    tag,
-                    tuple(cursor.fp for cursor in self._cursors.values()),
+                self.outcome = tuple(
+                    cursor.fp for cursor in self._cursors.values()
                 )
         finally:
             # Also when a pass raised: the module then still holds
@@ -441,7 +421,7 @@ class PassManager:
 
     def _settle_all(self) -> ModuleOp:
         """Settle every cursor into the writable module and drop them
-        all (what a module pass or a late filter needs)."""
+        all (what a module pass needs)."""
         module = self._writable()
         self._settle(self._cursors.values())
         self._cursors = {}
@@ -462,8 +442,6 @@ class PassManager:
         for func in self._current().functions:
             counters["functions_seen"] += 1
             symbol = func.sym_name
-            if filter_.target is not None and symbol != filter_.target:
-                continue
             facts = memo.get(symbol) if memo is not None else None
             if facts is None:
                 facts = (filter_.gate(func), None)

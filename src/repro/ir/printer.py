@@ -374,9 +374,7 @@ def _print_transform_sequence(printer: Printer, op) -> None:
 
 
 def _print_transform_match(printer: Printer, op) -> None:
-    target = op.attributes.get("target")
-    suffix = f" @{target.value}" if target is not None else ""
-    printer.emit(f"{printer._results_prefix(op)}transform.match{suffix}")
+    printer.emit(f"{printer._results_prefix(op)}transform.match")
 
 
 def _print_transform_step(printer: Printer, op) -> None:
@@ -440,8 +438,6 @@ _CUSTOM_PRINTERS = {
     "transform.distribute": _print_transform_step,
     "transform.tile": _print_transform_step,
     "transform.unroll_jam": _print_transform_step,
-    "transform.vectorize": _print_transform_step,
-    "transform.raise": _print_transform_step,
 }
 
 

@@ -110,6 +110,23 @@ def _multiset_eq(a, b) -> bool:
     return Counter(a) == Counter(b)
 
 
+def _operand_pairs(summary: NestSummary) -> List[tuple]:
+    """The ordered input pairs a mac candidate may propose: those that
+    read, as a multiset, the arrays the product loads.  ``A*B`` gives
+    ``(A, B)`` and ``(B, A)``, never ``(A, A)``; ``x*x`` only ``(x, x)``."""
+    accumulators = summary.accumulator_loads()
+    product = Counter(
+        summary.accesses[id(load)].memref
+        for load in summary.loads
+        if load not in accumulators
+    )
+    out = summary.live_out[0]
+    ins = [a for a in summary.live_in if a is not out]
+    return [
+        (a, b) for a in ins for b in ins if Counter((a, b)) == product
+    ]
+
+
 def _named_candidates(summary: NestSummary, sign: str) -> List[Candidate]:
     """matmul/matvec candidates (accumulating adds only — the named ops
     have fixed ``+=`` semantics)."""
@@ -119,64 +136,60 @@ def _named_candidates(summary: NestSummary, sign: str) -> List[Candidate]:
     out_idx = summary.arrays.index(out)
     out_shape = summary.array_shape(out)
     candidates: List[Candidate] = []
-    ins = [a for a in summary.live_in if a is not out]
+    pairs = _operand_pairs(summary)
 
     if summary.depth == 3 and len(out_shape) == 2:
         m, n = out_shape
-        for a in ins:
-            for b in ins:
-                a_shape = summary.array_shape(a)
-                b_shape = summary.array_shape(b)
-                if len(a_shape) != 2 or len(b_shape) != 2:
-                    continue
-                if a_shape[0] != m or b_shape[1] != n:
-                    continue
-                if a_shape[1] != b_shape[0]:
-                    continue
-                if not _multiset_eq(
-                    summary.extents, [m, n, a_shape[1]]
-                ):
-                    continue
-                candidates.append(
-                    Candidate(
-                        kind="matmul",
-                        op_name="linalg.matmul",
-                        inputs=(
-                            summary.arrays.index(a),
-                            summary.arrays.index(b),
-                        ),
-                        output=out_idx,
-                    )
+        for a, b in pairs:
+            a_shape = summary.array_shape(a)
+            b_shape = summary.array_shape(b)
+            if len(a_shape) != 2 or len(b_shape) != 2:
+                continue
+            if a_shape[0] != m or b_shape[1] != n:
+                continue
+            if a_shape[1] != b_shape[0]:
+                continue
+            if not _multiset_eq(summary.extents, [m, n, a_shape[1]]):
+                continue
+            candidates.append(
+                Candidate(
+                    kind="matmul",
+                    op_name="linalg.matmul",
+                    inputs=(
+                        summary.arrays.index(a),
+                        summary.arrays.index(b),
+                    ),
+                    output=out_idx,
                 )
+            )
 
     if summary.depth == 2 and len(out_shape) == 1:
         (m,) = out_shape
-        for a in ins:
-            for x in ins:
-                a_shape = summary.array_shape(a)
-                x_shape = summary.array_shape(x)
-                if len(a_shape) != 2 or len(x_shape) != 1:
+        for a, x in pairs:
+            a_shape = summary.array_shape(a)
+            x_shape = summary.array_shape(x)
+            if len(a_shape) != 2 or len(x_shape) != 1:
+                continue
+            for trans in (False, True):
+                rows, cols = a_shape
+                if trans:
+                    rows, cols = cols, rows
+                if rows != m or cols != x_shape[0]:
                     continue
-                for trans in (False, True):
-                    rows, cols = a_shape
-                    if trans:
-                        rows, cols = cols, rows
-                    if rows != m or cols != x_shape[0]:
-                        continue
-                    if not _multiset_eq(summary.extents, [m, cols]):
-                        continue
-                    candidates.append(
-                        Candidate(
-                            kind="matvec",
-                            op_name="linalg.matvec",
-                            inputs=(
-                                summary.arrays.index(a),
-                                summary.arrays.index(x),
-                            ),
-                            output=out_idx,
-                            trans=trans,
-                        )
+                if not _multiset_eq(summary.extents, [m, cols]):
+                    continue
+                candidates.append(
+                    Candidate(
+                        kind="matvec",
+                        op_name="linalg.matvec",
+                        inputs=(
+                            summary.arrays.index(a),
+                            summary.arrays.index(x),
+                        ),
+                        output=out_idx,
+                        trans=trans,
                     )
+                )
     return candidates
 
 
@@ -203,8 +216,7 @@ def _contraction_candidates(
     )
     candidates: List[Candidate] = []
     pruned = 0
-    ins = [a for a in summary.live_in if a is not out]
-    for a in ins:
+    for a, b in _operand_pairs(summary):
         a_assignments = list(
             enumerate_assignments(
                 summary.array_shape(a),
@@ -212,37 +224,36 @@ def _contraction_candidates(
                 summary.observed_dims(a),
             )
         )
-        for b in ins:
-            b_assignments = list(
-                enumerate_assignments(
-                    summary.array_shape(b),
-                    summary.extents,
-                    summary.observed_dims(b),
-                )
+        b_assignments = list(
+            enumerate_assignments(
+                summary.array_shape(b),
+                summary.extents,
+                summary.observed_dims(b),
             )
-            for out_asg in out_assignments:
-                if not reduction_dims(out_asg, num_dims):
-                    pruned += 1  # no reduction dim -> not a contraction
-                    continue
-                for a_asg in a_assignments:
-                    for b_asg in b_assignments:
-                        combo = (a_asg, b_asg, out_asg)
-                        if not covers_all_dims(combo, num_dims):
-                            pruned += 1
-                            continue
-                        candidates.append(
-                            Candidate(
-                                kind="contraction",
-                                op_name="linalg.generic",
-                                inputs=(
-                                    summary.arrays.index(a),
-                                    summary.arrays.index(b),
-                                ),
-                                output=out_idx,
-                                assignments=combo,
-                                body=body,
-                            )
+        )
+        for out_asg in out_assignments:
+            if not reduction_dims(out_asg, num_dims):
+                pruned += 1  # no reduction dim -> not a contraction
+                continue
+            for a_asg in a_assignments:
+                for b_asg in b_assignments:
+                    combo = (a_asg, b_asg, out_asg)
+                    if not covers_all_dims(combo, num_dims):
+                        pruned += 1
+                        continue
+                    candidates.append(
+                        Candidate(
+                            kind="contraction",
+                            op_name="linalg.generic",
+                            inputs=(
+                                summary.arrays.index(a),
+                                summary.arrays.index(b),
+                            ),
+                            output=out_idx,
+                            assignments=combo,
+                            body=body,
                         )
+                    )
     return candidates, pruned
 
 

@@ -14,5 +14,4 @@ from .interpreter import (  # noqa: F401
     canned_schedule,
     random_schedule,
     schedule_from_params,
-    schedule_vectorize,
 )

@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..execution.engine.cache import KernelCache, fingerprint_module
 from ..execution.engine.optimizer import DEFAULT_TILE_SIZE
-from ..store import SCHEDULE_CACHE_VERSION, ArtifactStore
+from ..store import ArtifactStore
 from ..telemetry import add, delta
 
 #: Tile edges the tuner tries (0 = untiled).
@@ -51,7 +51,6 @@ def default_params() -> Dict:
         "order": "fuse-first",
         "tile": DEFAULT_TILE_SIZE,
         "unroll_jam": 0,
-        "vectorize": "nest",
     }
 
 
@@ -76,7 +75,6 @@ def enumerate_space() -> List[Dict]:
                     "order": order,
                     "tile": tile,
                     "unroll_jam": factor,
-                    "vectorize": "nest",
                 }
                 if point != default:
                     points.append(point)
@@ -162,11 +160,7 @@ def _evaluate_candidate(unit) -> Dict:
     )
     kernel_key = search.known.get(applied.outcome)
     if kernel_key is None:
-        engine = ExecutionEngine(
-            applied.payload,
-            cache=state["store"].kernels,
-            vectorize=applied.vectorize or "nest",
-        )
+        engine = ExecutionEngine(applied.payload, cache=state["store"].kernels)
         kernel_key = engine.compiled.key
         if kernel_key not in state["measured"]:
             state["measured"][kernel_key] = _time_kernel(
@@ -326,7 +320,6 @@ def autotune_kernel(
     store.store_schedule(
         fingerprint,
         {
-            "version": SCHEDULE_CACHE_VERSION,
             "kernel": kernel,
             "fingerprint": fingerprint,
             "params": best_row["params"],

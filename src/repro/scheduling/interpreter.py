@@ -32,7 +32,6 @@ from ..dialects.transform import (
     SequenceOp,
     TileOp,
     UnrollJamOp,
-    VectorizeOp,
     find_sequences,
 )
 from ..execution.engine.optimizer import (
@@ -45,14 +44,8 @@ from ..execution.engine.optimizer import (
 )
 from ..execution.engine.cache import fingerprint_module
 from ..ir import Context, ModuleOp
-from ..ir.pass_manager import (
-    FunctionFilter,
-    KeyedSearch,
-    LambdaPass,
-    PassManager,
-)
+from ..ir.pass_manager import FunctionFilter, KeyedSearch, PassManager
 from ..store import LruMemo
-from ..tactics.stats import merge_pass_stats
 from ..telemetry import add
 from ..transforms.canonicalize import CanonicalizePass
 from ..transforms.copy_elimination import CopyEliminationPass
@@ -67,12 +60,6 @@ class ScheduleError(ValueError):
 
 #: What every application's passes share (they read no per-run state).
 _CONTEXT = Context()
-
-#: ``transform.raise`` tier name -> the ``mlt-opt`` pass that is the tier.
-RAISE_TIERS = {
-    "tdl": "raise-affine-to-linalg",
-    "synth": "raise-affine-synth",
-}
 
 
 #: What the step passes count, summed over a schedule's steps; a
@@ -103,30 +90,23 @@ def _zero_counters() -> Dict:
 
 @dataclass
 class ScheduleResult:
-    """What applying a schedule did (and requested).
+    """What applying a schedule did.
 
     ``counters`` sums what the step passes counted; every counter is
     present, zeros included.  ``stages`` holds one entry per step after
-    the first match, in order: the step's transform mnemonic and the
-    :data:`STEP_COUNTERS` it moved.  ``vectorize`` is the codegen mode a
-    ``transform.vectorize`` step requested (``None`` when the schedule
-    leaves the engine default in charge); ``raise_stats`` is the raised
-    callsites per tactic (``RaiseStats.callsites``) when a
-    ``transform.raise`` step ran.
+    the match, in order: the step's transform mnemonic and the
+    :data:`STEP_COUNTERS` it moved.
 
     ``outcome`` names what the steps left behind, read off the pass
-    cache: the requested codegen mode and the fingerprint each matched
-    function ended at.  On one payload, equal outcomes are equal
-    modules, hence one kernel.  It is ``None`` without a pass cache and
-    after a ``raise`` step or a second ``match``, which read or rewrite
-    more than the matched functions.  ``payload`` is the module the
-    steps rewrote, ``None`` when a keyed application built nothing.
+    cache: the fingerprint each matched function ended at.  On one
+    payload, equal outcomes are equal modules, hence one kernel.  It is
+    ``None`` only without a pass cache: every step is a function pass.
+    ``payload`` is the module the steps rewrote, ``None`` when a keyed
+    application built nothing.
     """
 
     counters: Dict = field(default_factory=_zero_counters)
     stages: List[Dict] = field(default_factory=list)
-    vectorize: Optional[str] = None
-    raise_stats: Optional[dict] = None
     outcome: Optional[tuple] = None
     payload: Optional[ModuleOp] = None
 
@@ -136,8 +116,6 @@ class ScheduleResult:
         fixed key set, so cold, warm and keyed applications print alike."""
         snap = add(_zero_counters(), self.counters)
         snap["stages"] = [dict(stage) for stage in self.stages]
-        snap["vectorize"] = self.vectorize
-        snap["raise"] = self.raise_stats
         return snap
 
 
@@ -153,20 +131,6 @@ def _schedule_sequence(schedule) -> SequenceOp:
     return sequences[0]
 
 
-def schedule_vectorize(schedule) -> Optional[str]:
-    """The codegen vectorize mode ``schedule`` requests, if any.
-
-    Lets engine construction honor a ``transform.vectorize`` step
-    *before* compiling (the mode is part of the kernel cache key).
-    Last step wins, matching the interpreter's apply order.
-    """
-    mode = None
-    for step in _schedule_sequence(schedule).steps():
-        if isinstance(step, VectorizeOp):
-            mode = step.mode
-    return mode
-
-
 # ----------------------------------------------------------------------
 # Steps are passes
 # ----------------------------------------------------------------------
@@ -176,7 +140,7 @@ def schedule_vectorize(schedule) -> Optional[str]:
 #: the function pass the step runs, built from the step op's
 #: attributes.  The mnemonic is the stage name in ``ScheduleResult.stages``;
 #: the pass's name and ``cache_config`` key its pass-cache entries.
-#: ``match``, ``vectorize`` and ``raise`` name no function pass.
+#: ``match`` names no function pass.
 STEP_PASSES = {
     "transform.fuse": lambda step: LoopFusionPass(
         step.flow, veto=would_lose_collapse
@@ -201,13 +165,13 @@ def apply_schedule(
     """Apply ``schedule`` (a schedule module or sequence) to ``payload``
     and return the populated :class:`ScheduleResult`.
 
-    The steps become one ``PassManager`` pipeline: ``transform.match``
-    a :class:`~repro.ir.pass_manager.FunctionFilter` with the
-    optimizer's soundness gate, each rewriting step its
-    :data:`STEP_PASSES` pass, ``transform.raise`` a module pass running
-    its tiers.  ``pass_cache`` memoizes each pass per function, so
-    schedule search re-applying dozens of candidates to one payload
-    pays for the shared prefix exactly once.
+    The steps become one ``PassManager`` pipeline: the leading
+    ``transform.match`` (the only one) a
+    :class:`~repro.ir.pass_manager.FunctionFilter` with the optimizer's
+    soundness gate, each later step its :data:`STEP_PASSES` pass.
+    ``pass_cache`` memoizes each pass per function, so schedule search
+    re-applying dozens of candidates to one payload pays for the shared
+    prefix exactly once.
 
     Without ``keyed`` the payload is rewritten in place.  With a
     :class:`~repro.ir.pass_manager.KeyedSearch` it is left alone; see
@@ -215,62 +179,33 @@ def apply_schedule(
     """
     result = ScheduleResult()
     pm = PassManager(_CONTEXT, verify_each=False, pass_cache=pass_cache)
-    #: (stage name, None for a match; the pass whose counts it adds).
-    stages = []
-    tiers = None
-    for step in _schedule_sequence(schedule).steps():
+    steps = _schedule_sequence(schedule).steps()
+    for index, step in enumerate(steps):
         name = step.name
         if name == "transform.match":
-            pass_ = FunctionFilter(_function_is_optimizable, step.target)
-            pm.add(pass_)
-            stages.append((None, pass_))
-            continue
-        if not pm.passes:
+            if index:
+                raise ScheduleError(
+                    "transform.match must be a schedule's first step only"
+                )
+            pm.add(FunctionFilter(_function_is_optimizable))
+        elif not index:
             raise ScheduleError(
                 f"{name} before any transform.match — nothing to transform"
             )
-        if name == "transform.vectorize":
-            result.vectorize = step.mode
-            stages.append((name, None))
-            continue
-        if name == "transform.raise":
-            tiers = _raise_tiers(step.mode)
-            pass_ = LambdaPass(
-                name, lambda module, _, tiers=tiers: tiers.run(module)
-            )
         elif name in STEP_PASSES:
-            pass_ = STEP_PASSES[name](step)
+            pm.add(STEP_PASSES[name](step))
         else:
             raise ScheduleError(f"unknown schedule step {name}")
-        pm.add(pass_)
-        stages.append((name, pass_))
-    pm.run(payload, keyed=keyed, tag=result.vectorize)
+    pm.run(payload, keyed=keyed)
 
-    for name, pass_ in stages:
-        counted = getattr(pass_, "counters", {})
+    for index, (step, pass_) in enumerate(zip(steps, pm.passes)):
+        counted = pass_.counters
         add(result.counters, counted)
-        if name is not None:
+        if index:
             moved = {c: counted[c] for c in STEP_COUNTERS if c in counted}
-            result.stages.append({"stage": name, **moved})
-    if tiers is not None:
-        result.raise_stats = merge_pass_stats(tiers.passes).callsites
+            result.stages.append({"stage": step.name, **moved})
     result.outcome, result.payload = pm.outcome, pm.payload
     return result
-
-
-def _raise_tiers(mode: str) -> PassManager:
-    """The pipeline of the passes ``mode``'s tiers name."""
-    from ..tool import build_pipeline
-
-    pass_names = []
-    for tier in mode.split("+"):
-        if tier not in RAISE_TIERS:
-            raise ScheduleError(
-                f"transform.raise: unknown tier {tier!r}; known: "
-                f"{', '.join(RAISE_TIERS)}"
-            )
-        pass_names.append(RAISE_TIERS[tier])
-    return build_pipeline(pass_names)
 
 
 # ----------------------------------------------------------------------
@@ -278,12 +213,12 @@ def _raise_tiers(mode: str) -> PassManager:
 # ----------------------------------------------------------------------
 
 
-def _schedule(steps, target: Optional[str] = None) -> ModuleOp:
-    """A schedule module: ``transform.match`` (of ``target``), then one
-    step per ``steps`` entry, each ``make(handle) -> op``."""
+def _schedule(steps) -> ModuleOp:
+    """A schedule module: ``transform.match``, then one step per
+    ``steps`` entry, each ``make(handle) -> op``."""
     module = ModuleOp.create()
     sequence = module.body.append(SequenceOp.create())
-    handle = sequence.append_step(MatchOp.create(target)).results[0]
+    handle = sequence.append_step(MatchOp.create()).results[0]
     for make in steps:
         handle = sequence.append_step(make(handle)).results[0]
     return module
@@ -334,8 +269,7 @@ def schedule_from_params(params: Dict) -> ModuleOp:
 
     Recognized keys (all optional): ``fuse`` (bool), ``order``
     (``"fuse-first"`` | ``"distribute-first"``), ``tile`` (int, 0 =
-    untiled), ``unroll_jam`` (int, 0 = off), ``vectorize`` (codegen
-    mode), ``target`` (function name).
+    untiled), ``unroll_jam`` (int, 0 = off).
     """
     order = params.get("order", "fuse-first")
     if order not in ("fuse-first", "distribute-first"):
@@ -350,16 +284,10 @@ def schedule_from_params(params: Dict) -> ModuleOp:
     factor = int(params.get("unroll_jam", 0))
     if factor:
         steps.append(partial(UnrollJamOp.create, factor=factor))
-    vectorize = params.get("vectorize")
-    if vectorize is not None:
-        steps.append(partial(VectorizeOp.create, mode=vectorize))
-    return _schedule(steps, params.get("target"))
+    return _schedule(steps)
 
 
-#: Step menu for :func:`random_schedule`.  ``vectorize`` and ``raise``
-#: are deliberately absent: the fuzz oracle compares *interpreted*
-#: payload outputs, where a vectorize annotation is inert and raising
-#: is exercised by its own oracle stage.
+#: Attribute menus for :func:`random_schedule`.
 _RANDOM_TILE_SIZES = (2, 4, 8, 16, 32, 64)
 _RANDOM_FACTORS = (2, 3, 4)
 

@@ -8,7 +8,7 @@ memos share (``docs/execution.md``, "Cache layout and keys"):
   ``kernels/ modules/ passes/ schedules/`` under one root (or, with no
   root, the in-memory tiers alone);
 * the **key format** — every key is one :func:`digest` of a namespace
-  tag, the version constants of the code that produced the payload, a
+  tag, the :data:`CODE_DIGEST` of the code that produced the payload, a
   content fingerprint and, for ``modules/`` and ``kernels/``, the whole
   frozen :class:`CompileConfig`;
 * the **ladder** — :func:`compile_unit`: source → printed module text
@@ -16,7 +16,7 @@ memos share (``docs/execution.md``, "Cache layout and keys"):
   by its cache when it can be.
 
 Nothing else under ``src/`` joins a namespace name onto a path, reads
-or writes a text artifact, or knows a version constant.
+or writes a text artifact, or knows what identifies the code.
 The cache classes wired here import :class:`LruMemo` and the key
 functions from this module, so it imports them only inside functions.
 """
@@ -34,46 +34,44 @@ from typing import Callable, NamedTuple, Optional, Tuple
 #: Sub-directories of a cache root, one per artifact family.
 NAMESPACES = ("kernels", "modules", "passes", "schedules")
 
-#: Folded into every ``passes/``, ``modules/`` and ``kernels/`` key:
-#: bump whenever any pass's semantics change in a way its
-#: ``cache_config()`` does not capture (v6 -> v7: canonicalize folds
-#: ``std.maxf`` of a NaN constant to NaN), or what an entry's ``meta``
-#: carries (v7 -> v8: raising passes store their counts, which a v7
-#: entry would replay as zero), or what a tactic of one name rewrites
-#: to (v8 -> v9: ``-raise-affine-to-linalg`` keys on tactic names, and
-#: the TTGT tactics now raise with the plan of fewest transposing
-#: copies, which a v8 entry would replay as the old plan), or what a
-#: lowering pass emits (v9 -> v10: ``convert-linalg-to-affine-loops``
-#: leaves reshapes alone and ``convert-scf-to-llvm`` lowers them as
-#: views or flat copies, so a v9 entry would replay a copy loop nest;
-#: and ``convert-blas-to-llvm`` keeps each op's attributes on its call),
-#: or which nests a raising pass rewrites (v10 -> v11: a TDL tactic no
-#: longer raises a band that covers only part of its tensors, which a
-#: v10 entry would replay as the whole-tensor op), or what a contraction
-#: raises to (v11 -> v12: one ``linalg.generic``, the TTGT layout being
-#: ``-linalg-contraction-ttgt``'s, which a v11 entry would replay as the
-#: TTGT ops).
-PASS_CACHE_VERSION = "pass-cache-v12"
+def code_digest(package_dir: str) -> str:
+    """SHA-256 over the sorted relative paths and bytes of every ``.py``
+    file under ``package_dir``: the identity of the code that produced
+    an artifact."""
+    files = []
+    for folder, dirs, names in os.walk(package_dir):
+        dirs[:] = [d for d in dirs if d != "__pycache__"]
+        for name in names:
+            if name.endswith(".py"):
+                path = os.path.join(folder, name)
+                files.append((os.path.relpath(path, package_dir), path))
+    sha = hashlib.sha256()
+    for rel, path in sorted(files):
+        with open(path, "rb") as handle:
+            data = handle.read()
+        sha.update(f"{rel}\x00{len(data)}\x00".encode("utf-8"))
+        sha.update(data)
+    return sha.hexdigest()
 
-#: Codegen schema version, folded into every ``kernels/`` key.  Bump on
-#: any change to generated-source semantics (vectorizer strategy,
-#: emitter output, runtime helper contracts) so persistent disk caches
-#: written by an older code generator are never re-served.  Engine keys
-#: hash the *pre*-optimizer module text, so a wrong-code fix in an
-#: optimizer stage bumps it too (4 -> 5: fusion's ``conflict-carried``),
-#: and so does a change in what a stage emits (5 -> 6: fusion's
-#: ``would-lose-collapse``, window loads, lazy canonical views), and so
-#: does the buffer plan (6 -> 7: view/fresh allocs, see
-#: :mod:`repro.analysis.buffers`), and so does an op's scalar
-#: spelling (7 -> 8: ``std.maxf`` propagates NaN), and so does where a
-#: contraction is planned (8 -> 9: codegen emits the ``@``/tensordot/
-#: einsum call itself and reductions accumulate in place).
-CODEGEN_VERSION = 9
 
-#: Folded into every ``schedules/`` key: bump when the schedule space
-#: or the record layout changes so stale tunings never replay.
-SCHEDULE_CACHE_VERSION = "schedules-v2"
+def _code_digest() -> str:
+    """``CODE_DIGEST``: the :func:`code_digest` of the ``repro`` package,
+    folded into every key, so any edit to the package, even to a
+    comment, orphans every artifact an older tree wrote, and no cache
+    can replay what a changed pass, code generator or schedule space
+    would no longer produce.  Computed on first use, once per process:
+    importing this module reads no file."""
+    value = globals().get("CODE_DIGEST")
+    if value is None:
+        value = code_digest(os.path.dirname(os.path.abspath(__file__)))
+        globals()["CODE_DIGEST"] = value
+    return value
 
+
+def __getattr__(name: str):
+    if name == "CODE_DIGEST":
+        return _code_digest()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def digest(*parts: str) -> str:
@@ -93,14 +91,12 @@ def text_fingerprint(text: str) -> str:
 
 def pass_key(driver: str, func_fp: str, pass_name: str, config: str) -> str:
     """``passes/`` key of one transform applied to one function."""
-    return digest(
-        "pass", PASS_CACHE_VERSION, driver, func_fp, pass_name, config
-    )
+    return digest("pass", _code_digest(), driver, func_fp, pass_name, config)
 
 
 def schedule_key(payload_fp: str) -> str:
     """``schedules/`` key of the best schedule found for a payload."""
-    return digest("schedule", SCHEDULE_CACHE_VERSION, payload_fp)
+    return digest("schedule", _code_digest(), payload_fp)
 
 
 @dataclass(frozen=True)
@@ -134,17 +130,12 @@ class CompileConfig:
 
     def module_key(self, source: str) -> str:
         """``modules/`` key of the text this config prints for ``source``."""
-        return digest("module", PASS_CACHE_VERSION, repr(self), source)
+        return digest("module", _code_digest(), repr(self), source)
 
     def kernel_key(self, text_fp: str) -> str:
         """``kernels/`` key of the kernel compiled from the module text
-        with fingerprint ``text_fp``.  Passes run on the way to a kernel
-        too (``schedule``), so both versions fold in: an upgrade of
-        either never re-serves an older kernel."""
-        return digest(
-            "kernel", PASS_CACHE_VERSION, str(CODEGEN_VERSION),
-            repr(self), text_fp,
-        )
+        with fingerprint ``text_fp``."""
+        return digest("kernel", _code_digest(), repr(self), text_fp)
 
 
 

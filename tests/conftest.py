@@ -52,11 +52,23 @@ from repro.ir import (
     FuncOp,
     InsertionPoint,
     ModuleOp,
+    Pass,
     ReturnOp,
     f32,
     memref,
     verify,
 )
+
+
+class LambdaPass(Pass):
+    """Wraps a plain callable as a module pass."""
+
+    def __init__(self, name, fn):
+        self.name = name
+        self._fn = fn
+
+    def run(self, module, context):
+        self._fn(module, context)
 
 
 @pytest.fixture

@@ -590,7 +590,9 @@ class TestFingerprintMemo:
         assert len(calls) == 2
 
     def test_pass_manager_bumps_version(self):
-        from repro.ir import Context, LambdaPass, PassManager
+        from repro.ir import Context, PassManager
+
+        from ..conftest import LambdaPass
 
         module = compile_c(GEMM)
         pm = PassManager(Context())

@@ -1,11 +1,10 @@
-"""``CompileConfig.kernel_key`` — the one place ``CODEGEN_VERSION``
-enters a key.
+"""``CompileConfig.kernel_key`` — the one place the code's digest
+enters a ``kernels/`` key.
 
 Every producer of ``kernels/`` artifacts (the engine, the serving tier,
-``mlt-opt`` batch mode) must miss, by key, a
-directory filled by an older code generator; the version-independent
-tiers above it (``modules/``) may keep hitting.  The structural guard
-that only ``repro/store.py`` builds keys lives in ``tests/test_store.py``.
+``mlt-opt`` batch mode) must miss, by key, a directory filled by older
+code.  The structural guard that only ``repro/store.py`` builds keys
+lives in ``tests/test_store.py``.
 """
 
 import os
@@ -81,10 +80,8 @@ def test_stale_codegen_kernels_are_never_reserved(
     root = str(tmp_path)
     assert produce(root) == 1  # fill
     assert produce(root) == 0  # a new process re-serves the artifact...
-    monkeypatch.setattr(
-        "repro.store.CODEGEN_VERSION", 999_999
-    )
-    assert produce(root) == 1  # ...until the code generator changes
+    monkeypatch.setattr("repro.store.CODE_DIGEST", "0" * 64)
+    assert produce(root) == 1  # ...until the code changes
 
 
 def test_kernel_key_folds_the_version_and_the_tag(monkeypatch):
@@ -92,7 +89,5 @@ def test_kernel_key_folds_the_version_and_the_tag(monkeypatch):
     assert base == CompileConfig(label="tag").kernel_key("fp")
     assert base != CompileConfig(label="other").kernel_key("fp")
     assert base != CompileConfig(label="tag").kernel_key("fp2")
-    monkeypatch.setattr(
-        "repro.store.CODEGEN_VERSION", 999_999
-    )
+    monkeypatch.setattr("repro.store.CODE_DIGEST", "0" * 64)
     assert base != CompileConfig(label="tag").kernel_key("fp")

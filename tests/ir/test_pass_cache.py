@@ -792,9 +792,8 @@ class TestScheduleStepCached:
         assert warm.snapshot() == cold.snapshot()
         assert warm.counters["fusion_bails"]  # replayed from the entry
         assert module.functions == funcs  # clean results: no splice
-        assert warm.outcome == cold.outcome == (
-            None,
-            tuple(fingerprint_function(f) for f in funcs),
+        assert warm.outcome == cold.outcome == tuple(
+            fingerprint_function(f) for f in funcs
         )
 
     def test_keyed_search_fingerprints_each_function_once(

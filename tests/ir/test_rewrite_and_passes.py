@@ -7,7 +7,6 @@ from repro.ir import (
     Context,
     FuncOp,
     IRError,
-    LambdaPass,
     ModuleOp,
     Operation,
     Pass,
@@ -19,7 +18,7 @@ from repro.ir import (
     f32,
 )
 
-from ..conftest import build_gemm_module
+from ..conftest import LambdaPass, build_gemm_module
 
 
 class _FoldAddOfConstants(RewritePattern):

@@ -11,7 +11,6 @@ from repro.ir import (
     FuncOp,
     FunctionPass,
     IRError,
-    LambdaPass,
     ModuleOp,
     PassManager,
     PatternRewriter,
@@ -28,7 +27,7 @@ from repro.ir import (
     set_default_driver,
 )
 
-from ..conftest import build_gemm_module
+from ..conftest import LambdaPass, build_gemm_module
 
 
 def _module_with_funcs(*names):

@@ -146,27 +146,33 @@ class TestBailTaxonomy:
         assert result == reason
 
     def test_no_candidate(self):
-        # A[5] read at i+1 never matches the band extent 4, so the
-        # enumerator has nothing to propose.
-        source = (
+        for source in (
+            # A[5] read at i+1 never matches the band extent 4.
             "void kernel(float A[5], float B[4]) {"
-            " for (int i = 0; i < 4; i++) B[i] = A[i+1]; }"
-        )
-        pass_ = SynthRaisingPass()
-        outcome = synthesize_nest(outer_loop(source), pass_.count)
-        assert outcome == "no-candidate"
-        stats = pass_.stats.snapshot()["synth"]
-        assert stats["bail_reasons"] == {"no-candidate": 1}
-
-    def test_validation_failed(self):
-        # Shape-plausible candidates exist (B is square) but none match
-        # the offset access, so the oracle rejects them all.
-        source = (
+            " for (int i = 0; i < 4; i++) B[i] = A[i+1]; }",
+            # Only B x B fits the shapes, but the product reads A and B:
+            # a pair that reads one array twice is never proposed.
             "void kernel(float A[4][3], float B[3][3], float C[3][3]) {"
             " for (int i = 0; i < 3; i++)"
             " for (int j = 0; j < 3; j++)"
             " for (int k = 0; k < 3; k++)"
-            " C[i][j] += A[i+1][k] * B[k][j]; }"
+            " C[i][j] += A[i+1][k] * B[k][j]; }",
+        ):
+            pass_ = SynthRaisingPass()
+            outcome = synthesize_nest(outer_loop(source), pass_.count)
+            assert outcome == "no-candidate"
+            stats = pass_.stats.snapshot()["synth"]
+            assert stats["bail_reasons"] == {"no-candidate": 1}
+
+    def test_validation_failed(self):
+        # Candidates over A and B exist, but none reads A's reversed
+        # subscript, so the oracle rejects them all.
+        source = (
+            "void kernel(float A[3][3], float B[3][3], float C[3][3]) {"
+            " for (int i = 0; i < 3; i++)"
+            " for (int j = 0; j < 3; j++)"
+            " for (int k = 0; k < 3; k++)"
+            " C[i][j] += A[i][2-k] * B[k][j]; }"
         )
         pass_ = SynthRaisingPass()
         outcome = synthesize_nest(outer_loop(source), pass_.count)

@@ -43,8 +43,18 @@ SYNTH_FAMILIES = [
 ]
 
 
-def _gemm_summary():
-    module = compile_c(GEMM, distribute=False)
+#: Every extent equal: a wrongly indexed operand is shape-plausible.
+SQUARE_GEMM = (
+    GEMM.replace("A[3][4]", "A[4][4]")
+    .replace("B[4][5]", "B[4][4]")
+    .replace("C[3][5]", "C[4][4]")
+    .replace("< 3", "< 4")
+    .replace("< 5", "< 4")
+)
+
+
+def _gemm_summary(source=GEMM):
+    module = compile_c(source, distribute=False)
     func = module.lookup("kernel")
     root = next(op for op in func.walk() if isinstance(op, AffineForOp))
     summary = summarize_nest(root)
@@ -95,9 +105,9 @@ class TestChecker:
 
     def test_wrong_contraction_maps_are_rejected(self):
         # Every enumerated candidate the checker accepts must agree
-        # with the nest; for plain gemm the transposed-A contraction
+        # with the nest; for square gemm the transposed-A contraction
         # (A indexed (k, i)) must be among the rejected ones.
-        summary = _gemm_summary()
+        summary = _gemm_summary(SQUARE_GEMM)
         candidates, _ = enumerate_candidates(summary)
         checker = EquivalenceChecker(summary)
         verdicts = [(c, checker.check(c)) for c in candidates]

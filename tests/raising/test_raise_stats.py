@@ -173,7 +173,7 @@ class TestWarmPassCache:
         assert cache.stats.executions == 1 and cache.stats.hits == 1
         if pass_type is SynthRaisingPass:
             assert cold["synth"]["nests_raised"] == 1
-            assert cold["synth"]["trials_run"] == 11
+            assert cold["synth"]["trials_run"] == 10
         else:
             assert cold["tdl"]["GEMM"]["matched"] == 1
         assert warm == cold

@@ -1,6 +1,6 @@
 """The synthesis tier end to end: raising tiers compose as passes (in
-the pass list, on the CLI, in a ``transform.raise`` step), and raised
-ops reach the engine's contraction fast path."""
+the pass list and on the CLI, never as a schedule step), and raised ops
+reach the engine's contraction fast path."""
 
 import json
 from collections import Counter
@@ -11,11 +11,9 @@ import pytest
 from benchmarks.bench_raise import NEAR_MISS_KERNELS
 from repro.dialects.affine import AffineForOp
 from repro.evaluation import get_kernel
-from repro.ir import print_module
-from repro.ir.parser import parse_module
+from repro.ir.parser import ParseError, parse_module
 from repro.met import compile_c
 from repro.raising import RaiseStats, SynthRaisingPass, raise_with_synthesis
-from repro.scheduling.interpreter import ScheduleError, apply_schedule
 from repro.tactics.raising import (
     RaiseAffineToAffinePass,
     RaiseAffineToLinalgPass,
@@ -47,17 +45,7 @@ def _linalg_ops(module):
     return [op.name for op in module.walk() if op.name.startswith("linalg.")]
 
 
-#: One function the TDL tier raises, one only the fallback tier does.
-GEMM_AND_TRANSPOSED = GEMM.replace("kernel", "gemm") + TRANSPOSED
-
 TIERS = ["-raise-affine-to-linalg", "-raise-affine-synth"]
-
-
-def _raise_schedule(mode):
-    return parse_module(
-        "module {\n  transform.sequence {\n    %0 = transform.match\n"
-        f'    %1 = transform.raise %0 {{mode = "{mode}"}}\n  }}\n}}\n'
-    )
 
 
 class TestRaiseModes:
@@ -108,21 +96,16 @@ class TestRaiseModes:
         assert stats.snapshot()["synth"]["nests_raised"] == 1
 
     def test_unknown_mode_rejected(self):
-        # The only place a tier set is still *named* is the schedule
-        # text format; an unknown tier is a schedule error.
-        with pytest.raises(ScheduleError, match="unknown tier 'magic'"):
-            apply_schedule(_raise_schedule("tdl+magic"), compile_c(GEMM))
-
-    def test_transform_raise_step_runs_the_tiers_it_names(self):
-        payload = compile_c(GEMM_AND_TRANSPOSED)
-        result = apply_schedule(_raise_schedule("tdl"), payload)
-        assert result.raise_stats == {"GEMM": 1} and len(_loops(payload)) == 3
-        # The synth tier alone, on what is left; then both at once.
-        result = apply_schedule(_raise_schedule("synth"), payload)
-        assert result.raise_stats == {} and not _loops(payload)
-        both = compile_c(GEMM_AND_TRANSPOSED)
-        apply_schedule(_raise_schedule("tdl+synth"), both)
-        assert print_module(both) == print_module(payload)
+        # A tier is named only as a pass: the schedule language has no
+        # raise step, so a schedule naming one does not parse.
+        with pytest.raises(
+            ParseError, match="unknown operation 'transform.raise'"
+        ):
+            parse_module(
+                "module {\n  transform.sequence {\n"
+                "    %0 = transform.match\n"
+                '    %1 = transform.raise %0 {mode = "tdl"}\n  }\n}\n'
+            )
 
     def test_pass_exposes_raise_stats(self):
         # One stats class, one accessor, on every raising pass.

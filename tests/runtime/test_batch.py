@@ -139,10 +139,8 @@ class TestBatch:
         assert base != key("text", ["-a"], "snapshot")
         assert base != key("other", ["-a"], "worklist")
         assert base == key("text", ["-a"], "worklist")
-        # A pass-semantics bump orphans modules/ along with passes/.
-        monkeypatch.setattr(
-            "repro.store.PASS_CACHE_VERSION", "pass-cache-next"
-        )
+        # A code change orphans modules/ along with passes/.
+        monkeypatch.setattr("repro.store.CODE_DIGEST", "0" * 64)
         assert base != key("text", ["-a"], "worklist")
 
     def test_batch_result_is_picklable(self):

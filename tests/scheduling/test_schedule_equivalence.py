@@ -17,12 +17,13 @@ from repro.dialects.transform import STEP_OPS, find_sequences
 from repro.evaluation import get_kernel
 from repro.evaluation.pipelines import build_module
 from repro.execution import Interpreter
-from repro.execution.engine.optimizer import run_optimizer
+from repro.execution.engine.optimizer import OPT_MODES, run_optimizer
 from repro.fuzzing.oracle import make_args, module_arg_shapes
 from repro.ir import PassResultCache
 from repro.ir.parser import parse_module
 from repro.ir.printer import print_module
 from repro.scheduling import (
+    ScheduleError,
     apply_schedule,
     canned_schedule,
     random_schedule,
@@ -54,29 +55,42 @@ module {
     %6 = transform.tile %5 {size = 8}
     %7 = transform.tile %6 {sizes = [8, 16]}
     %8 = transform.unroll_jam %7 {factor = 2}
-    %9 = transform.vectorize %8 {mode = "nest"}
-    %10 = transform.raise %9 {mode = "tdl"}
   }
 }
 """
+
+
+def _emitted_steps():
+    """Every step mnemonic some schedule producer emits: the canned
+    schedule of each opt mode, the tuner's whole space, and the fuzz
+    oracle's random schedules over fixed seeds."""
+    schedules = [canned_schedule(mode) for mode in OPT_MODES]
+    schedules += [schedule_from_params(p) for p in enumerate_space()]
+    schedules += [random_schedule(random.Random(n)) for n in range(64)]
+    return {
+        step.name
+        for schedule in schedules
+        for step in find_sequences(schedule)[0].steps()
+    }
+
+
+EMITTED = _emitted_steps()
 
 
 @pytest.mark.parametrize("mnemonic", sorted(STEP_OPS))
 def test_every_step_op_has_a_table_row(mnemonic):
     # A step op added to the dialect without a row would fall through
     # to "unknown schedule step" at apply time; catch it here instead.
+    # And one no producer emits is dead language: it goes.
+    assert mnemonic in EMITTED
     steps = [
         step
         for step in find_sequences(parse_module(EVERY_STEP))[0].steps()
         if step.name == mnemonic
     ]
     assert steps
-    if mnemonic in (
-        "transform.match",
-        "transform.vectorize",
-        "transform.raise",
-    ):
-        # Rewrite no function; apply_schedule handles them by name.
+    if mnemonic == "transform.match":
+        # Rewrites no function: apply_schedule makes it the filter.
         assert mnemonic not in STEP_PASSES
         return
     passes = [STEP_PASSES[mnemonic](step) for step in steps]
@@ -141,7 +155,6 @@ def test_unroll_jam_schedule_preserves_semantics(kernel):
                 "order": "fuse-first",
                 "tile": 0,
                 "unroll_jam": 2,
-                "vectorize": "none",
             }
         ),
         scheduled,
@@ -212,6 +225,12 @@ def test_keyed_application_builds_what_in_place_application_builds():
 def test_outcome_needs_a_pass_cache_and_function_local_steps():
     payload = _payload("gemm")
     assert apply_schedule(canned_schedule("full"), payload).outcome is None
+    cached = apply_schedule(
+        canned_schedule("full"), _payload("gemm"), PassResultCache()
+    )
+    assert cached.outcome is not None
+    # Every step is a function pass over what the one match selected;
+    # a second match is not a schedule.
     two_matches = parse_module(
         "module {\n  transform.sequence {\n"
         "    %0 = transform.match\n"
@@ -219,8 +238,8 @@ def test_outcome_needs_a_pass_cache_and_function_local_steps():
         "    %2 = transform.match\n"
         "  }\n}\n"
     )
-    result = apply_schedule(two_matches, _payload("gemm"), PassResultCache())
-    assert result.outcome is None and result.payload is not None
+    with pytest.raises(ScheduleError, match="first step"):
+        apply_schedule(two_matches, _payload("gemm"), PassResultCache())
 
 
 def test_schedule_result_reports_stats():
@@ -228,13 +247,7 @@ def test_schedule_result_reports_stats():
     result = apply_schedule(canned_schedule("full"), payload)
     snap = result.snapshot()
     assert snap["functions_seen"] >= 1
-    # canned schedules carry no vectorize step (codegen mode is the
-    # engine's knob); param schedules do.
-    assert result.vectorize is None
-    assert result.stages
-
-    payload = _payload("gemm")
-    result = apply_schedule(
-        schedule_from_params({"fuse": True, "vectorize": "nest"}), payload
-    )
-    assert result.vectorize == "nest"
+    assert [stage["stage"] for stage in result.stages] == [
+        step.name
+        for step in find_sequences(canned_schedule("full"))[0].steps()[1:]
+    ]

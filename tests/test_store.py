@@ -20,11 +20,15 @@ import pytest
 import repro
 from repro.execution.engine.disk_cache import ARTIFACT_SUFFIX
 from repro.store import (
+    CODE_DIGEST,
     NAMESPACES,
     ArtifactStore,
     CompileConfig,
     LruMemo,
+    code_digest,
     compile_unit,
+    pass_key,
+    schedule_key,
 )
 
 GEMM = """
@@ -70,10 +74,39 @@ def test_keys_separate_namespaces_sources_and_versions(monkeypatch):
     config = CompileConfig(label="l")
     assert config.module_key("a") != config.module_key("b")
     assert config.module_key("a") != config.kernel_key("a")
-    before = config.module_key("a"), config.kernel_key("a")
-    monkeypatch.setattr("repro.store.PASS_CACHE_VERSION", "pass-cache-next")
-    after = config.module_key("a"), config.kernel_key("a")
-    assert before[0] != after[0] and before[1] != after[1]
+
+    def keys():
+        return (
+            config.module_key("a"),
+            config.kernel_key("a"),
+            pass_key("worklist", "fp", "canonicalize", ""),
+            schedule_key("fp"),
+        )
+
+    before = keys()
+    monkeypatch.setattr("repro.store.CODE_DIGEST", "0" * 64)
+    after = keys()
+    # Every namespace misses once the code changes.
+    assert all(old != new for old, new in zip(before, after))
+
+
+def test_code_digest_names_every_source_file(tmp_path):
+    package = tmp_path / "pkg"
+    (package / "sub").mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\n")
+    (package / "sub" / "b.py").write_text("y = 2\n")
+    (package / "notes.txt").write_text("not code")
+    first = code_digest(str(package))
+    assert first == code_digest(str(package))
+    (package / "notes.txt").write_text("still not code")
+    assert code_digest(str(package)) == first
+    (package / "sub" / "b.py").write_text("y = 2  # a comment\n")
+    edited = code_digest(str(package))
+    assert edited != first
+    # A file's path is part of its identity, not only its bytes.
+    (package / "sub" / "b.py").rename(package / "b2.py")
+    assert code_digest(str(package)) not in (first, edited)
+    assert CODE_DIGEST == code_digest(os.path.dirname(repro.__file__))
 
 
 _SRC = os.path.dirname(repro.__file__)
