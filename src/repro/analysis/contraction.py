@@ -1,32 +1,103 @@
-"""The one reader of a structured contraction: which loops each operand
-of a ``linalg.generic`` is indexed by, which loops are summed, and
-whether the body accumulates ``a * b`` into the output.
+"""The one reader of a tensor contraction: which labels each operand
+holds, in what order, and which are summed or free.
 
-Code generation (the ``@``/``tensordot``/``einsum`` call of a generic),
-the interpreter (one ``np.einsum`` instead of scalar loops) and the
-TTGT layout pass (``transforms/ttgt.py``) all read a generic through
-:func:`generic_contraction_spec`, so they agree on which generics are
-contractions.
+A :class:`Contraction` is the paper's ``out-A-B`` convention (§III-A),
+one label string per operand, output first, read from ``out-A-B`` text
+or from loop positions (:func:`loop_labels`), as
+:func:`generic_contraction_spec` finds them in a ``linalg.generic``'s
+indexing maps and the vectorizer in a collapsed band's accesses.  The
+TTGT planner and pass, code generation, the vectorizer and the
+interpreter all read this value, so they agree on which generics are
+contractions and which of them flatten to one GEMM.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional
+from typing import Iterable, List, NamedTuple, Optional
 
 from ..ir.affine_expr import AffineExprKind
 
-#: Axis labels of a contraction spec, one per loop (here, in codegen
-#: and in the vectorizer); deeper nests are no contraction.
+#: Axis labels, one per loop; deeper nests are no contraction.
 CONTRACTION_LABELS = "abcdefghijklmnopqrstuvwxyz"
+
+#: Why a contraction has no TTGT plan, first reason first.
+TTGT_REFUSALS = {
+    "repeated-index": "repeated index within a tensor",
+    "no-contracted-index": "no contracted index",
+    "no-free-index": "an operand has no free index",
+    "batch-index": "output indices are not the union of free indices",
+    "one-sided-index": "an operand has an index that is neither free "
+    "nor contracted",
+}
+
+
+def loop_labels(loops: Iterable[int]) -> str:
+    """The labels of loop positions ``loops``, in their order."""
+    return "".join(CONTRACTION_LABELS[d] for d in loops)
+
+
+class Contraction(NamedTuple):
+    """``out += A * B`` summed over the labels the output lacks.
+
+    ``summed`` lists those labels in A's order; ``a_free``/``b_free``
+    list the labels of A/B the output keeps, in that operand's order."""
+
+    out: str
+    a: str
+    b: str
+
+    @classmethod
+    def parse(cls, spec: str) -> "Contraction":
+        """Read ``out-A-B`` text such as ``abc-acd-db``."""
+        parts = spec.split("-")
+        if len(parts) != 3:
+            raise ValueError(f"bad contraction spec {spec!r} (want out-A-B)")
+        return cls(*parts)
+
+    @property
+    def spec(self) -> str:
+        """The ``out-A-B`` text."""
+        return "-".join(self)
+
+    @property
+    def einsum(self) -> str:
+        return f"{self.a},{self.b}->{self.out}"
+
+    @property
+    def summed(self) -> str:
+        return "".join(v for v in self.a if v in self.b and v not in self.out)
+
+    @property
+    def a_free(self) -> str:
+        return "".join(v for v in self.a if v in self.out)
+
+    @property
+    def b_free(self) -> str:
+        return "".join(v for v in self.b if v in self.out)
+
+    def refusal(self, free_needed: bool = True) -> Optional[str]:
+        """The first :data:`TTGT_REFUSALS` key that keeps this
+        contraction from being one GEMM (rows: A's free labels, columns:
+        B's, inner: the summed ones), or ``None``.  ``free_needed=False``
+        skips ``no-free-index``: a ``@``/``tensordot`` call takes an
+        operand without a free label (a dot product), a GEMM does not."""
+        a, b, k, m, n = self.a, self.b, self.summed, self.a_free, self.b_free
+        failed = {
+            "repeated-index": len(set(a)) < len(a) or len(set(b)) < len(b),
+            "no-contracted-index": not k,
+            "no-free-index": free_needed and (not m or not n),
+            "batch-index": sorted(m + n) != sorted(self.out),
+            "one-sided-index": set(a + b) != set(m + n + k),
+        }
+        return next((key for key in TTGT_REFUSALS if failed[key]), None)
 
 
 class GenericContraction(NamedTuple):
     """A two-input multiply-accumulate ``linalg.generic`` read as a
     tensor contraction."""
 
-    #: einsum subscript: one label per loop (``CONTRACTION_LABELS[d]``
-    #: for loop ``d``), output labels in the output map's order.
-    spec: str
+    #: Loop ``d`` is labelled ``CONTRACTION_LABELS[d]``.
+    contraction: Contraction
     #: The body is ``acc - a * b``.
     subtract: bool
     #: The output map is all-constant-0 (a scalar accumulator such as
@@ -116,12 +187,5 @@ def generic_contraction_spec(op) -> Optional[GenericContraction]:
     for value, dims in zip(op.operands, (a_dims, b_dims, out_dims)):
         if dims and list(value.type.shape) != [extents[d] for d in dims]:
             return None
-    label = CONTRACTION_LABELS.__getitem__
-    spec = (
-        "".join(label(d) for d in a_dims)
-        + ","
-        + "".join(label(d) for d in b_dims)
-        + "->"
-        + "".join(label(d) for d in out_dims)
-    )
-    return GenericContraction(spec, subtract, scalar_out)
+    contraction = Contraction(*map(loop_labels, (out_dims, a_dims, b_dims)))
+    return GenericContraction(contraction, subtract, scalar_out)

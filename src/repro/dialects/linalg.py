@@ -387,12 +387,17 @@ class GenericOp(LinalgStructuredOp):
         b: Value,
         output: Value,
         indexing_maps: Sequence[AffineMap],
-        iterator_types: Sequence[str],
         subtract: bool = False,
     ) -> "GenericOp":
         """A multiply-accumulate generic, ``out = out + a * b`` (``out -
         a * b`` with ``subtract``): the body every raiser gives a tensor
-        contraction."""
+        contraction.  A loop is parallel iff the output map indexes it."""
+        out_map = indexing_maps[-1]
+        free = set().union(*(e.dims_used() for e in out_map.results))
+        iterator_types = [
+            "parallel" if d in free else "reduction"
+            for d in range(out_map.num_dims)
+        ]
         op = GenericOp.create([a, b], [output], indexing_maps, iterator_types)
         block = op.body
         x, y, acc = block.arguments

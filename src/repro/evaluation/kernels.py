@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from ..tactics.contraction import PAPER_CONTRACTIONS, parse_contraction_spec
+from ..analysis.contraction import Contraction
+from ..tactics.contraction import PAPER_CONTRACTIONS
 
 # ----------------------------------------------------------------------
 # Source generators
@@ -211,17 +212,14 @@ def darknet_gemm_source(m: int, n: int, k: int) -> str:
 
 def contraction_source(spec: str, extents: Dict[str, int]) -> str:
     """Loop-nest C source for a tensor contraction spec."""
-    out_idx, a_idx, b_idx = parse_contraction_spec(spec)
-    loop_order: List[str] = []
-    for var in out_idx + a_idx + b_idx:
-        if var not in loop_order:
-            loop_order.append(var)
+    out_idx, a_idx, b_idx = Contraction.parse(spec)
+    loop_order = "".join(dict.fromkeys(out_idx + a_idx + b_idx))
 
-    def decl(name: str, idx: List[str]) -> str:
+    def decl(name: str, idx: str) -> str:
         dims = "".join(f"[{extents[v]}]" for v in idx)
         return f"float {name}{dims}"
 
-    def ref(name: str, idx: List[str]) -> str:
+    def ref(name: str, idx: str) -> str:
         return name + "".join(f"[{v}]" for v in idx)
 
     loops = "\n".join(
@@ -294,7 +292,7 @@ class KernelSpec:
 #: runs in the level-3 regime the paper's figure shows)
 CONTRACTION_SIZES: Dict[str, Dict[str, int]] = {}
 for _spec in PAPER_CONTRACTIONS:
-    _vars = sorted({v for part in parse_contraction_spec(_spec) for v in part})
+    _vars = sorted(set("".join(Contraction.parse(_spec))))
     _extent = {4: 256, 5: 96, 6: 40}.get(len(_vars), 64)
     CONTRACTION_SIZES[_spec] = {v: _extent for v in _vars}
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from ...analysis.band import summarize_band
 from ...analysis.buffers import ELIDED, VIEW, plan_buffers
-from ...analysis.contraction import generic_contraction_spec
+from ...analysis.contraction import Contraction, generic_contraction_spec
 from ...dialects.affine import AffineForOp
 from ...ir import FuncOp, ModuleOp, Operation, is_float
 from ...ir.affine_expr import AffineExpr, AffineExprKind
@@ -510,59 +510,56 @@ def _emit_copy(ctx: _FuncContext, op) -> None:
         ctx.emit(f"{ctx.name(op.output)}[...] = {src}")
 
 
-def contraction_src(spec: str, operands: Sequence[str]) -> str:
-    """NumPy source of the einsum ``spec`` over the named ``operands``,
-    planned once here so the kernel runs the call with nothing left to
-    parse.
+def contraction_src(
+    out: str, inputs: Sequence[str], names: Sequence[str]
+) -> str:
+    """NumPy source of the product of the arrays ``names``, whose axes
+    carry the labels ``inputs``, summed into the labels ``out``: planned
+    once here so the kernel runs the call with nothing left to parse.
 
-    ``spec`` is an einsum subscript (one label per loop, output labels
-    in the store's subscript order).  A two-operand pure contraction —
-    summed labels, no batch label, every other label in the output —
-    is one BLAS call: ``@`` (with ``.T`` views) when one label is
-    summed and no operand has more than two, ``np.tensordot`` with
-    literal axes otherwise.  Everything else is
-    ``np.einsum(..., optimize=True)``.  Each form keeps the input
-    dtype (f32 stays f32), so results match the scalar loop up to
-    reassociation tolerance.
+    Two inputs that make a pure :class:`Contraction` — the shared TTGT
+    check passes, an operand without a free label allowed — are one
+    BLAS call: ``@`` (with ``.T`` views) when one label is summed and no
+    operand has more than two, ``np.tensordot`` with literal axes
+    otherwise.  Everything else is ``np.einsum(..., optimize=True)``.
+    Each form keeps the input dtype (f32 stays f32), so results match
+    the scalar loop up to reassociation tolerance.
     """
-    ins, out = spec.split("->")
-    in_specs = ins.split(",")
-    if len(operands) == 2:
-        (a_spec, b_spec), (a, b) = in_specs, operands
-        summed = [c for c in a_spec if c in b_spec and c not in out]
-        free = [c for c in a_spec + b_spec if c not in summed]
-        # Pure: a batch label is free twice, and a label summed in one
-        # operand only (no tensordot axis) is missing from ``out``.
-        if summed and sorted(free) == sorted(out):
-            if len(summed) == 1 and len(a_spec) <= 2 and len(b_spec) <= 2:
-                (k,) = summed
-                x = a if a_spec[-1] == k else f"{a}.T"
-                y = b if b_spec[0] == k else f"{b}.T"
-                return f"({x} @ {y})" + ("" if list(out) == free else ".T")
-            axes = (
-                [a_spec.index(c) for c in summed],
-                [b_spec.index(c) for c in summed],
-            )
-            src = f"_np.tensordot({a}, {b}, {axes!r})"
-            perm = tuple(free.index(c) for c in out)
-            if perm != tuple(range(len(perm))):
-                src = f"{src}.transpose({perm})"
-            return src
-    return f"_np.einsum({spec!r}, {', '.join(operands)}, optimize=True)"
+    contraction = Contraction(out, *inputs) if len(inputs) == 2 else None
+    if contraction is None or contraction.refusal(free_needed=False):
+        spec = ",".join(inputs) + "->" + out
+        return f"_np.einsum({spec!r}, {', '.join(names)}, optimize=True)"
+    (a_spec, b_spec), (a, b) = inputs, names
+    summed = contraction.summed
+    free = contraction.a_free + contraction.b_free
+    if len(summed) == 1 and len(a_spec) <= 2 and len(b_spec) <= 2:
+        x = a if a_spec[-1] == summed else f"{a}.T"
+        y = b if b_spec[0] == summed else f"{b}.T"
+        return f"({x} @ {y})" + ("" if out == free else ".T")
+    axes = (
+        [a_spec.index(c) for c in summed],
+        [b_spec.index(c) for c in summed],
+    )
+    src = f"_np.tensordot({a}, {b}, {axes!r})"
+    perm = tuple(free.index(c) for c in out)
+    if perm != tuple(range(len(perm))):
+        src = f"{src}.transpose({perm})"
+    return src
 
 
 def _emit_generic(ctx: _FuncContext, op) -> None:
     recognized = generic_contraction_spec(op)
     if recognized is not None:
-        spec, subtract, scalar_out = recognized
+        contraction, subtract, scalar_out = recognized
         a, b, out = ctx.operand_names(op.operands)
+        index = "..."
         if scalar_out:
             index = ", ".join("0" for _ in op.indexing_maps[2].results)
-            target = f"{out}[{index}]"
-        else:
-            target = f"{out}[...]"
         sign = "-" if subtract else "+"
-        ctx.emit(f"{target} {sign}= {contraction_src(spec, (a, b))}")
+        src = contraction_src(
+            contraction.out, (contraction.a, contraction.b), (a, b)
+        )
+        ctx.emit(f"{out}[{index}] {sign}= {src}")
         return
     extents = op.iteration_domain()
     maps = op.indexing_maps

@@ -63,7 +63,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ...analysis.band import PAYLOAD_OPS, BandSummary, summarize_band
-from ...analysis.contraction import CONTRACTION_LABELS
+from ...analysis.contraction import CONTRACTION_LABELS, loop_labels
 from ...dialects.affine import AffineForOp, AffineLoadOp, AffineStoreOp
 from ...ir import Operation, is_float
 from .codegen import (
@@ -572,9 +572,6 @@ class _Vectorizer:
             ctx.emit(f"{temp} = {view}.item()")
             self.values[id(load.results[0])] = temp
 
-    def _labels(self, access: _Access) -> str:
-        return "".join(CONTRACTION_LABELS[b] for b in access.sub_order)
-
     def _emit_store(self, store: AffineStoreOp) -> None:
         ctx = self.ctx
         access = self.accesses[id(store)]
@@ -611,13 +608,12 @@ class _Vectorizer:
 
     def _emit_contraction(self, store_access: _Access) -> str:
         leaves, scalars, _internal = self.contraction
-        spec = "{}->{}".format(
-            ",".join(self._labels(self.accesses[id(leaf)]) for leaf in leaves),
-            self._labels(store_access),
-        )
-        src = contraction_src(
-            spec, [self.raw_views[id(leaf.results[0])] for leaf in leaves]
-        )
+        out = loop_labels(store_access.sub_order)
+        labels = [
+            loop_labels(self.accesses[id(leaf)].sub_order) for leaf in leaves
+        ]
+        names = [self.raw_views[id(leaf.results[0])] for leaf in leaves]
+        src = contraction_src(out, labels, names)
         if scalars:
             factors = " * ".join(self._value(value) for value in scalars)
             src = f"(({factors}) * {src})"

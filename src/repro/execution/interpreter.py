@@ -1094,15 +1094,12 @@ def _plan_conv2d(p, op) -> Closure:
 def _plan_generic(p, op) -> Closure:
     """A generic the contraction reader recognises runs as one
     ``np.einsum``; every other generic as scalar loops over its body."""
-    contraction = generic_contraction_spec(op)
-    if contraction is None:
+    read = generic_contraction_spec(op)
+    if read is None:
         return _plan_generic_loops(p, op)
     a, b, out = (p.read(v) for v in op.operands)
-    spec, scalar_out, subtract = (
-        contraction.spec,
-        contraction.scalar_out,
-        contraction.subtract,
-    )
+    spec = read.contraction.einsum
+    subtract, scalar_out = read.subtract, read.scalar_out
 
     def contract(r):
         target = r[out]

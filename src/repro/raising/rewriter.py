@@ -91,16 +91,11 @@ def materialize_candidate(
             ins[0], ins[1], out, trans=candidate.trans
         )
     maps = candidate_maps(candidate, summary)
-    iterator_types = candidate_iterator_types(candidate, summary)
     if candidate.body in ("mac-add", "mac-sub"):
         return linalg_d.GenericOp.create_contraction(
-            ins[0],
-            ins[1],
-            out,
-            maps,
-            iterator_types,
-            subtract=candidate.body == "mac-sub",
+            ins[0], ins[1], out, maps, subtract=candidate.body == "mac-sub"
         )
+    iterator_types = candidate_iterator_types(candidate, summary)
     op = linalg_d.GenericOp.create(ins, [out], maps, iterator_types)
     _fill_clone_body(op, candidate, summary)
     return op

@@ -264,13 +264,26 @@ def canned_fingerprint(mode: str, tile_size: int = DEFAULT_TILE_SIZE) -> str:
     return fingerprint
 
 
+#: The keys of an autotuner parameter point and each value's type.
+_PARAM_TYPES = {"fuse": bool, "order": str, "tile": int, "unroll_jam": int}
+
+
 def schedule_from_params(params: Dict) -> ModuleOp:
     """Build a schedule module from an autotuner parameter point.
 
-    Recognized keys (all optional): ``fuse`` (bool), ``order``
-    (``"fuse-first"`` | ``"distribute-first"``), ``tile`` (int, 0 =
-    untiled), ``unroll_jam`` (int, 0 = off).
+    Keys (all optional): ``fuse`` (bool), ``order`` (``"fuse-first"`` |
+    ``"distribute-first"``), ``tile`` (int, 0 = untiled), ``unroll_jam``
+    (int, 0 = off).  Any other key, or a value of another type (a bool
+    is no int here), is a :class:`ScheduleError`.
     """
+    for key, value in params.items():
+        if key not in _PARAM_TYPES:
+            raise ScheduleError(f"unknown schedule parameter {key!r}")
+        if type(value) is not _PARAM_TYPES[key]:
+            raise ScheduleError(
+                f"schedule parameter {key}={value!r} is not "
+                f"{_PARAM_TYPES[key].__name__}"
+            )
     order = params.get("order", "fuse-first")
     if order not in ("fuse-first", "distribute-first"):
         raise ScheduleError(f"unknown schedule order {order!r}")
@@ -278,10 +291,10 @@ def schedule_from_params(params: Dict) -> ModuleOp:
     if params.get("fuse", True):
         fuse_at = 0 if order == "fuse-first" else len(steps)
         steps.insert(fuse_at, _OPT_STEPS[0])
-    tile = int(params.get("tile", 0))
+    tile = params.get("tile", 0)
     if tile:
         steps.append(partial(TileOp.create, size=tile))
-    factor = int(params.get("unroll_jam", 0))
+    factor = params.get("unroll_jam", 0)
     if factor:
         steps.append(partial(UnrollJamOp.create, factor=factor))
     return _schedule(steps)

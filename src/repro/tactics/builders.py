@@ -163,13 +163,7 @@ def _contraction_generic(
         )
         for names in spec.indices
     ]
-    free = set(spec.indices[-1])
-    iterator_types = [
-        "parallel" if var in free else "reduction" for var in loop_vars
-    ]
-    return linalg_d.GenericOp.create_contraction(
-        ins[0], ins[1], out, maps, iterator_types
-    )
+    return linalg_d.GenericOp.create_contraction(ins[0], ins[1], out, maps)
 
 
 def _emit(

@@ -24,15 +24,16 @@ a GEMM layout.
 from __future__ import annotations
 
 import itertools
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional
 
+from ..analysis.contraction import TTGT_REFUSALS, Contraction
 from .tdl.ast import TdlSyntaxError
 
 
 class TTGTPlan(NamedTuple):
-    out_indices: List[str]
-    a_indices: List[str]
-    b_indices: List[str]
+    out_indices: str
+    a_indices: str
+    b_indices: str
     m_group: List[str]  # A-free indices (GEMM rows), in A or output order
     n_group: List[str]  # B-free indices (GEMM cols), in B or output order
     k_group: List[str]  # contracted indices, in A or B order
@@ -47,22 +48,12 @@ class TTGTRefused(TdlSyntaxError):
         self.reason = reason
 
 
-#: Why a contraction has no TTGT plan.
-TTGT_REFUSALS = {
-    "repeated-index": "repeated index within a tensor",
-    "no-contracted-index": "no contracted index",
-    "no-free-index": "an operand has no free index",
-    "batch-index": "output indices are not the union of free indices",
-    "one-sided-index": "an operand has an index that is neither free "
-    "nor contracted",
-}
-
-
-def parse_contraction_spec(spec: str) -> Tuple[List[str], List[str], List[str]]:
-    parts = spec.split("-")
-    if len(parts) != 3:
-        raise TdlSyntaxError(f"bad contraction spec {spec!r} (want out-A-B)")
-    return [list(part) for part in parts]
+def parse_contraction_spec(spec: str) -> Contraction:
+    """``out-A-B`` text as a :class:`Contraction`."""
+    try:
+        return Contraction.parse(spec)
+    except ValueError as err:
+        raise TdlSyntaxError(str(err)) from None
 
 
 def ttgt_plans(spec: str) -> List[TTGTPlan]:
@@ -73,28 +64,15 @@ def ttgt_plans(spec: str) -> List[TTGTPlan]:
     view: M in output or A order, N in output or B order, K in A or B
     order.  The first plan is the operand-order one (M in A order, N in
     B order, K in A order)."""
-    out_idx, a_idx, b_idx = parse_contraction_spec(spec)
-    out_set, a_set, b_set = set(out_idx), set(a_idx), set(b_idx)
-    if len(a_set) != len(a_idx) or len(b_set) != len(b_idx):
-        raise TTGTRefused(spec, "repeated-index")
-    k_group = [v for v in a_idx if v in b_set and v not in out_set]
-    m_group = [v for v in a_idx if v in out_set]
-    n_group = [v for v in b_idx if v in out_set]
-    if not k_group:
-        raise TTGTRefused(spec, "no-contracted-index")
-    if not m_group or not n_group:
-        raise TTGTRefused(spec, "no-free-index")
-    if sorted(m_group + n_group) != sorted(out_idx):
-        raise TTGTRefused(spec, "batch-index")
-    if sorted(a_idx) != sorted(m_group + k_group) or sorted(b_idx) != sorted(
-        k_group + n_group
-    ):
-        raise TTGTRefused(spec, "one-sided-index")
-    m_orders = (m_group, [v for v in out_idx if v in a_set])
-    n_orders = (n_group, [v for v in out_idx if v in b_set])
-    k_orders = (k_group, [v for v in b_idx if v in a_set])
+    c = parse_contraction_spec(spec)
+    reason = c.refusal()
+    if reason is not None:
+        raise TTGTRefused(spec, reason)
+    m_orders = (list(c.a_free), [v for v in c.out if v in c.a])
+    n_orders = (list(c.b_free), [v for v in c.out if v in c.b])
+    k_orders = (list(c.summed), [v for v in c.b if v in c.a])
     return [
-        TTGTPlan(out_idx, a_idx, b_idx, m, n, k)
+        TTGTPlan(*c, m, n, k)
         for m, n, k in itertools.product(m_orders, n_orders, k_orders)
     ]
 
@@ -105,9 +83,9 @@ def transposing_copies(plan: TTGTPlan) -> int:
     twice, since it is copied in and copied back out."""
     m, n, k = plan.m_group, plan.n_group, plan.k_group
     return (
-        2 * (plan.out_indices != m + n)
-        + (plan.a_indices != m + k)
-        + (plan.b_indices != k + n)
+        2 * (list(plan.out_indices) != m + n)
+        + (list(plan.a_indices) != m + k)
+        + (list(plan.b_indices) != k + n)
     )
 
 
@@ -151,7 +129,7 @@ def contraction_tactic_tdl(
         flattening ``tensor`` to a (rows, cols) matrix; None when it
         already is that matrix."""
         grouped = [var for var in (rows, cols) if len(groups[var]) > 1]
-        if indices == groups[rows] + groups[cols] and not grouped:
+        if list(indices) == groups[rows] + groups[cols] and not grouped:
             return None
         where = ", ".join(
             f"{var} = {' * '.join(groups[var])}" for var in grouped

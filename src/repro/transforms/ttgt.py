@@ -16,13 +16,12 @@ directly.  ``NAMED_PIPELINES`` runs it right after raising in
 Each generic visited is counted under ``ttgt``: ``planned``, or why it
 stays a generic — ``not-a-contraction`` (the reader does not recognise
 it), ``not-additive`` (``acc - a * b``) or a
-:data:`~repro.tactics.contraction.TTGT_REFUSALS` key.
+:data:`~repro.analysis.contraction.TTGT_REFUSALS` key.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Tuple
 
 from ..analysis.contraction import CONTRACTION_LABELS, generic_contraction_spec
 from ..ir import (
@@ -34,7 +33,7 @@ from ..ir import (
     apply_conversion,
 )
 from ..tactics.builders import emit_builders
-from ..tactics.contraction import TTGTRefused, contraction_tactic_tdl
+from ..tactics.contraction import contraction_tactic_tdl
 from ..tactics.tdl.frontend import tdl_to_tds
 from ..tactics.tdl.parser import parse_tdl
 from ..tactics.tds import TacticRecord
@@ -48,24 +47,6 @@ def ttgt_record(spec: str) -> TacticRecord:
     return tdl_to_tds(tactic)
 
 
-def ttgt_outcome(op: Operation) -> Tuple[str, str]:
-    """``(spec, "planned")`` for a generic TTGT flattens to one GEMM
-    (``spec`` in ``out-A-B`` form, one label per loop), else
-    ``("", reason)``."""
-    contraction = generic_contraction_spec(op)
-    if contraction is None:
-        return "", "not-a-contraction"
-    if contraction.subtract:
-        return "", "not-additive"
-    ins, out = contraction.spec.split("->")
-    spec = "-".join([out, *ins.split(",")])
-    try:
-        ttgt_record(spec)
-    except TTGTRefused as refused:
-        return "", refused.reason
-    return spec, "planned"
-
-
 class _TTGTPattern(RewritePattern):
     root_op_name = "linalg.generic"
 
@@ -73,15 +54,21 @@ class _TTGTPattern(RewritePattern):
         self.count = count
 
     def match_and_rewrite(self, op: Operation, rewriter: PatternRewriter) -> bool:
-        spec, outcome = ttgt_outcome(op)
+        read = generic_contraction_spec(op)
+        if read is None:
+            outcome = "not-a-contraction"
+        elif read.subtract:
+            outcome = "not-additive"
+        else:
+            outcome = read.contraction.refusal() or "planned"
         self.count(ttgt={outcome: 1})
-        if not spec:
+        if outcome != "planned":
             return False
         a, b, c = op.operands
         labels = CONTRACTION_LABELS[: op.num_loops]
         rewriter.set_insertion_point_before(op)
         emit_builders(
-            ttgt_record(spec),
+            ttgt_record(read.contraction.spec),
             rewriter,
             {"A": a, "B": b, "C": c},
             dict(zip(labels, op.iteration_domain())),

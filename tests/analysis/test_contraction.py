@@ -2,11 +2,14 @@
 interpreter's use of it: a generic the reader recognises runs as one
 ``np.einsum``, any other as scalar loops, and the two agree."""
 
+from contextlib import contextmanager
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.contraction import generic_contraction_spec
+from repro.analysis.contraction import Contraction, generic_contraction_spec
 from repro.dialects import linalg as linalg_d
 from repro.execution import Interpreter
 from repro.execution import interpreter as interpreter_module
@@ -47,13 +50,9 @@ def _contraction_module(
             loops, 0, [ae.dim(d) for d in out_dims] or [ae.constant(0)]
         ),
     ]
-    free = set(out_dims)
     op = builder.insert(
         linalg_d.GenericOp.create_contraction(
-            *func.arguments,
-            maps,
-            ["parallel" if d in free else "reduction" for d in range(loops)],
-            subtract=subtract,
+            *func.arguments, maps, subtract=subtract
         )
     )
     builder.insert(ReturnOp.create())
@@ -74,10 +73,26 @@ def contractions(draw):
     return extents, list(a_dims), list(b_dims), list(out_dims), draw(st.booleans())
 
 
-def _run(module, shapes, seed):
+def small_integers(shapes, seed):
+    """Inputs of small integers: every sum is exact in f32, whatever the
+    order."""
     rng = np.random.default_rng(seed)
-    # Small integers: every sum is exact in f32, whatever the order.
-    args = [rng.integers(-3, 4, size=shape).astype(np.float32) for shape in shapes]
+    return [rng.integers(-3, 4, size=shape).astype(np.float32) for shape in shapes]
+
+
+@contextmanager
+def scalar_loops():
+    """The interpreter runs every generic as scalar loops over its body."""
+    saved = interpreter_module.generic_contraction_spec
+    interpreter_module.generic_contraction_spec = lambda op: None
+    try:
+        yield
+    finally:
+        interpreter_module.generic_contraction_spec = saved
+
+
+def _run(module, shapes, seed):
+    args = small_integers(shapes, seed)
     Interpreter(module).run("f", *args)
     return args
 
@@ -93,12 +108,8 @@ def test_einsum_and_scalar_loops_agree(case, seed):
     assert read is not None
     assert (read.subtract, read.scalar_out) == (subtract, not out_dims)
     einsum = _run(module, shapes, seed)
-    saved = interpreter_module.generic_contraction_spec
-    interpreter_module.generic_contraction_spec = lambda op: None
-    try:
+    with scalar_loops():
         loops = _run(module, shapes, seed)
-    finally:
-        interpreter_module.generic_contraction_spec = saved
     for got, want in zip(einsum, loops):
         assert np.array_equal(got, want)
 
@@ -115,4 +126,30 @@ def test_the_reader_refuses_a_broadcast_and_a_partial_read():
     )
     assert generic_contraction_spec(partial) is None
     _, whole, _ = _contraction_module([3, 5, 4], [2, 0], [2, 1], [0, 1], False)
-    assert generic_contraction_spec(whole).spec == "ca,cb->ab"
+    assert generic_contraction_spec(whole).contraction.einsum == "ca,cb->ab"
+
+
+def test_the_listing_contraction():
+    c = Contraction.parse("abc-acd-db")
+    assert (c.summed, c.a_free, c.b_free) == ("d", "ac", "b")
+    assert (c.spec, c.einsum) == ("abc-acd-db", "acd,db->abc")
+
+
+@pytest.mark.parametrize(
+    "spec, refusal, without_free",
+    [
+        ("abc-acd-db", None, None),
+        ("ab-aad-db", "repeated-index", "repeated-index"),
+        ("ab-ab-b", "no-contracted-index", "no-contracted-index"),
+        ("-a-a", "no-free-index", None),
+        # No free label in A hides B's one-sided ``b`` from the TTGT
+        # planner, not from codegen's check.
+        ("c-a-cab", "no-free-index", "one-sided-index"),
+        ("abd-abc-bcd", "batch-index", "batch-index"),
+        ("ad-abc-bd", "one-sided-index", "one-sided-index"),
+    ],
+)
+def test_the_first_refusal_wins(spec, refusal, without_free):
+    c = Contraction.parse(spec)
+    assert c.refusal() == refusal
+    assert c.refusal(free_needed=False) == without_free

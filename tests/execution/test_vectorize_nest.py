@@ -249,11 +249,17 @@ def two_operand_specs(draw):
     return f"{a_spec},{b_spec}->{part(sorted(set(a_spec + b_spec)), 0)}"
 
 
+def _contraction_src(spec, *names):
+    """Codegen's plan of the einsum ``spec`` over the arrays ``names``."""
+    ins, out = spec.split("->")
+    return contraction_src(out, ins.split(","), names)
+
+
 def _planned(spec, *operands):
     """The expression codegen plans for ``spec`` and its value, with
     ``_np`` bound as in a generated kernel."""
     names = [f"x{i}" for i in range(len(operands))]
-    src = contraction_src(spec, names)
+    src = _contraction_src(spec, *names)
     return src, eval(src, {"_np": np}, dict(zip(names, operands)))
 
 
@@ -339,7 +345,7 @@ class TestRuntimeContract:
             rng.random([extent[c] for c in part], dtype=np.float32)
             for part in ins.split(",")
         )
-        src = contraction_src(spec, ["x0", "x1"])
+        src = _contraction_src(spec, "x0", "x1")
         want = np.einsum(spec, a, b)
         if scaled:  # the vectorizer's spelling of a scalar factor
             src, want = f"((1.5) * {src})", 1.5 * want

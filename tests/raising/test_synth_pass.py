@@ -188,7 +188,8 @@ class TestEngineFastPath:
         (generic,) = [
             op for op in module.walk() if op.name == "linalg.generic"
         ]
-        assert generic_contraction_spec(generic)[0] == "ca,cb->ab"
+        read = generic_contraction_spec(generic)
+        assert read.contraction.einsum == "ca,cb->ab"
         engine = ExecutionEngine(module)
         # Planned at codegen as one matrix product over a transposed
         # view, accumulated in place.

@@ -8,6 +8,7 @@ schedules the tuner and fuzzer can emit.
 
 import random
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -15,6 +16,7 @@ from repro.dialects.transform import STEP_OPS, SequenceOp, find_sequences
 from repro.ir.parser import parse_module
 from repro.ir.printer import print_module
 from repro.scheduling import (
+    ScheduleError,
     canned_schedule,
     random_schedule,
     schedule_from_params,
@@ -60,6 +62,25 @@ def test_tuner_space_reifies_and_roundtrips():
     for params in enumerate_space():
         text = print_module(schedule_from_params(params))
         assert print_module(parse_module(text)) == text
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        # A misspelt key used to build the schedule without it.
+        ({"fuse": True, "tile": 8, "til": 16}, "unknown schedule parameter 'til'"),
+        ({"vectorize": "none"}, "unknown schedule parameter 'vectorize'"),
+        # A truthy string used to fuse; a float tile used to truncate.
+        ({"fuse": "no"}, "fuse='no' is not bool"),
+        ({"tile": 8.7}, "tile=8.7 is not int"),
+        ({"unroll_jam": True}, "unroll_jam=True is not int"),
+        ({"tile": "8"}, "tile='8' is not int"),
+        ({"order": 1}, "order=1 is not str"),
+    ],
+)
+def test_params_outside_the_space_are_refused(params, message):
+    with pytest.raises(ScheduleError, match=message):
+        schedule_from_params(params)
 
 
 def test_step_registry_covers_printed_names():

@@ -8,20 +8,32 @@ oracle: raise plus the pass must print what it printed.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.evaluation import get_kernel
-from repro.execution import Interpreter
+from repro.execution import ExecutionEngine, Interpreter
+from repro.execution.engine.cache import KernelCache
 from repro.ir import Context, PassManager, print_module
 from repro.met import compile_c
 from repro.tactics import parse_tds
 from repro.tactics.contraction import (
     PAPER_CONTRACTIONS,
+    TTGTRefused,
     contraction_generic_tdl,
     contraction_tactic_tdl,
+    ttgt_plans,
 )
 from repro.tactics.raising import compile_tdl, raise_affine_to_linalg
 from repro.tool import build_pipeline
 from repro.transforms import LinalgContractionTTGTPass
+
+from ..analysis.test_contraction import (
+    _contraction_module,
+    contractions,
+    scalar_loops,
+    small_integers,
+)
 
 
 def _linalg_ops(module):
@@ -187,3 +199,84 @@ def test_blas_conversion_alone_leaves_the_generic():
     )
     names = [op.name for op in module.walk()]
     assert "linalg.generic" in names and "blas.sgemm" not in names
+
+
+# ----------------------------------------------------------------------
+# Over random contractions: the pass plans exactly what the planner
+# plans, and a planned rewrite computes what the generic computed
+# ----------------------------------------------------------------------
+
+
+def _spec(a_dims, b_dims, out_dims):
+    """The ``out-A-B`` text of a drawn contraction: loop ``d`` is the
+    ``d``-th letter."""
+    return "-".join(
+        "".join("abcd"[d] for d in dims) for dims in (out_dims, a_dims, b_dims)
+    )
+
+
+def _planner_outcome(spec):
+    try:
+        ttgt_plans(spec)
+    except TTGTRefused as refused:
+        return refused.reason
+    return "planned"
+
+
+def _interpret(module, inputs):
+    args = [x.copy() for x in inputs]
+    Interpreter(module).run("f", *args)
+    return args
+
+
+def _execute(module, inputs):
+    args = [x.copy() for x in inputs]
+    ExecutionEngine(module, cache=KernelCache()).run("f", *args)
+    return args
+
+
+def _assert_equal(got, want):
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+# One drawn case per refusal a generic can reach, so each is pinned
+# whatever hypothesis draws: (extents, A dims, B dims, output dims,
+# subtract).
+@example(([2, 3, 4], [0, 2], [2, 1], [0, 1], False), 0)  # planned
+@example(([2, 3, 4], [0, 2], [2, 1], [0, 1], True), 0)  # not-additive
+@example(([2, 3], [0, 1], [1], [0, 1], False), 0)  # no-contracted-index
+@example(([4], [0], [0], [], False), 0)  # no-free-index
+@example(([2, 3, 4, 2], [0, 1, 2], [1, 2, 3], [0, 1, 3], False), 0)  # batch
+@example(([2, 3, 4, 2], [0, 1, 2], [1, 3], [0, 3], False), 0)  # one-sided
+@given(contractions(), st.integers(0, 9))
+@settings(max_examples=100, deadline=None)
+def test_the_pass_plans_what_the_planner_plans(case, seed):
+    extents, a_dims, b_dims, out_dims, subtract = case
+    module, _, shapes = _contraction_module(
+        extents, a_dims, b_dims, out_dims, subtract
+    )
+    inputs = small_integers(shapes, seed)
+    with scalar_loops():
+        want = _interpret(module, inputs)
+    # The engine's kernel of the generic (``contraction_src``).
+    _assert_equal(_execute(module, inputs), want)
+    outcome = (
+        "not-additive"
+        if subtract
+        else _planner_outcome(_spec(a_dims, b_dims, out_dims))
+    )
+    assert _ttgt(module) == {"ttgt": {outcome: 1}}
+    if outcome != "planned":
+        assert _linalg_ops(module) == ["linalg.generic"]
+        return
+    assert "linalg.generic" not in _linalg_ops(module)
+    _assert_equal(_interpret(module, inputs), want)
+    _assert_equal(_execute(module, inputs), want)
+
+
+def test_a_generic_the_reader_refuses_is_counted_and_kept():
+    # Loop 1 indexes only the output: the product is broadcast along it.
+    module, _, _ = _contraction_module([3, 5, 4], [2, 0], [2, 0], [0, 1], False)
+    assert _ttgt(module) == {"ttgt": {"not-a-contraction": 1}}
+    assert _linalg_ops(module) == ["linalg.generic"]
