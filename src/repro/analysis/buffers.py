@@ -20,7 +20,7 @@ emission:
     ``dst = _rt.reshape_view(src, shape, dtype)``.
 ``fresh``
     the alloc's first use overwrites it whole (``transpose``, a
-    reshape that may not alias, ``copy``, ``fill``).  The producer
+    reshape that may not alias, ``fill``).  The producer
     returns its own result; nothing is zero-filled first.
 ``zeros``
     everything else — today's ``_np.zeros`` plus the copying helpers,
@@ -71,7 +71,7 @@ _READ, _WRITE, _ESCAPE = 1, 2, 4
 _RESHAPES = ("linalg.reshape", "blas.reshape")
 _TRANSPOSES = ("linalg.transpose", "blas.transpose")
 #: Ops that overwrite their last operand whole from the others.
-_OVERWRITES = _RESHAPES + _TRANSPOSES + ("linalg.copy", "linalg.fill")
+_OVERWRITES = _RESHAPES + _TRANSPOSES + ("linalg.fill",)
 #: Op name -> how the op touches its *last* memref operand; every
 #: earlier one is only read.  ``linalg.generic`` (several outputs) is
 #: handled by position, and an op with no row escapes all of them.

@@ -15,6 +15,7 @@ from ..ir.attributes import AffineMapAttr, IntegerAttr, UnitAttr
 from ..ir.core import Block, IRError, Operation, register_op
 from ..ir.types import IndexType, MemRefType
 from ..ir.values import BlockArgument, Value
+from .linalg import MATMUL_MAPS, LinalgStructuredOp
 
 
 @register_op
@@ -284,16 +285,20 @@ class AffineApplyOp(Operation):
 
 
 @register_op
-class AffineMatmulOp(Operation):
+class AffineMatmulOp(LinalgStructuredOp):
     """High-level matrix-multiply op *within* the Affine dialect.
 
     Models the custom ``matmul`` operation of Bondhugula's "High
     Performance Code Generation in MLIR" study: ``C += A * B`` on 2-d
     memrefs, lowered to OpenBLAS/BLIS-style tiled, vectorized code.
     This is the raising target of the Affine-to-Affine path (§V-A).
+    It shares ``linalg.matmul``'s structured-op interface, so it
+    verifies, counts flops and expands to loops as that op does.
     """
 
     OP_NAME = "affine.matmul"
+    PAYLOAD = "mac"
+    indexing_maps = MATMUL_MAPS
 
     @staticmethod
     def create(a: Value, b: Value, c: Value) -> "AffineMatmulOp":
@@ -310,21 +315,6 @@ class AffineMatmulOp(Operation):
     @property
     def c(self) -> Value:
         return self.operand(2)
-
-    def verify_(self) -> None:
-        for operand in self.operands:
-            ty = operand.type
-            if not isinstance(ty, MemRefType) or ty.rank != 2:
-                raise IRError("affine.matmul operands must be 2-d memrefs")
-        m, k = self.a.type.shape
-        k2, n = self.b.type.shape
-        m2, n2 = self.c.type.shape
-        dims_known = -1 not in (m, k, k2, n, m2, n2)
-        if dims_known and (k != k2 or m != m2 or n != n2):
-            raise IRError(
-                f"affine.matmul shape mismatch: ({m}x{k}) * ({k2}x{n}) "
-                f"-> ({m2}x{n2})"
-            )
 
 
 # ----------------------------------------------------------------------

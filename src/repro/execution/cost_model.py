@@ -171,10 +171,7 @@ class CostModel:
         machine = self.machine
         name = op.name
         if name == "affine.matmul":
-            flops = 2
-            m, k = op.a.type.shape
-            n = op.b.type.shape[1]
-            flops = 2 * m * k * n
+            flops = op.flops()
             return flops / (machine.blis_matmul_gflops * 1e9), flops
         if name == "blas.sgemm":
             flops = op.flops()
@@ -222,8 +219,8 @@ class CostModel:
                     machine.scalar_gflops * machine.reduction_penalty * 1e9
                 )
             return (seconds, flops)
-        if name in ("linalg.transpose", "linalg.copy"):
-            bytes_moved = 2 * self._memref_bytes(op.operand(0))
+        if name == "linalg.transpose":
+            bytes_moved = 2 * self._memref_bytes(op.input)
             return (bytes_moved / (machine.memory_bandwidth_gbs * 1e9), 0)
         if name == "linalg.reshape":
             # a contiguous-buffer reshape is a metadata-only view

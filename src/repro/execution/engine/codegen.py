@@ -501,15 +501,6 @@ def _emit_fill(ctx: _FuncContext, op) -> None:
         ctx.emit(f"{ctx.name(op.output)}[...] = {value}")
 
 
-def _emit_copy(ctx: _FuncContext, op) -> None:
-    src = ctx.name(op.input)
-    if id(op) in ctx.buffer_actions:
-        shape, dtype = _output_layout(op)
-        ctx.emit(f"{ctx.define(op.output)} = _rt.reshaped({src}, {shape}, {dtype})")
-    else:
-        ctx.emit(f"{ctx.name(op.output)}[...] = {src}")
-
-
 def contraction_src(
     out: str, inputs: Sequence[str], names: Sequence[str]
 ) -> str:
@@ -628,7 +619,6 @@ EMITTERS: Dict[str, Callable[[_FuncContext, Operation], None]] = {
     "linalg.reshape": _emit_reshape,
     "linalg.conv2d_nchw": _emit_conv2d,
     "linalg.fill": _emit_fill,
-    "linalg.copy": _emit_copy,
     "linalg.generic": _emit_generic,
     "blas.sgemm": _emit_blas_sgemm,
     "blas.sgemv": _emit_matvec,

@@ -1077,15 +1077,6 @@ def _plan_fill(p, op) -> Closure:
     return fill
 
 
-def _plan_copy(p, op) -> Closure:
-    dst, src = p.read(op.output), p.read(op.input)
-
-    def copy(r):
-        r[dst][...] = r[src]
-
-    return copy
-
-
 def _plan_conv2d(p, op) -> Closure:
     src, kernel, out = p.read(op.input), p.read(op.kernel), p.read(op.output)
     return lambda r: _conv2d(r[src], r[kernel], r[out])
@@ -1233,7 +1224,6 @@ _PLANNERS = {
     "linalg.reshape": _plan_reshape,
     "linalg.conv2d_nchw": _plan_conv2d,
     "linalg.fill": _plan_fill,
-    "linalg.copy": _plan_copy,
     "linalg.generic": _plan_generic,
     "blas.sgemm": _plan_blas_sgemm,
     "blas.sgemv": _plan_matvec,

@@ -872,7 +872,6 @@ _TRIPLE_OPS = [
     "linalg.transpose",
     "linalg.reshape",
     "linalg.fill",
-    "linalg.copy",
     "blas.sgemm",
     "blas.sgemv",
     "blas.transpose",

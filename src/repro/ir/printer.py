@@ -419,7 +419,6 @@ _CUSTOM_PRINTERS = {
     "linalg.transpose": _print_triple,
     "linalg.reshape": _print_triple,
     "linalg.fill": _print_triple,
-    "linalg.copy": _print_triple,
     "linalg.generic": _print_generic_linalg,
     "linalg.yield": _print_linalg_yield,
     "blas.sgemm": _print_triple,

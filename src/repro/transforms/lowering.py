@@ -4,9 +4,10 @@ This is the classic downward direction of the multi-level pipeline the
 paper complements with raising.  Every step is a pass:
 
   * :class:`LinalgToAffinePass`   — structured ops to affine loop nests
-    (all but ``linalg.reshape``)
-  * :class:`LinalgContractionsToTiledLoopsPass` — only the contractions,
-    to tiled loop nests (the MLT-Linalg default lowering)
+    (``linalg.reshape`` is not one)
+  * :class:`LinalgContractionsToTiledLoopsPass` — only the named
+    multiply-accumulate ops, to tiled loop nests (the MLT-Linalg default
+    lowering)
   * :class:`ExpandAffineMatmulPass` — ``affine.matmul`` to loops
   * :class:`AffineToSCFPass`      — affine loops/accesses to SCF + std
   * :class:`SCFToLLVMPass`        — structured loops to CFG with
@@ -14,6 +15,13 @@ paper complements with raising.  Every step is a pass:
   * :class:`LinalgToBlasPass`     — the MLT-BLAS alternative: structured
     ops to vendor library calls
   * :class:`LowerBlasToLLVMPass`  — library ops to ``llvm.call``
+
+The first three passes share one structured-op lowering,
+:func:`lower_linalg_op_to_affine`: a loop nest over the op's
+``iteration_domain()``, accesses through its ``indexing_maps`` and one
+body per payload kind (``mac``, ``copy``, ``fill``, or the generic's
+cloned ``region``) — no case per named op.  Each access reads only the
+loops its map names, so it is the op its printed text parses back to.
 
 Each per-op lowering is a ``RewritePattern`` with a declared
 ``root_op_name``, and every pass applies its ``FrozenPatternSet`` as a
@@ -48,7 +56,8 @@ the first subscript, ``(i0*size1 + i1)*size2 + ...``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from functools import lru_cache
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.buffers import ELIDED, VIEW, plan_buffers
 from ..dialects import blas as blas_d
@@ -59,7 +68,6 @@ from ..dialects import std
 from ..dialects.affine import (
     AffineForOp,
     AffineLoadOp,
-    AffineMatmulOp,
     AffineStoreOp,
     build_loop_nest,
     perfect_nest,
@@ -118,150 +126,85 @@ def _loop_nest_before(
     return ivs
 
 
-def _lower_matmul_like(op, a, b, c, rewriter: PatternRewriter) -> None:
-    """Emit the canonical triple loop ``C[i,j] += A[i,k] * B[k,j]``."""
-    m, k = a.type.shape
-    n = b.type.shape[1]
-    i, j, kk = _loop_nest_before(op, [m, n, k], rewriter)
-    c_val = rewriter.insert(AffineLoadOp.create(c, [i, j])).result
-    a_val = rewriter.insert(AffineLoadOp.create(a, [i, kk])).result
-    b_val = rewriter.insert(AffineLoadOp.create(b, [kk, j])).result
-    mul = rewriter.insert(std.MulFOp.create(a_val, b_val)).result
-    add = rewriter.insert(std.AddFOp.create(mul, c_val)).result
-    rewriter.insert(AffineStoreOp.create(add, c, [i, j]))
-    rewriter.erase_op(op)
-
-
 def lower_linalg_op_to_affine(op: Operation, rewriter: PatternRewriter) -> bool:
-    """Lower one linalg op in place; returns False if unrecognized."""
-    if isinstance(op, linalg_d.MatmulOp):
-        _lower_matmul_like(op, op.a, op.b, op.c, rewriter)
-        return True
-    if isinstance(op, AffineMatmulOp):
-        _lower_matmul_like(op, op.a, op.b, op.c, rewriter)
-        return True
-    if isinstance(op, linalg_d.MatvecOp):
-        a, x, y = op.a, op.x, op.y
-        rows, cols = a.type.shape
-        if op.trans:
-            # y[j] += A[i, j] * x[i]: keep the matrix's contiguous
-            # dimension innermost (row-major streaming), reduction outer.
-            i, j = _loop_nest_before(op, [rows, cols], rewriter)
-            y_val = rewriter.insert(AffineLoadOp.create(y, [j])).result
-            a_val = rewriter.insert(AffineLoadOp.create(a, [i, j])).result
-            x_val = rewriter.insert(AffineLoadOp.create(x, [i])).result
-            mul = rewriter.insert(std.MulFOp.create(a_val, x_val)).result
-            add = rewriter.insert(std.AddFOp.create(mul, y_val)).result
-            rewriter.insert(AffineStoreOp.create(add, y, [j]))
-        else:
-            i, j = _loop_nest_before(op, [rows, cols], rewriter)
-            y_val = rewriter.insert(AffineLoadOp.create(y, [i])).result
-            a_val = rewriter.insert(AffineLoadOp.create(a, [i, j])).result
-            x_val = rewriter.insert(AffineLoadOp.create(x, [j])).result
-            mul = rewriter.insert(std.MulFOp.create(a_val, x_val)).result
-            add = rewriter.insert(std.AddFOp.create(mul, y_val)).result
-            rewriter.insert(AffineStoreOp.create(add, y, [i]))
-        rewriter.erase_op(op)
-        return True
-    if isinstance(op, linalg_d.TransposeOp):
-        perm = op.permutation
-        out_shape = op.output.type.shape
-        ivs = _loop_nest_before(op, list(out_shape), rewriter)
-        # out[i0..in] = in[i_perm[0]], permuted by the permutation.
-        in_ivs = [None] * len(perm)
-        for out_dim, in_dim in enumerate(perm):
-            in_ivs[in_dim] = ivs[out_dim]
-        val = rewriter.insert(AffineLoadOp.create(op.input, in_ivs)).result
-        rewriter.insert(AffineStoreOp.create(val, op.output, ivs))
-        rewriter.erase_op(op)
-        return True
-    if isinstance(op, linalg_d.Conv2DNchwOp):
-        _lower_conv2d(op, rewriter)
-        return True
-    if isinstance(op, linalg_d.FillOp):
-        shape = op.output.type.shape
-        ivs = _loop_nest_before(op, list(shape), rewriter)
-        rewriter.insert(AffineStoreOp.create(op.fill_value, op.output, ivs))
-        rewriter.erase_op(op)
-        return True
-    if isinstance(op, linalg_d.CopyOp):
-        shape = op.output.type.shape
-        ivs = _loop_nest_before(op, list(shape), rewriter)
-        val = rewriter.insert(AffineLoadOp.create(op.input, ivs)).result
-        rewriter.insert(AffineStoreOp.create(val, op.output, ivs))
-        rewriter.erase_op(op)
-        return True
-    if isinstance(op, linalg_d.GenericOp):
-        _lower_generic(op, rewriter)
-        return True
-    return False
+    """Lower one structured op in place to the loop nest over its
+    iteration domain; returns False if ``op`` is not one.
 
+    Each access goes through the operand's indexing map.  The payload
+    kind decides the body: ``mac`` loads the output, then the inputs,
+    and stores ``in0 * in1 + out``; ``copy`` stores ``in0``; ``fill``
+    stores the scalar; ``region`` clones the generic's body.
+    """
+    if not isinstance(op, linalg_d.LinalgStructuredOp):
+        return False
+    ivs = _loop_nest_before(op, op.iteration_domain(), rewriter)
+    maps = op.indexing_maps
 
-def _lower_conv2d(
-    op: linalg_d.Conv2DNchwOp, rewriter: PatternRewriter
-) -> None:
-    n, f, oh, ow = op.output.type.shape
-    _, c, kh, kw = op.kernel.type.shape
-    ivs = _loop_nest_before(op, [n, f, oh, ow, c, kh, kw], rewriter)
-    i_n, i_f, i_oh, i_ow, i_c, i_kh, i_kw = ivs
-    out_val = rewriter.insert(
-        AffineLoadOp.create(op.output, [i_n, i_f, i_oh, i_ow])
-    ).result
-    # input[n, c, oh + kh, ow + kw]
-    h_expr = ae.dim(2) + ae.dim(4)
-    w_expr = ae.dim(3) + ae.dim(5)
-    in_map = AffineMap(6, 0, [ae.dim(0), ae.dim(1), h_expr, w_expr])
-    in_val = rewriter.insert(
-        AffineLoadOp.create(
-            op.input, [i_n, i_c, i_oh, i_ow, i_kh, i_kw], in_map
-        )
-    ).result
-    k_val = rewriter.insert(
-        AffineLoadOp.create(op.kernel, [i_f, i_c, i_kh, i_kw])
-    ).result
-    mul = rewriter.insert(std.MulFOp.create(in_val, k_val)).result
-    add = rewriter.insert(std.AddFOp.create(mul, out_val)).result
-    rewriter.insert(
-        AffineStoreOp.create(add, op.output, [i_n, i_f, i_oh, i_ow])
-    )
+    def access(position: int):
+        order, map_ = _access_map(maps[position])
+        return op.operand(position), [ivs[loop] for loop in order], map_
+
+    def load(position: int) -> Value:
+        return rewriter.insert(AffineLoadOp.create(*access(position))).result
+
+    payload = op.PAYLOAD
+    if payload == "region":
+        body = op.body
+        value_map: Dict = {
+            arg: load(position) for position, arg in enumerate(body.arguments)
+        }
+        for inner in body.ops_without_terminator():
+            rewriter.insert(inner.clone(value_map))
+        values = [value_map.get(v, v) for v in body.terminator.operands]
+    elif payload == "mac":
+        acc, x, y = load(2), load(0), load(1)
+        mul = rewriter.insert(std.MulFOp.create(x, y)).result
+        values = [rewriter.insert(std.AddFOp.create(mul, acc)).result]
+    elif payload == "copy":
+        values = [load(0)]
+    else:
+        values = [op.operand(0)]
+    for position, value in enumerate(values, op.num_inputs):
+        rewriter.insert(AffineStoreOp.create(value, *access(position)))
     rewriter.erase_op(op)
+    return True
 
 
-def _lower_generic(op: linalg_d.GenericOp, rewriter: PatternRewriter) -> None:
-    extents = op.iteration_domain()
-    ivs = _loop_nest_before(op, extents, rewriter)
-    value_map: Dict = {}
-    for operand, map_, block_arg in zip(
-        op.operands, op.indexing_maps, op.body.arguments
-    ):
-        load = rewriter.insert(AffineLoadOp.create(operand, ivs, map_))
-        value_map[block_arg] = load.result
-    for inner in op.body.ops_without_terminator():
-        rewriter.insert(inner.clone(value_map))
-    term = op.body.terminator
-    for out_idx, yielded_value in enumerate(term.operands):
-        out = op.outputs[out_idx]
-        out_map = op.indexing_maps[op.num_inputs + out_idx]
-        rewriter.insert(
-            AffineStoreOp.create(
-                value_map.get(yielded_value, yielded_value), out, ivs, out_map
-            )
-        )
-    rewriter.erase_op(op)
+@lru_cache(maxsize=256)
+def _access_map(map_: AffineMap) -> Tuple[Tuple[int, ...], AffineMap]:
+    """The loops an access through ``map_`` reads, in the order its
+    printed subscripts name them, and the map over just those loops:
+    the access its text parses back to, so the lowered IR carries no
+    operand its print drops."""
+    order: List[int] = []
+
+    def visit(expr: ae.AffineExpr) -> None:
+        if isinstance(expr, ae.AffineDimExpr):
+            if expr.position not in order:
+                order.append(expr.position)
+        elif isinstance(expr, ae.AffineBinaryExpr):
+            visit(expr.lhs)
+            visit(expr.rhs)
+
+    for expr in map_.results:
+        visit(expr)
+    renumber = {loop: ae.dim(i) for i, loop in enumerate(order)}
+    results = [expr.substitute_dims(renumber) for expr in map_.results]
+    return tuple(order), AffineMap(len(order), 0, results)
 
 
-#: Op names ``lower_linalg_to_affine`` rewrites (``affine.matmul`` is
-#: deliberately excluded — expanding it is ExpandAffineMatmulPass's job;
-#: so is ``linalg.reshape``, which ``convert-scf-to-llvm`` lowers once
-#: accesses are flat offsets).
-_LINALG_TO_AFFINE_ROOTS = (
-    "linalg.matmul",
-    "linalg.matvec",
-    "linalg.transpose",
-    "linalg.conv2d_nchw",
-    "linalg.fill",
-    "linalg.copy",
-    "linalg.generic",
+#: The structured ops ``lower_linalg_to_affine`` rewrites
+#: (``affine.matmul`` is deliberately excluded — expanding it is
+#: ExpandAffineMatmulPass's job; ``linalg.reshape`` is not a structured
+#: op, and ``convert-scf-to-llvm`` lowers it once accesses are flat
+#: offsets).
+_STRUCTURED_OPS = (
+    linalg_d.MatmulOp,
+    linalg_d.MatvecOp,
+    linalg_d.TransposeOp,
+    linalg_d.Conv2DNchwOp,
+    linalg_d.FillOp,
+    linalg_d.GenericOp,
 )
 
 
@@ -279,9 +222,11 @@ class LinalgToAffinePattern(RewritePattern):
         return lower_linalg_op_to_affine(op, rewriter)
 
 
-_LINALG_TO_AFFINE = FrozenPatternSet(
-    [LinalgToAffinePattern(name) for name in _LINALG_TO_AFFINE_ROOTS]
-)
+def _to_affine_patterns(ops) -> FrozenPatternSet:
+    return FrozenPatternSet([LinalgToAffinePattern(op.OP_NAME) for op in ops])
+
+
+_LINALG_TO_AFFINE = _to_affine_patterns(_STRUCTURED_OPS)
 
 
 def lower_linalg_to_affine(root: Operation) -> int:
@@ -296,18 +241,15 @@ class LinalgToAffinePass(_ConversionPass):
 class LinalgContractionsToTiledLoopsPass(TileLoopNestPass):
     """The default Linalg codegen path of Fig. 9's MLT-Linalg.
 
-    Named contraction-like ops (matmul, matvec, conv2d) become loop
-    nests, and every new nest of depth >= 2 is tiled with
+    The named multiply-accumulate ops (matmul, matvec, conv2d) become
+    loop nests, and every new nest of depth >= 2 is tiled with
     ``affine-loop-tile``'s size rule; data-movement ops stay (priced as
     views / memory passes by the model).
     """
 
     name = "convert-linalg-contractions-to-tiled-loops"
-    patterns = FrozenPatternSet(
-        [
-            LinalgToAffinePattern(name)
-            for name in ("linalg.matmul", "linalg.matvec", "linalg.conv2d_nchw")
-        ]
+    patterns = _to_affine_patterns(
+        op for op in _STRUCTURED_OPS if op.PAYLOAD == "mac"
     )
 
     def run_on_function(self, func, context):
@@ -333,8 +275,7 @@ class ExpandAffineMatmulPattern(RewritePattern):
     root_op_name = "affine.matmul"
 
     def match_and_rewrite(self, op: Operation, rewriter: PatternRewriter) -> bool:
-        _lower_matmul_like(op, op.a, op.b, op.c, rewriter)
-        return True
+        return lower_linalg_op_to_affine(op, rewriter)
 
 
 class ExpandAffineMatmulPass(_ConversionPass):

@@ -29,11 +29,6 @@ class TestMatmul:
         with pytest.raises(IRError):
             linalg.MatmulOp.create(a, b, c).verify_()
 
-    def test_memory_footprint(self):
-        a, b, c = _args((4, 5), (5, 6), (4, 6))
-        op = linalg.MatmulOp.create(a, b, c)
-        assert op.memory_footprint_bytes() == (20 + 30 + 24) * 4
-
 
 class TestMatvec:
     def test_normal_shapes(self):

@@ -88,7 +88,10 @@ UNFLATTEN_A = (
 )
 FILL_A = "%k = std.constant 7.0 : f32\nlinalg.fill(%k, %a) : (f32, memref<2x3xf32>)"
 FILL_V = "%k = std.constant 7.0 : f32\nlinalg.fill(%k, %v) : (f32, memref<6xf32>)"
-V_TO_B = "linalg.copy(%v, %b) : (memref<6xf32>, memref<6xf32>)"
+V_TO_B = (
+    "linalg.transpose(%v, %b) {permutation = [0]} : "
+    "(memref<6xf32>, memref<6xf32>)"
+)
 A_TO_C = (
     "linalg.transpose(%a, %c) {permutation = [1, 0]} : "
     "(memref<2x3xf32>, memref<3x2xf32>)"
@@ -159,8 +162,10 @@ class TestRulesFire:
                         ALLOC6,
                         FILL_V,
                         '%w = "std.alloc"() : () -> (memref<6xf32>)',
-                        "linalg.copy(%v, %w) : (memref<6xf32>, memref<6xf32>)",
-                        "linalg.copy(%w, %b) : (memref<6xf32>, memref<6xf32>)",
+                        "linalg.transpose(%v, %w) {permutation = [0]} : "
+                        "(memref<6xf32>, memref<6xf32>)",
+                        "linalg.transpose(%w, %b) {permutation = [0]} : "
+                        "(memref<6xf32>, memref<6xf32>)",
                     ]
                 )
             )
@@ -276,7 +281,8 @@ class TestCopyIsKept:
                     '%s = "std.alloc"() : () -> (memref<3x3xf32>)',
                     "linalg.transpose(%s, %s) {permutation = [1, 0]} : "
                     "(memref<3x3xf32>, memref<3x3xf32>)",
-                    "linalg.copy(%s, %d) : (memref<3x3xf32>, memref<3x3xf32>)",
+                    "linalg.transpose(%s, %d) {permutation = [0, 1]} : "
+                    "(memref<3x3xf32>, memref<3x3xf32>)",
                 ]
             ),
             "used-before-write",
@@ -335,7 +341,8 @@ class TestCopyIsKept:
                     "(memref<3x2xf32>, memref<6xf32>)",
                     FILL_V,
                     V_TO_B,
-                    "linalg.copy(%t, %c) : (memref<3x2xf32>, memref<3x2xf32>)",
+                    "linalg.transpose(%t, %c) {permutation = [0, 1]} : "
+                    "(memref<3x2xf32>, memref<3x2xf32>)",
                 ]
             ),
             "view-written",
@@ -354,7 +361,7 @@ module {
     %v = "std.alloc"() : () -> (memref<6xf32>)
     linalg.reshape(%a, %v) {reassociation = [[0, 1]]} : (memref<2x3xf32>, memref<6xf32>)
     func.call @g(%v) : (memref<6xf32>) -> ()
-    linalg.copy(%v, %b) : (memref<6xf32>, memref<6xf32>)
+    linalg.transpose(%v, %b) {permutation = [0]} : (memref<6xf32>, memref<6xf32>)
     return
   }
 }
@@ -373,7 +380,7 @@ module {
     llvm.br ^bb0
     ^bb0:
     linalg.reshape(%a, %v) {reassociation = [[0, 1]]} : (memref<2x3xf32>, memref<6xf32>)
-    linalg.copy(%v, %b) : (memref<6xf32>, memref<6xf32>)
+    linalg.transpose(%v, %b) {permutation = [0]} : (memref<6xf32>, memref<6xf32>)
     return
   }
 }
@@ -444,7 +451,12 @@ def _random_program(steps):
             ]
             builder.insert(std.StoreOp.create(const.result, src, at))
         elif kind == "copy":
-            builder.insert(linalg_d.CopyOp.create(src, target(shape, j)))
+            # An identity transpose: a copy of the whole buffer.
+            builder.insert(
+                linalg_d.TransposeOp.create(
+                    src, target(shape, j), list(range(len(shape)))
+                )
+            )
         elif kind == "transpose" and len(shape) == 2:
             builder.insert(
                 linalg_d.TransposeOp.create(src, target(shape[::-1], j), [1, 0])

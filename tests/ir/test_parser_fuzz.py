@@ -265,7 +265,8 @@ def random_linalg_modules(draw):
             )
             builder.insert(linalg_d.FillOp.create(value.result, c))
         elif name == "copy":
-            builder.insert(linalg_d.CopyOp.create(x, x))
+            # An identity transpose: a copy of the whole buffer.
+            builder.insert(linalg_d.TransposeOp.create(x, x, [0]))
         elif name == "transpose" and m == n == k:
             # fully square operands only, so A^T fits C's shape
             builder.insert(linalg_d.TransposeOp.create(a, c, [1, 0]))

@@ -56,7 +56,6 @@ def _writes(op: Operation, buffer: Value) -> bool:
     if name in (
         "linalg.transpose",
         "linalg.reshape",
-        "linalg.copy",
         "blas.transpose",
         "blas.reshape",
     ):

@@ -183,8 +183,8 @@ module {
     %v = "std.alloc"() : () -> (memref<6xf32>)
     linalg.reshape(%a, %v) {reassociation = [[0, 1]]} : (memref<2x3xf32>, memref<6xf32>)
     %z = "std.alloc"() : () -> (memref<6xf32>)
-    linalg.copy(%z, %b) : (memref<6xf32>, memref<6xf32>)
-    linalg.copy(%v, %b) : (memref<6xf32>, memref<6xf32>)
+    linalg.transpose(%z, %b) {permutation = [0]} : (memref<6xf32>, memref<6xf32>)
+    linalg.transpose(%v, %b) {permutation = [0]} : (memref<6xf32>, memref<6xf32>)
     return
   }
 }

@@ -61,16 +61,17 @@ def _check_equivalent(make_module, arg_shapes, seed=0):
 
 
 def _check_reshape_survives_then_folds(source_shape, view_shape):
-    """``%v = alloc; reshape(%a, %v); copy(%v, %b); dealloc %v``: the
-    reshape survives ``convert-linalg-to-affine-loops`` and
-    ``lower-affine``, and ``convert-scf-to-llvm`` folds it (and its
-    alloc) into the flat accesses; every level computes what the linalg
-    module does."""
+    """``%v = alloc; reshape(%a, %v); transpose(%v, %b); dealloc %v``
+    (the transpose is the identity, a copy): the reshape survives
+    ``convert-linalg-to-affine-loops`` and ``lower-affine``, and
+    ``convert-scf-to-llvm`` folds it (and its alloc) into the flat
+    accesses; every level computes what the linalg module does."""
 
     def build(b, args):
         view = b.insert(std.AllocOp.create(memref(*view_shape, f32))).result
         b.insert(linalg_d.ReshapeOp.create(args[0], view, [[0, 1], [2]]))
-        b.insert(linalg_d.CopyOp.create(view, args[1]))
+        identity = list(range(len(view_shape)))
+        b.insert(linalg_d.TransposeOp.create(view, args[1], identity))
         b.insert(std.DeallocOp.create(view))
 
     def names(module):
@@ -164,7 +165,7 @@ class TestLinalgToAffine:
         def build(b, args):
             c = b.insert(std.ConstantOp.create(2.5, f32))
             b.insert(linalg_d.FillOp.create(c.result, args[0]))
-            b.insert(linalg_d.CopyOp.create(args[0], args[1]))
+            b.insert(linalg_d.TransposeOp.create(args[0], args[1], [0, 1]))
 
         low = _check_equivalent(
             lambda: _linalg_module(build, [(4, 5), (4, 5)]),
@@ -491,7 +492,10 @@ A_TO_V = (
     "linalg.reshape(%a, %v) {reassociation = [[0, 1], [2]]} : "
     "(memref<2x3x2xf32>, memref<6x2xf32>)"
 )
-V_TO_B = "linalg.copy(%v, %b) : (memref<6x2xf32>, memref<6x2xf32>)"
+V_TO_B = (
+    "linalg.transpose(%v, %b) {permutation = [0, 1]} : "
+    "(memref<6x2xf32>, memref<6x2xf32>)"
+)
 FILL_A = (
     "%k = std.constant 7.0 : f32\n"
     "linalg.fill(%k, %a) : (f32, memref<2x3x2xf32>)"
@@ -508,7 +512,8 @@ FILL_CALLEE = """
 #: still to be read: aliasing them gives the wrong ``%b``.
 OVERWRITTEN_SOURCE = [
     '%s = "std.alloc"() : () -> (memref<2x3x2xf32>)',
-    "linalg.copy(%a, %s) : (memref<2x3x2xf32>, memref<2x3x2xf32>)",
+    "linalg.transpose(%a, %s) {permutation = [0, 1, 2]} : "
+    "(memref<2x3x2xf32>, memref<2x3x2xf32>)",
     ALLOC_V,
     "linalg.reshape(%s, %v) {reassociation = [[0, 1], [2]]} : "
     "(memref<2x3x2xf32>, memref<6x2xf32>)",
@@ -737,7 +742,7 @@ class TestReshapeViews:
         assert not np.array_equal(want[1], _outputs(aliased)[1])
 
     def test_a_view_still_read_at_its_own_shape_keeps_its_copy(self):
-        # convert-scf-to-llvm alone leaves the linalg.copy that reads %v
+        # convert-scf-to-llvm alone leaves the linalg.transpose that reads %v
         # as a 6x2 buffer: handing it the 2x3x2 source would be wrong.
         def lower_scf_only():
             module = _view_module([ALLOC_V, A_TO_V, V_TO_B])
@@ -746,7 +751,7 @@ class TestReshapeViews:
 
         lowered = lower_scf_only()
         assert not any(op.name == "linalg.reshape" for op in lowered.walk())
-        assert any(op.name == "linalg.copy" for op in lowered.walk())
+        assert any(op.name == "linalg.transpose" for op in lowered.walk())
         for want, got in zip(
             _outputs(_view_module([ALLOC_V, A_TO_V, V_TO_B])),
             _outputs(lowered),
@@ -834,7 +839,7 @@ class TestPeelOrder:
         def build(b, args):
             image, kernel, out, src, dst = args
             b.insert(linalg_d.Conv2DNchwOp.create(image, kernel, out))
-            b.insert(linalg_d.CopyOp.create(src, dst))
+            b.insert(linalg_d.TransposeOp.create(src, dst, [0]))
             zero = b.insert(std.ConstantOp.create(0.0, f32)).result
             b.insert(linalg_d.FillOp.create(zero, src))
 
