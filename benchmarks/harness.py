@@ -13,9 +13,11 @@ This module is also runnable — the bench-smoke entry point::
 pushes one small Figure-9 kernel through the baseline and the raised
 (BLAS) pipelines on the selected execution backend(s), checks that the
 interpreter and the compiled engine agree numerically, and writes
-``benchmarks/results/BENCH_fig9.json``.  ``--jobs N`` runs the corpus
-scale study instead (:func:`run_scale_study`, ``BENCH_scale.json``)
-through ``mlt-opt``'s batch driver.
+``benchmarks/results/BENCH_fig9.json``.  ``--compile-time`` compares
+the worklist and snapshot pattern drivers on ``--kernel`` instead
+(``BENCH_sec5b.json``).  :func:`write_corpus` and :func:`run_corpus`
+push the paper corpus through ``mlt-opt``'s batch driver for the
+serial-vs-pool determinism tests.
 """
 
 from __future__ import annotations
@@ -23,9 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import shutil
 import sys
-import tempfile
 import time
 from typing import Dict, List, Optional, Sequence
 
@@ -224,39 +224,14 @@ def _compile_time_smoke(kernel: str) -> int:
     return 0
 
 
-def _vectorize_smoke() -> int:
-    """Bench-smoke for the whole-nest vectorizer: time every vectorize
-    mode plus the raised BLAS pipeline, assert the >=5x whole-nest
-    payoff, report to BENCH_vectorize.json."""
-    # Imported lazily: the bench module imports this harness.
-    from .bench_vectorize import (
-        check_vectorize_rows,
-        collect_vectorize_rows,
-        write_vectorize_report,
-    )
-
-    rows = collect_vectorize_rows()
-    json_path, _ = write_vectorize_report(rows)  # report() already prints
-    print(f"wrote {json_path}")
-    check_vectorize_rows(rows)
-    print("every mode agrees with the interpreter; whole-nest >= 5x "
-          "innermost on gemm and 2mm")
-    return 0
-
-
 # ----------------------------------------------------------------------
-# Corpus scale study (``--jobs N``)
+# Corpus runs through ``mlt-opt``'s batch driver
 # ----------------------------------------------------------------------
 
-#: Pipelines the scale study measures by default.
-SCALE_PIPELINES = ("baseline", "mlt-blas")
 
-
-def write_corpus(
-    kernel_names: Sequence[str], input_dir: str, heavy: bool = False
-) -> List[str]:
-    """Write each paper kernel's C source (LARGE sizes with ``heavy``)
-    to ``input_dir/<kernel>.c``; returns the paths in kernel order."""
+def write_corpus(kernel_names: Sequence[str], input_dir: str) -> List[str]:
+    """Write each paper kernel's small C source to
+    ``input_dir/<kernel>.c``; returns the paths in kernel order."""
     from repro.evaluation import get_kernel
 
     os.makedirs(input_dir, exist_ok=True)
@@ -265,7 +240,7 @@ def write_corpus(
         spec = get_kernel(name)
         path = os.path.join(input_dir, f"{name}.c")
         with open(path, "w") as handle:
-            handle.write(spec.large() if heavy else spec.small())
+            handle.write(spec.small())
         paths.append(path)
     return paths
 
@@ -281,14 +256,13 @@ def run_corpus(
     named pipeline over ``inputs``, kernels compiled into ``cache_dir``.
 
     Returns an aggregate row; its ``outputs`` map ``(kernel, pipeline)``
-    to the unit's printed module and kernel source, the determinism
-    digest the study compares across runs.  A failed unit is an error.
+    to the unit's printed module and kernel source, the digest the
+    determinism tests compare across runs.  A failed unit is an error.
     """
     from repro.evaluation.pipelines import NAMED_PIPELINES
     from repro.runtime.batch import run_batch, unit_config
     from repro.store import ArtifactStore, text_fingerprint
 
-    start = time.perf_counter()
     batches = [
         (
             pipeline,
@@ -303,7 +277,6 @@ def run_corpus(
         )
         for pipeline in pipelines
     ]
-    wall = time.perf_counter() - start
 
     kernels = ArtifactStore(cache_dir).kernels.disk
     outputs = {}
@@ -313,7 +286,7 @@ def run_corpus(
         for result in results:
             if not result.ok:
                 raise AssertionError(
-                    f"scale study: {result.input_path} under {pipeline}: "
+                    f"corpus run: {result.input_path} under {pipeline}: "
                     f"{result.detail}"
                 )
             codegen += result.cache_snapshot["memory"].get("codegen_count", 0)
@@ -323,163 +296,17 @@ def run_corpus(
             compiled = kernels.load(config.kernel_key(text_fingerprint(text)))
             if compiled is None:
                 raise AssertionError(
-                    f"scale study: {result.input_path} under {pipeline}: "
+                    f"corpus run: {result.input_path} under {pipeline}: "
                     "no kernel in the cache"
                 )
             kernel = os.path.splitext(os.path.basename(result.input_path))[0]
             outputs[kernel, pipeline] = (text, compiled.source)
     return {
-        "jobs": jobs,
-        "wall_time_s": wall,
         "units": len(outputs),
         "codegen_count": codegen,
         "module_cache_hits": module_hits,
         "outputs": outputs,
     }
-
-
-def run_scale_study(
-    jobs: int,
-    kernel_names: Sequence[str],
-    pipelines: Sequence[str] = SCALE_PIPELINES,
-    cache_dir: Optional[str] = None,
-    heavy: bool = False,
-) -> Dict:
-    """Measure the corpus across worker counts and cache warmth.
-
-    Sequence (``cache_dir`` wiped before each *cold* run):
-
-    1. cold, ``jobs=1``   — the serial baseline;
-    2. cold, ``jobs=N``   — parallel speedup (when N > 1);
-    3. warm, ``jobs=1``   — persistent-cache speedup, zero codegen;
-    4. warm, ``jobs=N``   — both levers combined (when N > 1).
-
-    Every run must print the same module text and compile the same
-    kernel source per unit as the serial cold run, and a warm run must
-    run no codegen: either is a hard error.
-    """
-    from repro.runtime.pool import effective_cpus, get_pool, pool_stats
-
-    if jobs > 1:
-        # Fork the persistent pool outside the timed region: the study
-        # measures steady-state parallel throughput, and a service
-        # reusing the pool across calls pays the fork exactly once.
-        get_pool(jobs)
-
-    plan = [("cold", 1)]
-    if jobs > 1:
-        plan.append(("cold", jobs))
-    plan.append(("warm", 1))
-    if jobs > 1:
-        plan.append(("warm", jobs))
-
-    rows: List[Dict] = []
-    reference = None
-    with tempfile.TemporaryDirectory(prefix="scale-study-") as scratch:
-        cache_dir = cache_dir or os.path.join(scratch, "cache")
-        inputs = write_corpus(
-            kernel_names, os.path.join(scratch, "inputs"), heavy
-        )
-        for cache_state, run_jobs in plan:
-            if cache_state == "cold" and os.path.isdir(cache_dir):
-                shutil.rmtree(cache_dir)
-            row = run_corpus(
-                inputs,
-                pipelines,
-                run_jobs,
-                cache_dir,
-                os.path.join(scratch, f"out-{cache_state}-{run_jobs}"),
-            )
-            row["cache"] = cache_state
-            outputs = row.pop("outputs")
-            if reference is None:
-                reference = outputs
-            elif outputs != reference:
-                raise AssertionError(
-                    f"scale study: jobs={run_jobs} {cache_state} run "
-                    "printed different modules or kernels than the "
-                    "serial cold run"
-                )
-            rows.append(row)
-    by_key = {(r["cache"], r["jobs"]): r["wall_time_s"] for r in rows}
-    serial_cold = by_key[("cold", 1)]
-    warm_codegen = sum(
-        row["codegen_count"] for row in rows if row["cache"] == "warm"
-    )
-    if warm_codegen:
-        raise AssertionError(
-            f"scale study: warm runs performed {warm_codegen} codegen "
-            "invocations; every kernel should have come off the "
-            "persistent cache"
-        )
-    summary = {
-        "jobs": jobs,
-        "kernels": list(kernel_names),
-        "pipelines": list(pipelines),
-        "speedup": serial_cold / min(by_key.values()),
-        "warm_speedup": serial_cold / by_key[("warm", 1)],
-        "parallel_speedup": (
-            serial_cold / by_key[("cold", jobs)] if jobs > 1 else None
-        ),
-        "warm_codegen_count": warm_codegen,
-        # Honesty marker: parallel_speedup > 1 is only achievable when
-        # the study actually had more than one CPU to run on.
-        "effective_cpus": effective_cpus(),
-        "pool": pool_stats().get(str(jobs)),
-    }
-    return {"rows": rows, "summary": summary}
-
-
-def _scale_study(args) -> int:
-    """Corpus mode (``--jobs N``): compile the 16-kernel corpus through
-    ``mlt-opt``'s batch driver across a worker pool and a persistent
-    cache, measure speedup vs. worker count and cache warmth, and write
-    results/BENCH_scale.json."""
-    from repro.evaluation.kernels import PAPER_BENCHMARKS
-
-    kernels = (
-        args.kernels.split(",") if args.kernels else list(PAPER_BENCHMARKS)
-    )
-    pipelines = (
-        args.pipelines.split(",")
-        if args.pipelines
-        else list(SCALE_PIPELINES)
-    )
-    cache_dir = args.cache_dir or os.path.join(RESULTS_DIR, "kernel-cache")
-    study = run_scale_study(
-        args.jobs, kernels, pipelines, cache_dir=cache_dir, heavy=args.heavy
-    )
-    rows = study["rows"]
-    path = report_json("BENCH_scale", study)
-    summary = study["summary"]
-    table = format_table(
-        f"scale study — {len(kernels)}-kernel corpus x "
-        f"{len(pipelines)} pipelines, --jobs {args.jobs}",
-        ["cache", "jobs", "wall_time_s", "codegen", "module hits"],
-        [
-            (
-                row["cache"],
-                row["jobs"],
-                f"{row['wall_time_s']:.4f}",
-                row["codegen_count"],
-                row["module_cache_hits"],
-            )
-            for row in rows
-        ],
-    )
-    print(table)
-    print(f"\nwrote {path}")
-    print(
-        f"speedup (cold serial vs best): {summary['speedup']:.2f}x; "
-        f"warm single-job: {summary['warm_speedup']:.2f}x, "
-        f"{summary['warm_codegen_count']} codegen invocations"
-        + (
-            f"; cold parallel: {summary['parallel_speedup']:.2f}x"
-            if summary["parallel_speedup"] is not None
-            else ""
-        )
-    )
-    return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -489,9 +316,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             "Bench smoke: run one small Figure-9 kernel through the "
             "baseline and raised (BLAS) pipelines, compare execution "
             "backends, and write results/BENCH_fig9.json.  With "
-            "--jobs N, instead shard the full 16-kernel corpus across "
-            "a worker pool and a persistent kernel cache and write "
-            "results/BENCH_scale.json."
+            "--compile-time, instead compare the two pattern drivers "
+            "(Section V-B) and write results/BENCH_sec5b.json."
         ),
     )
     parser.add_argument(
@@ -508,13 +334,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "write results/BENCH_sec5b.json",
     )
     parser.add_argument(
-        "--vectorize",
-        action="store_true",
-        help="instead of the engine comparison, ablate the compiled "
-        "engine's vectorize modes (none/innermost/nest) against the "
-        "raised BLAS pipeline and write results/BENCH_vectorize.json",
-    )
-    parser.add_argument(
         "--kernel",
         default="gemm",
         help="paper benchmark name (default: gemm)",
@@ -527,44 +346,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         default="BENCH_fig9",
         help="results/<out>.json report name (default: BENCH_fig9)",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        help="corpus mode: measure the 16-kernel corpus with this many "
-        "worker processes (plus a jobs=1 baseline and warm-cache "
-        "re-runs); writes results/BENCH_scale.json",
-    )
-    parser.add_argument(
-        "--kernels",
-        help="corpus mode: comma-separated kernel subset "
-        "(default: the full paper corpus)",
-    )
-    parser.add_argument(
-        "--pipelines",
-        help="corpus mode: comma-separated pipeline subset "
-        "(default: baseline,mlt-blas)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        help="corpus mode: persistent cache directory "
-        "(default: results/kernel-cache)",
-    )
-    parser.add_argument(
-        "--heavy",
-        action="store_true",
-        help="corpus mode: compile the LARGE-size sources instead of "
-        "the small ones",
-    )
     args = parser.parse_args(list(sys.argv[1:] if argv is None else argv))
-
-    if args.jobs is not None:
-        return _scale_study(args)
 
     if args.compile_time:
         return _compile_time_smoke(args.kernel)
-
-    if args.vectorize:
-        return _vectorize_smoke()
 
     from repro.evaluation import get_kernel
 

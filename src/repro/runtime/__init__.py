@@ -11,8 +11,8 @@ Layout:
 * :mod:`.pool` — the generic pool driver (``parallel_map``) and the
   deterministic seed-derivation helper shared by every surface;
 * :mod:`.fuzz` — seed-sharded fuzz campaigns (``mlt-fuzz --jobs N``);
-* :mod:`.batch` — multi-file ``mlt-opt`` batch compilation, which the
-  corpus scale study (``benchmarks.harness --jobs N``) drives too.
+* :mod:`.batch` — multi-file ``mlt-opt`` batch compilation, which
+  ``benchmarks.harness.run_corpus`` drives for the determinism tests.
 """
 
 from .pool import (  # noqa: F401

@@ -4,14 +4,13 @@
 A ``multiprocessing.Pool`` built and torn down per call pays fork,
 import, feed and join for every wave of a fuzz campaign and every
 ``mlt-opt`` batch.  On the tiny units this project compiles (a few
-milliseconds each) that start-up tax dominates: the corpus scale study
-(``benchmarks.harness --jobs N``, ``BENCH_scale.json``) measured
-``jobs=4`` at 0.77x of *serial* with per-call pools.  This module keeps
-a process-global pool that forks its workers **once** and feeds them
-batched unit schedules for the rest of the process lifetime — the same
-amortization a long-lived compilation service performs, and the same
-pool the serving front-end (:mod:`repro.serving`) submits request
-batches to.
+milliseconds each) that start-up tax dominates: a 16-kernel corpus
+batch measured ``jobs=4`` at 0.77x of *serial* with per-call pools.
+This module keeps a process-global pool that forks its workers
+**once** and feeds them batched unit schedules for the rest of the
+process lifetime — the same amortization a long-lived compilation
+service performs, and the same pool the serving front-end
+(:mod:`repro.serving`) submits request batches to.
 
 Design constraints, in order:
 
@@ -421,7 +420,7 @@ def get_pool(jobs: int) -> PersistentPool:
     Created on first use (forking the workers once) and reused by every
     later ``parallel_map``/serving batch with the same width; pools of
     different widths coexist so a ``--jobs 2`` fuzz run and a
-    ``--jobs 4`` scale study never reshape each other's pool.
+    ``--jobs 4`` batch never reshape each other's pool.
     """
     jobs = resolve_jobs(jobs)
     with _POOLS_LOCK:

@@ -23,6 +23,7 @@ from functools import partial
 from typing import Dict, List, Optional
 
 from ..dialects.transform import (
+    MIN_TILE_SIZE,
     CanonicalizeOp,
     CopyElimOp,
     DeadLoopsOp,
@@ -267,14 +268,19 @@ def canned_fingerprint(mode: str, tile_size: int = DEFAULT_TILE_SIZE) -> str:
 #: The keys of an autotuner parameter point and each value's type.
 _PARAM_TYPES = {"fuse": bool, "order": str, "tile": int, "unroll_jam": int}
 
+#: The smallest value an int parameter takes when it is not 0 (off):
+#: the bound its step's verifier enforces.
+_PARAM_MINIMA = {"tile": MIN_TILE_SIZE, "unroll_jam": 2}
+
 
 def schedule_from_params(params: Dict) -> ModuleOp:
     """Build a schedule module from an autotuner parameter point.
 
     Keys (all optional): ``fuse`` (bool), ``order`` (``"fuse-first"`` |
     ``"distribute-first"``), ``tile`` (int, 0 = untiled), ``unroll_jam``
-    (int, 0 = off).  Any other key, or a value of another type (a bool
-    is no int here), is a :class:`ScheduleError`.
+    (int, 0 = off).  Any other key, a value of another type (a bool is
+    no int here), or a ``tile``/``unroll_jam`` that is neither 0 nor at
+    least its step's minimum (2) is a :class:`ScheduleError`.
     """
     for key, value in params.items():
         if key not in _PARAM_TYPES:
@@ -283,6 +289,12 @@ def schedule_from_params(params: Dict) -> ModuleOp:
             raise ScheduleError(
                 f"schedule parameter {key}={value!r} is not "
                 f"{_PARAM_TYPES[key].__name__}"
+            )
+        least = _PARAM_MINIMA.get(key)
+        if least is not None and value != 0 and value < least:
+            raise ScheduleError(
+                f"schedule parameter {key}={value!r} is neither 0 (off) "
+                f"nor >= {least}"
             )
     order = params.get("order", "fuse-first")
     if order not in ("fuse-first", "distribute-first"):

@@ -194,6 +194,15 @@ def serving_cache_snapshots() -> Dict[str, dict]:
 # ----------------------------------------------------------------------
 
 
+def _flag(request: dict, name: str, default: bool) -> bool:
+    """A boolean request field: a JSON ``true``/``false`` only, so
+    ``"false"`` or ``0`` is refused rather than read by truthiness."""
+    value = request.get(name, default)
+    if not isinstance(value, bool):
+        raise BadRequest(f"{name} must be a boolean")
+    return value
+
+
 def normalize_request(
     request: dict,
     default_tenant: str = "default",
@@ -239,13 +248,13 @@ def normalize_request(
         "seed": seed,
         "tile": tile,
         "opt_mode": opt_mode,
-        "warm_hot": bool(request.get("warm_hot", execute)),
+        "warm_hot": _flag(request, "warm_hot", execute),
     }
 
     if "kernel" in request:
         name = request["kernel"]
         pipeline = request.get("pipeline", "baseline")
-        heavy = bool(request.get("heavy", False))
+        heavy = _flag(request, "heavy", False)
         if not isinstance(name, str):
             raise BadRequest(f"unknown kernel {name!r}")
         if not isinstance(pipeline, str):

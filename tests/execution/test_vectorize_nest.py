@@ -56,6 +56,9 @@ def _check_all_modes(module, func_name, seed=0):
         for ref, act in zip(reference, args):
             np.testing.assert_allclose(ref, act, rtol=RTOL, atol=ATOL)
         stats[mode] = engine.vectorize_stats
+    # Only the nest mode plans contractions.
+    assert stats["innermost"]["contractions"] == 0
+    assert stats["none"]["contractions"] == 0
     return stats
 
 

@@ -162,10 +162,15 @@ class TestFuzzMainCLI:
 
     @pytest.mark.fuzz
     def test_smoke_budget(self, tmp_path, capsys):
-        """The CI smoke budget: 30 seeds under 60 seconds."""
-        code = fuzz_main(["--smoke", "--out", str(tmp_path / "ff")])
+        """The ``--smoke`` wiring: it takes ``min(--seeds, 30)`` seeds
+        under a 60 second limit.  The full 30-seed budget runs as its
+        own CI step (``mlt-fuzz --smoke``)."""
+        code = fuzz_main(
+            ["--smoke", "--seeds", "3", "--out", str(tmp_path / "ff")]
+        )
         captured = capsys.readouterr()
         assert code == 0, captured.err
+        assert "mlt-fuzz: 3 seeds," in captured.err
         assert "ok" in captured.err
 
 

@@ -76,6 +76,12 @@ def test_tuner_space_reifies_and_roundtrips():
         ({"unroll_jam": True}, "unroll_jam=True is not int"),
         ({"tile": "8"}, "tile='8' is not int"),
         ({"order": 1}, "order=1 is not str"),
+        # Out-of-range ints used to pass here and fail in the op verifier
+        # with an IRError; 0 still means off.
+        ({"tile": 1}, r"tile=1 is neither 0 \(off\) nor >= 2"),
+        ({"tile": -4}, r"tile=-4 is neither 0 \(off\) nor >= 2"),
+        ({"unroll_jam": 1}, r"unroll_jam=1 is neither 0 \(off\) nor >= 2"),
+        ({"unroll_jam": -2}, r"unroll_jam=-2 is neither 0 \(off\) nor >= 2"),
     ],
 )
 def test_params_outside_the_space_are_refused(params, message):

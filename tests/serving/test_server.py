@@ -588,6 +588,36 @@ class TestProtocolAndValidation:
             assert response["code"] == "bad-request", response
             assert field in response["error"]
 
+    @pytest.mark.parametrize("field", ["heavy", "warm_hot"])
+    def test_a_flag_is_a_json_boolean(self, tmp_path, field):
+        # "heavy": "false" used to compile the LARGE source, and
+        # "warm_hot": "no" used to pin the kernel hot.
+        async def scenario():
+            server = await start_server(tmp_path)
+            client = await connect(server)
+            refused = [
+                await client.compile(
+                    kernel="gemm", pipeline="baseline", **{field: value}
+                )
+                for value in ("false", "no", 0, 1, None)
+            ]
+            accepted = [
+                await client.compile(
+                    kernel="gemm", pipeline="baseline", **{field: value}
+                )
+                for value in (False, True)
+            ]
+            await client.close()
+            await server.shutdown()
+            return refused, accepted
+
+        refused, accepted = run(scenario())
+        for response in refused:
+            assert response["code"] == "bad-request", response
+            assert f"{field} must be a boolean" in response["error"]
+        for response in accepted:
+            assert response["ok"], response
+
     def test_stats_report_pinned_input_bytes(self, tmp_path):
         async def scenario():
             server = await start_server(tmp_path)

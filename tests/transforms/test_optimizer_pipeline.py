@@ -211,6 +211,45 @@ class TestStages:
                 assert stats["bail_reasons"], stats
         assert scalar_nests > 1
 
+    def test_full_promotes_a_scalar_nest_to_collapsed(self):
+        # Two stores in one body: the vectorizer bails on the raw nest
+        # (opt=none), and opt=full's distribution hands it two nests it
+        # collapses whole — the mid-level pipeline's reason to exist.
+        # Every mode must compute what the interpreter computes.
+        module = compile_c(
+            """
+            void addsub(float A[6][7], float B[6][7], float S[6][7],
+                        float D[6][7]) {
+              for (int i = 0; i < 6; i++)
+                for (int j = 0; j < 7; j++) {
+                  S[i][j] = A[i][j] + B[i][j];
+                  D[i][j] = A[i][j] - B[i][j];
+                }
+            }
+            """,
+            distribute=False,
+        )
+        shapes = module_arg_shapes(module, "addsub")
+        reference = make_args(shapes, 0)
+        Interpreter(module).run("addsub", *reference)
+        stats = {}
+        for opt_mode in OPT_MODES:
+            engine = ExecutionEngine(
+                module,
+                pipeline="promote",
+                cache=KernelCache(),
+                opt_mode=opt_mode,
+            )
+            args = make_args(shapes, 0)
+            engine.run("addsub", *args)
+            for expect, got in zip(reference, args):
+                np.testing.assert_allclose(got, expect, rtol=2e-3, atol=1e-5)
+            stats[opt_mode] = engine.vectorize_stats
+        assert stats["none"]["nests_collapsed"] == 0, stats["none"]
+        assert "multiple-stores" in stats["none"]["bail_reasons"]
+        assert stats["full"]["nests_collapsed"] >= 1, stats["full"]
+        assert stats["full"]["nests_bailed"] == 0, stats["full"]
+
     def test_tiled_execution_is_bit_exact(self):
         module = compile_c(TILABLE_SCALAR, distribute=False)
         shapes = module_arg_shapes(module, "acc")
