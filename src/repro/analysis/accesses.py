@@ -146,19 +146,3 @@ def enclosing_loops(op: Operation) -> List[AffineForOp]:
         parent = parent.parent_op
     loops.reverse()
     return loops
-
-
-def written_memrefs(root: Operation) -> List[Value]:
-    out: List[Value] = []
-    for access in collect_accesses(root):
-        if access.is_write and access.memref not in out:
-            out.append(access.memref)
-    return out
-
-
-def read_memrefs(root: Operation) -> List[Value]:
-    out: List[Value] = []
-    for access in collect_accesses(root):
-        if not access.is_write and access.memref not in out:
-            out.append(access.memref)
-    return out

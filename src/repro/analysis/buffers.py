@@ -57,6 +57,12 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
+from ..dialects.linalg import (
+    FillOp,
+    LinalgStructuredOp,
+    ReshapeOp,
+    TransposeOp,
+)
 from ..ir import FuncOp, Operation, Value
 from ..ir.types import MemRefType
 
@@ -68,29 +74,12 @@ ZEROS = "zeros"
 
 _READ, _WRITE, _ESCAPE = 1, 2, 4
 
-_RESHAPES = ("linalg.reshape", "blas.reshape")
-_TRANSPOSES = ("linalg.transpose", "blas.transpose")
-#: Ops that overwrite their last operand whole from the others.
-_OVERWRITES = _RESHAPES + _TRANSPOSES + ("linalg.fill",)
-#: Op name -> how the op touches its *last* memref operand; every
-#: earlier one is only read.  ``linalg.generic`` (several outputs) is
-#: handled by position, and an op with no row escapes all of them.
-_LAST_OPERAND = {
-    **dict.fromkeys(_OVERWRITES, _WRITE),
+#: Payload kinds that overwrite a structured op's output whole.
+_WHOLE = ("copy", "fill")
+#: How a load or a store touches its memref, its only memref operand.
+_SCALAR_ACCESSES = {
     **dict.fromkeys(("affine.load", "std.load", "llvm.load"), _READ),
     **dict.fromkeys(("affine.store", "std.store", "llvm.store"), _WRITE),
-    **dict.fromkeys(
-        (
-            "linalg.matmul",
-            "affine.matmul",
-            "blas.sgemm",
-            "linalg.matvec",
-            "blas.sgemv",
-            "linalg.conv2d_nchw",
-            "blas.conv2d",
-        ),
-        _READ | _WRITE,
-    ),
 }
 
 
@@ -106,20 +95,35 @@ class _Use(NamedTuple):
 
 def _effects(op: Operation) -> List[Tuple[Value, int]]:
     """How ``op`` touches each of its memref operands, in operand
-    order."""
-    memrefs = [v for v in op.operands if isinstance(v.type, MemRefType)]
+    order.  A structured op (and a reshape) reads its inputs and writes
+    its outputs, reading them too unless it overwrites them whole."""
+    memrefs = [
+        (pos, value)
+        for pos, value in enumerate(op.operands)
+        if isinstance(value.type, MemRefType)
+    ]
     if not memrefs or op.name == "std.dealloc":
         return []
-    if op.name == "linalg.generic":
-        outputs, kind = op.num_inputs, _READ | _WRITE
-    elif op.name in _LAST_OPERAND:
-        outputs, kind = len(memrefs) - 1, _LAST_OPERAND[op.name]
+    if isinstance(op, LinalgStructuredOp):
+        inputs = op.num_inputs
+        output = _WRITE if op.PAYLOAD in _WHOLE else _READ | _WRITE
+    elif isinstance(op, ReshapeOp):
+        inputs, output = 1, _WRITE
+    elif op.name in _SCALAR_ACCESSES:
+        inputs, output = 0, _SCALAR_ACCESSES[op.name]
     else:  # a call, a return, an unregistered op: may do anything
-        outputs, kind = 0, _READ | _WRITE | _ESCAPE
+        inputs, output = 0, _READ | _WRITE | _ESCAPE
     return [
-        (value, _READ if pos < outputs else kind)
-        for pos, value in enumerate(memrefs)
+        (value, _READ if pos < inputs else output) for pos, value in memrefs
     ]
+
+
+def _overwrites(op: Operation) -> bool:
+    """Does ``op`` overwrite its output whole from its inputs alone
+    (a reshape, a transpose, a fill)?"""
+    return isinstance(op, ReshapeOp) or (
+        isinstance(op, LinalgStructuredOp) and op.PAYLOAD in _WHOLE
+    )
 
 
 def _fits(op: Operation) -> bool:
@@ -129,14 +133,14 @@ def _fits(op: Operation) -> bool:
     out = op.operands[-1].type
     if not out.has_static_shape():
         return False
-    if op.name == "linalg.fill":
+    if isinstance(op, FillOp):
         return True
     src = op.operands[0].type
     if src.element_type != out.element_type or not src.has_static_shape():
         return False
-    if op.name in _RESHAPES:
+    if isinstance(op, ReshapeOp):
         return src.num_elements() == out.num_elements()
-    if op.name in _TRANSPOSES:
+    if isinstance(op, TransposeOp):
         perm = op.permutation
         return sorted(perm) == list(range(src.rank)) and out.shape == tuple(
             src.shape[p] for p in perm
@@ -187,7 +191,7 @@ def plan_buffers(func: FuncOp, stats=None) -> Dict[int, str]:
             record(ZEROS, "in-loop")
         elif (
             first.kind != _WRITE
-            or first.op.name not in _OVERWRITES
+            or not _overwrites(first.op)
             or not _fits(first.op)
         ):
             record(ZEROS, "used-before-write")
@@ -206,7 +210,7 @@ def plan_buffers(func: FuncOp, stats=None) -> Dict[int, str]:
     for pos, alloc, op in producers:
         view = alloc.results[0]
         actions[id(alloc)] = DEFERRED
-        if op.name in _RESHAPES:
+        if isinstance(op, ReshapeOp):
             source_root = root.get(id(op.operands[0]))
             group = members.get(source_root, [])
             back, refusal = _alias_rule(
@@ -258,7 +262,7 @@ def _alias_rule(
         last = view_later[-1]
         back = last.op
         if (
-            back.name in _RESHAPES
+            isinstance(back, ReshapeOp)
             and back is top[last.pos]
             and back.operands[0] is view
             and id(back.operands[1]) in group

@@ -15,7 +15,7 @@ from ..ir.attributes import AffineMapAttr, IntegerAttr, UnitAttr
 from ..ir.core import Block, IRError, Operation, register_op
 from ..ir.types import IndexType, MemRefType
 from ..ir.values import BlockArgument, Value
-from .linalg import MATMUL_MAPS, LinalgStructuredOp
+from .linalg import MatmulOp
 
 
 @register_op
@@ -285,36 +285,18 @@ class AffineApplyOp(Operation):
 
 
 @register_op
-class AffineMatmulOp(LinalgStructuredOp):
+class AffineMatmulOp(MatmulOp):
     """High-level matrix-multiply op *within* the Affine dialect.
 
     Models the custom ``matmul`` operation of Bondhugula's "High
     Performance Code Generation in MLIR" study: ``C += A * B`` on 2-d
     memrefs, lowered to OpenBLAS/BLIS-style tiled, vectorized code.
     This is the raising target of the Affine-to-Affine path (§V-A).
-    It shares ``linalg.matmul``'s structured-op interface, so it
-    verifies, counts flops and expands to loops as that op does.
+    It is ``linalg.matmul`` under another name, so it verifies, counts
+    flops and expands to loops as that op does.
     """
 
     OP_NAME = "affine.matmul"
-    PAYLOAD = "mac"
-    indexing_maps = MATMUL_MAPS
-
-    @staticmethod
-    def create(a: Value, b: Value, c: Value) -> "AffineMatmulOp":
-        return AffineMatmulOp(operands=[a, b, c])
-
-    @property
-    def a(self) -> Value:
-        return self.operand(0)
-
-    @property
-    def b(self) -> Value:
-        return self.operand(1)
-
-    @property
-    def c(self) -> Value:
-        return self.operand(2)
 
 
 # ----------------------------------------------------------------------

@@ -1,44 +1,66 @@
 """The ``blas`` dialect: calls into vendor-optimized libraries.
 
-These ops model dynamically-linked BLAS/MKL-DNN routines.  They sit at
-the same abstraction level as Linalg; the MLT-BLAS path replaces Linalg
-ops with these (§V-B).  Each call carries the target ``library``
-attribute and — important for the level-2 BLAS results in Figure 9 —
-incurs a fixed dynamic-link dispatch overhead modeled by the cost model.
+These ops model dynamically-linked BLAS/MKL-DNN routines.  Each is the
+``linalg`` op it replaces (its *twin*) plus the call's own attributes:
+operands, indexing maps, ``flops()`` and the verifier are the twin's,
+so a call rejects every shape its twin rejects.  Every call carries the
+target ``library``; ``sgemm`` adds ``alpha``/``beta``.  The MLT-BLAS
+path makes them from Linalg through :data:`TWINS`
+(``convert-linalg-to-blas``, §V-B); each call incurs a fixed
+dynamic-link dispatch overhead modeled by the cost model, which matters
+for the level-2 BLAS results in Figure 9.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Dict, Type
 
-from ..ir.attributes import ArrayAttr, FloatAttr, StringAttr, int_array_attr
+from ..ir.attributes import FloatAttr, StringAttr
 from ..ir.core import IRError, Operation, register_op
 from ..ir.values import Value
+from . import linalg
 
 #: Libraries with modeled efficiencies (see repro.execution.machines).
 KNOWN_LIBRARIES = ("mkl-dnn", "openblas")
 
 
-class BlasCallOp(Operation):
-    """Base class for library-call ops."""
+class LibraryCall:
+    """Makes a ``linalg`` op a call into ``library``.  Listed before the
+    twin among a call's bases, so its ``create`` and ``verify_`` wrap
+    the twin's."""
+
+    @classmethod
+    def create(cls, *args, library: str = "mkl-dnn", **kwargs):
+        op = super().create(*args, **kwargs)
+        op.attributes["library"] = StringAttr(library)
+        return op
+
+    @classmethod
+    def of(cls, twin: Operation, library: str) -> Operation:
+        """The call computing what ``twin`` computes, over its operands
+        and with its attributes."""
+        attributes = {**twin.attributes, "library": StringAttr(library)}
+        return cls(operands=twin.operands, attributes=attributes)
 
     @property
     def library(self) -> str:
         return self.attributes["library"].value
 
     def verify_(self) -> None:
-        if self.attributes["library"].value not in KNOWN_LIBRARIES:
+        if self.library not in KNOWN_LIBRARIES:
             raise IRError(f"{self.name}: unknown library {self.library!r}")
+        super().verify_()
 
 
 @register_op
-class SgemmOp(BlasCallOp):
+class SgemmOp(LibraryCall, linalg.MatmulOp):
     """``blas.sgemm``: C = alpha*A*B + beta*C (single precision)."""
 
     OP_NAME = "blas.sgemm"
 
-    @staticmethod
+    @classmethod
     def create(
+        cls,
         a: Value,
         b: Value,
         c: Value,
@@ -46,7 +68,7 @@ class SgemmOp(BlasCallOp):
         beta: float = 1.0,
         library: str = "mkl-dnn",
     ) -> "SgemmOp":
-        return SgemmOp(
+        return cls(
             operands=[a, b, c],
             attributes={
                 "alpha": FloatAttr(alpha),
@@ -55,17 +77,9 @@ class SgemmOp(BlasCallOp):
             },
         )
 
-    @property
-    def a(self) -> Value:
-        return self.operand(0)
-
-    @property
-    def b(self) -> Value:
-        return self.operand(1)
-
-    @property
-    def c(self) -> Value:
-        return self.operand(2)
+    @classmethod
+    def of(cls, twin: Operation, library: str) -> "SgemmOp":
+        return cls.create(*twin.operands, library=library)
 
     @property
     def alpha(self) -> float:
@@ -75,95 +89,24 @@ class SgemmOp(BlasCallOp):
     def beta(self) -> float:
         return self.attributes["beta"].value
 
-    def flops(self) -> int:
-        m, k = self.a.type.shape
-        n = self.b.type.shape[1]
-        return 2 * m * k * n
-
 
 @register_op
-class SgemvOp(BlasCallOp):
+class SgemvOp(LibraryCall, linalg.MatvecOp):
     """``blas.sgemv``: y += op(A)*x where op is identity or transpose
     (the CBLAS ``trans`` parameter)."""
 
     OP_NAME = "blas.sgemv"
 
-    @staticmethod
-    def create(
-        a: Value,
-        x: Value,
-        y: Value,
-        library: str = "mkl-dnn",
-        trans: bool = False,
-    ) -> "SgemvOp":
-        from ..ir.attributes import BoolAttr
-
-        return SgemvOp(
-            operands=[a, x, y],
-            attributes={
-                "library": StringAttr(library),
-                "trans": BoolAttr(trans),
-            },
-        )
-
-    @property
-    def trans(self) -> bool:
-        attr = self.attributes.get("trans")
-        return bool(attr.value) if attr is not None else False
-
-    @property
-    def a(self) -> Value:
-        return self.operand(0)
-
-    @property
-    def x(self) -> Value:
-        return self.operand(1)
-
-    @property
-    def y(self) -> Value:
-        return self.operand(2)
-
-    def flops(self) -> int:
-        m, n = self.a.type.shape
-        return 2 * m * n
-
 
 @register_op
-class TransposeOp(BlasCallOp):
+class TransposeOp(LibraryCall, linalg.TransposeOp):
     """``blas.transpose``: out-of-place tensor transposition routine."""
 
     OP_NAME = "blas.transpose"
 
-    @staticmethod
-    def create(
-        input: Value,
-        output: Value,
-        permutation: Sequence[int],
-        library: str = "mkl-dnn",
-    ) -> "TransposeOp":
-        return TransposeOp(
-            operands=[input, output],
-            attributes={
-                "permutation": int_array_attr(permutation),
-                "library": StringAttr(library),
-            },
-        )
-
-    @property
-    def input(self) -> Value:
-        return self.operand(0)
-
-    @property
-    def output(self) -> Value:
-        return self.operand(1)
-
-    @property
-    def permutation(self) -> List[int]:
-        return [a.value for a in self.attributes["permutation"]]
-
 
 @register_op
-class ReshapeOp(BlasCallOp):
+class ReshapeOp(LibraryCall, linalg.ReshapeOp):
     """``blas.reshape``: view a buffer with collapsed/expanded dims.
 
     Library-side reshapes of contiguous buffers are metadata-only; the
@@ -172,63 +115,19 @@ class ReshapeOp(BlasCallOp):
 
     OP_NAME = "blas.reshape"
 
-    @staticmethod
-    def create(
-        input: Value,
-        output: Value,
-        reassociation: Sequence[Sequence[int]],
-        library: str = "mkl-dnn",
-    ) -> "ReshapeOp":
-        groups = ArrayAttr([int_array_attr(g) for g in reassociation])
-        return ReshapeOp(
-            operands=[input, output],
-            attributes={"reassociation": groups, "library": StringAttr(library)},
-        )
-
-    @property
-    def input(self) -> Value:
-        return self.operand(0)
-
-    @property
-    def output(self) -> Value:
-        return self.operand(1)
-
-    @property
-    def reassociation(self) -> List[List[int]]:
-        return [
-            [a.value for a in group]
-            for group in self.attributes["reassociation"]
-        ]
-
 
 @register_op
-class Conv2DOp(BlasCallOp):
+class Conv2DOp(LibraryCall, linalg.Conv2DNchwOp):
     """``blas.conv2d``: library convolution (e.g. MKL-DNN primitive)."""
 
     OP_NAME = "blas.conv2d"
 
-    @staticmethod
-    def create(
-        input: Value, kernel: Value, output: Value, library: str = "mkl-dnn"
-    ) -> "Conv2DOp":
-        return Conv2DOp(
-            operands=[input, kernel, output],
-            attributes={"library": StringAttr(library)},
-        )
 
-    @property
-    def input(self) -> Value:
-        return self.operand(0)
-
-    @property
-    def kernel(self) -> Value:
-        return self.operand(1)
-
-    @property
-    def output(self) -> Value:
-        return self.operand(2)
-
-    def flops(self) -> int:
-        f, c, kh, kw = self.kernel.type.shape
-        n, _, oh, ow = self.output.type.shape
-        return 2 * n * f * oh * ow * c * kh * kw
+#: Each linalg op ``convert-linalg-to-blas`` replaces -> its library call.
+TWINS: Dict[Type[Operation], Type[LibraryCall]] = {
+    linalg.MatmulOp: SgemmOp,
+    linalg.MatvecOp: SgemvOp,
+    linalg.TransposeOp: TransposeOp,
+    linalg.ReshapeOp: ReshapeOp,
+    linalg.Conv2DNchwOp: Conv2DOp,
+}

@@ -8,7 +8,8 @@ types and payload (a region) out.  The named ops (``matmul``,
 ``matvec``, ``conv2d_nchw``, ``transpose``, ``fill``), which cover the
 builders the paper's TDS supports, fix their maps and payload kind; they
 print compactly, and verify, count flops and lower to loops through the
-same interface as the generic.  All ops here use memref (buffer)
+same interface as the generic.  ``affine.matmul`` and each ``blas``
+call subclass the op they stand for.  All ops here use memref (buffer)
 operands, matching the paper's evaluation flow (C code -> Affine ->
 Linalg on buffers).
 """
@@ -204,9 +205,8 @@ def _maps(num_loops: int, *operands) -> Tuple[AffineMap, ...]:
     )
 
 
-#: ``C[i, j] += A[i, k] * B[k, j]`` over loops ``(i, j, k)``; the
-#: interface ``affine.matmul`` shares.
-MATMUL_MAPS = _maps(3, (0, 2), (2, 1), (0, 1))
+#: ``C[i, j] += A[i, k] * B[k, j]`` over loops ``(i, j, k)``.
+_MATMUL_MAPS = _maps(3, (0, 2), (2, 1), (0, 1))
 #: ``y[i] += A[i, j] * x[j]``, and with ``trans`` ``y[j] += A[i, j] *
 #: x[i]``: the matrix's contiguous dimension stays innermost.
 _MATVEC_MAPS = {
@@ -243,11 +243,11 @@ class MatmulOp(LinalgStructuredOp):
 
     OP_NAME = "linalg.matmul"
     PAYLOAD = "mac"
-    indexing_maps = MATMUL_MAPS
+    indexing_maps = _MATMUL_MAPS
 
-    @staticmethod
-    def create(a: Value, b: Value, c: Value) -> "MatmulOp":
-        return MatmulOp(operands=[a, b, c])
+    @classmethod
+    def create(cls, a: Value, b: Value, c: Value) -> "MatmulOp":
+        return cls(operands=[a, b, c])
 
     @property
     def a(self) -> Value:
@@ -269,11 +269,13 @@ class MatvecOp(LinalgStructuredOp):
     OP_NAME = "linalg.matvec"
     PAYLOAD = "mac"
 
-    @staticmethod
-    def create(a: Value, x: Value, y: Value, trans: bool = False) -> "MatvecOp":
+    @classmethod
+    def create(
+        cls, a: Value, x: Value, y: Value, trans: bool = False
+    ) -> "MatvecOp":
         from ..ir.attributes import BoolAttr
 
-        return MatvecOp(operands=[a, x, y], attributes={"trans": BoolAttr(trans)})
+        return cls(operands=[a, x, y], attributes={"trans": BoolAttr(trans)})
 
     @property
     def trans(self) -> bool:
@@ -304,9 +306,9 @@ class TransposeOp(LinalgStructuredOp):
     OP_NAME = "linalg.transpose"
     PAYLOAD = "copy"
 
-    @staticmethod
-    def create(input: Value, output: Value, permutation: Sequence[int]):
-        return TransposeOp(
+    @classmethod
+    def create(cls, input: Value, output: Value, permutation: Sequence[int]):
+        return cls(
             operands=[input, output],
             attributes={"permutation": int_array_attr(permutation)},
         )
@@ -330,7 +332,7 @@ class TransposeOp(LinalgStructuredOp):
     def verify_(self) -> None:
         perm = self.permutation
         if sorted(perm) != list(range(len(perm))):
-            raise IRError(f"linalg.transpose: bad permutation {perm}")
+            raise IRError(f"{self.name}: bad permutation {perm}")
         super().verify_()
 
 
@@ -346,12 +348,15 @@ class ReshapeOp(Operation):
 
     OP_NAME = "linalg.reshape"
 
-    @staticmethod
+    @classmethod
     def create(
-        input: Value, output: Value, reassociation: Sequence[Sequence[int]]
+        cls,
+        input: Value,
+        output: Value,
+        reassociation: Sequence[Sequence[int]],
     ) -> "ReshapeOp":
         groups = ArrayAttr([int_array_attr(g) for g in reassociation])
-        return ReshapeOp(
+        return cls(
             operands=[input, output], attributes={"reassociation": groups}
         )
 
@@ -380,12 +385,12 @@ class ReshapeOp(Operation):
         high, low = (in_ty, out_ty) if self.is_collapse() else (out_ty, in_ty)
         if len(groups) != low.rank:
             raise IRError(
-                f"linalg.reshape: {len(groups)} groups for rank-{low.rank} result"
+                f"{self.name}: {len(groups)} groups for rank-{low.rank} result"
             )
         covered = [d for group in groups for d in group]
         if covered != list(range(high.rank)):
             raise IRError(
-                f"linalg.reshape: reassociation {groups} does not cover "
+                f"{self.name}: reassociation {groups} does not cover "
                 f"rank-{high.rank} operand"
             )
         if -1 not in high.shape and -1 not in low.shape:
@@ -395,7 +400,7 @@ class ReshapeOp(Operation):
                     size *= high.shape[d]
                 if size != low_dim:
                     raise IRError(
-                        f"linalg.reshape: group {group} product {size} != "
+                        f"{self.name}: group {group} product {size} != "
                         f"{low_dim}"
                     )
 
@@ -412,9 +417,11 @@ class Conv2DNchwOp(LinalgStructuredOp):
     PAYLOAD = "mac"
     indexing_maps = _CONV2D_NCHW_MAPS
 
-    @staticmethod
-    def create(input: Value, kernel: Value, output: Value) -> "Conv2DNchwOp":
-        return Conv2DNchwOp(operands=[input, kernel, output])
+    @classmethod
+    def create(
+        cls, input: Value, kernel: Value, output: Value
+    ) -> "Conv2DNchwOp":
+        return cls(operands=[input, kernel, output])
 
     @property
     def input(self) -> Value:

@@ -9,9 +9,10 @@ level:
     each reference is assigned the cache level whose capacity covers the
     data touched between its temporal reuses, and charged that level's
     bandwidth for the bytes it moves per iteration.
-  * **Library calls** (``blas.*``) are charged the machine's measured
-    library efficiency plus the fixed dynamic-link dispatch overhead —
-    the term that makes Pluto win the level-2 kernels in Figure 9.
+  * **Library calls** (``blas.*``) are charged their linalg twin's
+    flops at the machine's measured level-2 or level-3 library rate,
+    plus the fixed dynamic-link dispatch overhead — the term that makes
+    Pluto win the level-2 kernels in Figure 9.
   * **``affine.matmul``** is charged the OpenBLAS/BLIS codegen
     efficiency of §V-A (no call overhead: it lowers to inlined code).
 
@@ -27,7 +28,9 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from ..analysis.accesses import MemoryAccess, access_function
+from ..dialects import blas as blas_d
 from ..dialects.affine import AffineForOp
+from ..dialects.linalg import MatvecOp
 from ..ir import IRError, Operation, Value
 from ..ir.affine_expr import AffineDimExpr
 from .machines import CacheLevel, Machine
@@ -173,23 +176,10 @@ class CostModel:
         if name == "affine.matmul":
             flops = op.flops()
             return flops / (machine.blis_matmul_gflops * 1e9), flops
-        if name == "blas.sgemm":
+        if isinstance(op, (blas_d.SgemmOp, blas_d.SgemvOp, blas_d.Conv2DOp)):
             flops = op.flops()
-            gf = machine.library_gflops(op.library, level=3)
-            return (
-                flops / (gf * 1e9) + machine.library_call_overhead_s,
-                flops,
-            )
-        if name == "blas.sgemv":
-            flops = op.flops()
-            gf = machine.library_gflops(op.library, level=2)
-            return (
-                flops / (gf * 1e9) + machine.library_call_overhead_s,
-                flops,
-            )
-        if name == "blas.conv2d":
-            flops = op.flops()
-            gf = machine.library_gflops(op.library, level=3)
+            level = 2 if isinstance(op, MatvecOp) else 3
+            gf = machine.library_gflops(op.library, level)
             return (
                 flops / (gf * 1e9) + machine.library_call_overhead_s,
                 flops,

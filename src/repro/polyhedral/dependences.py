@@ -33,18 +33,3 @@ def band_is_fully_permutable(band: Sequence[AffineForOp]) -> bool:
             if not a.same_element(b):
                 return False
     return True
-
-
-def has_uniform_writes(root: AffineForOp) -> bool:
-    """Every written buffer is written through a single access
-    function (sufficient for distribution/fusion reasoning)."""
-    accesses = collect_accesses(root)
-    by_memref = {}
-    for access in accesses:
-        if access.is_write:
-            by_memref.setdefault(id(access.memref), []).append(access)
-    for group in by_memref.values():
-        first = group[0]
-        if any(not first.same_element(other) for other in group[1:]):
-            return False
-    return True

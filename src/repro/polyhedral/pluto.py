@@ -80,10 +80,7 @@ def permute_band(root: AffineForOp, perm: Sequence[int]) -> AffineForOp:
             new_loops[new_pos].induction_var
         )
     parent_block.insert(position, new_loops[0])
-    root.drop_all_references()
-    for op in list(root.walk_inner()):
-        op.drop_all_references()
-    parent_block.remove(root)
+    root.erase()
     return new_loops[0]
 
 

@@ -2,10 +2,11 @@
 
 Given a :class:`~repro.tactics.compiled.MatchResult` and the TDS
 builder list, emits the replacement — Linalg ops (a contraction as one
-``linalg.generic``), BLAS library calls, or the high-level
-``affine.matmul`` — immediately before the matched band, allocating
-intermediate buffers for the temporaries (the D/E tensors of the TTGT
-recipe), then erases the band.  :func:`emit_builders` is the same list
+``linalg.generic``) or the high-level ``affine.matmul`` — immediately
+before the matched band, allocating intermediate buffers for the
+temporaries (the D/E tensors of the TTGT recipe), then erases the band.
+Library calls are not built here: ``convert-linalg-to-blas`` makes them
+from the Linalg ops.  :func:`emit_builders` is the same list
 without a band: the TTGT pass runs it in place of a generic.
 """
 
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from ..dialects import blas as blas_d
 from ..dialects import linalg as linalg_d
 from ..dialects import std
 from ..dialects.affine import AffineMatmulOp
@@ -35,24 +35,15 @@ class BuilderError(IRError):
     pass
 
 
-def _erase_band(match: MatchResult) -> None:
-    root = match.root
-    block = root.parent_block
-    root.drop_all_references()
-    for op in list(root.walk_inner()):
-        op.drop_all_references()
-    block.remove(root)
-
-
 def apply_builders(
     record: TacticRecord,
     match: MatchResult,
     target: str = "linalg",
-    library: str = "mkl-dnn",
     rewriter=None,
 ) -> List[Operation]:
     """Run the builder list in place of the matched band; returns the
-    newly created operations.
+    newly created operations.  ``target`` is ``"linalg"`` or
+    ``"affine"``.
 
     When a :class:`~repro.ir.PatternRewriter` is supplied, all
     insertions and the band erasure go through it, so the worklist
@@ -74,12 +65,11 @@ def apply_builders(
         match.extent_of,
         loop_vars,
         target,
-        library,
     )
     if rewriter is not None:
         rewriter.erase_nest(match.root)
     else:
-        _erase_band(match)
+        match.root.erase()
     return created
 
 
@@ -90,14 +80,13 @@ def emit_builders(
     extent_of: Dict[str, int],
     loop_vars: Sequence[str],
     target: str = "linalg",
-    library: str = "mkl-dnn",
 ) -> List[Operation]:
     """Insert the record's builder ops through ``builder`` over the
     tensors ``memref_of`` names; returns the created operations.
 
     ``extent_of`` sizes the temporaries; ``loop_vars`` orders the loops
     of a ``contractionBuilder``'s generic (outermost first)."""
-    if target not in ("linalg", "blas", "affine"):
+    if target not in ("linalg", "affine"):
         raise BuilderError(f"unknown raising target {target!r}")
     env: Dict[str, Value] = dict(memref_of)
     loop_vars = list(loop_vars)
@@ -143,7 +132,7 @@ def emit_builders(
             ins.append(env[name])
         elem = ins[0].type.element_type
         out = out_value(spec, elem)
-        op = _emit(spec, ins, out, target, library, loop_vars)
+        op = _emit(spec, ins, out, target, loop_vars)
         builder.insert(op)
         created.append(op)
     return created
@@ -171,7 +160,6 @@ def _emit(
     ins: List[Value],
     out: Value,
     target: str,
-    library: str,
     loop_vars: List[str],
 ) -> Operation:
     kind = spec.kind
@@ -182,33 +170,18 @@ def _emit(
             f"the Affine raising path only supports matmul, got {kind}"
         )
     if kind == "contractionBuilder":
-        # No library call computes a general contraction: both targets
-        # keep it structured, and the GEMM layout is a later pass's
+        # The GEMM layout of a general contraction is a later pass's
         # decision (``-linalg-contraction-ttgt``).
         return _contraction_generic(spec, ins, out, loop_vars)
     if kind == "transposeBuilder":
-        perm = spec.expr
-        if target == "blas":
-            return blas_d.TransposeOp.create(ins[0], out, perm, library)
-        return linalg_d.TransposeOp.create(ins[0], out, perm)
+        return linalg_d.TransposeOp.create(ins[0], out, spec.expr)
     if kind == "reshapeBuilder":
-        groups = spec.expr
-        if target == "blas":
-            return blas_d.ReshapeOp.create(ins[0], out, groups, library)
-        return linalg_d.ReshapeOp.create(ins[0], out, groups)
+        return linalg_d.ReshapeOp.create(ins[0], out, spec.expr)
     if kind == "matmulBuilder":
-        if target == "blas":
-            return blas_d.SgemmOp.create(ins[0], ins[1], out, library=library)
         return linalg_d.MatmulOp.create(ins[0], ins[1], out)
     if kind == "matvecBuilder":
         trans = spec.expr == [1, 0]
-        if target == "blas":
-            return blas_d.SgemvOp.create(
-                ins[0], ins[1], out, library, trans=trans
-            )
         return linalg_d.MatvecOp.create(ins[0], ins[1], out, trans=trans)
     if kind == "convBuilder":
-        if target == "blas":
-            return blas_d.Conv2DOp.create(ins[0], ins[1], out, library)
         return linalg_d.Conv2DNchwOp.create(ins[0], ins[1], out)
     raise BuilderError(f"unhandled builder kind {kind!r}")

@@ -156,7 +156,7 @@ def _single_matmul_consumer(
         if user.name == "linalg.fill" and user.operand(1) is temp:
             continue  # the zero-initialization of the temporary
         if (
-            isinstance(user, linalg_d.MatmulOp)
+            type(user) is linalg_d.MatmulOp
             and user.parent_block is block
             and ops.index(user) >= start
             and (user.a is temp or user.b is temp)
@@ -175,8 +175,10 @@ def find_matrix_chains(func) -> List[MatrixChain]:
     chains: List[MatrixChain] = []
     claimed: set = set()
     block = func.entry_block
+    # Exactly ``linalg.matmul``: its library and Affine subclasses keep
+    # the order they were given.
     matmuls = [
-        op for op in block.operations if isinstance(op, linalg_d.MatmulOp)
+        op for op in block.operations if type(op) is linalg_d.MatmulOp
     ]
     for head in matmuls:
         if id(head) in claimed:

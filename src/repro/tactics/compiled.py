@@ -160,16 +160,6 @@ class CompiledTactic:
         ``repro.tactics.stats.TDL_BAIL_REASONS``."""
         return self._match(op)
 
-    # ------------------------------------------------------------------
-    # Building
-    # ------------------------------------------------------------------
-
-    def build(self, match: MatchResult, target: str = "linalg") -> List[Operation]:
-        """Replace the matched band by the tactic's builder ops."""
-        from .builders import apply_builders
-
-        return apply_builders(self.record, match, target)
-
 
 def compile_tactic(record: TacticRecord) -> CompiledTactic:
     return CompiledTactic(record)

@@ -101,12 +101,10 @@ class TacticRewritePattern(RewritePattern):
         tactic: CompiledTactic,
         count_match: Callable[[str, str], None],
         target: str = "linalg",
-        library: str = "mkl-dnn",
     ):
         self.tactic = tactic
         self.count_match = count_match
         self.target = target
-        self.library = library
         # Deeper patterns first: a contraction band must be claimed by
         # its contraction tactic, not a shallower pattern.
         self.benefit = tactic.num_loops
@@ -123,11 +121,7 @@ class TacticRewritePattern(RewritePattern):
         from .builders import apply_builders
 
         apply_builders(
-            self.tactic.record,
-            result,
-            self.target,
-            self.library,
-            rewriter=rewriter,
+            self.tactic.record, result, self.target, rewriter=rewriter
         )
         return True
 

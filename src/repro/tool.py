@@ -594,7 +594,9 @@ def tune_main(argv: List[str] = None) -> int:
     Searches the transform-dialect schedule space per kernel, measures
     candidates on real inputs across the worker pool, persists each
     winner in the ``schedules/`` cache namespace, and writes a
-    ``BENCH_autotune`` report.
+    ``BENCH_autotune`` report (to ``--out``, else stdout).  Exits 1,
+    naming the kernel, when a tuned schedule is slower than the default
+    or a search that was not replayed from cache evaluated nothing.
     """
     import json
     import os
@@ -659,10 +661,7 @@ def tune_main(argv: List[str] = None) -> int:
         "affine level, where the schedule steps have loops to transform)",
     )
     parser.add_argument(
-        "--out",
-        default="benchmarks/results/BENCH_autotune.json",
-        help="JSON report path "
-        "(default: benchmarks/results/BENCH_autotune.json)",
+        "--out", help="JSON report path (default: stdout)"
     )
     args = parser.parse_args(list(sys.argv[1:] if argv is None else argv))
 
@@ -680,13 +679,17 @@ def tune_main(argv: List[str] = None) -> int:
         heavy=args.heavy,
         pass_cache=not args.no_pass_cache,
     )
-    out_dir = os.path.dirname(args.out)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-    with open(args.out, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    report = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if args.out:
+        out_dir = os.path.dirname(args.out)
+        if out_dir:
+            os.makedirs(out_dir, exist_ok=True)
+        with open(args.out, "w") as handle:
+            handle.write(report)
+    else:
+        sys.stdout.write(report)
 
+    failed = False
     for row in payload["rows"]:
         source = (
             "cache"
@@ -703,14 +706,24 @@ def tune_main(argv: List[str] = None) -> int:
         note = vacuous_search_note(row)
         if note:
             sys.stderr.write(f"mlt-tune: {row['kernel']}: note: {note}\n")
+        # A cached row reuses its search-time pair, so every row, cached
+        # or not, must show the tuned schedule no slower.
+        error = None
+        if row["speedup"] < 1.0:
+            error = f"tuned schedule is slower ({row['speedup']:.2f}x)"
+        elif not row["cached"] and row["evaluations"] == 0:
+            error = "the search evaluated no schedule"
+        if error:
+            sys.stderr.write(f"mlt-tune: {row['kernel']}: error: {error}\n")
+            failed = True
     summary = payload["summary"]
     sys.stderr.write(
         f"mlt-tune: {summary['evaluations']} evaluations "
         f"(distinct kernels: {summary['distinct_kernels']}), "
         f"{summary['cached']} kernels replayed from cache, best speedup "
-        f"{summary['best_speedup']:.2f}x; wrote {args.out}\n"
+        f"{summary['best_speedup']:.2f}x; wrote {args.out or 'stdout'}\n"
     )
-    return 0
+    return 1 if failed else 0
 
 
 def serve_main(argv: List[str] = None) -> int:

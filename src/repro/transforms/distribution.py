@@ -289,11 +289,7 @@ def _distribute_one(loop: AffineForOp) -> bool:
 
     for offset, new_loop in enumerate(new_loops):
         parent_block.insert(position + 1 + offset, new_loop)
-    loop.drop_all_references()
-    # Detach nested ops' uses then erase the original loop wholesale.
-    for op in list(loop.body.operations):
-        op.drop_all_references()
-    parent_block.remove(loop)
+    loop.erase()
     return True
 
 

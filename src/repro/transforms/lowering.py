@@ -12,8 +12,8 @@ paper complements with raising.  Every step is a pass:
   * :class:`AffineToSCFPass`      — affine loops/accesses to SCF + std
   * :class:`SCFToLLVMPass`        — structured loops to CFG with
     explicitly linearized memory accesses; it also lowers reshapes
-  * :class:`LinalgToBlasPass`     — the MLT-BLAS alternative: structured
-    ops to vendor library calls
+  * :class:`LinalgToBlasPass`     — the MLT-BLAS alternative: each
+    linalg op to the vendor library call that is its twin
   * :class:`LowerBlasToLLVMPass`  — library ops to ``llvm.call``
 
 The first three passes share one structured-op lowering,
@@ -295,41 +295,12 @@ class ExpandAffineMatmulPass(_ConversionPass):
 # ----------------------------------------------------------------------
 
 
-def _convert_linalg_to_blas(op: Operation, library: str) -> Optional[Operation]:
-    lib = library
-    if isinstance(op, linalg_d.MatmulOp):
-        return blas_d.SgemmOp.create(op.a, op.b, op.c, library=lib)
-    if isinstance(op, linalg_d.MatvecOp):
-        return blas_d.SgemvOp.create(
-            op.a, op.x, op.y, library=lib, trans=op.trans
-        )
-    if isinstance(op, linalg_d.TransposeOp):
-        return blas_d.TransposeOp.create(
-            op.input, op.output, op.permutation, library=lib
-        )
-    if isinstance(op, linalg_d.ReshapeOp):
-        return blas_d.ReshapeOp.create(
-            op.input, op.output, op.reassociation, library=lib
-        )
-    if isinstance(op, linalg_d.Conv2DNchwOp):
-        return blas_d.Conv2DOp.create(
-            op.input, op.kernel, op.output, library=lib
-        )
-    return None
-
-
-_LINALG_TO_BLAS_ROOTS = (
-    "linalg.matmul",
-    "linalg.matvec",
-    "linalg.transpose",
-    "linalg.reshape",
-    "linalg.conv2d_nchw",
-)
-
-
 class LinalgToBlasPattern(RewritePattern):
-    def __init__(self, root_op_name: str, library: str):
-        self.root_op_name = root_op_name
+    """Replace one linalg op by the library call that is its twin."""
+
+    def __init__(self, twin, library: str):
+        self.root_op_name = twin.OP_NAME
+        self.call = blas_d.TWINS[twin]
         self.library = library
 
     @property
@@ -337,11 +308,8 @@ class LinalgToBlasPattern(RewritePattern):
         return f"to-blas<{self.root_op_name}>"
 
     def match_and_rewrite(self, op: Operation, rewriter: PatternRewriter) -> bool:
-        replacement = _convert_linalg_to_blas(op, self.library)
-        if replacement is None:
-            return False
         rewriter.set_insertion_point_before(op)
-        rewriter.insert(replacement)
+        rewriter.insert(self.call.of(op, self.library))
         rewriter.erase_op(op)
         return True
 
@@ -354,10 +322,7 @@ class LinalgToBlasPass(_ConversionPass):
     def __init__(self, library: str = "mkl-dnn"):
         self.library = library
         self.patterns = FrozenPatternSet(
-            [
-                LinalgToBlasPattern(name, library)
-                for name in _LINALG_TO_BLAS_ROOTS
-            ]
+            [LinalgToBlasPattern(twin, library) for twin in blas_d.TWINS]
         )
 
     def cache_config(self) -> str:

@@ -110,10 +110,7 @@ def tile_perfect_nest(
         old_iv.replace_all_uses_with(new_iv)
 
     parent_block.insert(position, new_loops[0])
-    root.drop_all_references()
-    for op in list(root.walk_inner()):
-        op.drop_all_references()
-    parent_block.remove(root)
+    root.erase()
     return new_loops
 
 

@@ -5,7 +5,6 @@ from repro.analysis import (
     collect_accesses,
     enclosing_loops,
 )
-from repro.analysis.accesses import read_memrefs, written_memrefs
 from repro.dialects.affine import AffineForOp, AffineLoadOp, AffineStoreOp
 from repro.met import compile_c
 
@@ -89,10 +88,3 @@ class TestHelpers:
         loops = enclosing_loops(store)
         assert len(loops) == 3
         assert loops[2].parent_op is loops[1]
-
-    def test_read_written_memrefs(self):
-        module, func, _ = _gemm_parts()
-        a, b, c = func.arguments
-        assert written_memrefs(func) == [c]
-        reads = read_memrefs(func)
-        assert set(map(id, reads)) == {id(a), id(b), id(c)}

@@ -10,6 +10,11 @@ fast cases to the interface.  ``flops()``, now domain x payload
 arithmetic, must equal each op's closed-form count.  The verifier's
 window rule rejects a subscript that overruns its buffer, and the
 lowering builds each access as its printed text parses back.
+
+Each ``blas`` call and ``affine.matmul`` is its ``linalg`` twin under
+another name: the same maps, domain and flops, and the same verifier.
+``convert-linalg-to-blas`` keeps the twin's operands and attributes and
+adds only ``library`` (and ``sgemm``'s ``alpha``/``beta``).
 """
 
 import numpy as np
@@ -17,8 +22,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.dialects import blas as blas_d
 from repro.dialects import linalg as linalg_d
 from repro.dialects import std
+from repro.dialects.affine import AffineMatmulOp
 from repro.execution import ExecutionEngine, Interpreter, KernelCache
 from repro.ir import (
     AffineMap,
@@ -35,8 +42,9 @@ from repro.ir import (
     verify,
 )
 from repro.ir import affine_expr as ae
+from repro.ir.attributes import FloatAttr, StringAttr
 from repro.ir.parser import parse_module
-from repro.transforms import lower_linalg_to_affine
+from repro.transforms import LinalgToBlasPass, lower_linalg_to_affine
 
 
 def _module(shapes, build, check=True):
@@ -86,7 +94,8 @@ KINDS = ["matmul", "matvec", "matvec-trans", "conv2d", "transpose", "fill"]
 def named_ops(draw, kind):
     """``(shapes, insert, flops)``: the argument shapes of a function of
     one named op of ``kind``, ``insert(builder, args)`` building that
-    op, and its closed-form flop count."""
+    op, and its closed-form flop count (``None`` for a reshape, which is
+    not a structured op)."""
     size = st.integers(1, 4)
     if kind == "matmul":
         m, n, k = draw(size), draw(size), draw(size)
@@ -117,6 +126,18 @@ def named_ops(draw, kind):
         return shapes, insert, 2 * n * f * oh * ow * c * kh * kw
     rank = draw(st.integers(1, 4))
     shape = tuple(draw(st.integers(1, 3)) for _ in range(rank))
+    if kind == "reshape":
+        # Collapse ``shape`` by contiguous groups, or expand it back.
+        cuts = [d for d in range(1, rank) if draw(st.booleans())]
+        bounds = list(zip([0] + cuts, cuts + [rank]))
+        groups = [list(range(lo, hi)) for lo, hi in bounds]
+        low = tuple(int(np.prod(shape[lo:hi])) for lo, hi in bounds)
+        shapes = [shape, low] if draw(st.booleans()) else [low, shape]
+
+        def insert(builder, args):
+            return builder.insert(linalg_d.ReshapeOp.create(*args, groups))
+
+        return shapes, insert, None
     if kind == "transpose":
         perm = draw(st.permutations(range(rank)))
 
@@ -258,3 +279,111 @@ class TestLoweredIRIsItsText:
             lower_linalg_to_affine(module)
             reparsed = parse_module(print_module(module))
             assert _accesses(reparsed) == _accesses(module), name
+
+
+#: Every op ``convert-linalg-to-blas`` replaces.
+TWIN_KINDS = [
+    "matmul", "matvec", "matvec-trans", "conv2d", "transpose", "reshape"
+]
+
+
+def _interface(op):
+    """What a structured op computes: its maps, domain and flops (a
+    reshape, which is not one, its groups and direction)."""
+    if not isinstance(op, linalg_d.LinalgStructuredOp):
+        return op.reassociation, op.is_collapse()
+    return list(op.indexing_maps), op.iteration_domain(), op.flops()
+
+
+#: ``(call, its linalg twin, keyword arguments, shapes)``: shapes both
+#: must reject.
+MISMATCHED = [
+    (blas_d.SgemmOp, linalg_d.MatmulOp, {}, [(10, 12), (7, 11), (10, 11)]),
+    (AffineMatmulOp, linalg_d.MatmulOp, {}, [(10, 12), (7, 11), (10, 11)]),
+    (blas_d.SgemvOp, linalg_d.MatvecOp, {}, [(4, 5), (4,), (4,)]),
+    (
+        blas_d.SgemvOp,
+        linalg_d.MatvecOp,
+        {"trans": True},
+        [(4, 5), (5,), (4,)],
+    ),
+    (
+        blas_d.Conv2DOp,
+        linalg_d.Conv2DNchwOp,
+        {},
+        [(1, 3, 4, 4), (4, 3, 3, 3), (1, 4, 6, 6)],
+    ),
+    (
+        blas_d.Conv2DOp,
+        linalg_d.Conv2DNchwOp,
+        {},
+        [(1, 2, 8, 8), (4, 3, 3, 3), (1, 4, 6, 6)],
+    ),
+    (
+        blas_d.TransposeOp,
+        linalg_d.TransposeOp,
+        {"permutation": [1, 0]},
+        [(4, 5), (4, 5)],
+    ),
+    (
+        blas_d.ReshapeOp,
+        linalg_d.ReshapeOp,
+        {"reassociation": [[0, 1], [2]]},
+        [(4, 5, 6), (21, 6)],
+    ),
+]
+
+
+class TestLibraryCallsAreTheirTwins:
+    @pytest.mark.parametrize("kind", TWIN_KINDS)
+    @given(data=st.data())
+    def test_conversion_keeps_the_twin_and_adds_the_library(self, kind, data):
+        shapes, insert, _ = data.draw(named_ops(kind))
+        module = _module(shapes, insert)
+        twin = next(op for op in module.walk() if op.dialect == "linalg")
+        operands, attributes = twin.operands, dict(twin.attributes)
+        interface = _interface(twin)
+
+        LinalgToBlasPass("openblas").run(module, Context())
+        verify(module, Context())
+        call = next(op for op in module.walk() if op.dialect == "blas")
+        assert type(call) is blas_d.TWINS[type(twin)]
+        assert isinstance(call, type(twin))
+        assert call.operands == operands
+        attributes["library"] = StringAttr("openblas")
+        if kind == "matmul":
+            attributes.update(alpha=FloatAttr(1.0), beta=FloatAttr(1.0))
+        assert call.attributes == attributes
+        assert _interface(call) == interface
+
+    @given(data=st.data())
+    def test_affine_matmul_is_linalg_matmul(self, data):
+        shapes, insert, flops = data.draw(named_ops("matmul"))
+        module = _module(
+            shapes,
+            lambda builder, args: builder.insert(AffineMatmulOp.create(*args)),
+        )
+        op = next(op for op in module.walk() if op.name == "affine.matmul")
+        twin = linalg_d.MatmulOp.create(*op.operands)
+        assert _interface(op) == _interface(twin)
+        assert op.flops() == flops
+        twin.erase()
+
+    @pytest.mark.parametrize(
+        "call,twin,kwargs,shapes",
+        MISMATCHED,
+        ids=[f"{entry[0].OP_NAME}-{i}" for i, entry in enumerate(MISMATCHED)],
+    )
+    def test_a_call_rejects_what_its_twin_rejects(
+        self, call, twin, kwargs, shapes
+    ):
+        for op_class in (twin, call):
+            module = _module(
+                shapes,
+                lambda builder, args: builder.insert(
+                    op_class.create(*args, **kwargs)
+                ),
+                check=False,
+            )
+            with pytest.raises(IRError):
+                verify(module, Context())

@@ -311,11 +311,12 @@ def random_blas_modules(draw):
                     library=library,
                 )
             )
+        elif draw(st.booleans()):
+            builder.insert(blas_d.SgemvOp.create(a, x, y, library=library))
         else:
+            # A^T is (k, m): consumes an m-vector, produces a k-vector
             builder.insert(
-                blas_d.SgemvOp.create(
-                    a, x, y, library=library, trans=draw(st.booleans())
-                )
+                blas_d.SgemvOp.create(a, y, x, library=library, trans=True)
             )
     builder.insert(ReturnOp.create())
     return module

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from repro.execution.engine.cache import CACHE_COUNTERS
-from repro.tool import build_pipeline, load_input, main
+from repro.tool import build_pipeline, load_input, main, tune_main
 
 
 GEMM = """
@@ -482,3 +482,87 @@ class TestBatchMode:
         assert code == 2
         assert "--tile-sizes" in err and "single-input" in err
         assert not out_dir.exists()
+
+
+def _tune_row(kernel, speedup=1.0, evaluations=4, cached=False):
+    return {
+        "kernel": kernel,
+        "speedup": speedup,
+        "evaluations": evaluations,
+        "distinct_kernels": 0 if cached else 2,
+        "cached": cached,
+        "default_wall_s": 1e-4,
+        "tuned_wall_s": 1e-4 / speedup,
+    }
+
+
+class TestTuneMain:
+    """``mlt-tune`` exits 1 naming the kernel when a row breaks the
+    tuned-never-loses bar or a cold search evaluated nothing; without
+    ``--out`` the report goes to stdout."""
+
+    def _run(self, rows, monkeypatch, capsys, argv=()):
+        def autotune(kernels, **_):
+            return {
+                "rows": rows,
+                "summary": {
+                    "evaluations": sum(r["evaluations"] for r in rows),
+                    "distinct_kernels": 0,
+                    "cached": sum(r["cached"] for r in rows),
+                    "best_speedup": max(r["speedup"] for r in rows),
+                },
+            }
+
+        monkeypatch.setattr("repro.scheduling.autotune.autotune", autotune)
+        code = tune_main(["--kernels", "gemm,atax", *argv])
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def test_searched_and_replayed_rows_exit_0(self, monkeypatch, capsys):
+        rows = [
+            _tune_row("gemm", speedup=1.5),
+            _tune_row("atax", evaluations=0, cached=True),
+        ]
+        code, out, err = self._run(rows, monkeypatch, capsys)
+        assert code == 0
+        assert "error" not in err
+
+    def test_a_slower_schedule_exits_1(self, monkeypatch, capsys):
+        rows = [
+            _tune_row("gemm"),
+            _tune_row("atax", speedup=0.9, evaluations=0, cached=True),
+        ]
+        code, _, err = self._run(rows, monkeypatch, capsys)
+        assert code == 1
+        assert "mlt-tune: atax: error: tuned schedule is slower" in err
+        assert "gemm: error" not in err
+
+    def test_a_cold_search_with_no_evaluations_exits_1(
+        self, monkeypatch, capsys
+    ):
+        rows = [_tune_row("gemm", evaluations=0), _tune_row("atax")]
+        code, _, err = self._run(rows, monkeypatch, capsys)
+        assert code == 1
+        assert "mlt-tune: gemm: error: the search evaluated no schedule" in err
+        assert "atax: error" not in err
+
+    def test_the_report_goes_to_stdout_without_out(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        monkeypatch.chdir(tmp_path)
+        rows = [_tune_row("gemm"), _tune_row("atax")]
+        code, out, err = self._run(rows, monkeypatch, capsys)
+        assert code == 0
+        assert json.loads(out)["rows"] == rows
+        assert err.endswith("wrote stdout\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_writes_the_report_there(self, monkeypatch, capsys, tmp_path):
+        path = tmp_path / "reports" / "tune.json"
+        rows = [_tune_row("gemm"), _tune_row("atax")]
+        code, out, _ = self._run(
+            rows, monkeypatch, capsys, ["--out", str(path)]
+        )
+        assert code == 0
+        assert out == ""
+        assert json.loads(path.read_text())["rows"] == rows
