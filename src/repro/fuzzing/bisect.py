@@ -60,8 +60,6 @@ def bisect_pipeline(
     pipeline: Pipeline,
     func_name: str,
     seed: int = 0,
-    rtol: float = 2e-3,
-    max_steps: int = 20_000_000,
     checks: Sequence[str] = CHECKS,
 ) -> BisectionResult:
     """Replay ``pipeline`` pass-by-pass over a C source (str) or a
@@ -85,9 +83,7 @@ def bisect_pipeline(
     # Establish the reference from the untransformed module; if the
     # pristine snapshot itself fails, the frontend (not a pass) is the
     # culprit.
-    result, reference = check_module(
-        module, func_name, base_args, None, "met", rtol=rtol, max_steps=max_steps
-    )
+    result, reference = check_module(module, func_name, base_args, None, "met")
     if not result.ok:
         return BisectionResult(
             culprit_pass="<met-frontend>",
@@ -119,8 +115,6 @@ def bisect_pipeline(
             pipeline.name,
             checks,
             seed,
-            rtol,
-            max_steps,
         )
         if not results[-1].ok:
             return BisectionResult(

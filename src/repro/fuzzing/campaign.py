@@ -17,6 +17,12 @@ against every configured Figure-9 pipeline.  On failure the campaign
 
 Replaying is always ``mlt-fuzz --seed 42`` — the artifact just saves
 you the trip.
+
+Seeds are independent work units: :meth:`FuzzCampaign.run` maps them
+over :func:`~repro.runtime.pool.parallel_map` for every ``jobs`` value
+(inline at ``jobs=1``) and merges the results in seed order, so a
+campaign's verdicts, failure order and ``fuzz-failures/`` artifacts do
+not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -25,8 +31,9 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
+from ..runtime.pool import parallel_map, resolve_jobs, seed_for_unit
 from ..telemetry import add
 from .bisect import BisectionResult, bisect_pipeline
 from .generators import (
@@ -41,6 +48,7 @@ from .oracle import (
     PIPELINE_CHECKS,
     OracleReport,
     Pipeline,
+    StageResult,
     build_pipelines,
     run_oracle,
     run_oracle_on_module,
@@ -115,6 +123,15 @@ class CampaignStats:
         add(self.bail_none, sink.get("opt=none"))
         add(self.bail_full, sink.get("opt=full"))
 
+    def merge_seed(self, seed_stats: "CampaignStats") -> None:
+        """Fold one seed's stats, failures included, into the totals."""
+        self.seeds_run += 1
+        self.checks += seed_stats.checks
+        self.stages_checked += seed_stats.stages_checked
+        self.failures.extend(seed_stats.failures)
+        add(self.bail_none, seed_stats.bail_none)
+        add(self.bail_full, seed_stats.bail_full)
+
     def summary(self) -> str:
         status = "ok" if self.ok else f"{len(self.failures)} FAILURES"
         lines = [
@@ -141,22 +158,71 @@ class CampaignStats:
         return "\n".join(lines)
 
 
+#: Seeds dispatched per pool wave at ``jobs > 1``, as a multiple of the
+#: worker count.  The time limit is checked between waves; at
+#: ``jobs=1`` a wave is one seed, so it is checked before every seed.
+WAVE_FACTOR = 4
+
+
+class Expectation(NamedTuple):
+    """One raising tier whose outcome the generator predicts per kernel."""
+
+    #: Report and artifact name (``seed-NNNNNN-<name>/``).
+    name: str
+    #: Stage named in the failing :class:`StageResult`.
+    stage: str
+    #: The :class:`FuzzCampaign` static method mapping C source to
+    #: "the tier raised it", looked up by name on every call.
+    predicate: str
+    #: The :class:`GeneratedKernel` flag holding the expected outcome.
+    flag: str
+    #: The :data:`~.oracle.CHECKS` entry that selects the tier, or None
+    #: when it always runs.
+    check: Optional[str]
+    #: Failure details: the tier crashed / raised a kernel it must
+    #: leave alone / left a kernel it must raise.
+    crashed: str
+    over_raised: str
+    missed: str
+
+
+#: The raise-expectation oracle, one row per tier.  A mismatch in
+#: either direction is a tier bug: a lost pattern or candidate class,
+#: or an unsound match or validation.
+EXPECTATIONS = (
+    Expectation(
+        "raise-expectation",
+        "raise-linalg",
+        "_raises_to_named_op",
+        "expect_raise",
+        None,
+        "raising crashed",
+        "tactic matched a near-miss kernel",
+        "tactic failed to match a positive kernel",
+    ),
+    Expectation(
+        "synth-expectation",
+        "raise-synth",
+        "_synth_raises_all",
+        "expect_synth_raise",
+        "synth",
+        "synthesis crashed",
+        "synthesis raised a kernel outside its candidate space",
+        "synthesis failed to raise an in-space kernel",
+    ),
+)
+
+
 class FuzzCampaign:
     def __init__(
         self,
         out_dir: str = "fuzz-failures",
         pipelines: Optional[Sequence[str]] = None,
-        rtol: float = 2e-3,
-        max_steps: int = 20_000_000,
-        fuzz_tile_size: int = 3,
         check_modules: bool = True,
         write_artifacts: bool = True,
-        extra_pipelines: Optional[Dict[str, Pipeline]] = None,
         checks: Optional[Sequence[str]] = None,
     ):
         self.out_dir = out_dir
-        self.rtol = rtol
-        self.max_steps = max_steps
         self.check_modules = check_modules
         selected = CHECKS if checks is None else tuple(checks)
         unknown = [c for c in selected if c not in CHECKS]
@@ -167,9 +233,7 @@ class FuzzCampaign:
         #: The selected oracle checks, in :data:`~.oracle.CHECKS` order.
         self.checks = tuple(c for c in CHECKS if c in selected)
         self.write_artifacts = write_artifacts
-        registry = build_pipelines(fuzz_tile_size)
-        if extra_pipelines:
-            registry.update(extra_pipelines)
+        registry = build_pipelines()
         names = list(pipelines) if pipelines else list(DEFAULT_PIPELINES)
         unknown = [n for n in names if n not in registry]
         if unknown:
@@ -180,6 +244,20 @@ class FuzzCampaign:
             name: registry[name] for name in names
         }
 
+    def __reduce__(self):
+        # Pool workers rebuild the campaign from its arguments: the
+        # staged pipelines hold pass factories, which do not pickle.
+        return (
+            FuzzCampaign,
+            (
+                self.out_dir,
+                list(self.pipelines),
+                self.check_modules,
+                self.write_artifacts,
+                self.checks,
+            ),
+        )
+
     # ------------------------------------------------------------------
 
     def run(
@@ -187,19 +265,34 @@ class FuzzCampaign:
         num_seeds: int,
         start_seed: int = 0,
         time_limit: Optional[float] = None,
+        jobs: int = 1,
     ) -> CampaignStats:
+        """Run seeds ``start_seed ..`` on ``jobs`` workers (0 or
+        negative: one per CPU), stopping before the next wave once
+        ``time_limit`` seconds have passed."""
+        jobs = resolve_jobs(jobs)
         stats = CampaignStats()
         started = time.perf_counter()
-        for seed in range(start_seed, start_seed + num_seeds):
+        seeds = [seed_for_unit(start_seed, i) for i in range(num_seeds)]
+        wave = 1 if jobs == 1 else jobs * WAVE_FACTOR
+        for offset in range(0, len(seeds), wave):
             if (
                 time_limit is not None
                 and time.perf_counter() - started > time_limit
             ):
                 stats.hit_time_limit = True
                 break
-            stats.failures.extend(self.run_seed(seed, stats))
-            stats.seeds_run += 1
+            batch = seeds[offset : offset + wave]
+            for seed_stats in parallel_map(self._run_unit, batch, jobs=jobs):
+                stats.merge_seed(seed_stats)
         stats.elapsed = time.perf_counter() - started
+        return stats
+
+    def _run_unit(self, seed: int) -> CampaignStats:
+        """One seed as a pool work unit: its own stats, failures
+        included."""
+        stats = CampaignStats()
+        stats.failures = self.run_seed(seed, stats)
         return stats
 
     def run_seed(
@@ -209,17 +302,14 @@ class FuzzCampaign:
         failures: List[FuzzFailure] = []
         bail_sink: Dict[str, Dict[str, int]] = {}
         kernel = generate_kernel(seed)
-        expectation = self._check_expectation(seed, kernel)
-        stats.checks += 1
-        if expectation is not None:
-            failures.append(expectation)
+        for expectation in EXPECTATIONS:
+            if expectation.check is None or expectation.check in self.checks:
+                stats.checks += 1
+                failure = self._check_expectation(seed, kernel, expectation)
+                if failure is not None:
+                    failures.append(failure)
         if self.write_artifacts and kernel.family in NEAR_MISS_FAMILIES:
             self._export_near_miss(kernel)
-        if "synth" in self.checks:
-            synth_expectation = self._check_synth_expectation(seed, kernel)
-            stats.checks += 1
-            if synth_expectation is not None:
-                failures.append(synth_expectation)
         failures.extend(
             self._check_input(
                 seed,
@@ -280,12 +370,7 @@ class FuzzCampaign:
         failures: List[FuzzFailure] = []
         is_c = kind == "c-kernel"
         oracle = run_oracle if is_c else run_oracle_on_module
-        common = dict(
-            seed=seed,
-            rtol=self.rtol,
-            max_steps=self.max_steps,
-            checks=self.checks,
-        )
+        common = dict(seed=seed, checks=self.checks)
         for pipeline in self.pipelines.values():
             report = oracle(
                 subject, pipeline, func_name, bail_sink=bail_sink, **common
@@ -375,47 +460,6 @@ class FuzzCampaign:
             for op in func.walk()
         )
 
-    def _check_expectation(
-        self, seed: int, kernel: GeneratedKernel
-    ) -> Optional[FuzzFailure]:
-        """Tactic-expectation oracle: positive families must raise to a
-        named contraction op, near-miss families must not.  A mismatch
-        is a matcher bug (missed pattern or unsound over-match)."""
-        from .oracle import StageResult
-
-        try:
-            raised = self._raises_to_named_op(kernel.source)
-        except Exception as exc:
-            raised, detail = None, f"raising crashed: {exc}"
-        if raised == kernel.expect_raise:
-            return None
-        if raised is not None:
-            detail = (
-                "tactic matched a near-miss kernel"
-                if raised
-                else "tactic failed to match a positive kernel"
-            )
-        report = OracleReport("raise-expectation", kernel.func_name)
-        report.stages.append(
-            StageResult("raise-linalg", False, "expectation", detail)
-        )
-
-        def still_mismatching(candidate: str) -> bool:
-            return self._raises_to_named_op(candidate) != kernel.expect_raise
-
-        reduced = reduce_source(kernel.source, still_mismatching)
-        failure = FuzzFailure(
-            seed=seed,
-            pipeline="raise-expectation",
-            kind="c-kernel",
-            family=kernel.family,
-            report=report,
-            bisection=None,
-            source=kernel.source,
-            reduced_source=reduced,
-        )
-        return self._record(failure)
-
     @staticmethod
     def _synth_raises_all(source: str) -> bool:
         """True when the enumerative tier alone clears every affine
@@ -430,50 +474,44 @@ class FuzzCampaign:
             isinstance(op, AffineForOp) for op in module.walk()
         )
 
-    def _check_synth_expectation(
-        self, seed: int, kernel: GeneratedKernel
+    def _check_expectation(
+        self, seed: int, kernel: GeneratedKernel, expectation: Expectation
     ) -> Optional[FuzzFailure]:
-        """Synth-diff oracle stage: families inside the enumerator's
-        candidate space must be fully raised by ``-raise-affine-synth``;
-        families outside it (offset accesses, stencils) must leave a
-        loop behind.  Either direction of mismatch is a synthesizer
-        regression — a lost candidate class or an unsound validation."""
-        from .oracle import StageResult
+        """Check one tier's outcome on ``kernel`` against the
+        generator's flag.  A crash of the tier is a failure too, and so
+        is reduced to a source on which it still crashes."""
+        predicate = getattr(self, expectation.predicate)
 
-        try:
-            raised = self._synth_raises_all(kernel.source)
-            detail = ""
-        except Exception as exc:
-            raised, detail = None, f"synthesis crashed: {exc}"
-        if raised == kernel.expect_synth_raise:
+        def outcome(source: str):
+            """(whether the tier raised ``source``, "") or (None, the
+            crash detail)."""
+            try:
+                return predicate(source), ""
+            except Exception as exc:
+                return None, f"{expectation.crashed}: {exc}"
+
+        raised, detail = outcome(kernel.source)
+        if raised == getattr(kernel, expectation.flag):
             return None
         if raised is not None:
-            detail = (
-                "synthesis raised a kernel outside its candidate space"
-                if raised
-                else "synthesis failed to raise an in-space kernel"
-            )
-        report = OracleReport("synth-expectation", kernel.func_name)
+            detail = expectation.over_raised if raised else expectation.missed
+        report = OracleReport(expectation.name, kernel.func_name)
         report.stages.append(
-            StageResult("raise-synth", False, "expectation", detail)
+            StageResult(expectation.stage, False, "expectation", detail)
         )
 
-        def still_mismatching(candidate: str) -> bool:
-            return (
-                self._synth_raises_all(candidate)
-                != kernel.expect_synth_raise
-            )
+        def still_failing(candidate: str) -> bool:
+            return outcome(candidate)[0] == raised
 
-        reduced = reduce_source(kernel.source, still_mismatching)
         failure = FuzzFailure(
             seed=seed,
-            pipeline="synth-expectation",
+            pipeline=expectation.name,
             kind="c-kernel",
             family=kernel.family,
             report=report,
             bisection=None,
             source=kernel.source,
-            reduced_source=reduced,
+            reduced_source=reduce_source(kernel.source, still_failing),
         )
         return self._record(failure)
 

@@ -56,6 +56,16 @@ from ..telemetry import add
 #: (pass-name, zero-arg factory) — fresh pass instances per replay.
 PassSpec = Tuple[str, Callable[[], Pass]]
 
+#: Relative tolerance of every differential comparison: collapsing a
+#: reduction to ``sum``/``einsum`` reassociates f32 adds.
+RTOL = 2e-3
+#: Interpreter step budget per snapshot execution.
+MAX_STEPS = 20_000_000
+#: The ``tile`` parameter of the staged pipelines, deliberately tiny so
+#: the tiling pass actually fires on the small extents the generators
+#: emit (the production default of 32 would be a silent no-op).
+FUZZ_TILE_SIZE = 3
+
 
 @dataclass
 class PipelineStage:
@@ -77,19 +87,16 @@ class Pipeline:
         ]
 
 
-def build_pipelines(fuzz_tile_size: int = 3) -> Dict[str, Pipeline]:
+def build_pipelines() -> Dict[str, Pipeline]:
     """Every named pipeline (``evaluation.pipelines.NAMED_PIPELINES``),
     staged for differential checking: a ``met`` stage (the frontend's
-    undistributed output), then one stage per pass, named after it.
-
-    ``fuzz_tile_size`` is deliberately tiny so the tiling pass actually
-    fires on the small extents the generators emit (the production
-    default of 32 would be a silent no-op).
+    undistributed output), then one stage per pass, named after it,
+    tiling at :data:`FUZZ_TILE_SIZE`.
     """
     from ..evaluation.pipelines import NAMED_PIPELINES
     from ..tool import _pass_registry
 
-    registry = _pass_registry([fuzz_tile_size])
+    registry = _pass_registry([FUZZ_TILE_SIZE])
     return {
         name: Pipeline(
             name,
@@ -170,7 +177,7 @@ def execute_snapshot(
     module: ModuleOp,
     func_name: str,
     base_args: Sequence[np.ndarray],
-    max_steps: int = 20_000_000,
+    max_steps: int = MAX_STEPS,
 ) -> List[np.ndarray]:
     from ..execution import Interpreter
 
@@ -180,7 +187,9 @@ def execute_snapshot(
 
 
 def _diff_detail(
-    reference: Sequence[np.ndarray], actual: Sequence[np.ndarray], rtol: float
+    reference: Sequence[np.ndarray],
+    actual: Sequence[np.ndarray],
+    rtol: float = RTOL,
 ) -> str:
     parts = []
     for pos, (ref, act) in enumerate(zip(reference, actual)):
@@ -203,8 +212,6 @@ def check_module(
     base_args: Sequence[np.ndarray],
     reference: Optional[Sequence[np.ndarray]],
     stage_name: str,
-    rtol: float = 2e-3,
-    max_steps: int = 20_000_000,
 ) -> Tuple[StageResult, Optional[List[np.ndarray]]]:
     """Verify + round-trip + execute one snapshot.
 
@@ -242,14 +249,14 @@ def check_module(
             None,
         )
     try:
-        outputs = execute_snapshot(module, func_name, base_args, max_steps)
+        outputs = execute_snapshot(module, func_name, base_args)
     except Exception as exc:
         return (
             StageResult(stage_name, False, "execute", str(exc), text),
             None,
         )
     if reference is not None:
-        detail = _diff_detail(reference, outputs, rtol)
+        detail = _diff_detail(reference, outputs)
         if detail:
             return (
                 StageResult(stage_name, False, "diff", detail, text),
@@ -335,7 +342,7 @@ def check_engine_rows(
     stage_name: str,
     rows: Sequence[EngineRow],
     pipeline_name: str = "",
-    rtol: float = 2e-3,
+    rtol: float = RTOL,
     ir_text: str = "",
     bail_sink: Optional[Dict[str, Dict[str, int]]] = None,
 ) -> List[StageResult]:
@@ -415,10 +422,8 @@ def check_schedule_module(
     interpreter_outputs: Sequence[np.ndarray],
     stage_name: str,
     pipeline_name: str = "",
-    rtol: float = 2e-3,
     ir_text: str = "",
     seed: int = 0,
-    max_steps: int = 20_000_000,
     trials: int = 2,
 ) -> StageResult:
     """Cross-check random transform-dialect schedules against the
@@ -428,7 +433,7 @@ def check_schedule_module(
     ``seed``/``stage_name``), applies each to a clone of the snapshot
     through the scheduling interpreter, executes the scheduled clone on
     the IR interpreter, and requires the outputs to match the
-    unscheduled interpreter run within ``rtol``.  Every schedule step
+    unscheduled interpreter run within :data:`RTOL`.  Every schedule step
     re-checks its own legality, so *any* divergence is a transform bug
     — this is the oracle that keeps the autotuner's whole search space
     honest, not just the canned pipelines.
@@ -439,7 +444,6 @@ def check_schedule_module(
     """
     import random
 
-    from ..execution import Interpreter
     from ..scheduling.interpreter import apply_schedule, random_schedule
 
     result_name = f"schedule-diff:{stage_name}"
@@ -451,8 +455,7 @@ def check_schedule_module(
             clone = module.clone()
             expected = _applied_text(apply_schedule(schedule, clone))
             detail = _cached_schedule_diff(schedule, module, expected)
-            args = [a.copy() for a in base_args]
-            Interpreter(clone, max_steps=max_steps).run(func_name, *args)
+            args = execute_snapshot(clone, func_name, base_args)
         except Exception as exc:
             return StageResult(
                 result_name,
@@ -462,7 +465,7 @@ def check_schedule_module(
                 ir_text,
             )
         if not detail:
-            numeric = _diff_detail(interpreter_outputs, args, rtol)
+            numeric = _diff_detail(interpreter_outputs, args)
             detail = numeric and f"vs unscheduled: {numeric}"
         if detail:
             return StageResult(
@@ -636,8 +639,6 @@ def check_snapshot(
     pipeline_name: str,
     checks: Sequence[str],
     seed: int,
-    rtol: float,
-    max_steps: int,
     bail_sink: Optional[Dict[str, Dict[str, int]]] = None,
 ) -> Tuple[List[StageResult], Optional[List[np.ndarray]]]:
     """Every selected check on one snapshot.
@@ -649,13 +650,7 @@ def check_snapshot(
     when :func:`check_module` passed.
     """
     result, outputs = check_module(
-        module,
-        func_name,
-        base_args,
-        reference,
-        stage_name,
-        rtol=rtol,
-        max_steps=max_steps,
+        module, func_name, base_args, reference, stage_name
     )
     results = [result]
     if not result.ok:
@@ -668,7 +663,6 @@ def check_snapshot(
         stage_name,
         [row for row in ENGINE_ROWS if row.kind in checks],
         pipeline_name=pipeline_name,
-        rtol=rtol,
         ir_text=result.ir_text,
         bail_sink=bail_sink,
     )
@@ -681,10 +675,8 @@ def check_snapshot(
                 outputs,
                 stage_name,
                 pipeline_name=pipeline_name,
-                rtol=rtol,
                 ir_text=result.ir_text,
                 seed=seed,
-                max_steps=max_steps,
             )
         )
     return results, outputs
@@ -700,8 +692,6 @@ def run_oracle(
     pipeline: Pipeline,
     func_name: str,
     seed: int = 0,
-    rtol: float = 2e-3,
-    max_steps: int = 20_000_000,
     checks: Sequence[str] = CHECKS,
     bail_sink: Optional[Dict[str, Dict[str, int]]] = None,
 ) -> OracleReport:
@@ -716,9 +706,7 @@ def run_oracle(
             StageResult("met", False, "crash", f"frontend: {exc}")
         )
         return report
-    return _drive_stages(
-        module, pipeline, func_name, seed, rtol, max_steps, checks, bail_sink
-    )
+    return _drive_stages(module, pipeline, func_name, seed, checks, bail_sink)
 
 
 def run_oracle_on_module(
@@ -726,21 +714,12 @@ def run_oracle_on_module(
     pipeline: Pipeline,
     func_name: str,
     seed: int = 0,
-    rtol: float = 2e-3,
-    max_steps: int = 20_000_000,
     checks: Sequence[str] = CHECKS,
     bail_sink: Optional[Dict[str, Dict[str, int]]] = None,
 ) -> OracleReport:
     """Differentially test a builder-constructed module (skips MET)."""
     return _drive_stages(
-        module.clone(),
-        pipeline,
-        func_name,
-        seed,
-        rtol,
-        max_steps,
-        checks,
-        bail_sink,
+        module.clone(), pipeline, func_name, seed, checks, bail_sink
     )
 
 
@@ -749,8 +728,6 @@ def _drive_stages(
     pipeline: Pipeline,
     func_name: str,
     seed: int,
-    rtol: float,
-    max_steps: int,
     checks: Sequence[str],
     bail_sink: Optional[Dict[str, Dict[str, int]]],
 ) -> OracleReport:
@@ -775,8 +752,6 @@ def _drive_stages(
             pipeline.name,
             checks,
             seed,
-            rtol,
-            max_steps,
             bail_sink,
         )
         report.stages.extend(results)

@@ -10,7 +10,7 @@ Layout:
 
 * :mod:`.pool` — the generic pool driver (``parallel_map``) and the
   deterministic seed-derivation helper shared by every surface;
-* :mod:`.fuzz` — seed-sharded fuzz campaigns (``mlt-fuzz --jobs N``);
+* :mod:`.fuzz` — the ``campaign.json`` a failing ``mlt-fuzz`` run writes;
 * :mod:`.batch` — multi-file ``mlt-opt`` batch compilation, which
   ``benchmarks.harness.run_corpus`` drives for the determinism tests.
 """

@@ -480,14 +480,13 @@ def parallel_map(
     jobs: int = 1,
     initializer: Optional[Callable] = None,
     initargs: Sequence = (),
-    chunksize: Optional[int] = None,
 ) -> List[R]:
     """Apply ``fn`` to every item, in-order results, persistent pool.
 
     ``fn``, ``initializer`` and the items must be picklable
-    (module-level functions, plain-data arguments) when ``jobs > 1``.
-    ``chunksize`` overrides the automatic batch size (the scheduler
-    defaults to :data:`BATCHES_PER_WORKER` batches per worker).
+    (module-level functions or methods of picklable objects, plain-data
+    arguments) when ``jobs > 1``; the pool makes
+    :data:`BATCHES_PER_WORKER` batches per worker.
     """
     work = list(items)
     jobs = resolve_jobs(jobs)
@@ -496,9 +495,5 @@ def parallel_map(
             initializer(*initargs)
         return [fn(item) for item in work]
     return get_pool(jobs).map(
-        fn,
-        work,
-        initializer=initializer,
-        initargs=initargs,
-        batch_size=chunksize,
+        fn, work, initializer=initializer, initargs=initargs
     )

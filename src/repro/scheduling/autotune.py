@@ -210,7 +210,6 @@ def autotune_kernel(
     seed: int = 0,
     cache_dir: Optional[str] = None,
     pipeline: str = "mlt-linalg",
-    heavy: bool = False,
     pass_cache: bool = True,
 ) -> Dict:
     """Tune one paper-corpus kernel; returns a ``BENCH_autotune`` row.
@@ -239,7 +238,7 @@ def autotune_kernel(
     from .interpreter import schedule_from_params
 
     spec = get_kernel(kernel)
-    source = spec.large() if heavy else spec.small()
+    source = spec.small()
     module = build_module(source, pipeline)
     fingerprint = fingerprint_module(module)
     store = ArtifactStore(cache_dir)
@@ -375,7 +374,6 @@ def autotune(
     seed: int = 0,
     cache_dir: Optional[str] = None,
     pipeline: str = "mlt-linalg",
-    heavy: bool = False,
     pass_cache: bool = True,
 ) -> Dict:
     """Tune a kernel list; returns the ``BENCH_autotune`` payload."""
@@ -388,7 +386,6 @@ def autotune(
             seed=seed,
             cache_dir=cache_dir,
             pipeline=pipeline,
-            heavy=heavy,
             pass_cache=pass_cache,
         )
         for kernel in kernels

@@ -468,7 +468,8 @@ def fuzz_main(argv: List[str] = None) -> int:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes for the seed range (0 = one per CPU); "
+        help="worker processes for the seed range (0 or negative = one "
+        "per CPU); "
         "per-seed verdicts and artifacts are byte-identical to a "
         "serial run",
     )
@@ -500,12 +501,6 @@ def fuzz_main(argv: List[str] = None) -> int:
         help="artifact directory for failures (default: fuzz-failures)",
     )
     parser.add_argument(
-        "--rtol",
-        type=float,
-        default=2e-3,
-        help="relative tolerance for the differential comparison",
-    )
-    parser.add_argument(
         "--no-modules",
         action="store_true",
         help="skip the builder-API affine-module generator",
@@ -524,16 +519,14 @@ def fuzz_main(argv: List[str] = None) -> int:
     args = parser.parse_args(list(sys.argv[1:] if argv is None else argv))
 
     pipelines = args.pipelines.split(",") if args.pipelines else None
-    campaign_config = dict(
-        out_dir=args.out,
-        pipelines=pipelines,
-        rtol=args.rtol,
-        check_modules=not args.no_modules,
-        write_artifacts=not args.no_artifacts,
-        checks=args.checks.split(",") if args.checks else None,
-    )
     try:
-        campaign = FuzzCampaign(**campaign_config)
+        campaign = FuzzCampaign(
+            out_dir=args.out,
+            pipelines=pipelines,
+            check_modules=not args.no_modules,
+            write_artifacts=not args.no_artifacts,
+            checks=args.checks.split(",") if args.checks else None,
+        )
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -559,20 +552,12 @@ def fuzz_main(argv: List[str] = None) -> int:
     if args.smoke:
         num_seeds = min(num_seeds, 30)
         time_limit = 60.0 if time_limit is None else min(time_limit, 60.0)
-    if args.jobs != 1:
-        from .runtime.fuzz import run_campaign_parallel
-
-        stats = run_campaign_parallel(
-            campaign_config,
-            num_seeds,
-            start_seed=args.start_seed,
-            jobs=args.jobs,
-            time_limit=time_limit,
-        )
-    else:
-        stats = campaign.run(
-            num_seeds, start_seed=args.start_seed, time_limit=time_limit
-        )
+    stats = campaign.run(
+        num_seeds,
+        start_seed=args.start_seed,
+        time_limit=time_limit,
+        jobs=args.jobs,
+    )
     if not args.no_artifacts:
         from .runtime.fuzz import write_campaign_metadata
         from .runtime.pool import resolve_jobs
@@ -642,12 +627,6 @@ def tune_main(argv: List[str] = None) -> int:
         "(no caching without it — every run searches from scratch)",
     )
     parser.add_argument(
-        "--heavy",
-        action="store_true",
-        help="tune on the LARGE-size kernel sources instead of the "
-        "small ones",
-    )
-    parser.add_argument(
         "--no-pass-cache",
         action="store_true",
         help="disable the per-worker function-granular pass cache "
@@ -676,7 +655,6 @@ def tune_main(argv: List[str] = None) -> int:
         seed=args.seed,
         cache_dir=args.cache_dir,
         pipeline=args.pipeline,
-        heavy=args.heavy,
         pass_cache=not args.no_pass_cache,
     )
     report = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -758,8 +736,8 @@ def serve_main(argv: List[str] = None) -> int:
         type=int,
         default=0,
         help="0 serves inline on executor threads; N>0 batches onto a "
-        "persistent N-worker pool (N=0 with --jobs -1 means one per "
-        "CPU)",
+        "persistent N-worker pool; a negative N means one worker per "
+        "CPU",
     )
     parser.add_argument(
         "--max-pending",

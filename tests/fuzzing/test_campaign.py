@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from repro.fuzzing import CHECKS, FuzzCampaign
+from repro.fuzzing import CHECKS, CampaignStats, FuzzCampaign
 from repro.tool import fuzz_main
 
 from .test_bisect_reduce import buggy_linalg_pipeline
@@ -60,12 +60,11 @@ class TestCampaignWithPlantedBug:
     @pytest.fixture()
     def campaign(self, tmp_path):
         buggy = buggy_linalg_pipeline()
-        return FuzzCampaign(
-            out_dir=str(tmp_path / "fuzz-failures"),
-            pipelines=[buggy.name],
-            extra_pipelines={buggy.name: buggy},
-            check_modules=False,
+        campaign = FuzzCampaign(
+            out_dir=str(tmp_path / "fuzz-failures"), check_modules=False
         )
+        campaign.pipelines = {buggy.name: buggy}
+        return campaign
 
     def test_failure_is_bisected_reduced_and_dumped(self, campaign):
         # seed 3 is a plain matmul: the buggy tiling drops its last tile
@@ -96,6 +95,50 @@ class TestCampaignWithPlantedBug:
         stats = campaign.run(2, start_seed=3)
         assert not stats.ok
         assert stats.unreduced_failures == []
+
+
+class TestCrashingRaisingTier:
+    """A raising tier that raises is an expectation failure of that
+    tier, not the end of the seed or of the campaign."""
+
+    @pytest.mark.parametrize(
+        "predicate, name",
+        [
+            ("_raises_to_named_op", "raise-expectation"),
+            ("_synth_raises_all", "synth-expectation"),
+        ],
+    )
+    def test_crash_is_recorded_and_the_seed_goes_on(
+        self, tmp_path, monkeypatch, predicate, name
+    ):
+        def crash(source):
+            raise RuntimeError("planted tier crash")
+
+        monkeypatch.setattr(FuzzCampaign, predicate, staticmethod(crash))
+        campaign = FuzzCampaign(
+            out_dir=str(tmp_path / "ff"),
+            pipelines=["mlt-linalg"],
+            check_modules=False,
+            checks=["synth"],
+        )
+        stats = CampaignStats()
+        failures = campaign.run_seed(0, stats)
+        assert [f.pipeline for f in failures] == [name]
+        stage = failures[0].report.first_failure
+        assert stage.kind == "expectation"
+        assert "crashed: planted tier crash" in stage.detail
+        # Both expectations and the staged oracle still ran.
+        assert stats.checks == 3
+        assert stats.stages_checked > 0
+        report = os.path.join(failures[0].artifact_dir, "report.json")
+        with open(report) as handle:
+            payload = json.load(handle)
+        assert payload["failing_stage"]["kind"] == "expectation"
+        assert "planted tier crash" in payload["failing_stage"]["detail"]
+
+        stats = campaign.run(2)
+        assert stats.seeds_run == 2
+        assert [f.pipeline for f in stats.failures] == [name, name]
 
 
 class TestFuzzMainCLI:

@@ -1,4 +1,4 @@
-"""Parallel fuzz campaigns must be byte-identical to serial ones.
+"""Fuzz campaigns must be byte-identical across ``jobs`` values.
 
 Failures are planted deterministically by monkeypatching the
 raise-expectation predicate at class level — ``fork`` workers inherit
@@ -12,17 +12,14 @@ import os
 import pytest
 
 from repro.fuzzing import FuzzCampaign
-from repro.runtime.fuzz import (
-    run_campaign_parallel,
-    write_campaign_metadata,
-)
+from repro.runtime.fuzz import write_campaign_metadata
 from repro.runtime.pool import fresh_pools
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 #: Cheapest meaningful campaign: one pipeline, no builder modules, and
 #: a non-default check selection (no engine, no driver) that every
-#: worker has to rebuild from the config dict.
+#: worker has to rebuild from the pickled campaign.
 FAST_CHECKS = {
     "pipelines": ["mlt-linalg"],
     "check_modules": False,
@@ -30,11 +27,10 @@ FAST_CHECKS = {
 }
 
 
-def _campaign_config(out_dir, write_artifacts=True):
-    config = dict(FAST_CHECKS)
-    config["out_dir"] = str(out_dir)
-    config["write_artifacts"] = write_artifacts
-    return config
+def _campaign(out_dir, write_artifacts=True):
+    return FuzzCampaign(
+        out_dir=str(out_dir), write_artifacts=write_artifacts, **FAST_CHECKS
+    )
 
 
 def _tree_bytes(root):
@@ -50,11 +46,11 @@ def _tree_bytes(root):
 
 class TestSerialParallelEquivalence:
     def test_green_campaign_stats_match(self, tmp_path):
-        config = _campaign_config(tmp_path / "s", write_artifacts=False)
-        serial = run_campaign_parallel(config, num_seeds=4, jobs=1)
+        campaign = _campaign(tmp_path / "s", write_artifacts=False)
+        serial = campaign.run(4, jobs=1)
         if not HAVE_FORK:
             pytest.skip("requires fork start method")
-        parallel = run_campaign_parallel(config, num_seeds=4, jobs=2)
+        parallel = campaign.run(4, jobs=2)
         assert serial.seeds_run == parallel.seeds_run == 4
         # raise + synth expectation, one staged oracle, one
         # incremental-diff per seed: the workers honoured ``checks``.
@@ -78,17 +74,13 @@ class TestSerialParallelEquivalence:
         serial_dir = tmp_path / "serial" / "fuzz-failures"
         parallel_dir = tmp_path / "parallel" / "fuzz-failures"
 
-        serial = run_campaign_parallel(
-            _campaign_config(serial_dir), num_seeds=6, jobs=1
-        )
+        serial = _campaign(serial_dir).run(6, jobs=1)
         # Persistent workers snapshot the parent at fork time: fork
         # fresh ones so they observe the monkeypatched tactic, and tear
         # them down after so the broken tactic never leaks into pools
         # used by later tests.
         with fresh_pools():
-            parallel = run_campaign_parallel(
-                _campaign_config(parallel_dir), num_seeds=6, jobs=2
-            )
+            parallel = _campaign(parallel_dir).run(6, jobs=2)
 
         assert len(serial.failures) > 0
         assert [f.seed for f in serial.failures] == [
@@ -99,17 +91,15 @@ class TestSerialParallelEquivalence:
         assert _tree_bytes(serial_dir) == _tree_bytes(parallel_dir)
 
     def test_seed_offset_respected(self, tmp_path):
-        config = _campaign_config(tmp_path, write_artifacts=False)
-        stats = run_campaign_parallel(
-            config, num_seeds=2, start_seed=7, jobs=1
-        )
+        campaign = _campaign(tmp_path, write_artifacts=False)
+        stats = campaign.run(2, start_seed=7, jobs=1)
         assert stats.seeds_run == 2
 
 
 class TestCampaignMetadata:
     def test_no_artifact_dir_means_no_metadata(self, tmp_path):
-        config = _campaign_config(tmp_path / "none", write_artifacts=False)
-        stats = run_campaign_parallel(config, num_seeds=1, jobs=1)
+        campaign = _campaign(tmp_path / "none", write_artifacts=False)
+        stats = campaign.run(1, jobs=1)
         path = write_campaign_metadata(
             str(tmp_path / "none"), jobs=1, num_seeds=1, start_seed=0,
             stats=stats,
@@ -118,9 +108,7 @@ class TestCampaignMetadata:
         # The near-miss corpus export creates out_dir on every default
         # run; a directory is not a failure, so still no metadata.
         out_dir = tmp_path / "fuzz-failures"
-        stats = run_campaign_parallel(
-            _campaign_config(out_dir), num_seeds=8, jobs=1
-        )
+        stats = _campaign(out_dir).run(8, jobs=1)
         assert stats.ok
         assert os.path.isdir(out_dir / "near-miss")
         path = write_campaign_metadata(
@@ -138,9 +126,7 @@ class TestCampaignMetadata:
             staticmethod(lambda source: False),
         )
         out_dir = tmp_path / "fuzz-failures"
-        stats = run_campaign_parallel(
-            _campaign_config(out_dir), num_seeds=3, jobs=1
-        )
+        stats = _campaign(out_dir).run(3, jobs=1)
         assert len(stats.failures) > 0
         path = write_campaign_metadata(
             str(out_dir), jobs=2, num_seeds=3, start_seed=0, stats=stats
