@@ -136,6 +136,29 @@ def collect_accesses(root: Operation) -> List[MemoryAccess]:
     return accesses
 
 
+#: The ops besides pure ones whose memory effects
+#: :func:`collect_accesses` enumerates: affine loops, affine accesses
+#: and local buffers.
+_ENUMERATED_OPS = frozenset(
+    {
+        "affine.for",
+        "affine.yield",
+        "affine.load",
+        "affine.store",
+        "std.alloc",
+        "std.dealloc",
+    }
+)
+
+
+def effects_known(op: Operation) -> bool:
+    """Are all memory effects of ``op`` itself (not of ops nested in
+    it) known to the affine analyses?  A pure op has none; anything
+    else (a call, a structured op, a non-affine access) may touch
+    memory the analyses cannot see."""
+    return op.PURE or op.name in _ENUMERATED_OPS
+
+
 def enclosing_loops(op: Operation) -> List[AffineForOp]:
     """Affine loops surrounding ``op``, outermost first."""
     loops: List[AffineForOp] = []

@@ -63,7 +63,7 @@ from ..dialects.linalg import (
     ReshapeOp,
     TransposeOp,
 )
-from ..ir import FuncOp, Operation, Value
+from ..ir import READ, WRITE, FuncOp, Operation, Value
 from ..ir.types import MemRefType
 
 #: Per-op actions the emitters look up by ``id(op)``.  ``VIEW`` and
@@ -76,11 +76,8 @@ _READ, _WRITE, _ESCAPE = 1, 2, 4
 
 #: Payload kinds that overwrite a structured op's output whole.
 _WHOLE = ("copy", "fill")
-#: How a load or a store touches its memref, its only memref operand.
-_SCALAR_ACCESSES = {
-    **dict.fromkeys(("affine.load", "std.load", "llvm.load"), _READ),
-    **dict.fromkeys(("affine.store", "std.store", "llvm.store"), _WRITE),
-}
+#: A scalar access's declared ``MEMORY_EFFECT`` on its one memref.
+_ACCESS_KIND = {READ: _READ, WRITE: _WRITE}
 
 
 def _ignore(*decision) -> None:
@@ -109,8 +106,8 @@ def _effects(op: Operation) -> List[Tuple[Value, int]]:
         output = _WRITE if op.PAYLOAD in _WHOLE else _READ | _WRITE
     elif isinstance(op, ReshapeOp):
         inputs, output = 1, _WRITE
-    elif op.name in _SCALAR_ACCESSES:
-        inputs, output = 0, _SCALAR_ACCESSES[op.name]
+    elif op.MEMORY_EFFECT is not None:  # a load or a store
+        inputs, output = 0, _ACCESS_KIND[op.MEMORY_EFFECT]
     else:  # a call, a return, an unregistered op: may do anything
         inputs, output = 0, _READ | _WRITE | _ESCAPE
     return [

@@ -12,7 +12,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 from ..ir.affine_expr import AffineConstantExpr, AffineExpr
 from ..ir.affine_map import AffineMap
 from ..ir.attributes import AffineMapAttr, IntegerAttr, UnitAttr
-from ..ir.core import Block, IRError, Operation, register_op
+from ..ir.core import READ, WRITE, Block, IRError, Operation, register_op
 from ..ir.types import IndexType, MemRefType
 from ..ir.values import BlockArgument, Value
 from .linalg import MatmulOp
@@ -222,6 +222,7 @@ class AffineAccessOpBase(Operation):
 @register_op
 class AffineLoadOp(AffineAccessOpBase):
     OP_NAME = "affine.load"
+    MEMORY_EFFECT = READ
 
     @staticmethod
     def create(
@@ -242,6 +243,7 @@ class AffineLoadOp(AffineAccessOpBase):
 @register_op
 class AffineStoreOp(AffineAccessOpBase):
     OP_NAME = "affine.store"
+    MEMORY_EFFECT = WRITE
     MEMREF_OPERAND_INDEX = 1
 
     @staticmethod
@@ -268,6 +270,7 @@ class AffineApplyOp(Operation):
     """Applies a single-result affine map to index operands."""
 
     OP_NAME = "affine.apply"
+    PURE = True
 
     @staticmethod
     def create(map_: AffineMap, operands: Sequence[Value]) -> "AffineApplyOp":

@@ -556,7 +556,7 @@ class GenericOp(LinalgStructuredOp):
         return len(self.iterator_types)
 
     def _payload_arith(self) -> int:
-        return sum(1 for op in self.body.operations if op.dialect == "std")
+        return sum(op.FLOPS for op in self.body.operations)
 
     def verify_(self) -> None:
         for operand in self.operands:

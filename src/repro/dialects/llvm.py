@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Any, Dict, Mapping, Optional, Sequence
 
 from ..ir.attributes import ArrayAttr, Attribute, StringAttr
-from ..ir.core import Block, IRError, Operation, register_op
+from ..ir.core import READ, WRITE, Block, IRError, Operation, register_op
 from ..ir.types import MemRefType, Type
 from ..ir.values import Value
 
@@ -77,6 +77,7 @@ class LoadOp(Operation):
     """Flat load: element at a linearized index of a buffer."""
 
     OP_NAME = "llvm.load"
+    MEMORY_EFFECT = READ
 
     @staticmethod
     def create(memref: Value, index: Value) -> "LoadOp":
@@ -99,6 +100,7 @@ class StoreOp(Operation):
     """Flat store: write an element at a linearized index."""
 
     OP_NAME = "llvm.store"
+    MEMORY_EFFECT = WRITE
 
     @staticmethod
     def create(value: Value, memref: Value, index: Value) -> "StoreOp":

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Union
 
 from ..ir.attributes import FloatAttr, IntegerAttr
-from ..ir.core import IRError, Operation, register_op
+from ..ir.core import READ, WRITE, IRError, Operation, register_op
 from ..ir.types import IndexType, IntegerType, Type, is_float
 from ..ir.values import Value
 
@@ -20,6 +20,7 @@ class ConstantOp(Operation):
     """An SSA constant of index, integer, or float type."""
 
     OP_NAME = "std.constant"
+    PURE = True
 
     @staticmethod
     def create(value: Union[int, float], ty: Type) -> "ConstantOp":
@@ -39,6 +40,7 @@ class ConstantOp(Operation):
 class BinaryArithOp(Operation):
     """Base for two-operand, one-result arithmetic ops."""
 
+    PURE = True
     PYTHON_FUNC = staticmethod(lambda a, b: None)
 
     @classmethod
@@ -65,6 +67,8 @@ class BinaryArithOp(Operation):
 
 
 class FloatArithOp(BinaryArithOp):
+    FLOPS = 1
+
     def verify_(self) -> None:
         super().verify_()
         if not is_float(self.operand(0).type):
@@ -117,6 +121,7 @@ class NegFOp(Operation):
     """Floating-point negation: ``%r = std.negf %a : f32``."""
 
     OP_NAME = "std.negf"
+    PURE = True
     PYTHON_FUNC = staticmethod(lambda a: -a)
 
     @staticmethod
@@ -138,6 +143,7 @@ class CmpFOp(Operation):
     in {oeq, one, olt, ole, ogt, oge}.  Result type is ``i1``."""
 
     OP_NAME = "std.cmpf"
+    PURE = True
 
     PREDICATES = {
         "oeq": lambda a, b: a == b,
@@ -206,6 +212,7 @@ class LoadOp(Operation):
     """Multi-dimensional load with plain index operands (post-affine)."""
 
     OP_NAME = "std.load"
+    MEMORY_EFFECT = READ
 
     @staticmethod
     def create(memref: Value, indices) -> "LoadOp":
@@ -226,6 +233,7 @@ class LoadOp(Operation):
 @register_op
 class StoreOp(Operation):
     OP_NAME = "std.store"
+    MEMORY_EFFECT = WRITE
 
     @staticmethod
     def create(value: Value, memref: Value, indices) -> "StoreOp":
@@ -250,6 +258,7 @@ class CmpIOp(Operation):
     {eq, ne, slt, sle, sgt, sge}."""
 
     OP_NAME = "std.cmpi"
+    PURE = True
 
     PREDICATES = {
         "eq": lambda a, b: a == b,
@@ -283,6 +292,7 @@ class SelectOp(Operation):
     """``select(cond, a, b)``: a if cond else b."""
 
     OP_NAME = "std.select"
+    PURE = True
 
     @staticmethod
     def create(cond: Value, true_value: Value, false_value: Value) -> "SelectOp":
@@ -303,6 +313,7 @@ class IndexCastOp(Operation):
     """Cast between index and integer types."""
 
     OP_NAME = "std.index_cast"
+    PURE = True
 
     @staticmethod
     def create(value: Value, ty: Type) -> "IndexCastOp":

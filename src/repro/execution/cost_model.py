@@ -123,12 +123,7 @@ class _Statement:
             access = access_function(op)
             if access is not None:
                 self.accesses.append(access)
-        self.flops = sum(
-            1
-            for op in ops
-            if op.dialect == "std"
-            and op.name in ("std.addf", "std.subf", "std.mulf", "std.divf", "std.maxf")
-        )
+        self.flops = sum(op.FLOPS for op in ops)
 
     @property
     def innermost(self) -> AffineForOp:

@@ -34,21 +34,20 @@ run by the one ``PassManager``.  This module holds what is the
 optimizer's own: the soundness gate, the dead-loop pass, the fuse
 step's veto and the tile step's size rules.
 
-Soundness gate: a function is only optimized when every op it contains
-comes from a whitelist whose memory effects the legality analyses can
-enumerate — the band payload set
-(:data:`~repro.analysis.band.PAYLOAD_OPS`) plus affine loops, index
-arithmetic and local alloc/dealloc — and every access map is linear.
-Anything else — linalg, blas, scf, llvm, calls — is left untouched and
-counted in ``functions_skipped``.
+Soundness gate: a function is only optimized when the legality
+analyses know the memory effects of every op it contains
+(:func:`~repro.analysis.accesses.effects_known`: ops declared ``PURE``,
+affine loops and accesses, local alloc/dealloc) besides its
+``func.return``, and every access map is linear.  Anything else —
+linalg, blas, scf, llvm, calls — is left untouched and counted in
+``functions_skipped``.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional
 
-from ...analysis.accesses import access_function
-from ...analysis.band import PAYLOAD_OPS
+from ...analysis.accesses import access_function, effects_known
 from ...dialects.affine import AffineForOp, AffineLoadOp, AffineStoreOp
 from ...ir import FunctionPass, Operation
 from ...transforms.tiling import TileLoopNestPass
@@ -60,28 +59,12 @@ OPT_MODES = ("none", "fuse", "full")
 #: many iterations stay untiled.
 DEFAULT_TILE_SIZE = 32
 
-#: Ops a function may contain for the optimizer to touch it at all: a
-#: band payload's ops plus the loop structure, index arithmetic and
-#: local buffers around it.
-_OPT_SAFE_OPS = PAYLOAD_OPS | {
-    "affine.for",
-    "affine.yield",
-    "affine.apply",
-    "std.addi",
-    "std.subi",
-    "std.muli",
-    "std.index_cast",
-    "std.alloc",
-    "std.dealloc",
-    "func.return",
-}
-
 
 def _function_is_optimizable(func: Operation) -> bool:
     for op in func.walk():
         if op is func:
             continue
-        if op.name not in _OPT_SAFE_OPS:
+        if not (effects_known(op) or op.name == "func.return"):
             return False
         if isinstance(op, (AffineLoadOp, AffineStoreOp)):
             if access_function(op) is None:

@@ -41,6 +41,7 @@ from ..analysis.contraction import generic_contraction_spec
 from ..dialects import std
 from ..dialects.llvm import BrOp, CondBrOp
 from ..ir import (
+    OP_REGISTRY,
     FuncOp,
     IRError,
     MemRefType,
@@ -213,19 +214,11 @@ class Interpreter:
             )
 
     def scalar_flops(self) -> int:
-        """Scalar float operations executed (requires count_ops)."""
+        """Scalar float operations executed (requires count_ops): each
+        op's declared ``FLOPS`` times its count."""
         return sum(
-            count
+            count * OP_REGISTRY.get(name, Operation).FLOPS
             for name, count in self.op_counts.items()
-            if name
-            in (
-                "std.addf",
-                "std.subf",
-                "std.mulf",
-                "std.divf",
-                "std.maxf",
-                "std.negf",
-            )
         )
 
 

@@ -36,7 +36,9 @@ from .core import (  # noqa: F401
     IRError,
     OP_REGISTRY,
     Operation,
+    READ,
     Region,
+    WRITE,
     create_operation,
     register_op,
 )

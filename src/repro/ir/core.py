@@ -25,6 +25,9 @@ class IRError(Exception):
 #: generically-built ops get the right Python class.
 OP_REGISTRY: Dict[str, PyType["Operation"]] = {}
 
+#: The values of :attr:`Operation.MEMORY_EFFECT`.
+READ, WRITE = "read", "write"
+
 
 def register_op(cls: PyType["Operation"]) -> PyType["Operation"]:
     """Class decorator registering an operation class by its OP_NAME."""
@@ -45,6 +48,15 @@ class Operation:
     OP_NAME = "builtin.unregistered"
     #: Ops marked as terminators must appear last in their block.
     IS_TERMINATOR = False
+    #: The op has no memory effect: unused, it may be deleted, and it
+    #: may be duplicated or moved past any other op.
+    PURE = False
+    #: A scalar access's effect on its one memref operand: ``READ``
+    #: for a load, ``WRITE`` for a store.  ``None`` with ``PURE``
+    #: unset means the op may do anything (a call, a loop).
+    MEMORY_EFFECT: Optional[str] = None
+    #: Scalar floating-point operations one execution performs.
+    FLOPS = 0
 
     def __init__(
         self,

@@ -88,6 +88,12 @@ def _run_unit(input_path: str) -> BatchResult:
     return result
 
 
+def _output_path(out_dir: str, input_path: str) -> str:
+    """``out_dir/<input stem>.mlir``."""
+    stem = os.path.splitext(os.path.basename(input_path))[0]
+    return os.path.join(out_dir, stem + ".mlir")
+
+
 def _process_file(input_path: str, state: dict) -> BatchResult:
     from ..ir import verify
     from ..store import compile_unit
@@ -121,8 +127,7 @@ def _process_file(input_path: str, state: dict) -> BatchResult:
 
     output_path = None
     if out_dir:
-        stem = os.path.splitext(os.path.basename(input_path))[0]
-        output_path = os.path.join(out_dir, stem + ".mlir")
+        output_path = _output_path(out_dir, input_path)
         with open(output_path, "w") as handle:
             handle.write(unit.text)
     return BatchResult(
@@ -146,8 +151,21 @@ def run_batch(
     verify: bool = True,
     compile_kernels: bool = False,
 ) -> List[BatchResult]:
-    """Compile many input files through one shared pool and cache."""
+    """Compile many input files through one shared pool and cache.
+
+    With ``out_dir``, two inputs that share a stem would write the same
+    output file: that raises ``ValueError`` before any unit runs.
+    """
     if out_dir:
+        writers = {}
+        for path in inputs:
+            output_path = _output_path(out_dir, path)
+            if output_path in writers:
+                raise ValueError(
+                    f"{writers[output_path]} and {path} would both write "
+                    f"{output_path}"
+                )
+            writers[output_path] = path
         os.makedirs(out_dir, exist_ok=True)
     config = {
         "pass_names": list(pass_names),

@@ -24,7 +24,7 @@ Request lifecycle::
   batched schedule, amortizing queue round-trips; the pool's
   work-stealing spreads the batch across workers.
 * **Tenant isolation** — unit work for one tenant is serialized per
-  key *shard* (``shards`` asyncio locks per tenant), bounding
+  key *shard* (``LOCK_SHARDS`` asyncio locks per tenant), bounding
   duplicated codegen for near-identical keys while letting distinct
   tenants and distinct shards proceed concurrently.
 
@@ -58,6 +58,10 @@ from .units import (
 )
 
 
+#: Per-tenant lock shards for inline mode.
+LOCK_SHARDS = 16
+
+
 @dataclass
 class ServerConfig:
     """Tuning knobs for one :class:`CompileServer`."""
@@ -75,10 +79,6 @@ class ServerConfig:
     #: Pool mode: how long admitted units gather before shipping as
     #: one batch.  Zero ships every unit alone.
     batch_window_s: float = 0.002
-    #: Per-tenant lock shards for inline mode.
-    shards: int = 16
-    default_tenant: str = "default"
-    default_tile: int = 32
     #: Honor ``debug_delay_s``/``debug_crash`` request fields (test
     #: seams for the concurrency suite); never enable in production.
     allow_debug: bool = False
@@ -288,10 +288,7 @@ class CompileServer:
             return None
         try:
             spec = normalize_request(
-                request,
-                default_tenant=self.config.default_tenant,
-                default_tile=self.config.default_tile,
-                allow_debug=self.config.allow_debug,
+                request, allow_debug=self.config.allow_debug
             )
         except Exception:  # noqa: BLE001 — malformed fields can raise
             # more than BadRequest (e.g. unhashable types); the slow
@@ -386,10 +383,7 @@ class CompileServer:
             )
         try:
             spec = normalize_request(
-                request,
-                default_tenant=self.config.default_tenant,
-                default_tile=self.config.default_tile,
-                allow_debug=self.config.allow_debug,
+                request, allow_debug=self.config.allow_debug
             )
         except BadRequest as exc:
             return protocol.error_response(request, "bad-request", str(exc))
@@ -480,9 +474,9 @@ class CompileServer:
     def _shard_lock(self, tenant: str, mkey: str) -> asyncio.Lock:
         locks = self._tenant_locks.get(tenant)
         if locks is None:
-            locks = [asyncio.Lock() for _ in range(self.config.shards)]
+            locks = [asyncio.Lock() for _ in range(LOCK_SHARDS)]
             self._tenant_locks[tenant] = locks
-        return locks[int(mkey[:8], 16) % self.config.shards]
+        return locks[int(mkey[:8], 16) % LOCK_SHARDS]
 
     # -- pool mode: micro-batching -------------------------------------
 

@@ -51,6 +51,9 @@ from ..store import (
 )
 
 _TENANT_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.-]{0,63}$")
+#: A request's ``tenant`` and ``tile`` when it names none.
+DEFAULT_TENANT = "default"
+DEFAULT_TILE = 32
 
 #: Hot-kernel map bound: one entry is a compiled callable plus a shape
 #: tuple, so a few hundred of them are cheap; beyond that, least
@@ -203,12 +206,7 @@ def _flag(request: dict, name: str, default: bool) -> bool:
     return value
 
 
-def normalize_request(
-    request: dict,
-    default_tenant: str = "default",
-    default_tile: int = 32,
-    allow_debug: bool = False,
-) -> dict:
+def normalize_request(request: dict, allow_debug: bool = False) -> dict:
     """Validate one compile/execute/prewarm-item request into a plain,
     picklable unit spec.
 
@@ -218,12 +216,12 @@ def normalize_request(
     """
     op = request.get("op")
     execute = op == "execute"
-    tenant = validate_tenant(request.get("tenant", default_tenant))
+    tenant = validate_tenant(request.get("tenant", DEFAULT_TENANT))
     # bool is an int subclass, but ``seed=True`` is no seed.
     seed = request.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise BadRequest("seed must be an integer")
-    tile = request.get("tile", default_tile)
+    tile = request.get("tile", DEFAULT_TILE)
     if isinstance(tile, bool) or not isinstance(tile, int) or tile <= 0:
         raise BadRequest("tile must be a positive integer")
     opt_mode = request.get("opt_mode", "full")

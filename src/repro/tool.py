@@ -371,17 +371,21 @@ def _batch_main(args, pass_names: List[str]) -> int:
     """Batch mode: many inputs, one shared pool and persistent cache."""
     from .runtime.batch import run_batch
 
-    results = run_batch(
-        args.input,
-        pass_names,
-        out_dir=args.out_dir,
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        driver=args.driver,
-        source_kind=args.source,
-        verify=not args.no_verify,
-        compile_kernels=bool(args.cache_dir),
-    )
+    try:
+        results = run_batch(
+            args.input,
+            pass_names,
+            out_dir=args.out_dir,
+            jobs=args.jobs,
+            cache_dir=args.cache_dir,
+            driver=args.driver,
+            source_kind=args.source,
+            verify=not args.no_verify,
+            compile_kernels=bool(args.cache_dir),
+        )
+    except ValueError as exc:  # two inputs would write one output
+        sys.stderr.write(f"mlt-opt: {exc}\n")
+        return 2
     failed = 0
     for result in results:
         status = "ok" if result.ok else "FAIL"

@@ -2,10 +2,11 @@
 removal of empty or zero-trip loops.
 
 Implemented as root-indexed rewrite patterns on the greedy driver: one
-DCE pattern per pure op name, one fold pattern per foldable op name,
-and an empty-loop pattern rooted at ``affine.for`` — so the worklist
-driver's ``FrozenPatternSet`` prunes the match space to exactly the ops
-each simplification can apply to.
+DCE pattern per op declared to write no memory (``PURE``, or a load),
+one fold pattern per foldable op name, and an empty-loop pattern
+rooted at ``affine.for`` — so the worklist driver's
+``FrozenPatternSet`` prunes the match space to exactly the ops each
+simplification can apply to.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from typing import List, Optional, Union
 from ..dialects import std
 from ..dialects.affine import AffineApplyOp, AffineForOp
 from ..ir import (
+    OP_REGISTRY,
+    READ,
     FrozenPatternSet,
     FunctionPass,
     Operation,
@@ -23,42 +26,40 @@ from ..ir import (
     apply_patterns_greedily,
 )
 
-#: Ops with no side effects whose unused results can be deleted.
-_PURE_OPS = {
-    "std.constant",
-    "std.addf",
-    "std.subf",
-    "std.mulf",
-    "std.divf",
-    "std.maxf",
-    "std.addi",
-    "std.subi",
-    "std.muli",
-    "std.cmpi",
-    "std.index_cast",
-    "affine.load",
-    "affine.apply",
-}
+
+def _dead_op_names():
+    """Every registered op declared to write no memory: the pure ops
+    and the loads.  Unused, such an op can go; an op with no
+    declaration (a call, a loop) may do anything and stays."""
+    return tuple(
+        sorted(
+            name for name, cls in OP_REGISTRY.items() if _writes_nothing(cls)
+        )
+    )
+
 
 def _foldable_op_names():
     """Every registered op ``_fold`` can evaluate: binary std
     arithmetic plus affine.apply."""
-    from ..ir import OP_REGISTRY
-
     names = sorted(
         name
         for name, cls in OP_REGISTRY.items()
-        if isinstance(cls, type) and issubclass(cls, std.BinaryArithOp)
+        if issubclass(cls, std.BinaryArithOp)
     )
     names.append("affine.apply")
     return tuple(names)
+
 
 #: Long dead-def chains retire one link per round; allow deep chains.
 _MAX_ITERATIONS = 10_000
 
 
+def _writes_nothing(op) -> bool:
+    return op.PURE or op.MEMORY_EFFECT == READ
+
+
 def _is_dead(op: Operation) -> bool:
-    if op.name not in _PURE_OPS:
+    if not _writes_nothing(op):
         return False
     return all(not r.is_used() for r in op.results)
 
@@ -151,7 +152,7 @@ class ConstantFolding(RewritePattern):
 
 def canonicalization_patterns() -> List[RewritePattern]:
     patterns: List[RewritePattern] = [
-        DeadOpElimination(name) for name in sorted(_PURE_OPS)
+        DeadOpElimination(name) for name in _dead_op_names()
     ]
     patterns.append(EmptyLoopElimination())
     patterns.extend(ConstantFolding(name) for name in _foldable_op_names())

@@ -13,9 +13,10 @@ lowering stages; this is the same idea specialized to the affine level:
    stores (and its dealloc) is a write-only temporary; all its stores,
    the dealloc, and the alloc itself are deleted.
 
-Everything here is conservative: a block containing an op we cannot
-enumerate effects for invalidates all forwarding state, and accesses
-with non-linear maps are never forwarded or killed.
+Everything here is conservative: an op we cannot enumerate effects for
+(``effects_known``), or a loop holding one, invalidates all forwarding
+state, and accesses with non-linear maps are never forwarded or
+killed.
 """
 
 from __future__ import annotations
@@ -23,30 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from ..analysis.accesses import access_function
+from ..analysis.accesses import access_function, effects_known
 from ..dialects.affine import AffineForOp, AffineLoadOp, AffineStoreOp
 from ..ir import FunctionPass, Operation
-
-#: Side-effect-free scalar ops we can step over without invalidating
-#: forwarding state.
-_PURE_OPS = frozenset(
-    {
-        "std.constant",
-        "std.addf",
-        "std.subf",
-        "std.mulf",
-        "std.divf",
-        "std.maxf",
-        "std.negf",
-        "std.cmpf",
-        "std.select",
-        "std.addi",
-        "std.subi",
-        "std.muli",
-        "std.index_cast",
-        "affine.apply",
-    }
-)
 
 
 @dataclass
@@ -80,6 +60,10 @@ def _loop_reads(loop: AffineForOp, memref_id: int) -> bool:
     return False
 
 
+def _loop_effects_known(loop: AffineForOp) -> bool:
+    return all(effects_known(nested) for nested in loop.walk())
+
+
 def _loop_writes(loop: AffineForOp, memref_id: int) -> bool:
     for nested in loop.walk():
         if isinstance(nested, AffineStoreOp) and id(nested.memref) == memref_id:
@@ -109,24 +93,20 @@ def _forward_block(block, result: CopyElimResult) -> None:
                 last_store[sig] = op
             continue
         if isinstance(op, AffineForOp):
+            if not _loop_effects_known(op):
+                last_store.clear()
             for key in [
                 k for k in last_store if _loop_writes(op, k[0])
             ]:
                 del last_store[key]
             continue
-        if op.name in _PURE_OPS or op.name in (
-            "std.alloc",
-            "affine.yield",
-            "func.return",
-        ):
-            continue
         if op.name == "std.dealloc":
             dead_id = id(op.operands[0])
             for key in [k for k in last_store if k[0] == dead_id]:
                 del last_store[key]
-            continue
-        # Unknown effects: drop everything.
-        last_store.clear()
+        elif not effects_known(op):
+            # Unknown effects: drop everything.
+            last_store.clear()
 
 
 def _dse_block(block, result: CopyElimResult) -> None:
@@ -149,19 +129,15 @@ def _dse_block(block, result: CopyElimResult) -> None:
                 del later_store[key]
             continue
         if isinstance(op, AffineForOp):
+            if not _loop_effects_known(op):
+                later_store.clear()
             for key in [
                 k for k in later_store if _loop_reads(op, k[0])
             ]:
                 del later_store[key]
             continue
-        if op.name in _PURE_OPS or op.name in (
-            "std.alloc",
-            "std.dealloc",
-            "affine.yield",
-            "func.return",
-        ):
-            continue
-        later_store.clear()
+        if not effects_known(op):
+            later_store.clear()
 
 
 def _remove_dead_temporaries(func: Operation, result: CopyElimResult) -> None:

@@ -19,55 +19,24 @@ segment (preserving statement order) and the remaining segments are
 distributed — partial distribution instead of the historical
 all-or-nothing test.
 
-Pure scalar ops (constants, index arithmetic, ``affine.apply``) and
-loads from buffers the loop body never writes are *rematerializable*:
-they do not glue statement groups together and are cloned into each
-segment that needs them, so store-forwarded bodies sharing a scalar
-subexpression still distribute.
+Pure ops (those declaring ``PURE``: constants, scalar arithmetic,
+``affine.apply``) and loads from buffers the loop body never writes
+are *rematerializable*: they do not glue statement groups together and
+are cloned into each segment that needs them, so store-forwarded
+bodies sharing a scalar subexpression still distribute.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Set
 
-from ..analysis.accesses import MemoryAccess, collect_accesses
+from ..analysis.accesses import (
+    MemoryAccess,
+    collect_accesses,
+    effects_known,
+)
 from ..dialects.affine import AffineForOp, AffineLoadOp, AffineStoreOp
 from ..ir import FunctionPass, Operation
-
-_CLONABLE = ("std.constant",)
-
-#: Pure scalar ops that may be duplicated into every segment.
-_REMAT_OPS = frozenset(
-    {
-        "std.constant",
-        "std.addf",
-        "std.subf",
-        "std.mulf",
-        "std.divf",
-        "std.maxf",
-        "std.negf",
-        "std.cmpf",
-        "std.select",
-        "std.addi",
-        "std.subi",
-        "std.muli",
-        "std.index_cast",
-        "affine.apply",
-    }
-)
-
-#: Ops whose memory effects we can fully enumerate; a body containing
-#: anything else falls back to constants-only rematerialization.
-_KNOWN_OPS = _REMAT_OPS | frozenset(
-    {
-        "affine.for",
-        "affine.load",
-        "affine.store",
-        "affine.yield",
-        "std.alloc",
-        "std.dealloc",
-    }
-)
 
 
 def _written_memref_ids(ops: List[Operation]) -> Set[int]:
@@ -89,14 +58,14 @@ def _remat_op_ids(ops: List[Operation]) -> Set[int]:
     """
     for op in ops:
         for nested in op.walk():
-            if nested.name not in _KNOWN_OPS:
+            if not effects_known(nested):
                 # Unknown effects: only constants are safely clonable.
-                return {id(op) for op in ops if op.name in _CLONABLE}
+                return {id(op) for op in ops if op.name == "std.constant"}
     written = _written_memref_ids(ops)
     sibling_ids = {id(op) for op in ops}
     remat: Set[int] = set()
     for op in ops:  # forward order: defs precede uses within a block
-        if op.name in _REMAT_OPS:
+        if op.PURE:
             pass
         elif isinstance(op, AffineLoadOp) and id(op.memref) not in written:
             pass

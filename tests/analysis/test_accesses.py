@@ -1,10 +1,13 @@
 """Memory-access decomposition over IV values."""
 
+import pytest
+
 from repro.analysis import (
     access_function,
     collect_accesses,
     enclosing_loops,
 )
+from repro.analysis.accesses import effects_known
 from repro.dialects.affine import AffineForOp, AffineLoadOp, AffineStoreOp
 from repro.met import compile_c
 
@@ -88,3 +91,32 @@ class TestHelpers:
         loops = enclosing_loops(store)
         assert len(loops) == 3
         assert loops[2].parent_op is loops[1]
+
+
+
+@pytest.mark.parametrize(
+    "passes, unknown",
+    [
+        # loops, affine accesses and scalar arithmetic: all known
+        ((), {"func.return"}),
+        # structured ops and library calls may touch any memory
+        (
+            ("raise-affine-to-linalg", "convert-linalg-to-blas"),
+            {"blas.sgemm", "linalg.fill", "func.return"},
+        ),
+        # std accesses and scf loops are not what the analyses enumerate
+        (
+            ("lower-affine",),
+            {"scf.for", "scf.yield", "std.load", "std.store", "func.return"},
+        ),
+    ],
+)
+def test_declared_effects_known(passes, unknown):
+    from repro.evaluation.kernels import gemm_source
+    from repro.tool import build_pipeline
+
+    module = compile_c(gemm_source(4, 4, 4))
+    build_pipeline(list(passes)).run(module)
+    func = module.functions[0]
+    ops = [op for op in func.walk() if op is not func]
+    assert {op.name for op in ops if not effects_known(op)} == unknown

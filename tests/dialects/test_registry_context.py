@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dialects import ABSTRACTION_LEVEL, all_dialects
-from repro.ir import Context, Dialect
+from repro.ir import OP_REGISTRY, READ, WRITE, Context, Dialect
 
 
 class TestContext:
@@ -65,3 +65,52 @@ class TestAbstractionLadder:
 
     def test_blas_at_linalg_level(self):
         assert ABSTRACTION_LEVEL["blas"] == ABSTRACTION_LEVEL["linalg"]
+
+
+class TestDeclaredOpProperties:
+    """Purity, memory effect and flop count are declared once, on the
+    op class; every pass reads these declarations."""
+
+    def _names(self, predicate):
+        return {name for name, cls in OP_REGISTRY.items() if predicate(cls)}
+
+    def test_declared_pure_ops(self):
+        assert self._names(lambda cls: cls.PURE) == {
+            "std.constant",
+            "std.addf",
+            "std.subf",
+            "std.mulf",
+            "std.divf",
+            "std.maxf",
+            "std.addi",
+            "std.subi",
+            "std.muli",
+            "std.divi",
+            "std.remi",
+            "std.negf",
+            "std.cmpf",
+            "std.cmpi",
+            "std.select",
+            "std.index_cast",
+            "affine.apply",
+        }
+
+    @pytest.mark.parametrize(
+        "effect, mnemonic", [(READ, "load"), (WRITE, "store")]
+    )
+    def test_declared_scalar_access_effects(self, effect, mnemonic):
+        assert self._names(lambda cls: cls.MEMORY_EFFECT == effect) == {
+            f"{dialect}.{mnemonic}" for dialect in ("affine", "std", "llvm")
+        }
+
+    def test_declared_flops(self):
+        assert {
+            name: cls.FLOPS for name, cls in OP_REGISTRY.items() if cls.FLOPS
+        } == dict.fromkeys(
+            ("std.addf", "std.subf", "std.mulf", "std.divf", "std.maxf"), 1
+        )
+
+    def test_declared_pure_ops_have_no_memory_effect(self):
+        assert not self._names(
+            lambda cls: cls.PURE and cls.MEMORY_EFFECT is not None
+        )

@@ -74,9 +74,10 @@ class TestVectorizerSafeSetAudit:
         assert {"std.negf", "std.cmpf", "std.select"} <= PAYLOAD_OPS
 
     def test_optimizer_gate_contains_the_payload_set(self):
-        from repro.execution.engine.optimizer import _OPT_SAFE_OPS
+        from repro.execution.engine.optimizer import _function_is_optimizable
 
-        assert PAYLOAD_OPS <= _OPT_SAFE_OPS
+        module = parse_module(EVERY_PAYLOAD_OP)
+        assert _function_is_optimizable(module.lookup("f"))
 
     def test_clone_body_replays_every_payload_op(self):
         """``_fill_clone_body`` clones every non-access payload op into

@@ -248,14 +248,8 @@ class TestTenantIsolation:
         cache_root = str(tmp_path / "shared-cache")
 
         async def scenario():
-            server_a = CompileServer(
-                ServerConfig(
-                    cache_dir=cache_root, default_tenant="alpha"
-                )
-            )
-            server_b = CompileServer(
-                ServerConfig(cache_dir=cache_root, default_tenant="beta")
-            )
+            server_a = CompileServer(ServerConfig(cache_dir=cache_root))
+            server_b = CompileServer(ServerConfig(cache_dir=cache_root))
             await server_a.start_tcp()
             await server_b.start_tcp()
             client_a = await ServeClient.connect_tcp(
@@ -265,11 +259,15 @@ class TestTenantIsolation:
                 "127.0.0.1", server_b.port()
             )
             request = {"kernel": "atax", "pipeline": "baseline"}
-            first = client_a.check(await client_a.compile(**request))
+            first = client_a.check(
+                await client_a.compile(tenant="alpha", **request)
+            )
             # Same kernel through the second server: its tenant must
             # codegen for itself — a cross-tenant cache hit here would
             # mean one tenant observes another's artifacts.
-            second = client_b.check(await client_b.compile(**request))
+            second = client_b.check(
+                await client_b.compile(tenant="beta", **request)
+            )
             await client_a.close()
             await client_b.close()
             await server_a.shutdown()

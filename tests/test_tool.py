@@ -463,6 +463,37 @@ class TestBatchMode:
             {"kernel.c", "other.c"} if batch else {"kernel.c"}
         )
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_batch_refuses_inputs_sharing_a_stem(self, jobs, tmp_path, capsys):
+        """``a/k.c`` and ``b/k.c`` would both write ``out/k.mlir`` (under
+        ``--jobs 2`` in a race): the batch exits 2 before any unit runs
+        and writes nothing."""
+        paths = []
+        for subdir, func in (("a", "f"), ("b", "g")):
+            (tmp_path / subdir).mkdir()
+            path = tmp_path / subdir / "k.c"
+            path.write_text(GEMM.replace("gemm", func))
+            paths.append(str(path))
+        out_dir = tmp_path / "out"
+        code, out, err = self._run(
+            [
+                *paths,
+                "-raise-affine-to-linalg",
+                "--out-dir",
+                str(out_dir),
+                "--jobs",
+                jobs,
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert err == (
+            f"mlt-opt: {paths[0]} and {paths[1]} would both write "
+            f"{out_dir / 'k.mlir'}\n"
+        )
+        assert out == ""
+        assert not out_dir.exists()
+
     def test_batch_refuses_tile_sizes(self, c_file, tmp_path, capsys):
         other = tmp_path / "other.c"
         other.write_text(GEMM.replace("gemm", "gemm2"))

@@ -1,18 +1,23 @@
 """Canonicalization: folding, DCE, empty-loop removal."""
 
-from repro.dialects import std
+import pytest
+
+from repro.dialects import llvm, std
 from repro.dialects.affine import AffineApplyOp, AffineForOp
 from repro.ir import (
     AffineMap,
     Builder,
+    CallOp,
     FuncOp,
     InsertionPoint,
+    MemRefType,
     ModuleOp,
     ReturnOp,
     dim,
     f32,
     index,
 )
+from repro.ir.types import i1
 from repro.transforms import canonicalize
 
 
@@ -22,6 +27,50 @@ def _func():
     module.append_function(func)
     builder = Builder(InsertionPoint.at_end(func.entry_block))
     return module, func, builder
+
+
+#: One op over ``f(x: f32, y: f32, i: index, j: index, p: i1,
+#: buf: memref<4xf32>)``'s arguments, which no fold can touch.
+_UNUSED_OPS = {
+    "std.negf": lambda x, y, i, j, p, buf: std.NegFOp.create(x),
+    "std.cmpf": lambda x, y, i, j, p, buf: std.CmpFOp.create("olt", x, y),
+    "std.select": lambda x, y, i, j, p, buf: std.SelectOp.create(p, x, y),
+    "std.cmpi": lambda x, y, i, j, p, buf: std.CmpIOp.create("slt", i, j),
+    "std.divi": lambda x, y, i, j, p, buf: std.DivIOp.create(i, j),
+    "std.remi": lambda x, y, i, j, p, buf: std.RemIOp.create(i, j),
+    "std.load": lambda x, y, i, j, p, buf: std.LoadOp.create(buf, [i]),
+    "llvm.load": lambda x, y, i, j, p, buf: llvm.LoadOp.create(buf, i),
+}
+
+
+def _func_over_arguments(make_op):
+    module = ModuleOp.create()
+    func = FuncOp.create(
+        "f", [f32, f32, index, index, i1, MemRefType([4], f32)]
+    )
+    module.append_function(func)
+    builder = Builder(InsertionPoint.at_end(func.entry_block))
+    builder.insert(make_op(*func.arguments))
+    builder.insert(ReturnOp.create())
+    return func
+
+
+@pytest.mark.parametrize("name", sorted(_UNUSED_OPS))
+def test_unused_op_declared_to_write_nothing_is_removed(name):
+    """Every op declared ``PURE`` or a load goes when unused, not only
+    those a list of names happened to hold."""
+    func = _func_over_arguments(_UNUSED_OPS[name])
+    assert canonicalize(func) == 1
+    assert [op.name for op in func.entry_block.operations] == ["func.return"]
+
+
+def test_unused_op_with_no_declaration_stays():
+    """A call declares no effect, so it may do anything: it stays."""
+    func = _func_over_arguments(
+        lambda x, y, i, j, p, buf: CallOp.create("g", [x], [f32])
+    )
+    assert canonicalize(func) == 0
+    assert func.entry_block.operations[0].name == "func.call"
 
 
 class TestCanonicalize:

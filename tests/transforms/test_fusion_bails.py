@@ -190,3 +190,20 @@ def test_fuse_step_replays_from_the_pass_cache():
     assert cache.stats.executions == 1 and cache.stats.hits == 1
     assert runs[0] == runs[1]
     assert runs[0][1]["fusion_bails"] == {"would-lose-collapse": 1}
+
+
+def test_intervening_loop_blocks_the_hoist():
+    """Fusing the first and third nests would hoist the third above the
+    second; every memory and SSA check allows it, but an intervening
+    loop blocks the hoist by itself, so all three nests stay."""
+    module, loops = _loops(
+        "void f(float A[8], float B[8], float C[5], float D[5]) {\n"
+        "  for (int i = 0; i < 8; i++) A[i] = B[i] * 2.0f;\n"
+        "  for (int j = 0; j < 5; j++) C[j] = D[j] + 1.0f;\n"
+        "  for (int k = 0; k < 8; k++) B[k] = A[k] + 3.0f;\n"
+        "}\n"
+    )
+    bails = {}
+    assert greedy_fuse(module.functions[0], bails=bails) == 0
+    assert len(outermost_loops(module.functions[0])) == 3
+    assert bails.get("cannot-hoist")

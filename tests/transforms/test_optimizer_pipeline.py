@@ -42,6 +42,7 @@ from repro.scheduling.interpreter import (
     apply_schedule,
     canned_schedule,
 )
+from repro.tool import build_pipeline
 from repro.transforms.fusion import can_fuse, greedy_fuse
 
 from ..conftest import assert_close
@@ -63,6 +64,35 @@ void f(float A[8], float C[8]) {
     T[i] = A[i] * 2.0f;
   for (int i = 0; i < 8; i++)
     C[i] = T[i] + 1.0f;
+}
+"""
+
+#: ``%a[0]`` is stored, a loop calls ``@CALLEE`` on ``%a``, then
+#: ``%a[0]`` is loaded into ``%out[0]`` and stored again.
+CALL_IN_LOOP = """
+module {
+  func @overwrite(%b: memref<4xf32>, %o: memref<4xf32>) {
+    %c = std.constant 7.0 : f32
+    affine.store %c, %b[0] : memref<4xf32>
+    return
+  }
+  func @read(%b: memref<4xf32>, %o: memref<4xf32>) {
+    %v = affine.load %b[0] : memref<4xf32>
+    affine.store %v, %o[1] : memref<4xf32>
+    return
+  }
+  func @f(%a: memref<4xf32>, %out: memref<4xf32>) {
+    %x = std.constant 1.0 : f32
+    affine.store %x, %a[0] : memref<4xf32>
+    affine.for %j = 0 to 1 {
+      func.call @CALLEE(%a, %out) : (memref<4xf32>, memref<4xf32>) -> ()
+    }
+    %y = affine.load %a[0] : memref<4xf32>
+    affine.store %y, %out[0] : memref<4xf32>
+    %z = std.constant 2.0 : f32
+    affine.store %z, %a[0] : memref<4xf32>
+    return
+  }
 }
 """
 
@@ -129,6 +159,21 @@ class TestStages:
         assert not any(
             op.name == "std.alloc" for op in module.functions[0].walk()
         )
+
+    @pytest.mark.parametrize("callee", ["@overwrite", "@read"])
+    def test_copy_elim_stops_at_a_loop_whose_effects_are_unknown(
+        self, callee
+    ):
+        """A call in a loop between two accesses of ``%a`` may write it
+        (store-to-load forwarding must not cross) or read it (the first
+        store is not dead)."""
+        module = parse_module(CALL_IN_LOOP.replace("@CALLEE", callee))
+        a, out = np.zeros(4, np.float32), np.zeros(4, np.float32)
+        expected = _interp_outputs(module, "f", [a, out])
+        build_pipeline(["affine-copy-elimination"]).run(module)
+        got = _interp_outputs(module, "f", [a, out])
+        for array, want in zip(got, expected):
+            np.testing.assert_array_equal(array, want)
 
     def test_dead_loop_elimination(self):
         module, stats = _optimized_clone(REDUNDANT_LOOP)
