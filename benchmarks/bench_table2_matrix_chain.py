@@ -98,34 +98,37 @@ def test_table2_matrix_chain(benchmark):
 def _measured_chain(dims, repeats: int = 3):
     """Wall-clock of the raised chain before/after DP reordering, each
     the best of ``repeats`` compiled runs (the kernel cache makes the
-    retries nearly free)."""
+    retries nearly free).  The two chains run alternately, so load that
+    arrives mid-measurement slows both sides, not one."""
     import time
 
     from repro.execution import ExecutionEngine
     from repro.fuzzing.oracle import make_args, module_arg_shapes
 
     src = matrix_chain_source(dims)
-
-    def best_time(module, pipeline):
-        engine = ExecutionEngine(module, pipeline=pipeline)
-        shapes = module_arg_shapes(module, "chain")
-        walls = []
-        for _ in range(repeats):
-            args = make_args(shapes, 0)
-            start = time.perf_counter()
-            engine.run("chain", *args)
-            walls.append(time.perf_counter() - start)
-        return min(walls)
-
     initial = compile_c(src)
     raise_affine_to_linalg(initial)
     optimized = compile_c(src)
     raise_affine_to_linalg(optimized)
     assert reorder_matrix_chains(optimized) == 1
-    return (
-        best_time(initial, "table2-initial"),
-        best_time(optimized, "table2-reordered"),
-    )
+    runs = [
+        (
+            ExecutionEngine(module, pipeline=pipeline),
+            module_arg_shapes(module, "chain"),
+        )
+        for module, pipeline in (
+            (initial, "table2-initial"),
+            (optimized, "table2-reordered"),
+        )
+    ]
+    walls = [[], []]
+    for _ in range(repeats):
+        for (engine, shapes), times in zip(runs, walls):
+            args = make_args(shapes, 0)
+            start = time.perf_counter()
+            engine.run("chain", *args)
+            times.append(time.perf_counter() - start)
+    return min(walls[0]), min(walls[1])
 
 
 def collect_measured():

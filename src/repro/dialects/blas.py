@@ -29,6 +29,10 @@ class LibraryCall:
     twin among a call's bases, so its ``create`` and ``verify_`` wrap
     the twin's."""
 
+    #: The routine's symbol in the library ABI: ``convert-blas-to-llvm``
+    #: lowers the call to ``llvm.call @SYMBOL``.
+    SYMBOL: str
+
     @classmethod
     def create(cls, *args, library: str = "mkl-dnn", **kwargs):
         op = super().create(*args, **kwargs)
@@ -57,6 +61,7 @@ class SgemmOp(LibraryCall, linalg.MatmulOp):
     """``blas.sgemm``: C = alpha*A*B + beta*C (single precision)."""
 
     OP_NAME = "blas.sgemm"
+    SYMBOL = "cblas_sgemm"
 
     @classmethod
     def create(
@@ -96,6 +101,7 @@ class SgemvOp(LibraryCall, linalg.MatvecOp):
     (the CBLAS ``trans`` parameter)."""
 
     OP_NAME = "blas.sgemv"
+    SYMBOL = "cblas_sgemv"
 
 
 @register_op
@@ -103,6 +109,7 @@ class TransposeOp(LibraryCall, linalg.TransposeOp):
     """``blas.transpose``: out-of-place tensor transposition routine."""
 
     OP_NAME = "blas.transpose"
+    SYMBOL = "mkl_somatcopy"
 
 
 @register_op
@@ -114,6 +121,7 @@ class ReshapeOp(LibraryCall, linalg.ReshapeOp):
     """
 
     OP_NAME = "blas.reshape"
+    SYMBOL = "mlt_reshape_view"
 
 
 @register_op
@@ -121,6 +129,7 @@ class Conv2DOp(LibraryCall, linalg.Conv2DNchwOp):
     """``blas.conv2d``: library convolution (e.g. MKL-DNN primitive)."""
 
     OP_NAME = "blas.conv2d"
+    SYMBOL = "mkldnn_convolution_forward"
 
 
 #: Each linalg op ``convert-linalg-to-blas`` replaces -> its library call.

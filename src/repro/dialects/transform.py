@@ -41,8 +41,13 @@ class TransformHandleType(Type):
         return "!transform.handle"
 
 
+class TransformOp(Operation):
+    """Base of every schedule op: it scripts transformations over a
+    payload module and has no runtime semantics of its own."""
+
+
 @register_op
-class SequenceOp(Operation):
+class SequenceOp(TransformOp):
     """Top-level container holding one block of transform steps."""
 
     OP_NAME = "transform.sequence"
@@ -79,7 +84,7 @@ class SequenceOp(Operation):
 
 
 @register_op
-class YieldOp(Operation):
+class YieldOp(TransformOp):
     OP_NAME = "transform.yield"
     IS_TERMINATOR = True
 
@@ -89,7 +94,7 @@ class YieldOp(Operation):
 
 
 @register_op
-class MatchOp(Operation):
+class MatchOp(TransformOp):
     """Produce a handle to every function of the payload module: a
     schedule's first step, and its only match.  The interpreter applies
     the optimizer's soundness gate, so a schedule can never touch a
@@ -107,7 +112,7 @@ class MatchOp(Operation):
         _check_handle_results(self)
 
 
-class TransformStepOp(Operation):
+class TransformStepOp(TransformOp):
     """Base for handle -> handle transform steps."""
 
     def verify_(self) -> None:

@@ -15,9 +15,4 @@ from .engine import (  # noqa: F401
     run_optimizer,
 )
 from .machines import AMD_2920X, INTEL_I9_9900K, Machine  # noqa: F401
-from .cost_model import (  # noqa: F401
-    CostModel,
-    CostReport,
-    estimate_gflops,
-    estimate_seconds,
-)
+from .cost_model import CostModel, CostReport  # noqa: F401

@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from ..analysis.accesses import MemoryAccess, access_function
-from ..dialects import blas as blas_d
-from ..dialects.affine import AffineForOp
-from ..dialects.linalg import MatvecOp
+from ..dialects import linalg
+from ..dialects.affine import AffineForOp, AffineMatmulOp
+from ..dialects.blas import LibraryCall
 from ..ir import IRError, Operation, Value
 from ..ir.affine_expr import AffineDimExpr
 from .machines import CacheLevel, Machine
@@ -167,60 +167,45 @@ class CostModel:
 
     def _cost_leaf_op(self, op: Operation) -> Optional[Tuple[float, int]]:
         machine = self.machine
-        name = op.name
-        if name == "affine.matmul":
+        call = isinstance(op, LibraryCall)
+        if isinstance(op, AffineMatmulOp):
             flops = op.flops()
             return flops / (machine.blis_matmul_gflops * 1e9), flops
-        if isinstance(op, (blas_d.SgemmOp, blas_d.SgemvOp, blas_d.Conv2DOp)):
-            flops = op.flops()
-            level = 2 if isinstance(op, MatvecOp) else 3
+        if isinstance(op, linalg.TransposeOp):
+            bytes_moved = 2 * self._memref_bytes(op.input)
+            seconds = bytes_moved / (machine.memory_bandwidth_gbs * 1e9)
+            if call:
+                seconds += machine.library_call_overhead_s
+            return (seconds, 0)
+        if isinstance(op, linalg.ReshapeOp):
+            # a contiguous-buffer reshape is a metadata-only view
+            return (1e-7, 0)
+        if isinstance(op, linalg.FillOp):
+            bytes_moved = self._memref_bytes(op.output)
+            return (bytes_moved / (machine.memory_bandwidth_gbs * 1e9), 0)
+        if not isinstance(op, linalg.LinalgStructuredOp):
+            return None
+        flops = op.flops()
+        if call:
+            level = 2 if isinstance(op, linalg.MatvecOp) else 3
             gf = machine.library_gflops(op.library, level)
             return (
                 flops / (gf * 1e9) + machine.library_call_overhead_s,
                 flops,
             )
-        if name == "blas.transpose":
-            bytes_moved = 2 * self._memref_bytes(op.input)
-            return (
-                bytes_moved / (machine.memory_bandwidth_gbs * 1e9)
-                + machine.library_call_overhead_s,
-                0,
-            )
-        if name == "blas.reshape":
-            # contiguous view change: metadata only
-            return (1e-7, 0)
         # Un-lowered linalg ops: price at default Linalg codegen quality
         # (tiled but scalar loops) so the model is total at any level.
-        if name in ("linalg.matmul", "linalg.conv2d_nchw", "linalg.matvec"):
-            flops = op.flops()
-            if name == "linalg.matvec":
-                seconds = max(
-                    flops / (machine.scalar_gflops * 1e9),
-                    (self._memref_bytes(op.a))
-                    / (machine.memory_bandwidth_gbs * 1e9),
-                )
-            else:
-                seconds = flops / (
-                    machine.scalar_gflops * machine.reduction_penalty * 1e9
-                )
-            return (seconds, flops)
-        if name == "linalg.transpose":
-            bytes_moved = 2 * self._memref_bytes(op.input)
-            return (bytes_moved / (machine.memory_bandwidth_gbs * 1e9), 0)
-        if name == "linalg.reshape":
-            # a contiguous-buffer reshape is a metadata-only view
-            return (1e-7, 0)
-        if name == "linalg.fill":
-            bytes_moved = self._memref_bytes(op.output)
-            return (bytes_moved / (machine.memory_bandwidth_gbs * 1e9), 0)
-        if name == "linalg.generic":
-            flops = op.flops()
-            return (
-                flops
-                / (machine.scalar_gflops * machine.reduction_penalty * 1e9),
-                flops,
+        if isinstance(op, linalg.MatvecOp):
+            seconds = max(
+                flops / (machine.scalar_gflops * 1e9),
+                (self._memref_bytes(op.a))
+                / (machine.memory_bandwidth_gbs * 1e9),
             )
-        return None
+        else:
+            seconds = flops / (
+                machine.scalar_gflops * machine.reduction_penalty * 1e9
+            )
+        return (seconds, flops)
 
     # ------------------------------------------------------------------
     # Loop-nest roofline
@@ -452,14 +437,3 @@ class CostModel:
         # Never more than the whole array.
         return min(bytes_touched, self._array_bytes(access))
 
-
-def estimate_seconds(func_or_op, machine: Machine) -> float:
-    model = CostModel(machine)
-    if hasattr(func_or_op, "entry_block"):
-        return model.cost_function(func_or_op).seconds
-    return model.cost_op(func_or_op).seconds
-
-
-def estimate_gflops(func, machine: Machine) -> float:
-    report = CostModel(machine).cost_function(func)
-    return report.gflops

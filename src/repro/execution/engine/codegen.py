@@ -12,8 +12,9 @@ Every function in the module becomes one generated ``def``:
   a ``while``-driven block dispatcher with tuple-assignments standing
   in for block arguments.
 
-The per-op logic lives in the :data:`EMITTERS` table, the compiled
-analogue of the interpreter's ``_PLANNERS`` — the coverage audit in
+The per-op logic lives in the :data:`EMITTERS` table, one row per op
+kind (a subclass inherits its base's), the compiled analogue of the
+interpreter's ``_PLANNERS`` — the coverage audit in
 ``tests/execution/test_engine_coverage.py`` keeps the two in lockstep.
 An op without an emitter fails codegen with a one-line
 :class:`EngineError` naming the op.
@@ -30,8 +31,17 @@ import numpy as np
 from ...analysis.band import summarize_band
 from ...analysis.buffers import ELIDED, VIEW, plan_buffers
 from ...analysis.contraction import Contraction, generic_contraction_spec
+from ...dialects import affine, blas, linalg, llvm, scf, std, transform
 from ...dialects.affine import AffineForOp
-from ...ir import FuncOp, ModuleOp, Operation, is_float
+from ...ir import (
+    CallOp,
+    FuncOp,
+    ModuleOp,
+    Operation,
+    OpTable,
+    ReturnOp,
+    is_float,
+)
 from ...ir.affine_expr import AffineExpr, AffineExprKind
 from ...ir.types import F64Type, IndexType, IntegerType
 from . import runtime
@@ -173,25 +183,29 @@ FLOAT_BINARY_TEMPLATES = {
 }
 
 
-def _float_binary(expr: str):
-    def emit(ctx: _FuncContext, op) -> None:
-        a, b = ctx.name(op.operand(0)), ctx.name(op.operand(1))
-        result = ctx.define(op.results[0])
-        body = expr.format(a=a, b=b)
-        if str(op.results[0].type) == "f32":
-            ctx.emit(f"{result} = _f32({body})")
-        else:
-            ctx.emit(f"{result} = {body}")
-
-    return emit
+#: Scalar Python spelling of every binary arith op codegen spells.
+_BINARY_TEMPLATES = {
+    **FLOAT_BINARY_TEMPLATES,
+    "std.addi": "({a} + {b})",
+    "std.subi": "({a} - {b})",
+    "std.muli": "({a} * {b})",
+    "std.divi": "({a} // {b})",
+    "std.remi": "({a} % {b})",
+}
 
 
-def _int_binary(expr: str):
-    def emit(ctx: _FuncContext, op) -> None:
-        a, b = ctx.name(op.operand(0)), ctx.name(op.operand(1))
-        ctx.emit(f"{ctx.define(op.results[0])} = {expr.format(a=a, b=b)}")
-
-    return emit
+def _emit_binary(ctx: _FuncContext, op) -> None:
+    """A binary arith op with no spelling calls its ``PYTHON_FUNC``."""
+    template = _BINARY_TEMPLATES.get(
+        op.name, f"_rt.scalar_op({op.name!r})({{a}}, {{b}})"
+    )
+    a, b = ctx.name(op.operand(0)), ctx.name(op.operand(1))
+    result = ctx.define(op.results[0])
+    body = template.format(a=a, b=b)
+    if str(op.results[0].type) == "f32":
+        ctx.emit(f"{result} = _f32({body})")
+    else:
+        ctx.emit(f"{result} = {body}")
 
 
 def _emit_cmpi(ctx: _FuncContext, op) -> None:
@@ -573,61 +587,6 @@ def _emit_generic(ctx: _FuncContext, op) -> None:
         ctx.indent -= 1
 
 
-#: Op-name -> emitter.  The compiled counterpart of the interpreter's
-#: ``_PLANNERS`` table; the engine coverage audit diffs the two.
-EMITTERS: Dict[str, Callable[[_FuncContext, Operation], None]] = {
-    "func.return": _emit_return,
-    "func.call": _emit_func_call,
-    "llvm.call": _emit_llvm_call,
-    "std.constant": _emit_constant,
-    **{
-        name: _float_binary(template)
-        for name, template in FLOAT_BINARY_TEMPLATES.items()
-    },
-    "std.negf": _emit_negf,
-    "std.cmpf": _emit_cmpf,
-    "std.addi": _int_binary("({a} + {b})"),
-    "std.subi": _int_binary("({a} - {b})"),
-    "std.muli": _int_binary("({a} * {b})"),
-    "std.divi": _int_binary("({a} // {b})"),
-    "std.remi": _int_binary("({a} % {b})"),
-    "std.cmpi": _emit_cmpi,
-    "std.select": _emit_select,
-    "std.index_cast": _emit_index_cast,
-    "std.alloc": _emit_alloc,
-    "std.dealloc": _emit_noop,
-    "std.load": _emit_std_load,
-    "std.store": _emit_std_store,
-    "affine.for": _emit_affine_for,
-    "affine.load": _emit_affine_load,
-    "affine.store": _emit_affine_store,
-    "affine.apply": _emit_affine_apply,
-    "affine.yield": _emit_noop,
-    "affine.matmul": _emit_matmul,
-    "scf.for": _emit_scf_for,
-    "scf.if": _emit_scf_if,
-    "scf.yield": _emit_noop,
-    "llvm.load": _emit_llvm_load,
-    "llvm.store": _emit_llvm_store,
-    "llvm.br": _emit_cfg_terminator,
-    "llvm.cond_br": _emit_cfg_terminator,
-    "llvm.unreachable": _emit_unreachable,
-    "linalg.yield": _emit_noop,
-    "linalg.matmul": _emit_matmul,
-    "linalg.matvec": _emit_matvec,
-    "linalg.transpose": _emit_transpose,
-    "linalg.reshape": _emit_reshape,
-    "linalg.conv2d_nchw": _emit_conv2d,
-    "linalg.fill": _emit_fill,
-    "linalg.generic": _emit_generic,
-    "blas.sgemm": _emit_blas_sgemm,
-    "blas.sgemv": _emit_matvec,
-    "blas.transpose": _emit_transpose,
-    "blas.reshape": _emit_reshape,
-    "blas.conv2d": _emit_conv2d,
-}
-
-
 def _emit_transform_op(ctx: "_FuncContext", op: Operation) -> None:
     # Schedule IR scripts transformations over payload modules; it has
     # no runtime semantics of its own.
@@ -637,21 +596,47 @@ def _emit_transform_op(ctx: "_FuncContext", op: Operation) -> None:
     )
 
 
-EMITTERS.update(
+#: One emitter per op kind, resolved as the interpreter's ``_PLANNERS``
+#: is; the engine coverage audit diffs the two.
+EMITTERS = OpTable(
     {
-        f"transform.{suffix}": _emit_transform_op
-        for suffix in (
-            "sequence",
-            "yield",
-            "match",
-            "fuse",
-            "copy_elim",
-            "dead_loops",
-            "canonicalize",
-            "distribute",
-            "tile",
-            "unroll_jam",
-        )
+        ReturnOp: _emit_return,
+        CallOp: _emit_func_call,
+        llvm.CallOp: _emit_llvm_call,
+        std.ConstantOp: _emit_constant,
+        std.BinaryArithOp: _emit_binary,
+        std.NegFOp: _emit_negf,
+        std.CmpFOp: _emit_cmpf,
+        std.CmpIOp: _emit_cmpi,
+        std.SelectOp: _emit_select,
+        std.IndexCastOp: _emit_index_cast,
+        std.AllocOp: _emit_alloc,
+        std.DeallocOp: _emit_noop,
+        std.LoadOp: _emit_std_load,
+        std.StoreOp: _emit_std_store,
+        affine.AffineForOp: _emit_affine_for,
+        affine.AffineLoadOp: _emit_affine_load,
+        affine.AffineStoreOp: _emit_affine_store,
+        affine.AffineApplyOp: _emit_affine_apply,
+        affine.AffineYieldOp: _emit_noop,
+        scf.ForOp: _emit_scf_for,
+        scf.IfOp: _emit_scf_if,
+        scf.YieldOp: _emit_noop,
+        llvm.LoadOp: _emit_llvm_load,
+        llvm.StoreOp: _emit_llvm_store,
+        llvm.BrOp: _emit_cfg_terminator,
+        llvm.CondBrOp: _emit_cfg_terminator,
+        llvm.UnreachableOp: _emit_unreachable,
+        linalg.LinalgYieldOp: _emit_noop,
+        linalg.MatmulOp: _emit_matmul,
+        linalg.MatvecOp: _emit_matvec,
+        linalg.TransposeOp: _emit_transpose,
+        linalg.ReshapeOp: _emit_reshape,
+        linalg.Conv2DNchwOp: _emit_conv2d,
+        linalg.FillOp: _emit_fill,
+        linalg.GenericOp: _emit_generic,
+        blas.SgemmOp: _emit_blas_sgemm,
+        transform.TransformOp: _emit_transform_op,
     }
 )
 
@@ -675,7 +660,7 @@ class CodeGenerator:
         self.vec_stats = VectorizeStats()
 
     def emit_op(self, ctx: _FuncContext, op: Operation) -> None:
-        emitter = EMITTERS.get(op.name)
+        emitter = EMITTERS.lookup(type(op))
         if emitter is None:
             raise EngineError(f"engine: no emitter for op {op.name}")
         emitter(ctx, op)

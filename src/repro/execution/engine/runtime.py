@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...ir import IRError
+from ...ir import OP_REGISTRY, IRError
 
 
 class EngineError(IRError):
@@ -23,6 +23,12 @@ def f32(value: float) -> float:
     """Single-precision rounding of a scalar intermediate (matches the
     interpreter's handling of ``f32``-typed arithmetic)."""
     return float(np.float32(value))
+
+
+def scalar_op(name: str):
+    """The ``PYTHON_FUNC`` of the registered scalar op ``name``: how a
+    kernel computes an arith op codegen has no spelling for."""
+    return OP_REGISTRY[name].PYTHON_FUNC
 
 
 def sgemm(a, b, c, alpha: float = 1.0, beta: float = 1.0) -> None:

@@ -38,15 +38,18 @@ from typing import (
 import numpy as np
 
 from ..analysis.contraction import generic_contraction_spec
-from ..dialects import std
+from ..dialects import affine, blas, linalg, llvm, scf, std, transform
 from ..dialects.llvm import BrOp, CondBrOp
 from ..ir import (
     OP_REGISTRY,
+    CallOp,
     FuncOp,
     IRError,
     MemRefType,
     ModuleOp,
     Operation,
+    OpTable,
+    ReturnOp,
     Value,
     is_float,
 )
@@ -308,7 +311,7 @@ class _Planner:
         outer, self._reads = self._reads, []
         mark = self.mark()
         try:
-            planner = planner or _PLANNERS.get(op.name)
+            planner = planner or _PLANNERS.lookup(type(op))
             if planner is None:
                 closure = _raiser(
                     InterpreterError, f"interpreter: unhandled op {op.name}"
@@ -728,36 +731,34 @@ def _plan_constant(p, op) -> Closure:
 _F32 = struct.Struct("f")
 
 
-def _binary_planner(func):
-    def plan(p, op) -> Closure:
-        a, b = p.read(op.operand(0)), p.read(op.operand(1))
-        ty = op.results[0].type
-        out = p.define(op.results[0])
-        if not is_float(ty):
-            def integer(r):
-                r[out] = int(func(r[a], r[b]))
+def _plan_binary(p, op) -> Closure:
+    func = op.PYTHON_FUNC
+    a, b = p.read(op.operand(0)), p.read(op.operand(1))
+    ty = op.results[0].type
+    out = p.define(op.results[0])
+    if not is_float(ty):
+        def integer(r):
+            r[out] = int(func(r[a], r[b]))
 
-            return integer
-        if str(ty) != "f32":
-            def double(r):
-                r[out] = float(func(r[a], r[b]))
+        return integer
+    if str(ty) != "f32":
+        def double(r):
+            r[out] = float(func(r[a], r[b]))
 
-            return double
-        pack, unpack = _F32.pack, _F32.unpack
+        return double
+    pack, unpack = _F32.pack, _F32.unpack
 
-        def single(r):
-            # Single-precision rounding, as float(np.float32(x)): a
-            # struct round trip is the same C cast at half the cost;
-            # what it refuses (overflow to inf) takes numpy's path.
-            x = func(r[a], r[b])
-            try:
-                r[out] = unpack(pack(x))[0]
-            except (OverflowError, struct.error):
-                r[out] = float(np.float32(x))
+    def single(r):
+        # Single-precision rounding, as float(np.float32(x)): a struct
+        # round trip is the same C cast at half the cost; what it
+        # refuses (overflow to inf) takes numpy's path.
+        x = func(r[a], r[b])
+        try:
+            r[out] = unpack(pack(x))[0]
+        except (OverflowError, struct.error):
+            r[out] = float(np.float32(x))
 
-        return single
-
-    return plan
+    return single
 
 
 def _plan_negf(p, op) -> Closure:
@@ -1175,70 +1176,49 @@ def _plan_transform_op(p, op) -> Closure:
     )
 
 
-_PLANNERS = {
-    "func.return": _plan_nested_return,
-    "func.call": _plan_func_call,
-    "llvm.call": _plan_llvm_call,
-    "std.constant": _plan_constant,
-    **{
-        cls.OP_NAME: _binary_planner(cls.PYTHON_FUNC)
-        for cls in (
-            std.AddFOp, std.SubFOp, std.MulFOp, std.DivFOp, std.MaxFOp,
-            std.AddIOp, std.SubIOp, std.MulIOp, std.DivIOp, std.RemIOp,
-        )
-    },
-    "std.negf": _plan_negf,
-    "std.cmpf": _compare_planner(std.CmpFOp),
-    "std.cmpi": _compare_planner(std.CmpIOp),
-    "std.select": _plan_select,
-    "std.index_cast": _plan_index_cast,
-    "std.alloc": _plan_alloc,
-    "std.dealloc": _plan_nothing,
-    "std.load": _plan_std_load,
-    "std.store": _plan_std_store,
-    "affine.for": _plan_affine_for,
-    "affine.load": _plan_affine_load,
-    "affine.store": _plan_affine_store,
-    "affine.apply": _plan_affine_apply,
-    "affine.yield": _plan_nothing,
-    "affine.matmul": _plan_matmul,
-    "scf.for": _plan_scf_for,
-    "scf.if": _plan_scf_if,
-    "scf.yield": _plan_nothing,
-    "llvm.load": _plan_llvm_load,
-    "llvm.store": _plan_llvm_store,
-    "llvm.br": _plan_cfg_terminator,
-    "llvm.cond_br": _plan_cfg_terminator,
-    "llvm.unreachable": _plan_unreachable,
-    "linalg.yield": _plan_nothing,
-    "linalg.matmul": _plan_matmul,
-    "linalg.matvec": _plan_matvec,
-    "linalg.transpose": _plan_transpose,
-    "linalg.reshape": _plan_reshape,
-    "linalg.conv2d_nchw": _plan_conv2d,
-    "linalg.fill": _plan_fill,
-    "linalg.generic": _plan_generic,
-    "blas.sgemm": _plan_blas_sgemm,
-    "blas.sgemv": _plan_matvec,
-    "blas.transpose": _plan_transpose,
-    "blas.reshape": _plan_reshape,
-    "blas.conv2d": _plan_conv2d,
-    **{
-        f"transform.{suffix}": _plan_transform_op
-        for suffix in (
-            "sequence",
-            "yield",
-            "match",
-            "fuse",
-            "copy_elim",
-            "dead_loops",
-            "canonicalize",
-            "distribute",
-            "tile",
-            "unroll_jam",
-        )
-    },
-}
+#: One planner per op kind: a subclass (``affine.matmul``, a ``blas``
+#: call, an arith op) is planned as its base unless it has its own row.
+_PLANNERS = OpTable(
+    {
+        ReturnOp: _plan_nested_return,
+        CallOp: _plan_func_call,
+        llvm.CallOp: _plan_llvm_call,
+        std.ConstantOp: _plan_constant,
+        std.BinaryArithOp: _plan_binary,
+        std.NegFOp: _plan_negf,
+        std.CmpFOp: _compare_planner(std.CmpFOp),
+        std.CmpIOp: _compare_planner(std.CmpIOp),
+        std.SelectOp: _plan_select,
+        std.IndexCastOp: _plan_index_cast,
+        std.AllocOp: _plan_alloc,
+        std.DeallocOp: _plan_nothing,
+        std.LoadOp: _plan_std_load,
+        std.StoreOp: _plan_std_store,
+        affine.AffineForOp: _plan_affine_for,
+        affine.AffineLoadOp: _plan_affine_load,
+        affine.AffineStoreOp: _plan_affine_store,
+        affine.AffineApplyOp: _plan_affine_apply,
+        affine.AffineYieldOp: _plan_nothing,
+        scf.ForOp: _plan_scf_for,
+        scf.IfOp: _plan_scf_if,
+        scf.YieldOp: _plan_nothing,
+        llvm.LoadOp: _plan_llvm_load,
+        llvm.StoreOp: _plan_llvm_store,
+        BrOp: _plan_cfg_terminator,
+        CondBrOp: _plan_cfg_terminator,
+        llvm.UnreachableOp: _plan_unreachable,
+        linalg.LinalgYieldOp: _plan_nothing,
+        linalg.MatmulOp: _plan_matmul,
+        linalg.MatvecOp: _plan_matvec,
+        linalg.TransposeOp: _plan_transpose,
+        linalg.ReshapeOp: _plan_reshape,
+        linalg.Conv2DNchwOp: _plan_conv2d,
+        linalg.FillOp: _plan_fill,
+        linalg.GenericOp: _plan_generic,
+        blas.SgemmOp: _plan_blas_sgemm,
+        transform.TransformOp: _plan_transform_op,
+    }
+)
 
 
 def run_function(module: ModuleOp, func_name: str, *args) -> List[Any]:

@@ -35,6 +35,7 @@ from .core import (  # noqa: F401
     Block,
     IRError,
     OP_REGISTRY,
+    OpTable,
     Operation,
     READ,
     Region,

@@ -38,6 +38,41 @@ def register_op(cls: PyType["Operation"]) -> PyType["Operation"]:
     return cls
 
 
+class OpTable:
+    """One row per op kind, keyed on op classes.
+
+    :meth:`lookup` returns the row of the first class in the op class's
+    MRO that has one, so a subclass (``affine.matmul``, each ``blas``
+    call, each binary arith op) inherits its base's row unless it
+    declares its own; ``None`` if no class does.  ``rows`` is the dict
+    or a function returning it, called on the first lookup: modules
+    under ``ir/`` cannot import the dialects at load.  Lookups are
+    memoized per class, so a repeat one is a single dict lookup.
+    """
+
+    __slots__ = ("_rows", "_resolved")
+
+    def __init__(self, rows):
+        self._rows = rows
+        self._resolved: Dict[type, object] = {}
+
+    @property
+    def rows(self) -> Dict[type, object]:
+        if callable(self._rows):
+            self._rows = self._rows()
+        return self._rows
+
+    def lookup(self, cls: type):
+        try:
+            return self._resolved[cls]
+        except KeyError:
+            pass
+        rows = self.rows
+        row = next((rows[base] for base in cls.__mro__ if base in rows), None)
+        self._resolved[cls] = row
+        return row
+
+
 class Operation:
     """A single IR operation.
 

@@ -32,7 +32,15 @@ from .attributes import (
     UnitAttr,
 )
 from .builtin import FuncOp, ModuleOp, ReturnOp
-from .core import Block, IRError, Operation, Region, create_operation
+from .core import (
+    OP_REGISTRY,
+    Block,
+    IRError,
+    Operation,
+    OpTable,
+    Region,
+    create_operation,
+)
 from .types import (
     DYNAMIC,
     F32Type,
@@ -382,7 +390,11 @@ class Parser:
         if tok.kind == "STRING":
             op = self.parse_generic_op(region)
         else:
-            handler = _CUSTOM_PARSERS.get(tok.text)
+            handler = (
+                _parse_return
+                if tok.text == "return"
+                else _PARSERS.lookup(OP_REGISTRY.get(tok.text, Operation))
+            )
             if handler is None:
                 raise ParseError(f"unknown operation {tok.text!r}", tok.line)
             op = handler(self, region)
@@ -839,7 +851,6 @@ def _parse_transform_match(p: Parser, region) -> Operation:
 
 
 def _parse_transform_step(p: Parser, region) -> Operation:
-    from .core import create_operation
     from ..dialects.transform import TransformHandleType
 
     name = p.next().text
@@ -853,72 +864,40 @@ def _parse_transform_step(p: Parser, region) -> Operation:
     )
 
 
-_TRANSFORM_STEP_OPS = [
-    "transform.fuse",
-    "transform.copy_elim",
-    "transform.dead_loops",
-    "transform.canonicalize",
-    "transform.distribute",
-    "transform.tile",
-    "transform.unroll_jam",
-]
+def _parser_rows():
+    from ..dialects import affine, linalg, llvm, scf, std, transform
+    from .builtin import CallOp
+
+    return {
+        std.ConstantOp: _parse_constant,
+        std.BinaryArithOp: _parse_binary_arith,
+        std.CmpIOp: _parse_cmpi,
+        std.CmpFOp: _parse_cmpi,
+        std.NegFOp: _parse_negf,
+        affine.AffineForOp: _parse_affine_for,
+        affine.AffineLoadOp: _parse_affine_load,
+        affine.AffineStoreOp: _parse_affine_store,
+        affine.AffineApplyOp: _parse_affine_apply,
+        scf.ForOp: _parse_scf_for,
+        scf.IfOp: _parse_scf_if,
+        linalg.LinalgStructuredOp: _parse_triple_form,
+        linalg.ReshapeOp: _parse_triple_form,
+        linalg.GenericOp: _parse_linalg_generic,
+        linalg.LinalgYieldOp: _parse_linalg_yield,
+        llvm.BrOp: _parse_branch,
+        llvm.CondBrOp: _parse_cond_branch,
+        CallOp: _parse_call,
+        llvm.CallOp: _parse_call,
+        transform.SequenceOp: _parse_transform_sequence,
+        transform.MatchOp: _parse_transform_match,
+        transform.TransformStepOp: _parse_transform_step,
+    }
 
 
-_TRIPLE_OPS = [
-    "affine.matmul",
-    "linalg.matmul",
-    "linalg.matvec",
-    "linalg.conv2d_nchw",
-    "linalg.transpose",
-    "linalg.reshape",
-    "linalg.fill",
-    "blas.sgemm",
-    "blas.sgemv",
-    "blas.transpose",
-    "blas.reshape",
-    "blas.conv2d",
-]
-
-_BINARY_OPS = [
-    "std.addf",
-    "std.subf",
-    "std.mulf",
-    "std.divf",
-    "std.maxf",
-    "std.addi",
-    "std.subi",
-    "std.muli",
-    "std.divi",
-    "std.remi",
-]
-
-_CUSTOM_PARSERS = {
-    "return": _parse_return,
-    "std.constant": _parse_constant,
-    "std.cmpi": _parse_cmpi,
-    "std.cmpf": _parse_cmpi,
-    "std.negf": _parse_negf,
-    "affine.for": _parse_affine_for,
-    "affine.load": _parse_affine_load,
-    "affine.store": _parse_affine_store,
-    "affine.apply": _parse_affine_apply,
-    "scf.for": _parse_scf_for,
-    "scf.if": _parse_scf_if,
-    "linalg.generic": _parse_linalg_generic,
-    "linalg.yield": _parse_linalg_yield,
-    "llvm.br": _parse_branch,
-    "llvm.cond_br": _parse_cond_branch,
-    "func.call": _parse_call,
-    "llvm.call": _parse_call,
-    "transform.sequence": _parse_transform_sequence,
-    "transform.match": _parse_transform_match,
-}
-for _name in _TRANSFORM_STEP_OPS:
-    _CUSTOM_PARSERS[_name] = _parse_transform_step
-for _name in _TRIPLE_OPS:
-    _CUSTOM_PARSERS[_name] = _parse_triple_form
-for _name in _BINARY_OPS:
-    _CUSTOM_PARSERS[_name] = _parse_binary_arith
+#: The custom forms of :mod:`repro.ir.printer`, one row per op kind; an
+#: op's token names its class in ``OP_REGISTRY``.  ``return`` is the
+#: one form spelt other than its op's name.
+_PARSERS = OpTable(_parser_rows)
 
 
 def parse_module(source: str) -> ModuleOp:

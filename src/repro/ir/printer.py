@@ -13,7 +13,7 @@ from typing import Dict, List, Optional
 
 from .affine_map import AffineMap, _pretty_expr
 from .attributes import Attribute, UnitAttr
-from .core import Block, Operation
+from .core import Block, Operation, OpTable
 from .values import Value
 
 
@@ -94,7 +94,7 @@ class Printer:
     # ------------------------------------------------------------------
 
     def print_operation(self, op: Operation) -> None:
-        handler = _CUSTOM_PRINTERS.get(op.name)
+        handler = _PRINTERS.lookup(type(op))
         if handler is not None:
             handler(self, op)
         else:
@@ -365,9 +365,7 @@ def _print_call_like(
 def _print_transform_sequence(printer: Printer, op) -> None:
     printer.emit("transform.sequence {")
     printer.indent += 1
-    for step in op.body.operations:
-        if step.name == "transform.yield":
-            continue  # implicit terminator, re-added by the parser
+    for step in op.steps():  # the terminator is re-added by the parser
         printer.print_operation(step)
     printer.indent -= 1
     printer.emit("}")
@@ -384,60 +382,43 @@ def _print_transform_step(printer: Printer, op) -> None:
     )
 
 
-_CUSTOM_PRINTERS = {
-    "builtin.module": _print_module,
-    "func.func": _print_func,
-    "func.return": _print_return,
-    "func.call": lambda p, op: _print_call_like(p, op, op.callee),
-    "llvm.call": lambda p, op: _print_call_like(
-        p, op, op.callee, _attr_dict_text(op, ("callee",))
-    ),
-    "std.constant": _print_constant,
-    "std.addf": _print_binary_arith,
-    "std.subf": _print_binary_arith,
-    "std.mulf": _print_binary_arith,
-    "std.divf": _print_binary_arith,
-    "std.maxf": _print_binary_arith,
-    "std.addi": _print_binary_arith,
-    "std.subi": _print_binary_arith,
-    "std.muli": _print_binary_arith,
-    "std.divi": _print_binary_arith,
-    "std.remi": _print_binary_arith,
-    "std.cmpi": _print_cmpi,
-    "std.cmpf": _print_cmpi,
-    "std.negf": _print_negf,
-    "affine.for": _print_affine_for,
-    "affine.load": _print_affine_load,
-    "affine.store": _print_affine_store,
-    "affine.apply": _print_affine_apply,
-    "affine.matmul": _print_triple,
-    "scf.for": _print_scf_for,
-    "scf.if": _print_scf_if,
-    "linalg.matmul": _print_triple,
-    "linalg.matvec": _print_triple,
-    "linalg.conv2d_nchw": _print_triple,
-    "linalg.transpose": _print_triple,
-    "linalg.reshape": _print_triple,
-    "linalg.fill": _print_triple,
-    "linalg.generic": _print_generic_linalg,
-    "linalg.yield": _print_linalg_yield,
-    "blas.sgemm": _print_triple,
-    "blas.sgemv": _print_triple,
-    "blas.transpose": _print_triple,
-    "blas.reshape": _print_triple,
-    "blas.conv2d": _print_triple,
-    "llvm.br": _print_branch,
-    "llvm.cond_br": _print_cond_branch,
-    "transform.sequence": _print_transform_sequence,
-    "transform.match": _print_transform_match,
-    "transform.fuse": _print_transform_step,
-    "transform.copy_elim": _print_transform_step,
-    "transform.dead_loops": _print_transform_step,
-    "transform.canonicalize": _print_transform_step,
-    "transform.distribute": _print_transform_step,
-    "transform.tile": _print_transform_step,
-    "transform.unroll_jam": _print_transform_step,
-}
+def _printer_rows():
+    from ..dialects import affine, linalg, llvm, scf, std, transform
+    from .builtin import CallOp, FuncOp, ModuleOp, ReturnOp
+
+    return {
+        ModuleOp: _print_module,
+        FuncOp: _print_func,
+        ReturnOp: _print_return,
+        CallOp: lambda p, op: _print_call_like(p, op, op.callee),
+        llvm.CallOp: lambda p, op: _print_call_like(
+            p, op, op.callee, _attr_dict_text(op, ("callee",))
+        ),
+        std.ConstantOp: _print_constant,
+        std.BinaryArithOp: _print_binary_arith,
+        std.CmpIOp: _print_cmpi,
+        std.CmpFOp: _print_cmpi,
+        std.NegFOp: _print_negf,
+        affine.AffineForOp: _print_affine_for,
+        affine.AffineLoadOp: _print_affine_load,
+        affine.AffineStoreOp: _print_affine_store,
+        affine.AffineApplyOp: _print_affine_apply,
+        scf.ForOp: _print_scf_for,
+        scf.IfOp: _print_scf_if,
+        linalg.LinalgStructuredOp: _print_triple,
+        linalg.ReshapeOp: _print_triple,
+        linalg.GenericOp: _print_generic_linalg,
+        linalg.LinalgYieldOp: _print_linalg_yield,
+        llvm.BrOp: _print_branch,
+        llvm.CondBrOp: _print_cond_branch,
+        transform.SequenceOp: _print_transform_sequence,
+        transform.MatchOp: _print_transform_match,
+        transform.TransformStepOp: _print_transform_step,
+    }
+
+
+#: Custom assembly forms; every other op prints in the generic form.
+_PRINTERS = OpTable(_printer_rows)
 
 
 def print_module(op: Operation) -> str:

@@ -21,7 +21,15 @@ import argparse
 import sys
 from typing import Callable, Dict, List
 
-from .ir import Context, ModuleOp, Pass, PassManager, print_module, verify
+from .ir import (
+    DRIVERS,
+    Context,
+    ModuleOp,
+    Pass,
+    PassManager,
+    print_module,
+    verify,
+)
 from .ir.parser import ParseError, parse_module
 from .met import CSyntaxError
 from .met.c_lexer import CLexError
@@ -218,7 +226,7 @@ def main(argv: List[str] = None) -> int:
     )
     parser.add_argument(
         "--driver",
-        choices=["worklist", "snapshot"],
+        choices=DRIVERS,
         default="worklist",
         help="greedy pattern driver (default: worklist; snapshot is the "
         "reference full-sweep driver)",

@@ -73,6 +73,7 @@ from ..dialects.affine import (
     perfect_nest,
 )
 from ..ir import (
+    OP_REGISTRY,
     AffineMap,
     Block,
     Builder,
@@ -705,9 +706,9 @@ class SCFToLLVMPass(_ConversionPass):
 
 
 class LowerBlasToLLVMPattern(RewritePattern):
-    def __init__(self, root_op_name: str, symbol: str):
-        self.root_op_name = root_op_name
-        self.symbol = symbol
+    def __init__(self, call):
+        self.root_op_name = call.OP_NAME
+        self.symbol = call.SYMBOL
 
     @property
     def pattern_name(self) -> str:
@@ -728,26 +729,21 @@ class LowerBlasToLLVMPattern(RewritePattern):
 
 
 class LowerBlasToLLVMPass(_ConversionPass):
-    """Replace blas dialect ops by llvm.call into the library ABI; the
-    call keeps every attribute but ``library`` (``trans``, ``alpha``,
-    ``permutation``, ...)."""
+    """Replace each registered library call (``blas.*``) by
+    ``llvm.call @SYMBOL`` into the library ABI; the call keeps every
+    attribute but ``library`` (``trans``, ``alpha``, ``permutation``,
+    ...)."""
 
     name = "convert-blas-to-llvm"
 
-    _SYMBOLS = {
-        "blas.sgemm": "cblas_sgemm",
-        "blas.sgemv": "cblas_sgemv",
-        "blas.transpose": "mkl_somatcopy",
-        "blas.reshape": "mlt_reshape_view",
-        "blas.conv2d": "mkldnn_convolution_forward",
-    }
-
-    patterns = FrozenPatternSet(
-        [
-            LowerBlasToLLVMPattern(name, symbol)
-            for name, symbol in sorted(_SYMBOLS.items())
-        ]
-    )
+    def __init__(self):
+        self.patterns = FrozenPatternSet(
+            [
+                LowerBlasToLLVMPattern(OP_REGISTRY[name])
+                for name in sorted(OP_REGISTRY)
+                if issubclass(OP_REGISTRY[name], blas_d.LibraryCall)
+            ]
+        )
 
 
 # ----------------------------------------------------------------------

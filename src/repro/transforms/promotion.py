@@ -10,7 +10,7 @@ that produce unstructured SCF instead of affine loops.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..dialects import scf as scf_d
 from ..dialects import std
@@ -22,11 +22,6 @@ from ..ir import (
 )
 from ..ir import affine_expr as ae
 
-
-#: Total change count of the most recent ``promote_scf_to_affine`` call
-#: (loops + accesses + cleanups); the public return value stays "loops
-#: promoted" for API compatibility.
-_LAST_RUN_CHANGES = [0]
 
 
 def _constant_value(value: Value) -> Optional[int]:
@@ -67,6 +62,13 @@ def promote_scf_to_affine(func) -> int:
 
     Returns the number of promoted loops.
     """
+    return _promote(func)[0]
+
+
+def _promote(func) -> Tuple[int, int]:
+    """``(loops promoted, changes)``: the changes add the promoted
+    accesses and the cleanups, the dirty indicator
+    :class:`SCFToAffinePass` reports."""
     promoted = 0
     changed = True
     while changed:
@@ -84,11 +86,7 @@ def promote_scf_to_affine(func) -> int:
     from .canonicalize import canonicalize
 
     cleaned = canonicalize(func)
-    # The return value stays "number of promoted loops" for callers,
-    # but SCFToAffinePass separately needs a dirty indicator covering
-    # access promotion and cleanup too (see run_on_function).
-    _LAST_RUN_CHANGES[0] = promoted + accesses + cleaned
-    return promoted
+    return promoted, promoted + accesses + cleaned
 
 
 def _promote_one(loop: scf_d.ForOp) -> bool:
@@ -147,5 +145,4 @@ class SCFToAffinePass(FunctionPass):
     name = "raise-scf-to-affine"
 
     def run_on_function(self, func, context):
-        promote_scf_to_affine(func)
-        return _LAST_RUN_CHANGES[0]
+        return _promote(func)[1]

@@ -12,6 +12,7 @@ from repro.ir import (
     FuncOp,
     InsertionPoint,
     ModuleOp,
+    OpTable,
     ReturnOp,
     f32,
     memref,
@@ -275,13 +276,13 @@ class TestPlanOnce:
 
         planned = []
         counting = {}
-        for name, planner in interp_mod._PLANNERS.items():
+        for cls, planner in interp_mod._PLANNERS.rows.items():
             def plan(p, op, planner=planner):
                 planned.append(id(op))
                 return planner(p, op)
 
-            counting[name] = plan
-        monkeypatch.setattr(interp_mod, "_PLANNERS", counting)
+            counting[cls] = plan
+        monkeypatch.setattr(interp_mod, "_PLANNERS", OpTable(counting))
         return planned
 
     def test_each_op_is_planned_once_per_run(self, monkeypatch):

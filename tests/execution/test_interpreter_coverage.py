@@ -2,10 +2,11 @@
 dialects can construct.
 
 Anything registered in OP_REGISTRY is constructible by some pipeline
-(the fuzzer builds modules at every level), so every op must be either
-planned through ``_PLANNERS`` or be explicitly accounted for as a
-structural container.  A new dialect op without a handler fails this
-audit instead of surfacing later as an ``unhandled op`` crash mid-fuzz.
+(the fuzzer builds modules at every level), so every op must either
+resolve to a planner in ``_PLANNERS`` (its own row, or a base class's)
+or be explicitly accounted for as a structural container.  A new
+dialect op without a handler fails this audit instead of surfacing
+later as an ``unhandled op`` crash mid-fuzz.
 """
 
 import numpy as np
@@ -28,13 +29,12 @@ from repro.ir import (
 )
 from repro.ir.core import OP_REGISTRY
 
-#: Ops that hold functions/regions but are never dispatched themselves.
-STRUCTURAL_OPS = {"builtin.module", "func.func"}
+from .test_engine_coverage import STRUCTURAL_OPS, dead_rows, unresolved
 
 
 class TestHandlerCoverage:
     def test_every_registered_op_is_executable(self):
-        missing = set(OP_REGISTRY) - set(_PLANNERS) - STRUCTURAL_OPS
+        missing = unresolved(_PLANNERS, OP_REGISTRY) - STRUCTURAL_OPS
         assert not missing, (
             f"dialect ops without an interpreter handler: {sorted(missing)}; "
             "add a handler (or a clean-diagnostic stub) to "
@@ -42,8 +42,8 @@ class TestHandlerCoverage:
         )
 
     def test_no_stale_handlers(self):
-        stale = set(_PLANNERS) - set(OP_REGISTRY)
-        assert not stale, f"handlers for unregistered ops: {sorted(stale)}"
+        stale = dead_rows(_PLANNERS)
+        assert not stale, f"handlers no registered op reaches: {stale}"
 
 
 class TestNewHandlers:

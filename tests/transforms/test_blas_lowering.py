@@ -11,6 +11,7 @@ from repro.execution import (
     KernelCache,
 )
 from repro.ir import (
+    OP_REGISTRY,
     Builder,
     Context,
     FuncOp,
@@ -122,4 +123,8 @@ class TestBlasToLLVM:
             for actual in (execute_snapshot(reparsed, func, args), compiled):
                 for want, got in zip(expected, actual):
                     assert_close(want, got, rtol=2e-3)
-        assert symbols == set(LowerBlasToLLVMPass._SYMBOLS.values())
+        assert symbols == {
+            cls.SYMBOL
+            for cls in OP_REGISTRY.values()
+            if issubclass(cls, blas_d.LibraryCall)
+        }

@@ -99,3 +99,36 @@ class TestPromotion:
         a = np.zeros(64, np.float32)
         Interpreter(module).run("f", a)
         assert list(np.nonzero(a)[0]) == [2, 6, 10, 14, 18, 22, 26, 30]
+
+
+class TestPassReport:
+    """``raise-scf-to-affine`` reports the changes of the function it
+    ran on, whatever other promotions run in the process meanwhile:
+    serving runs units on executor threads, and a falsy report skips
+    ``verify_each`` and is believed by the pass cache."""
+
+    def test_report_survives_an_interleaved_promotion(self, monkeypatch):
+        from repro.transforms import promotion
+
+        target = _scf_gemm().functions[0]
+        # Already affine: promoting it again changes nothing.
+        bystander = compile_c(GEMM_SRC).functions[0]
+        original = promotion.promote_scf_to_affine
+
+        def interleaved(func):
+            promoted = original(func)
+            original(bystander)  # another unit's promotion lands here
+            return promoted
+
+        monkeypatch.setattr(promotion, "promote_scf_to_affine", interleaved)
+        reported = promotion.SCFToAffinePass().run_on_function(
+            target, Context()
+        )
+        assert reported
+        assert not any(op.name == "scf.for" for op in target.walk())
+
+    def test_unchanged_function_reports_nothing(self):
+        from repro.transforms import SCFToAffinePass
+
+        func = compile_c(GEMM_SRC).functions[0]
+        assert not SCFToAffinePass().run_on_function(func, Context())
